@@ -351,47 +351,6 @@ impl AddressGenerator {
         self.transitioning == 0 && self.waiting_total == 0 && self.channel.is_idle()
     }
 
-    /// Earliest future cycle at which [`tick`] could make progress —
-    /// re-issue a parked fetch (always the very next tick), absorb a
-    /// channel completion, or release a due result — assuming no new
-    /// submissions in between; `None` when nothing is pending. Follows
-    /// the channel next-event contract (`capstan_sim::channel`): every
-    /// tick strictly before the reported cycle is inert.
-    ///
-    /// [`tick`]: AddressGenerator::tick
-    pub fn next_event(&self) -> Option<u64> {
-        if !self.retry.is_empty() {
-            return Some(self.channel.cycle() + 1);
-        }
-        let now = self.channel.cycle();
-        let channel = self.channel.next_event();
-        let result = self.results.iter().map(|r| r.cycle.max(now + 1)).min();
-        match (channel, result) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Replays `ticks` inert cycles at once, bit-identically to that
-    /// many [`tick`] calls: only the channel's clock and credit move —
-    /// the AG itself has no per-tick state on an inert cycle. The
-    /// caller must keep the jump strictly below the
-    /// [`next_event`](AddressGenerator::next_event) horizon
-    /// (debug-asserted).
-    ///
-    /// [`tick`]: AddressGenerator::tick
-    pub fn fast_forward(&mut self, ticks: u64) {
-        debug_assert!(
-            match self.next_event() {
-                Some(e) => self.channel.cycle() + ticks < e,
-                None => true,
-            },
-            "fast-forward across an AG event"
-        );
-        self.channel.fast_forward(ticks);
-        self.done.clear();
-    }
-
     /// Returns the AG to its as-constructed state — zeroed memory, empty
     /// slab, no in-flight transfers — without releasing any buffer
     /// capacity. A reset AG is behaviorally indistinguishable from a

@@ -100,7 +100,6 @@ use capstan_sim::dram::{
     BankTiming, BankedStats, BurstRequest, ChannelArray, DramModel, BURST_BYTES,
 };
 use capstan_sim::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
-use std::sync::OnceLock;
 
 /// One tile's DRAM traffic, as recorded by the workload builder.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -245,14 +244,7 @@ pub struct MemSysConfig {
     /// this, which bounds each AG's internal state (see the allocation
     /// contract).
     pub max_outstanding_atomics: u64,
-    /// Whether [`MemSysSim::step`] may jump over provably inert
-    /// stretches of the tick loop (event-driven fast-forward) instead
-    /// of burning one tick per cycle. Bit-identical to the per-cycle
-    /// reference in simulated cycles, statistics, and snapshots — only
-    /// wall-clock time changes — so the default is on. The
-    /// `CAPSTAN_MEM_FASTFORWARD` environment variable (read once per
-    /// process) overrides this field in either direction; `=0` is the
-    /// escape hatch back to the per-cycle reference loop.
+    /// Has no effect; kept only so external code that still assigns it compiles.
     pub fast_forward: bool,
     /// Tenants whose traffic the driver interleaves (`1..=MAX_TENANTS`).
     /// 1 — the default — is the single-tenant driver, bit-identical to
@@ -281,7 +273,7 @@ impl MemSysConfig {
             ag_open_bursts: 64,
             issue_width: 16,
             max_outstanding_atomics: 256,
-            fast_forward: true,
+            fast_forward: false,
             tenants: 1,
             partition: TenantPartition::Shared,
             tenant_weights: [1; MAX_TENANTS],
@@ -417,8 +409,7 @@ struct MemGroup {
 
 /// Per-tenant replay state: the pending/queued counters, the frozen
 /// per-class cursors (stream cursor, synthetic PRNG states, recorded
-/// replay positions — all advancing only on acceptance, which is what
-/// keeps `can_issue`/fast-forward decidable per tenant), and the
+/// replay positions — all advancing only on acceptance), and the
 /// tenant's statistics. Sized once at construction; the steady-state
 /// tick loop never allocates lane state.
 #[derive(Debug)]
@@ -559,29 +550,6 @@ pub struct MemSysSim {
     /// the watchdog across call boundaries. Not serialized — restore
     /// re-anchors it at the restored cycle.
     watch: (u64, (u64, u64, u64)),
-    /// Effective fast-forward switch: [`MemSysConfig::fast_forward`]
-    /// with the `CAPSTAN_MEM_FASTFORWARD` environment override applied
-    /// at construction. Not part of the simulated state (fast-forward
-    /// is bit-identical to per-cycle ticking), so not serialized and
-    /// not covered by the snapshot config hash — snapshots move freely
-    /// between the two modes.
-    ff: bool,
-}
-
-/// Process-wide `CAPSTAN_MEM_FASTFORWARD` override, read once:
-/// `Some(false)` for `0`/`false`/`off`, `Some(true)` for `1`/`true`/`on`,
-/// `None` (defer to [`MemSysConfig::fast_forward`]) when unset or
-/// unrecognized.
-fn env_fast_forward() -> Option<bool> {
-    static OVERRIDE: OnceLock<Option<bool>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| match std::env::var("CAPSTAN_MEM_FASTFORWARD") {
-        Ok(v) => match v.trim() {
-            "0" | "false" | "off" => Some(false),
-            "1" | "true" | "on" => Some(true),
-            _ => None,
-        },
-        Err(_) => None,
-    })
 }
 
 impl MemSysSim {
@@ -657,7 +625,6 @@ impl MemSysSim {
             flushed: false,
             cycles_recorded: 0,
             watch: (0, (0, 0, 0)),
-            ff: env_fast_forward().unwrap_or(cfg.fast_forward),
         }
     }
 
@@ -784,51 +751,6 @@ impl MemSysSim {
         self.drained() && self.flushed
     }
 
-    /// Whether the issue stage could accept at least one request this
-    /// tick — the non-mutating mirror of the issue gates in
-    /// [`MemSysSim::tick`]. Valid across inert stretches because every
-    /// issuance input is frozen while nothing completes: the stream
-    /// cursor and replay cursors advance only on acceptance, channel
-    /// backpressure clears only on a serve, and an AG's outstanding
-    /// window shrinks only when a result releases.
-    fn can_issue(&self) -> bool {
-        if self.cfg.issue_width == 0 {
-            return false;
-        }
-        (0..self.cfg.tenants).any(|t| self.tenant_can_issue(t))
-    }
-
-    /// Whether tenant `t`'s issue stage could accept at least one
-    /// request this tick (every tenant with issuable work gets at least
-    /// one opportunity per tick under both partitions, so the
-    /// driver-wide [`MemSysSim::can_issue`] is the disjunction).
-    fn tenant_can_issue(&self, t: usize) -> bool {
-        let g = self.group_of(t);
-        let lane = &self.lanes[t];
-        if lane.pending_stream > 0
-            && self.groups[g]
-                .channels
-                .can_accept(stream_addr(t, lane.stream_cursor))
-        {
-            return true;
-        }
-        if lane.pending_random > 0
-            && self.groups[g]
-                .channels
-                .can_accept(self.random_burst(t) * BURST_BYTES)
-        {
-            return true;
-        }
-        if lane.pending_atomic > 0 {
-            let word = self.atomic_word(t);
-            let region = (word / self.cfg.ag_region_words as u64) as usize;
-            if self.groups[g].ags[region].outstanding() < self.cfg.max_outstanding_atomics {
-                return true;
-            }
-        }
-        false
-    }
-
     /// The burst address (tenant-offset) of tenant `t`'s next random
     /// read: the recorded sample under the replay cursor when the lane
     /// has recordings, the synthetic stream's peek otherwise. Recorded
@@ -860,27 +782,6 @@ impl MemSysSim {
                     % lane.atomic_stream.span
             }
         }
-    }
-
-    /// Earliest future cycle at which any channel or AG could complete
-    /// work (`None` when nothing is queued anywhere): the minimum of
-    /// every component's [`MemChannel::next_event`]. Under the
-    /// next-event contract, when the issue stage is also blocked
-    /// ([`MemSysSim::can_issue`] is false) every tick strictly before
-    /// this cycle is inert and [`MemSysSim::step`] may jump over it.
-    fn next_event(&self) -> Option<u64> {
-        let mut event: Option<u64> = None;
-        for group in &self.groups {
-            for e in std::iter::once(group.channels.next_event())
-                .chain(group.ags.iter().map(AddressGenerator::next_event))
-            {
-                event = match (event, e) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-            }
-        }
-        event
     }
 
     /// Tries to issue tenant `t`'s next streaming burst; returns
@@ -1106,12 +1007,6 @@ impl MemSysSim {
     /// those two primitives directly and get the identical tick
     /// sequence.
     ///
-    /// Whether the drain loop burns one host iteration per simulated
-    /// cycle or jumps over provably inert stretches is controlled by
-    /// [`MemSysConfig::fast_forward`] (env override
-    /// `CAPSTAN_MEM_FASTFORWARD`); the two modes are bit-identical in
-    /// simulated cycles, statistics, and snapshots.
-    ///
     /// # Panics
     ///
     /// Panics if the memory system stops making forward progress (a
@@ -1130,20 +1025,6 @@ impl MemSysSim {
     /// checkpoints ([`MemSysSim::save_state`]) cheap to take at any
     /// granularity. Call [`MemSysSim::finish_run`] once after the final
     /// step to publish the cycle accounting.
-    ///
-    /// # Event-driven fast-forward
-    ///
-    /// With [`MemSysConfig::fast_forward`] enabled (the default;
-    /// `CAPSTAN_MEM_FASTFORWARD=0` is the escape hatch back to the
-    /// per-cycle reference loop), `step` skips ahead whenever the issue
-    /// stage is blocked and every component reports its next event
-    /// strictly ahead: the skipped ticks are replayed in closed form by each
-    /// component's [`MemChannel::fast_forward`], bit-identically to
-    /// ticking through them. Jumps are clamped to the remaining
-    /// `budget`, so budget boundaries still never change the tick
-    /// sequence and checkpoints taken mid-jump land on the same cycle
-    /// they would under per-cycle ticking. Jumped cycles still count as
-    /// simulated cycles; only host work is skipped.
     ///
     /// # Panics
     ///
@@ -1175,38 +1056,6 @@ impl MemSysSim {
             }
             if remaining == 0 {
                 return false;
-            }
-            if self.ff && !self.can_issue() {
-                if let Some(event) = self.next_event() {
-                    // Jump to the tick *before* the event so the next
-                    // per-cycle tick is the one that completes it.
-                    let jump = (event - 1).saturating_sub(self.cycles).min(remaining);
-                    if jump > 0 {
-                        for group in &mut self.groups {
-                            group.channels.fast_forward(jump);
-                            for ag in &mut group.ags {
-                                ag.fast_forward(jump);
-                            }
-                        }
-                        // Jumped stretches are inert (no issues, no
-                        // completions), so every tenant's outstanding
-                        // count is frozen: the per-cycle loop would add
-                        // it once per jumped tick.
-                        for lane in &mut self.lanes {
-                            lane.stats.occupancy_cycles += lane.outstanding * jump;
-                        }
-                        self.cycles += jump;
-                        remaining -= jump;
-                        // Jumped ticks are provably inert; shifting the
-                        // anchor keeps the watchdog counting only real
-                        // per-cycle ticks, so a legitimate multi-million
-                        // cycle jump never trips it while genuine
-                        // livelock (per-cycle ticks without progress)
-                        // still does.
-                        self.watch.0 += jump;
-                        continue;
-                    }
-                }
             }
             self.tick();
             remaining -= 1;
@@ -1380,10 +1229,7 @@ impl MemSysSim {
     /// the DRAM model, the bank timing, and the full geometry. Two
     /// drivers with equal hashes replay traffic identically, so a
     /// snapshot is only restorable where its hash matches (checked by
-    /// the snapshot envelope). [`MemSysConfig::fast_forward`] is
-    /// deliberately excluded — the two drain modes are bit-identical,
-    /// so snapshots move freely between them (a checkpoint cut under
-    /// fast-forward resumes under per-cycle ticking and vice versa).
+    /// the snapshot envelope).
     pub fn config_hash(&self) -> u64 {
         let mut w = SnapshotWriter::new();
         w.write_u64(self.groups[0].channels.model().fingerprint());
@@ -1870,30 +1716,6 @@ mod tests {
                 first, second,
                 "{channels}-channel reset run diverged from fresh run"
             );
-        }
-    }
-
-    #[test]
-    fn step_budget_boundaries_do_not_change_the_run() {
-        let model = DramModel::new(MemoryKind::Ddr4);
-        let traffic = TileTraffic {
-            stream_bursts: 600,
-            random_bursts: 300,
-            atomic_words: 400,
-        };
-        let mut whole = MemSysSim::new(model);
-        whole.add_tile(traffic);
-        let reference = whole.run();
-        for budget in [1u64, 7, 1000] {
-            let mut stepped = MemSysSim::new(model);
-            stepped.add_tile(traffic);
-            while !stepped.step(budget) {}
-            assert_eq!(
-                stepped.finish_run(),
-                reference,
-                "budget {budget} changed the drain"
-            );
-            assert!(stepped.is_done());
         }
     }
 

@@ -31,7 +31,9 @@
 //!   as allocation-free as the synthetic streams.
 //!
 //! The tests live in their own integration-test binary because a
-//! `#[global_allocator]` is process-wide.
+//! `#[global_allocator]` is process-wide. The allocator counts per
+//! thread, so each test reads only its own thread's allocations and the
+//! proofs hold under the parallel test runner on any core count.
 
 use capstan_arch::ag::{AddressGenerator, DramAccess, BURST_WORDS};
 use capstan_arch::memdrv::{MemSysConfig, MemSysSim, TenantId, TenantPartition, TileTraffic};
@@ -42,15 +44,28 @@ use capstan_arch::spmu::driver::TraceRng;
 use capstan_arch::spmu::{AccessVector, LaneRequest, OrderingMode, RmwOp, Spmu, SpmuConfig};
 use capstan_sim::dram::{DramModel, MemoryKind};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` with a `Drop`-free type: no lazy init and no destructor,
+    // so touching it from inside the allocator can never allocate or
+    // fail, even while a thread is being torn down.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// whose `GlobalAlloc` contract is the one the caller already meets; the
+// only extra work is bumping a thread-local counter, which neither
+// allocates nor touches the memory being handed out.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -59,7 +74,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -67,8 +82,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static COUNTER: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Drives `spmu` with a saturating random read/RMW stream for `cycles`

@@ -162,73 +162,32 @@ fn resume_at_the_boundaries_is_bit_identical_too() {
     prove_cut(1, traffic, false, u64::MAX);
 }
 
-/// Builds a driver like [`build`] but with the drain mode pinned
-/// explicitly (`ff` = event-driven fast-forward vs per-cycle ticking).
-fn build_mode(channels: usize, traffic: TileTraffic, recorded: bool, ff: bool) -> MemSysSim {
-    let model = DramModel::new(MemoryKind::Hbm2e);
-    let mut cfg = MemSysConfig::with_channels(&model, channels);
-    cfg.fast_forward = ff;
-    let mut sim = MemSysSim::with_config(model, cfg);
-    if recorded {
-        let random: Vec<u64> = (0..96u64).map(|i| (i * 7919) % (1 << 18)).collect();
-        let atomic: Vec<u64> = (0..96u64)
-            .map(|i| if i % 3 == 0 { i % 48 } else { i * 131 })
-            .collect();
-        sim.add_tile_recorded(traffic, &random, &atomic);
-    } else {
-        sim.add_tile(traffic);
-    }
-    sim
-}
-
 #[test]
-fn checkpoints_cut_mid_jump_match_per_cycle_checkpoints_byte_for_byte() {
-    // The fast path jumps over inert stretches; a step-budget boundary
-    // that lands *inside* such a jump clamps it, so a checkpoint taken
-    // there must capture exactly the state per-cycle ticking reaches at
-    // the same cycle — proven here at the byte level, and the snapshots
-    // must restore interchangeably across modes (`config_hash` excludes
-    // the drain mode on purpose).
+fn step_budgets_reproduce_one_uninterrupted_run() {
+    // `CAPSTAN_CHECKPOINT_EVERY_CYCLES` drives the drain through bounded
+    // `step` slices; wherever the slice boundaries fall, the tick
+    // sequence must be the one a single `run` call performs.
     let traffic = TileTraffic {
-        stream_bursts: 500,
+        stream_bursts: 400,
         random_bursts: 300,
-        atomic_words: 700,
+        atomic_words: 500,
     };
-    for channels in [1usize, 4] {
-        for recorded in [false, true] {
-            let mut probe = build_mode(channels, traffic, recorded, false);
-            let want = probe.run();
-            // Odd, prime-ish cut points maximize the chance of landing
-            // mid-jump rather than on an event boundary.
-            for cut in [13u64, want.cycles / 3 + 1, want.cycles * 2 / 3 + 7] {
-                let mut fast = build_mode(channels, traffic, recorded, true);
-                let mut slow = build_mode(channels, traffic, recorded, false);
-                fast.step(cut);
-                slow.step(cut);
-                assert_eq!(
-                    fast.cycle(),
-                    slow.cycle(),
-                    "modes disagree on the cut cycle"
-                );
-                let fast_bytes = fast.save_state();
-                assert_eq!(
-                    fast_bytes,
-                    slow.save_state(),
-                    "{channels}ch recorded={recorded}: snapshot bytes diverge at cycle {cut}"
-                );
-                // Cross-mode resume: a fast-forward checkpoint restored
-                // into a per-cycle driver (and continued there) must
-                // still land on the reference run.
-                let mut resumed = build_mode(channels, traffic, recorded, false);
-                resumed
-                    .restore_state(&fast_bytes)
-                    .expect("snapshots are mode-independent");
-                assert_eq!(
-                    resumed.run(),
-                    want,
-                    "{channels}ch recorded={recorded}: cross-mode resume at {cut} diverged"
-                );
-            }
+    for kind in [MemoryKind::Ddr4, MemoryKind::Hbm2e] {
+        let fresh = || {
+            let mut sim = MemSysSim::new(DramModel::new(kind));
+            sim.add_tile(traffic);
+            sim
+        };
+        let want = fresh().run();
+        for budget in [1u64, 7, 64, 1000, 1023] {
+            let mut sliced = fresh();
+            while !sliced.step(budget) {}
+            assert_eq!(
+                sliced.finish_run(),
+                want,
+                "{kind:?}: budget {budget} changed the run"
+            );
+            assert!(sliced.is_done());
         }
     }
 }

@@ -184,9 +184,11 @@ impl Suite {
     /// `large`) or an explicit custom form
     /// `la=0.04,graph=0.015,spmspm=0.5,conv=0.1` listing every scale
     /// factor exactly once (any key order). Custom factors must be
-    /// finite, positive, and at most 16 — `NaN`/`inf` parse as valid
-    /// `f64`s but would silently produce empty or unbounded datasets,
-    /// so they are rejected loudly here, before any simulation runs.
+    /// finite, positive, and at most 1 (the full dataset, the largest
+    /// the generators produce) — `NaN`/`inf` parse as valid `f64`s but
+    /// would silently produce empty or unbounded datasets, so every
+    /// out-of-range factor is rejected loudly here, before any
+    /// simulation runs.
     /// The accepted spellings contain no whitespace or tabs, keeping
     /// scale strings safe to embed in journal manifests, bench records,
     /// and wire-protocol fields.
@@ -208,9 +210,9 @@ impl Suite {
             let value: f64 = raw
                 .parse()
                 .map_err(|_| format!("scale factor `{key}={raw}` is not a number"))?;
-            if !value.is_finite() || value <= 0.0 || value > 16.0 {
+            if !value.is_finite() || value <= 0.0 || value > 1.0 {
                 return Err(format!(
-                    "scale factor `{key}={raw}` must be finite and in (0, 16]"
+                    "scale factor `{key}={raw}` must be finite and in (0, 1]"
                 ));
             }
             let slot = match key {
@@ -408,6 +410,13 @@ mod tests {
         // Key order is free-form; values are what matter.
         let reordered = Suite::parse("conv=0.1,spmspm=0.5,la=0.04,graph=0.015").unwrap();
         assert_eq!(reordered, custom);
+        // 1 is the full dataset: the largest accepted factor.
+        assert_eq!(
+            Suite::parse("la=1,graph=1,spmspm=1,conv=1")
+                .unwrap()
+                .la_scale,
+            1.0
+        );
     }
 
     #[test]
@@ -420,6 +429,8 @@ mod tests {
             "la=-0.04,graph=0.015,spmspm=0.5,conv=0.1",
             "la=0,graph=0.015,spmspm=0.5,conv=0.1",
             "la=99,graph=0.015,spmspm=0.5,conv=0.1",
+            "la=1.5,graph=0.015,spmspm=0.5,conv=0.1",
+            "la=0.04,graph=0.015,spmspm=2,conv=0.1",
             "la=0.04,la=0.04,graph=0.015,spmspm=0.5,conv=0.1",
             "la=0.04,graph=0.015,spmspm=0.5,conv=0.1,zoom=2",
             "la=0.04,graph=0.015,spmspm=0.5,conv=0.1 ",

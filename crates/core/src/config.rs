@@ -221,29 +221,6 @@ pub fn default_mem_timing() -> MemTiming {
     }
 }
 
-/// Process-wide default for [`CapstanConfig::new`]'s `mem_fast_forward`
-/// field (0 = per-cycle reference loop, 1 = event-driven fast-forward).
-static DEFAULT_MEM_FASTFORWARD: AtomicU8 = AtomicU8::new(1);
-
-/// Sets whether newly constructed configurations default to the
-/// cycle-level memory mode's event-driven fast-forward (the
-/// `experiments --mem-fastforward` flag). The two drain modes are
-/// bit-identical in simulated cycles and statistics — only wall-clock
-/// speed differs — but like [`set_default_mem_timing`] this is intended
-/// to be called **once, at process start**, so every experiment in a
-/// run is recorded under one declared mode. The
-/// `CAPSTAN_MEM_FASTFORWARD` environment variable overrides whatever is
-/// configured here (see `capstan_arch::memdrv::MemSysConfig`).
-pub fn set_default_mem_fast_forward(enabled: bool) {
-    DEFAULT_MEM_FASTFORWARD.store(u8::from(enabled), Ordering::Relaxed);
-}
-
-/// Whether newly constructed configurations default to event-driven
-/// fast-forward in the cycle-level memory mode.
-pub fn default_mem_fast_forward() -> bool {
-    DEFAULT_MEM_FASTFORWARD.load(Ordering::Relaxed) != 0
-}
-
 /// Process-wide default for [`CapstanConfig::new`]'s `mem_channels`
 /// field.
 static DEFAULT_MEM_CHANNELS: AtomicUsize = AtomicUsize::new(1);
@@ -387,13 +364,7 @@ pub struct CapstanConfig {
     /// requires `mem_channels % mem_tenants == 0`). Ignored when
     /// `mem_tenants` is 1 and by the analytic mode.
     pub mem_tenant_partition: TenantPartition,
-    /// Whether the cycle-level memory mode may jump over provably inert
-    /// tick stretches (event-driven fast-forward) instead of ticking
-    /// every cycle. Bit-identical in simulated cycles and statistics to
-    /// the per-cycle reference loop — only wall-clock speed changes —
-    /// so it defaults to on. Overridable per process by the
-    /// `CAPSTAN_MEM_FASTFORWARD` environment variable; ignored by the
-    /// analytic mode.
+    /// Has no effect; kept only so external code that still reads it compiles.
     pub mem_fast_forward: bool,
     /// Maximum recorded DRAM addresses retained per tile *per traffic
     /// class* (random reads, atomics, remote-update destinations). The
@@ -427,7 +398,7 @@ impl CapstanConfig {
             mem_tenants: default_mem_tenants(),
             mem_tenant_partition: TenantPartition::default(),
             mem_addresses: default_mem_addressing(),
-            mem_fast_forward: default_mem_fast_forward(),
+            mem_fast_forward: false,
             addr_sample_limit: 512,
         }
     }
@@ -518,17 +489,6 @@ mod tests {
         );
         assert_eq!(default_mem_addressing(), MemAddressing::Synthetic);
         assert!(CapstanConfig::paper_default().addr_sample_limit > 0);
-    }
-
-    #[test]
-    fn mem_fast_forward_defaults_to_on() {
-        // Fast-forward is bit-identical to per-cycle ticking, so the
-        // fast path is the safe default. (As with the timing mode, no
-        // test may call `set_default_mem_fast_forward` — tests share
-        // one process; explicit per-config overrides are the test-safe
-        // way.)
-        assert!(CapstanConfig::paper_default().mem_fast_forward);
-        assert!(default_mem_fast_forward());
     }
 
     #[test]

@@ -470,12 +470,6 @@ pub fn simulate(workload: &Workload, cfg: &CapstanConfig) -> PerfReport {
                 // pre-tenant driver.
                 mcfg.tenants = cfg.mem_tenants.clamp(1, MAX_TENANTS);
                 mcfg.partition = cfg.mem_tenant_partition;
-                // The drain-loop mode is declared per config (the
-                // CAPSTAN_MEM_FASTFORWARD env override is applied
-                // inside the driver). It participates in the pool key
-                // like every other config field, which is harmless:
-                // the process-wide default makes it constant per run.
-                mcfg.fast_forward = cfg.mem_fast_forward;
                 // Under recorded addressing, each tile also hands the
                 // driver its sampled scattered-address vectors. The
                 // fallback is per traffic class and driver-wide: a

@@ -6,7 +6,7 @@
 //! experiments [NAMES...] [--scale small|medium|large|la=F,graph=F,spmspm=F,conv=F]
 //!             [--mem analytic|cycle]
 //!             [--mem-addresses synthetic|recorded] [--mem-channels N]
-//!             [--mem-fastforward on|off]
+//!             [--mem-tenants N] [--plan fixed|auto]
 //!             [--bench-out PATH] [--bench-base PATH] [--no-bench-out]
 //!             [--resume DIR]
 //! experiments --serve ADDR [--serve-shards N] [--serve-workdir DIR]
@@ -32,8 +32,8 @@
 //!
 //! `--scale` accepts the named presets or a custom
 //! `la=F,graph=F,spmspm=F,conv=F` factor spec (see
-//! `capstan_bench::Suite::parse`); non-finite or non-positive factors
-//! are rejected up front.
+//! `capstan_bench::Suite::parse`); non-finite factors and factors outside
+//! `(0, 1]` are rejected up front.
 //!
 //! `--mem cycle` switches every constructed configuration to the
 //! cycle-level AG-backed memory mode (`MemTiming::CycleLevel`) and tags
@@ -61,14 +61,7 @@
 //! mixes per configuration and ignore the process defaults.) The suffix rules live in one place,
 //! `capstan_core::config::mem_record_suffix`, shared with the serving
 //! layer, so the CLI, the server, and the journal headers can never
-//! disagree on a row's record group. `--mem-fastforward on|off`
-//! selects between
-//! the cycle-level mode's event-driven fast path (the default) and the
-//! per-cycle reference loop; it adds **no** suffix because the two
-//! modes are bit-identical in simulated cycles — rows stay comparable
-//! and only `cycles_per_second` moves. The `CAPSTAN_MEM_FASTFORWARD`
-//! environment variable overrides the flag (useful for A/B-ing a
-//! build without changing its command line). `--plan auto` routes the
+//! disagree on a row's record group. `--plan auto` routes the
 //! format-generic experiment slots through the density-driven planner
 //! (`capstan_plan`): each matrix's statistics pick its sparse format
 //! via `TensorStats::suggest`, and every row gains a `+plan` suffix —
@@ -125,8 +118,8 @@ use capstan_bench::gate::{self, BenchEntry, BenchRecord};
 use capstan_bench::Suite;
 use capstan_core::config::{
     mem_record_suffix, set_default_mem_addressing, set_default_mem_channels,
-    set_default_mem_fast_forward, set_default_mem_tenants, set_default_mem_timing,
-    set_default_plan_mode, MemAddressing, MemTiming, PlanMode,
+    set_default_mem_tenants, set_default_mem_timing, set_default_plan_mode, MemAddressing,
+    MemTiming, PlanMode,
 };
 use capstan_serve::client;
 use capstan_serve::key::RunSpec;
@@ -138,7 +131,7 @@ use std::time::Instant;
 const USAGE: &str = "usage: experiments [NAMES...] \
 [--scale small|medium|large|la=F,graph=F,spmspm=F,conv=F] \
 [--mem analytic|cycle] [--mem-addresses synthetic|recorded] [--mem-channels N] \
-[--mem-tenants N] [--mem-fastforward on|off] [--plan fixed|auto] [--bench-out PATH] \
+[--mem-tenants N] [--plan fixed|auto] [--bench-out PATH] \
 [--bench-base PATH] [--no-bench-out] [--resume DIR]
        experiments --serve ADDR [--serve-shards N] [--serve-workdir DIR]
        experiments [NAMES...] --submit ADDR [--scale SPEC] [--mem MODE] \
@@ -162,9 +155,6 @@ struct Cli {
     mem_channels: Option<usize>,
     /// `--mem-tenants` override.
     mem_tenants: Option<usize>,
-    /// `--mem-fastforward` override (no bench-row suffix: the two drain
-    /// modes are bit-identical in simulated cycles).
-    mem_fast_forward: Option<bool>,
     /// `--plan` override: `auto` routes format-generic experiment
     /// slots through the density-driven planner and tags rows `+plan`.
     plan: Option<PlanMode>,
@@ -244,13 +234,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     })?;
                 cli.mem_tenants = Some(n);
             }
-            "--mem-fastforward" => {
-                cli.mem_fast_forward = Some(match value("--mem-fastforward", &mut it)?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("unknown fast-forward mode `{other}` (on|off)")),
-                });
-            }
             "--plan" => {
                 let raw = value("--plan", &mut it)?;
                 cli.plan = Some(
@@ -319,7 +302,6 @@ fn check_modes(cli: &Cli) -> Result<(), String> {
             || cli.mem_addresses.is_some()
             || cli.mem_channels.is_some()
             || cli.mem_tenants.is_some()
-            || cli.mem_fast_forward.is_some()
             || cli.plan.is_some()
             || cli.bench_out.is_some()
             || cli.bench_base.is_some()
@@ -335,12 +317,11 @@ fn check_modes(cli: &Cli) -> Result<(), String> {
         && (cli.bench_out.is_some()
             || cli.bench_base.is_some()
             || cli.no_bench_out
-            || cli.resume.is_some()
-            || cli.mem_fast_forward.is_some())
+            || cli.resume.is_some())
     {
         return Err(
-            "--submit cannot combine with --bench-out/--bench-base/--no-bench-out/--resume/\
-             --mem-fastforward (the server owns recording, resume, and drain mode)"
+            "--submit cannot combine with --bench-out/--bench-base/--no-bench-out/--resume \
+             (the server owns recording and resume)"
                 .to_string(),
         );
     }
@@ -581,11 +562,6 @@ fn main() {
     if let Some(n) = cli.mem_tenants {
         set_default_mem_tenants(n);
     }
-    // No suffix: fast-forward changes wall-clock speed only, never
-    // simulated cycles, so its rows stay in the same record group.
-    if let Some(enabled) = cli.mem_fast_forward {
-        set_default_mem_fast_forward(enabled);
-    }
     if let Some(mode) = cli.plan {
         set_default_plan_mode(mode);
     }
@@ -744,8 +720,6 @@ mod tests {
             "4",
             "--mem-tenants",
             "2",
-            "--mem-fastforward",
-            "off",
             "--bench-out",
             "OUT.json",
         ]))
@@ -756,7 +730,6 @@ mod tests {
         assert_eq!(cli.mem_addresses, Some(MemAddressing::Recorded));
         assert_eq!(cli.mem_channels, Some(4));
         assert_eq!(cli.mem_tenants, Some(2));
-        assert_eq!(cli.mem_fast_forward, Some(false));
         assert_eq!(cli.bench_out.as_deref(), Some("OUT.json"));
         assert!(!cli.no_bench_out);
     }
@@ -801,7 +774,6 @@ mod tests {
             "--mem-addresses",
             "--mem-channels",
             "--mem-tenants",
-            "--mem-fastforward",
             "--plan",
             "--bench-out",
             "--bench-base",
@@ -836,7 +808,6 @@ mod tests {
         assert!(parse_args(&args(&["--mem-channels", "many"])).is_err());
         assert!(parse_args(&args(&["--mem-tenants", "0"])).is_err());
         assert!(parse_args(&args(&["--mem-tenants", "99"])).is_err());
-        assert!(parse_args(&args(&["--mem-fastforward", "maybe"])).is_err());
         assert!(parse_args(&args(&["--serve", "a:1", "--serve-shards", "0"])).is_err());
     }
 
@@ -875,7 +846,6 @@ mod tests {
             vec!["--submit", "a:1", "--bench-out", "OUT.json"],
             vec!["--submit", "a:1", "--bench-base", "BENCH.json"],
             vec!["--submit", "a:1", "--no-bench-out"],
-            vec!["--submit", "a:1", "--mem-fastforward", "off"],
         ] {
             let err = parse_args(&args(&bad)).unwrap_err();
             assert!(err.contains("--submit cannot combine"), "{bad:?}: {err}");

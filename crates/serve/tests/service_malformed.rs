@@ -69,6 +69,13 @@ fn malformed_requests_get_typed_errors_and_the_server_survives() {
             false,
             "ERR bad-request",
         ),
+        // A factor past the full dataset is refused up front, not left
+        // to panic a worker.
+        (
+            b"capstan-serve/v1 SUBMIT experiment=table6 scale=la=2,graph=0.015,spmspm=0.5,conv=0.1\n",
+            false,
+            "ERR bad-request",
+        ),
         // Truncated frame: the peer hangs up mid-line.
         (b"capstan-serve/v1 SUB", true, "ERR truncated"),
         // Missing required field.

@@ -6,40 +6,14 @@
 //! multi-channel [`ChannelArray`](crate::dram::ChannelArray) — speaks
 //! this one trait. The driver stack (`memdrv` in `capstan-arch`, the
 //! checkout pool in `capstan-core`) is written against [`MemChannel`]
-//! alone, so the event-driven fast path exists in exactly one place
-//! instead of once per channel type.
-//!
-//! # The next-event contract
-//!
-//! [`MemChannel::next_event`] is what makes event-driven fast-forward
-//! sound. It reports the earliest future cycle at which a `tick` could
-//! complete a burst, **assuming no new requests arrive in between**:
-//!
-//! * `Some(e)` with `e > cycle()`: every tick strictly before `e` is
-//!   *inert* — it completes nothing and changes no observable state
-//!   beyond the deterministic per-tick bookkeeping (cycle counter,
-//!   bus-credit accrual, busy-bank occupancy counters, round-robin
-//!   cursors). `e` may be conservative (earlier than the true first
-//!   completion) but must never overshoot it.
-//! * `None`: no queued work; every tick is inert until a push.
-//!
-//! [`MemChannel::fast_forward`] then replays `k` inert ticks in closed
-//! form (or with an early-exiting credit loop), bit-identically to `k`
-//! calls of `tick` — same `f64` credit trajectory, same statistics,
-//! same cursors — provided the caller kept `k` below the next-event
-//! horizon. The per-cycle `tick` loop therefore remains the reference
-//! model; fast-forward is an exact shortcut through its inert stretches.
+//! alone: push, tick once per cycle, and reset or savestate between
+//! runs, whatever the topology.
 
 use crate::dram::{BurstCompletion, BurstRequest};
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 
-/// How many credit-accrual steps [`credit_ready_in`] simulates before
-/// giving up and reporting a conservative (early, therefore safe)
-/// event. Only pathological `Custom` bandwidths ever hit this bound.
-const CREDIT_SCAN_LIMIT: u64 = 4096;
-
 /// A cycle-level memory channel: the common driver surface of every
-/// channel topology (see the module docs for the next-event contract).
+/// channel topology.
 pub trait MemChannel {
     /// Current simulation cycle.
     fn cycle(&self) -> u64;
@@ -60,18 +34,6 @@ pub trait MemChannel {
     /// Whether any requests are pending.
     fn is_idle(&self) -> bool;
 
-    /// Earliest future cycle at which [`tick`](MemChannel::tick) could
-    /// complete a burst, assuming no pushes in between; `None` when no
-    /// work is queued. Always `> self.cycle()` when `Some`. May be
-    /// conservative (early) but never overshoots the true event.
-    fn next_event(&self) -> Option<u64>;
-
-    /// Replays `ticks` inert cycles at once, bit-identically to that
-    /// many [`tick`](MemChannel::tick) calls. The caller must ensure
-    /// the jump stays strictly below the
-    /// [`next_event`](MemChannel::next_event) horizon (debug-asserted).
-    fn fast_forward(&mut self, ticks: u64);
-
     /// Returns the channel to its as-constructed state without
     /// releasing buffer capacity (the persistent-driver reset path: a
     /// reset channel must be behaviorally indistinguishable from a
@@ -86,93 +48,4 @@ pub trait MemChannel {
     /// Restores state saved by [`save_state`](MemChannel::save_state)
     /// into a channel constructed with the same configuration.
     fn restore_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError>;
-}
-
-/// Replays `ticks` steps of the per-tick credit recurrence
-/// `credit = min(credit + per_tick, cap)` — exactly the `f64` operation
-/// sequence the channel tick loops perform, so the result is
-/// bit-identical to ticking. Exits early at the recurrence's fixed
-/// point (reached at the cap, or immediately when `per_tick` is zero),
-/// which bounds the loop far below `ticks` for every real bandwidth.
-pub fn replay_credit(mut credit: f64, per_tick: f64, cap: f64, ticks: u64) -> f64 {
-    for _ in 0..ticks {
-        let next = (credit + per_tick).min(cap);
-        if next == credit {
-            break;
-        }
-        credit = next;
-    }
-    credit
-}
-
-/// Smallest `t >= 1` such that `t` steps of the credit recurrence
-/// reach at least one burst of credit (`>= 1.0`), i.e. the tick offset
-/// at which service becomes credit-feasible again. Returns `None` when
-/// the recurrence's fixed point stays below `1.0` (the channel can
-/// never serve — only a zero-bandwidth `Custom` model does this).
-/// Scanning is capped at an internal limit; hitting the cap returns a
-/// conservative early estimate, which is always safe under the
-/// next-event contract.
-pub fn credit_ready_in(credit: f64, per_tick: f64, cap: f64) -> Option<u64> {
-    let mut c = credit;
-    for t in 1..=CREDIT_SCAN_LIMIT {
-        let next = (c + per_tick).min(cap);
-        if next >= 1.0 {
-            return Some(t);
-        }
-        if next == c {
-            return None;
-        }
-        c = next;
-    }
-    Some(CREDIT_SCAN_LIMIT)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn replay_credit_matches_sequential_ticking() {
-        let (bpc, cap) = (0.265625, 1.0);
-        let mut seq = 0.3_f64;
-        for k in 0..50u64 {
-            assert_eq!(replay_credit(0.3, bpc, cap, k), seq, "diverged at k = {k}");
-            seq = (seq + bpc).min(cap);
-        }
-    }
-
-    #[test]
-    fn replay_credit_is_stable_at_the_cap_and_at_zero_rate() {
-        assert_eq!(replay_credit(1.0, 0.25, 1.0, 1 << 40), 1.0);
-        assert_eq!(replay_credit(0.5, 0.0, 1.0, 1 << 40), 0.5);
-        assert_eq!(
-            replay_credit(0.0, f64::INFINITY, f64::INFINITY, 3),
-            f64::INFINITY
-        );
-    }
-
-    #[test]
-    fn credit_ready_in_reports_the_first_feasible_tick() {
-        // 0.3 + t * 0.25 reaches 1.0 at t = 3 (0.55, 0.80, 1.05).
-        assert_eq!(credit_ready_in(0.3, 0.25, 1.0), Some(3));
-        // Already feasible: one accrual keeps it feasible.
-        assert_eq!(credit_ready_in(1.0, 0.25, 1.0), Some(1));
-        // Infinite rate (ideal memory): feasible after one accrual.
-        assert_eq!(credit_ready_in(0.0, f64::INFINITY, f64::INFINITY), Some(1));
-        // Zero rate: the fixed point stays below 1.0 forever.
-        assert_eq!(credit_ready_in(0.5, 0.0, 1.0), None);
-    }
-
-    #[test]
-    fn credit_ready_in_agrees_with_replay_credit() {
-        for &(credit, bpc) in &[(0.0f64, 0.11f64), (0.7, 0.02), (0.0, 3.7), (0.99, 0.005)] {
-            let cap = bpc.ceil().max(1.0);
-            let t = credit_ready_in(credit, bpc, cap).unwrap();
-            assert!(replay_credit(credit, bpc, cap, t) >= 1.0);
-            if t > 1 {
-                assert!(replay_credit(credit, bpc, cap, t - 1) < 1.0);
-            }
-        }
-    }
 }

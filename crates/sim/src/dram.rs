@@ -16,7 +16,7 @@
 //! Both an analytic interface ([`DramModel`]) and a cycle-level channel
 //! ([`DramChannel`], used by the address-generator simulator) are provided.
 
-use crate::channel::{credit_ready_in, replay_credit, MemChannel};
+use crate::channel::MemChannel;
 use crate::queue::BoundedQueue;
 use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::CLOCK_GHZ;
@@ -250,13 +250,6 @@ impl DramChannel {
     fn bursts_per_cycle(&self) -> f64 {
         self.model.effective_bytes_per_cycle(AccessPattern::Random) / BURST_BYTES as f64
     }
-
-    /// Credit cap: credit beyond one cycle's service capacity cannot be
-    /// banked — cycles spent idle or blocked on latency are lost
-    /// bandwidth.
-    fn credit_cap(&self) -> f64 {
-        self.bursts_per_cycle().ceil().max(1.0)
-    }
 }
 
 impl MemChannel for DramChannel {
@@ -276,6 +269,8 @@ impl MemChannel for DramChannel {
         self.cycle += 1;
         let bursts_per_cycle = self.bursts_per_cycle();
         self.credit += bursts_per_cycle;
+        // Credit beyond one cycle's service capacity cannot be banked:
+        // cycles spent idle or blocked on latency are lost bandwidth.
         let cap = bursts_per_cycle.ceil().max(1.0);
         self.credit = self.credit.min(cap);
         self.completed.clear();
@@ -300,33 +295,6 @@ impl MemChannel for DramChannel {
 
     fn is_idle(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    fn next_event(&self) -> Option<u64> {
-        let latency = self.model.latency_cycles();
-        let front_ready = self
-            .queue
-            .next_event(self.cycle, |&(_, enq)| enq + latency)?;
-        let t = credit_ready_in(self.credit, self.bursts_per_cycle(), self.credit_cap())?;
-        Some(front_ready.max(self.cycle + t))
-    }
-
-    fn fast_forward(&mut self, ticks: u64) {
-        debug_assert!(
-            match self.next_event() {
-                Some(e) => self.cycle + ticks < e,
-                None => true,
-            },
-            "fast-forward across a channel event"
-        );
-        self.credit = replay_credit(
-            self.credit,
-            self.bursts_per_cycle(),
-            self.credit_cap(),
-            ticks,
-        );
-        self.cycle += ticks;
-        self.completed.clear();
     }
 
     fn reset(&mut self) {
@@ -612,54 +580,6 @@ impl MemChannel for BankedDramChannel {
         self.banks.iter().all(|b| b.queue.is_empty())
     }
 
-    fn next_event(&self) -> Option<u64> {
-        // A bank can serve once its queue front has aged past the CAS
-        // latency *and* the bank's busy timer has elapsed; the channel's
-        // event is the earliest such bank, further gated by when the
-        // shared bus accrues a burst of credit.
-        let cas = self.timing.cas_latency;
-        let mut bank_ready: Option<u64> = None;
-        for bank in &self.banks {
-            let busy_until = bank.busy_until;
-            if let Some(ready) = bank
-                .queue
-                .next_event(self.cycle, |&(_, enq)| (enq + cas).max(busy_until))
-            {
-                bank_ready = Some(bank_ready.map_or(ready, |b| b.min(ready)));
-            }
-        }
-        let bank_ready = bank_ready?;
-        let t = credit_ready_in(self.credit, self.bus_bursts_per_cycle, self.credit_cap)?;
-        Some(bank_ready.max(self.cycle + t))
-    }
-
-    fn fast_forward(&mut self, ticks: u64) {
-        debug_assert!(
-            match self.next_event() {
-                Some(e) => self.cycle + ticks < e,
-                None => true,
-            },
-            "fast-forward across a banked-channel event"
-        );
-        self.credit = replay_credit(
-            self.credit,
-            self.bus_bursts_per_cycle,
-            self.credit_cap,
-            ticks,
-        );
-        // Per-cycle ticking counts every busy bank once per tick; a
-        // jump of `ticks` cycles adds the closed-form equivalent (the
-        // busy timers themselves cannot move without a serve).
-        for bank in &self.banks {
-            self.stats.bank_busy_cycles +=
-                ticks.min(bank.busy_until.saturating_sub(self.cycle + 1));
-        }
-        self.cycle += ticks;
-        let n = self.timing.banks;
-        self.rr = (self.rr + (ticks % n as u64) as usize) % n;
-        self.completed.clear();
-    }
-
     fn reset(&mut self) {
         self.cycle = 0;
         self.credit = 0.0;
@@ -874,22 +794,6 @@ impl MemChannel for ChannelArray {
 
     fn is_idle(&self) -> bool {
         self.channels.iter().all(MemChannel::is_idle)
-    }
-
-    fn next_event(&self) -> Option<u64> {
-        self.channels
-            .iter()
-            .filter_map(MemChannel::next_event)
-            .min()
-    }
-
-    fn fast_forward(&mut self, ticks: u64) {
-        for ch in &mut self.channels {
-            ch.fast_forward(ticks);
-        }
-        let n = self.channels.len();
-        self.rr = (self.rr + (ticks % n as u64) as usize) % n;
-        self.completed.clear();
     }
 
     fn reset(&mut self) {

@@ -19,9 +19,7 @@
 //!   region-bit crossbar, the topology of the cycle-level memory mode.
 //! * [`channel`] — the [`channel::MemChannel`] trait: the one driver
 //!   surface all three cycle-level channel topologies implement
-//!   (tick / is_idle / next_event / fast_forward / reset / savestate),
-//!   including the next-event contract behind the memory driver's
-//!   event-driven fast-forward.
+//!   (push / can_accept / tick / is_idle / reset / savestate).
 //! * [`network`] — the hybrid static/dynamic on-chip network model
 //!   (512-bit vector links, per-hop latency, §4.1).
 //! * [`snapshot`] — versioned, checksummed binary savestates: the

@@ -165,16 +165,6 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Earliest future cycle (always `> now`) at which the queue's
-    /// *front* item could be serviced, per the caller's readiness rule
-    /// `ready_at`; `None` when the queue is empty. FIFO service means
-    /// only the front item gates the queue's next event — this is the
-    /// per-queue building block of the memory channels' next-event
-    /// fast-forward contract (`capstan_sim::channel`).
-    pub fn next_event(&self, now: u64, ready_at: impl FnOnce(&T) -> u64) -> Option<u64> {
-        self.front().map(|item| ready_at(item).max(now + 1))
-    }
-
     /// Highest occupancy ever observed.
     pub fn high_water(&self) -> usize {
         self.high_water
@@ -276,17 +266,6 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         let _: BoundedQueue<u8> = BoundedQueue::new(0);
-    }
-
-    #[test]
-    fn next_event_gates_on_the_front_item_only() {
-        let mut q: BoundedQueue<u64> = BoundedQueue::new(4);
-        assert_eq!(q.next_event(10, |&t| t), None);
-        q.push(5).unwrap();
-        q.push(100).unwrap(); // later items never gate the queue
-        assert_eq!(q.next_event(2, |&t| t), Some(5));
-        // Readiness at or before `now` clamps to the next tick.
-        assert_eq!(q.next_event(10, |&t| t), Some(11));
     }
 
     #[test]

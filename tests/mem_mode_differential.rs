@@ -386,36 +386,6 @@ fn recorded_replay_is_bit_reproducible() {
 }
 
 #[test]
-fn fast_forward_reports_match_the_per_cycle_reference_end_to_end() {
-    // The event-driven fast path (`CapstanConfig::mem_fast_forward`,
-    // default on) is a wall-clock optimization only: through the full
-    // `simulate` stack — driver checkout pool included — it must
-    // produce the identical `PerfReport`, memory stats and all, as the
-    // per-cycle reference loop, for both scattered-address sources.
-    // (The channel-level byte-identity proofs live in
-    // `crates/arch/tests/fast_forward.rs`; this pins the config
-    // plumbing end to end.)
-    for memory in [MemoryKind::Ddr4, MemoryKind::Hbm2e] {
-        for (name, w) in [
-            ("count-only", dram_workload(8, 1 << 18, 2048, 4096)),
-            ("recorded", recorded_atomic_workload(4, 2048, 875)),
-        ] {
-            for addresses in [MemAddressing::Synthetic, MemAddressing::Recorded] {
-                let mut fast = with_addressing(memory, addresses);
-                fast.mem_fast_forward = true;
-                let mut slow = fast;
-                slow.mem_fast_forward = false;
-                assert_eq!(
-                    simulate(&w, &fast),
-                    simulate(&w, &slow),
-                    "{memory:?}/{name}/{addresses:?}: fast-forward changed the report"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn cycle_level_report_is_reproducible() {
     // Two simulations of the same workload must agree bit-for-bit —
     // the determinism contract golden tests and CI byte-diffs build on.
