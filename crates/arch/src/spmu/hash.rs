@@ -13,7 +13,7 @@
 //! into the bank id, so they land in distinct banks.
 
 /// Bank-mapping scheme for the SpMU scratchpad.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BankHash {
     /// XOR-fold of the address nibbles (the paper's scheme).
     #[default]

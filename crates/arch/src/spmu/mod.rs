@@ -118,7 +118,7 @@ pub struct GrantRecord {
 }
 
 /// Static configuration of one SpMU.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpmuConfig {
     /// SIMD lanes feeding the unit (paper: 16).
     pub lanes: usize,

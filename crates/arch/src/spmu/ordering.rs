@@ -18,7 +18,7 @@
 //! completion.
 
 /// The SpMU's memory-ordering mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OrderingMode {
     /// Full reordering (the default, highest-throughput mode).
     #[default]

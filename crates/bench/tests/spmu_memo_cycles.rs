@@ -1,0 +1,40 @@
+//! Simulated-cycle credit of the SpMU replay memo, end to end.
+//!
+//! `capstan_core::perf` replays each distinct (SpMU configuration, masked
+//! trace) once per process and credits the stored cycles on every later
+//! hit. Per-experiment simulated-cycle deltas therefore must not depend
+//! on whether a replay ran or hit: `table11` re-costs the tiles `table9`
+//! already replayed, so its first run is mostly hits and its second run
+//! is all hits, and both must print the same bytes and add the same
+//! cycles. A hit that forgot to credit would make the second delta
+//! smaller than the first (or both zero).
+//!
+//! This file holds a single test on purpose: the simulated-cycle counter
+//! is process-wide, so no other test may run concurrently in this
+//! process.
+
+use capstan_bench::experiments::run_by_name;
+use capstan_bench::Suite;
+use capstan_sim::stats::simulated_cycles;
+
+/// Runs one experiment and returns its report and simulated-cycle delta.
+fn run(name: &str, suite: &Suite) -> (String, u64) {
+    let before = simulated_cycles();
+    let report = run_by_name(name, suite).expect("known experiment");
+    (report, simulated_cycles() - before)
+}
+
+#[test]
+fn memo_hits_credit_the_cycles_a_replay_would_have_added() {
+    let suite = Suite::parse("la=0.01,graph=0.004,spmspm=0.1,conv=0.03").unwrap();
+    let (_, table9_cycles) = run("table9", &suite);
+    assert!(table9_cycles > 0);
+    let (first, first_cycles) = run("table11", &suite);
+    let (second, second_cycles) = run("table11", &suite);
+    assert_eq!(first, second, "table11 report bytes changed on a memo hit");
+    assert!(first_cycles > 0, "table11 added no simulated cycles");
+    assert_eq!(
+        first_cycles, second_cycles,
+        "table11 simulated-cycle delta changed on a memo hit"
+    );
+}

@@ -2,7 +2,10 @@
 //! in perf work; see also `crates/bench/benches/spmu.rs`).
 
 use capstan::arch::spmu::driver::{measure_random_throughput, run_vectors};
-use capstan::arch::spmu::{AccessVector, OrderingMode, SpmuConfig};
+use capstan::arch::spmu::{AccessVector, OrderingMode, RmwOp, SpmuConfig};
+use capstan::core::config::{CapstanConfig, MemoryKind};
+use capstan::core::perf::simulate;
+use capstan::core::program::WorkloadBuilder;
 use std::time::Instant;
 
 fn main() {
@@ -41,4 +44,26 @@ fn main() {
         r.cycles,
         r.cycles as f64 / 1e6 / elapsed
     );
+
+    // `simulate` on an SRAM-heavy workload, twice: the first call replays
+    // every tile's trace through the SpMU, the second hits the replay memo.
+    let mut wl = WorkloadBuilder::new("sram-heavy");
+    for tile in 0..32usize {
+        let mut t = wl.tile();
+        t.foreach_vec(8192, |t, i| {
+            t.sram_rmw(((i * 7919 + tile * 104_729) % 65_536) as u32, RmwOp::AddF);
+        });
+        wl.commit(t);
+    }
+    let workload = wl.finish();
+    let cfg = CapstanConfig::new(MemoryKind::Hbm2e);
+    for pass in ["cold", "memo hit"] {
+        let start = Instant::now();
+        let report = simulate(&workload, &cfg);
+        let elapsed = start.elapsed().as_secs_f64();
+        println!(
+            "simulate sram-heavy ({pass:<8}): {} cycles (sram {}) in {elapsed:.4}s",
+            report.cycles, report.breakdown.sram
+        );
+    }
 }
