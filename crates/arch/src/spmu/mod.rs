@@ -198,7 +198,12 @@ impl SpmuConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum LaneState {
     Empty,
-    Pending(LaneRequest),
+    /// Waiting to issue; `bank` is the request's bank, hashed once at
+    /// admission.
+    Pending {
+        req: LaneRequest,
+        bank: usize,
+    },
     Issued {
         finish_at: u64,
         result: f32,
@@ -238,8 +243,6 @@ struct TickScratch {
     /// Flattened per-iteration allocator request masks
     /// (`masks[iter * ports + port]`).
     masks: Vec<u64>,
-    /// `(lane, entry id)` pairs already granted this cycle.
-    used: Vec<(usize, u64)>,
     /// Fully-ordered mode: the distinct-bank prefix to issue.
     to_issue: Vec<(usize, LaneRequest, usize)>,
     /// First reader lane per address, for repeated-read elision.
@@ -399,7 +402,12 @@ impl Spmu {
     }
 
     fn mem_index(&self, addr: u32) -> usize {
-        let bank = self.cfg.hash.bank_of(addr, self.cfg.banks);
+        self.word_index(self.cfg.hash.bank_of(addr, self.cfg.banks), addr)
+    }
+
+    /// Index into `mem` of `addr`, which maps to `bank`.
+    fn word_index(&self, bank: usize, addr: u32) -> usize {
+        debug_assert_eq!(bank, self.cfg.hash.bank_of(addr, self.cfg.banks));
         let offset = self.cfg.hash.offset_of(addr, self.cfg.banks);
         assert!(
             offset < self.cfg.bank_words,
@@ -600,6 +608,11 @@ impl Spmu {
         lanes.reserve(self.cfg.lanes);
         let mut seen_reads = std::mem::take(&mut self.scratch.seen_reads);
         seen_reads.clear();
+        let (hash, banks) = (self.cfg.hash, self.cfg.banks);
+        let pending = |req: LaneRequest| LaneState::Pending {
+            req,
+            bank: hash.bank_of(req.addr, banks),
+        };
         for (i, lane) in vector.lanes.iter().enumerate() {
             let state = match lane {
                 None => LaneState::Empty,
@@ -610,10 +623,10 @@ impl Spmu {
                             LaneState::DuplicateOf(src)
                         } else {
                             seen_reads.push((req.addr, i));
-                            LaneState::Pending(*req)
+                            pending(*req)
                         }
                     } else {
-                        LaneState::Pending(*req)
+                        pending(*req)
                     }
                 }
             };
@@ -623,7 +636,7 @@ impl Spmu {
         lanes.resize(self.cfg.lanes, LaneState::Empty);
         let mut pending_mask = 0u64;
         for (i, lane) in lanes.iter().enumerate() {
-            if matches!(lane, LaneState::Pending(_)) {
+            if matches!(lane, LaneState::Pending { .. }) {
                 pending_mask |= 1 << i;
             }
         }
@@ -632,7 +645,7 @@ impl Spmu {
         self.staging_pool.push(vector);
         if self.cfg.ordering == OrderingMode::AddressOrdered {
             for lane in &lanes {
-                if let LaneState::Pending(req) = lane {
+                if let LaneState::Pending { req, .. } = lane {
                     self.bloom.insert(req.addr);
                 }
             }
@@ -657,8 +670,8 @@ impl Spmu {
     /// superset of the previous one, §3.1.1), so one entry-major sweep
     /// over the queue accumulates per-lane bank masks and snapshots them
     /// at each window boundary. This visits every queue entry once
-    /// instead of once per (lane, iteration) and hashes each pending
-    /// address once, producing bit-identical masks to the naive build.
+    /// instead of once per (lane, iteration), producing bit-identical
+    /// masks to the naive build.
     fn issue_allocated(&mut self) -> usize {
         let lanes = self.cfg.lanes;
         let speedup = self.cfg.input_speedup;
@@ -689,8 +702,8 @@ impl Spmu {
             while pending != 0 {
                 let lane = pending.trailing_zeros() as usize;
                 pending &= pending - 1;
-                if let LaneState::Pending(req) = entry.lanes[lane] {
-                    lane_masks[lane] |= 1 << self.cfg.hash.bank_of(req.addr, self.cfg.banks);
+                if let LaneState::Pending { bank, .. } = entry.lanes[lane] {
+                    lane_masks[lane] |= 1 << bank;
                 }
             }
             for (iter, &w) in windows.iter().enumerate() {
@@ -716,36 +729,29 @@ impl Spmu {
 
         // Map grants back to the oldest matching pending request per lane.
         let mut granted = 0;
-        let mut used = std::mem::take(&mut self.scratch.used); // (lane, entry id) already taken
-        used.clear();
         for (port, grant) in result.grants.iter().enumerate() {
             let Some(bank) = *grant else { continue };
             let lane = port / self.cfg.input_speedup;
-            if self.issue_oldest(lane, bank, &mut used) {
+            if self.issue_oldest(lane, bank) {
                 granted += 1;
             }
         }
-        self.scratch.used = used;
         self.scratch.alloc_result = result;
         granted
     }
 
     /// Issues the oldest pending request of `lane` mapping to `bank`.
-    fn issue_oldest(&mut self, lane: usize, bank: usize, used: &mut Vec<(usize, u64)>) -> bool {
+    /// A request granted earlier this cycle is no longer pending, so
+    /// the `pending` bit alone keeps it from issuing twice.
+    fn issue_oldest(&mut self, lane: usize, bank: usize) -> bool {
         let window = self.cfg.window_for_iteration(self.cfg.alloc_iterations - 1);
         for qi in 0..window.min(self.queue.len()) {
             let entry = self.queue.get(qi).expect("in range");
             if entry.pending >> lane & 1 == 0 {
                 continue;
             }
-            let id = entry.id;
-            let state = entry.lanes[lane];
-            if used.contains(&(lane, id)) {
-                continue;
-            }
-            if let LaneState::Pending(req) = state {
-                if self.cfg.hash.bank_of(req.addr, self.cfg.banks) == bank {
-                    used.push((lane, id));
+            if let LaneState::Pending { req, bank: b } = entry.lanes[lane] {
+                if b == bank {
                     self.issue_request(qi, lane, req, bank);
                     return true;
                 }
@@ -754,8 +760,10 @@ impl Spmu {
         false
     }
 
+    /// Issues `req`, which maps to `bank`, from lane `lane` of queue
+    /// entry `qi`.
     fn issue_request(&mut self, qi: usize, lane: usize, req: LaneRequest, bank: usize) {
-        let idx = self.mem_index(req.addr);
+        let idx = self.word_index(bank, req.addr);
         let old = self.mem[idx];
         let (new, returned) = req.op.apply(old, req.operand);
         self.mem[idx] = new;
@@ -789,8 +797,7 @@ impl Spmu {
                 if entry.pending >> lane & 1 == 0 {
                     continue;
                 }
-                if let LaneState::Pending(req) = entry.lanes[lane] {
-                    let bank = self.cfg.hash.bank_of(req.addr, self.cfg.banks);
+                if let LaneState::Pending { req, bank } = entry.lanes[lane] {
                     self.issue_request(qi, lane, req, bank);
                     granted += 1;
                     break;
@@ -824,13 +831,12 @@ impl Spmu {
                 | LaneState::Done { .. }
                 | LaneState::DuplicateOf(_)
                 | LaneState::Issued { .. } => continue,
-                LaneState::Pending(req) => {
-                    let bank = self.cfg.hash.bank_of(req.addr, self.cfg.banks);
+                &LaneState::Pending { req, bank } => {
                     if banks_used >> bank & 1 == 1 {
                         break; // order barrier: later lanes must wait
                     }
                     banks_used |= 1 << bank;
-                    to_issue.push((lane, *req, bank));
+                    to_issue.push((lane, req, bank));
                 }
             }
         }
@@ -853,8 +859,8 @@ impl Spmu {
         masks.clear();
         masks.resize(self.cfg.lanes, 0);
         for (lane, state) in entry.lanes.iter().enumerate() {
-            if let LaneState::Pending(req) = state {
-                masks[lane] = 1 << self.cfg.hash.bank_of(req.addr, self.cfg.banks);
+            if let LaneState::Pending { bank, .. } = state {
+                masks[lane] = 1 << bank;
             }
         }
         let mut result = std::mem::take(&mut self.scratch.alloc_result);
@@ -866,7 +872,7 @@ impl Spmu {
         for (lane, grant) in result.grants.iter().enumerate() {
             let Some(bank) = *grant else { continue };
             let entry = self.queue.get(qi).expect("in range");
-            if let LaneState::Pending(req) = entry.lanes[lane] {
+            if let LaneState::Pending { req, .. } = entry.lanes[lane] {
                 self.issue_request(qi, lane, req, bank);
                 granted += 1;
             }

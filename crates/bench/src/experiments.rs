@@ -3,12 +3,24 @@
 //! Every function returns the formatted report it prints, so integration
 //! tests can assert on the reproduced shapes.
 //!
-//! The heavy sweeps — `record_and_simulate`'s `(dataset x config)`
-//! matrix, Table 4's 18 SpMU design points, Fig. 4's four ordering
-//! modes, and the Fig. 5 bandwidth sweeps — run through
-//! [`capstan_par::par_map`], which returns results in input order, so
-//! the report text is byte-identical to a serial run (set
-//! `CAPSTAN_THREADS=1` to force one).
+//! Every sweep hands its independent points to one
+//! [`capstan_par::par_map`] call and formats the report afterwards.
+//! `par_map` returns results in input order, so the report text is
+//! byte-identical to a serial run (set `CAPSTAN_THREADS=1` to force
+//! one). Each item records at most one workload at a time and drops it
+//! before the next, so at most one recording per worker is live:
+//!
+//! - Tables 9–12: one item per (app, dataset) across all of the table's
+//!   apps (`record_and_simulate`).
+//! - Figs. 5a/5c: one item per app, which records once and simulates
+//!   every bandwidth point.
+//! - Table 4's 18 SpMU design points, Fig. 4's four ordering modes,
+//!   Fig. 5b's (app, outer-par) points, Fig. 6's scanner points, Fig.
+//!   7's (app, dataset) pairs, Table 13's four baseline blocks, and the
+//!   extension studies' points.
+//!
+//! Experiments never run concurrently with each other: per-experiment
+//! simulated cycles are deltas of one process-wide counter.
 
 use crate::suite::{gmean, AppId, Suite};
 use capstan_apps::App;
@@ -18,6 +30,7 @@ use capstan_arch::scanner::{BitVecScanner, DataScanner};
 use capstan_arch::shuffle::{MergeShift, ShuffleConfig};
 use capstan_arch::spmu::driver::{measure_random_throughput, trace_one_vector};
 use capstan_arch::spmu::{BankHash, OrderingMode, SpmuConfig};
+use capstan_baselines::asic::{Eie, Graphicionado, MatRaptor, Scnn};
 use capstan_baselines::{plasticine, published};
 use capstan_core::config::{CapstanConfig, MemAddressing, MemTiming, MemoryKind, TenantPartition};
 use capstan_core::perf::simulate;
@@ -30,37 +43,50 @@ fn header(title: &str) -> String {
     format!("\n=== {title} ===\n")
 }
 
-/// Records each app once per dataset under `record_cfg`, then simulates
-/// the recording under every provided configuration (valid when the
-/// configs do not change what gets recorded).
+/// Every (app, dataset) pair of `apps`, app-major.
+fn app_datasets(apps: &[AppId]) -> Vec<(AppId, Dataset)> {
+    apps.iter()
+        .flat_map(|&app| app.datasets().iter().map(move |&d| (app, d)))
+        .collect()
+}
+
+/// Records every app of `apps` once per dataset under `record_cfg`, then
+/// simulates each recording under every configuration of `sim_cfgs`
+/// (valid when the configs do not change what gets recorded). The names
+/// only label the configs for the reader.
 ///
-/// Both stages run in parallel — the per-dataset recordings, then every
-/// `(config, dataset)` simulation pair — via [`capstan_par::par_map`],
-/// whose in-order result placement keeps the report text identical to
-/// the serial path (`CAPSTAN_THREADS=1` forces serial execution; the
-/// `parallel_harness_matches_serial` proptest pins the equivalence).
+/// One [`capstan_par::par_map`] item is one (app, dataset): it records,
+/// simulates under every config, and drops the recording, so there is no
+/// per-app barrier and at most one recording per worker is live.
+/// Results come back in input order, so the report text is identical to
+/// the serial path (`CAPSTAN_THREADS=1`;
+/// `tests/parallel_equivalence.rs` pins the equivalence).
+///
+/// Returns `reports[app][config][dataset]`.
 fn record_and_simulate(
     suite: &Suite,
-    app: AppId,
+    apps: &[AppId],
     record_cfg: &CapstanConfig,
     sim_cfgs: &[(&str, CapstanConfig)],
-) -> Vec<(String, Vec<PerfReport>)> {
-    let workloads: Vec<Workload> =
-        capstan_par::par_map(app.datasets(), |&d| suite.build(app, d).build(record_cfg));
-    let pairs: Vec<(usize, usize)> = (0..sim_cfgs.len())
-        .flat_map(|ci| (0..workloads.len()).map(move |wi| (ci, wi)))
-        .collect();
-    let mut reports = capstan_par::par_map(&pairs, |&(ci, wi)| {
-        simulate(&workloads[wi], &sim_cfgs[ci].1)
+) -> Vec<Vec<Vec<PerfReport>>> {
+    let mut per_item = capstan_par::par_map(&app_datasets(apps), |&(app, d)| {
+        let workload = suite.build(app, d).build(record_cfg);
+        sim_cfgs
+            .iter()
+            .map(|(_, cfg)| simulate(&workload, cfg))
+            .collect::<Vec<_>>()
     })
     .into_iter();
-    sim_cfgs
-        .iter()
-        .map(|(name, _)| {
-            (
-                name.to_string(),
-                reports.by_ref().take(workloads.len()).collect(),
-            )
+    apps.iter()
+        .map(|app| {
+            let mut per_config: Vec<Vec<PerfReport>> =
+                sim_cfgs.iter().map(|_| Vec::new()).collect();
+            for reports in per_item.by_ref().take(app.datasets().len()) {
+                for (column, report) in per_config.iter_mut().zip(reports) {
+                    column.push(report);
+                }
+            }
+            per_config
         })
         .collect()
 }
@@ -305,11 +331,11 @@ pub fn table9(suite: &Suite) -> String {
         "App", "Ideal", "Hash", "Lin", "WA-Hash", "WA-Lin", "Arb-Hash", "Arb-Lin"
     );
     let mut per_config_ratios: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
-    for app in AppId::ALL {
-        let results = record_and_simulate(suite, app, &base, &configs);
-        let base_cycles = gmean_cycles(&results[1].1); // Hash column
+    let results = record_and_simulate(suite, &AppId::ALL, &base, &configs);
+    for (app, app_results) in AppId::ALL.iter().zip(&results) {
+        let base_cycles = gmean_cycles(&app_results[1]); // Hash column
         let mut cells = Vec::new();
-        for (ci, (_, reports)) in results.iter().enumerate() {
+        for (ci, reports) in app_results.iter().enumerate() {
             let ratio = gmean_cycles(reports) / base_cycles.max(1.0);
             per_config_ratios[ci].push(ratio);
             cells.push(format!("{ratio:>6.2}"));
@@ -368,11 +394,11 @@ pub fn table10(suite: &Suite) -> String {
         "App", "Capstan", "AddrOrd", "Ordered"
     );
     let mut per_mode: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    for (ai, app) in apps.iter().enumerate() {
-        let results = record_and_simulate(suite, *app, &base, &configs);
-        let base_cycles = gmean_cycles(&results[0].1);
+    let results = record_and_simulate(suite, &apps, &base, &configs);
+    for (ai, (app, app_results)) in apps.iter().zip(&results).enumerate() {
+        let base_cycles = gmean_cycles(&app_results[0]);
         let mut cells = Vec::new();
-        for (ci, (_, reports)) in results.iter().enumerate() {
+        for (ci, reports) in app_results.iter().enumerate() {
             let ratio = gmean_cycles(reports) / base_cycles.max(1.0);
             per_mode[ci].push(ratio);
             cells.push(format!("{:>8.2} ({:>4.2})", ratio, paper[ai][ci]));
@@ -410,34 +436,33 @@ pub fn table11(suite: &Suite) -> String {
         "{:<9} {:>10} | {:>10} {:>8} {:>8} {:>8}",
         "App", "DDR4-None", "HBM-None", "Mrg-0", "Mrg-1", "Mrg-16"
     );
-    for app in apps {
-        let base = CapstanConfig::paper_default();
-        let configs: Vec<(&str, CapstanConfig)> = vec![
-            ("ddr4-none", shift_cfg(None, MemoryKind::Ddr4)),
-            (
-                "ddr4-mrg1",
-                shift_cfg(Some(MergeShift::One), MemoryKind::Ddr4),
-            ),
-            ("none", shift_cfg(None, MemoryKind::Hbm2e)),
-            ("mrg0", shift_cfg(Some(MergeShift::None), MemoryKind::Hbm2e)),
-            ("mrg1", shift_cfg(Some(MergeShift::One), MemoryKind::Hbm2e)),
-            (
-                "mrg16",
-                shift_cfg(Some(MergeShift::Full), MemoryKind::Hbm2e),
-            ),
-        ];
-        let results = record_and_simulate(suite, app, &base, &configs);
-        let ddr4_base = gmean_cycles(&results[1].1);
-        let hbm_base = gmean_cycles(&results[4].1);
+    let configs: Vec<(&str, CapstanConfig)> = vec![
+        ("ddr4-none", shift_cfg(None, MemoryKind::Ddr4)),
+        (
+            "ddr4-mrg1",
+            shift_cfg(Some(MergeShift::One), MemoryKind::Ddr4),
+        ),
+        ("none", shift_cfg(None, MemoryKind::Hbm2e)),
+        ("mrg0", shift_cfg(Some(MergeShift::None), MemoryKind::Hbm2e)),
+        ("mrg1", shift_cfg(Some(MergeShift::One), MemoryKind::Hbm2e)),
+        (
+            "mrg16",
+            shift_cfg(Some(MergeShift::Full), MemoryKind::Hbm2e),
+        ),
+    ];
+    let results = record_and_simulate(suite, &apps, &CapstanConfig::paper_default(), &configs);
+    for (app, r) in apps.iter().zip(&results) {
+        let ddr4_base = gmean_cycles(&r[1]);
+        let hbm_base = gmean_cycles(&r[4]);
         let _ = writeln!(
             out,
             "{:<9} {:>10.2} | {:>10.2} {:>8.2} {:>8.2} {:>8.2}",
             app.short(),
-            gmean_cycles(&results[0].1) / ddr4_base.max(1.0),
-            gmean_cycles(&results[2].1) / hbm_base.max(1.0),
-            gmean_cycles(&results[3].1) / hbm_base.max(1.0),
+            gmean_cycles(&r[0]) / ddr4_base.max(1.0),
+            gmean_cycles(&r[2]) / hbm_base.max(1.0),
+            gmean_cycles(&r[3]) / hbm_base.max(1.0),
             1.00,
-            gmean_cycles(&results[5].1) / hbm_base.max(1.0),
+            gmean_cycles(&r[5]) / hbm_base.max(1.0),
         );
     }
     let _ = writeln!(
@@ -464,9 +489,8 @@ pub fn table12(suite: &Suite) -> String {
     ];
     // Simulate every app on every platform.
     let mut cycles: Vec<Vec<f64>> = vec![Vec::new(); platform_cfgs.len()];
-    for app in AppId::ALL {
-        let results = record_and_simulate(suite, app, &base, &platform_cfgs);
-        for (ci, (_, reports)) in results.iter().enumerate() {
+    for app_results in record_and_simulate(suite, &AppId::ALL, &base, &platform_cfgs) {
+        for (ci, reports) in app_results.iter().enumerate() {
             cycles[ci].push(gmean_cycles(reports));
         }
     }
@@ -537,120 +561,132 @@ pub fn table12(suite: &Suite) -> String {
 // --- Table 13 ----------------------------------------------------------------
 
 /// Table 13: comparison against bespoke sparse accelerators.
+///
+/// The four baseline blocks are independent, so they run as four
+/// [`capstan_par::par_map`] items and print in order.
 pub fn table13(suite: &Suite) -> String {
-    use capstan_baselines::asic::{Eie, Graphicionado, MatRaptor, Scnn};
     let mut out = header("Table 13: Capstan vs bespoke accelerators (speedup, reproduced | paper)");
-    let hbm = CapstanConfig::new(MemoryKind::Hbm2e);
-    let ddr = CapstanConfig::new(MemoryKind::Ddr4);
-    let clock = capstan_sim::CLOCK_GHZ * 1e9;
-
-    // EIE: CSC SpMV compute throughput on an EIE-class fully-connected
-    // layer (9216x4096 at ~10% weight density — big enough that EIE's
-    // on-chip weights beat Capstan's HBM streaming, the paper's stated
-    // reason Capstan loses this one). Fixed size, independent of the
-    // suite scale.
-    {
-        let fc = capstan_tensor::gen::uniform(4096, 9216, 3_700_000, 0xE1E);
-        let app = capstan_apps::spmv::CscSpmv::new(&fc);
-        let report = app.simulate(&hbm);
-        let capstan_s = report.cycles as f64 / clock;
-        // Effective MACs = recorded lane work.
-        let wl = app.build(&hbm);
-        let macs: u64 = wl.tiles.iter().map(|t| t.lane_work).sum();
-        let eie_s = Eie::default().spmv_seconds(macs);
-        let _ = writeln!(
-            out,
-            "{:<15} {:<9} {:>6.2}x (paper 0.53x @1.6GHz, 0.40x @1GHz)",
-            "EIE",
-            "CSC",
-            eie_s / capstan_s
-        );
-    }
-    // SCNN: manually mapped Conv.
-    {
-        let layer = capstan_tensor::gen::ConvLayer::generate(Dataset::ResNet50L2, suite.conv_scale);
-        let per_channel: Vec<(u64, u64)> = (0..layer.in_ch)
-            .map(|ic| {
-                let act: u64 = (0..layer.dim * layer.dim)
-                    .filter(|&i| layer.activation(ic, i / layer.dim, i % layer.dim) != 0.0)
-                    .count() as u64;
-                let kern: u64 = (0..layer.kdim * layer.kdim * layer.out_ch)
-                    .filter(|&i| {
-                        let rk = i / (layer.kdim * layer.out_ch);
-                        let ck = (i / layer.out_ch) % layer.kdim;
-                        let oc = i % layer.out_ch;
-                        layer.kernel_at(ic, rk, ck, oc) != 0.0
-                    })
-                    .count() as u64;
-                (act, kern)
-            })
-            .collect();
-        let scnn_s = Scnn::default().conv_seconds(&per_channel);
-        let app = capstan_apps::conv::SparseConv::new(layer);
-        let report = app.simulate(&hbm);
-        let capstan_s = report.cycles as f64 / clock;
-        let _ = writeln!(
-            out,
-            "{:<15} {:<9} {:>6.2}x (paper 1.40x @1.6GHz, 0.87x @1GHz)",
-            "SCNN",
-            "Conv",
-            scnn_s / capstan_s
-        );
-    }
-    // Graphicionado: published edge rates vs Capstan-DDR4 (load/store
-    // time included), back-pointer-free graph variants.
-    {
-        let g = Graphicionado::default();
-        let graph = Dataset::Flickr.generate_scaled(suite.graph_scale);
-        let edges = graph.nnz() as u64;
-        let pr = suite.build(AppId::PrPull, Dataset::Flickr).simulate(&ddr);
-        let mut bfs_app = capstan_apps::bfs::Bfs::new(&graph);
-        bfs_app.write_backpointers = false;
-        let bfs = bfs_app.simulate(&ddr);
-        let mut sssp_app = capstan_apps::sssp::Sssp::new(&graph);
-        sssp_app.write_backpointers = false;
-        let sssp = sssp_app.simulate(&ddr);
-        for (name, asic_s, report, paper) in [
-            ("PR", g.pr_seconds(edges), &pr, "1.08x/0.97x"),
-            ("BFS", g.bfs_seconds(edges), &bfs, "2.10x/2.06x"),
-            ("SSSP", g.sssp_seconds(edges), &sssp, "1.13x/1.03x"),
-        ] {
-            let capstan_s = report.cycles as f64 / clock;
-            let _ = writeln!(
-                out,
-                "{:<15} {:<9} {:>6.2}x (paper {paper})",
-                "Graphicionado",
-                name,
-                asic_s / capstan_s
-            );
-        }
-    }
-    // MatRaptor: highest demonstrated throughput.
-    {
-        let app = suite.build(AppId::SpMSpM, Dataset::Qc324);
-        let report = app.simulate(&ddr);
-        let capstan_s = report.cycles as f64 / clock;
-        let m = Dataset::Qc324.generate_scaled(suite.spmspm_scale);
-        let a = capstan_tensor::Csr::from_coo(&m);
-        let multiplies: u64 = (0..a.rows())
-            .map(|i| {
-                a.row_cols(i)
-                    .iter()
-                    .map(|&j| a.row_len(j as usize) as u64)
-                    .sum::<u64>()
-            })
-            .sum();
-        let mr_s = MatRaptor::default().spmspm_seconds(multiplies);
-        let _ = writeln!(
-            out,
-            "{:<15} {:<9} {:>6.2}x (paper 17.96x @1.6GHz, 12.22x @1GHz)",
-            "MatRaptor",
-            "SpMSpM",
-            mr_s / capstan_s
-        );
-    }
+    let blocks: [fn(&Suite) -> String; 4] = [
+        table13_eie,
+        table13_scnn,
+        table13_graphicionado,
+        table13_matraptor,
+    ];
+    out.push_str(&capstan_par::par_map(&blocks, |block| block(suite)).concat());
     print!("{out}");
     out
+}
+
+/// Wall seconds of `report` at Capstan's clock.
+fn capstan_seconds(report: &PerfReport) -> f64 {
+    report.cycles as f64 / (capstan_sim::CLOCK_GHZ * 1e9)
+}
+
+/// Table 13's EIE row: CSC SpMV compute throughput on an EIE-class
+/// fully-connected layer (9216x4096 at ~10% weight density — big enough
+/// that EIE's on-chip weights beat Capstan's HBM streaming, the paper's
+/// stated reason Capstan loses this one). Fixed size, independent of the
+/// suite scale.
+fn table13_eie(_suite: &Suite) -> String {
+    let hbm = CapstanConfig::new(MemoryKind::Hbm2e);
+    let fc = capstan_tensor::gen::uniform(4096, 9216, 3_700_000, 0xE1E);
+    let app = capstan_apps::spmv::CscSpmv::new(&fc);
+    // One recording serves both the simulation and the MAC count.
+    let wl = app.build(&hbm);
+    let capstan_s = capstan_seconds(&simulate(&wl, &hbm));
+    // Effective MACs = recorded lane work.
+    let macs: u64 = wl.tiles.iter().map(|t| t.lane_work).sum();
+    let eie_s = Eie::default().spmv_seconds(macs);
+    format!(
+        "{:<15} {:<9} {:>6.2}x (paper 0.53x @1.6GHz, 0.40x @1GHz)\n",
+        "EIE",
+        "CSC",
+        eie_s / capstan_s
+    )
+}
+
+/// Table 13's SCNN row: manually mapped Conv.
+fn table13_scnn(suite: &Suite) -> String {
+    let layer = capstan_tensor::gen::ConvLayer::generate(Dataset::ResNet50L2, suite.conv_scale);
+    let per_channel: Vec<(u64, u64)> = (0..layer.in_ch)
+        .map(|ic| {
+            let act: u64 = (0..layer.dim * layer.dim)
+                .filter(|&i| layer.activation(ic, i / layer.dim, i % layer.dim) != 0.0)
+                .count() as u64;
+            let kern: u64 = (0..layer.kdim * layer.kdim * layer.out_ch)
+                .filter(|&i| {
+                    let rk = i / (layer.kdim * layer.out_ch);
+                    let ck = (i / layer.out_ch) % layer.kdim;
+                    let oc = i % layer.out_ch;
+                    layer.kernel_at(ic, rk, ck, oc) != 0.0
+                })
+                .count() as u64;
+            (act, kern)
+        })
+        .collect();
+    let scnn_s = Scnn::default().conv_seconds(&per_channel);
+    let app = capstan_apps::conv::SparseConv::new(layer);
+    let capstan_s = capstan_seconds(&app.simulate(&CapstanConfig::new(MemoryKind::Hbm2e)));
+    format!(
+        "{:<15} {:<9} {:>6.2}x (paper 1.40x @1.6GHz, 0.87x @1GHz)\n",
+        "SCNN",
+        "Conv",
+        scnn_s / capstan_s
+    )
+}
+
+/// Table 13's Graphicionado rows: published edge rates vs Capstan-DDR4
+/// (load/store time included), back-pointer-free graph variants.
+fn table13_graphicionado(suite: &Suite) -> String {
+    let ddr = CapstanConfig::new(MemoryKind::Ddr4);
+    let g = Graphicionado::default();
+    let graph = Dataset::Flickr.generate_scaled(suite.graph_scale);
+    let edges = graph.nnz() as u64;
+    let pr = suite.build(AppId::PrPull, Dataset::Flickr).simulate(&ddr);
+    let mut bfs_app = capstan_apps::bfs::Bfs::new(&graph);
+    bfs_app.write_backpointers = false;
+    let bfs = bfs_app.simulate(&ddr);
+    let mut sssp_app = capstan_apps::sssp::Sssp::new(&graph);
+    sssp_app.write_backpointers = false;
+    let sssp = sssp_app.simulate(&ddr);
+    let mut out = String::new();
+    for (name, asic_s, report, paper) in [
+        ("PR", g.pr_seconds(edges), &pr, "1.08x/0.97x"),
+        ("BFS", g.bfs_seconds(edges), &bfs, "2.10x/2.06x"),
+        ("SSSP", g.sssp_seconds(edges), &sssp, "1.13x/1.03x"),
+    ] {
+        let _ = writeln!(
+            out,
+            "{:<15} {:<9} {:>6.2}x (paper {paper})",
+            "Graphicionado",
+            name,
+            asic_s / capstan_seconds(report)
+        );
+    }
+    out
+}
+
+/// Table 13's MatRaptor row: highest demonstrated throughput.
+fn table13_matraptor(suite: &Suite) -> String {
+    let app = suite.build(AppId::SpMSpM, Dataset::Qc324);
+    let capstan_s = capstan_seconds(&app.simulate(&CapstanConfig::new(MemoryKind::Ddr4)));
+    let m = Dataset::Qc324.generate_scaled(suite.spmspm_scale);
+    let a = capstan_tensor::Csr::from_coo(&m);
+    let multiplies: u64 = (0..a.rows())
+        .map(|i| {
+            a.row_cols(i)
+                .iter()
+                .map(|&j| a.row_len(j as usize) as u64)
+                .sum::<u64>()
+        })
+        .sum();
+    let mr_s = MatRaptor::default().spmspm_seconds(multiplies);
+    format!(
+        "{:<15} {:<9} {:>6.2}x (paper 17.96x @1.6GHz, 12.22x @1GHz)\n",
+        "MatRaptor",
+        "SpMSpM",
+        mr_s / capstan_s
+    )
 }
 
 // --- Table 13 atomics study --------------------------------------------------
@@ -1078,6 +1114,16 @@ pub fn fig4() -> String {
 
 // --- Figure 5 ----------------------------------------------------------------
 
+/// The dataset Figs. 5a and 5c run `app` on: its second paper dataset,
+/// except that the paper substitutes p2p-Gnutella31 for flickr.
+fn fig5_dataset(app: AppId) -> Dataset {
+    if app.datasets().contains(&Dataset::Flickr) {
+        Dataset::Gnutella31
+    } else {
+        app.datasets()[1]
+    }
+}
+
 /// Figure 5a: DRAM bandwidth sensitivity (speedup vs 20 GB/s baseline).
 pub fn fig5a(suite: &Suite) -> String {
     let mut out = header("Figure 5a: DRAM bandwidth sensitivity (speedup vs 20 GB/s)");
@@ -1088,22 +1134,23 @@ pub fn fig5a(suite: &Suite) -> String {
         let _ = write!(out, "{bw:>8.0}");
     }
     let _ = writeln!(out);
-    for app in AppId::ALL.iter().filter(|a| **a != AppId::BiCgStab) {
-        // The paper substitutes p2p-Gnutella31 for flickr here.
-        let dataset = if app.datasets().contains(&Dataset::Flickr) {
-            Dataset::Gnutella31
-        } else {
-            app.datasets()[1]
-        };
-        let workload = suite.build(*app, dataset).build(&base);
-        // Baseline plus all bandwidth points simulate concurrently.
-        let cycles = capstan_par::par_map_range(bandwidths.len() + 1, |i| {
-            let bw = if i == 0 { 20.0 } else { bandwidths[i - 1] };
-            simulate(&workload, &CapstanConfig::new(MemoryKind::Custom(bw))).cycles
-        });
+    let apps: Vec<AppId> = AppId::ALL
+        .into_iter()
+        .filter(|&a| a != AppId::BiCgStab)
+        .collect();
+    // Each app records once and simulates the baseline plus every
+    // bandwidth point as one item.
+    let speedups = capstan_par::par_map(&apps, |&app| {
+        let workload = suite.build(app, fig5_dataset(app)).build(&base);
+        let cycles =
+            |bw: f64| simulate(&workload, &CapstanConfig::new(MemoryKind::Custom(bw))).cycles;
+        let base_cycles = cycles(20.0);
+        bandwidths.map(|bw| base_cycles as f64 / cycles(bw) as f64)
+    });
+    for (app, row) in apps.iter().zip(speedups) {
         let _ = write!(out, "{:<9}", app.short());
-        for (i, _) in bandwidths.iter().enumerate() {
-            let _ = write!(out, "{:>8.2}", cycles[0] as f64 / cycles[i + 1] as f64);
+        for speedup in row {
+            let _ = write!(out, "{speedup:>8.2}");
         }
         let _ = writeln!(out);
     }
@@ -1137,22 +1184,27 @@ pub fn fig5b(suite: &Suite) -> String {
         );
     }
     let _ = writeln!(out);
-    for app in [
+    let apps = [
         AppId::CsrSpmv,
         AppId::PrPull,
         AppId::Bfs,
         AppId::SpMSpM,
         AppId::Conv,
-    ] {
+    ];
+    // Every (app, outer-par) point records and simulates as one item.
+    let points: Vec<(AppId, usize)> = apps
+        .iter()
+        .flat_map(|&app| pars.map(|par| (app, par)))
+        .collect();
+    let cycles = capstan_par::par_map(&points, |&(app, par)| {
+        let mut cfg = CapstanConfig::paper_default();
+        cfg.outer_par = par;
+        suite.build(app, app.datasets()[1]).simulate(&cfg).cycles as f64
+    });
+    for (app, row) in apps.iter().zip(cycles.chunks(pars.len())) {
         let _ = write!(out, "{:<9}", app.short());
-        let mut base_cycles = None;
-        for par in pars {
-            let mut cfg = CapstanConfig::paper_default();
-            cfg.outer_par = par;
-            let app_inst = suite.build(app, app.datasets()[1]);
-            let r = app_inst.simulate(&cfg);
-            let base = *base_cycles.get_or_insert(r.cycles as f64);
-            let _ = write!(out, "{:>8.2}", base / r.cycles as f64);
+        for c in row {
+            let _ = write!(out, "{:>8.2}", row[0] / c);
         }
         let _ = writeln!(out);
     }
@@ -1170,23 +1222,22 @@ pub fn fig5c(suite: &Suite) -> String {
         let _ = write!(out, "{bw:>8.0}");
     }
     let _ = writeln!(out);
-    for app in [AppId::CooSpmv, AppId::PrEdge, AppId::PrPull, AppId::CsrSpmv] {
-        let dataset = if app.datasets().contains(&Dataset::Flickr) {
-            Dataset::Gnutella31
-        } else {
-            app.datasets()[1]
-        };
-        let workload = suite.build(app, dataset).build(&base);
-        // Every (bandwidth, compression on/off) pair simulates concurrently.
-        let speedups = capstan_par::par_map(&bandwidths, |&bw| {
+    let apps = [AppId::CooSpmv, AppId::PrEdge, AppId::PrPull, AppId::CsrSpmv];
+    // Each app records once and simulates every (bandwidth, compression
+    // on/off) pair as one item.
+    let speedups = capstan_par::par_map(&apps, |&app| {
+        let workload = suite.build(app, fig5_dataset(app)).build(&base);
+        bandwidths.map(|bw| {
             let mut on = CapstanConfig::new(MemoryKind::Custom(bw));
             on.compression = true;
             let mut off = on;
             off.compression = false;
             simulate(&workload, &off).cycles as f64 / simulate(&workload, &on).cycles as f64
-        });
+        })
+    });
+    for (app, row) in apps.iter().zip(speedups) {
         let _ = write!(out, "{:<9}", app.short());
-        for speedup in speedups {
+        for speedup in row {
             let _ = write!(out, "{speedup:>8.2}");
         }
         let _ = writeln!(out);
@@ -1201,82 +1252,107 @@ pub fn fig5c(suite: &Suite) -> String {
 
 // --- Figure 6 ----------------------------------------------------------------
 
+/// One Fig. 6 section: each app runs on its dataset under the section's
+/// maximal-scanner `base` config, then under `config(v)` for every swept
+/// value `v`.
+struct ScannerSweep<'a> {
+    title: &'a str,
+    values: &'a [usize],
+    apps: &'a [AppId],
+    dataset: fn(AppId) -> Dataset,
+    base: CapstanConfig,
+    config: fn(usize) -> CapstanConfig,
+}
+
+/// The paper-default config with a `width`-bit scanner emitting
+/// `outputs` indices per cycle.
+fn bit_scanner_config(width: usize, outputs: usize) -> CapstanConfig {
+    let mut cfg = CapstanConfig::paper_default();
+    cfg.scanner = BitVecScanner::new(width, outputs);
+    cfg
+}
+
+/// The paper-default config with a `width`-wide data scanner.
+fn data_scanner_config(width: usize) -> CapstanConfig {
+    let mut cfg = CapstanConfig::paper_default();
+    cfg.data_scanner = DataScanner::new(width);
+    cfg
+}
+
 /// Figure 6: scanner sensitivity (width, data width, output vectorization).
+///
+/// Every (row, config) point of every section records and simulates as
+/// one [`capstan_par::par_map`] item.
 pub fn fig6(suite: &Suite) -> String {
     let mut out = header("Figure 6: scanner sensitivity (slowdown vs maximal 512x16 scanner)");
-    // (a) Bits scanned per cycle.
-    let widths = [1usize, 4, 16, 64, 128, 256, 512];
-    let _ = writeln!(out, "(a) bit-scanner width:");
-    let _ = writeln!(
-        out,
-        "{:<9} {}",
-        "App",
-        widths.map(|w| format!("{w:>8}")).join("")
-    );
-    for app in [AppId::Bfs, AppId::Sssp, AppId::MpM, AppId::SpMSpM] {
-        let dataset = if app.datasets().contains(&Dataset::Flickr) {
-            Dataset::Gnutella31
-        } else {
-            app.datasets()[0]
-        };
-        let mut max_cfg = CapstanConfig::paper_default();
-        max_cfg.scanner = BitVecScanner::new(512, 16);
-        let app_inst = suite.build(app, dataset);
-        let base = app_inst.simulate(&max_cfg).cycles as f64;
-        let _ = write!(out, "{:<9}", app.short());
-        for w in widths {
-            let mut cfg = CapstanConfig::paper_default();
-            cfg.scanner = BitVecScanner::new(w, 16.min(w.max(1)));
-            let r = app_inst.simulate(&cfg);
-            let _ = write!(out, "{:>8.2}", r.cycles as f64 / base);
+    let sections = [
+        // (a) Bits scanned per cycle.
+        ScannerSweep {
+            title: "(a) bit-scanner width:",
+            values: &[1, 4, 16, 64, 128, 256, 512],
+            apps: &[AppId::Bfs, AppId::Sssp, AppId::MpM, AppId::SpMSpM],
+            dataset: |app| {
+                if app.datasets().contains(&Dataset::Flickr) {
+                    Dataset::Gnutella31
+                } else {
+                    app.datasets()[0]
+                }
+            },
+            base: bit_scanner_config(512, 16),
+            config: |w| bit_scanner_config(w, 16.min(w.max(1))),
+        },
+        // (b) Data scanned per cycle.
+        ScannerSweep {
+            title: "(b) data-scanner width:",
+            values: &[1, 2, 4, 8, 16],
+            apps: &[AppId::CscSpmv, AppId::Conv],
+            dataset: |app| app.datasets()[1],
+            base: data_scanner_config(16),
+            config: data_scanner_config,
+        },
+        // (c) Scan output vectorization.
+        ScannerSweep {
+            title: "(c) scan output vectorization:",
+            values: &[1, 2, 4, 8, 16],
+            apps: &[AppId::MpM, AppId::SpMSpM],
+            dataset: |app| app.datasets()[1],
+            base: bit_scanner_config(256, 16),
+            config: |v| bit_scanner_config(256, v),
+        },
+    ];
+    let points: Vec<(AppId, Dataset, CapstanConfig)> = sections
+        .iter()
+        .flat_map(|s| {
+            s.apps.iter().flat_map(move |&app| {
+                std::iter::once(s.base)
+                    .chain(s.values.iter().map(|&v| (s.config)(v)))
+                    .map(move |cfg| (app, (s.dataset)(app), cfg))
+            })
+        })
+        .collect();
+    let cycles = capstan_par::par_map(&points, |(app, dataset, cfg)| {
+        suite.build(*app, *dataset).simulate(cfg).cycles as f64
+    });
+    let mut cycles = cycles.iter();
+    for s in &sections {
+        let _ = writeln!(out, "{}", s.title);
+        let _ = writeln!(
+            out,
+            "{:<9} {}",
+            "App",
+            s.values
+                .iter()
+                .map(|v| format!("{v:>8}"))
+                .collect::<String>()
+        );
+        for app in s.apps {
+            let base = cycles.next().expect("one base point per row");
+            let _ = write!(out, "{:<9}", app.short());
+            for c in cycles.by_ref().take(s.values.len()) {
+                let _ = write!(out, "{:>8.2}", c / base);
+            }
+            let _ = writeln!(out);
         }
-        let _ = writeln!(out);
-    }
-    // (b) Data scanned per cycle.
-    let data_widths = [1usize, 2, 4, 8, 16];
-    let _ = writeln!(out, "(b) data-scanner width:");
-    let _ = writeln!(
-        out,
-        "{:<9} {}",
-        "App",
-        data_widths.map(|w| format!("{w:>8}")).join("")
-    );
-    for app in [AppId::CscSpmv, AppId::Conv] {
-        let app_inst = suite.build(app, app.datasets()[1]);
-        let mut max_cfg = CapstanConfig::paper_default();
-        max_cfg.data_scanner = DataScanner::new(16);
-        let base = app_inst.simulate(&max_cfg).cycles as f64;
-        let _ = write!(out, "{:<9}", app.short());
-        for w in data_widths {
-            let mut cfg = CapstanConfig::paper_default();
-            cfg.data_scanner = DataScanner::new(w);
-            let r = app_inst.simulate(&cfg);
-            let _ = write!(out, "{:>8.2}", r.cycles as f64 / base);
-        }
-        let _ = writeln!(out);
-    }
-    // (c) Scan output vectorization.
-    let outputs = [1usize, 2, 4, 8, 16];
-    let _ = writeln!(out, "(c) scan output vectorization:");
-    let _ = writeln!(
-        out,
-        "{:<9} {}",
-        "App",
-        outputs.map(|w| format!("{w:>8}")).join("")
-    );
-    for app in [AppId::MpM, AppId::SpMSpM] {
-        let app_inst = suite.build(app, app.datasets()[1]);
-        let mut max_cfg = CapstanConfig::paper_default();
-        max_cfg.scanner = BitVecScanner::new(256, 16);
-        let base = app_inst.simulate(&max_cfg).cycles as f64;
-        let _ = write!(out, "{:<9}", app.short());
-        for v in outputs {
-            let mut cfg = CapstanConfig::paper_default();
-            cfg.scanner = BitVecScanner::new(256, v);
-            let r = app_inst.simulate(&cfg);
-            let _ = write!(out, "{:>8.2}", r.cycles as f64 / base);
-        }
-        let _ = writeln!(out);
     }
     print!("{out}");
     out
@@ -1293,26 +1369,27 @@ pub fn fig7(suite: &Suite) -> String {
         "{:<9} {:<17} {:>7} {:>6} {:>6} {:>7} {:>7} {:>7} {:>6} {:>6}",
         "App", "Dataset", "Active", "Scan", "L/S", "VecLen", "Imbal", "Net", "SRAM", "DRAM"
     );
-    for app in AppId::ALL {
-        for &dataset in app.datasets() {
-            let instance = suite.build(app, dataset);
-            let report = instance.simulate(&cfg);
-            let f = report.breakdown.fractions();
-            let _ = writeln!(
-                out,
-                "{:<9} {:<17} {:>6.1}% {:>5.1}% {:>5.1}% {:>6.1}% {:>6.1}% {:>6.1}% {:>5.1}% {:>5.1}%",
-                app.short(),
-                dataset.spec().name,
-                f[0].1 * 100.0,
-                f[1].1 * 100.0,
-                f[2].1 * 100.0,
-                f[3].1 * 100.0,
-                f[4].1 * 100.0,
-                f[5].1 * 100.0,
-                f[6].1 * 100.0,
-                f[7].1 * 100.0,
-            );
-        }
+    let pairs = app_datasets(&AppId::ALL);
+    // Every (app, dataset) pair records and simulates as one item.
+    let reports = capstan_par::par_map(&pairs, |&(app, dataset)| {
+        suite.build(app, dataset).simulate(&cfg)
+    });
+    for ((app, dataset), report) in pairs.iter().zip(&reports) {
+        let f = report.breakdown.fractions();
+        let _ = writeln!(
+            out,
+            "{:<9} {:<17} {:>6.1}% {:>5.1}% {:>5.1}% {:>6.1}% {:>6.1}% {:>6.1}% {:>5.1}% {:>5.1}%",
+            app.short(),
+            dataset.spec().name,
+            f[0].1 * 100.0,
+            f[1].1 * 100.0,
+            f[2].1 * 100.0,
+            f[3].1 * 100.0,
+            f[4].1 * 100.0,
+            f[5].1 * 100.0,
+            f[6].1 * 100.0,
+            f[7].1 * 100.0,
+        );
     }
     print!("{out}");
     out
@@ -1426,121 +1503,162 @@ pub fn ablations(suite: &Suite) -> String {
 
 // --- Extensions ---------------------------------------------------------------
 
+/// One independent point of the [`extensions`] studies.
+#[derive(Clone, Copy)]
+enum ExtensionPoint {
+    /// (a) SpMM vs PR-Pull vector-slot occupancy.
+    Occupancy,
+    /// (b) GCN layer, unfused vs fused, under one memory.
+    GcnFusion(&'static str, MemoryKind),
+    /// (c) CG solver, unfused vs fused, under one memory.
+    CgFusion(&'static str, MemoryKind),
+    /// (d) CSR vs BCSR on a banded matrix with this percentage of its
+    /// non-zeros scattered uniformly.
+    Bcsr(usize),
+    /// (e) CSR vs DCSR with about this many occupied rows.
+    Dcsr(usize),
+}
+
+impl ExtensionPoint {
+    /// The heading of the study this point belongs to.
+    fn heading(self) -> &'static str {
+        match self {
+            ExtensionPoint::Occupancy => {
+                "(a) GNN: vector-slot occupancy, SpMM vs PR-Pull (same power-law graph):\n"
+            }
+            ExtensionPoint::GcnFusion(..) => "(b) GCN layer, unfused/fused runtime:\n",
+            ExtensionPoint::CgFusion(..) => "(c) CG solver, unfused/fused runtime:\n",
+            ExtensionPoint::Bcsr(_) => {
+                "(d) CSR-vs-BCSR crossover (16x16 blocks; ratio > 1 means BCSR wins):\n  \
+                 scatter%  fill-ratio  csr/bcsr-cycles\n"
+            }
+            ExtensionPoint::Dcsr(_) => {
+                "(e) CSR-vs-DCSR on 8192x8192 (ratio > 1 means DCSR wins):\n  \
+                 occupied-rows  prefers-dcsr  csr/dcsr-cycles\n"
+            }
+        }
+    }
+}
+
 /// Extension studies: the applications the paper motivates but does not
 /// evaluate (GNNs via SpMM, Krylov CG, block-sparse BCSR).
+///
+/// Every study point runs as one [`capstan_par::par_map`] item that
+/// returns its report line; each study's heading prints before its
+/// first line.
 pub fn extensions(suite: &Suite) -> String {
+    use ExtensionPoint::*;
     let mut out = header("Extensions: GCN layer, CG solver, BCSR format study");
     let cfg = CapstanConfig::paper_default();
-
-    // (a) GCN layer: lane efficiency of SpMM vs PR-Pull on the same
-    // power-law structure. The paper's Fig. 7 shows PR-Pull starved by
-    // short in-edge lists; mapping the feature dimension onto the lanes
-    // removes that loss.
-    let _ = writeln!(
-        out,
-        "(a) GNN: vector-slot occupancy, SpMM vs PR-Pull (same power-law graph):"
-    );
     let graph = Dataset::WebStanford.generate_scaled(suite.graph_scale);
     let features = 32usize;
     let layer = capstan_apps::gnn::GcnLayer::with_synthetic(&graph, features, features);
-    let spmm = capstan_apps::gnn::Spmm::new(
-        &graph,
-        capstan_tensor::dense::DenseMatrix::from_fn(graph.cols(), features, |r, c| {
-            ((r + c) % 3) as f32 - 1.0
-        }),
-    );
-    // Recorded occupancy (useful lane work / issued vector slots)
-    // isolates the vector-length story from memory stalls: PR-Pull
-    // starves on short in-edge lists (paper Fig. 7), while SpMM's lanes
-    // ride the dense feature dimension.
-    let occupancy = |wl: &Workload| {
-        let work: u64 = wl.tiles.iter().map(|t| t.lane_work).sum();
-        let slots: u64 = wl.tiles.iter().map(|t| t.vectors).sum::<u64>() * 16;
-        work as f64 / slots.max(1) as f64
-    };
-    let pr = suite.build(AppId::PrPull, Dataset::WebStanford);
-    let _ = writeln!(
-        out,
-        "  SpMM ({features} features): {:>5.1}%   PR-Pull: {:>5.1}%",
-        occupancy(&spmm.build(&cfg)) * 100.0,
-        occupancy(&pr.build(&cfg)) * 100.0
-    );
-
-    // (b) GCN fusion: the X*W round trip saved by fusing GEMM into SpMM.
-    let _ = writeln!(out, "(b) GCN layer, unfused/fused runtime:");
-    for (name, mem) in [("DDR4 ", MemoryKind::Ddr4), ("HBM2E", MemoryKind::Hbm2e)] {
-        let mem_cfg = CapstanConfig::new(mem);
-        let fused = simulate(&layer.record(&mem_cfg).0, &mem_cfg).cycles as f64;
-        let unfused = simulate(&layer.record_unfused(&mem_cfg).0, &mem_cfg).cycles as f64;
-        let _ = writeln!(out, "  {name}: {:.2}x", unfused / fused);
-    }
-
-    // (c) CG fusion: same study for the Krylov solver (paper §1: Krylov
-    // methods "must be fused for efficient execution").
-    let _ = writeln!(out, "(c) CG solver, unfused/fused runtime:");
     let system = Dataset::Trefethen20000.generate_scaled(suite.la_scale);
     let mut cg = capstan_apps::cg::ConjugateGradient::new(&system);
     cg.iterations = 6;
-    for (name, mem) in [("DDR4 ", MemoryKind::Ddr4), ("HBM2E", MemoryKind::Hbm2e)] {
-        let mem_cfg = CapstanConfig::new(mem);
-        let fused = simulate(&cg.record(&mem_cfg).0, &mem_cfg).cycles as f64;
-        let unfused = simulate(&cg.record_unfused(&mem_cfg).0, &mem_cfg).cycles as f64;
-        let _ = writeln!(out, "  {name}: {:.2}x", unfused / fused);
-    }
-
-    // (d) BCSR crossover: blend a banded (clustered) matrix with uniform
-    // scatter and watch the block format's win turn into a loss as the
-    // block fill ratio decays.
-    let _ = writeln!(
-        out,
-        "(d) CSR-vs-BCSR crossover (16x16 blocks; ratio > 1 means BCSR wins):"
-    );
-    let n = 2048usize;
-    let nnz = 120_000usize;
-    let _ = writeln!(out, "  scatter%  fill-ratio  csr/bcsr-cycles");
-    for scatter_pct in [0usize, 10, 25, 50, 75, 100] {
-        let scattered_nnz = nnz * scatter_pct / 100;
-        let banded_part = capstan_tensor::gen::banded(n, nnz - scattered_nnz, 11);
-        let uniform_part = capstan_tensor::gen::uniform(n, n, scattered_nnz, 13);
-        let mut entries: Vec<(u32, u32, f32)> = banded_part.entries().to_vec();
-        entries.extend_from_slice(uniform_part.entries());
-        let blend = capstan_tensor::Coo::from_triplets(n, n, entries).expect("valid blend");
-        let bcsr = capstan_apps::spmv::BcsrSpmv::new(&blend, 16);
-        let fill = bcsr.matrix().fill_ratio();
-        let bcsr_cycles = bcsr.simulate(&cfg).cycles as f64;
-        let csr_cycles = capstan_apps::spmv::CsrSpmv::new(&blend)
-            .simulate(&cfg)
-            .cycles as f64;
-        let _ = writeln!(
-            out,
-            "  {scatter_pct:>7}%  {fill:>10.3}  {:>15.2}",
-            csr_cycles / bcsr_cycles
-        );
-    }
-
-    // (e) CSR-vs-DCSR: sparse row iteration pays off once most rows are
-    // empty (paper §2.1's doubly-compressed motivation; the pointer-cost
-    // heuristic is the per-dimension format decision TACO makes).
-    let _ = writeln!(
-        out,
-        "(e) CSR-vs-DCSR on 8192x8192 (ratio > 1 means DCSR wins):"
-    );
-    let _ = writeln!(out, "  occupied-rows  prefers-dcsr  csr/dcsr-cycles");
-    let ddr = CapstanConfig::new(MemoryKind::Ddr4);
-    for occupied in [64usize, 512, 2048, 8192] {
-        // ~`occupied` rows, a few non-zeros each.
-        let m = capstan_tensor::gen::uniform(8192, 8192, occupied * 3 / 2, 21);
-        let dcsr = capstan_apps::spmv::DcsrSpmv::new(&m);
-        let prefers = capstan_tensor::dcsr::prefers_dcsr(&m);
-        let dcsr_cycles = dcsr.simulate(&ddr).cycles as f64;
-        let csr_cycles = capstan_apps::spmv::CsrSpmv::new(&m).simulate(&ddr).cycles as f64;
-        let _ = writeln!(
-            out,
-            "  {:>13}  {:>12}  {:>15.2}",
-            dcsr.matrix().occupied_rows(),
-            prefers,
-            csr_cycles / dcsr_cycles
-        );
+    let mems = [("DDR4 ", MemoryKind::Ddr4), ("HBM2E", MemoryKind::Hbm2e)];
+    let points: Vec<ExtensionPoint> = std::iter::once(Occupancy)
+        .chain(mems.map(|(name, mem)| GcnFusion(name, mem)))
+        .chain(mems.map(|(name, mem)| CgFusion(name, mem)))
+        .chain([0usize, 10, 25, 50, 75, 100].map(Bcsr))
+        .chain([64usize, 512, 2048, 8192].map(Dcsr))
+        .collect();
+    let lines = capstan_par::par_map(&points, |&point| match point {
+        // (a) GCN layer: lane efficiency of SpMM vs PR-Pull on the same
+        // power-law structure. The paper's Fig. 7 shows PR-Pull starved
+        // by short in-edge lists; mapping the feature dimension onto the
+        // lanes removes that loss.
+        Occupancy => {
+            let spmm = capstan_apps::gnn::Spmm::new(
+                &graph,
+                capstan_tensor::dense::DenseMatrix::from_fn(graph.cols(), features, |r, c| {
+                    ((r + c) % 3) as f32 - 1.0
+                }),
+            );
+            // Recorded occupancy (useful lane work / issued vector
+            // slots) isolates the vector-length story from memory
+            // stalls: PR-Pull starves on short in-edge lists (paper Fig.
+            // 7), while SpMM's lanes ride the dense feature dimension.
+            let occupancy = |wl: &Workload| {
+                let work: u64 = wl.tiles.iter().map(|t| t.lane_work).sum();
+                let slots: u64 = wl.tiles.iter().map(|t| t.vectors).sum::<u64>() * 16;
+                work as f64 / slots.max(1) as f64
+            };
+            let spmm_occupancy = occupancy(&spmm.build(&cfg));
+            let pr_occupancy =
+                occupancy(&suite.build(AppId::PrPull, Dataset::WebStanford).build(&cfg));
+            format!(
+                "  SpMM ({features} features): {:>5.1}%   PR-Pull: {:>5.1}%\n",
+                spmm_occupancy * 100.0,
+                pr_occupancy * 100.0
+            )
+        }
+        // (b) GCN fusion: the X*W round trip saved by fusing GEMM into
+        // SpMM.
+        GcnFusion(name, mem) => {
+            let mem_cfg = CapstanConfig::new(mem);
+            let fused = simulate(&layer.record(&mem_cfg).0, &mem_cfg).cycles as f64;
+            let unfused = simulate(&layer.record_unfused(&mem_cfg).0, &mem_cfg).cycles as f64;
+            format!("  {name}: {:.2}x\n", unfused / fused)
+        }
+        // (c) CG fusion: same study for the Krylov solver (paper §1:
+        // Krylov methods "must be fused for efficient execution").
+        CgFusion(name, mem) => {
+            let mem_cfg = CapstanConfig::new(mem);
+            let fused = simulate(&cg.record(&mem_cfg).0, &mem_cfg).cycles as f64;
+            let unfused = simulate(&cg.record_unfused(&mem_cfg).0, &mem_cfg).cycles as f64;
+            format!("  {name}: {:.2}x\n", unfused / fused)
+        }
+        // (d) BCSR crossover: blend a banded (clustered) matrix with
+        // uniform scatter and watch the block format's win turn into a
+        // loss as the block fill ratio decays.
+        Bcsr(scatter_pct) => {
+            let n = 2048usize;
+            let nnz = 120_000usize;
+            let scattered_nnz = nnz * scatter_pct / 100;
+            let banded_part = capstan_tensor::gen::banded(n, nnz - scattered_nnz, 11);
+            let uniform_part = capstan_tensor::gen::uniform(n, n, scattered_nnz, 13);
+            let mut entries: Vec<(u32, u32, f32)> = banded_part.entries().to_vec();
+            entries.extend_from_slice(uniform_part.entries());
+            let blend = capstan_tensor::Coo::from_triplets(n, n, entries).expect("valid blend");
+            let bcsr = capstan_apps::spmv::BcsrSpmv::new(&blend, 16);
+            let fill = bcsr.matrix().fill_ratio();
+            let bcsr_cycles = bcsr.simulate(&cfg).cycles as f64;
+            let csr_cycles = capstan_apps::spmv::CsrSpmv::new(&blend)
+                .simulate(&cfg)
+                .cycles as f64;
+            format!(
+                "  {scatter_pct:>7}%  {fill:>10.3}  {:>15.2}\n",
+                csr_cycles / bcsr_cycles
+            )
+        }
+        // (e) CSR-vs-DCSR: sparse row iteration pays off once most rows
+        // are empty (paper §2.1's doubly-compressed motivation; the
+        // pointer-cost heuristic is the per-dimension format decision
+        // TACO makes).
+        Dcsr(occupied) => {
+            let ddr = CapstanConfig::new(MemoryKind::Ddr4);
+            // ~`occupied` rows, a few non-zeros each.
+            let m = capstan_tensor::gen::uniform(8192, 8192, occupied * 3 / 2, 21);
+            let dcsr = capstan_apps::spmv::DcsrSpmv::new(&m);
+            let prefers = capstan_tensor::dcsr::prefers_dcsr(&m);
+            let dcsr_cycles = dcsr.simulate(&ddr).cycles as f64;
+            let csr_cycles = capstan_apps::spmv::CsrSpmv::new(&m).simulate(&ddr).cycles as f64;
+            format!(
+                "  {:>13}  {:>12}  {:>15.2}\n",
+                dcsr.matrix().occupied_rows(),
+                prefers,
+                csr_cycles / dcsr_cycles
+            )
+        }
+    });
+    let mut heading = "";
+    for (point, line) in points.iter().zip(lines) {
+        if point.heading() != heading {
+            heading = point.heading();
+            out.push_str(heading);
+        }
+        out.push_str(&line);
     }
     print!("{out}");
     out

@@ -16,8 +16,9 @@ use capstan_core::perf::simulate;
 use capstan_core::program::Workload;
 use capstan_tensor::gen::Dataset;
 
-/// Records one workload per dataset with an explicit worker count (the
-/// `record_and_simulate` pattern in `capstan_bench::experiments`).
+/// Records one workload per dataset with an explicit worker count (as
+/// `record_and_simulate` in `capstan_bench::experiments` does, one
+/// `par_map` item per (app, dataset)).
 fn record_with_threads(threads: usize) -> Vec<Workload> {
     let suite = Suite::small();
     let cfg = CapstanConfig::paper_default();
