@@ -29,7 +29,6 @@
 use crate::spmu::RmwOp;
 use capstan_sim::channel::MemChannel;
 use capstan_sim::dram::{BurstRequest, DramChannel, DramModel};
-use capstan_sim::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use std::collections::VecDeque;
 
 /// Words per DRAM burst (64 B of 32-bit words).
@@ -152,96 +151,6 @@ pub struct AddressGenerator {
 /// Depth of the per-AG channel queue. Also the hard bound on in-flight
 /// transfers, so the slot and tag slabs are pre-reserved against it.
 const CHANNEL_QUEUE_DEPTH: usize = 256;
-
-/// Stable snapshot byte for a burst-slot state.
-fn state_code(state: BurstState) -> u8 {
-    match state {
-        BurstState::Free => 0,
-        BurstState::NeedsFetch => 1,
-        BurstState::Fetching => 2,
-        BurstState::Open { dirty: false } => 3,
-        BurstState::Open { dirty: true } => 4,
-        BurstState::WritingBack => 5,
-    }
-}
-
-fn state_from_code(code: u8) -> Result<BurstState, SnapshotError> {
-    Ok(match code {
-        0 => BurstState::Free,
-        1 => BurstState::NeedsFetch,
-        2 => BurstState::Fetching,
-        3 => BurstState::Open { dirty: false },
-        4 => BurstState::Open { dirty: true },
-        5 => BurstState::WritingBack,
-        _ => return Err(SnapshotError::Malformed("unknown burst state")),
-    })
-}
-
-/// Stable snapshot byte for an RMW opcode (declaration order).
-fn op_code(op: RmwOp) -> u8 {
-    match op {
-        RmwOp::Read => 0,
-        RmwOp::Write => 1,
-        RmwOp::AddF => 2,
-        RmwOp::SubF => 3,
-        RmwOp::AddI => 4,
-        RmwOp::MinReportChanged => 5,
-        RmwOp::MaxReportChanged => 6,
-        RmwOp::TestAndSet => 7,
-        RmwOp::WriteIfZero => 8,
-        RmwOp::Swap => 9,
-        RmwOp::Or => 10,
-        RmwOp::And => 11,
-        RmwOp::Xor => 12,
-    }
-}
-
-fn op_from_code(code: u8) -> Result<RmwOp, SnapshotError> {
-    Ok(match code {
-        0 => RmwOp::Read,
-        1 => RmwOp::Write,
-        2 => RmwOp::AddF,
-        3 => RmwOp::SubF,
-        4 => RmwOp::AddI,
-        5 => RmwOp::MinReportChanged,
-        6 => RmwOp::MaxReportChanged,
-        7 => RmwOp::TestAndSet,
-        8 => RmwOp::WriteIfZero,
-        9 => RmwOp::Swap,
-        10 => RmwOp::Or,
-        11 => RmwOp::And,
-        12 => RmwOp::Xor,
-        _ => return Err(SnapshotError::Malformed("unknown RMW opcode")),
-    })
-}
-
-/// Writes a `u32` index list (length-prefixed).
-fn save_u32s(w: &mut SnapshotWriter, xs: &[u32]) {
-    w.write_len(xs.len());
-    for &x in xs {
-        w.write_u32(x);
-    }
-}
-
-/// Reads a `u32` index list, rejecting any entry `>= bound` with a
-/// [`SnapshotError::Malformed`] naming `what`.
-fn restore_u32s(
-    r: &mut SnapshotReader,
-    out: &mut Vec<u32>,
-    bound: usize,
-    what: &'static str,
-) -> Result<(), SnapshotError> {
-    let n = r.read_len()?;
-    out.clear();
-    for _ in 0..n {
-        let x = r.read_u32()?;
-        if x as usize >= bound {
-            return Err(SnapshotError::Malformed(what));
-        }
-        out.push(x);
-    }
-    Ok(())
-}
 
 impl AddressGenerator {
     /// Creates an AG over `words` of zeroed memory.
@@ -382,180 +291,6 @@ impl AddressGenerator {
         self.bursts_written = 0;
         self.submitted_total = 0;
         self.completed_total = 0;
-    }
-
-    /// Serializes the AG's full mutable state: backing memory, channel,
-    /// burst slab, free lists, retry list, residence order, in-flight
-    /// tag slab, waiter arena, pending results, and counters. Derived
-    /// structures (the dense `slot_of` index, the `transitioning` and
-    /// `waiting_total` counts) are rebuilt on restore rather than
-    /// serialized; per-tick scratch buffers are not state and are
-    /// cleared on restore.
-    pub fn save_state(&self, w: &mut SnapshotWriter) {
-        w.write_len(self.capacity);
-        w.write_len(self.memory.len());
-        for &v in &self.memory {
-            w.write_f32(v);
-        }
-        self.channel.save_state(w);
-        w.write_len(self.slots.len());
-        for slot in &self.slots {
-            w.write_u64(slot.burst);
-            w.write_u8(state_code(slot.state));
-            w.write_u32(slot.waiters_head);
-            w.write_u32(slot.waiters_tail);
-        }
-        save_u32s(w, &self.slot_free);
-        save_u32s(w, &self.retry);
-        w.write_len(self.resident.len());
-        for &idx in &self.resident {
-            w.write_u32(idx);
-        }
-        w.write_len(self.inflight.len());
-        for &(slot, is_writeback) in &self.inflight {
-            w.write_u32(slot);
-            w.write_bool(is_writeback);
-        }
-        save_u32s(w, &self.inflight_free);
-        w.write_len(self.waiter_pool.len());
-        for node in &self.waiter_pool {
-            w.write_u64(node.access.addr);
-            w.write_u8(op_code(node.access.op));
-            w.write_f32(node.access.operand);
-            w.write_u64(node.access.tag);
-            w.write_u32(node.next);
-        }
-        save_u32s(w, &self.node_free);
-        w.write_len(self.results.len());
-        for res in &self.results {
-            w.write_u64(res.tag);
-            w.write_f32(res.value);
-            w.write_u64(res.cycle);
-        }
-        w.write_u64(self.bursts_fetched);
-        w.write_u64(self.bursts_written);
-        w.write_u64(self.submitted_total);
-        w.write_u64(self.completed_total);
-    }
-
-    /// Restores state saved by [`AddressGenerator::save_state`] into an
-    /// AG constructed with the same model, region size, and open-burst
-    /// capacity. A geometry mismatch or an out-of-range index is a
-    /// typed error, never a panic or a silent wrong-config resume. On
-    /// error the AG is left partially written — [`reset`] it before
-    /// reuse.
-    ///
-    /// [`reset`]: AddressGenerator::reset
-    pub fn restore_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
-        if r.read_len()? != self.capacity {
-            return Err(SnapshotError::Malformed("AG open-burst capacity differs"));
-        }
-        if r.read_len()? != self.memory.len() {
-            return Err(SnapshotError::Malformed("AG region size differs"));
-        }
-        for v in &mut self.memory {
-            *v = r.read_f32()?;
-        }
-        self.channel.restore_state(r)?;
-        let n_slots = r.read_len()?;
-        self.slots.clear();
-        for _ in 0..n_slots {
-            self.slots.push(BurstSlot {
-                burst: r.read_u64()?,
-                state: state_from_code(r.read_u8()?)?,
-                waiters_head: r.read_u32()?,
-                waiters_tail: r.read_u32()?,
-            });
-        }
-        restore_u32s(r, &mut self.slot_free, n_slots, "slot free list")?;
-        restore_u32s(r, &mut self.retry, n_slots, "retry list")?;
-        let n_resident = r.read_len()?;
-        self.resident.clear();
-        for _ in 0..n_resident {
-            let idx = r.read_u32()?;
-            if idx as usize >= n_slots {
-                return Err(SnapshotError::Malformed("resident index out of range"));
-            }
-            self.resident.push_back(idx);
-        }
-        let n_inflight = r.read_len()?;
-        self.inflight.clear();
-        for _ in 0..n_inflight {
-            let slot = r.read_u32()?;
-            if slot as usize >= n_slots {
-                return Err(SnapshotError::Malformed("in-flight slot out of range"));
-            }
-            self.inflight.push((slot, r.read_bool()?));
-        }
-        restore_u32s(
-            r,
-            &mut self.inflight_free,
-            n_inflight,
-            "in-flight free list",
-        )?;
-        let n_nodes = r.read_len()?;
-        self.waiter_pool.clear();
-        for _ in 0..n_nodes {
-            let access = DramAccess {
-                addr: r.read_u64()?,
-                op: op_from_code(r.read_u8()?)?,
-                operand: r.read_f32()?,
-                tag: r.read_u64()?,
-            };
-            let next = r.read_u32()?;
-            if next != NO_NODE && next as usize >= n_nodes {
-                return Err(SnapshotError::Malformed("waiter link out of range"));
-            }
-            self.waiter_pool.push(WaiterNode { access, next });
-        }
-        restore_u32s(r, &mut self.node_free, n_nodes, "waiter free list")?;
-        let n_results = r.read_len()?;
-        self.results.clear();
-        for _ in 0..n_results {
-            self.results.push(DramAccessResult {
-                tag: r.read_u64()?,
-                value: r.read_f32()?,
-                cycle: r.read_u64()?,
-            });
-        }
-        self.bursts_fetched = r.read_u64()?;
-        self.bursts_written = r.read_u64()?;
-        self.submitted_total = r.read_u64()?;
-        self.completed_total = r.read_u64()?;
-        // Rebuild the derived structures from the restored slab: the
-        // dense burst-id index, the O(1) idle counters, and the waiter
-        // total (every pooled node not on the free list is queued).
-        self.slot_of.fill(NO_SLOT);
-        self.transitioning = 0;
-        for (i, slot) in self.slots.iter().enumerate() {
-            let waiters_consistent =
-                (slot.waiters_head == NO_NODE) == (slot.waiters_tail == NO_NODE);
-            let links_in_range = [slot.waiters_head, slot.waiters_tail]
-                .iter()
-                .all(|&n| n == NO_NODE || (n as usize) < self.waiter_pool.len());
-            if !waiters_consistent || !links_in_range {
-                return Err(SnapshotError::Malformed("slot waiter list inconsistent"));
-            }
-            if matches!(slot.state, BurstState::Free) {
-                continue;
-            }
-            let Some(entry) = self.slot_of.get_mut(slot.burst as usize) else {
-                return Err(SnapshotError::Malformed("slot burst id out of range"));
-            };
-            if *entry != NO_SLOT {
-                return Err(SnapshotError::Malformed("duplicate tracked burst"));
-            }
-            *entry = i as u32;
-            self.transitioning += usize::from(!matches!(slot.state, BurstState::Open { .. }));
-        }
-        if self.node_free.len() > self.waiter_pool.len() {
-            return Err(SnapshotError::Malformed("waiter free list overflows pool"));
-        }
-        self.waiting_total = self.waiter_pool.len() - self.node_free.len();
-        self.retry_scratch.clear();
-        self.done.clear();
-        self.completion_scratch.clear();
-        Ok(())
     }
 
     /// Allocates a slot for `burst` (reusing a recycled one when
@@ -1085,137 +820,5 @@ mod tests {
             operand: 0.0,
             tag: 0,
         });
-    }
-
-    /// Mixed traffic: updates, reads, and evictions across more bursts
-    /// than the open capacity, so the saved state exercises every slab
-    /// (waiters, retries, in-flight tags, write-backs).
-    fn submit_mixed(ag: &mut AddressGenerator) {
-        for b in 0..48u64 {
-            ag.submit(DramAccess {
-                addr: (b * 53) % 4096,
-                op: match b % 4 {
-                    0 => RmwOp::Read,
-                    1 => RmwOp::AddF,
-                    2 => RmwOp::MaxReportChanged,
-                    _ => RmwOp::Write,
-                },
-                operand: b as f32,
-                tag: b,
-            });
-        }
-    }
-
-    #[test]
-    fn save_mid_run_restores_to_an_identical_continuation() {
-        // Uninterrupted reference run.
-        let mut reference = AddressGenerator::new(DramModel::new(MemoryKind::Ddr4), 4096, 4);
-        submit_mixed(&mut reference);
-        let mut ref_results = Vec::new();
-        for _ in 0..30 {
-            ref_results.extend(reference.tick().iter().copied());
-        }
-        // Interrupted run: identical traffic, save mid-flight.
-        let mut original = AddressGenerator::new(DramModel::new(MemoryKind::Ddr4), 4096, 4);
-        submit_mixed(&mut original);
-        for _ in 0..30 {
-            original.tick();
-        }
-        let mut w = SnapshotWriter::new();
-        original.save_state(&mut w);
-        let bytes = w.into_bytes();
-        // Restore into a *fresh* AG of the same geometry.
-        let mut restored = AddressGenerator::new(DramModel::new(MemoryKind::Ddr4), 4096, 4);
-        let mut r = SnapshotReader::new(&bytes);
-        restored.restore_state(&mut r).expect("restore");
-        r.finish().expect("no trailing bytes");
-        // Continue both in lock-step until idle: every tick must release
-        // the same results, and the reference must match throughout.
-        let mut guard = 0;
-        while !restored.is_idle() || !reference.is_idle() {
-            let a: Vec<_> = original.tick().to_vec();
-            let b: Vec<_> = restored.tick().to_vec();
-            assert_eq!(a, b, "restored run diverged from the original");
-            ref_results.extend(reference.tick().iter().copied());
-            guard += 1;
-            assert!(guard < 40_000, "continuation did not drain");
-        }
-        assert_eq!(restored.cycle(), original.cycle());
-        assert_eq!(restored.bursts_fetched(), original.bursts_fetched());
-        assert_eq!(restored.bursts_written(), original.bursts_written());
-        assert_eq!(restored.outstanding(), 0);
-        assert_eq!(
-            reference.bursts_fetched(),
-            restored.bursts_fetched(),
-            "interrupted run diverged from the uninterrupted reference"
-        );
-        for b in 0..48u64 {
-            let addr = (b * 53) % 4096;
-            assert_eq!(restored.peek(addr), reference.peek(addr));
-            assert_eq!(restored.peek(addr), original.peek(addr));
-        }
-    }
-
-    #[test]
-    fn restore_rejects_a_geometry_mismatch() {
-        let ag = AddressGenerator::new(DramModel::new(MemoryKind::Ddr4), 4096, 4);
-        let mut w = SnapshotWriter::new();
-        ag.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut wrong_capacity = AddressGenerator::new(DramModel::new(MemoryKind::Ddr4), 4096, 8);
-        let mut r = SnapshotReader::new(&bytes);
-        assert_eq!(
-            wrong_capacity.restore_state(&mut r),
-            Err(SnapshotError::Malformed("AG open-burst capacity differs"))
-        );
-        let mut wrong_region = AddressGenerator::new(DramModel::new(MemoryKind::Ddr4), 8192, 4);
-        let mut r = SnapshotReader::new(&bytes);
-        assert_eq!(
-            wrong_region.restore_state(&mut r),
-            Err(SnapshotError::Malformed("AG region size differs"))
-        );
-    }
-
-    #[test]
-    fn restore_survives_any_single_byte_corruption() {
-        // Small region keeps the exhaustive sweep fast while the traffic
-        // still populates waiters, retries, and in-flight transfers.
-        let mut ag = AddressGenerator::new(DramModel::new(MemoryKind::Ddr4), 256, 2);
-        for b in 0..24u64 {
-            ag.submit(DramAccess {
-                addr: (b * 19) % 256,
-                op: if b % 2 == 0 { RmwOp::AddF } else { RmwOp::Read },
-                operand: b as f32,
-                tag: b,
-            });
-        }
-        for _ in 0..20 {
-            ag.tick();
-        }
-        assert!(ag.waiting_total > 0, "test needs queued waiters");
-        let mut w = SnapshotWriter::new();
-        ag.save_state(&mut w);
-        let mut bytes = w.into_bytes();
-        // Corrupt every byte one at a time: restore must never panic —
-        // it either errs with a typed error or accepts a still-valid
-        // payload (e.g. a flipped data word).
-        let mut fresh = AddressGenerator::new(DramModel::new(MemoryKind::Ddr4), 256, 2);
-        for i in 0..bytes.len() {
-            bytes[i] ^= 0xFF;
-            let mut r = SnapshotReader::new(&bytes);
-            if fresh
-                .restore_state(&mut r)
-                .and_then(|()| r.finish())
-                .is_err()
-            {
-                fresh.reset();
-            }
-            bytes[i] ^= 0xFF;
-        }
-        // The pristine bytes must still restore after all that abuse.
-        fresh.reset();
-        let mut r = SnapshotReader::new(&bytes);
-        fresh.restore_state(&mut r).expect("pristine restore");
-        r.finish().expect("no trailing bytes");
     }
 }

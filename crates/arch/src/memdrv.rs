@@ -99,7 +99,6 @@ use capstan_sim::channel::MemChannel;
 use capstan_sim::dram::{
     BankTiming, BankedStats, BurstRequest, ChannelArray, DramModel, BURST_BYTES,
 };
-use capstan_sim::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// One tile's DRAM traffic, as recorded by the workload builder.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -358,11 +357,6 @@ impl AddressStream {
     }
 }
 
-/// Version of the [`MemSysSim`] snapshot payload. Bump on any change to
-/// the serialized layout; [`MemSysSim::restore_state`] rejects every
-/// other version with [`SnapshotError::VersionMismatch`].
-pub const MEMSYS_SNAPSHOT_VERSION: u32 = 2;
-
 /// Base byte address of the streaming region (clear of the scattered
 /// region so the two traffic classes never alias rows).
 const STREAM_BASE: u64 = 1 << 40;
@@ -544,12 +538,6 @@ pub struct MemSysSim {
     cycles: u64,
     flushed: bool,
     cycles_recorded: u64,
-    /// Deadlock-watchdog anchor: the cycle and forward-progress
-    /// fingerprint of the last check. Persistent (rather than local to
-    /// [`MemSysSim::run`]) so bounded [`MemSysSim::step`] calls carry
-    /// the watchdog across call boundaries. Not serialized — restore
-    /// re-anchors it at the restored cycle.
-    watch: (u64, (u64, u64, u64)),
 }
 
 impl MemSysSim {
@@ -624,7 +612,6 @@ impl MemSysSim {
             cycles: 0,
             flushed: false,
             cycles_recorded: 0,
-            watch: (0, (0, 0, 0)),
         }
     }
 
@@ -999,39 +986,18 @@ impl MemSysSim {
         }
     }
 
-    /// Drains every queued burst and atomic (and the AGs' dirty flush)
-    /// and returns the statistics. This is the whole driver surface in
-    /// one call: a thin unbounded loop over [`MemSysSim::step`]
-    /// followed by [`MemSysSim::finish_run`] — callers that need
-    /// bounded slices (checkpointing, cooperative scheduling) drive
-    /// those two primitives directly and get the identical tick
-    /// sequence.
+    /// Drains every queued burst and atomic (and the AGs' dirty flush),
+    /// publishes the batch's cycle accounting (the ticks simulated since
+    /// the last publication go to the process-wide simulated-cycle
+    /// counter, exactly once per drained batch), and returns the
+    /// statistics. This is the whole driver surface in one call.
     ///
     /// # Panics
     ///
     /// Panics if the memory system stops making forward progress (a
     /// model bug, not a workload property).
     pub fn run(&mut self) -> MemStats {
-        while !self.step(u64::MAX) {}
-        self.finish_run()
-    }
-
-    /// Advances the drain loop by at most `budget` ticks, returning
-    /// whether the batch has fully drained (including the AGs' dirty
-    /// flush). This is [`MemSysSim::run`]'s bounded body: calling
-    /// `step` repeatedly until it returns `true` performs exactly the
-    /// same tick sequence as one `run` call, regardless of where the
-    /// budget boundaries fall — the property that makes mid-run
-    /// checkpoints ([`MemSysSim::save_state`]) cheap to take at any
-    /// granularity. Call [`MemSysSim::finish_run`] once after the final
-    /// step to publish the cycle accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the memory system stops making forward progress (a
-    /// model bug, not a workload property).
-    pub fn step(&mut self, budget: u64) -> bool {
-        let mut remaining = budget;
+        let mut watch = (self.cycles, self.watermark());
         loop {
             if self.drained() {
                 // Flush rounds repeat until a flush finds nothing dirty:
@@ -1049,35 +1015,22 @@ impl MemSysSim {
                     .iter()
                     .all(|g| g.ags.iter().all(AddressGenerator::is_idle))
                 {
-                    self.flushed = true;
-                    return true;
+                    break;
                 }
                 continue;
             }
-            if remaining == 0 {
-                return false;
-            }
             self.tick();
-            remaining -= 1;
-            if self.cycles - self.watch.0 >= 1 << 22 {
+            if self.cycles - watch.0 >= 1 << 22 {
                 let mark = self.watermark();
                 assert!(
-                    mark != self.watch.1,
+                    mark != watch.1,
                     "memory system deadlocked at cycle {} ({mark:?})",
                     self.cycles
                 );
-                self.watch = (self.cycles, mark);
+                watch = (self.cycles, mark);
             }
         }
-    }
-
-    /// Publishes the finished batch's cycle accounting (adds the ticks
-    /// simulated since the last publication to the process-wide
-    /// simulated-cycle counter, exactly once per drained batch) and
-    /// returns the statistics. [`MemSysSim::run`] calls this itself;
-    /// callers driving the loop through [`MemSysSim::step`] call it
-    /// once `step` returns `true`.
-    pub fn finish_run(&mut self) -> MemStats {
+        self.flushed = true;
         capstan_sim::stats::record_simulated_cycles(self.cycles - self.cycles_recorded);
         self.cycles_recorded = self.cycles;
         self.stats()
@@ -1222,169 +1175,6 @@ impl MemSysSim {
         self.cycles = 0;
         self.flushed = false;
         self.cycles_recorded = 0;
-        self.watch = (0, (0, 0, 0));
-    }
-
-    /// A fingerprint of everything that shapes the driver's behavior:
-    /// the DRAM model, the bank timing, and the full geometry. Two
-    /// drivers with equal hashes replay traffic identically, so a
-    /// snapshot is only restorable where its hash matches (checked by
-    /// the snapshot envelope).
-    pub fn config_hash(&self) -> u64 {
-        let mut w = SnapshotWriter::new();
-        w.write_u64(self.groups[0].channels.model().fingerprint());
-        w.write_len(self.cfg.timing.banks);
-        w.write_len(self.cfg.timing.queue_depth);
-        w.write_u64(self.cfg.timing.cas_latency);
-        w.write_u64(self.cfg.timing.row_bursts);
-        w.write_len(self.cfg.channels);
-        w.write_len(self.cfg.ag_region_words);
-        w.write_len(self.cfg.ag_open_bursts);
-        w.write_len(self.cfg.issue_width);
-        w.write_u64(self.cfg.max_outstanding_atomics);
-        w.write_len(self.cfg.tenants);
-        w.write_u8(match self.cfg.partition {
-            TenantPartition::Shared => 0,
-            TenantPartition::Dedicated => 1,
-        });
-        for &weight in &self.cfg.tenant_weights {
-            w.write_u8(weight);
-        }
-        snapshot::fnv1a_64(w.as_bytes())
-    }
-
-    /// Serializes the driver's complete mid-run state — channels, AGs,
-    /// replay cursors, address-stream PRNG states, pending counts, and
-    /// cycle accounting — into a sealed snapshot
-    /// ([`MEMSYS_SNAPSHOT_VERSION`], [`MemSysSim::config_hash`],
-    /// checksummed). Restoring it into a fresh driver of the same
-    /// configuration and continuing is bit-identical to never having
-    /// stopped (proven in `tests/snapshot_resume.rs`).
-    pub fn save_state(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        for group in &self.groups {
-            group.channels.save_state(&mut w);
-            for ag in &group.ags {
-                ag.save_state(&mut w);
-            }
-        }
-        for lane in &self.lanes {
-            w.write_u64(lane.pending_stream);
-            w.write_u64(lane.pending_random);
-            w.write_u64(lane.pending_atomic);
-            w.write_u64(lane.stream_cursor);
-            // Stream seeds and spans are construction constants covered
-            // by the config hash; only the advancing PRNG state is
-            // live.
-            w.write_u64(lane.random_stream.state);
-            w.write_u64(lane.atomic_stream.state);
-            w.write_len(lane.rec_random.len());
-            for &a in &lane.rec_random {
-                w.write_u64(a);
-            }
-            // The replay cursors grow without bound (they index modulo
-            // the buffer length), so they are plain u64s, not bounded
-            // lengths.
-            w.write_u64(lane.rec_random_pos as u64);
-            w.write_len(lane.rec_atomic.len());
-            for &a in &lane.rec_atomic {
-                w.write_u64(a);
-            }
-            w.write_u64(lane.rec_atomic_pos as u64);
-            w.write_u64(lane.outstanding);
-            w.write_u64(lane.stats.queued_stream_bursts);
-            w.write_u64(lane.stats.queued_random_bursts);
-            w.write_u64(lane.stats.queued_atomic_words);
-            w.write_u64(lane.stats.submitted);
-            w.write_u64(lane.stats.completed);
-            w.write_u64(lane.stats.ag_fetch_bursts);
-            w.write_u64(lane.stats.occupancy_cycles);
-            w.write_u64(lane.stats.completion_cycle);
-            for &bucket in &lane.stats.latency_hist {
-                w.write_u64(bucket);
-            }
-        }
-        // The latency ring holds the issue cycles of in-flight
-        // requests; its length is fixed by the config, so only the
-        // contents are live (the length is still written as a framing
-        // check).
-        w.write_len(self.lat_ring.len());
-        for &cycle in &self.lat_ring {
-            w.write_u64(cycle);
-        }
-        w.write_u64(self.next_tag);
-        w.write_u64(self.inflight);
-        w.write_u64(self.cycles);
-        w.write_bool(self.flushed);
-        w.write_u64(self.cycles_recorded);
-        snapshot::seal(MEMSYS_SNAPSHOT_VERSION, self.config_hash(), w)
-    }
-
-    /// Restores a snapshot produced by [`MemSysSim::save_state`] into
-    /// this driver. The envelope pins the snapshot to a configuration:
-    /// a version bump, a different geometry or DRAM model, a flipped
-    /// bit, or a truncated file each surface as the corresponding typed
-    /// [`SnapshotError`] — never a panic, never a silent wrong-config
-    /// resume.
-    ///
-    /// On error the driver may be partially overwritten;
-    /// [`MemSysSim::reset`] it before reuse.
-    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let payload = snapshot::open(bytes, MEMSYS_SNAPSHOT_VERSION, self.config_hash())?;
-        let mut r = SnapshotReader::new(payload);
-        for group in &mut self.groups {
-            group.channels.restore_state(&mut r)?;
-            for ag in &mut group.ags {
-                ag.restore_state(&mut r)?;
-            }
-        }
-        for lane in &mut self.lanes {
-            lane.pending_stream = r.read_u64()?;
-            lane.pending_random = r.read_u64()?;
-            lane.pending_atomic = r.read_u64()?;
-            lane.stream_cursor = r.read_u64()?;
-            lane.random_stream.state = r.read_u64()?;
-            lane.atomic_stream.state = r.read_u64()?;
-            let n_random = r.read_len()?;
-            lane.rec_random.clear();
-            for _ in 0..n_random {
-                lane.rec_random.push(r.read_u64()?);
-            }
-            lane.rec_random_pos = r.read_u64()? as usize;
-            let n_atomic = r.read_len()?;
-            lane.rec_atomic.clear();
-            for _ in 0..n_atomic {
-                lane.rec_atomic.push(r.read_u64()?);
-            }
-            lane.rec_atomic_pos = r.read_u64()? as usize;
-            lane.outstanding = r.read_u64()?;
-            lane.stats.queued_stream_bursts = r.read_u64()?;
-            lane.stats.queued_random_bursts = r.read_u64()?;
-            lane.stats.queued_atomic_words = r.read_u64()?;
-            lane.stats.submitted = r.read_u64()?;
-            lane.stats.completed = r.read_u64()?;
-            lane.stats.ag_fetch_bursts = r.read_u64()?;
-            lane.stats.occupancy_cycles = r.read_u64()?;
-            lane.stats.completion_cycle = r.read_u64()?;
-            for bucket in &mut lane.stats.latency_hist {
-                *bucket = r.read_u64()?;
-            }
-        }
-        if r.read_len()? != self.lat_ring.len() {
-            return Err(SnapshotError::Malformed("latency ring length differs"));
-        }
-        for cycle in &mut self.lat_ring {
-            *cycle = r.read_u64()?;
-        }
-        self.next_tag = r.read_u64()?;
-        self.inflight = r.read_u64()?;
-        self.cycles = r.read_u64()?;
-        self.flushed = r.read_bool()?;
-        self.cycles_recorded = r.read_u64()?;
-        r.finish()?;
-        // Re-anchor the deadlock watchdog at the restored position.
-        self.watch = (self.cycles, self.watermark());
-        Ok(())
     }
 }
 
@@ -1719,92 +1509,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn save_mid_run_restores_into_a_fresh_driver_identically() {
-        let model = DramModel::new(MemoryKind::Hbm2e);
-        let traffic = TileTraffic {
-            stream_bursts: 700,
-            random_bursts: 500,
-            atomic_words: 900,
-        };
-        for channels in [1usize, 4] {
-            let cfg = MemSysConfig::with_channels(&model, channels);
-            let mut reference = MemSysSim::with_config(model, cfg);
-            reference.add_tile(traffic);
-            let want = reference.run();
-            let mut original = MemSysSim::with_config(model, cfg);
-            original.add_tile(traffic);
-            assert!(!original.step(want.cycles / 2), "cut point must be mid-run");
-            let bytes = original.save_state();
-            let mut restored = MemSysSim::with_config(model, cfg);
-            restored.restore_state(&bytes).expect("restore");
-            assert_eq!(restored.cycle(), want.cycles / 2);
-            let got = restored.run();
-            assert_eq!(got, want, "{channels}-channel resumed run diverged");
-            assert!(restored.is_done());
-        }
-    }
-
-    #[test]
-    fn restore_rejects_every_corruption_mode() {
-        let model = DramModel::new(MemoryKind::Ddr4);
-        let cfg = MemSysConfig::with_channels(&model, 2);
-        let mut sim = MemSysSim::with_config(model, cfg);
-        sim.add_tile(TileTraffic {
-            stream_bursts: 300,
-            random_bursts: 200,
-            atomic_words: 250,
-        });
-        sim.step(40);
-        let bytes = sim.save_state();
-
-        // A different geometry is a config-hash mismatch.
-        let mut other = MemSysSim::with_config(model, MemSysConfig::with_channels(&model, 4));
-        assert!(matches!(
-            other.restore_state(&bytes),
-            Err(SnapshotError::ConfigMismatch { .. })
-        ));
-        // So is a different DRAM model under the same geometry.
-        let hbm = DramModel::new(MemoryKind::Hbm2e);
-        let mut other = MemSysSim::with_config(hbm, MemSysConfig::with_channels(&model, 2));
-        assert!(matches!(
-            other.restore_state(&bytes),
-            Err(SnapshotError::ConfigMismatch { .. })
-        ));
-        // A flipped payload bit fails the checksum.
-        let mut flipped = bytes.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x01;
-        let mut target = MemSysSim::with_config(model, cfg);
-        assert_eq!(
-            target.restore_state(&flipped),
-            Err(SnapshotError::ChecksumMismatch)
-        );
-        // A truncated file is typed, not a panic.
-        target.reset();
-        assert!(target.restore_state(&bytes[..bytes.len() - 9]).is_err());
-        // A version bump is rejected before any payload is read. The
-        // version field sits right after the 8-byte magic; patching it
-        // requires re-sealing the checksum, so synthesize the envelope
-        // end-to-end instead.
-        let patched = capstan_sim::snapshot::seal(
-            MEMSYS_SNAPSHOT_VERSION + 1,
-            target.config_hash(),
-            SnapshotWriter::new(),
-        );
-        target.reset();
-        assert_eq!(
-            target.restore_state(&patched),
-            Err(SnapshotError::VersionMismatch {
-                found: MEMSYS_SNAPSHOT_VERSION + 1,
-                expected: MEMSYS_SNAPSHOT_VERSION
-            })
-        );
-        // And the pristine bytes still restore.
-        target.reset();
-        target.restore_state(&bytes).expect("pristine restore");
-    }
-
     // --- Multi-tenant ---------------------------------------------------
 
     #[test]
@@ -1934,43 +1638,6 @@ mod tests {
             atomic_words: 5000,
         });
         assert_eq!(vs_idle, vs_flood);
-    }
-
-    #[test]
-    fn multi_tenant_save_mid_run_restores_identically() {
-        let model = DramModel::new(MemoryKind::Hbm2e);
-        let a = TileTraffic {
-            stream_bursts: 500,
-            random_bursts: 400,
-            atomic_words: 600,
-        };
-        let b = TileTraffic {
-            stream_bursts: 900,
-            random_bursts: 100,
-            atomic_words: 50,
-        };
-        for partition in [TenantPartition::Shared, TenantPartition::Dedicated] {
-            let cfg = MemSysConfig::with_tenants(&model, 2, 2, partition);
-            let mut reference = MemSysSim::with_config(model, cfg);
-            reference.add_tile_for(TenantId(0), a);
-            reference.add_tile_for(TenantId(1), b);
-            let want = reference.run();
-            let want_t: Vec<TenantStats> = (0..2)
-                .map(|t| reference.tenant_stats(TenantId(t)))
-                .collect();
-            let mut original = MemSysSim::with_config(model, cfg);
-            original.add_tile_for(TenantId(0), a);
-            original.add_tile_for(TenantId(1), b);
-            assert!(!original.step(want.cycles / 2), "cut point must be mid-run");
-            let bytes = original.save_state();
-            let mut restored = MemSysSim::with_config(model, cfg);
-            restored.restore_state(&bytes).expect("restore");
-            let got = restored.run();
-            assert_eq!(got, want, "{partition:?} resumed run diverged");
-            let got_t: Vec<TenantStats> =
-                (0..2).map(|t| restored.tenant_stats(TenantId(t))).collect();
-            assert_eq!(got_t, want_t, "{partition:?} per-tenant stats diverged");
-        }
     }
 
     #[test]

@@ -531,48 +531,6 @@ fn memsys_drain_and_flush_after_warmup_is_allocation_free() {
 }
 
 #[test]
-fn memsys_ticking_after_restore_is_allocation_free() {
-    // The savestate restore path must hand back a driver that honors
-    // the same allocation contract as a warmed one: a snapshot taken
-    // mid-run captures every slab and arena at (or near) its high-water
-    // mark, so after restoring into a fresh driver and a short
-    // re-warm-up — the restored occupancies are the *current* sizes,
-    // not the stochastic high-water marks, so a little headroom growth
-    // is legitimate — steady-state ticking must stay off the heap.
-    for channels in [1usize, 4] {
-        let model = DramModel::new(MemoryKind::Hbm2e);
-        let mut sim = MemSysSim::with_config(model, MemSysConfig::with_channels(&model, channels));
-        // Large enough that even the 4-channel topology is still
-        // mid-run at the cut point.
-        sim.add_tile(TileTraffic {
-            stream_bursts: 400_000,
-            random_bursts: 400_000,
-            atomic_words: 400_000,
-        });
-        assert!(!sim.step(40_000), "workload must still be mid-run");
-        let bytes = sim.save_state();
-
-        let mut restored =
-            MemSysSim::with_config(model, MemSysConfig::with_channels(&model, channels));
-        restored.restore_state(&bytes).expect("restore");
-        // Same warm-up span as the fresh-driver tests above: the
-        // waiter-arena high-water mark is reached stochastically.
-        for _ in 0..40_000 {
-            restored.tick();
-        }
-        let before = allocations();
-        for _ in 0..10_000 {
-            restored.tick();
-        }
-        let during = allocations() - before;
-        assert_eq!(
-            during, 0,
-            "{channels}ch: {during} heap allocations in 10k post-restore cycles"
-        );
-    }
-}
-
-#[test]
 fn ag_burst_sized_streaming_is_allocation_free() {
     // The coalescing fast path (all lanes of a burst resident) must stay
     // allocation-free too: sequential sweeps re-touch open bursts.

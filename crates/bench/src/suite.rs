@@ -348,13 +348,21 @@ mod tests {
 
     #[test]
     fn every_app_builds_and_simulates() {
-        let suite = Suite::small();
+        // `small`, plus the lower boundary of what `Suite::parse`
+        // accepts: every factor a hair above zero.
+        let tiny = Suite::parse("la=1e-9,graph=1e-9,spmspm=1e-9,conv=1e-9").unwrap();
         let cfg = capstan_core::config::CapstanConfig::paper_default();
-        for app in AppId::ALL {
-            let instance = suite.build(app, app.datasets()[0]);
-            assert_eq!(instance.name(), app.name());
-            let report = instance.simulate(&cfg);
-            assert!(report.cycles > 0, "{} produced zero cycles", app.name());
+        for suite in [Suite::small(), tiny] {
+            for app in AppId::ALL {
+                let instance = suite.build(app, app.datasets()[0]);
+                assert_eq!(instance.name(), app.name());
+                let report = instance.simulate(&cfg);
+                assert!(
+                    report.cycles > 0,
+                    "{} produced zero cycles at {suite:?}",
+                    app.name()
+                );
+            }
         }
     }
 

@@ -213,85 +213,37 @@ fn replay_memoized(key: ReplayKey, trace: &[AccessVector]) -> ThroughputResult {
     result
 }
 
-/// Crash-safety hooks for the cycle-level drain, read once from the
-/// environment:
+/// Drains `msim` to completion ([`MemSysSim::run`]), then applies the
+/// one crash-safety hook, read once from the environment:
 ///
-/// * `CAPSTAN_CHECKPOINT_DIR` — when set, the drain loop periodically
-///   writes the driver's sealed snapshot to `<dir>/memsys.ckpt`
-///   (atomic temp-file + rename, last write wins). A diagnostic /
-///   smoke-test artifact: it proves mid-run savestates are taken on a
-///   live workload and restorable offline.
-/// * `CAPSTAN_CHECKPOINT_EVERY_CYCLES` — checkpoint cadence in
-///   simulated cycles (default `1 << 20`).
 /// * `CAPSTAN_FAULT_AFTER_CYCLES` — fault injection: once the
-///   process-wide simulated-cycle total (plus the in-progress batch)
-///   reaches this, the process prints a diagnostic and exits with code
-///   43, simulating a mid-experiment crash for the kill-and-resume CI
-///   job. With worker threads the crossing is detected at chunk
-///   granularity, so the exact exit point is approximate — the resume
-///   contract never depends on *where* a run died, only that the
-///   journal already holds every completed row.
-#[derive(Debug, Default)]
-struct MemHooks {
-    checkpoint_dir: Option<std::path::PathBuf>,
-    checkpoint_every: u64,
-    fault_after: Option<u64>,
-}
-
-impl MemHooks {
-    fn get() -> &'static MemHooks {
-        static HOOKS: OnceLock<MemHooks> = OnceLock::new();
-        HOOKS.get_or_init(|| {
-            let parse = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
-            MemHooks {
-                checkpoint_dir: std::env::var_os("CAPSTAN_CHECKPOINT_DIR")
-                    .map(std::path::PathBuf::from),
-                checkpoint_every: parse("CAPSTAN_CHECKPOINT_EVERY_CYCLES").unwrap_or(1 << 20),
-                fault_after: parse("CAPSTAN_FAULT_AFTER_CYCLES"),
-            }
-        })
-    }
-
-    fn active(&self) -> bool {
-        self.checkpoint_dir.is_some() || self.fault_after.is_some()
-    }
-}
-
-/// Drains `msim` to completion. Without hooks this is exactly
-/// [`MemSysSim::run`]; with hooks the same drain runs in bounded
-/// [`MemSysSim::step`] chunks (bit-identical by the step contract) so
-/// checkpoints and the injected fault land mid-run.
+///   process-wide simulated-cycle total
+///   ([`capstan_sim::stats::simulated_cycles`]) reaches this at the end
+///   of a cycle-level drain, the process prints a diagnostic and exits
+///   with code 43, simulating a mid-experiment crash for the
+///   kill-and-resume CI job. The check runs at drain granularity (and,
+///   with worker threads, after whichever drain crosses first), so the
+///   exact exit point is approximate — the resume contract never
+///   depends on *where* a run died, only that the journal already
+///   holds every completed row.
 fn drive_memsys(msim: &mut MemSysSim) -> MemStats {
-    let hooks = MemHooks::get();
-    if !hooks.active() {
-        return msim.run();
-    }
-    let chunk = hooks.checkpoint_every.max(1);
-    let base = capstan_sim::stats::simulated_cycles();
-    while !msim.step(chunk) {
-        if let Some(limit) = hooks.fault_after {
-            if base + msim.cycle() >= limit {
-                if let Some(dir) = &hooks.checkpoint_dir {
-                    let _ = std::fs::create_dir_all(dir);
-                    let _ = capstan_sim::snapshot::atomic_write(
-                        &dir.join("memsys.ckpt"),
-                        &msim.save_state(),
-                    );
-                }
-                eprintln!(
-                    "capstan: injected fault after {} simulated cycles (CAPSTAN_FAULT_AFTER_CYCLES)",
-                    base + msim.cycle()
-                );
-                std::process::exit(43);
-            }
-        }
-        if let Some(dir) = &hooks.checkpoint_dir {
-            let _ = std::fs::create_dir_all(dir);
-            let _ =
-                capstan_sim::snapshot::atomic_write(&dir.join("memsys.ckpt"), &msim.save_state());
+    static FAULT_AFTER: OnceLock<Option<u64>> = OnceLock::new();
+    let stats = msim.run();
+    let fault_after = FAULT_AFTER.get_or_init(|| {
+        std::env::var("CAPSTAN_FAULT_AFTER_CYCLES")
+            .ok()
+            .and_then(|v| v.parse::<u64>().ok())
+    });
+    if let Some(limit) = *fault_after {
+        let total = capstan_sim::stats::simulated_cycles();
+        if total >= limit {
+            eprintln!(
+                "capstan: injected fault after {total} simulated cycles (CAPSTAN_FAULT_AFTER_CYCLES)"
+            );
+            std::process::exit(43);
         }
     }
-    msim.finish_run()
+    stats
 }
 
 /// Synthetic (ideal-memory) cycle analysis of one tile.

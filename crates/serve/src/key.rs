@@ -4,9 +4,9 @@
 //! memory configuration)` — Capstan's simulated results are
 //! deterministic and machine-independent, so that tuple *is* the
 //! result's address. The key is an FNV-1a-64 hash over the tuple's
-//! canonical snapshot-codec encoding, the same discipline the
-//! simulator's checkpoint `config_hash` uses: every field is serialized
-//! in one fixed order with floats as exact bit patterns, so the key is
+//! canonical encoding (`capstan_sim::snapshot::SnapshotWriter`): every
+//! field is serialized in one fixed order with floats as exact bit
+//! patterns, so the key is
 //! invariant under request-field reordering and alternative float
 //! spellings, and distinct under any single-field change.
 
@@ -122,9 +122,9 @@ impl RunSpec {
     }
 }
 
-/// Length-prefixed string write, snapshot-codec style (the writer has
-/// primitive-only methods; strings ride as counted bytes so `ab`+`c`
-/// can never alias `a`+`bc`).
+/// Length-prefixed string write (the writer has primitive-only
+/// methods; strings ride as counted bytes so `ab`+`c` can never alias
+/// `a`+`bc`).
 fn write_str(w: &mut SnapshotWriter, s: &str) {
     w.write_len(s.len());
     for b in s.bytes() {

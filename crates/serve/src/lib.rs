@@ -15,10 +15,10 @@
 //! byte-identical report text. The server exploits that end to end:
 //!
 //! * **Content-addressed cache** ([`key`]): every request canonicalizes
-//!   to an FNV-1a-64 key over the snapshot-codec encoding of its
-//!   experiment name, dataset fingerprint ([`capstan_bench::Suite::fingerprint`])
-//!   and memory configuration — the same hashing discipline as the
-//!   simulator's checkpoint `config_hash`. A repeated request is served
+//!   to an FNV-1a-64 key over the canonical encoding
+//!   ([`capstan_sim::snapshot::SnapshotWriter`]) of its experiment name,
+//!   dataset fingerprint ([`capstan_bench::Suite::fingerprint`]) and
+//!   memory configuration. A repeated request is served
 //!   from the cache without touching a core; concurrent duplicates
 //!   coalesce onto one in-flight job.
 //! * **Batching and sharding** ([`server`]): compatible queued requests
@@ -27,8 +27,8 @@
 //!   invocation with a `--resume` journal and a `--bench-out` record —
 //!   run concurrently under `capstan_par::par_map`, and their
 //!   `BENCH`-schema record groups merged via `capstan_bench::gate::merge`.
-//! * **Crash-safe workers**: each shard runs under the journal/checkpoint
-//!   machinery from the resumable-harness layer, so a killed worker is
+//! * **Crash-safe workers**: each shard runs under a `--resume`
+//!   journal from the resumable-harness layer, so a killed worker is
 //!   respawned and *resumes* — journaled rows replay byte-for-byte
 //!   instead of recomputing.
 //!

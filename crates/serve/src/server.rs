@@ -48,8 +48,8 @@ pub struct ServerConfig {
     /// `std::env::current_exe()` — the binary is both server and
     /// worker).
     pub worker_exe: PathBuf,
-    /// Scratch directory for per-shard journals, bench records, and
-    /// checkpoints (created on bind).
+    /// Scratch directory for per-shard journals and bench records
+    /// (created on bind).
     pub work_dir: PathBuf,
     /// Maximum worker processes per compatibility group.
     pub shards: usize,
@@ -66,9 +66,8 @@ pub struct ServerConfig {
     /// last, so it can override the server's own settings).
     pub worker_env: Vec<(String, String)>,
     /// Fault-injection test knob: arm exactly one worker spawn (the
-    /// first) with `CAPSTAN_FAULT_AFTER_CYCLES=<n>`, so it checkpoints,
-    /// kills itself mid-sweep, and exercises the respawn-and-resume
-    /// path.
+    /// first) with `CAPSTAN_FAULT_AFTER_CYCLES=<n>`, so it kills itself
+    /// mid-sweep and exercises the respawn-and-resume path.
     pub fault_first_worker: Option<u64>,
     /// Spawn attempts per shard before the jobs fail with
     /// [`ProtoError::WorkerFailed`].
@@ -606,12 +605,10 @@ fn run_shard(
         // etc.) except the fault knob, which must only ever arm the one
         // spawn the test asked for.
         cmd.env_remove("CAPSTAN_FAULT_AFTER_CYCLES");
-        cmd.env("CAPSTAN_CHECKPOINT_DIR", dir.join("ckpt"));
-        if attempt == 0 && cfg.fault_first_worker.is_some() {
+        if attempt == 0 {
             if let Some(n) = cfg.fault_first_worker {
                 if shared.fault_armed.swap(false, Ordering::SeqCst) {
                     cmd.env("CAPSTAN_FAULT_AFTER_CYCLES", n.to_string());
-                    cmd.env("CAPSTAN_CHECKPOINT_EVERY_CYCLES", "4096");
                 }
             }
         }

@@ -1,8 +1,8 @@
 //! Fault injection: a worker killed mid-sweep (the simulator's
-//! `CAPSTAN_FAULT_AFTER_CYCLES` exit-43 knob, armed for exactly one
-//! spawn by the server's test hook) is respawned and *resumes* from its
-//! journal — and the batch's merged results are byte-identical to an
-//! uninterrupted run.
+//! `CAPSTAN_FAULT_AFTER_CYCLES` exit-43 knob on its own, armed for
+//! exactly one spawn by the server's test hook) is respawned and
+//! *resumes* from its journal — and the batch's merged results are
+//! byte-identical to an uninterrupted run.
 
 mod common;
 
@@ -14,10 +14,11 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 /// The two cycle-mode experiments submitted as one batch. At `small`
-/// scale the first simulates ~73k cycles and the second ~163k more, so
-/// a fault threshold of 100k lets the worker journal the first row and
-/// die partway through the second — the respawn must replay row one
-/// and only recompute row two.
+/// scale the first simulates ~73k cycles and the second ~163k more. The
+/// fault is checked at the end of every cycle-level drain, so a
+/// threshold of 100k lets the worker journal the first row and die at
+/// the first drain end of the second past 100k — the respawn must
+/// replay row one and only recompute row two.
 const NAMES: [&str; 2] = ["table13-atomics", "table13-recorded"];
 const FAULT_AFTER_CYCLES: u64 = 100_000;
 

@@ -6,11 +6,10 @@
 //! multi-channel [`ChannelArray`](crate::dram::ChannelArray) — speaks
 //! this one trait. The driver stack (`memdrv` in `capstan-arch`, the
 //! checkout pool in `capstan-core`) is written against [`MemChannel`]
-//! alone: push, tick once per cycle, and reset or savestate between
-//! runs, whatever the topology.
+//! alone: push, tick once per cycle, and reset between runs, whatever
+//! the topology.
 
 use crate::dram::{BurstCompletion, BurstRequest};
-use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// A cycle-level memory channel: the common driver surface of every
 /// channel topology.
@@ -39,13 +38,4 @@ pub trait MemChannel {
     /// reset channel must be behaviorally indistinguishable from a
     /// fresh one).
     fn reset(&mut self);
-
-    /// Serializes the channel's mutable state. Construction-time
-    /// configuration is not serialized — the enclosing snapshot's
-    /// config hash guards it.
-    fn save_state(&self, w: &mut SnapshotWriter);
-
-    /// Restores state saved by [`save_state`](MemChannel::save_state)
-    /// into a channel constructed with the same configuration.
-    fn restore_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError>;
 }

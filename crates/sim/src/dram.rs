@@ -18,7 +18,6 @@
 
 use crate::channel::MemChannel;
 use crate::queue::BoundedQueue;
-use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::CLOCK_GHZ;
 
 /// Bytes per DRAM burst (one 64 B transfer, paper §3.4/§4.1).
@@ -146,47 +145,6 @@ impl DramModel {
     pub fn latency_cycles(&self) -> u64 {
         self.latency_cycles
     }
-
-    /// Stable fingerprint of the model's configuration — snapshot
-    /// config-hash material. Two models fingerprint equal iff every
-    /// derived rate and latency is identical, so a snapshot can never
-    /// silently resume under a different memory system.
-    pub fn fingerprint(&self) -> u64 {
-        let mut w = SnapshotWriter::new();
-        let (tag, custom_bits) = match self.kind {
-            MemoryKind::Ddr4 => (0u8, 0u64),
-            MemoryKind::Hbm2 => (1, 0),
-            MemoryKind::Hbm2e => (2, 0),
-            MemoryKind::Custom(gbps) => (3, gbps.to_bits()),
-            MemoryKind::Ideal => (4, 0),
-        };
-        w.write_u8(tag);
-        w.write_u64(custom_bits);
-        w.write_f64(self.streaming_efficiency);
-        w.write_f64(self.random_efficiency);
-        w.write_u64(self.latency_cycles);
-        snapshot::fnv1a_64(w.as_bytes())
-    }
-}
-
-/// Encodes one queued `(request, enqueue cycle)` pair.
-fn save_queued_request(w: &mut SnapshotWriter, &(req, enq): &(BurstRequest, u64)) {
-    w.write_u64(req.addr);
-    w.write_bool(req.is_write);
-    w.write_u64(req.tag);
-    w.write_u64(enq);
-}
-
-/// Decodes one queued `(request, enqueue cycle)` pair.
-fn restore_queued_request(r: &mut SnapshotReader) -> Result<(BurstRequest, u64), SnapshotError> {
-    Ok((
-        BurstRequest {
-            addr: r.read_u64()?,
-            is_write: r.read_bool()?,
-            tag: r.read_u64()?,
-        },
-        r.read_u64()?,
-    ))
 }
 
 /// One in-flight burst request in the cycle-level channel.
@@ -304,22 +262,6 @@ impl MemChannel for DramChannel {
         self.completed.clear();
         self.served = 0;
     }
-
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        w.write_u64(self.cycle);
-        w.write_f64(self.credit);
-        w.write_u64(self.served);
-        self.queue.save_state(w, save_queued_request);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
-        self.cycle = r.read_u64()?;
-        self.credit = r.read_f64()?;
-        self.served = r.read_u64()?;
-        self.queue.restore_state(r, restore_queued_request)?;
-        self.completed.clear();
-        Ok(())
-    }
 }
 
 /// Sentinel for "no row open" in a bank's row register.
@@ -408,7 +350,6 @@ struct Bank {
 /// so completion streams are machine-independent.
 #[derive(Debug, Clone)]
 pub struct BankedDramChannel {
-    model: DramModel,
     timing: BankTiming,
     /// Cycles a bank stays busy after activating a new row, derived so
     /// all-miss throughput matches the model's random efficiency.
@@ -451,7 +392,6 @@ impl BankedDramChannel {
         let bus_bursts_per_cycle =
             model.effective_bytes_per_cycle(AccessPattern::Streaming) / BURST_BYTES as f64;
         BankedDramChannel {
-            model,
             timing,
             row_miss_penalty,
             bus_bursts_per_cycle,
@@ -472,11 +412,6 @@ impl BankedDramChannel {
             stats: BankedStats::default(),
             pushed: 0,
         }
-    }
-
-    /// The attached memory model.
-    pub fn model(&self) -> DramModel {
-        self.model
     }
 
     /// The configured timing.
@@ -593,60 +528,6 @@ impl MemChannel for BankedDramChannel {
             bank.busy_until = 0;
         }
     }
-
-    // State layout: cycle, bus credit, round-robin cursor, statistics,
-    // then every bank's open row, busy timer, and FIFO. Derived
-    // configuration (model, timing, row-miss penalty) is not
-    // serialized — the enclosing snapshot's config hash guards it.
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        w.write_u64(self.cycle);
-        w.write_f64(self.credit);
-        w.write_len(self.rr);
-        w.write_u64(self.pushed);
-        w.write_u64(self.stats.served);
-        w.write_u64(self.stats.row_hits);
-        w.write_u64(self.stats.row_conflicts);
-        w.write_u64(self.stats.row_opens);
-        w.write_u64(self.stats.contention_cycles);
-        w.write_u64(self.stats.bank_busy_cycles);
-        w.write_len(self.stats.peak_bank_queue);
-        w.write_len(self.banks.len());
-        for bank in &self.banks {
-            w.write_u64(bank.open_row);
-            w.write_u64(bank.busy_until);
-            bank.queue.save_state(w, save_queued_request);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
-        self.cycle = r.read_u64()?;
-        self.credit = r.read_f64()?;
-        let rr = r.read_len()?;
-        if rr >= self.banks.len() {
-            return Err(SnapshotError::Malformed("bank cursor out of range"));
-        }
-        self.rr = rr;
-        self.pushed = r.read_u64()?;
-        self.stats = BankedStats {
-            served: r.read_u64()?,
-            row_hits: r.read_u64()?,
-            row_conflicts: r.read_u64()?,
-            row_opens: r.read_u64()?,
-            contention_cycles: r.read_u64()?,
-            bank_busy_cycles: r.read_u64()?,
-            peak_bank_queue: r.read_len()?,
-        };
-        if r.read_len()? != self.banks.len() {
-            return Err(SnapshotError::Malformed("bank count differs"));
-        }
-        for bank in &mut self.banks {
-            bank.open_row = r.read_u64()?;
-            bank.busy_until = r.read_u64()?;
-            bank.queue.restore_state(r, restore_queued_request)?;
-        }
-        self.completed.clear();
-        Ok(())
-    }
 }
 
 /// N independent [`BankedDramChannel`]s behind a deterministic crossbar
@@ -715,11 +596,6 @@ impl ChannelArray {
     /// Number of channels.
     pub fn channels(&self) -> usize {
         self.channels.len()
-    }
-
-    /// The memory model every channel was constructed with.
-    pub fn model(&self) -> DramModel {
-        self.channels[0].model()
     }
 
     /// The crossbar route for an address: the channel owning its region
@@ -802,30 +678,6 @@ impl MemChannel for ChannelArray {
         }
         self.rr = 0;
         self.completed.clear();
-    }
-
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        w.write_len(self.rr);
-        w.write_len(self.channels.len());
-        for ch in &self.channels {
-            ch.save_state(w);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut SnapshotReader) -> Result<(), SnapshotError> {
-        let rr = r.read_len()?;
-        if rr >= self.channels.len() {
-            return Err(SnapshotError::Malformed("channel cursor out of range"));
-        }
-        self.rr = rr;
-        if r.read_len()? != self.channels.len() {
-            return Err(SnapshotError::Malformed("channel count differs"));
-        }
-        for ch in &mut self.channels {
-            ch.restore_state(r)?;
-        }
-        self.completed.clear();
-        Ok(())
     }
 }
 
@@ -1244,107 +1096,6 @@ mod tests {
         assert_eq!(ch.stats(), BankedStats::default());
         let second = run(&mut ch);
         assert_eq!(first, second, "reset run diverged from fresh run");
-    }
-
-    #[test]
-    fn channel_array_save_mid_run_restores_to_an_identical_continuation() {
-        // Save at an arbitrary mid-drain cycle, restore into a *fresh*
-        // array, and continue: the completion streams must be
-        // bit-identical from the cut onward. This is the layer-level
-        // contract the full-driver savestates build on.
-        let model = DramModel::new(MemoryKind::Ddr4);
-        let timing = BankTiming::for_model(&model);
-        let addr_of = |i: u64| (i * 977 % 65_536) * BURST_BYTES;
-        let mut reference = ChannelArray::new(model, timing, 4);
-        let mut live = ChannelArray::new(model, timing, 4);
-        for arr in [&mut reference, &mut live] {
-            for i in 0..800u64 {
-                if arr
-                    .push(BurstRequest {
-                        addr: addr_of(i),
-                        is_write: i % 3 == 0,
-                        tag: i,
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-        }
-        for _ in 0..50 {
-            assert_eq!(reference.tick(), live.tick());
-        }
-        let mut w = SnapshotWriter::new();
-        live.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut restored = ChannelArray::new(model, timing, 4);
-        let mut r = SnapshotReader::new(&bytes);
-        restored.restore_state(&mut r).expect("restore");
-        r.finish().unwrap();
-        assert_eq!(restored.stats(), live.stats());
-        for cycle in 0..100_000u64 {
-            assert_eq!(
-                reference.tick(),
-                restored.tick(),
-                "diverged {cycle} cycles after the cut"
-            );
-            if reference.is_idle() && restored.is_idle() {
-                break;
-            }
-        }
-        assert_eq!(reference.stats(), restored.stats());
-        assert_eq!(reference.served(), restored.served());
-    }
-
-    #[test]
-    fn channel_restore_rejects_a_different_geometry() {
-        let model = DramModel::new(MemoryKind::Ddr4);
-        let timing = BankTiming::for_model(&model);
-        let arr = ChannelArray::new(model, timing, 2);
-        let mut w = SnapshotWriter::new();
-        arr.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut other = ChannelArray::new(model, timing, 4);
-        let mut r = SnapshotReader::new(&bytes);
-        assert_eq!(
-            other.restore_state(&mut r),
-            Err(SnapshotError::Malformed("channel count differs"))
-        );
-    }
-
-    #[test]
-    fn plain_channel_save_restore_continues_identically() {
-        let model = DramModel::new(MemoryKind::Ddr4);
-        let mut reference = DramChannel::new(model, 64);
-        let mut live = DramChannel::new(model, 64);
-        for ch in [&mut reference, &mut live] {
-            for i in 0..32u64 {
-                ch.push(BurstRequest {
-                    addr: i * 64,
-                    is_write: false,
-                    tag: i,
-                })
-                .unwrap();
-            }
-        }
-        for _ in 0..30 {
-            assert_eq!(reference.tick(), live.tick());
-        }
-        let mut w = SnapshotWriter::new();
-        live.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut restored = DramChannel::new(model, 64);
-        let mut r = SnapshotReader::new(&bytes);
-        restored.restore_state(&mut r).expect("restore");
-        r.finish().unwrap();
-        for _ in 0..4000 {
-            assert_eq!(reference.tick(), restored.tick());
-            if reference.is_idle() {
-                break;
-            }
-        }
-        assert_eq!(reference.served(), restored.served());
-        assert_eq!(reference.cycle(), restored.cycle());
     }
 
     #[test]

@@ -19,13 +19,12 @@
 //!   region-bit crossbar, the topology of the cycle-level memory mode.
 //! * [`channel`] — the [`channel::MemChannel`] trait: the one driver
 //!   surface all three cycle-level channel topologies implement
-//!   (push / can_accept / tick / is_idle / reset / savestate).
+//!   (push / can_accept / tick / is_idle / reset).
 //! * [`network`] — the hybrid static/dynamic on-chip network model
 //!   (512-bit vector links, per-hop latency, §4.1).
-//! * [`snapshot`] — versioned, checksummed binary savestates: the
-//!   writer/reader codec, the snapshot envelope, and the atomic
-//!   temp-file + rename used for every crash-safe file the harness
-//!   writes.
+//! * [`snapshot`] — canonical little-endian encoding, FNV-1a-64, and
+//!   the atomic temp-file + rename used for every crash-safe file the
+//!   harness writes.
 //!
 //! Everything is deterministic; no wall-clock time is consulted anywhere.
 

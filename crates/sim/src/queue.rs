@@ -6,7 +6,6 @@
 //! inverse-permutation FIFO are both bounded FIFOs. This module provides
 //! the common implementation with occupancy statistics.
 
-use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use std::collections::VecDeque;
 
 /// A bounded FIFO. `push` fails (backpressure) when full.
@@ -121,50 +120,6 @@ impl<T> BoundedQueue<T> {
         self.total_pushed = 0;
     }
 
-    /// Serializes the queue's mutable state (items via `item`, plus the
-    /// occupancy statistics). The capacity is written too, so restore
-    /// can verify the target was constructed identically.
-    pub fn save_state(
-        &self,
-        w: &mut SnapshotWriter,
-        mut item: impl FnMut(&mut SnapshotWriter, &T),
-    ) {
-        w.write_len(self.capacity);
-        w.write_len(self.high_water);
-        w.write_u64(self.total_pushed);
-        w.write_len(self.items.len());
-        for it in &self.items {
-            item(w, it);
-        }
-    }
-
-    /// Restores state saved by [`BoundedQueue::save_state`] into a queue
-    /// of the *same capacity* (a mismatch is a typed error, not a
-    /// panic), decoding items via `item`. Retained capacity is reused;
-    /// nothing is released.
-    pub fn restore_state(
-        &mut self,
-        r: &mut SnapshotReader,
-        mut item: impl FnMut(&mut SnapshotReader) -> Result<T, SnapshotError>,
-    ) -> Result<(), SnapshotError> {
-        if r.read_len()? != self.capacity {
-            return Err(SnapshotError::Malformed("queue capacity differs"));
-        }
-        let high_water = r.read_len()?;
-        let total_pushed = r.read_u64()?;
-        let n = r.read_len()?;
-        if n > self.capacity || high_water > self.capacity || high_water < n {
-            return Err(SnapshotError::Malformed("queue occupancy out of range"));
-        }
-        self.items.clear();
-        for _ in 0..n {
-            self.items.push_back(item(r)?);
-        }
-        self.high_water = high_water;
-        self.total_pushed = total_pushed;
-        Ok(())
-    }
-
     /// Highest occupancy ever observed.
     pub fn high_water(&self) -> usize {
         self.high_water
@@ -224,42 +179,6 @@ mod tests {
         assert_eq!(q.pop(), Some(0));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(3));
-    }
-
-    #[test]
-    fn save_restore_round_trips_items_and_stats() {
-        let mut q = BoundedQueue::new(4);
-        for i in 0..4u32 {
-            q.push(i).unwrap();
-        }
-        q.pop();
-        let mut w = SnapshotWriter::new();
-        q.save_state(&mut w, |w, &v| w.write_u32(v));
-        let bytes = w.into_bytes();
-        let mut fresh = BoundedQueue::new(4);
-        let mut r = SnapshotReader::new(&bytes);
-        fresh
-            .restore_state(&mut r, |r| r.read_u32())
-            .expect("restore");
-        r.finish().unwrap();
-        assert_eq!(fresh.len(), 3);
-        assert_eq!(fresh.high_water(), 4);
-        assert_eq!(fresh.total_pushed(), 4);
-        assert_eq!(fresh.pop(), Some(1));
-    }
-
-    #[test]
-    fn restore_rejects_a_capacity_mismatch() {
-        let q = BoundedQueue::<u32>::new(4);
-        let mut w = SnapshotWriter::new();
-        q.save_state(&mut w, |w, &v| w.write_u32(v));
-        let bytes = w.into_bytes();
-        let mut other = BoundedQueue::<u32>::new(8);
-        let mut r = SnapshotReader::new(&bytes);
-        assert_eq!(
-            other.restore_state(&mut r, |r| r.read_u32()),
-            Err(SnapshotError::Malformed("queue capacity differs"))
-        );
     }
 
     #[test]

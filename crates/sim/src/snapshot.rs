@@ -1,108 +1,21 @@
-//! Versioned, checksummed binary savestates (hand-rolled, std-only).
+//! Canonical encoding, FNV-1a-64, and atomic writes (std-only).
 //!
-//! Capstan's cycle-level simulations are deterministic and
-//! machine-independent, so a snapshot taken at any cycle must resume to
-//! *bit-identical* results — which makes savestates fully testable, not
-//! best-effort. This module provides the shared plumbing every layer of
-//! the stack builds its `save_state`/`restore_state` entry points on:
+//! Three small primitives the harness and the service share:
 //!
-//! * [`SnapshotWriter`] / [`SnapshotReader`] — a little-endian binary
-//!   codec for the primitive types simulator state is made of (floats
-//!   round-trip through their bit patterns, so restored credit counters
-//!   are exact, not approximately equal).
-//! * [`seal`] / [`open`] — the snapshot envelope: magic, format
-//!   version, a caller-supplied configuration hash, and an FNV-1a-64
-//!   checksum over everything. A stale or corrupt snapshot is rejected
-//!   with a typed [`SnapshotError`] — never a panic, never a silent
-//!   wrong-config resume.
+//! * [`SnapshotWriter`] — a little-endian canonical encoding of
+//!   primitive values (floats by bit pattern, lengths as `u64`), so a
+//!   hash over it is invariant under float spelling and pointer width.
+//!   `Suite::fingerprint` and the serve cache key encode with it.
+//! * [`fnv1a_64`] — the hash those fingerprints and keys use.
 //! * [`atomic_write`] — temp-file + rename, so a crash mid-write can
-//!   never leave a truncated snapshot (or bench record) behind.
-//!
-//! The envelope layout, all little-endian:
-//!
-//! ```text
-//! magic (8 B) | version (4 B) | config hash (8 B) | payload len (8 B)
-//! | payload | FNV-1a-64 checksum of everything above (8 B)
-//! ```
+//!   never leave a truncated journal entry or bench record behind.
 
-use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
 
-/// Leading bytes of every Capstan snapshot.
-pub const MAGIC: [u8; 8] = *b"CAPSNAP\0";
-
-/// Envelope overhead: magic + version + config hash + payload length,
-/// before the payload; plus the trailing checksum.
-const HEADER_LEN: usize = 8 + 4 + 8 + 8;
-const CHECKSUM_LEN: usize = 8;
-
-/// Why a snapshot was rejected. Every variant is a *typed* refusal: a
-/// stale or corrupt snapshot must fail loudly with a clear message,
-/// never panic, and never silently resume under the wrong
-/// configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// The bytes do not start with the snapshot magic — not a snapshot.
-    BadMagic,
-    /// The snapshot was written by a different format version.
-    VersionMismatch {
-        /// Version recorded in the snapshot.
-        found: u32,
-        /// Version this build reads.
-        expected: u32,
-    },
-    /// The snapshot was taken under a different configuration (model,
-    /// geometry, ...) than the restore target's.
-    ConfigMismatch {
-        /// Configuration hash recorded in the snapshot.
-        found: u64,
-        /// Configuration hash of the restore target.
-        expected: u64,
-    },
-    /// The checksum does not match: the bytes were corrupted.
-    ChecksumMismatch,
-    /// The byte stream ended before the declared content did.
-    Truncated,
-    /// Bytes remain after the declared content — the stream and the
-    /// decoder disagree about the format.
-    TrailingBytes,
-    /// The payload decoded to a value that violates a structural
-    /// invariant of the restore target (the message names it).
-    Malformed(&'static str),
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotError::BadMagic => write!(f, "not a Capstan snapshot (bad magic)"),
-            SnapshotError::VersionMismatch { found, expected } => write!(
-                f,
-                "snapshot format version {found} is not the supported version {expected}"
-            ),
-            SnapshotError::ConfigMismatch { found, expected } => write!(
-                f,
-                "snapshot was taken under a different configuration \
-                 (hash {found:#018x}, restore target {expected:#018x})"
-            ),
-            SnapshotError::ChecksumMismatch => {
-                write!(f, "snapshot checksum mismatch: the bytes are corrupted")
-            }
-            SnapshotError::Truncated => write!(f, "snapshot is truncated"),
-            SnapshotError::TrailingBytes => {
-                write!(f, "snapshot has trailing bytes past the declared payload")
-            }
-            SnapshotError::Malformed(what) => write!(f, "malformed snapshot payload: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-/// FNV-1a 64-bit hash — the snapshot checksum and the configuration
-/// fingerprint primitive. Not cryptographic; it guards against
-/// truncation and accidental corruption, which is the failure mode of a
-/// killed process, not an adversary.
+/// FNV-1a 64-bit hash — the fingerprint and cache-key primitive. Not
+/// cryptographic: it addresses deterministic results, it does not
+/// guard against an adversary.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {
@@ -112,14 +25,14 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Appends primitive values to a growing snapshot payload.
+/// Appends primitive values to a growing canonical encoding.
 #[derive(Debug, Default)]
 pub struct SnapshotWriter {
     buf: Vec<u8>,
 }
 
 impl SnapshotWriter {
-    /// An empty payload.
+    /// An empty encoding.
     pub fn new() -> Self {
         SnapshotWriter::default()
     }
@@ -129,19 +42,9 @@ impl SnapshotWriter {
         &self.buf
     }
 
-    /// Consumes the writer, returning the payload.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
     /// Writes one byte.
     pub fn write_u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    /// Writes a `u32`, little-endian.
-    pub fn write_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `u64`, little-endian.
@@ -149,20 +52,10 @@ impl SnapshotWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Writes a `usize` as a `u64` (snapshots are portable across
+    /// Writes a `usize` as a `u64` (the encoding is portable across
     /// pointer widths).
     pub fn write_len(&mut self, v: usize) {
         self.write_u64(v as u64);
-    }
-
-    /// Writes a bool as one byte.
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_u8(u8::from(v));
-    }
-
-    /// Writes an `f32` by bit pattern (exact round trip, NaNs included).
-    pub fn write_f32(&mut self, v: f32) {
-        self.write_u32(v.to_bits());
     }
 
     /// Writes an `f64` by bit pattern (exact round trip, NaNs included).
@@ -171,159 +64,11 @@ impl SnapshotWriter {
     }
 }
 
-/// Reads primitive values back out of a snapshot payload, refusing to
-/// run past the end ([`SnapshotError::Truncated`]).
-#[derive(Debug)]
-pub struct SnapshotReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> SnapshotReader<'a> {
-    /// A reader over `payload`.
-    pub fn new(payload: &'a [u8]) -> Self {
-        SnapshotReader {
-            buf: payload,
-            pos: 0,
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(SnapshotError::Truncated)?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    /// Reads one byte.
-    pub fn read_u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn read_u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn read_u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a length written by [`SnapshotWriter::write_len`]. Lengths
-    /// are additionally bounded by the remaining byte count (every
-    /// element needs at least one byte), so a corrupt length cannot
-    /// drive a pre-reserving decoder into a huge allocation.
-    pub fn read_len(&mut self) -> Result<usize, SnapshotError> {
-        let v = self.read_u64()?;
-        let n = usize::try_from(v).map_err(|_| SnapshotError::Malformed("oversized length"))?;
-        if n > self.buf.len() - self.pos {
-            return Err(SnapshotError::Truncated);
-        }
-        Ok(n)
-    }
-
-    /// Reads a bool (one byte; anything but 0/1 is malformed).
-    pub fn read_bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.read_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::Malformed("bool byte out of range")),
-        }
-    }
-
-    /// Reads an `f32` by bit pattern.
-    pub fn read_f32(&mut self) -> Result<f32, SnapshotError> {
-        Ok(f32::from_bits(self.read_u32()?))
-    }
-
-    /// Reads an `f64` by bit pattern.
-    pub fn read_f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.read_u64()?))
-    }
-
-    /// Asserts the payload was consumed exactly
-    /// ([`SnapshotError::TrailingBytes`] otherwise).
-    pub fn finish(self) -> Result<(), SnapshotError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(SnapshotError::TrailingBytes)
-        }
-    }
-}
-
-/// Wraps a payload in the snapshot envelope: magic, `version`,
-/// `config_hash`, payload length, payload, and the trailing FNV-1a-64
-/// checksum over everything before it.
-pub fn seal(version: u32, config_hash: u64, payload: SnapshotWriter) -> Vec<u8> {
-    let payload = payload.into_bytes();
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&config_hash.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    let checksum = fnv1a_64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
-}
-
-/// Validates the snapshot envelope and returns the payload slice.
-///
-/// Checks, in order: magic, checksum (over the whole envelope, so any
-/// bit flip — including in the header — reports as corruption), length
-/// consistency, format version, configuration hash. Every failure is a
-/// typed [`SnapshotError`].
-pub fn open(bytes: &[u8], version: u32, config_hash: u64) -> Result<&[u8], SnapshotError> {
-    if bytes.len() < 8 || bytes[..8] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
-        return Err(SnapshotError::Truncated);
-    }
-    let payload_len = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
-    let payload_len =
-        usize::try_from(payload_len).map_err(|_| SnapshotError::Malformed("oversized payload"))?;
-    let total = HEADER_LEN
-        .checked_add(payload_len)
-        .and_then(|n| n.checked_add(CHECKSUM_LEN))
-        .ok_or(SnapshotError::Malformed("oversized payload"))?;
-    match bytes.len().cmp(&total) {
-        std::cmp::Ordering::Less => return Err(SnapshotError::Truncated),
-        std::cmp::Ordering::Greater => return Err(SnapshotError::TrailingBytes),
-        std::cmp::Ordering::Equal => {}
-    }
-    let stored = u64::from_le_bytes(bytes[total - CHECKSUM_LEN..].try_into().unwrap());
-    if fnv1a_64(&bytes[..total - CHECKSUM_LEN]) != stored {
-        return Err(SnapshotError::ChecksumMismatch);
-    }
-    let found_version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if found_version != version {
-        return Err(SnapshotError::VersionMismatch {
-            found: found_version,
-            expected: version,
-        });
-    }
-    let found_hash = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-    if found_hash != config_hash {
-        return Err(SnapshotError::ConfigMismatch {
-            found: found_hash,
-            expected: config_hash,
-        });
-    }
-    Ok(&bytes[HEADER_LEN..HEADER_LEN + payload_len])
-}
-
 /// Writes `bytes` to `path` atomically: the content goes to a sibling
 /// temp file (synced to disk), which is then renamed over `path`. A
 /// crash mid-write leaves either the old file or the new one — never a
-/// truncated hybrid. Used for snapshots, journals, and every
-/// `BENCH_*.json` the experiment harness writes.
+/// truncated hybrid. Used for journal entries and manifests and for
+/// every `BENCH_*.json` the experiment harness writes.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut file_name = path
         .file_name()
@@ -351,144 +96,6 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_payload() -> SnapshotWriter {
-        let mut w = SnapshotWriter::new();
-        w.write_u8(7);
-        w.write_u32(0xDEAD_BEEF);
-        w.write_u64(u64::MAX - 3);
-        w.write_bool(true);
-        w.write_f32(-0.0);
-        w.write_f64(std::f64::consts::PI);
-        w.write_len(42);
-        w
-    }
-
-    #[test]
-    fn primitives_round_trip_exactly() {
-        let sealed = seal(1, 0x1234, sample_payload());
-        let payload = open(&sealed, 1, 0x1234).unwrap();
-        let mut r = SnapshotReader::new(payload);
-        assert_eq!(r.read_u8().unwrap(), 7);
-        assert_eq!(r.read_u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.read_u64().unwrap(), u64::MAX - 3);
-        assert!(r.read_bool().unwrap());
-        assert_eq!(r.read_f32().unwrap().to_bits(), (-0.0f32).to_bits());
-        assert_eq!(r.read_f64().unwrap(), std::f64::consts::PI);
-        assert_eq!(r.read_u64().unwrap(), 42);
-        r.finish().unwrap();
-    }
-
-    #[test]
-    fn bad_magic_is_rejected() {
-        let mut sealed = seal(1, 0, sample_payload());
-        sealed[0] ^= 0xFF;
-        assert_eq!(open(&sealed, 1, 0), Err(SnapshotError::BadMagic));
-        assert_eq!(open(b"not a snapshot", 1, 0), Err(SnapshotError::BadMagic));
-    }
-
-    #[test]
-    fn version_mismatch_is_typed() {
-        let sealed = seal(2, 0, sample_payload());
-        assert_eq!(
-            open(&sealed, 1, 0),
-            Err(SnapshotError::VersionMismatch {
-                found: 2,
-                expected: 1
-            })
-        );
-    }
-
-    #[test]
-    fn config_mismatch_is_typed() {
-        let sealed = seal(1, 0xAAAA, sample_payload());
-        assert_eq!(
-            open(&sealed, 1, 0xBBBB),
-            Err(SnapshotError::ConfigMismatch {
-                found: 0xAAAA,
-                expected: 0xBBBB
-            })
-        );
-    }
-
-    #[test]
-    fn every_single_bit_flip_is_caught() {
-        // Corruption anywhere — header, payload, or checksum — must be
-        // rejected (the exact variant depends on which field the flip
-        // lands in, but none may open successfully).
-        let sealed = seal(1, 0x77, sample_payload());
-        for byte in 0..sealed.len() {
-            for bit in 0..8 {
-                let mut corrupt = sealed.clone();
-                corrupt[byte] ^= 1 << bit;
-                assert!(
-                    open(&corrupt, 1, 0x77).is_err(),
-                    "flip at byte {byte} bit {bit} went undetected"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn truncation_at_every_length_is_rejected() {
-        let sealed = seal(1, 0, sample_payload());
-        for len in 8..sealed.len() {
-            assert!(
-                open(&sealed[..len], 1, 0).is_err(),
-                "truncation to {len} bytes went undetected"
-            );
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_are_rejected() {
-        let mut sealed = seal(1, 0, sample_payload());
-        sealed.push(0);
-        assert_eq!(open(&sealed, 1, 0), Err(SnapshotError::TrailingBytes));
-    }
-
-    #[test]
-    fn reader_refuses_to_run_past_the_end() {
-        let mut w = SnapshotWriter::new();
-        w.write_u32(5);
-        let bytes = w.into_bytes();
-        let mut r = SnapshotReader::new(&bytes);
-        assert_eq!(r.read_u32().unwrap(), 5);
-        assert_eq!(r.read_u64(), Err(SnapshotError::Truncated));
-    }
-
-    #[test]
-    fn unconsumed_payload_is_trailing() {
-        let mut w = SnapshotWriter::new();
-        w.write_u64(1);
-        w.write_u64(2);
-        let bytes = w.into_bytes();
-        let mut r = SnapshotReader::new(&bytes);
-        assert_eq!(r.read_u64().unwrap(), 1);
-        assert_eq!(r.finish(), Err(SnapshotError::TrailingBytes));
-    }
-
-    #[test]
-    fn corrupt_lengths_cannot_demand_huge_allocations() {
-        let mut w = SnapshotWriter::new();
-        w.write_len(usize::MAX / 2); // far more elements than bytes
-        let bytes = w.into_bytes();
-        let mut r = SnapshotReader::new(&bytes);
-        assert_eq!(r.read_len(), Err(SnapshotError::Truncated));
-    }
-
-    #[test]
-    fn errors_display_clear_messages() {
-        let msg = SnapshotError::ConfigMismatch {
-            found: 1,
-            expected: 2,
-        }
-        .to_string();
-        assert!(msg.contains("different configuration"), "{msg}");
-        assert!(SnapshotError::ChecksumMismatch
-            .to_string()
-            .contains("corrupted"));
-    }
 
     #[test]
     fn atomic_write_replaces_the_whole_file() {

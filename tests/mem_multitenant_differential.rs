@@ -5,10 +5,10 @@
 //! contracts pin it down:
 //!
 //! * **Single-tenant identity**: `tenants = 1` must reproduce the
-//!   pre-tenant driver bit-for-bit — same stats, same snapshot bytes,
-//!   same end-to-end `PerfReport` — whether the traffic arrives through
-//!   the legacy `add_tile` API or the explicit `TenantId(0)` one. Every
-//!   committed golden pin rides on this.
+//!   pre-tenant driver bit-for-bit — same mid-run and final stats, same
+//!   per-channel stats, same end-to-end `PerfReport` — whether the
+//!   traffic arrives through the legacy `add_tile` API or the explicit
+//!   `TenantId(0)` one. Every committed golden pin rides on this.
 //! * **Dedicated isolation**: under `TenantPartition::Dedicated` each
 //!   tenant owns a private channel group, so a tenant's entire stat
 //!   block is independent of the co-tenant's load.
@@ -21,8 +21,8 @@
 //!
 //! A proptest additionally pins registration-order independence: tiles
 //! registered in any interleaving across tenants (preserving each
-//! tenant's own order) produce identical per-tenant stats and identical
-//! snapshot bytes.
+//! tenant's own order) produce identical stats, per-tenant stats and
+//! per-channel stats.
 
 use capstan::arch::memdrv::{
     MemSysConfig, MemSysSim, TenantId, TenantPartition, TenantStats, TileTraffic,
@@ -62,8 +62,8 @@ fn cycle_cfg(memory: MemoryKind) -> CapstanConfig {
 #[test]
 fn single_tenant_is_bit_identical_to_the_pre_tenant_driver() {
     // Driver level: the legacy API, the explicit-tenant API, and the
-    // explicit 1-tenant config must produce the same stats and the same
-    // snapshot bytes after the same mid-run cut.
+    // explicit 1-tenant config must produce the same stats after the
+    // same mid-run cut and at the end of the drain.
     let model = DramModel::new(capstan::sim::dram::MemoryKind::Hbm2e);
     let traffic = TileTraffic {
         stream_bursts: 700,
@@ -80,19 +80,24 @@ fn single_tenant_is_bit_identical_to_the_pre_tenant_driver() {
         MemSysConfig::with_tenants(&model, 1, 1, TenantPartition::Shared),
     );
     explicit.add_tile_for(TenantId(0), traffic);
-    // Same mid-run snapshot bytes...
-    assert!(!legacy.step(cut) && !explicit.step(cut));
-    assert_eq!(
-        legacy.save_state(),
-        explicit.save_state(),
-        "mid-run snapshots diverged"
+    // Same mid-run stats...
+    for _ in 0..cut {
+        legacy.tick();
+        explicit.tick();
+    }
+    assert!(
+        !legacy.is_done() && !explicit.is_done(),
+        "cut must be mid-run"
     );
+    assert_eq!(legacy.stats(), explicit.stats(), "mid-run stats diverged");
+    assert_eq!(legacy.channel_stats(0), explicit.channel_stats(0));
     // ...and the same final stats.
     assert_eq!(legacy.run(), explicit.run());
     assert_eq!(
         legacy.tenant_stats(TenantId(0)),
         explicit.tenant_stats(TenantId(0))
     );
+    assert_eq!(legacy.channel_stats(0), explicit.channel_stats(0));
 }
 
 #[test]
@@ -252,8 +257,8 @@ proptest! {
 
     /// Registration order across tenants is irrelevant: a stable
     /// re-grouping by tenant (which preserves each tenant's own tile
-    /// order) must leave the run — stats, per-tenant stats, snapshot
-    /// bytes — bit-identical to the interleaved registration.
+    /// order) must leave the run — stats, per-tenant stats, per-channel
+    /// stats — bit-identical to the interleaved registration.
     #[test]
     fn interleaved_registration_matches_grouped_registration(
         tiles in tile_list(3),
@@ -274,7 +279,8 @@ proptest! {
             let stats = sim.run();
             let per: Vec<TenantStats> =
                 (0..3).map(|t| sim.tenant_stats(TenantId(t))).collect();
-            (stats, per, sim.save_state())
+            let channels: Vec<_> = (0..cfg.channels).map(|i| sim.channel_stats(i)).collect();
+            (stats, per, channels)
         };
         let mut grouped = tiles.clone();
         grouped.sort_by_key(|&(t, _)| t); // stable: within-tenant order kept
