@@ -7,8 +7,10 @@
 //! utilizations are compared by `f64::to_bits`, not tolerance.
 
 use capstan::apps::App;
-use capstan::arch::spmu::driver::{measure_random_throughput, run_vectors};
-use capstan::arch::spmu::{AccessVector, OrderingMode, SpmuConfig};
+use capstan::arch::spmu::driver::{measure_random_throughput, run_vectors, TraceRng};
+use capstan::arch::spmu::{
+    AccessVector, BankHash, LaneRequest, OrderingMode, RmwOp, Spmu, SpmuConfig,
+};
 use capstan::core::config::{CapstanConfig, MemoryKind};
 use capstan::core::perf::simulate;
 use capstan::tensor::gen::Dataset;
@@ -130,6 +132,167 @@ fn fnv(hash: &mut u64, word: u64) {
     for byte in word.to_le_bytes() {
         *hash ^= byte as u64;
         *hash = hash.wrapping_mul(FNV_PRIME);
+    }
+}
+
+/// The SpMU shapes the grant-log golden covers: every ordering mode, the
+/// ideal unit, all 18 Table 4 points and Table 9's Lin / WA / Arb-Lin.
+fn grant_log_configs() -> Vec<(String, SpmuConfig)> {
+    let base = SpmuConfig::default();
+    let mut out = Vec::new();
+    for ordering in [
+        OrderingMode::Unordered,
+        OrderingMode::AddressOrdered,
+        OrderingMode::FullyOrdered,
+        OrderingMode::Arbitrated,
+    ] {
+        out.push((format!("{ordering:?}"), SpmuConfig { ordering, ..base }));
+    }
+    let ideal = SpmuConfig {
+        ideal_conflict_free: true,
+        ..base
+    };
+    out.push(("Ideal".into(), ideal));
+    for depth in [8, 16, 32] {
+        for speedup in [1, 2] {
+            for priorities in 1..=3 {
+                let cfg = SpmuConfig {
+                    queue_depth: depth,
+                    input_speedup: speedup,
+                    priorities,
+                    ..base
+                };
+                out.push((format!("t4 d{depth} s{speedup} p{priorities}"), cfg));
+            }
+        }
+    }
+    let weak = SpmuConfig {
+        priorities: 1,
+        alloc_iterations: 1,
+        ..base
+    };
+    for (name, cfg) in [
+        (
+            "Lin",
+            SpmuConfig {
+                hash: BankHash::Linear,
+                ..base
+            },
+        ),
+        ("WA-Hash", weak),
+        (
+            "WA-Lin",
+            SpmuConfig {
+                hash: BankHash::Linear,
+                ..weak
+            },
+        ),
+        (
+            "Arb-Lin",
+            SpmuConfig {
+                ordering: OrderingMode::Arbitrated,
+                hash: BankHash::Linear,
+                ..base
+            },
+        ),
+    ] {
+        out.push((name.into(), cfg));
+    }
+    out
+}
+
+/// Drives `cfg` with a seeded stream of mixed vectors (empty lanes,
+/// repeated hot reads, RMW updates) and digests every grant
+/// `(cycle, lane, bank, vector_id)`, every completion and the final bank
+/// utilization.
+fn grant_log_digest(cfg: SpmuConfig, seed: u64, cycles: u64) -> u64 {
+    let mut spmu = Spmu::new(cfg);
+    spmu.enable_grant_log();
+    let mut rng = TraceRng::new(seed);
+    let span = cfg.capacity_words() as u64;
+    let mut vector = AccessVector::default();
+    let mut pending = false;
+    let mut hash = FNV_OFFSET;
+    for _ in 0..cycles {
+        if !pending {
+            vector.lanes.clear();
+            vector.lanes.extend((0..cfg.lanes).map(|_| {
+                let addr = match rng.below(8) {
+                    0 => return None,
+                    1 => rng.below(24) as u32,
+                    _ => rng.below(span) as u32,
+                };
+                Some(if addr.is_multiple_of(3) {
+                    LaneRequest::rmw(addr, RmwOp::AddF, 1.0)
+                } else {
+                    LaneRequest::read(addr)
+                })
+            }));
+        }
+        pending = !spmu.try_enqueue(&vector);
+        if let Some(done) = spmu.tick() {
+            fnv(&mut hash, done.id);
+            fnv(&mut hash, done.dequeue_cycle);
+            for r in &done.results {
+                fnv(&mut hash, r.map_or(u64::MAX, |v| v.to_bits() as u64));
+            }
+        }
+    }
+    for g in spmu.grant_log().expect("log enabled") {
+        fnv(&mut hash, g.cycle);
+        fnv(&mut hash, g.lane as u64);
+        fnv(&mut hash, g.bank as u64);
+        fnv(&mut hash, g.vector_id);
+    }
+    fnv(&mut hash, spmu.bank_utilization().to_bits());
+    hash
+}
+
+/// Grant-for-grant pin of the SpMU's issue logic, captured via
+/// `examples/golden_capture.rs`. `table4` and `fig4` simulate fixed
+/// cycle horizons, so their simulated-cycle counts cannot see an
+/// allocator change; this digest of every grant `(cycle, lane, bank,
+/// vector_id)`, every completion and the bank utilization can.
+#[test]
+fn spmu_grant_log_is_bit_identical_to_golden() {
+    let golden: &[(&str, u64)] = &[
+        ("Unordered", 0x04F6036B26EAA2D4),
+        ("AddressOrdered", 0xDA27C28D7DC35B39),
+        ("FullyOrdered", 0x311D05B90361A457),
+        ("Arbitrated", 0xAFAB9F237669292A),
+        ("Ideal", 0xE98E41E54A4704C9),
+        ("t4 d8 s1 p1", 0xA9F2652B1830604D),
+        ("t4 d8 s1 p2", 0x8DD2E283C0C73375),
+        ("t4 d8 s1 p3", 0x4E0EC1DE557F9F69),
+        ("t4 d8 s2 p1", 0xA2EEB4C7DC2EE9B7),
+        ("t4 d8 s2 p2", 0x200402D1B3F499EB),
+        ("t4 d8 s2 p3", 0xD671F6CD5D2354E1),
+        ("t4 d16 s1 p1", 0x0A08ED5E2D4B7035),
+        ("t4 d16 s1 p2", 0x7A788876A4F4BC38),
+        ("t4 d16 s1 p3", 0x04F6036B26EAA2D4),
+        ("t4 d16 s2 p1", 0x65A250E2D094A16F),
+        ("t4 d16 s2 p2", 0xE786C744B28AB034),
+        ("t4 d16 s2 p3", 0xE5F71515E7673856),
+        ("t4 d32 s1 p1", 0x4BCC042726777721),
+        ("t4 d32 s1 p2", 0x555C336748B1BF43),
+        ("t4 d32 s1 p3", 0x3D54BF5F25C52608),
+        ("t4 d32 s2 p1", 0x0206A0828306A6AD),
+        ("t4 d32 s2 p2", 0x03FD3B47F76892E9),
+        ("t4 d32 s2 p3", 0xE048DB484A9D52FE),
+        ("Lin", 0xE33C6761138D1D98),
+        ("WA-Hash", 0xCE61D8E075121232),
+        ("WA-Lin", 0x38ED8C204ECA1F36),
+        ("Arb-Lin", 0x2E9FFF90063F2A4C),
+    ];
+    let configs = grant_log_configs();
+    assert_eq!(configs.len(), golden.len());
+    for ((name, cfg), &(golden_name, digest)) in configs.into_iter().zip(golden) {
+        assert_eq!(name, golden_name);
+        assert_eq!(
+            grant_log_digest(cfg, 0x6A47, 3_000),
+            digest,
+            "{name}: grant log drifted"
+        );
     }
 }
 
