@@ -1,30 +1,61 @@
-//! Wall-clock timing of the SpMU hot loop (used for before/after numbers
-//! in perf work; see also `crates/bench/benches/spmu.rs`).
+//! Wall-clock timing of the simulator's hot loops, for before/after
+//! numbers in perf work.
+//!
+//! Run with `cargo run --release --example hotloop_timing`. The SpMU rows
+//! saturate one unit with uniformly random reads, one row per SpMU shape
+//! `table9` replays (Ideal is never replayed) plus address ordering, and
+//! report host nanoseconds per simulated cycle (best of three runs).
 
 use capstan::arch::spmu::driver::{measure_random_throughput, run_vectors};
-use capstan::arch::spmu::{AccessVector, OrderingMode, RmwOp, SpmuConfig};
+use capstan::arch::spmu::{AccessVector, BankHash, OrderingMode, RmwOp, SpmuConfig};
 use capstan::core::config::{CapstanConfig, MemoryKind};
 use capstan::core::perf::simulate;
 use capstan::core::program::WorkloadBuilder;
 use std::time::Instant;
 
 fn main() {
-    for (name, ordering) in [
-        ("unordered", OrderingMode::Unordered),
-        ("addr-ordered", OrderingMode::AddressOrdered),
-        ("arbitrated", OrderingMode::Arbitrated),
-    ] {
-        let cfg = SpmuConfig {
-            ordering,
-            ..Default::default()
-        };
-        let start = Instant::now();
-        let r = measure_random_throughput(cfg, 42, 1_000, 200_000);
-        let elapsed = start.elapsed().as_secs_f64();
+    let hash = SpmuConfig::default();
+    let weak = SpmuConfig {
+        priorities: 1,
+        alloc_iterations: 1,
+        ..hash
+    };
+    let arb = SpmuConfig {
+        ordering: OrderingMode::Arbitrated,
+        ..hash
+    };
+    let linear = |cfg: SpmuConfig| SpmuConfig {
+        hash: BankHash::Linear,
+        ..cfg
+    };
+    let rows = [
+        ("unordered (Hash)", hash),
+        ("Lin", linear(hash)),
+        ("WA-Hash", weak),
+        ("WA-Lin", linear(weak)),
+        ("Arb-Hash", arb),
+        ("Arb-Lin", linear(arb)),
+        (
+            "addr-ordered",
+            SpmuConfig {
+                ordering: OrderingMode::AddressOrdered,
+                ..hash
+            },
+        ),
+    ];
+    const CYCLES: u64 = 201_000;
+    for (name, cfg) in rows {
+        let mut best = f64::INFINITY;
+        let mut util = 0.0;
+        for _ in 0..3 {
+            let start = Instant::now();
+            util = measure_random_throughput(cfg, 42, 1_000, CYCLES - 1_000).bank_utilization;
+            best = best.min(start.elapsed().as_secs_f64());
+        }
         println!(
-            "measure_random_throughput {name:<14} 201k cycles in {elapsed:.3}s  ({:.1} Mcycles/s, util {:.3})",
-            0.201 / elapsed,
-            r.bank_utilization
+            "spmu {name:<16} {:>6.0} ns/cycle ({:.2} Mcycles/s, util {util:.3})",
+            best * 1e9 / CYCLES as f64,
+            CYCLES as f64 / 1e6 / best
         );
     }
     let vectors: Vec<AccessVector> = (0..50_000)
