@@ -284,8 +284,6 @@ pub struct Spmu {
     cycle: u64,
     next_id: u64,
     bank_util: Utilization,
-    lane_throughput: Counter,
-    enqueue_stalls: Counter,
     splits: Counter,
     bloom_stalls: Counter,
     elided_reads: Counter,
@@ -316,8 +314,6 @@ impl Spmu {
             cycle: 0,
             next_id: 0,
             bank_util: Utilization::new(),
-            lane_throughput: Counter::new(),
-            enqueue_stalls: Counter::new(),
             splits: Counter::new(),
             bloom_stalls: Counter::new(),
             elided_reads: Counter::new(),
@@ -358,18 +354,11 @@ impl Spmu {
     /// Resets utilization statistics (e.g. after warm-up).
     pub fn reset_stats(&mut self) {
         self.bank_util = Utilization::new();
-        self.lane_throughput = Counter::new();
-        self.enqueue_stalls = Counter::new();
         self.splits = Counter::new();
         self.bloom_stalls = Counter::new();
         if let Some(log) = &mut self.grant_log {
             log.clear();
         }
-    }
-
-    /// Requests completed per measured cycle.
-    pub fn requests_completed(&self) -> u64 {
-        self.lane_throughput.get()
     }
 
     /// Number of vector splits performed by address ordering.
@@ -426,7 +415,6 @@ impl Spmu {
     /// forever without allocating.
     pub fn try_enqueue(&mut self, vector: &AccessVector) -> bool {
         if !self.staging.is_empty() {
-            self.enqueue_stalls.incr();
             return false;
         }
         assert!(
@@ -546,13 +534,6 @@ impl Spmu {
         let mut have_completion = false;
         if self.queue.front().is_some_and(QueueEntry::is_complete) {
             let entry = self.queue.pop().expect("checked non-empty");
-            self.lane_throughput.add(
-                entry
-                    .lanes
-                    .iter()
-                    .filter(|l| matches!(l, LaneState::Done { .. } | LaneState::DuplicateOf(_)))
-                    .count() as u64,
-            );
             let results = &mut self.completed.results;
             results.clear();
             results.extend(entry.lanes.iter().map(|l| match l {
