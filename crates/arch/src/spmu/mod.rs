@@ -249,8 +249,6 @@ struct TickScratch {
     seen_reads: Vec<(u32, usize)>,
     /// Per-lane requested-bank accumulator for the incremental mask build.
     lane_masks: Vec<u64>,
-    /// Effective (queue-clamped) window per allocator iteration.
-    windows: Vec<usize>,
     /// Reusable allocator output.
     alloc_result: alloc::AllocationResult,
     /// Reusable allocator working memory.
@@ -288,6 +286,10 @@ pub struct Spmu {
     bloom_stalls: Counter,
     elided_reads: Counter,
     grant_log: Option<Vec<GrantRecord>>,
+    /// `window_for_iteration(iter)` for every allocator iteration.
+    windows: Vec<usize>,
+    /// log2(banks): a word's in-bank offset is `addr >> bank_shift`.
+    bank_shift: u32,
     scratch: TickScratch,
     /// Recycled `QueueEntry::lanes` buffers (popped entries return here).
     lane_pool: Vec<Vec<LaneState>>,
@@ -303,9 +305,13 @@ impl Spmu {
     /// # Panics
     ///
     /// Panics if the configuration has more than 64 lanes (lane sets are
-    /// tracked as `u64` bitmasks).
+    /// tracked as `u64` bitmasks) or its bank count is not a power of two.
     pub fn new(cfg: SpmuConfig) -> Self {
         assert!(cfg.lanes <= 64, "SpMU supports at most 64 lanes");
+        assert!(
+            cfg.banks.is_power_of_two(),
+            "bank count must be a power of two"
+        );
         Spmu {
             mem: vec![0.0; cfg.capacity_words()],
             queue: BoundedQueue::new(cfg.queue_depth),
@@ -318,6 +324,10 @@ impl Spmu {
             bloom_stalls: Counter::new(),
             elided_reads: Counter::new(),
             grant_log: None,
+            windows: (0..cfg.alloc_iterations)
+                .map(|iter| cfg.window_for_iteration(iter))
+                .collect(),
+            bank_shift: cfg.banks.trailing_zeros(),
             scratch: TickScratch::default(),
             lane_pool: Vec::new(),
             staging_pool: Vec::new(),
@@ -397,7 +407,7 @@ impl Spmu {
     /// Index into `mem` of `addr`, which maps to `bank`.
     fn word_index(&self, bank: usize, addr: u32) -> usize {
         debug_assert_eq!(bank, self.cfg.hash.bank_of(addr, self.cfg.banks));
-        let offset = self.cfg.hash.offset_of(addr, self.cfg.banks);
+        let offset = (addr >> self.bank_shift) as usize;
         assert!(
             offset < self.cfg.bank_words,
             "address {addr} exceeds SpMU capacity ({} words)",
@@ -663,13 +673,8 @@ impl Spmu {
         let mut lane_masks = std::mem::take(&mut self.scratch.lane_masks);
         lane_masks.clear();
         lane_masks.resize(lanes, 0);
-        let mut windows = std::mem::take(&mut self.scratch.windows);
-        windows.clear();
-        windows.extend(
-            (0..self.cfg.alloc_iterations)
-                .map(|iter| self.cfg.window_for_iteration(iter).min(self.queue.len())),
-        );
-        let deepest = windows.iter().copied().max().unwrap_or(0);
+        let len = self.queue.len();
+        let deepest = self.windows.iter().max().map_or(0, |&w| w.min(len));
         let snapshot = |masks: &mut [u64], lane_masks: &[u64], iter: usize| {
             for (lane, &mask) in lane_masks.iter().enumerate() {
                 for s in 0..speedup {
@@ -687,15 +692,14 @@ impl Spmu {
                     lane_masks[lane] |= 1 << bank;
                 }
             }
-            for (iter, &w) in windows.iter().enumerate() {
-                if w == qi + 1 {
+            for (iter, &w) in self.windows.iter().enumerate() {
+                if w.min(len) == qi + 1 {
                     snapshot(&mut masks, &lane_masks, iter);
                 }
             }
         }
         // Empty-window iterations (an empty queue) keep all-zero masks.
         self.scratch.lane_masks = lane_masks;
-        self.scratch.windows = windows;
         let mut result = std::mem::take(&mut self.scratch.alloc_result);
         let mut alloc_scratch = std::mem::take(&mut self.scratch.alloc_scratch);
         alloc::allocate_into(
@@ -725,7 +729,7 @@ impl Spmu {
     /// A request granted earlier this cycle is no longer pending, so
     /// the `pending` bit alone keeps it from issuing twice.
     fn issue_oldest(&mut self, lane: usize, bank: usize) -> bool {
-        let window = self.cfg.window_for_iteration(self.cfg.alloc_iterations - 1);
+        let window = self.windows[self.windows.len() - 1];
         for qi in 0..window.min(self.queue.len()) {
             let entry = self.queue.get(qi).expect("in range");
             if entry.pending >> lane & 1 == 0 {
