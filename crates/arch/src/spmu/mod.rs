@@ -27,7 +27,6 @@ pub use hash::BankHash;
 pub use ordering::{BloomFilter, OrderingMode};
 pub use rmw::RmwOp;
 
-use capstan_sim::queue::BoundedQueue;
 use capstan_sim::stats::{Counter, Utilization};
 use std::collections::VecDeque;
 
@@ -195,37 +194,32 @@ impl SpmuConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum LaneState {
-    Empty,
-    /// Waiting to issue; `bank` is the request's bank, hashed once at
-    /// admission.
-    Pending {
-        req: LaneRequest,
-        bank: usize,
-    },
-    Issued {
-        finish_at: u64,
-        result: f32,
-        addr: u32,
-    },
-    Done {
-        result: f32,
-        addr: u32,
-    },
-    DuplicateOf(usize),
+/// One issue-queue slot: a resident vector's per-lane state as bitmasks.
+///
+/// A lane with a request is in exactly one of `pending` (waiting for a
+/// bank), `issued` (in the RMW pipeline) or neither (done); elided
+/// duplicate reads are in `dup` instead.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// Sequence number assigned at enqueue.
+    id: u64,
+    /// Lanes waiting to issue.
+    pending: u64,
+    /// Lanes granted whose pipeline has not finished.
+    issued: u64,
+    /// Lanes that carry a performed (non-elided) request.
+    real: u64,
+    /// Lanes whose read was elided onto an earlier lane (`Spmu::dup_src`).
+    dup: u64,
 }
 
-#[derive(Debug, Clone)]
-struct QueueEntry {
-    id: u64,
-    lanes: Vec<LaneState>,
-    /// Bit per lane still in [`LaneState::Pending`]. Maintained so the
-    /// per-tick sweeps (mask build, completion, oldest-pending search)
-    /// can skip settled lanes without touching the lane array.
-    pending: u64,
-    /// Bit per lane currently in [`LaneState::Issued`].
-    issued: u64,
+/// A granted request in the RMW pipeline. Every request spends the same
+/// `pipeline_latency`, so requests finish in issue order.
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    finish_at: u64,
+    slot: u32,
+    lane: u32,
 }
 
 /// Reusable per-cycle working memory for [`Spmu::tick`].
@@ -238,13 +232,9 @@ struct QueueEntry {
 /// the first cycles and stay there.
 #[derive(Debug, Clone, Default)]
 struct TickScratch {
-    /// Addresses whose pipelines retired this cycle (Bloom removal).
-    finished_addrs: Vec<u32>,
     /// Flattened per-iteration allocator request masks
     /// (`masks[iter * ports + port]`).
     masks: Vec<u64>,
-    /// Fully-ordered mode: the distinct-bank prefix to issue.
-    to_issue: Vec<(usize, LaneRequest, usize)>,
     /// First reader lane per address, for repeated-read elision.
     seen_reads: Vec<(u32, usize)>,
     /// Per-lane requested-bank accumulator for the incremental mask build.
@@ -255,28 +245,46 @@ struct TickScratch {
     alloc_scratch: alloc::AllocScratch,
 }
 
-impl QueueEntry {
-    fn is_complete(&self) -> bool {
-        debug_assert_eq!(
-            self.pending == 0 && self.issued == 0,
-            self.lanes.iter().all(|l| {
-                matches!(
-                    l,
-                    LaneState::Empty | LaneState::Done { .. } | LaneState::DuplicateOf(_)
-                )
-            }),
-            "lane bitmasks out of sync with lane states"
-        );
-        self.pending == 0 && self.issued == 0
+/// The first set bit of `mask` at or after bit `start`, wrapping around
+/// (`mask` must be non-zero and `start < 64`).
+fn first_set_from(mask: u64, start: usize) -> usize {
+    let at_or_after = mask & (u64::MAX << start);
+    if at_or_after != 0 {
+        at_or_after.trailing_zeros() as usize
+    } else {
+        mask.trailing_zeros() as usize
     }
 }
 
 /// Cycle-level model of one Sparse Memory Unit.
+///
+/// The issue queue is a ring of `queue_depth` [`Slot`]s; the oldest
+/// resident vector sits in slot `head`. Per-(slot, lane) request data
+/// lives in flat arrays indexed `slot * lanes + lane`, and the
+/// allocator's inputs are kept bit-parallel:
+///
+/// * `bank_words[slot * lanes + lane]` is the one-hot bank of a pending
+///   request (0 once it issues), so a window's request masks are an OR
+///   over its slots' rows;
+/// * `waiting[lane * banks + bank]` has bit `slot` set while that slot
+///   holds a pending `lane` request to `bank`, so the oldest one is the
+///   first set bit at or after `head`.
 #[derive(Debug, Clone)]
 pub struct Spmu {
     cfg: SpmuConfig,
     mem: Vec<f32>,
-    queue: BoundedQueue<QueueEntry>,
+    slots: Vec<Slot>,
+    /// Ring index of the oldest resident vector.
+    head: usize,
+    /// Resident vectors.
+    len: usize,
+    reqs: Vec<LaneRequest>,
+    bank_words: Vec<u64>,
+    results: Vec<f32>,
+    dup_src: Vec<u8>,
+    waiting: Vec<u64>,
+    /// Granted requests in issue (hence finish) order.
+    in_flight: VecDeque<InFlight>,
     staging: VecDeque<AccessVector>,
     bloom: BloomFilter,
     cycle: u64,
@@ -291,8 +299,6 @@ pub struct Spmu {
     /// log2(banks): a word's in-bank offset is `addr >> bank_shift`.
     bank_shift: u32,
     scratch: TickScratch,
-    /// Recycled `QueueEntry::lanes` buffers (popped entries return here).
-    lane_pool: Vec<Vec<LaneState>>,
     /// Recycled staging slots (admitted vectors return here).
     staging_pool: Vec<AccessVector>,
     /// The (at most one) vector completed this cycle, reused across ticks.
@@ -304,17 +310,31 @@ impl Spmu {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has more than 64 lanes (lane sets are
-    /// tracked as `u64` bitmasks) or its bank count is not a power of two.
+    /// Panics if the configuration has more than 64 lanes or a queue
+    /// depth outside `1..=64` (lane and queue-slot sets are tracked as
+    /// `u64` bitmasks), or if its bank count is not a power of two.
     pub fn new(cfg: SpmuConfig) -> Self {
         assert!(cfg.lanes <= 64, "SpMU supports at most 64 lanes");
+        assert!(
+            (1..=64).contains(&cfg.queue_depth),
+            "SpMU queue depth must be in 1..=64"
+        );
         assert!(
             cfg.banks.is_power_of_two(),
             "bank count must be a power of two"
         );
+        let cells = cfg.queue_depth * cfg.lanes;
         Spmu {
             mem: vec![0.0; cfg.capacity_words()],
-            queue: BoundedQueue::new(cfg.queue_depth),
+            slots: vec![Slot::default(); cfg.queue_depth],
+            head: 0,
+            len: 0,
+            reqs: vec![LaneRequest::read(0); cells],
+            bank_words: vec![0; cells],
+            results: vec![0.0; cells],
+            dup_src: vec![0; cells],
+            waiting: vec![0; cfg.lanes * cfg.banks],
+            in_flight: VecDeque::with_capacity(cells),
             staging: VecDeque::new(),
             bloom: BloomFilter::new(cfg.bloom_entries, 2),
             cycle: 0,
@@ -329,7 +349,6 @@ impl Spmu {
                 .collect(),
             bank_shift: cfg.banks.trailing_zeros(),
             scratch: TickScratch::default(),
-            lane_pool: Vec::new(),
             staging_pool: Vec::new(),
             completed: CompletedVector::default(),
             cfg,
@@ -485,7 +504,17 @@ impl Spmu {
 
     /// Whether all queues are empty (safe to stop ticking).
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.staging.is_empty()
+        self.len == 0 && self.staging.is_empty()
+    }
+
+    /// Ring index of the `age`-th oldest resident vector.
+    fn slot_at(&self, age: usize) -> usize {
+        let slot = self.head + age;
+        if slot >= self.cfg.queue_depth {
+            slot - self.cfg.queue_depth
+        } else {
+            slot
+        }
     }
 
     /// Advances one cycle; returns the vector completed this cycle, if
@@ -511,78 +540,71 @@ impl Spmu {
 
         // ➌➍ Completion: retire issued requests whose pipeline finished.
         let track_addrs = self.cfg.ordering == OrderingMode::AddressOrdered;
-        let mut finished_addrs = std::mem::take(&mut self.scratch.finished_addrs);
-        finished_addrs.clear();
-        for qi in 0..self.queue.len() {
-            let entry = self.queue.get_mut(qi).expect("index in range");
-            let mut issued = entry.issued;
-            while issued != 0 {
-                let lane = issued.trailing_zeros() as usize;
-                issued &= issued - 1;
-                if let LaneState::Issued {
-                    finish_at,
-                    result,
-                    addr,
-                } = entry.lanes[lane]
-                {
-                    if finish_at <= self.cycle {
-                        entry.lanes[lane] = LaneState::Done { result, addr };
-                        entry.issued &= !(1 << lane);
-                        if track_addrs {
-                            finished_addrs.push(addr);
-                        }
-                    }
-                }
+        while let Some(&InFlight {
+            finish_at,
+            slot,
+            lane,
+        }) = self.in_flight.front()
+        {
+            if finish_at > self.cycle {
+                break;
+            }
+            self.in_flight.pop_front();
+            let (slot, lane) = (slot as usize, lane as usize);
+            self.slots[slot].issued &= !(1 << lane);
+            if track_addrs {
+                self.bloom
+                    .remove(self.reqs[slot * self.cfg.lanes + lane].addr);
             }
         }
-        for &addr in &finished_addrs {
-            self.bloom.remove(addr);
-        }
-        self.scratch.finished_addrs = finished_addrs;
 
         // Dequeue at most one complete vector, in order.
-        let mut have_completion = false;
-        if self.queue.front().is_some_and(QueueEntry::is_complete) {
-            let entry = self.queue.pop().expect("checked non-empty");
-            let results = &mut self.completed.results;
-            results.clear();
-            results.extend(entry.lanes.iter().map(|l| match l {
-                LaneState::Done { result, .. } => Some(*result),
-                _ => None,
-            }));
-            // Fill elided duplicates from the lane that performed the read.
-            for (i, lane) in entry.lanes.iter().enumerate() {
-                if let LaneState::DuplicateOf(src) = lane {
-                    results[i] = results[*src];
-                }
-            }
-            self.completed.id = entry.id;
-            self.completed.dequeue_cycle = self.cycle;
-            have_completion = true;
-            // Recycle the entry's lane buffer.
-            let mut lanes = entry.lanes;
-            lanes.clear();
-            self.lane_pool.push(lanes);
-        }
+        let completed = self.dequeue();
 
         // ➊ Enqueue: admit at most one staged vector.
         self.admit_staged();
 
-        if have_completion {
-            Some(&self.completed)
-        } else {
-            None
+        completed.then_some(&self.completed)
+    }
+
+    /// Pops the oldest vector into `self.completed` if every lane is done.
+    fn dequeue(&mut self) -> bool {
+        let slot = self.slots[self.head];
+        if self.len == 0 || slot.pending | slot.issued != 0 {
+            return false;
         }
+        let base = self.head * self.cfg.lanes;
+        let results = &mut self.completed.results;
+        results.clear();
+        results.extend(
+            self.results[base..base + self.cfg.lanes]
+                .iter()
+                .enumerate()
+                .map(|(lane, &r)| (slot.real >> lane & 1 == 1).then_some(r)),
+        );
+        // Fill elided duplicates from the lane that performed the read.
+        let mut dup = slot.dup;
+        while dup != 0 {
+            let lane = dup.trailing_zeros() as usize;
+            dup &= dup - 1;
+            results[lane] = results[self.dup_src[base + lane] as usize];
+        }
+        self.completed.id = slot.id;
+        self.completed.dequeue_cycle = self.cycle;
+        self.head = self.slot_at(1);
+        self.len -= 1;
+        true
     }
 
     fn admit_staged(&mut self) {
-        if self.queue.is_full() {
+        if self.len == self.cfg.queue_depth {
             return;
         }
         let Some(vector) = self.staging.front() else {
             return;
         };
-        if self.cfg.ordering == OrderingMode::AddressOrdered {
+        let track_addrs = self.cfg.ordering == OrderingMode::AddressOrdered;
+        if track_addrs {
             let conflict = vector
                 .lanes
                 .iter()
@@ -594,63 +616,44 @@ impl Spmu {
             }
         }
         let mut vector = self.staging.pop_front().expect("checked non-empty");
-        let mut lanes = self.lane_pool.pop().unwrap_or_default();
-        lanes.clear();
-        lanes.reserve(self.cfg.lanes);
+        let slot_index = self.slot_at(self.len);
+        let base = slot_index * self.cfg.lanes;
+        let (hash, banks) = (self.cfg.hash, self.cfg.banks);
+        let mut slot = Slot {
+            id: self.next_id,
+            ..Slot::default()
+        };
+        self.next_id += 1;
         let mut seen_reads = std::mem::take(&mut self.scratch.seen_reads);
         seen_reads.clear();
-        let (hash, banks) = (self.cfg.hash, self.cfg.banks);
-        let pending = |req: LaneRequest| LaneState::Pending {
-            req,
-            bank: hash.bank_of(req.addr, banks),
-        };
-        for (i, lane) in vector.lanes.iter().enumerate() {
-            let state = match lane {
-                None => LaneState::Empty,
-                Some(req) => {
-                    if self.cfg.elide_repeated_reads && req.op.is_read_only() {
-                        if let Some(&(_, src)) = seen_reads.iter().find(|&&(a, _)| a == req.addr) {
-                            self.elided_reads.incr();
-                            LaneState::DuplicateOf(src)
-                        } else {
-                            seen_reads.push((req.addr, i));
-                            pending(*req)
-                        }
-                    } else {
-                        pending(*req)
-                    }
+        self.bank_words[base..base + self.cfg.lanes].fill(0);
+        for (lane, req) in vector.lanes.iter().enumerate() {
+            let Some(req) = *req else { continue };
+            if self.cfg.elide_repeated_reads && req.op.is_read_only() {
+                if let Some(&(_, src)) = seen_reads.iter().find(|&&(a, _)| a == req.addr) {
+                    self.elided_reads.incr();
+                    slot.dup |= 1 << lane;
+                    self.dup_src[base + lane] = src as u8;
+                    continue;
                 }
-            };
-            lanes.push(state);
-        }
-        self.scratch.seen_reads = seen_reads;
-        lanes.resize(self.cfg.lanes, LaneState::Empty);
-        let mut pending_mask = 0u64;
-        for (i, lane) in lanes.iter().enumerate() {
-            if matches!(lane, LaneState::Pending { .. }) {
-                pending_mask |= 1 << i;
+                seen_reads.push((req.addr, lane));
+            }
+            let bank = hash.bank_of(req.addr, banks);
+            self.reqs[base + lane] = req;
+            self.bank_words[base + lane] = 1 << bank;
+            self.waiting[lane * banks + bank] |= 1 << slot_index;
+            slot.pending |= 1 << lane;
+            if track_addrs {
+                self.bloom.insert(req.addr);
             }
         }
+        self.scratch.seen_reads = seen_reads;
+        slot.real = slot.pending;
+        self.slots[slot_index] = slot;
+        self.len += 1;
         // Recycle the staging slot.
         vector.lanes.clear();
         self.staging_pool.push(vector);
-        if self.cfg.ordering == OrderingMode::AddressOrdered {
-            for lane in &lanes {
-                if let LaneState::Pending { req, .. } = lane {
-                    self.bloom.insert(req.addr);
-                }
-            }
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.queue
-            .push(QueueEntry {
-                id,
-                lanes,
-                pending: pending_mask,
-                issued: 0,
-            })
-            .expect("checked space");
     }
 
     /// Allocated issue (Unordered / AddressOrdered): windowed separable
@@ -658,12 +661,14 @@ impl Spmu {
     ///
     /// The per-iteration request masks are built *incrementally*: the
     /// age-priority windows are cumulative (each iteration sees a
-    /// superset of the previous one, §3.1.1), so one entry-major sweep
-    /// over the queue accumulates per-lane bank masks and snapshots them
-    /// at each window boundary. This visits every queue entry once
-    /// instead of once per (lane, iteration), producing bit-identical
-    /// masks to the naive build.
+    /// superset of the previous one, §3.1.1), so one slot-major sweep
+    /// ORs each slot's one-hot bank row into per-lane bank masks and
+    /// snapshots them at each window boundary.
     fn issue_allocated(&mut self) -> usize {
+        let len = self.len;
+        if len == 0 {
+            return 0;
+        }
         let lanes = self.cfg.lanes;
         let speedup = self.cfg.input_speedup;
         let ports = lanes * speedup;
@@ -673,32 +678,26 @@ impl Spmu {
         let mut lane_masks = std::mem::take(&mut self.scratch.lane_masks);
         lane_masks.clear();
         lane_masks.resize(lanes, 0);
-        let len = self.queue.len();
-        let deepest = self.windows.iter().max().map_or(0, |&w| w.min(len));
-        let snapshot = |masks: &mut [u64], lane_masks: &[u64], iter: usize| {
-            for (lane, &mask) in lane_masks.iter().enumerate() {
-                for s in 0..speedup {
-                    masks[iter * ports + lane * speedup + s] = mask;
-                }
-            }
-        };
-        for qi in 0..deepest {
-            let entry = self.queue.get(qi).expect("index in range");
-            let mut pending = entry.pending;
-            while pending != 0 {
-                let lane = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                if let LaneState::Pending { bank, .. } = entry.lanes[lane] {
-                    lane_masks[lane] |= 1 << bank;
-                }
+        // Windows never shrink with the iteration, so the last is widest.
+        let deepest = self.windows[self.windows.len() - 1].min(len);
+        for age in 0..deepest {
+            let base = self.slot_at(age) * lanes;
+            for (acc, &word) in lane_masks
+                .iter_mut()
+                .zip(&self.bank_words[base..base + lanes])
+            {
+                *acc |= word;
             }
             for (iter, &w) in self.windows.iter().enumerate() {
-                if w.min(len) == qi + 1 {
-                    snapshot(&mut masks, &lane_masks, iter);
+                if w.min(len) == age + 1 {
+                    let iter_masks = &mut masks[iter * ports..(iter + 1) * ports];
+                    for (port_masks, &mask) in iter_masks.chunks_exact_mut(speedup).zip(&lane_masks)
+                    {
+                        port_masks.fill(mask);
+                    }
                 }
             }
         }
-        // Empty-window iterations (an empty queue) keep all-zero masks.
         self.scratch.lane_masks = lane_masks;
         let mut result = std::mem::take(&mut self.scratch.alloc_result);
         let mut alloc_scratch = std::mem::take(&mut self.scratch.alloc_scratch);
@@ -712,12 +711,17 @@ impl Spmu {
         self.scratch.masks = masks;
         self.scratch.alloc_scratch = alloc_scratch;
 
-        // Map grants back to the oldest matching pending request per lane.
+        // Map each grant back to the oldest pending request of its lane
+        // to that bank. The grant came from a window holding such a
+        // request and no other grant this cycle names the same (lane,
+        // bank), so one exists and it is inside the widest window.
         let mut granted = 0;
-        for (port, grant) in result.grants.iter().enumerate() {
-            let Some(bank) = *grant else { continue };
-            let lane = port / self.cfg.input_speedup;
-            if self.issue_oldest(lane, bank) {
+        for (lane, port_grants) in result.grants.chunks_exact(speedup).enumerate() {
+            for &grant in port_grants {
+                let Some(bank) = grant else { continue };
+                let waiting = self.waiting[lane * self.cfg.banks + bank];
+                debug_assert_ne!(waiting, 0, "grant without a pending request");
+                self.issue_request(first_set_from(waiting, self.head), lane, bank);
                 granted += 1;
             }
         }
@@ -725,51 +729,38 @@ impl Spmu {
         granted
     }
 
-    /// Issues the oldest pending request of `lane` mapping to `bank`.
-    /// A request granted earlier this cycle is no longer pending, so
-    /// the `pending` bit alone keeps it from issuing twice.
-    fn issue_oldest(&mut self, lane: usize, bank: usize) -> bool {
-        let window = self.windows[self.windows.len() - 1];
-        for qi in 0..window.min(self.queue.len()) {
-            let entry = self.queue.get(qi).expect("in range");
-            if entry.pending >> lane & 1 == 0 {
-                continue;
-            }
-            if let LaneState::Pending { req, bank: b } = entry.lanes[lane] {
-                if b == bank {
-                    self.issue_request(qi, lane, req, bank);
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Issues `req`, which maps to `bank`, from lane `lane` of queue
-    /// entry `qi`.
-    fn issue_request(&mut self, qi: usize, lane: usize, req: LaneRequest, bank: usize) {
+    /// Issues the pending request in lane `lane` of ring slot `slot`,
+    /// which maps to `bank`.
+    fn issue_request(&mut self, slot: usize, lane: usize, bank: usize) {
+        let cell = slot * self.cfg.lanes + lane;
+        let req = self.reqs[cell];
         let idx = self.word_index(bank, req.addr);
-        let old = self.mem[idx];
-        let (new, returned) = req.op.apply(old, req.operand);
+        let (new, returned) = req.op.apply(self.mem[idx], req.operand);
         self.mem[idx] = new;
-        let finish_at = self.cycle + self.cfg.pipeline_latency;
-        let id = self.queue.get(qi).expect("in range").id;
+        self.results[cell] = returned;
+        self.bank_words[cell] = 0;
+        self.waiting[lane * self.cfg.banks + bank] &= !(1 << slot);
+        let entry = &mut self.slots[slot];
+        entry.pending &= !(1 << lane);
+        entry.issued |= 1 << lane;
+        self.in_flight.push_back(InFlight {
+            finish_at: self.cycle + self.cfg.pipeline_latency,
+            slot: slot as u32,
+            lane: lane as u32,
+        });
         if let Some(log) = &mut self.grant_log {
             log.push(GrantRecord {
                 cycle: self.cycle,
                 lane,
                 bank,
-                vector_id: id,
+                vector_id: entry.id,
             });
         }
-        let entry = self.queue.get_mut(qi).expect("in range");
-        entry.lanes[lane] = LaneState::Issued {
-            finish_at,
-            result: returned,
-            addr: req.addr,
-        };
-        entry.pending &= !(1 << lane);
-        entry.issued |= 1 << lane;
+    }
+
+    /// The bank of the pending request in lane `lane` of ring slot `slot`.
+    fn pending_bank(&self, slot: usize, lane: usize) -> usize {
+        self.bank_words[slot * self.cfg.lanes + lane].trailing_zeros() as usize
     }
 
     /// Ideal conflict-free issue: every lane issues its oldest pending
@@ -777,77 +768,61 @@ impl Spmu {
     fn issue_ideal(&mut self) -> usize {
         let mut granted = 0;
         for lane in 0..self.cfg.lanes {
-            for qi in 0..self.queue.len() {
-                let entry = self.queue.get(qi).expect("in range");
-                if entry.pending >> lane & 1 == 0 {
-                    continue;
-                }
-                if let LaneState::Pending { req, bank } = entry.lanes[lane] {
-                    self.issue_request(qi, lane, req, bank);
-                    granted += 1;
-                    break;
-                }
+            let oldest = (0..self.len)
+                .map(|age| self.slot_at(age))
+                .find(|&slot| self.slots[slot].pending >> lane & 1 == 1);
+            if let Some(slot) = oldest {
+                self.issue_request(slot, lane, self.pending_bank(slot, lane));
+                granted += 1;
             }
         }
         granted.min(self.cfg.banks)
     }
 
-    /// Index of the oldest queue entry that still has a pending lane.
-    /// Ordered issue modes work on this entry; completion of *earlier*
-    /// entries overlaps in the pipeline, as in Plasticine's MU.
-    fn oldest_pending_entry(&self) -> Option<usize> {
-        (0..self.queue.len()).find(|&qi| self.queue.get(qi).expect("in range").pending != 0)
+    /// Ring index of the oldest resident vector that still has a
+    /// pending lane. Ordered issue modes work on this vector; completion
+    /// of *earlier* vectors overlaps in the pipeline, as in Plasticine's
+    /// MU.
+    fn oldest_pending_slot(&self) -> Option<usize> {
+        (0..self.len)
+            .map(|age| self.slot_at(age))
+            .find(|&slot| self.slots[slot].pending != 0)
     }
 
     /// Fully ordered issue: requests leave in program order; each cycle
     /// issues the longest prefix of the oldest unfinished vector's
     /// remaining lanes whose banks are distinct.
     fn issue_fully_ordered(&mut self) -> usize {
-        let Some(qi) = self.oldest_pending_entry() else {
+        let Some(slot) = self.oldest_pending_slot() else {
             return 0;
         };
-        let entry = self.queue.get(qi).expect("in range");
-        let mut to_issue = std::mem::take(&mut self.scratch.to_issue);
-        to_issue.clear();
+        let mut pending = self.slots[slot].pending;
         let mut banks_used = 0u64;
-        for (lane, state) in entry.lanes.iter().enumerate() {
-            match state {
-                LaneState::Empty
-                | LaneState::Done { .. }
-                | LaneState::DuplicateOf(_)
-                | LaneState::Issued { .. } => continue,
-                &LaneState::Pending { req, bank } => {
-                    if banks_used >> bank & 1 == 1 {
-                        break; // order barrier: later lanes must wait
-                    }
-                    banks_used |= 1 << bank;
-                    to_issue.push((lane, req, bank));
-                }
+        let mut granted = 0;
+        while pending != 0 {
+            let lane = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
+            let bank = self.pending_bank(slot, lane);
+            if banks_used >> bank & 1 == 1 {
+                break; // order barrier: later lanes must wait
             }
+            banks_used |= 1 << bank;
+            self.issue_request(slot, lane, bank);
+            granted += 1;
         }
-        let granted = to_issue.len();
-        for &(lane, req, bank) in &to_issue {
-            self.issue_request(qi, lane, req, bank);
-        }
-        self.scratch.to_issue = to_issue;
         granted
     }
 
     /// Arbitrated baseline: bank-arbitrate within the oldest unfinished
     /// vector only (no cross-vector interleaving).
     fn issue_arbitrated(&mut self) -> usize {
-        let Some(qi) = self.oldest_pending_entry() else {
+        let Some(slot) = self.oldest_pending_slot() else {
             return 0;
         };
-        let entry = self.queue.get(qi).expect("in range");
+        let lanes = self.cfg.lanes;
         let mut masks = std::mem::take(&mut self.scratch.masks);
         masks.clear();
-        masks.resize(self.cfg.lanes, 0);
-        for (lane, state) in entry.lanes.iter().enumerate() {
-            if let LaneState::Pending { bank, .. } = state {
-                masks[lane] = 1 << bank;
-            }
-        }
+        masks.extend_from_slice(&self.bank_words[slot * lanes..(slot + 1) * lanes]);
         let mut result = std::mem::take(&mut self.scratch.alloc_result);
         let mut alloc_scratch = std::mem::take(&mut self.scratch.alloc_scratch);
         alloc::maximal_matching_into(&masks, self.cfg.banks, &mut alloc_scratch, &mut result);
@@ -856,11 +831,8 @@ impl Spmu {
         let mut granted = 0;
         for (lane, grant) in result.grants.iter().enumerate() {
             let Some(bank) = *grant else { continue };
-            let entry = self.queue.get(qi).expect("in range");
-            if let LaneState::Pending { req, .. } = entry.lanes[lane] {
-                self.issue_request(qi, lane, req, bank);
-                granted += 1;
-            }
+            self.issue_request(slot, lane, bank);
+            granted += 1;
         }
         self.scratch.alloc_result = result;
         granted
