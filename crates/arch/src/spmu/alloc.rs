@@ -51,6 +51,15 @@ impl AllocationResult {
     }
 }
 
+/// The set of the first `banks` banks (all 64 for wider units).
+fn bank_mask(banks: usize) -> u64 {
+    if banks >= 64 {
+        u64::MAX
+    } else {
+        (1 << banks) - 1
+    }
+}
+
 /// Runs a windowed, input-first separable allocation.
 ///
 /// `iterations[k]` holds the request masks visible to iteration `k`; the
@@ -98,33 +107,34 @@ pub fn allocate_into(
         !masks.is_empty() && ports > 0 && masks.len().is_multiple_of(ports),
         "allocator needs at least one iteration of {ports} port masks"
     );
-    let bank_mask = if banks >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << banks) - 1
-    };
-
+    let bank_mask = bank_mask(banks);
     out.grants.clear();
     out.grants.resize(ports, None);
     out.per_iteration.clear();
-    let mut granted_banks: u64 = 0;
-    // With <= 64 ports the stage-2 output arbiters run on chooser
-    // bitmasks (one find-first-set per bank) instead of scanning every
-    // port per bank; larger configurations fall back to the scalar scan.
-    let bitmask_ports = ports <= 64;
+    if ports <= 64 && ports.is_power_of_two() && banks <= 64 && banks.is_power_of_two() {
+        allocate_pow2(masks, ports, banks, bank_mask, scratch, out);
+    } else {
+        allocate_scalar(masks, ports, banks, bank_mask, scratch, out);
+    }
+}
 
+/// [`allocate_into`] for any shape: the reference arbiter scans.
+fn allocate_scalar(
+    masks: &[u64],
+    ports: usize,
+    banks: usize,
+    bank_mask: u64,
+    scratch: &mut AllocScratch,
+    out: &mut AllocationResult,
+) {
+    let mut granted_banks: u64 = 0;
     for iter_masks in masks.chunks_exact(ports) {
         // Stage 1 (input arbiter): every ungranted port picks a requested
         // free bank. The arbiters are fixed-priority but *diagonally*
         // offset per port (port p scans from bank p mod b), the standard
         // trick that stops every port from piling onto bank 0.
-        if bitmask_ports {
-            scratch.choosers.clear();
-            scratch.choosers.resize(banks, 0);
-        } else {
-            scratch.choices.clear();
-            scratch.choices.resize(ports, None);
-        }
+        scratch.choices.clear();
+        scratch.choices.resize(ports, None);
         for (port, &mask) in iter_masks.iter().enumerate() {
             if out.grants[port].is_some() {
                 continue;
@@ -134,52 +144,88 @@ pub fn allocate_into(
                 let start = port % banks;
                 let rotated = available.rotate_right(start as u32);
                 let bank = ((rotated.trailing_zeros() as usize + start) % 64) % banks.max(1);
-                if bitmask_ports {
-                    scratch.choosers[bank] |= 1 << port;
-                } else {
-                    scratch.choices[port] = Some(bank);
-                }
+                scratch.choices[port] = Some(bank);
             }
         }
         // Stage 2 (output arbiter): every bank accepts one choosing port,
-        // with a diagonal priority offset mirroring stage 1. Stage 1
-        // only lets ungranted ports choose, and each port chooses one
-        // bank, so the first chooser (in diagonal order) always wins.
+        // with a diagonal priority offset mirroring stage 1.
         let mut new_grants = 0;
         let mut taken: u64 = 0;
         for bank in 0..banks {
             let start = bank % ports.max(1);
-            if bitmask_ports {
-                let candidates = scratch.choosers[bank];
-                if candidates == 0 {
-                    continue;
-                }
-                let at_or_after = candidates & (u64::MAX << start);
-                let port = if at_or_after != 0 {
-                    at_or_after.trailing_zeros()
-                } else {
-                    candidates.trailing_zeros()
-                } as usize;
-                taken |= 1 << bank;
-                out.grants[port] = Some(bank);
-                new_grants += 1;
-            } else {
-                for k in 0..ports {
-                    let port = (start + k) % ports;
-                    if scratch.choices[port] == Some(bank)
-                        && out.grants[port].is_none()
-                        && taken >> bank & 1 == 0
-                    {
-                        taken |= 1 << bank;
-                        out.grants[port] = Some(bank);
-                        new_grants += 1;
-                        break;
-                    }
+            for k in 0..ports {
+                let port = (start + k) % ports;
+                if scratch.choices[port] == Some(bank)
+                    && out.grants[port].is_none()
+                    && taken >> bank & 1 == 0
+                {
+                    taken |= 1 << bank;
+                    out.grants[port] = Some(bank);
+                    new_grants += 1;
+                    break;
                 }
             }
         }
         granted_banks |= taken;
         out.per_iteration.push(new_grants);
+    }
+}
+
+/// The first set bit of `mask` at or after bit `start`, wrapping around
+/// (`mask` must be non-zero and `start < 64`).
+pub(crate) fn first_set_from(mask: u64, start: usize) -> usize {
+    let at_or_after = mask & (u64::MAX << start);
+    if at_or_after != 0 {
+        at_or_after.trailing_zeros() as usize
+    } else {
+        mask.trailing_zeros() as usize
+    }
+}
+
+/// [`allocate_into`] for power-of-two port and bank counts up to 64 (every
+/// shape the paper studies): the same two arbiter stages on bitmasks.
+/// Ports and banks are `u64` sets walked with find-first-set, and the
+/// diagonal offsets `port mod b` and `bank mod p` become masks.
+fn allocate_pow2(
+    masks: &[u64],
+    ports: usize,
+    banks: usize,
+    bank_mask: u64,
+    scratch: &mut AllocScratch,
+    out: &mut AllocationResult,
+) {
+    scratch.choosers.clear();
+    scratch.choosers.resize(banks, 0);
+    let mut ungranted = u64::MAX >> (64 - ports);
+    let mut granted_banks: u64 = 0;
+    for iter_masks in masks.chunks_exact(ports) {
+        // Stage 1: each ungranted port chooses the first free requested
+        // bank at or after `port mod banks`.
+        let mut chosen: u64 = 0;
+        let mut free_ports = ungranted;
+        while free_ports != 0 {
+            let port = free_ports.trailing_zeros() as usize;
+            free_ports &= free_ports - 1;
+            let available = iter_masks[port] & bank_mask & !granted_banks;
+            if available != 0 {
+                let bank = first_set_from(available, port & (banks - 1));
+                scratch.choosers[bank] |= 1 << port;
+                chosen |= 1 << bank;
+            }
+        }
+        // Stage 2: each chosen bank grants its first chooser at or after
+        // `bank mod ports`; every chooser is ungranted, so it always wins.
+        let mut banks_left = chosen;
+        while banks_left != 0 {
+            let bank = banks_left.trailing_zeros() as usize;
+            banks_left &= banks_left - 1;
+            let candidates = std::mem::take(&mut scratch.choosers[bank]);
+            let port = first_set_from(candidates, bank & (ports - 1));
+            out.grants[port] = Some(bank);
+            ungranted &= !(1 << port);
+        }
+        granted_banks |= chosen;
+        out.per_iteration.push(chosen.count_ones() as usize);
     }
 }
 
@@ -205,11 +251,7 @@ pub fn maximal_matching_into(
     out: &mut AllocationResult,
 ) {
     let ports = masks.len();
-    let bank_mask = if banks >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << banks) - 1
-    };
+    let bank_mask = bank_mask(banks);
     scratch.bank_owner.clear();
     scratch.bank_owner.resize(banks, None);
 
@@ -338,6 +380,59 @@ mod tests {
         let max = maximal_matching(&masks, 3);
         assert!(max.total() >= one.total());
         assert_eq!(max.total(), 3);
+    }
+
+    #[test]
+    fn pow2_path_matches_scalar_reference() {
+        // Every power-of-two shape runs the bitmask path; it must grant
+        // exactly what the reference scans grant, iteration by iteration.
+        let mut rng = crate::spmu::driver::TraceRng::new(0xA1);
+        for ports in [1usize, 2, 4, 16, 32, 64] {
+            for banks in [1usize, 2, 8, 16, 64] {
+                for case in 0..50 {
+                    let iterations = 1 + case % 4;
+                    // Sparse-to-dense request matrices, cumulative windows.
+                    let density = 1 + rng.below(4);
+                    let mut masks = vec![0u64; iterations * ports];
+                    for it in 0..iterations {
+                        for port in 0..ports {
+                            let mut m = if it > 0 {
+                                masks[(it - 1) * ports + port]
+                            } else {
+                                0
+                            };
+                            for _ in 0..density {
+                                m |= rng.next_u64() & rng.next_u64();
+                            }
+                            masks[it * ports + port] = m;
+                        }
+                    }
+                    let fast = run(allocate_pow2, &masks, ports, banks);
+                    let reference = run(allocate_scalar, &masks, ports, banks);
+                    assert_eq!(
+                        fast, reference,
+                        "{ports} ports x {banks} banks, case {case}"
+                    );
+                }
+            }
+        }
+
+        type Path = fn(&[u64], usize, usize, u64, &mut AllocScratch, &mut AllocationResult);
+        fn run(path: Path, masks: &[u64], ports: usize, banks: usize) -> AllocationResult {
+            let mut out = AllocationResult {
+                grants: vec![None; ports],
+                per_iteration: Vec::new(),
+            };
+            path(
+                masks,
+                ports,
+                banks,
+                bank_mask(banks),
+                &mut AllocScratch::default(),
+                &mut out,
+            );
+            out
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@ pub mod hash;
 pub mod ordering;
 pub mod rmw;
 
+use alloc::first_set_from;
 pub use hash::BankHash;
 pub use ordering::{BloomFilter, OrderingMode};
 pub use rmw::RmwOp;
@@ -243,17 +244,6 @@ struct TickScratch {
     alloc_result: alloc::AllocationResult,
     /// Reusable allocator working memory.
     alloc_scratch: alloc::AllocScratch,
-}
-
-/// The first set bit of `mask` at or after bit `start`, wrapping around
-/// (`mask` must be non-zero and `start < 64`).
-fn first_set_from(mask: u64, start: usize) -> usize {
-    let at_or_after = mask & (u64::MAX << start);
-    if at_or_after != 0 {
-        at_or_after.trailing_zeros() as usize
-    } else {
-        mask.trailing_zeros() as usize
-    }
 }
 
 /// Cycle-level model of one Sparse Memory Unit.
