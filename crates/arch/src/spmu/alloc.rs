@@ -30,7 +30,7 @@ pub struct AllocationResult {
     pub per_iteration: Vec<usize>,
 }
 
-/// Reusable working memory for [`allocate_into`] / [`maximal_matching_into`].
+/// Reusable working memory for [`allocate_into`].
 ///
 /// The SpMU calls the allocator every cycle; threading one `AllocScratch`
 /// through those calls keeps the hot loop allocation-free (the buffers
@@ -40,8 +40,6 @@ pub struct AllocationResult {
 pub struct AllocScratch {
     choices: Vec<Option<usize>>,
     choosers: Vec<u64>,
-    bank_owner: Vec<Option<usize>>,
-    visited: Vec<bool>,
 }
 
 impl AllocationResult {
@@ -231,29 +229,13 @@ fn allocate_pow2(
 
 /// A *maximum* bipartite matching via Kuhn's augmenting-path algorithm.
 ///
-/// Used as the quality reference for the separable allocator and as the
-/// model for the arbitrated baseline's per-vector bank arbitration (where
-/// each lane requests exactly one bank, so any maximal matching serves
-/// every distinct requested bank once per cycle).
+/// The quality reference for the separable allocator, and the reference
+/// for the arbitrated baseline's per-vector bank arbitration: there each
+/// lane requests exactly one bank, and visiting ports in order gives
+/// every requested bank to its lowest requesting port.
 pub fn maximal_matching(masks: &PortRequests, banks: usize) -> AllocationResult {
-    let mut out = AllocationResult::default();
-    maximal_matching_into(masks, banks, &mut AllocScratch::default(), &mut out);
-    out
-}
-
-/// Allocation-free variant of [`maximal_matching`] for the per-cycle hot
-/// path: `out` is cleared and refilled, `scratch` provides the working
-/// buffers. Behaviour is bit-identical to [`maximal_matching`].
-pub fn maximal_matching_into(
-    masks: &[u64],
-    banks: usize,
-    scratch: &mut AllocScratch,
-    out: &mut AllocationResult,
-) {
-    let ports = masks.len();
     let bank_mask = bank_mask(banks);
-    scratch.bank_owner.clear();
-    scratch.bank_owner.resize(banks, None);
+    let mut bank_owner: Vec<Option<usize>> = vec![None; banks];
 
     fn try_augment(
         port: usize,
@@ -287,28 +269,22 @@ pub fn maximal_matching_into(
     }
 
     let mut matched = 0;
-    for port in 0..ports {
-        scratch.visited.clear();
-        scratch.visited.resize(banks, false);
-        if try_augment(
-            port,
-            masks,
-            bank_mask,
-            &mut scratch.bank_owner,
-            &mut scratch.visited,
-        ) {
+    for port in 0..masks.len() {
+        let mut visited = vec![false; banks];
+        if try_augment(port, masks, bank_mask, &mut bank_owner, &mut visited) {
             matched += 1;
         }
     }
-    out.grants.clear();
-    out.grants.resize(ports, None);
-    for (bank, owner) in scratch.bank_owner.iter().enumerate() {
+    let mut grants = vec![None; masks.len()];
+    for (bank, owner) in bank_owner.iter().enumerate() {
         if let Some(port) = owner {
-            out.grants[*port] = Some(bank);
+            grants[*port] = Some(bank);
         }
     }
-    out.per_iteration.clear();
-    out.per_iteration.push(matched);
+    AllocationResult {
+        grants,
+        per_iteration: vec![matched],
+    }
 }
 
 #[cfg(test)]

@@ -522,8 +522,8 @@ impl Spmu {
         } else {
             match self.cfg.ordering {
                 OrderingMode::Unordered | OrderingMode::AddressOrdered => self.issue_allocated(),
-                OrderingMode::FullyOrdered => self.issue_fully_ordered(),
-                OrderingMode::Arbitrated => self.issue_arbitrated(),
+                OrderingMode::FullyOrdered => self.issue_oldest_vector(true),
+                OrderingMode::Arbitrated => self.issue_oldest_vector(false),
             }
         };
         self.bank_util.record(granted as u64, self.cfg.banks as u64);
@@ -769,21 +769,23 @@ impl Spmu {
         granted.min(self.cfg.banks)
     }
 
-    /// Ring index of the oldest resident vector that still has a
-    /// pending lane. Ordered issue modes work on this vector; completion
-    /// of *earlier* vectors overlaps in the pipeline, as in Plasticine's
-    /// MU.
-    fn oldest_pending_slot(&self) -> Option<usize> {
-        (0..self.len)
+    /// Ordered issue (FullyOrdered / Arbitrated): only the oldest vector
+    /// with a pending lane issues; completion of *earlier* vectors
+    /// overlaps in the pipeline, as in Plasticine's MU. Its pending lanes
+    /// bid in lane order, one request per bank per cycle.
+    ///
+    /// * Fully ordered (`in_order`): requests leave in program order, so
+    ///   the first bank conflict stops the walk — the longest prefix of
+    ///   remaining lanes with distinct banks issues.
+    /// * Arbitrated: each requested bank goes to its lowest requesting
+    ///   lane. Each lane requests one bank, so this is the maximum
+    ///   matching ([`alloc::maximal_matching`], which visits lanes in
+    ///   order) with no cross-vector interleaving.
+    fn issue_oldest_vector(&mut self, in_order: bool) -> usize {
+        let Some(slot) = (0..self.len)
             .map(|age| self.slot_at(age))
             .find(|&slot| self.slots[slot].pending != 0)
-    }
-
-    /// Fully ordered issue: requests leave in program order; each cycle
-    /// issues the longest prefix of the oldest unfinished vector's
-    /// remaining lanes whose banks are distinct.
-    fn issue_fully_ordered(&mut self) -> usize {
-        let Some(slot) = self.oldest_pending_slot() else {
+        else {
             return 0;
         };
         let mut pending = self.slots[slot].pending;
@@ -794,37 +796,15 @@ impl Spmu {
             pending &= pending - 1;
             let bank = self.pending_bank(slot, lane);
             if banks_used >> bank & 1 == 1 {
-                break; // order barrier: later lanes must wait
+                if in_order {
+                    break; // order barrier: later lanes must wait
+                }
+                continue;
             }
             banks_used |= 1 << bank;
             self.issue_request(slot, lane, bank);
             granted += 1;
         }
-        granted
-    }
-
-    /// Arbitrated baseline: bank-arbitrate within the oldest unfinished
-    /// vector only (no cross-vector interleaving).
-    fn issue_arbitrated(&mut self) -> usize {
-        let Some(slot) = self.oldest_pending_slot() else {
-            return 0;
-        };
-        let lanes = self.cfg.lanes;
-        let mut masks = std::mem::take(&mut self.scratch.masks);
-        masks.clear();
-        masks.extend_from_slice(&self.bank_words[slot * lanes..(slot + 1) * lanes]);
-        let mut result = std::mem::take(&mut self.scratch.alloc_result);
-        let mut alloc_scratch = std::mem::take(&mut self.scratch.alloc_scratch);
-        alloc::maximal_matching_into(&masks, self.cfg.banks, &mut alloc_scratch, &mut result);
-        self.scratch.masks = masks;
-        self.scratch.alloc_scratch = alloc_scratch;
-        let mut granted = 0;
-        for (lane, grant) in result.grants.iter().enumerate() {
-            let Some(bank) = *grant else { continue };
-            self.issue_request(slot, lane, bank);
-            granted += 1;
-        }
-        self.scratch.alloc_result = result;
         granted
     }
 }

@@ -46,6 +46,25 @@ proptest! {
     }
 
     #[test]
+    fn lowest_lane_arbitration_is_a_maximum_matching(
+        requests in prop::collection::vec(0usize..17, 1..17),
+    ) {
+        // The arbitrated SpMU gives each bank requested by the oldest
+        // vector to its lowest requesting lane (16 = idle lane). With one
+        // bank per lane, that is exactly the maximum matching.
+        let masks: Vec<u64> = requests.iter().map(|&b| if b < 16 { 1 << b } else { 0 }).collect();
+        let maximum = maximal_matching(&masks, 16);
+        let mut taken = 0u64;
+        for (lane, &bank) in requests.iter().enumerate() {
+            let wins = bank < 16 && taken >> bank & 1 == 0;
+            if bank < 16 {
+                taken |= 1 << bank;
+            }
+            prop_assert_eq!(maximum.grants[lane], wins.then_some(bank), "lane {}", lane);
+        }
+    }
+
+    #[test]
     fn hash_is_bijective_per_offset_group(base in 0u32..60_000) {
         // Within any aligned group of 16 consecutive addresses, the hash
         // must produce 16 distinct banks (no within-offset collisions).
