@@ -651,9 +651,9 @@ impl Spmu {
     ///
     /// The per-iteration request masks are built *incrementally*: the
     /// age-priority windows are cumulative (each iteration sees a
-    /// superset of the previous one, §3.1.1), so one slot-major sweep
+    /// superset of the previous one, §3.1.1), so one oldest-first sweep
     /// ORs each slot's one-hot bank row into per-lane bank masks and
-    /// snapshots them at each window boundary.
+    /// snapshots them at each window's end.
     fn issue_allocated(&mut self) -> usize {
         let len = self.len;
         if len == 0 {
@@ -664,28 +664,26 @@ impl Spmu {
         let ports = lanes * speedup;
         let mut masks = std::mem::take(&mut self.scratch.masks);
         masks.clear();
-        masks.resize(self.cfg.alloc_iterations * ports, 0);
         let mut lane_masks = std::mem::take(&mut self.scratch.lane_masks);
         lane_masks.clear();
         lane_masks.resize(lanes, 0);
-        // Windows never shrink with the iteration, so the last is widest.
-        let deepest = self.windows[self.windows.len() - 1].min(len);
-        for age in 0..deepest {
-            let base = self.slot_at(age) * lanes;
-            for (acc, &word) in lane_masks
-                .iter_mut()
-                .zip(&self.bank_words[base..base + lanes])
-            {
-                *acc |= word;
-            }
-            for (iter, &w) in self.windows.iter().enumerate() {
-                if w.min(len) == age + 1 {
-                    let iter_masks = &mut masks[iter * ports..(iter + 1) * ports];
-                    for (port_masks, &mask) in iter_masks.chunks_exact_mut(speedup).zip(&lane_masks)
-                    {
-                        port_masks.fill(mask);
-                    }
+        // Windows never shrink with the iteration: each one ORs in the
+        // rows of the slots it adds to the previous window.
+        let mut age = 0;
+        for &window in &self.windows {
+            while age < window.min(len) {
+                let slot = self.slot_at(age);
+                age += 1;
+                if self.slots[slot].pending == 0 {
+                    continue;
                 }
+                let row = &self.bank_words[slot * lanes..(slot + 1) * lanes];
+                for (acc, &word) in lane_masks.iter_mut().zip(row) {
+                    *acc |= word;
+                }
+            }
+            for &mask in &lane_masks {
+                masks.extend(std::iter::repeat_n(mask, speedup));
             }
         }
         self.scratch.lane_masks = lane_masks;
