@@ -258,7 +258,9 @@ struct TickScratch {
 ///   over its slots' rows;
 /// * `waiting[lane * banks + bank]` has bit `slot` set while that slot
 ///   holds a pending `lane` request to `bank`, so the oldest one is the
-///   first set bit at or after `head`.
+///   first set bit at or after `head`;
+/// * `lane_banks[lane]` has bit `bank` set while any slot does, which is
+///   the request mask of a window that spans the whole queue.
 #[derive(Debug, Clone)]
 pub struct Spmu {
     cfg: SpmuConfig,
@@ -273,6 +275,7 @@ pub struct Spmu {
     results: Vec<f32>,
     dup_src: Vec<u8>,
     waiting: Vec<u64>,
+    lane_banks: Vec<u64>,
     /// Granted requests in issue (hence finish) order.
     in_flight: VecDeque<InFlight>,
     staging: VecDeque<AccessVector>,
@@ -324,6 +327,7 @@ impl Spmu {
             results: vec![0.0; cells],
             dup_src: vec![0; cells],
             waiting: vec![0; cfg.lanes * cfg.banks],
+            lane_banks: vec![0; cfg.lanes],
             in_flight: VecDeque::with_capacity(cells),
             staging: VecDeque::new(),
             bloom: BloomFilter::new(cfg.bloom_entries, 2),
@@ -632,6 +636,7 @@ impl Spmu {
             self.reqs[base + lane] = req;
             self.bank_words[base + lane] = 1 << bank;
             self.waiting[lane * banks + bank] |= 1 << slot_index;
+            self.lane_banks[lane] |= 1 << bank;
             slot.pending |= 1 << lane;
             if track_addrs {
                 self.bloom.insert(req.addr);
@@ -668,9 +673,14 @@ impl Spmu {
         lane_masks.clear();
         lane_masks.resize(lanes, 0);
         // Windows never shrink with the iteration: each one ORs in the
-        // rows of the slots it adds to the previous window.
+        // rows of the slots it adds to the previous window, and one that
+        // spans the whole queue is `lane_banks`.
         let mut age = 0;
         for &window in &self.windows {
+            if window >= len {
+                lane_masks.copy_from_slice(&self.lane_banks);
+                age = len;
+            }
             while age < window.min(len) {
                 let slot = self.slot_at(age);
                 age += 1;
@@ -727,7 +737,11 @@ impl Spmu {
         self.mem[idx] = new;
         self.results[cell] = returned;
         self.bank_words[cell] = 0;
-        self.waiting[lane * self.cfg.banks + bank] &= !(1 << slot);
+        let waiting = &mut self.waiting[lane * self.cfg.banks + bank];
+        *waiting &= !(1 << slot);
+        if *waiting == 0 {
+            self.lane_banks[lane] &= !(1 << bank);
+        }
         let entry = &mut self.slots[slot];
         entry.pending &= !(1 << lane);
         entry.issued |= 1 << lane;
