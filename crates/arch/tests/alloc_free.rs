@@ -2,12 +2,12 @@
 //! steady state**, for every issue mode, using a counting global
 //! allocator:
 //!
-//! * `Spmu::tick` — the scratch-buffer refactor's acceptance gate: the
-//!   naive loop allocated several `Vec`s per tick (`finished_addrs`,
-//!   allocator masks/grants, per-entry lane states, completion results),
-//!   which this harness would count in the tens of thousands. With the
-//!   `TickScratch` + buffer-pool design the count must be exactly zero
-//!   once the pools reach their high-water mark.
+//! * `Spmu::tick` — for every ordering mode and every shape `table4`
+//!   and `table9` replay. The issue-queue ring, its per-slot lane arrays
+//!   and the in-flight FIFO are sized in `Spmu::new`; the allocator
+//!   masks, grants and completion results live in reused buffers, so
+//!   the count must be exactly zero once those reach their high-water
+//!   mark.
 //! * `AddressGenerator::tick` — the slab-indexed burst table must not
 //!   touch the heap once slots, waiter lists, and result buffers reach
 //!   their high-water mark, even under eviction/writeback pressure.
@@ -41,7 +41,9 @@ use capstan_arch::shuffle::{
     ButterflyNetwork, MergeShift, RouteScratch, ShuffleConfig, ShuffleEntry, ShuffleVector,
 };
 use capstan_arch::spmu::driver::TraceRng;
-use capstan_arch::spmu::{AccessVector, LaneRequest, OrderingMode, RmwOp, Spmu, SpmuConfig};
+use capstan_arch::spmu::{
+    AccessVector, BankHash, LaneRequest, OrderingMode, RmwOp, Spmu, SpmuConfig,
+};
 use capstan_sim::dram::{DramModel, MemoryKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -113,22 +115,56 @@ fn drive(spmu: &mut Spmu, rng: &mut TraceRng, vector: &mut AccessVector, cycles:
 
 #[test]
 fn steady_state_tick_is_allocation_free() {
-    for ordering in [
+    // Every ordering mode, plus every other shape `table4` and `table9`
+    // replay: the weak allocator, input speedup 2, the deepest Table 4
+    // queue, and linear banking.
+    let base = SpmuConfig::default();
+    let mut shapes: Vec<(String, SpmuConfig)> = [
         OrderingMode::Unordered,
         OrderingMode::AddressOrdered,
         OrderingMode::FullyOrdered,
         OrderingMode::Arbitrated,
-    ] {
-        let cfg = SpmuConfig {
-            ordering,
-            ..Default::default()
-        };
+    ]
+    .into_iter()
+    .map(|ordering| (format!("{ordering:?}"), SpmuConfig { ordering, ..base }))
+    .collect();
+    shapes.extend([
+        (
+            "weak allocator".into(),
+            SpmuConfig {
+                priorities: 1,
+                alloc_iterations: 1,
+                ..base
+            },
+        ),
+        (
+            "input speedup 2".into(),
+            SpmuConfig {
+                input_speedup: 2,
+                ..base
+            },
+        ),
+        (
+            "queue depth 32".into(),
+            SpmuConfig {
+                queue_depth: 32,
+                ..base
+            },
+        ),
+        (
+            "linear banking".into(),
+            SpmuConfig {
+                hash: BankHash::Linear,
+                ..base
+            },
+        ),
+    ]);
+    for (name, cfg) in shapes {
         let mut spmu = Spmu::new(cfg);
         let mut rng = TraceRng::new(0xA110C);
         let mut vector = AccessVector::default();
         // Warm-up: scratch buffers and pools grow to their high-water
-        // mark here (vector splits, queue-entry recycling, allocator
-        // masks).
+        // mark here (vector splits, staging recycling, allocator masks).
         drive(&mut spmu, &mut rng, &mut vector, 2_000, true);
 
         let before = allocations();
@@ -136,7 +172,7 @@ fn steady_state_tick_is_allocation_free() {
         let during = allocations() - before;
         assert_eq!(
             during, 0,
-            "{ordering:?}: {during} heap allocations in 10k steady-state cycles"
+            "{name}: {during} heap allocations in 10k steady-state cycles"
         );
     }
 }
