@@ -172,12 +172,7 @@ fn allocate_scalar(
 /// The first set bit of `mask` at or after bit `start`, wrapping around
 /// (`mask` must be non-zero and `start < 64`).
 pub(crate) fn first_set_from(mask: u64, start: usize) -> usize {
-    let at_or_after = mask & (u64::MAX << start);
-    if at_or_after != 0 {
-        at_or_after.trailing_zeros() as usize
-    } else {
-        mask.trailing_zeros() as usize
-    }
+    (mask.rotate_right(start as u32).trailing_zeros() as usize + start) & 63
 }
 
 /// [`allocate_into`] for power-of-two port and bank counts up to 64 (every
