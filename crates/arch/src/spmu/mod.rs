@@ -247,24 +247,23 @@ struct TickScratch {
 }
 
 /// Cycle-level model of one Sparse Memory Unit.
-///
-/// The issue queue is a ring of `queue_depth` [`Slot`]s; the oldest
-/// resident vector sits in slot `head`. Per-(slot, lane) request data
-/// lives in flat arrays indexed `slot * lanes + lane`, and the
-/// allocator's inputs are kept bit-parallel:
-///
-/// * `bank_words[slot * lanes + lane]` is the one-hot bank of a pending
-///   request (0 once it issues), so a window's request masks are an OR
-///   over its slots' rows;
-/// * `waiting[lane * banks + bank]` has bit `slot` set while that slot
-///   holds a pending `lane` request to `bank`, so the oldest one is the
-///   first set bit at or after `head`;
-/// * `lane_banks[lane]` has bit `bank` set while any slot does, which is
-///   the request mask of a window that spans the whole queue.
 #[derive(Debug, Clone)]
 pub struct Spmu {
     cfg: SpmuConfig,
     mem: Vec<f32>,
+    // The issue queue is a ring of `queue_depth` slots; the oldest
+    // resident vector sits in slot `head`. Per-(slot, lane) request data
+    // lives in flat arrays indexed `slot * lanes + lane`, and the
+    // allocator's inputs are kept bit-parallel:
+    //
+    // * `bank_words[slot * lanes + lane]` is the one-hot bank of a
+    //   pending request (0 once it issues), so a window's request masks
+    //   are an OR over its slots' rows;
+    // * `waiting[lane * banks + bank]` has bit `slot` set while that slot
+    //   holds a pending `lane` request to `bank`, so the oldest one is
+    //   the first set bit at or after `head`;
+    // * `lane_banks[lane]` has bit `bank` set while any slot does, which
+    //   is the request mask of a window that spans the whole queue.
     slots: Vec<Slot>,
     /// Ring index of the oldest resident vector.
     head: usize,
@@ -304,8 +303,9 @@ impl Spmu {
     /// # Panics
     ///
     /// Panics if the configuration has more than 64 lanes or a queue
-    /// depth outside `1..=64` (lane and queue-slot sets are tracked as
-    /// `u64` bitmasks), or if its bank count is not a power of two.
+    /// depth outside `1..=64`, or if its bank count is not a power of two
+    /// up to 64 (lane, queue-slot and bank sets are tracked as `u64`
+    /// bitmasks).
     pub fn new(cfg: SpmuConfig) -> Self {
         assert!(cfg.lanes <= 64, "SpMU supports at most 64 lanes");
         assert!(
@@ -313,8 +313,8 @@ impl Spmu {
             "SpMU queue depth must be in 1..=64"
         );
         assert!(
-            cfg.banks.is_power_of_two(),
-            "bank count must be a power of two"
+            cfg.banks.is_power_of_two() && cfg.banks <= 64,
+            "bank count must be a power of two up to 64"
         );
         let cells = cfg.queue_depth * cfg.lanes;
         Spmu {
