@@ -47,9 +47,11 @@ impl BankHash {
         }
     }
 
-    /// Within-bank word offset for an address.
+    /// Within-bank word offset for an address: `addr / banks`, with
+    /// `banks` a power of two as for [`BankHash::bank_of`].
     pub fn offset_of(self, addr: u32, banks: usize) -> usize {
-        (addr as usize) / banks
+        debug_assert!(banks.is_power_of_two());
+        (addr as usize) >> banks.trailing_zeros()
     }
 }
 

@@ -288,8 +288,6 @@ pub struct Spmu {
     grant_log: Option<Vec<GrantRecord>>,
     /// `window_for_iteration(iter)` for every allocator iteration.
     windows: Vec<usize>,
-    /// log2(banks): a word's in-bank offset is `addr >> bank_shift`.
-    bank_shift: u32,
     scratch: TickScratch,
     /// Recycled staging slots (admitted vectors return here).
     staging_pool: Vec<AccessVector>,
@@ -341,7 +339,6 @@ impl Spmu {
             windows: (0..cfg.alloc_iterations)
                 .map(|iter| cfg.window_for_iteration(iter))
                 .collect(),
-            bank_shift: cfg.banks.trailing_zeros(),
             scratch: TickScratch::default(),
             staging_pool: Vec::new(),
             completed: CompletedVector::default(),
@@ -420,7 +417,7 @@ impl Spmu {
     /// Index into `mem` of `addr`, which maps to `bank`.
     fn word_index(&self, bank: usize, addr: u32) -> usize {
         debug_assert_eq!(bank, self.cfg.hash.bank_of(addr, self.cfg.banks));
-        let offset = (addr >> self.bank_shift) as usize;
+        let offset = self.cfg.hash.offset_of(addr, self.cfg.banks);
         assert!(
             offset < self.cfg.bank_words,
             "address {addr} exceeds SpMU capacity ({} words)",
