@@ -111,7 +111,20 @@
 //! flags describing the *request*, not this process) and prints the
 //! returned reports in command-line order — byte-identical to running
 //! the same experiments directly. `--serve-stats` prints the server's
-//! counters as `k=v` lines; `--serve-shutdown` stops it.
+//! counters as `k=v` lines; `--serve-shutdown` stops it. Besides the
+//! request counters (`submits`, `cache_hits`, `coalesced`, `misses`,
+//! `batches`, `worker_spawns`, `worker_retries`, `rows_resumed`,
+//! `errors`, `plans_computed`, `plan_cache_hits`) the counters are:
+//!
+//! * `connections`: accepted connections, this one included;
+//! * `handlers_live`: connection handler threads still held, this one
+//!   included (finished ones are reaped at each accept);
+//! * `hit_le_250us`, `hit_le_1ms`, `hit_le_4ms`, `hit_le_16ms`,
+//!   `hit_gt_16ms`: served cache hits by server-side latency, from
+//!   accept to reply written;
+//! * `miss_le_250us` … `miss_le_16ms`, `miss_le_64ms`, `miss_le_256ms`,
+//!   `miss_le_1s`, `miss_gt_1s`: the same for replies that waited for a
+//!   simulation (misses and coalesced joins).
 
 use capstan_bench::experiments as exp;
 use capstan_bench::gate::{self, BenchEntry, BenchRecord};

@@ -34,12 +34,13 @@ use capstan_core::config::{MemAddressing, MemTiming, PlanMode};
 use capstan_plan::PlannedConfig;
 use capstan_tensor::stats::TensorStats;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::fmt::Write as _;
+use std::io::Write as _;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Server tuning and test knobs.
 #[derive(Debug, Clone)]
@@ -92,6 +93,22 @@ impl ServerConfig {
     }
 }
 
+/// Upper bounds of the server-side latency buckets reported by `STATS`
+/// (accept to reply written), 4× apart, with their wire labels. Hits use
+/// the first [`HIT_BUCKETS`]; misses use all of them.
+const LATENCY_BOUNDS: [(Duration, &str); 7] = [
+    (Duration::from_micros(250), "250us"),
+    (Duration::from_millis(1), "1ms"),
+    (Duration::from_millis(4), "4ms"),
+    (Duration::from_millis(16), "16ms"),
+    (Duration::from_millis(64), "64ms"),
+    (Duration::from_millis(256), "256ms"),
+    (Duration::from_secs(1), "1s"),
+];
+
+/// How many of [`LATENCY_BOUNDS`] the hit histogram uses.
+const HIT_BUCKETS: usize = 4;
+
 /// Scheduler/worker counters reported by `STATS` (cache hits and
 /// misses live in [`ResultCache`]).
 #[derive(Debug, Default)]
@@ -105,6 +122,15 @@ struct Counters {
     errors: u64,
     plans_computed: u64,
     plan_cache_hits: u64,
+    /// Accepted connections (the shutdown wake connection excluded).
+    connections: u64,
+    /// Handler threads held after the last reap, the newest included.
+    handlers_live: u64,
+    /// Served hits per latency bucket; the last slot is the overflow.
+    hit_latency: [u64; HIT_BUCKETS + 1],
+    /// Served misses and coalesced joins (every reply that waited for a
+    /// simulation) per latency bucket; the last slot is the overflow.
+    miss_latency: [u64; LATENCY_BOUNDS.len() + 1],
 }
 
 /// One queued job.
@@ -119,6 +145,11 @@ type Delivery = Result<Arc<JobOutcome>, ProtoError>;
 /// Mutable server state behind the one lock.
 #[derive(Default)]
 struct State {
+    /// Set by `SHUTDOWN`. It lives under the lock so the scheduler can
+    /// wait on the condvar without a timeout (no wakeup is lost between
+    /// its check and its wait) and a submission can never queue a job
+    /// after the scheduler has drained and exited.
+    stop: bool,
     cache: ResultCache,
     pending: Vec<Job>,
     inflight: HashSet<u64>,
@@ -134,9 +165,10 @@ struct State {
 /// Everything the scheduler, handlers, and shard runners share.
 struct Shared {
     config: ServerConfig,
+    /// The bound address: `SHUTDOWN` connects to it to wake `accept`.
+    addr: SocketAddr,
     state: Mutex<State>,
     cv: Condvar,
-    stop: AtomicBool,
     group_seq: AtomicU64,
     fault_armed: AtomicBool,
 }
@@ -172,14 +204,15 @@ impl Server {
     pub fn bind(addr: &str, config: ServerConfig) -> std::io::Result<Server> {
         std::fs::create_dir_all(&config.work_dir)?;
         let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
         let fault_armed = AtomicBool::new(config.fault_first_worker.is_some());
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
                 config,
+                addr,
                 state: Mutex::new(State::default()),
                 cv: Condvar::new(),
-                stop: AtomicBool::new(false),
                 group_seq: AtomicU64::new(0),
                 fault_armed,
             }),
@@ -188,39 +221,50 @@ impl Server {
 
     /// The bound address.
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
+        Ok(self.shared.addr)
     }
 
     /// Runs the accept loop on the current thread until a `SHUTDOWN`
     /// request arrives, then drains: the scheduler finishes or fails
     /// queued work, handler threads are joined, and the call returns.
+    ///
+    /// The loop blocks in `accept`; nothing polls. `SHUTDOWN` sets the
+    /// stop flag and then connects to the bound address once, which
+    /// wakes `accept`; the loop sees the flag and exits without serving
+    /// that connection. The listener closes before anything is joined,
+    /// so a late client is refused at once instead of waiting in the
+    /// backlog for in-flight jobs to drain. Finished handler threads are
+    /// reaped before each new one is spawned, so the handles held are
+    /// bounded by open connections, not by requests served.
     pub fn run(self) -> std::io::Result<()> {
-        // Non-blocking accept so the loop can observe the stop flag; a
-        // 5 ms poll is far below human-visible latency and costs
-        // nothing next to a simulation.
-        self.listener.set_nonblocking(true)?;
-        let shared = self.shared;
+        let Server { listener, shared } = self;
         let scheduler = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || scheduler_loop(&shared))
         };
-        let mut handlers = Vec::new();
-        while !shared.stop.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let shared = Arc::clone(&shared);
-                    handlers.push(std::thread::spawn(move || {
-                        handle_connection(&shared, stream)
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        loop {
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
+            };
+            let accepted = Instant::now();
+            handlers.retain(|h| !h.is_finished());
+            {
+                let mut st = shared.state.lock().expect("state lock");
+                if st.stop {
+                    break;
+                }
+                st.counters.connections += 1;
+                st.counters.handlers_live = handlers.len() as u64 + 1;
             }
+            let shared = Arc::clone(&shared);
+            handlers.push(std::thread::spawn(move || {
+                handle_connection(&shared, stream, accepted)
+            }));
         }
-        shared.cv.notify_all();
+        drop(listener);
         let _ = scheduler.join();
         for h in handlers {
             let _ = h.join();
@@ -239,8 +283,10 @@ impl Server {
 
 /// Serves one connection: one request frame, one reply, close. Every
 /// failure becomes a best-effort `ERR` line — never a panic, never a
-/// hung thread (the read timeout bounds stalled peers).
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
+/// hung thread (the read timeout bounds stalled peers). A served
+/// submission's time from `accepted` to its reply written lands in the
+/// hit or miss latency histogram.
+fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, accepted: Instant) {
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
     let reader_stream = match stream.try_clone() {
         Ok(s) => s,
@@ -251,28 +297,63 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         .read_line(shared.config.max_frame)
         .and_then(|line| proto::parse_request(&line));
     let request_failed = request.is_err();
+    let mut served = None;
     let reply: Vec<u8> = match request {
         Err(e) => e.to_wire().into_bytes(),
         Ok(Request::Ping) => format!("{MAGIC} OK pong\n").into_bytes(),
         Ok(Request::Stats) => stats_line(shared).into_bytes(),
         Ok(Request::Shutdown) => {
-            shared.stop.store(true, Ordering::SeqCst);
+            shared.state.lock().expect("state lock").stop = true;
             shared.cv.notify_all();
+            wake_accept(shared.addr);
             format!("{MAGIC} OK bye\n").into_bytes()
         }
         Ok(Request::Submit(spec)) => match submit(shared, spec) {
             Ok((cache_tag, key, outcome)) => {
+                served = Some(cache_tag);
                 proto::format_submit_reply(cache_tag, key, &outcome.row, &outcome.report)
             }
             Err(e) => e.to_wire().into_bytes(),
         },
     };
     let mut stream = stream;
-    let _ = stream.write_all(&reply);
-    let _ = stream.flush();
+    let written = stream.write_all(&reply).and_then(|()| stream.flush());
+    if let (Ok(()), Some(cache_tag)) = (written, served) {
+        let elapsed = accepted.elapsed();
+        let mut st = shared.state.lock().expect("state lock");
+        let c = &mut st.counters;
+        if cache_tag == "hit" {
+            c.hit_latency[latency_bucket(elapsed, HIT_BUCKETS)] += 1;
+        } else {
+            c.miss_latency[latency_bucket(elapsed, LATENCY_BOUNDS.len())] += 1;
+        }
+    }
     if request_failed {
         drain_bounded(&mut stream);
     }
+}
+
+/// Wakes the accept loop, blocked in `accept`, with one throwaway
+/// connection to the bound address (loopback of the same family when
+/// it is bound to the unspecified address). If the listener is already
+/// closed the connect fails, which is fine: the loop has exited.
+fn wake_accept(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect(addr);
+}
+
+/// The index of the first of the leading `buckets` latency bounds that
+/// `elapsed` does not exceed, or `buckets` (the overflow slot).
+fn latency_bucket(elapsed: Duration, buckets: usize) -> usize {
+    LATENCY_BOUNDS[..buckets]
+        .iter()
+        .position(|&(bound, _)| elapsed <= bound)
+        .unwrap_or(buckets)
 }
 
 /// Best-effort bounded drain of unread request bytes after an error
@@ -293,14 +374,16 @@ fn drain_bounded(stream: &mut TcpStream) {
     }
 }
 
-/// The `STATS` reply line, straight from the counters.
+/// The `STATS` reply line, straight from the counters. Each latency
+/// histogram is one `<prefix>_le_<bound>` field per bucket plus a
+/// `<prefix>_gt_<last bound>` overflow field.
 fn stats_line(shared: &Arc<Shared>) -> String {
     let st = shared.state.lock().expect("state lock");
     let c = &st.counters;
-    format!(
+    let mut line = format!(
         "{MAGIC} STATS submits={} cache_hits={} coalesced={} misses={} batches={} \
          worker_spawns={} worker_retries={} rows_resumed={} errors={} \
-         plans_computed={} plan_cache_hits={}\n",
+         plans_computed={} plan_cache_hits={} connections={} handlers_live={}",
         c.submits,
         st.cache.hits(),
         c.coalesced,
@@ -311,8 +394,22 @@ fn stats_line(shared: &Arc<Shared>) -> String {
         c.rows_resumed,
         c.errors,
         c.plans_computed,
-        c.plan_cache_hits
-    )
+        c.plan_cache_hits,
+        c.connections,
+        c.handlers_live
+    );
+    for (prefix, counts) in [("hit", &c.hit_latency[..]), ("miss", &c.miss_latency[..])] {
+        let last = counts.len() - 1;
+        for (i, n) in counts.iter().enumerate() {
+            let _ = if i < last {
+                write!(line, " {prefix}_le_{}={n}", LATENCY_BOUNDS[i].1)
+            } else {
+                write!(line, " {prefix}_gt_{}={n}", LATENCY_BOUNDS[last - 1].1)
+            };
+        }
+    }
+    line.push('\n');
+    line
 }
 
 /// Routes one submission: cache hit → answer immediately; duplicate of
@@ -356,13 +453,13 @@ fn submit(
     // The protocol layer validated the scale spec, so keying cannot
     // fail on a wire request; belt-and-suspenders for direct callers.
     let key = spec.cache_key().map_err(ProtoError::BadRequest)?;
-    if shared.stop.load(Ordering::SeqCst) {
-        return Err(ProtoError::Internal("server is shutting down".to_string()));
-    }
     let cache_tag;
     let rx;
     {
         let mut st = shared.state.lock().expect("state lock");
+        if st.stop {
+            return Err(ProtoError::Internal("server is shutting down".to_string()));
+        }
         st.counters.submits += 1;
         if let Some(outcome) = st.cache.lookup(key) {
             return Ok(("hit", key, outcome));
@@ -398,14 +495,10 @@ fn scheduler_loop(shared: &Arc<Shared>) {
     loop {
         {
             let mut st = shared.state.lock().expect("state lock");
-            while st.pending.is_empty() && !shared.stop.load(Ordering::SeqCst) {
-                let (guard, _) = shared
-                    .cv
-                    .wait_timeout(st, Duration::from_millis(200))
-                    .expect("state lock");
-                st = guard;
+            while st.pending.is_empty() && !st.stop {
+                st = shared.cv.wait(st).expect("state lock");
             }
-            if shared.stop.load(Ordering::SeqCst) {
+            if st.stop {
                 let pending = std::mem::take(&mut st.pending);
                 for job in pending {
                     st.counters.errors += 1;
