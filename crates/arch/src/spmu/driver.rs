@@ -48,17 +48,6 @@ pub struct ThroughputResult {
     pub cycles: u64,
 }
 
-impl ThroughputResult {
-    /// Requests retired per cycle.
-    pub fn requests_per_cycle(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.requests as f64 / self.cycles as f64
-        }
-    }
-}
-
 /// Refills `vector` with one uniformly random read per lane, reusing its
 /// lane buffer (the trace loop allocates nothing in steady state).
 fn fill_random_vector(vector: &mut AccessVector, rng: &mut TraceRng, cfg: &SpmuConfig) {

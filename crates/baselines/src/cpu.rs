@@ -2,11 +2,10 @@
 //!
 //! The paper's CPU baselines run TACO (sparse linear algebra) and GraphIt
 //! (graph analytics) with 128 threads on a four-socket Xeon E7-8890 v3.
-//! We obviously cannot reproduce that machine; these kernels serve two
-//! purposes: (1) they are *real measured* multi-core implementations used
-//! by the criterion benches to sanity-check that Capstan's simulated
-//! speedups are not artifacts of a strawman CPU cost model, and (2) they
-//! double-check the functional results of every app. Threading uses
+//! We obviously cannot reproduce that machine. These kernels are *real*
+//! multi-core implementations: `examples/hotloop_timing.rs` times them on
+//! the host, and their own unit tests check them against serial
+//! references. No experiment or report calls them. Threading uses
 //! `std::thread::scope` so the crate stays dependency-free.
 
 use capstan_tensor::{Csc, Csr, Value};

@@ -319,11 +319,6 @@ impl Suite {
         }
     }
 
-    /// Builds the app on all three of its paper datasets.
-    pub fn build_all(&self, app: AppId) -> Vec<Box<dyn App>> {
-        app.datasets().iter().map(|&d| self.build(app, d)).collect()
-    }
-
     /// Generates the scaled matrix this suite would feed to `app` on
     /// `dataset` — the exact bytes [`Suite::build`] constructs its
     /// formats from, so the planner can probe what the experiment will

@@ -16,8 +16,7 @@
 //! 2. **Analytic probes** — [`plan_spmv`] builds one workload per
 //!    buildable candidate format and prices each through the existing
 //!    analytic `PerfReport` path, returning every candidate ranked by
-//!    simulated cycles with a deterministic tie-break. Optionally the
-//!    winner is re-priced at cycle level ([`verify_cycle_level`]).
+//!    simulated cycles with a deterministic tie-break.
 //!
 //! Everything here is deterministic: the candidate order is fixed, the
 //! tie-break is total, and no statistic or ranking depends on thread
@@ -184,17 +183,6 @@ pub fn plan_spmv(m: &Coo) -> Plan {
     Plan { stats, ranked }
 }
 
-/// Re-prices the plan's winner under the cycle-level memory mode (the
-/// optional verify tier). Returns the cycle-level cycle count, or
-/// `None` if the winner's format has no SpMV kernel.
-pub fn verify_cycle_level(m: &Coo, plan: &Plan) -> Option<u64> {
-    let chosen = plan.chosen().candidate;
-    let app = build_spmv(m, chosen.format)?;
-    let mut cfg = probe_config(chosen.channels);
-    cfg.mem_timing = MemTiming::CycleLevel;
-    Some(app.simulate(&cfg).cycles)
-}
-
 /// The memory configuration the server derives for a planned
 /// submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,9 +208,9 @@ pub fn plan_request(stats: &TensorStats) -> PlannedConfig {
         format: stats.suggest(),
         mem: MemTiming::Analytic,
         addresses: MemAddressing::Synthetic,
-        // Large datasets get the multi-channel topology so a later
-        // cycle-level verify sees the parallelism; the analytic tier
-        // prices both identically.
+        // Large datasets get the multi-channel topology so a cycle-level
+        // run sees the parallelism; the analytic tier prices both
+        // identically.
         channels: if stats.nnz >= MULTI_CHANNEL_NNZ { 4 } else { 1 },
     }
 }
@@ -287,14 +275,6 @@ mod tests {
         assert_eq!(plan.summary(), again.summary());
         // The summary names each probed format exactly once.
         assert_eq!(plan.summary().split('>').count(), 4);
-    }
-
-    #[test]
-    fn verify_tier_prices_the_winner_at_cycle_level() {
-        let m = band_matrix(48);
-        let plan = plan_spmv(&m);
-        let cycles = verify_cycle_level(&m, &plan).expect("winner has a kernel");
-        assert!(cycles > 0);
     }
 
     #[test]

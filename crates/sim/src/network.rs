@@ -19,9 +19,6 @@
 /// Bytes per 512-bit vector flit.
 pub const VECTOR_FLIT_BYTES: u64 = 64;
 
-/// Bytes per 32-bit scalar flit.
-pub const SCALAR_FLIT_BYTES: u64 = 4;
-
 /// Static configuration of the on-chip network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetworkConfig {

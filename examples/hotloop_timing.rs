@@ -1,17 +1,52 @@
-//! Wall-clock timing of the simulator's hot loops, for before/after
-//! numbers in perf work.
+//! Wall-clock timing of the simulator's hot loops and the host CPU
+//! kernels, for before/after numbers in perf work. It is the workspace's
+//! one microbenchmark tool; its times gate nothing.
 //!
-//! Run with `cargo run --release --example hotloop_timing`. The SpMU rows
-//! saturate one unit with uniformly random reads, one row per SpMU shape
-//! `table9` replays (Ideal is never replayed) plus address ordering, and
-//! report host nanoseconds per simulated cycle (best of three runs).
+//! Run with `cargo run --release --example hotloop_timing`. The `spmu`,
+//! `scanner` and `cpu` rows are the best of three runs. The rows, in
+//! order:
+//!
+//! - `spmu`: one unit saturated with uniformly random reads, one row per
+//!   SpMU shape `table9` replays (Ideal is never replayed) plus address
+//!   ordering, in host nanoseconds per simulated cycle;
+//! - `run_vectors`: 50k strided read vectors through the default SpMU;
+//! - `simulate`: an SRAM-heavy workload, cold and then on a replay-memo
+//!   hit;
+//! - `scanner`: bit-vector union at window widths 64/256/512, intersect
+//!   scans at set-bit strides 2/16/256, a data scan of 64k values and a
+//!   bit-tree union (the models behind Table 5 and Fig. 6);
+//! - `cpu`: the measured CPU baseline kernels (`capstan_baselines::cpu`):
+//!   parallel CSR and CSC SpMV, serial CSR SpMV, PageRank pull and BFS.
 
+use capstan::apps::common::inv_out_degree;
+use capstan::arch::scanner::{scan_bittree, BitVecScanner, DataScanner, ScanMode, ScanStats};
 use capstan::arch::spmu::driver::{measure_random_throughput, run_vectors};
 use capstan::arch::spmu::{AccessVector, BankHash, OrderingMode, RmwOp, SpmuConfig};
+use capstan::baselines::cpu;
 use capstan::core::config::{CapstanConfig, MemoryKind};
 use capstan::core::perf::simulate;
 use capstan::core::program::WorkloadBuilder;
+use capstan::tensor::bittree::BitTree;
+use capstan::tensor::bitvec::BitVec;
+use capstan::tensor::gen::Dataset;
+use capstan::tensor::{Csc, Csr};
+use std::hint::black_box;
 use std::time::Instant;
+
+/// Best of three runs of `reps` back-to-back calls of `f`, in seconds
+/// per call, with the last call's result.
+fn best_of_3<T>(reps: u32, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..3 {
+        let start = Instant::now();
+        for _ in 0..reps {
+            last = Some(black_box(f()));
+        }
+        best = best.min(start.elapsed().as_secs_f64() / reps as f64);
+    }
+    (best, last.expect("reps > 0"))
+}
 
 fn main() {
     let hash = SpmuConfig::default();
@@ -45,17 +80,14 @@ fn main() {
     ];
     const CYCLES: u64 = 201_000;
     for (name, cfg) in rows {
-        let mut best = f64::INFINITY;
-        let mut util = 0.0;
-        for _ in 0..3 {
-            let start = Instant::now();
-            util = measure_random_throughput(cfg, 42, 1_000, CYCLES - 1_000).bank_utilization;
-            best = best.min(start.elapsed().as_secs_f64());
-        }
+        let (best, r) = best_of_3(1, || {
+            measure_random_throughput(cfg, 42, 1_000, CYCLES - 1_000)
+        });
         println!(
-            "spmu {name:<16} {:>6.0} ns/cycle ({:.2} Mcycles/s, util {util:.3})",
+            "spmu {name:<16} {:>6.0} ns/cycle ({:.2} Mcycles/s, util {:.3})",
             best * 1e9 / CYCLES as f64,
-            CYCLES as f64 / 1e6 / best
+            CYCLES as f64 / 1e6 / best,
+            r.bank_utilization
         );
     }
     let vectors: Vec<AccessVector> = (0..50_000)
@@ -97,4 +129,89 @@ fn main() {
             report.cycles, report.breakdown.sram
         );
     }
+    scanner_rows();
+    cpu_rows();
+}
+
+fn sparse_bitvec(len: usize, stride: usize) -> BitVec {
+    let idx: Vec<u32> = (0..len as u32).step_by(stride).collect();
+    BitVec::from_indices(len, &idx).unwrap()
+}
+
+fn scanner_rows() {
+    const REPS: u32 = 100;
+    let row = |name: &str, (secs, stats): (f64, ScanStats)| {
+        println!(
+            "scanner {name:<20} {:>8.1} us/call ({} scanner cycles)",
+            secs * 1e6,
+            stats.cycles
+        );
+    };
+    let a = sparse_bitvec(1 << 16, 37);
+    let b = sparse_bitvec(1 << 16, 23);
+    for width in [64usize, 256, 512] {
+        let scanner = BitVecScanner::new(width, 16);
+        row(
+            &format!("union width {width}"),
+            best_of_3(REPS, || scanner.scan_cycles(ScanMode::Union, &a, Some(&b))),
+        );
+    }
+    let scanner = BitVecScanner::default();
+    for stride in [2usize, 16, 256] {
+        let a = sparse_bitvec(1 << 16, stride);
+        row(
+            &format!("intersect stride {stride}"),
+            best_of_3(REPS, || scanner.scan_cycles(ScanMode::Intersect, &a, None)),
+        );
+    }
+    let data: Vec<f32> = (0..65_536)
+        .map(|i| if i % 13 == 0 { 1.0 } else { 0.0 })
+        .collect();
+    let ds = DataScanner::default();
+    row("data 64k", best_of_3(REPS, || ds.scan(&data).1));
+    let tree = |offset: u32| {
+        let idx: Vec<u32> = (0..2000u32).map(|i| i * 100 + offset).collect();
+        BitTree::from_indices(262_144, &idx).unwrap()
+    };
+    let (ta, tb) = (tree(0), tree(50));
+    row(
+        "bittree union",
+        best_of_3(REPS, || scan_bittree(&scanner, ScanMode::Union, &ta, &tb).1),
+    );
+}
+
+fn cpu_rows() {
+    const REPS: u32 = 20;
+    let threads = cpu::default_threads();
+    let row = |name: &str, threads: usize, secs: f64| {
+        println!(
+            "cpu {name:<24} {:>8.1} us/call (threads: {threads})",
+            secs * 1e6
+        );
+    };
+    let m = Dataset::Ckt11752.generate_scaled(0.2);
+    let csr = Csr::from_coo(&m);
+    let csc = Csc::from_coo(&m);
+    let x: Vec<f32> = (0..csr.cols()).map(|i| (i % 7) as f32 + 0.5).collect();
+    let (secs, _) = best_of_3(REPS, || cpu::spmv_csr_parallel(&csr, &x, threads));
+    row("spmv csr parallel", threads, secs);
+    let (secs, _) = best_of_3(REPS, || cpu::spmv_csc_parallel(&csc, &x, threads));
+    row("spmv csc parallel", threads, secs);
+    let (secs, _) = best_of_3(REPS, || csr.spmv(&x));
+    row("spmv csr serial", 1, secs);
+
+    let g = Dataset::UsRoads.generate_scaled(0.05);
+    let out_adj = Csr::from_coo(&g);
+    let in_adj = Csr::from_coo(&g.transpose());
+    let inv = inv_out_degree(&out_adj);
+    let rank = vec![1.0f32 / g.rows() as f32; g.rows()];
+    let source = (0..out_adj.rows())
+        .max_by_key(|&v| out_adj.row_len(v))
+        .unwrap() as u32;
+    let (secs, _) = best_of_3(REPS, || {
+        cpu::pagerank_pull_parallel(&in_adj, &inv, &rank, 0.85, threads)
+    });
+    row("pagerank pull", threads, secs);
+    let (secs, _) = best_of_3(REPS, || cpu::bfs_parallel(&out_adj, source, threads));
+    row("bfs", threads, secs);
 }

@@ -1,10 +1,16 @@
 //! Golden determinism regression tests.
 //!
-//! These values were captured from the pre-refactor simulator (the naive
-//! allocate-per-tick loop) via `examples/golden_capture.rs`. The
-//! scratch-buffer refactor of `Spmu::tick` must be a pure performance
-//! change: every measurement here has to stay **bit-identical** —
-//! utilizations are compared by `f64::to_bits`, not tolerance.
+//! Each pin holds values captured from an earlier build of the
+//! simulator, and a pure performance change must leave every one
+//! **bit-identical**: utilizations are compared by `f64::to_bits`, not
+//! tolerance, and long streams by an FNV digest.
+//!
+//! This file is also the capture tool. Each pin computes its whole
+//! observed table first and compares it with the golden table in one
+//! [`assert_golden`]. On drift the message prints the observed table in
+//! the golden table's shape, integers in hex, so one failing run of
+//! `cargo test --release --test determinism_golden` yields every value
+//! of a drifted (or placeholder) table to paste.
 
 use capstan::apps::App;
 use capstan::arch::spmu::driver::{measure_random_throughput, run_vectors, TraceRng};
@@ -13,7 +19,32 @@ use capstan::arch::spmu::{
 };
 use capstan::core::config::{CapstanConfig, MemoryKind};
 use capstan::core::perf::simulate;
+use capstan::core::report::Breakdown;
 use capstan::tensor::gen::Dataset;
+use std::fmt::Debug;
+
+/// Compares a pin's whole observed table with its golden table. The
+/// failure message prints every observed row (`{:#X?}`), ready to paste.
+fn assert_golden<T: PartialEq + Debug>(pin: &str, observed: &[T], golden: &[T]) {
+    assert!(
+        observed == golden,
+        "{pin} drifted from its golden table; observed:\n{observed:#X?}"
+    );
+}
+
+/// The eight Fig. 7 components, in report order.
+fn components(b: &Breakdown) -> [u64; 8] {
+    [
+        b.active,
+        b.scan,
+        b.load_store,
+        b.vector_length,
+        b.imbalance,
+        b.network,
+        b.sram,
+        b.dram,
+    ]
+}
 
 #[test]
 fn random_throughput_is_bit_identical_to_golden() {
@@ -23,21 +54,19 @@ fn random_throughput_is_bit_identical_to_golden() {
         (OrderingMode::FullyOrdered, 0x3FD030A3D70A3D71, 8_080),
         (OrderingMode::Arbitrated, 0x3FD4C395810624DD, 10_384),
     ];
-    for &(ordering, util_bits, requests) in golden {
-        let cfg = SpmuConfig {
-            ordering,
-            ..Default::default()
-        };
-        let r = measure_random_throughput(cfg, 42, 500, 2000);
-        assert_eq!(
-            r.bank_utilization.to_bits(),
-            util_bits,
-            "{ordering:?} utilization drifted: {:.6}",
-            r.bank_utilization
-        );
-        assert_eq!(r.requests, requests, "{ordering:?} request count drifted");
-        assert_eq!(r.cycles, 2000);
-    }
+    let observed: Vec<_> = golden
+        .iter()
+        .map(|&(ordering, ..)| {
+            let cfg = SpmuConfig {
+                ordering,
+                ..Default::default()
+            };
+            let r = measure_random_throughput(cfg, 42, 500, 2000);
+            assert_eq!(r.cycles, 2000);
+            (ordering, r.bank_utilization.to_bits(), r.requests)
+        })
+        .collect();
+    assert_golden("random throughput", &observed, golden);
 }
 
 #[test]
@@ -52,14 +81,17 @@ fn run_vectors_is_bit_identical_to_golden() {
         })
         .collect();
     let r = run_vectors(SpmuConfig::default(), &vectors);
-    assert_eq!(r.bank_utilization.to_bits(), 0x3FE745D1745D1746);
-    assert_eq!(r.requests, 1024);
-    assert_eq!(r.cycles, 88);
+    assert_golden(
+        "run_vectors",
+        &[(r.bank_utilization.to_bits(), r.requests, r.cycles)],
+        &[(0x3FE745D1745D1746, 1024, 88)],
+    );
 }
 
 #[test]
 fn perf_simulate_is_bit_identical_to_golden() {
     // (dataset, memory, cycles, [active, scan, ls, vl, imb, net, sram, dram], util bits)
+    #[derive(Debug, PartialEq)]
     struct Golden {
         dataset: Dataset,
         memory: MemoryKind,
@@ -97,32 +129,22 @@ fn perf_simulate_is_bit_identical_to_golden() {
             util_bits: 0x3FE030A8C81C123F,
         },
     ];
-    for g in golden {
-        let app = capstan::apps::spmv::CsrSpmv::new(&g.dataset.generate_scaled(0.04));
-        let wl = app.build(&CapstanConfig::paper_default());
-        let r = simulate(&wl, &CapstanConfig::new(g.memory));
-        let b = r.breakdown;
-        assert_eq!(
-            (
-                r.cycles,
-                [
-                    b.active,
-                    b.scan,
-                    b.load_store,
-                    b.vector_length,
-                    b.imbalance,
-                    b.network,
-                    b.sram,
-                    b.dram
-                ]
-            ),
-            (g.cycles, g.breakdown),
-            "{:?}/{:?} drifted",
-            g.dataset,
-            g.memory
-        );
-        assert_eq!(r.sram_bank_utilization.to_bits(), g.util_bits);
-    }
+    let observed: Vec<_> = golden
+        .iter()
+        .map(|g| {
+            let app = capstan::apps::spmv::CsrSpmv::new(&g.dataset.generate_scaled(0.04));
+            let wl = app.build(&CapstanConfig::paper_default());
+            let r = simulate(&wl, &CapstanConfig::new(g.memory));
+            Golden {
+                dataset: g.dataset,
+                memory: g.memory,
+                cycles: r.cycles,
+                breakdown: components(&r.breakdown),
+                util_bits: r.sram_bank_utilization.to_bits(),
+            }
+        })
+        .collect();
+    assert_golden("CSR SpMV simulate", &observed, &golden);
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -248,8 +270,8 @@ fn grant_log_digest(cfg: SpmuConfig, seed: u64, cycles: u64) -> u64 {
     hash
 }
 
-/// Grant-for-grant pin of the SpMU's issue logic, captured via
-/// `examples/golden_capture.rs`. `table4` and `fig4` simulate fixed
+/// Grant-for-grant pin of the SpMU's issue logic, captured before the
+/// bit-parallel tick rewrite. `table4` and `fig4` simulate fixed
 /// cycle horizons, so their simulated-cycle counts cannot see an
 /// allocator change; this digest of every grant `(cycle, lane, bank,
 /// vector_id)`, every completion and the bank utilization can.
@@ -286,22 +308,21 @@ fn spmu_grant_log_is_bit_identical_to_golden() {
     ];
     let configs = grant_log_configs();
     assert_eq!(configs.len(), golden.len());
-    for ((name, cfg), &(golden_name, digest)) in configs.into_iter().zip(golden) {
+    for ((name, _), &(golden_name, _)) in configs.iter().zip(golden) {
         assert_eq!(name, golden_name);
-        assert_eq!(
-            grant_log_digest(cfg, 0x6A47, 3_000),
-            digest,
-            "{name}: grant log drifted"
-        );
     }
+    let observed: Vec<(&str, u64)> = configs
+        .iter()
+        .map(|(name, cfg)| (name.as_str(), grant_log_digest(*cfg, 0x6A47, 3_000)))
+        .collect();
+    assert_golden("SpMU grant log", &observed, golden);
 }
 
 /// Golden pins for the address generator's completion stream
 /// (AG-heavy / DRAM-bound path). Captured from the pre-refactor,
-/// `HashMap`-keyed AG via `examples/golden_capture_memsys.rs`; the
-/// slab-indexed implementation must reproduce the exact completion
-/// sequence (tags, result values, and cycles, hashed in order), final
-/// memory image, burst counts, and drain cycle.
+/// `HashMap`-keyed AG; the slab-indexed implementation must reproduce
+/// the exact completion sequence (tags, result values, and cycles,
+/// hashed in order), final memory image, burst counts, and drain cycle.
 #[test]
 fn ag_completion_stream_is_bit_identical_to_golden() {
     use capstan::arch::ag::{AddressGenerator, DramAccess};
@@ -309,6 +330,7 @@ fn ag_completion_stream_is_bit_identical_to_golden() {
     use capstan::arch::spmu::RmwOp;
     use capstan::sim::dram::{DramModel, MemoryKind as SimMem};
 
+    #[derive(Debug, PartialEq)]
     struct Golden {
         kind: SimMem,
         capacity: usize,
@@ -355,7 +377,8 @@ fn ag_completion_stream_is_bit_identical_to_golden() {
             cycle: 6756,
         },
     ];
-    for g in golden {
+    let mut observed = Vec::new();
+    for g in &golden {
         let words = 4096u64;
         let mut ag = AddressGenerator::new(DramModel::new(g.kind), words as usize, g.capacity);
         let mut rng = TraceRng::new(g.seed);
@@ -408,22 +431,19 @@ fn ag_completion_stream_is_bit_identical_to_golden() {
         for w in 0..words {
             fnv(&mut mem_hash, ag.peek(w).to_bits() as u64);
         }
-        let label = format!("{:?}/cap{}", g.kind, g.capacity);
-        assert_eq!(completed, g.completions, "{label} completion count drifted");
-        assert_eq!(hash, g.stream_hash, "{label} completion stream drifted");
-        assert_eq!(mem_hash, g.mem_hash, "{label} final memory drifted");
-        assert_eq!(
-            ag.bursts_fetched(),
-            g.fetched,
-            "{label} fetch count drifted"
-        );
-        assert_eq!(
-            ag.bursts_written(),
-            g.written,
-            "{label} writeback count drifted"
-        );
-        assert_eq!(ag.cycle(), g.cycle, "{label} drain cycle drifted");
+        observed.push(Golden {
+            kind: g.kind,
+            capacity: g.capacity,
+            seed: g.seed,
+            completions: completed,
+            stream_hash: hash,
+            mem_hash,
+            fetched: ag.bursts_fetched(),
+            written: ag.bursts_written(),
+            cycle: ag.cycle(),
+        });
     }
+    assert_golden("AG completion stream", &observed, &golden);
 }
 
 /// Golden pins for the butterfly shuffle network, routed both through
@@ -444,7 +464,8 @@ fn butterfly_route_is_bit_identical_to_golden() {
         (MergeShift::Full, 28, 117, 1869, 0xC9ED474EB83548CA),
     ];
     let mut scratch = RouteScratch::default();
-    for (shift, cycles, bypassed, entries, ports_hash) in golden {
+    let mut observed = Vec::new();
+    for &(shift, ..) in &golden {
         let cfg = ShuffleConfig {
             shift,
             ..Default::default()
@@ -476,16 +497,15 @@ fn butterfly_route_is_bit_identical_to_golden() {
             fnv(&mut hash, *v);
             fnv(&mut hash, *e);
         }
-        let name = shift.name();
-        assert_eq!(owned.cycles, cycles, "{name} cycles drifted");
-        assert_eq!(owned.bypassed, bypassed, "{name} bypass count drifted");
-        assert_eq!(
+        observed.push((
+            shift,
+            owned.cycles,
+            owned.bypassed,
             owned.delivered_entries.iter().sum::<u64>(),
-            entries,
-            "{name} delivered entries drifted"
-        );
-        assert_eq!(hash, ports_hash, "{name} per-port delivery drifted");
+            hash,
+        ));
     }
+    assert_golden("butterfly route", &observed, &golden);
 }
 
 /// Golden pins for a network-heavy (shuffle-routed) end-to-end
@@ -512,29 +532,23 @@ fn network_heavy_simulate_is_bit_identical_to_golden() {
             0x3FD8CA99ADD0B565,
         ),
     ];
-    for (mem, cycles, breakdown, util_bits) in golden {
-        let r = simulate(&wl, &CapstanConfig::new(mem));
-        let b = r.breakdown;
-        assert_eq!(
+    let observed: Vec<_> = golden
+        .iter()
+        .map(|&(mem, ..)| {
+            let r = simulate(&wl, &CapstanConfig::new(mem));
+            assert!(
+                r.breakdown.network > 0,
+                "workload must exercise the network path"
+            );
             (
+                mem,
                 r.cycles,
-                [
-                    b.active,
-                    b.scan,
-                    b.load_store,
-                    b.vector_length,
-                    b.imbalance,
-                    b.network,
-                    b.sram,
-                    b.dram
-                ]
-            ),
-            (cycles, breakdown),
-            "pr_edge_web/{mem:?} drifted"
-        );
-        assert!(b.network > 0, "workload must exercise the network path");
-        assert_eq!(r.sram_bank_utilization.to_bits(), util_bits);
-    }
+                components(&r.breakdown),
+                r.sram_bank_utilization.to_bits(),
+            )
+        })
+        .collect();
+    assert_golden("network-heavy PR-Edge simulate", &observed, &golden);
 }
 
 /// Golden pins for the banked cycle-level DRAM channel
@@ -542,7 +556,6 @@ fn network_heavy_simulate_is_bit_identical_to_golden() {
 /// stream (sequential runs interrupted by scattered bursts) must
 /// reproduce the exact completion sequence — `(tag, cycle)` hashed in
 /// order — plus the row/contention counters, on two memory configs.
-/// Captured via `examples/golden_capture_cyclemem.rs`.
 #[test]
 fn banked_channel_completion_stream_is_bit_identical_to_golden() {
     use capstan::arch::spmu::driver::TraceRng;
@@ -551,6 +564,7 @@ fn banked_channel_completion_stream_is_bit_identical_to_golden() {
         BankTiming, BankedDramChannel, BurstRequest, DramModel, MemoryKind as SimMem, BURST_BYTES,
     };
 
+    #[derive(Debug, PartialEq)]
     struct Golden {
         kind: SimMem,
         seed: u64,
@@ -586,7 +600,8 @@ fn banked_channel_completion_stream_is_bit_identical_to_golden() {
             peak_q: 9,
         },
     ];
-    for g in golden {
+    let mut observed = Vec::new();
+    for g in &golden {
         let model = DramModel::new(g.kind);
         let mut ch = BankedDramChannel::new(model, BankTiming::for_model(&model));
         let mut rng = TraceRng::new(g.seed);
@@ -621,30 +636,28 @@ fn banked_channel_completion_stream_is_bit_identical_to_golden() {
                 break;
             }
         }
-        let label = format!("{:?}", g.kind);
-        assert_eq!(completed, total, "{label} lost completions");
-        assert_eq!(hash, g.stream_hash, "{label} completion stream drifted");
-        assert_eq!(ch.cycle(), g.cycle, "{label} drain cycle drifted");
+        assert_eq!(completed, total, "{:?} lost completions", g.kind);
         let s = ch.stats();
-        assert_eq!(s.row_hits, g.row_hits, "{label} row hits drifted");
-        assert_eq!(
-            s.row_conflicts, g.row_conflicts,
-            "{label} row conflicts drifted"
-        );
-        assert_eq!(
-            s.contention_cycles, g.contention,
-            "{label} contention drifted"
-        );
-        assert_eq!(s.bank_busy_cycles, g.busy, "{label} occupancy drifted");
-        assert_eq!(s.peak_bank_queue, g.peak_q, "{label} peak queue drifted");
+        observed.push(Golden {
+            kind: g.kind,
+            seed: g.seed,
+            stream_hash: hash,
+            cycle: ch.cycle(),
+            row_hits: s.row_hits,
+            row_conflicts: s.row_conflicts,
+            contention: s.contention_cycles,
+            busy: s.bank_busy_cycles,
+            peak_q: s.peak_bank_queue,
+        });
     }
+    assert_golden("banked channel completion stream", &observed, &golden);
 }
 
 /// Golden pins for an atomic-heavy end-to-end simulate under the
 /// cycle-level memory mode: edge-centric PageRank with the shuffle
 /// network removed (Table 11's "None" column) pushes every cross-tile
 /// update through DRAM atomics, exercising the AG slab behind
-/// `MemSysSim`. Captured via `examples/golden_capture_cyclemem.rs`.
+/// `MemSysSim`.
 #[test]
 fn cycle_level_atomic_pagerank_is_bit_identical_to_golden() {
     use capstan::core::config::MemTiming;
@@ -660,6 +673,7 @@ fn cycle_level_atomic_pagerank_is_bit_identical_to_golden() {
     let wl = app.build(&mk(MemoryKind::Hbm2e));
     // (memory, cycles, [active, scan, ls, vl, imb, net, sram, dram],
     //  mem cycles, row conflicts, contention, ag fetched, ag written)
+    #[derive(Debug, PartialEq)]
     struct Golden {
         memory: MemoryKind,
         cycles: u64,
@@ -692,47 +706,25 @@ fn cycle_level_atomic_pagerank_is_bit_identical_to_golden() {
             ag_written: 36_790,
         },
     ];
-    for g in golden {
-        let r = simulate(&wl, &mk(g.memory));
-        let b = r.breakdown;
-        assert_eq!(
-            (
-                r.cycles,
-                [
-                    b.active,
-                    b.scan,
-                    b.load_store,
-                    b.vector_length,
-                    b.imbalance,
-                    b.network,
-                    b.sram,
-                    b.dram
-                ]
-            ),
-            (g.cycles, g.breakdown),
-            "pr_edge_atomics/{:?} drifted",
-            g.memory
-        );
-        let m = r.mem.expect("cycle mode surfaces stats");
-        assert_eq!(m.cycles, g.mem_cycles, "{:?} mem cycles drifted", g.memory);
-        assert_eq!(
-            m.row_conflicts, g.row_conflicts,
-            "{:?} row conflicts drifted",
-            g.memory
-        );
-        assert_eq!(
-            m.contention_cycles, g.contention,
-            "{:?} contention drifted",
-            g.memory
-        );
-        assert_eq!(
-            (m.ag_bursts_fetched, m.ag_bursts_written),
-            (g.ag_fetched, g.ag_written),
-            "{:?} AG burst counts drifted",
-            g.memory
-        );
-        assert!(m.atomic_words > 0, "workload must exercise the atomic path");
-    }
+    let observed: Vec<_> = golden
+        .iter()
+        .map(|g| {
+            let r = simulate(&wl, &mk(g.memory));
+            let m = r.mem.expect("cycle mode surfaces stats");
+            assert!(m.atomic_words > 0, "workload must exercise the atomic path");
+            Golden {
+                memory: g.memory,
+                cycles: r.cycles,
+                breakdown: components(&r.breakdown),
+                mem_cycles: m.cycles,
+                row_conflicts: m.row_conflicts,
+                contention: m.contention_cycles,
+                ag_fetched: m.ag_bursts_fetched,
+                ag_written: m.ag_bursts_written,
+            }
+        })
+        .collect();
+    assert_golden("cycle-level atomic PR-Edge simulate", &observed, &golden);
 }
 
 /// Golden pins for the *recorded-address* cycle-level mode
@@ -741,8 +733,7 @@ fn cycle_level_atomic_pagerank_is_bit_identical_to_golden() {
 /// fallback replays the recorder's real sampled destination vertices —
 /// power-law hubs revisit open bursts, so the AGs fetch less than half
 /// the bursts and the drain is 1.7–2.2x faster than the uniform
-/// synthetic spray. Captured via `examples/golden_capture_cyclemem.rs`
-/// (the `+rec` rows).
+/// synthetic spray.
 #[test]
 fn recorded_address_pagerank_is_bit_identical_to_golden() {
     use capstan::core::config::{MemAddressing, MemTiming};
@@ -757,6 +748,7 @@ fn recorded_address_pagerank_is_bit_identical_to_golden() {
         cfg
     };
     let wl = app.build(&mk(MemoryKind::Hbm2e));
+    #[derive(Debug, PartialEq)]
     struct Golden {
         memory: MemoryKind,
         cycles: u64,
@@ -789,46 +781,32 @@ fn recorded_address_pagerank_is_bit_identical_to_golden() {
             ag_written: 17_074,
         },
     ];
-    for g in golden {
-        let r = simulate(&wl, &mk(g.memory));
-        let b = r.breakdown;
-        assert_eq!(
-            (r.cycles, b.dram),
-            (g.cycles, g.dram),
-            "pr_edge_recorded/{:?} drifted",
-            g.memory
-        );
-        // The non-DRAM components must match the synthetic-mode pins:
-        // recorded addressing only changes where scattered words land.
-        assert_eq!(
-            [
-                b.active,
-                b.scan,
-                b.load_store,
-                b.vector_length,
-                b.imbalance,
-                b.network,
-                b.sram
-            ],
-            [102, 0, 90, 0, 221, 0, 306],
-            "pr_edge_recorded/{:?} non-DRAM components drifted",
-            g.memory
-        );
-        let m = r.mem.expect("cycle mode surfaces stats");
-        assert_eq!(m.cycles, g.mem_cycles, "{:?} mem cycles drifted", g.memory);
-        assert_eq!(
-            (m.row_conflicts, m.contention_cycles),
-            (g.row_conflicts, g.contention),
-            "{:?} channel counters drifted",
-            g.memory
-        );
-        assert_eq!(
-            (m.ag_bursts_fetched, m.ag_bursts_written),
-            (g.ag_fetched, g.ag_written),
-            "{:?} AG burst counts drifted",
-            g.memory
-        );
-    }
+    let observed: Vec<_> = golden
+        .iter()
+        .map(|g| {
+            let r = simulate(&wl, &mk(g.memory));
+            // The non-DRAM components must match the synthetic-mode pins:
+            // recorded addressing only changes where scattered words land.
+            assert_eq!(
+                components(&r.breakdown)[..7],
+                [102, 0, 90, 0, 221, 0, 306],
+                "pr_edge_recorded/{:?} non-DRAM components drifted",
+                g.memory
+            );
+            let m = r.mem.expect("cycle mode surfaces stats");
+            Golden {
+                memory: g.memory,
+                cycles: r.cycles,
+                dram: r.breakdown.dram,
+                mem_cycles: m.cycles,
+                row_conflicts: m.row_conflicts,
+                contention: m.contention_cycles,
+                ag_fetched: m.ag_bursts_fetched,
+                ag_written: m.ag_bursts_written,
+            }
+        })
+        .collect();
+    assert_golden("recorded-address PR-Edge simulate", &observed, &golden);
 }
 
 #[test]
