@@ -43,6 +43,23 @@ pub struct BenchEntry {
     pub cycles_per_second: f64,
 }
 
+impl BenchEntry {
+    /// A row for `name` from its wall time and simulated cycles, with
+    /// the throughput computed here (zero for a wall time of zero).
+    pub fn new(name: String, wall_seconds: f64, simulated_cycles: u64) -> BenchEntry {
+        BenchEntry {
+            name,
+            wall_seconds,
+            simulated_cycles,
+            cycles_per_second: if wall_seconds > 0.0 {
+                simulated_cycles as f64 / wall_seconds
+            } else {
+                0.0
+            },
+        }
+    }
+}
+
 /// A parsed `BENCH_core.json` record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {

@@ -139,7 +139,7 @@ impl MemAddressing {
 /// order. Rows with different suffixes form separate record groups
 /// (their simulated cycles intentionally differ), so every place that
 /// names a row — the `experiments` CLI, its resume journal, and the
-/// serving layer's shard/merge protocol — must derive the suffix
+/// serving layer's batch groups and served rows — must derive the suffix
 /// identically; this is the one definition they all share.
 pub fn mem_record_suffix(
     timing: MemTiming,

@@ -9,9 +9,10 @@
 //!             [--mem-tenants N] [--plan fixed|auto]
 //!             [--bench-out PATH] [--bench-base PATH] [--no-bench-out]
 //!             [--resume DIR]
-//! experiments --serve ADDR [--serve-shards N] [--serve-workdir DIR]
+//! experiments --serve ADDR [--serve-workdir DIR]
 //! experiments [NAMES...] --submit ADDR [--scale ...] [--mem ...]
-//!             [--mem-addresses ...] [--mem-channels N]
+//!             [--mem-addresses ...] [--mem-channels N] [--mem-tenants N]
+//!             [--plan fixed|auto]
 //! experiments --serve-stats ADDR | --serve-shutdown ADDR
 //! ```
 //!
@@ -45,9 +46,9 @@
 //! recorder's real sampled address vectors
 //! (`MemAddressing::Recorded`) and appends a `+rec` suffix.
 //! `--mem-channels N` sets the cycle-level mode's region-channel count
-//! (per-AG channels behind a crossbar; default 1) and, when N > 1,
-//! appends a `+chN` suffix for the same reason — a different topology
-//! simulates a different cycle count. `--mem-tenants N` sets the
+//! (per-AG channels behind a crossbar; default 1, at most 1024) and,
+//! when N > 1, appends a `+chN` suffix for the same reason — a
+//! different topology simulates a different cycle count. `--mem-tenants N` sets the
 //! cycle-level mode's memory-tenant count (tiles attributed round-robin
 //! to N tenants whose traffic interleaves through the driver; the
 //! default is 1) and, when N > 1, appends a `+mtN` suffix. The `+rec`,
@@ -61,7 +62,10 @@
 //! mixes per configuration and ignore the process defaults.) The suffix rules live in one place,
 //! `capstan_core::config::mem_record_suffix`, shared with the serving
 //! layer, so the CLI, the server, and the journal headers can never
-//! disagree on a row's record group. `--plan auto` routes the
+//! disagree on a row's record group. The run-configuration flags are
+//! parsed by the serving layer's codec (`capstan_serve::key::RunSpec`),
+//! so every value is checked against the same bounds, with the same
+//! message, as a `SUBMIT` field. `--plan auto` routes the
 //! format-generic experiment slots through the density-driven planner
 //! (`capstan_plan`): each matrix's statistics pick its sparse format
 //! via `TensorStats::suggest`, and every row gains a `+plan` suffix —
@@ -104,10 +108,11 @@
 //! (`capstan_serve`): it binds `ADDR`, prints
 //! `capstan-serve listening on <addr>` once ready, and answers
 //! newline-framed requests — batching compatible submissions, caching
-//! results content-addressed, and sharding batches across worker
-//! subprocesses (which are plain `--resume`/`--bench-out` invocations
-//! of this same binary). `--submit ADDR` is the matching client: it
-//! submits the named experiments (with the usual `--scale`/`--mem`/...
+//! results content-addressed, and running each batch group in one
+//! worker subprocess (a plain `--resume DIR --no-bench-out` invocation
+//! of this same binary, whose journal carries the results back).
+//! `--submit ADDR` is the matching client: it submits the named
+//! experiments (with the usual `--scale`/`--mem`/...
 //! flags describing the *request*, not this process) and prints the
 //! returned reports in command-line order — byte-identical to running
 //! the same experiments directly. `--serve-stats` prints the server's
@@ -128,15 +133,14 @@
 
 use capstan_bench::experiments as exp;
 use capstan_bench::gate::{self, BenchEntry, BenchRecord};
-use capstan_bench::Suite;
 use capstan_core::config::{
-    mem_record_suffix, set_default_mem_addressing, set_default_mem_channels,
-    set_default_mem_tenants, set_default_mem_timing, set_default_plan_mode, MemAddressing,
-    MemTiming, PlanMode,
+    set_default_mem_addressing, set_default_mem_channels, set_default_mem_tenants,
+    set_default_mem_timing, set_default_plan_mode, PlanMode,
 };
 use capstan_serve::client;
-use capstan_serve::key::RunSpec;
+use capstan_serve::key::{RunSpec, FIELDS};
 use capstan_serve::server::{Server, ServerConfig};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::time::Instant;
@@ -146,7 +150,7 @@ const USAGE: &str = "usage: experiments [NAMES...] \
 [--mem analytic|cycle] [--mem-addresses synthetic|recorded] [--mem-channels N] \
 [--mem-tenants N] [--plan fixed|auto] [--bench-out PATH] \
 [--bench-base PATH] [--no-bench-out] [--resume DIR]
-       experiments --serve ADDR [--serve-shards N] [--serve-workdir DIR]
+       experiments --serve ADDR [--serve-workdir DIR]
        experiments [NAMES...] --submit ADDR [--scale SPEC] [--mem MODE] \
 [--mem-addresses MODE] [--mem-channels N] [--mem-tenants N] [--plan fixed|auto]
        experiments --serve-stats ADDR
@@ -158,19 +162,11 @@ const USAGE: &str = "usage: experiments [NAMES...] \
 struct Cli {
     /// Experiment names in command-line order, `all` not yet expanded.
     which: Vec<String>,
-    /// Validated scale spec (default `medium`).
-    scale: Option<String>,
-    /// `--mem` override (last one wins, like the process setters).
-    mem: Option<MemTiming>,
-    /// `--mem-addresses` override.
-    mem_addresses: Option<MemAddressing>,
-    /// `--mem-channels` override.
-    mem_channels: Option<usize>,
-    /// `--mem-tenants` override.
-    mem_tenants: Option<usize>,
-    /// `--plan` override: `auto` routes format-generic experiment
-    /// slots through the density-driven planner and tags rows `+plan`.
-    plan: Option<PlanMode>,
+    /// The run configuration (`--scale`, `--mem`, ... `--plan`; the
+    /// last occurrence of a flag wins). Its experiment name is unused.
+    spec: RunSpec,
+    /// The `SUBMIT` keys of the run-configuration flags given.
+    given: BTreeSet<&'static str>,
     bench_out: Option<String>,
     bench_base: Option<String>,
     no_bench_out: bool,
@@ -184,8 +180,6 @@ struct Cli {
     serve_stats: Option<String>,
     /// `--serve-shutdown` server address.
     serve_shutdown: Option<String>,
-    /// `--serve-shards` worker-process cap per batch group.
-    serve_shards: Option<usize>,
     /// `--serve-workdir` scratch-directory override.
     serve_workdir: Option<String>,
 }
@@ -209,51 +203,12 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         }
     };
     while let Some(arg) = it.next() {
+        if let Some(&(key, flag, _)) = FIELDS.iter().find(|(_, flag, _)| flag == arg) {
+            cli.spec.set(key, &value(flag, &mut it)?)?;
+            cli.given.insert(key);
+            continue;
+        }
         match arg.as_str() {
-            "--scale" => {
-                let spec = value("--scale", &mut it)?;
-                Suite::parse(&spec)?;
-                cli.scale = Some(spec);
-            }
-            "--mem" => {
-                let raw = value("--mem", &mut it)?;
-                cli.mem = Some(
-                    MemTiming::parse(&raw)
-                        .ok_or_else(|| format!("unknown memory mode `{raw}` (analytic|cycle)"))?,
-                );
-            }
-            "--mem-addresses" => {
-                let raw = value("--mem-addresses", &mut it)?;
-                cli.mem_addresses = Some(MemAddressing::parse(&raw).ok_or_else(|| {
-                    format!("unknown addressing mode `{raw}` (synthetic|recorded)")
-                })?);
-            }
-            "--mem-channels" => {
-                let raw = value("--mem-channels", &mut it)?;
-                let n: usize = raw.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-                    format!("--mem-channels needs a positive integer, got `{raw}`")
-                })?;
-                cli.mem_channels = Some(n);
-            }
-            "--mem-tenants" => {
-                let raw = value("--mem-tenants", &mut it)?;
-                let max = capstan_core::config::MAX_TENANTS;
-                let n: usize = raw
-                    .parse()
-                    .ok()
-                    .filter(|&n| (1..=max).contains(&n))
-                    .ok_or_else(|| {
-                        format!("--mem-tenants needs an integer in 1..={max}, got `{raw}`")
-                    })?;
-                cli.mem_tenants = Some(n);
-            }
-            "--plan" => {
-                let raw = value("--plan", &mut it)?;
-                cli.plan = Some(
-                    PlanMode::parse(&raw)
-                        .ok_or_else(|| format!("unknown plan mode `{raw}` (fixed|auto)"))?,
-                );
-            }
             "--bench-out" => cli.bench_out = Some(value("--bench-out", &mut it)?),
             "--bench-base" => cli.bench_base = Some(value("--bench-base", &mut it)?),
             "--no-bench-out" => cli.no_bench_out = true,
@@ -262,13 +217,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--submit" => cli.submit = Some(value("--submit", &mut it)?),
             "--serve-stats" => cli.serve_stats = Some(value("--serve-stats", &mut it)?),
             "--serve-shutdown" => cli.serve_shutdown = Some(value("--serve-shutdown", &mut it)?),
-            "--serve-shards" => {
-                let raw = value("--serve-shards", &mut it)?;
-                let n: usize = raw.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-                    format!("--serve-shards needs a positive integer, got `{raw}`")
-                })?;
-                cli.serve_shards = Some(n);
-            }
             "--serve-workdir" => cli.serve_workdir = Some(value("--serve-workdir", &mut it)?),
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag `{other}`"));
@@ -302,20 +250,15 @@ fn check_modes(cli: &Cli) -> Result<(), String> {
     if picked.len() > 1 {
         return Err(format!("{} are mutually exclusive", picked.join(" and ")));
     }
-    if (cli.serve_shards.is_some() || cli.serve_workdir.is_some()) && cli.serve.is_none() {
-        return Err("--serve-shards/--serve-workdir only apply with --serve".to_string());
+    if cli.serve_workdir.is_some() && cli.serve.is_none() {
+        return Err("--serve-workdir only applies with --serve".to_string());
     }
     if cli.serve.is_some() || cli.serve_stats.is_some() || cli.serve_shutdown.is_some() {
         let mode = picked[0];
         if !cli.which.is_empty() {
             return Err(format!("{mode} takes no experiment names"));
         }
-        if cli.scale.is_some()
-            || cli.mem.is_some()
-            || cli.mem_addresses.is_some()
-            || cli.mem_channels.is_some()
-            || cli.mem_tenants.is_some()
-            || cli.plan.is_some()
+        if !cli.given.is_empty()
             || cli.bench_out.is_some()
             || cli.bench_base.is_some()
             || cli.no_bench_out
@@ -339,20 +282,12 @@ fn check_modes(cli: &Cli) -> Result<(), String> {
         );
     }
     // A planned submission delegates the memory configuration to the
-    // server (the protocol enforces the same rule on the wire); a
-    // hand-spelled configuration alongside `--plan auto` would be
-    // silently overridden by the planner. Direct (local) runs keep the
-    // combination: the server's own workers are spawned with the
-    // materialized flags plus `--plan auto` for the row suffix.
-    if cli.submit.is_some()
-        && cli.plan == Some(PlanMode::Auto)
-        && (cli.mem.is_some() || cli.mem_addresses.is_some() || cli.mem_channels.is_some())
-    {
-        return Err(
-            "--submit --plan auto cannot combine with --mem/--mem-addresses/--mem-channels \
-             (the server's planner chooses the memory configuration)"
-                .to_string(),
-        );
+    // server, under the same rule the protocol enforces on the wire.
+    // Direct (local) runs keep the combination: the server's own
+    // workers are spawned with the materialized flags plus `--plan
+    // auto` for the row suffix.
+    if cli.submit.is_some() {
+        cli.spec.check_planned(|key| cli.given.contains(key))?;
     }
     Ok(())
 }
@@ -416,21 +351,6 @@ fn bench_json(scale: &str, records: &[BenchEntry]) -> String {
     json
 }
 
-/// A fresh bench row: the suffixed name plus the computed throughput
-/// (zero for experiments whose wall time rounds to zero).
-fn entry_row(name: &str, suffix: &str, wall_seconds: f64, simulated_cycles: u64) -> BenchEntry {
-    BenchEntry {
-        name: format!("{name}{suffix}"),
-        wall_seconds,
-        simulated_cycles,
-        cycles_per_second: if wall_seconds > 0.0 {
-            simulated_cycles as f64 / wall_seconds
-        } else {
-            0.0
-        },
-    }
-}
-
 /// `--serve`: bind, announce readiness on stdout, run until a shutdown
 /// request.
 fn run_server(cli: &Cli) -> ! {
@@ -447,10 +367,7 @@ fn run_server(cli: &Cli) -> ! {
         .unwrap_or_else(|| {
             std::env::temp_dir().join(format!("capstan-serve-{}", std::process::id()))
         });
-    let mut config = ServerConfig::new(worker_exe, work_dir);
-    if let Some(n) = cli.serve_shards {
-        config.shards = n;
-    }
+    let config = ServerConfig::new(worker_exe, work_dir);
     let server =
         Server::bind(addr, config).unwrap_or_else(|e| die(&format!("cannot bind {addr}: {e}")));
     let local = server
@@ -469,7 +386,6 @@ fn run_server(cli: &Cli) -> ! {
 /// bytes a direct run of the same names would print.
 fn run_submit(cli: &Cli) -> ! {
     let addr = cli.submit.as_deref().expect("submit mode");
-    let scale = cli.scale.clone().unwrap_or_else(|| "medium".to_string());
     let mut which = cli.which.clone();
     if which.is_empty() {
         which.push("all".to_string());
@@ -480,23 +396,17 @@ fn run_submit(cli: &Cli) -> ! {
     // stands in for the sweep: its stats are a pure function of the
     // scale spec, so identical submissions plan — and content-address —
     // identically.
-    let stats = (cli.plan == Some(PlanMode::Auto)).then(|| {
-        let suite = Suite::parse(&scale).unwrap_or_else(|e| die(&e));
+    let mut base = cli.spec.clone();
+    if base.plan == PlanMode::Auto {
+        let suite = base.suite().unwrap_or_else(|e| die(&e));
         let m = capstan_tensor::gen::Dataset::Ckt11752.generate_scaled(suite.la_scale);
-        capstan_tensor::stats::TensorStats::compute(&m).encode()
-    });
+        base.stats = Some(capstan_tensor::stats::TensorStats::compute(&m).encode());
+    }
     let specs: Vec<RunSpec> = expand_and_dedup(&which)
-        .iter()
-        .map(|name| {
-            let mut spec = RunSpec::new(name);
-            spec.scale = scale.clone();
-            spec.mem = cli.mem.unwrap_or_default();
-            spec.addresses = cli.mem_addresses.unwrap_or_default();
-            spec.channels = cli.mem_channels.unwrap_or(1);
-            spec.tenants = cli.mem_tenants.unwrap_or(1);
-            spec.plan = cli.plan.unwrap_or_default();
-            spec.stats = stats.clone();
-            spec
+        .into_iter()
+        .map(|experiment| RunSpec {
+            experiment,
+            ..base.clone()
         })
         .collect();
     // Concurrent submissions land in the server's linger window and
@@ -555,36 +465,15 @@ fn main() {
         }
     }
 
-    let scale_name = cli.scale.unwrap_or_else(|| "medium".to_string());
-    let suite = match Suite::parse(&scale_name) {
-        Ok(suite) => suite,
-        Err(e) => die(&e),
-    };
-    // Setters follow the last flag occurrence (parse keeps
-    // last-one-wins semantics); the bench-row suffix comes from the
-    // shared `mem_record_suffix` rule.
-    if let Some(mode) = cli.mem {
-        set_default_mem_timing(mode);
-    }
-    if let Some(mode) = cli.mem_addresses {
-        set_default_mem_addressing(mode);
-    }
-    if let Some(n) = cli.mem_channels {
-        set_default_mem_channels(n);
-    }
-    if let Some(n) = cli.mem_tenants {
-        set_default_mem_tenants(n);
-    }
-    if let Some(mode) = cli.plan {
-        set_default_plan_mode(mode);
-    }
-    let suffix = mem_record_suffix(
-        cli.mem.unwrap_or_default(),
-        cli.mem_addresses.unwrap_or_default(),
-        cli.mem_channels.unwrap_or(1),
-        cli.mem_tenants.unwrap_or(1),
-        cli.plan.unwrap_or_default(),
-    );
+    let spec = cli.spec;
+    let suite = spec.suite().unwrap_or_else(|e| die(&e));
+    set_default_mem_timing(spec.mem);
+    set_default_mem_addressing(spec.addresses);
+    set_default_mem_channels(spec.channels);
+    set_default_mem_tenants(spec.tenants);
+    set_default_plan_mode(spec.plan);
+    let suffix = spec.suffix();
+    let scale_name = spec.scale;
 
     let mut which = cli.which;
     if which.is_empty() {
@@ -639,9 +528,8 @@ fn main() {
                 Err(e) => die(&e),
             };
             print!("{report}");
-            records.push(entry_row(
-                name,
-                &suffix,
+            records.push(BenchEntry::new(
+                format!("{name}{suffix}"),
                 entry.wall_seconds,
                 entry.simulated_cycles,
             ));
@@ -662,7 +550,11 @@ fn main() {
                         die(&e);
                     }
                 }
-                records.push(entry_row(name, &suffix, wall_seconds, simulated_cycles));
+                records.push(BenchEntry::new(
+                    format!("{name}{suffix}"),
+                    wall_seconds,
+                    simulated_cycles,
+                ));
             }
             None => {
                 eprintln!("unknown experiment `{name}`");
@@ -714,6 +606,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use capstan_core::config::{MemAddressing, MemTiming};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -738,11 +631,15 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(cli.which, vec!["fig7"]);
-        assert_eq!(cli.scale.as_deref(), Some("small"));
-        assert_eq!(cli.mem, Some(MemTiming::CycleLevel));
-        assert_eq!(cli.mem_addresses, Some(MemAddressing::Recorded));
-        assert_eq!(cli.mem_channels, Some(4));
-        assert_eq!(cli.mem_tenants, Some(2));
+        assert_eq!(cli.spec.scale, "small");
+        assert_eq!(cli.spec.mem, MemTiming::CycleLevel);
+        assert_eq!(cli.spec.addresses, MemAddressing::Recorded);
+        assert_eq!(cli.spec.channels, 4);
+        assert_eq!(cli.spec.tenants, 2);
+        assert_eq!(
+            cli.given,
+            BTreeSet::from(["scale", "mem", "addresses", "channels", "tenants"])
+        );
         assert_eq!(cli.bench_out.as_deref(), Some("OUT.json"));
         assert!(!cli.no_bench_out);
     }
@@ -755,10 +652,7 @@ mod tests {
             "la=0.04,graph=0.015,spmspm=0.5,conv=0.1",
         ]))
         .unwrap();
-        assert_eq!(
-            cli.scale.as_deref(),
-            Some("la=0.04,graph=0.015,spmspm=0.5,conv=0.1")
-        );
+        assert_eq!(cli.spec.scale, "la=0.04,graph=0.015,spmspm=0.5,conv=0.1");
         assert!(parse_args(&args(&["--scale", "la=NaN,graph=1,spmspm=1,conv=1"])).is_err());
         assert!(parse_args(&args(&["--scale", "la=inf,graph=1,spmspm=1,conv=1"])).is_err());
     }
@@ -795,7 +689,6 @@ mod tests {
             "--submit",
             "--serve-stats",
             "--serve-shutdown",
-            "--serve-shards",
             "--serve-workdir",
         ] {
             let err = parse_args(&args(&[flag])).unwrap_err();
@@ -821,7 +714,12 @@ mod tests {
         assert!(parse_args(&args(&["--mem-channels", "many"])).is_err());
         assert!(parse_args(&args(&["--mem-tenants", "0"])).is_err());
         assert!(parse_args(&args(&["--mem-tenants", "99"])).is_err());
-        assert!(parse_args(&args(&["--serve", "a:1", "--serve-shards", "0"])).is_err());
+        // The channel bound is the wire's, with the wire's message: a
+        // count past it is refused up front, not left to exhaust memory.
+        let err = parse_args(&args(&["--mem-channels", "1025"])).unwrap_err();
+        assert_eq!(err, "channels must be an integer in 1..=1024, got `1025`");
+        let cli = parse_args(&args(&["--mem-channels", "1024"])).unwrap();
+        assert_eq!(cli.spec.channels, 1024);
     }
 
     #[test]
@@ -841,9 +739,9 @@ mod tests {
         assert!(err.contains("takes no run flags"), "{err}");
         let err = parse_args(&args(&["--serve-stats", "a:1", "--scale", "small"])).unwrap_err();
         assert!(err.contains("takes no run flags"), "{err}");
-        // The serve tuning flags only mean something to a server.
-        let err = parse_args(&args(&["fig7", "--serve-shards", "2"])).unwrap_err();
-        assert!(err.contains("only apply with --serve"), "{err}");
+        // The serve scratch directory only means something to a server.
+        let err = parse_args(&args(&["fig7", "--serve-workdir", "w"])).unwrap_err();
+        assert!(err.contains("only applies with --serve"), "{err}");
     }
 
     #[test]
@@ -853,7 +751,7 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(cli.submit.as_deref(), Some("a:1"));
-        assert_eq!(cli.mem, Some(MemTiming::CycleLevel));
+        assert_eq!(cli.spec.mem, MemTiming::CycleLevel);
         for bad in [
             vec!["--submit", "a:1", "--resume", "jdir"],
             vec!["--submit", "a:1", "--bench-out", "OUT.json"],
@@ -868,13 +766,13 @@ mod tests {
     #[test]
     fn repeated_flags_keep_last_one_wins() {
         let cli = parse_args(&args(&["--mem", "cycle", "--mem", "analytic"])).unwrap();
-        assert_eq!(cli.mem, Some(MemTiming::Analytic));
+        assert_eq!(cli.spec.mem, MemTiming::Analytic);
     }
 
     #[test]
     fn plan_flag_parses_and_is_policed_per_mode() {
         let cli = parse_args(&args(&["planner", "--plan", "auto"])).unwrap();
-        assert_eq!(cli.plan, Some(PlanMode::Auto));
+        assert_eq!(cli.spec.plan, PlanMode::Auto);
         assert!(parse_args(&args(&["--plan", "maybe"])).is_err());
         assert!(parse_args(&args(&["--plan"])).is_err());
         // Direct runs may combine --plan auto with memory flags (the
@@ -904,7 +802,10 @@ mod tests {
             ],
         ] {
             let err = parse_args(&args(&bad)).unwrap_err();
-            assert!(err.contains("--submit --plan auto"), "{bad:?}: {err}");
+            assert!(
+                err.contains("plan=auto chooses the memory configuration"),
+                "{bad:?}: {err}"
+            );
         }
         // --plan fixed alongside memory flags stays fine in submit mode.
         assert!(parse_args(&args(&[
@@ -916,6 +817,51 @@ mod tests {
         assert!(err.contains("takes no run flags"), "{err}");
         let err = parse_args(&args(&["--serve-stats", "a:1", "--plan", "auto"])).unwrap_err();
         assert!(err.contains("takes no run flags"), "{err}");
+    }
+
+    #[test]
+    fn worker_command_lines_parse_back_to_their_spec() {
+        // Every combination of the configuration fields, as the server
+        // materializes it (a planned spec carries its planned fields).
+        let mut specs = vec![RunSpec::default()];
+        for (key, values) in [
+            (
+                "scale",
+                ["small", "la=0.04,graph=0.015,spmspm=0.5,conv=0.1"],
+            ),
+            ("mem", ["analytic", "cycle"]),
+            ("addresses", ["synthetic", "recorded"]),
+            ("channels", ["1", "4"]),
+            ("tenants", ["1", "2"]),
+            ("plan", ["fixed", "auto"]),
+        ] {
+            specs = specs
+                .iter()
+                .flat_map(|spec| {
+                    values.map(|value| {
+                        let mut spec = spec.clone();
+                        spec.set(key, value).expect("an accepted value");
+                        spec
+                    })
+                })
+                .collect();
+        }
+        assert_eq!(specs.len(), 64);
+        for spec in specs {
+            let line: Vec<String> = capstan_serve::server::worker_args(
+                &["table13-atomics", "fig7"],
+                &spec,
+                std::path::Path::new("journal"),
+            )
+            .into_iter()
+            .map(|a| a.into_string().expect("utf-8 argument"))
+            .collect();
+            let cli = parse_args(&line).unwrap();
+            assert_eq!(cli.spec, spec, "{line:?}");
+            assert_eq!(cli.which, args(&["table13-atomics", "fig7"]));
+            assert_eq!(cli.resume.as_deref(), Some("journal"));
+            assert!(cli.no_bench_out && cli.bench_out.is_none());
+        }
     }
 
     #[test]

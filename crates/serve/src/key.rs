@@ -9,17 +9,50 @@
 //! patterns, so the key is
 //! invariant under request-field reordering and alternative float
 //! spellings, and distinct under any single-field change.
+//!
+//! [`RunSpec`] is also the one codec for a run's configuration.
+//! [`FIELDS`] maps each `SUBMIT` key to its `experiments` flag and
+//! spells its value; [`RunSpec::set`] parses and validates a value.
+//! The wire parser, the `experiments` flag parser, `format_submit` and
+//! the server's worker command line all go through them, so a
+//! configuration the server accepts is one its worker parses back to
+//! the same spec.
 
 use capstan_bench::Suite;
-use capstan_core::config::{mem_record_suffix, MemAddressing, MemTiming, PlanMode};
+use capstan_core::config::{mem_record_suffix, MemAddressing, MemTiming, PlanMode, MAX_TENANTS};
 use capstan_sim::snapshot::{fnv1a_64, SnapshotWriter};
 
 /// Versioned domain tag mixed into every cache key; bump on any change
 /// to the canonical encoding so stale keys can never alias new ones.
 const KEY_TAG: &str = "capstan-serve-key/v3";
 
+/// Upper bound on `channels` — the widest topology the memory model is
+/// exercised at, with headroom; an absurd channel count would otherwise
+/// make a run allocate per-channel state unboundedly.
+pub const MAX_CHANNELS: usize = 1024;
+
+/// One run-configuration field: its `SUBMIT` key, its `experiments`
+/// flag, and how a spec spells its value (the spelling
+/// [`RunSpec::set`] parses back).
+pub type Field = (&'static str, &'static str, fn(&RunSpec) -> String);
+
+/// Every run-configuration field, in canonical order.
+pub const FIELDS: [Field; 6] = [
+    ("scale", "--scale", |s| s.scale.clone()),
+    ("mem", "--mem", |s| s.mem.tag().to_string()),
+    ("addresses", "--mem-addresses", |s| {
+        s.addresses.tag().to_string()
+    }),
+    ("channels", "--mem-channels", |s| s.channels.to_string()),
+    ("tenants", "--mem-tenants", |s| s.tenants.to_string()),
+    ("plan", "--plan", |s| s.plan.tag().to_string()),
+];
+
+/// The fields a `plan=auto` submission leaves to the server's planner.
+pub const PLANNED: [&str; 3] = ["mem", "addresses", "channels"];
+
 /// One fully specified experiment request: the unit the server queues,
-/// batches, caches, and shards.
+/// batches, and caches.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     /// Experiment name (`table4` ... `extensions`); validated against
@@ -53,6 +86,13 @@ pub struct RunSpec {
     pub stats: Option<String>,
 }
 
+impl Default for RunSpec {
+    /// A spec with no experiment and every other field at its default.
+    fn default() -> RunSpec {
+        RunSpec::new("")
+    }
+}
+
 impl RunSpec {
     /// A spec for `experiment` with every other field at the CLI
     /// default: `medium` scale, analytic timing, synthetic addressing,
@@ -68,6 +108,66 @@ impl RunSpec {
             plan: PlanMode::default(),
             stats: None,
         }
+    }
+
+    /// Sets the field with `SUBMIT` key `key` (see [`FIELDS`]) from its
+    /// spelling `value`. This is the one place a configuration value is
+    /// validated: the scale through [`Suite::parse`], the modes through
+    /// their tag parsers, `channels` in `1..=`[`MAX_CHANNELS`] and
+    /// `tenants` in `1..=`[`MAX_TENANTS`] (the memory driver's own cap,
+    /// checked up front so a bad count is a typed error, not a panic).
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        match key {
+            "scale" => {
+                Suite::parse(value)?;
+                self.scale = value.to_string();
+            }
+            "mem" => {
+                self.mem = MemTiming::parse(value)
+                    .ok_or_else(|| format!("unknown memory mode `{value}` (analytic|cycle)"))?;
+            }
+            "addresses" => {
+                self.addresses = MemAddressing::parse(value).ok_or_else(|| {
+                    format!("unknown addressing mode `{value}` (synthetic|recorded)")
+                })?;
+            }
+            "channels" => self.channels = count(key, value, MAX_CHANNELS)?,
+            "tenants" => self.tenants = count(key, value, MAX_TENANTS)?,
+            "plan" => {
+                self.plan = PlanMode::parse(value)
+                    .ok_or_else(|| format!("unknown plan mode `{value}` (fixed|auto)"))?;
+            }
+            _ => return Err(format!("`{key}` is not a run-configuration field")),
+        }
+        Ok(())
+    }
+
+    /// The `plan=auto` rule: a planned run leaves the [`PLANNED`] fields
+    /// to the planner, so it must not also spell one by hand (the
+    /// planner would silently override it). `given` says whether a
+    /// field was spelled.
+    pub fn check_planned(&self, given: impl Fn(&str) -> bool) -> Result<(), String> {
+        if self.plan != PlanMode::Auto {
+            return Ok(());
+        }
+        match FIELDS
+            .iter()
+            .find(|(key, ..)| PLANNED.contains(key) && given(key))
+        {
+            Some((key, flag, _)) => Err(format!(
+                "plan=auto chooses the memory configuration; drop `{key}=` (`{flag}`)"
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// The `experiments` flags spelling every field of this spec (the
+    /// server's worker command line).
+    pub fn flags(&self) -> Vec<String> {
+        FIELDS
+            .iter()
+            .flat_map(|(_, flag, spell)| [flag.to_string(), spell(self)])
+            .collect()
     }
 
     /// The parsed suite, or a message for an invalid scale spec.
@@ -120,6 +220,15 @@ impl RunSpec {
         write_str(&mut w, self.plan.tag());
         Ok(fnv1a_64(w.as_bytes()))
     }
+}
+
+/// Parses a count in `1..=max` for field `key`.
+fn count(key: &str, value: &str, max: usize) -> Result<usize, String> {
+    value
+        .parse()
+        .ok()
+        .filter(|n| (1..=max).contains(n))
+        .ok_or_else(|| format!("{key} must be an integer in 1..={max}, got `{value}`"))
 }
 
 /// Length-prefixed string write (the writer has primitive-only

@@ -21,16 +21,19 @@
 //!   memory configuration. A repeated request is served
 //!   from the cache without touching a core; concurrent duplicates
 //!   coalesce onto one in-flight job.
-//! * **Batching and sharding** ([`server`]): compatible queued requests
-//!   (same scale and memory configuration) are drained into one batch,
-//!   split across worker *processes* — each a plain `experiments`
-//!   invocation with a `--resume` journal and a `--bench-out` record —
-//!   run concurrently under `capstan_par::par_map`, and their
-//!   `BENCH`-schema record groups merged via `capstan_bench::gate::merge`.
-//! * **Crash-safe workers**: each shard runs under a `--resume`
-//!   journal from the resumable-harness layer, so a killed worker is
-//!   respawned and *resumes* — journaled rows replay byte-for-byte
-//!   instead of recomputing.
+//! * **Batching** ([`server`]): compatible queued requests (same scale
+//!   and memory configuration) are drained into one batch, and each
+//!   group runs in one worker *process* — a plain `experiments`
+//!   invocation with the spec's flags, a `--resume` journal and
+//!   `--no-bench-out`. Each served row and report is read back from
+//!   that journal.
+//! * **Crash-safe workers**: the journal comes from the
+//!   resumable-harness layer, so a killed worker is respawned and
+//!   *resumes* — journaled rows replay byte-for-byte instead of
+//!   recomputing.
+//! * **One codec** ([`key`]): [`key::RunSpec`] and its field table
+//!   spell a run's configuration for the wire, the CLI and the worker
+//!   command line, and validate every value in one place.
 //!
 //! The `experiments` binary (which lives in this crate so it can be
 //! both the first server and the first client) exposes the whole layer

@@ -48,12 +48,12 @@
 //! `ERR` line and closes the connection: never a panic, never a hung
 //! handler thread.
 
-use crate::key::RunSpec;
+use crate::key::{RunSpec, FIELDS, PLANNED};
 use capstan_bench::experiments as exp;
 use capstan_bench::gate::BenchEntry;
-use capstan_bench::Suite;
-use capstan_core::config::{MemAddressing, MemTiming, PlanMode};
+use capstan_core::config::PlanMode;
 use capstan_tensor::stats::TensorStats;
+use std::fmt::Write as _;
 use std::io::Read;
 
 /// Protocol magic + version token opening every frame; bump on any wire
@@ -68,16 +68,6 @@ pub const MAX_FRAME: usize = 4096;
 /// The largest real report (full `table12` at `large` scale) is tens of
 /// kilobytes; 16 MiB is paranoia headroom, not a target.
 pub const MAX_REPORT: usize = 16 << 20;
-
-/// Upper bound on `channels=` — matches the widest topology the memory
-/// model is exercised at, with headroom; a absurd channel count would
-/// otherwise make a worker allocate per-channel state unboundedly.
-pub const MAX_CHANNELS: usize = 1024;
-
-/// Upper bound on `tenants=` — the driver's own
-/// `capstan_arch::memdrv::MAX_TENANTS` cap, re-validated at the wire so
-/// a bad count is a typed request error instead of a worker panic.
-pub const MAX_TENANTS: usize = capstan_core::config::MAX_TENANTS;
 
 /// A parsed request frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -211,13 +201,11 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
 }
 
 /// Parses `SUBMIT` fields (any order, each at most once) into a
-/// [`RunSpec`], validating every value: the experiment name against the
-/// canonical list, the scale spec through [`Suite::parse`] (which
-/// rejects NaN/inf/non-positive factors), and the memory fields through
-/// their canonical-tag parsers.
+/// [`RunSpec`]: the experiment name against the canonical list, the
+/// stats blob through [`TensorStats::parse`], and every configuration
+/// field through [`RunSpec::set`].
 fn parse_submit(fields: &[&str]) -> Result<RunSpec, ProtoError> {
-    let mut spec = RunSpec::new("");
-    let mut seen_experiment = false;
+    let mut spec = RunSpec::default();
     let mut seen = std::collections::HashSet::new();
     for field in fields {
         let (key, value) = field.split_once('=').ok_or_else(|| {
@@ -226,7 +214,7 @@ fn parse_submit(fields: &[&str]) -> Result<RunSpec, ProtoError> {
                 truncate_for_log(field)
             ))
         })?;
-        if !seen.insert(key.to_string()) {
+        if !seen.insert(key) {
             return Err(ProtoError::BadRequest(format!(
                 "field `{key}` given more than once"
             )));
@@ -237,52 +225,6 @@ fn parse_submit(fields: &[&str]) -> Result<RunSpec, ProtoError> {
                     return Err(ProtoError::UnknownExperiment(value.to_string()));
                 }
                 spec.experiment = value.to_string();
-                seen_experiment = true;
-            }
-            "scale" => {
-                Suite::parse(value).map_err(ProtoError::BadRequest)?;
-                spec.scale = value.to_string();
-            }
-            "mem" => {
-                spec.mem = MemTiming::parse(value).ok_or_else(|| {
-                    ProtoError::BadRequest(format!(
-                        "unknown memory mode `{value}` (analytic|cycle)"
-                    ))
-                })?;
-            }
-            "addresses" => {
-                spec.addresses = MemAddressing::parse(value).ok_or_else(|| {
-                    ProtoError::BadRequest(format!(
-                        "unknown addressing mode `{value}` (synthetic|recorded)"
-                    ))
-                })?;
-            }
-            "channels" => {
-                spec.channels = value
-                    .parse()
-                    .ok()
-                    .filter(|n| (1..=MAX_CHANNELS).contains(n))
-                    .ok_or_else(|| {
-                        ProtoError::BadRequest(format!(
-                            "channels must be an integer in 1..={MAX_CHANNELS}, got `{value}`"
-                        ))
-                    })?;
-            }
-            "tenants" => {
-                spec.tenants = value
-                    .parse()
-                    .ok()
-                    .filter(|n| (1..=MAX_TENANTS).contains(n))
-                    .ok_or_else(|| {
-                        ProtoError::BadRequest(format!(
-                            "tenants must be an integer in 1..={MAX_TENANTS}, got `{value}`"
-                        ))
-                    })?;
-            }
-            "plan" => {
-                spec.plan = PlanMode::parse(value).ok_or_else(|| {
-                    ProtoError::BadRequest(format!("unknown plan mode `{value}` (fixed|auto)"))
-                })?;
             }
             "stats" => {
                 if TensorStats::parse(value).is_none() {
@@ -293,6 +235,9 @@ fn parse_submit(fields: &[&str]) -> Result<RunSpec, ProtoError> {
                 }
                 spec.stats = Some(value.to_string());
             }
+            _ if FIELDS.iter().any(|(k, ..)| *k == key) => {
+                spec.set(key, value).map_err(ProtoError::BadRequest)?;
+            }
             other => {
                 return Err(ProtoError::BadRequest(format!(
                     "unknown field `{}`",
@@ -301,61 +246,44 @@ fn parse_submit(fields: &[&str]) -> Result<RunSpec, ProtoError> {
             }
         }
     }
-    if !seen_experiment {
+    if !seen.contains("experiment") {
         return Err(ProtoError::BadRequest(
             "SUBMIT needs an experiment= field".to_string(),
         ));
     }
-    // Field-combination rules for planned submissions: `plan=auto`
-    // delegates the memory configuration to the server, so it must
-    // carry the statistics the planner needs and must not also spell a
-    // configuration by hand; a stray `stats=` on a fixed request would
-    // be silently ignored, which this protocol never does.
-    if spec.plan == PlanMode::Auto {
-        if spec.stats.is_none() {
-            return Err(ProtoError::BadRequest(
-                "plan=auto needs a stats= field".to_string(),
-            ));
-        }
-        for planned in ["mem", "addresses", "channels"] {
-            if seen.contains(planned) {
-                return Err(ProtoError::BadRequest(format!(
-                    "plan=auto chooses the memory configuration; drop `{planned}=`"
-                )));
-            }
-        }
-    } else if spec.stats.is_some() {
-        return Err(ProtoError::BadRequest(
+    // `plan=auto` delegates the memory configuration to the server, so
+    // it must carry the statistics the planner needs; a stray `stats=`
+    // on a fixed request would be silently ignored, which this protocol
+    // never does.
+    spec.check_planned(|key| seen.contains(key))
+        .map_err(ProtoError::BadRequest)?;
+    match (spec.plan, &spec.stats) {
+        (PlanMode::Auto, None) => Err(ProtoError::BadRequest(
+            "plan=auto needs a stats= field".to_string(),
+        )),
+        (PlanMode::Fixed, Some(_)) => Err(ProtoError::BadRequest(
             "stats= is only meaningful with plan=auto".to_string(),
-        ));
+        )),
+        _ => Ok(spec),
     }
-    Ok(spec)
 }
 
 /// Formats a `SUBMIT` frame for `spec` (canonical field order; the
-/// server accepts any order). Planned specs emit `plan=auto stats=...`
-/// and omit the memory-configuration fields the planner owns — the
-/// frame must satisfy the same combination rules `parse_submit`
-/// enforces.
+/// server accepts any order). Planned specs omit the [`PLANNED`] fields
+/// and carry `stats=` instead — the frame satisfies the same rules
+/// `parse_submit` enforces.
 pub fn format_submit(spec: &RunSpec) -> String {
-    if spec.plan == PlanMode::Auto {
-        return format!(
-            "{MAGIC} SUBMIT experiment={} scale={} tenants={} plan=auto stats={}\n",
-            spec.experiment,
-            spec.scale,
-            spec.tenants,
-            spec.stats.as_deref().unwrap_or("")
-        );
+    let mut line = format!("{MAGIC} SUBMIT experiment={}", spec.experiment);
+    for (key, _, spell) in &FIELDS {
+        if spec.plan == PlanMode::Fixed || !PLANNED.contains(key) {
+            let _ = write!(line, " {key}={}", spell(spec));
+        }
     }
-    format!(
-        "{MAGIC} SUBMIT experiment={} scale={} mem={} addresses={} channels={} tenants={}\n",
-        spec.experiment,
-        spec.scale,
-        spec.mem.tag(),
-        spec.addresses.tag(),
-        spec.channels,
-        spec.tenants
-    )
+    if let Some(stats) = &spec.stats {
+        let _ = write!(line, " stats={stats}");
+    }
+    line.push('\n');
+    line
 }
 
 /// The parsed `OK` response to a `SUBMIT`.
@@ -572,6 +500,7 @@ impl<R: Read> FrameReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use capstan_core::config::{MemAddressing, MemTiming};
 
     #[test]
     fn submit_fields_parse_in_any_order_with_defaults() {
@@ -665,16 +594,58 @@ mod tests {
         assert_eq!(mt.tenants, 2);
     }
 
+    /// Every combination of scale × mem × addresses × channels ∈ {1, 4}
+    /// × tenants ∈ {1, 2} × plan, each built through [`RunSpec::set`].
+    fn every_spec() -> Vec<RunSpec> {
+        let mut specs = vec![RunSpec::new("table13-atomics")];
+        for (key, values) in [
+            (
+                "scale",
+                ["small", "la=0.04,graph=0.015,spmspm=0.5,conv=0.1"],
+            ),
+            ("mem", ["analytic", "cycle"]),
+            ("addresses", ["synthetic", "recorded"]),
+            ("channels", ["1", "4"]),
+            ("tenants", ["1", "2"]),
+            ("plan", ["fixed", "auto"]),
+        ] {
+            specs = specs
+                .iter()
+                .flat_map(|spec| {
+                    values.map(|value| {
+                        let mut spec = spec.clone();
+                        spec.set(key, value).expect("an accepted value");
+                        spec
+                    })
+                })
+                .collect();
+        }
+        specs
+    }
+
     #[test]
-    fn request_round_trips_through_format_submit() {
-        let mut spec = RunSpec::new("table13-atomics");
-        spec.scale = "la=0.04,graph=0.015,spmspm=0.5,conv=0.1".to_string();
-        spec.mem = MemTiming::CycleLevel;
-        spec.channels = 4;
-        spec.tenants = 2;
-        let line = format_submit(&spec);
-        let parsed = parse_request(line.trim_end()).unwrap();
-        assert_eq!(parsed, Request::Submit(spec));
+    fn every_spec_round_trips_through_format_submit() {
+        for mut spec in every_spec() {
+            // A planned frame carries stats and leaves the planned
+            // fields to the server, so they arrive at their defaults.
+            let mut sent = spec.clone();
+            if spec.plan == PlanMode::Auto {
+                spec.stats = Some("s1:4:4:4:4:1:4:1:1:4".to_string());
+                sent = RunSpec {
+                    mem: MemTiming::default(),
+                    addresses: MemAddressing::default(),
+                    channels: 1,
+                    ..spec.clone()
+                };
+            }
+            let line = format_submit(&spec);
+            assert_eq!(
+                parse_request(line.trim_end()),
+                Ok(Request::Submit(sent)),
+                "{line}"
+            );
+        }
+        assert_eq!(every_spec().len(), 64);
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! The experiment server: queue → cache → batch → shard.
+//! The experiment server: queue → cache → batch → worker.
 //!
 //! One scheduler thread drains a pending-job queue in batches; each
-//! batch is grouped by *compatible configuration* — identical `(scale,
-//! mem, addresses, channels, tenants, plan)`, i.e. jobs that one `experiments`
-//! worker invocation can run together — and each group fans out across up to
-//! [`ServerConfig::shards`] worker **processes** driven concurrently by
-//! `capstan_par::par_map_threads`. Workers are plain `experiments`
-//! subprocess invocations with `--resume <journal>` and `--bench-out
-//! <record>`:
+//! batch is grouped by *compatible configuration* — equal scale and
+//! record suffix ([`RunSpec::suffix`], injective over the memory
+//! fields), i.e. jobs one `experiments` invocation can run together —
+//! and each group runs in one worker **process**: a plain `experiments`
+//! invocation with the group's [`RunSpec::flags`], `--resume <journal>`
+//! and `--no-bench-out`.
 //!
 //! * Per-request memory configuration needs no in-process plumbing —
 //!   the process-default setters (set-once by design) are set by each
@@ -15,10 +14,9 @@
 //! * Crash safety is inherited from the resumable-harness layer: a
 //!   worker that dies mid-sweep is respawned with the same journal
 //!   directory and *resumes*, replaying completed rows byte-for-byte.
-//! * Shard results are `BENCH`-schema record groups, merged with
-//!   [`gate::merge`] — the same loud-on-conflict merge the CLI's
-//!   `--bench-base` uses — so a duplicated or mis-suffixed row is a
-//!   server error, never a silently shadowed result.
+//! * The journal is also the one way back: each served row and report
+//!   is read from its entry (exact wall-time bits), so a fresh and a
+//!   resumed worker report the same way.
 //!
 //! Completed outcomes land in the content-addressed [`ResultCache`];
 //! every waiter on the job's key (the submitter plus any coalesced
@@ -28,16 +26,17 @@ use crate::cache::{JobOutcome, ResultCache};
 use crate::key::RunSpec;
 use crate::proto::{self, FrameReader, ProtoError, Request, MAGIC};
 use capstan_bench::experiments as exp;
-use capstan_bench::gate::{self, BenchRecord};
+use capstan_bench::gate::BenchEntry;
 use capstan_bench::journal::Journal;
-use capstan_core::config::{MemAddressing, MemTiming, PlanMode};
+use capstan_core::config::PlanMode;
 use capstan_plan::PlannedConfig;
 use capstan_tensor::stats::TensorStats;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ffi::OsString;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -49,11 +48,8 @@ pub struct ServerConfig {
     /// `std::env::current_exe()` — the binary is both server and
     /// worker).
     pub worker_exe: PathBuf,
-    /// Scratch directory for per-shard journals and bench records
-    /// (created on bind).
+    /// Scratch directory for per-group journals (created on bind).
     pub work_dir: PathBuf,
-    /// Maximum worker processes per compatibility group.
-    pub shards: usize,
     /// How long the scheduler lingers after the first pending job
     /// before draining the queue, so a burst of submissions lands in
     /// one batch.
@@ -61,18 +57,10 @@ pub struct ServerConfig {
     /// Per-connection socket read timeout (a stalled client gets
     /// [`ProtoError::Timeout`], never a hung handler thread).
     pub read_timeout: Duration,
-    /// Request-frame length cap.
-    pub max_frame: usize,
-    /// Extra environment for every worker spawn (test hook; applied
-    /// last, so it can override the server's own settings).
-    pub worker_env: Vec<(String, String)>,
     /// Fault-injection test knob: arm exactly one worker spawn (the
     /// first) with `CAPSTAN_FAULT_AFTER_CYCLES=<n>`, so it kills itself
     /// mid-sweep and exercises the respawn-and-resume path.
     pub fault_first_worker: Option<u64>,
-    /// Spawn attempts per shard before the jobs fail with
-    /// [`ProtoError::WorkerFailed`].
-    pub worker_attempts: u32,
 }
 
 impl ServerConfig {
@@ -82,16 +70,16 @@ impl ServerConfig {
         ServerConfig {
             worker_exe,
             work_dir,
-            shards: 1,
             batch_linger: Duration::from_millis(50),
             read_timeout: Duration::from_secs(10),
-            max_frame: proto::MAX_FRAME,
-            worker_env: Vec::new(),
             fault_first_worker: None,
-            worker_attempts: 3,
         }
     }
 }
+
+/// Spawn attempts per batch group before its jobs fail with
+/// [`ProtoError::WorkerFailed`].
+const WORKER_ATTEMPTS: u32 = 3;
 
 /// Upper bounds of the server-side latency buckets reported by `STATS`
 /// (accept to reply written), 4× apart, with their wire labels. Hits use
@@ -162,7 +150,7 @@ struct State {
     plan_cache: HashMap<String, PlannedConfig>,
 }
 
-/// Everything the scheduler, handlers, and shard runners share.
+/// Everything the scheduler and the handlers share.
 struct Shared {
     config: ServerConfig,
     /// The bound address: `SHUTDOWN` connects to it to wake `accept`.
@@ -294,7 +282,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, accepted: Instant)
     };
     let mut reader = FrameReader::new(reader_stream);
     let request = reader
-        .read_line(shared.config.max_frame)
+        .read_line(proto::MAX_FRAME)
         .and_then(|line| proto::parse_request(&line));
     let request_failed = request.is_err();
     let mut served = None;
@@ -541,18 +529,9 @@ fn deliver(st: &mut State, key: u64, outcome: Delivery) {
 
 /// Groups a batch by compatible configuration and runs each group.
 fn run_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
-    let mut groups: BTreeMap<String, Vec<Job>> = BTreeMap::new();
+    let mut groups: BTreeMap<(String, String), Vec<Job>> = BTreeMap::new();
     for job in batch {
-        let spec = &job.spec;
-        let compat = format!(
-            "{}\t{}\t{}\t{}\t{}\t{}",
-            spec.scale,
-            spec.mem.tag(),
-            spec.addresses.tag(),
-            spec.channels,
-            spec.tenants,
-            spec.plan.tag()
-        );
+        let compat = (job.spec.scale.clone(), job.spec.suffix());
         groups.entry(compat).or_default().push(job);
     }
     for jobs in groups.into_values() {
@@ -560,138 +539,84 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
     }
 }
 
-/// Runs one compatibility group: shards its experiments across worker
-/// processes, merges the shard records, and delivers per-job outcomes.
+/// Runs one compatibility group in one worker and delivers per-job
+/// outcomes read from the worker's journal.
 fn run_group(shared: &Arc<Shared>, jobs: Vec<Job>) {
     let group_id = shared.group_seq.fetch_add(1, Ordering::SeqCst);
-    let spec0 = jobs[0].spec.clone();
     // Canonical experiment order (ALL_NAMES position) so a group's
-    // shard assignment — and therefore its journals and records — is
-    // deterministic regardless of submission order. Jobs in one group
-    // always carry distinct experiments (identical specs coalesce
-    // upstream), but dedup anyway: running a name twice in one worker
-    // would write duplicate bench rows.
-    let mut names: Vec<String> = jobs.iter().map(|j| j.spec.experiment.clone()).collect();
+    // sweep — and therefore its journal — is deterministic regardless
+    // of submission order. Jobs in one group always carry distinct
+    // experiments (identical specs coalesce upstream), but dedup anyway:
+    // a name given twice runs once.
+    let mut names: Vec<&str> = jobs.iter().map(|j| j.spec.experiment.as_str()).collect();
     names.sort_by_key(|n| exp::ALL_NAMES.iter().position(|a| a == n));
     names.dedup();
-    let shard_count = shared.config.shards.clamp(1, names.len());
-    let mut shards: Vec<(usize, Vec<String>)> = (0..shard_count).map(|i| (i, Vec::new())).collect();
-    for (i, name) in names.iter().enumerate() {
-        shards[i % shard_count].1.push(name.clone());
-    }
-    let results = capstan_par::par_map_threads(&shards, shard_count, |(sidx, shard_names)| {
-        run_shard(shared, group_id, *sidx, shard_names, &spec0)
-    });
-
-    // Fold the shard records into one group record. gate::merge is the
-    // loud merge: duplicate names or conflicting scale metadata across
-    // shards fail the whole group rather than shadowing a row.
-    let mut merged: Option<BenchRecord> = None;
-    let mut reports: BTreeMap<String, String> = BTreeMap::new();
-    let mut group_err: Option<String> = None;
-    for result in results {
-        match result {
-            Ok((record, shard_reports)) => {
-                merged = Some(match merged.take() {
-                    None => record,
-                    Some(base) => match gate::merge(&base, &record) {
-                        Ok(m) => m,
-                        Err(e) => {
-                            group_err = Some(format!("shard records conflict: {e}"));
-                            break;
-                        }
-                    },
-                });
-                reports.extend(shard_reports);
-            }
-            Err(e) => {
-                group_err = Some(e);
-                break;
-            }
-        }
-    }
+    let journal = run_worker(shared, group_id, &names, &jobs[0].spec);
+    let outcomes: Vec<Delivery> = jobs
+        .iter()
+        .map(|job| match &journal {
+            Ok(journal) => served(journal, &job.spec)
+                .map(Arc::new)
+                .map_err(ProtoError::Internal),
+            Err(e) => Err(ProtoError::WorkerFailed(e.clone())),
+        })
+        .collect();
 
     let mut st = shared.state.lock().expect("state lock");
-    match (group_err, merged) {
-        (None, Some(record)) => {
-            for job in &jobs {
-                let row_name = job.spec.row_name();
-                let row = record.experiments.iter().find(|r| r.name == row_name);
-                let report = reports.get(&job.spec.experiment);
-                let outcome = match (row, report) {
-                    (Some(row), Some(report)) => Ok(Arc::new(JobOutcome {
-                        row: row.clone(),
-                        report: report.clone(),
-                    })),
-                    _ => Err(ProtoError::Internal(format!(
-                        "row `{row_name}` missing from the merged shard record"
-                    ))),
-                };
-                match &outcome {
-                    Ok(out) => st.cache.insert(job.key, Arc::clone(out)),
-                    Err(_) => st.counters.errors += 1,
-                }
-                deliver(&mut st, job.key, outcome);
-            }
+    for (job, outcome) in jobs.iter().zip(outcomes) {
+        match &outcome {
+            Ok(out) => st.cache.insert(job.key, Arc::clone(out)),
+            Err(_) => st.counters.errors += 1,
         }
-        (err, _) => {
-            let msg = err.unwrap_or_else(|| "no shard produced a record".to_string());
-            for job in &jobs {
-                st.counters.errors += 1;
-                deliver(&mut st, job.key, Err(ProtoError::WorkerFailed(msg.clone())));
-            }
-        }
+        deliver(&mut st, job.key, outcome);
     }
 }
 
-/// Runs one shard: spawns the worker process (respawning on failure up
-/// to the attempt cap — a worker killed mid-sweep resumes from its
-/// journal), then reads back the bench record and the per-experiment
-/// reports.
-fn run_shard(
+/// A job's outcome from its worker's journal entry: the bench row with
+/// the entry's exact wall-time bits, and the stored report.
+fn served(journal: &Journal, spec: &RunSpec) -> Result<JobOutcome, String> {
+    let entry = journal.completed(&spec.experiment).ok_or_else(|| {
+        format!(
+            "experiment `{}` missing from the worker's journal",
+            spec.experiment
+        )
+    })?;
+    Ok(JobOutcome {
+        row: BenchEntry::new(spec.row_name(), entry.wall_seconds, entry.simulated_cycles),
+        report: journal.report_text(&spec.experiment)?,
+    })
+}
+
+/// The worker command line for `names` under `spec`'s configuration,
+/// journaled in `journal_dir`.
+pub fn worker_args(names: &[&str], spec: &RunSpec, journal_dir: &Path) -> Vec<OsString> {
+    let mut args: Vec<OsString> = names.iter().map(OsString::from).collect();
+    args.extend(spec.flags().into_iter().map(OsString::from));
+    args.push("--resume".into());
+    args.push(journal_dir.into());
+    args.push("--no-bench-out".into());
+    args
+}
+
+/// Runs one group's worker process (respawning on failure up to
+/// [`WORKER_ATTEMPTS`] — a worker killed mid-sweep resumes from its
+/// journal) and returns the finished journal.
+fn run_worker(
     shared: &Arc<Shared>,
     group_id: u64,
-    sidx: usize,
-    names: &[String],
-    spec0: &RunSpec,
-) -> Result<(BenchRecord, Vec<(String, String)>), String> {
+    names: &[&str],
+    spec: &RunSpec,
+) -> Result<Journal, String> {
     let cfg = &shared.config;
-    let dir = cfg.work_dir.join(format!("group{group_id}-s{sidx}"));
-    let journal_dir = dir.join("journal");
-    let bench_path = dir.join("BENCH.json");
-    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let suffix = spec0.suffix();
-    let attempts = cfg.worker_attempts.max(1);
+    let journal_dir = cfg.work_dir.join(format!("group{group_id}"));
+    let open = || Journal::open_or_create(&journal_dir, &spec.scale, &spec.suffix());
     let mut last_err = String::new();
-    for attempt in 0..attempts {
+    for attempt in 0..WORKER_ATTEMPTS {
         let mut cmd = std::process::Command::new(&cfg.worker_exe);
-        cmd.args(names.iter()).arg("--scale").arg(&spec0.scale);
-        if spec0.mem == MemTiming::CycleLevel {
-            cmd.args(["--mem", "cycle"]);
-        }
-        if spec0.addresses == MemAddressing::Recorded {
-            cmd.args(["--mem-addresses", "recorded"]);
-        }
-        if spec0.channels > 1 {
-            cmd.arg("--mem-channels").arg(spec0.channels.to_string());
-        }
-        if spec0.tenants > 1 {
-            cmd.arg("--mem-tenants").arg(spec0.tenants.to_string());
-        }
-        if spec0.plan == PlanMode::Auto {
-            // The server already materialized the planned configuration
-            // into the flags above; the worker still needs the mode so
-            // its rows land in the `+plan` record group.
-            cmd.args(["--plan", "auto"]);
-        }
-        cmd.arg("--resume")
-            .arg(&journal_dir)
-            .arg("--bench-out")
-            .arg(&bench_path)
+        cmd.args(worker_args(names, spec, &journal_dir))
             .stdin(std::process::Stdio::null())
-            // The worker's stdout replays journaled reports — the
-            // server reads them from the journal instead, so the
-            // stream is discarded.
+            // The worker's stdout repeats the reports the server reads
+            // from the journal, so the stream is discarded.
             .stdout(std::process::Stdio::null())
             .stderr(std::process::Stdio::piped());
         // Workers inherit the server's environment (CAPSTAN_THREADS
@@ -705,9 +630,6 @@ fn run_shard(
                 }
             }
         }
-        for (k, v) in &cfg.worker_env {
-            cmd.env(k, v);
-        }
         shared
             .state
             .lock()
@@ -718,16 +640,7 @@ fn run_shard(
             .output()
             .map_err(|e| format!("cannot spawn {}: {e}", cfg.worker_exe.display()))?;
         if out.status.success() {
-            let text = std::fs::read_to_string(&bench_path)
-                .map_err(|e| format!("worker wrote no record at {}: {e}", bench_path.display()))?;
-            let record = gate::parse_record(&text)
-                .map_err(|e| format!("worker wrote a malformed record: {e}"))?;
-            let journal = Journal::open_or_create(&journal_dir, &spec0.scale, &suffix)?;
-            let mut shard_reports = Vec::new();
-            for name in names {
-                shard_reports.push((name.clone(), journal.report_text(name)?));
-            }
-            return Ok((record, shard_reports));
+            return open();
         }
         let stderr = String::from_utf8_lossy(&out.stderr);
         let tail: String = stderr
@@ -740,12 +653,10 @@ fn run_shard(
             .collect::<Vec<_>>()
             .join("; ");
         last_err = format!("worker exited with {} ({tail})", out.status);
-        if attempt + 1 < attempts {
+        if attempt + 1 < WORKER_ATTEMPTS {
             // Rows already journaled before the crash will replay, not
             // re-run, on the respawn — that is the resumed work.
-            let resumed = std::fs::read_to_string(journal_dir.join("journal"))
-                .map(|t| t.lines().count().saturating_sub(1) as u64)
-                .unwrap_or(0);
+            let resumed = open().map_or(0, |j| j.names().count() as u64);
             let mut st = shared.state.lock().expect("state lock");
             st.counters.worker_retries += 1;
             st.counters.rows_resumed += resumed;

@@ -127,6 +127,22 @@ fn malformed_requests_get_typed_errors_and_the_server_survives() {
     let reply = client::submit(&addr, &spec, None).expect("server still simulates");
     assert!(!reply.report.is_empty());
 
+    // The widest configuration the wire accepts runs: every input the
+    // protocol takes either runs or is a typed request error, never a
+    // failed worker.
+    let mut widest = RunSpec::new("fig7");
+    for (key, value) in [
+        ("scale", "la=1e-9,graph=1e-9,spmspm=1e-9,conv=1e-9"),
+        ("mem", "cycle"),
+        ("addresses", "recorded"),
+        ("channels", "1024"),
+        ("tenants", "8"),
+    ] {
+        widest.set(key, value).expect("an accepted value");
+    }
+    let reply = client::submit(&addr, &widest, None).expect("the widest spec runs");
+    assert_eq!(reply.row.name, "fig7+cycle+rec+ch1024+mt8");
+
     client::shutdown(&addr).expect("shutdown");
     handle.join().expect("server exit");
     let _ = std::fs::remove_dir_all(&workdir);

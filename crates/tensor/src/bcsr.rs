@@ -145,15 +145,6 @@ impl Bcsr {
         nnz as f64 / self.data.len().max(1) as f64
     }
 
-    /// Number of stored blocks in block row `br`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `br >= self.block_rows()`.
-    pub fn block_row_len(&self, br: usize) -> usize {
-        self.row_ptr[br + 1] - self.row_ptr[br]
-    }
-
     /// Iterates the stored blocks of block row `br` as
     /// `(block_col, payload)` pairs; each payload is `block * block`
     /// values in row-major order.

@@ -183,11 +183,6 @@ impl Dcsc {
         self.inner.occupied_rows()
     }
 
-    /// Column-occupancy bit-vector.
-    pub fn col_bitvec(&self) -> BitVec {
-        self.inner.row_bitvec()
-    }
-
     /// Iterates `(row, value)` of the k-th occupied column.
     pub fn occupied_col(&self, k: usize) -> impl Iterator<Item = (Index, Value)> + '_ {
         self.inner.occupied_row(k)

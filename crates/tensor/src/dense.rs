@@ -61,16 +61,6 @@ impl DenseVector {
         &self.data
     }
 
-    /// Mutably borrows the underlying slice.
-    pub fn as_mut_slice(&mut self) -> &mut [Value] {
-        &mut self.data
-    }
-
-    /// Consumes the vector, returning its buffer.
-    pub fn into_vec(self) -> Vec<Value> {
-        self.data
-    }
-
     /// Iterates over `(index, value)` pairs of non-zero elements.
     pub fn iter_nonzeros(&self) -> impl Iterator<Item = (Index, Value)> + '_ {
         self.data
