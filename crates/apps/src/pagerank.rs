@@ -293,6 +293,19 @@ mod tests {
     }
 
     #[test]
+    fn edge_simulates_identically_on_a_route_memo_hit() {
+        // The second `simulate` of one recording hits the route (and
+        // replay) memo for every tile; the report must not change.
+        let g = web();
+        let cfg = CapstanConfig::paper_default();
+        let wl = PrEdge::new(&g).build(&cfg);
+        let first = capstan_core::perf::simulate(&wl, &cfg);
+        let second = capstan_core::perf::simulate(&wl, &cfg);
+        assert!(first.breakdown.network > 0, "{:?}", first.breakdown);
+        assert_eq!(first, second);
+    }
+
+    #[test]
     fn partitioning_keeps_most_reads_local() {
         let g = road();
         let app = PrPull::new(&g);

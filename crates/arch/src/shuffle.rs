@@ -15,7 +15,7 @@
 //! (3 bits per lane), 64-entry FIFO".
 
 /// Lane-shift flexibility of a merge unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MergeShift {
     /// Entries keep their lane (Table 11's `Mrg-0`).
     None,
@@ -128,7 +128,7 @@ pub fn merge_vectors(
 }
 
 /// Configuration of a butterfly shuffle network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShuffleConfig {
     /// Number of input/output ports (power of two; paper: 16).
     pub ports: usize,

@@ -589,8 +589,10 @@ fn capstan_seconds(report: &PerfReport) -> f64 {
 /// suite scale.
 fn table13_eie(_suite: &Suite) -> String {
     let hbm = CapstanConfig::new(MemoryKind::Hbm2e);
+    // The app keeps its own CSC copy; the COO is dropped right away.
     let fc = capstan_tensor::gen::uniform(4096, 9216, 3_700_000, 0xE1E);
     let app = capstan_apps::spmv::CscSpmv::new(&fc);
+    drop(fc);
     // One recording serves both the simulation and the MAC count.
     let wl = app.build(&hbm);
     let capstan_s = capstan_seconds(&simulate(&wl, &hbm));

@@ -1,4 +1,4 @@
-//! Simulated-cycle credit of the SpMU replay memo, end to end.
+//! Simulated-cycle credit of the replay memos, end to end.
 //!
 //! `capstan_core::perf` replays each distinct (SpMU configuration, masked
 //! trace) once per process and credits the stored cycles on every later
@@ -8,6 +8,12 @@
 //! is all hits, and both must print the same bytes and add the same
 //! cycles. A hit that forgot to credit would make the second delta
 //! smaller than the first (or both zero).
+//!
+//! It also routes each distinct (shuffle configuration, per-port streams)
+//! once per process. `fig7` re-costs the tiles `table9` recorded under
+//! the same network, so after `table9` every route in `fig7` is a memo
+//! hit; its two runs must print the same bytes and add the same cycles
+//! too.
 //!
 //! This file holds a single test on purpose: the simulated-cycle counter
 //! is process-wide, so no other test may run concurrently in this
@@ -36,5 +42,13 @@ fn memo_hits_credit_the_cycles_a_replay_would_have_added() {
     assert_eq!(
         first_cycles, second_cycles,
         "table11 simulated-cycle delta changed on a memo hit"
+    );
+    let (first, first_cycles) = run("fig7", &suite);
+    let (second, second_cycles) = run("fig7", &suite);
+    assert_eq!(first, second, "fig7 report bytes changed on a memo hit");
+    assert!(first_cycles > 0, "fig7 added no simulated cycles");
+    assert_eq!(
+        first_cycles, second_cycles,
+        "fig7 simulated-cycle delta changed on a memo hit"
     );
 }

@@ -76,36 +76,45 @@
 //! The reuse path is allocation-free in steady state — proven in
 //! `crates/arch/tests/alloc_free.rs`.
 //!
-//! # The SpMU replay memo
+//! # The replay memos
 //!
 //! The SRAM component is the simulator's largest layer, and most of its
 //! replays repeat: sensitivity tables re-cost the same recorded tiles
 //! under the same [`SpmuConfig`] that an earlier experiment (or an
 //! earlier sweep point varying only the DRAM or the network) already
-//! replayed. [`run_vectors`] is a pure function of the configuration and
-//! the masked trace, so a process-wide memo sits in front of it:
+//! replayed. The Network component repeats the same way: Tables 9 and 12
+//! and Fig. 7 route the same sampled shuffle traffic under a
+//! [`ShuffleConfig`] they leave unchanged. [`run_vectors`] and
+//! [`ButterflyNetwork::route_ref`] are pure functions of the
+//! configuration and the trace, so a process-wide, content-addressed memo
+//! sits in front of each:
 //!
-//! * **Key.** `(SpmuConfig, vector count, 128-bit digest of the masked
-//!   trace)`. The digest is computed word-wise inside the masking pass
-//!   that builds the trace anyway, one 128-bit word per lane (masked
-//!   address, operation, operand bits, presence) plus one per vector
-//!   (its lane count). Each digest step is a bijection of both the state
-//!   and the word, so traces that differ in a single lane never share a
-//!   key.
-//! * **Credit on hit.** A hit credits the stored replay's cycles to
+//! * **Keys.** An SpMU replay is `(SpmuConfig, vector count, 128-bit
+//!   digest of the masked trace)`: one 128-bit word per lane (masked
+//!   address, operation, operand bits, presence) plus one per vector (its
+//!   lane count). A route is `(ShuffleConfig, vector count, 128-bit digest
+//!   of the per-port streams)`: each stream's length, then per vector its
+//!   lane count and per lane its presence, `dest` and `lane`. Each digest
+//!   step is a bijection of both the state and the word, so traces that
+//!   differ in a single lane never share a key. A hit reads the key
+//!   straight from the recorded samples, masking SpMU addresses as it
+//!   goes; only a miss builds the masked trace it replays.
+//! * **Credit on hit.** An SpMU hit credits the stored replay's cycles to
 //!   [`capstan_sim::stats::record_simulated_cycles`], exactly as
 //!   [`run_vectors`] does on a miss, so per-experiment simulated-cycle
 //!   deltas, golden pins and the bench record are identical whether a
-//!   replay ran or hit.
-//! * **Locking and bound.** The lock is held only for the lookup and the
-//!   insert, never during a replay; two threads that miss on one key
-//!   both replay and insert the same value. At `SPMU_MEMO_CAP` entries
-//!   the map is cleared (the whole `small` suite holds ~10.5k), which
-//!   costs only repeated replays, never a different result.
-//! * **Scope.** Only [`simulate`] goes through the memo; [`run_vectors`]
-//!   stays a pure engine for its direct callers. There is deliberately
-//!   no `Spmu` pool beside it: constructing and dropping a unit costs
-//!   ~7 µs against ~1.4 ms for a typical 300-vector replay.
+//!   replay ran or hit. Routes add nothing to that counter, so a route
+//!   hit credits nothing.
+//! * **Locking and bound.** Both memos are one `Memo` type. Its lock is
+//!   held only for the lookup and the insert, never during a replay; two
+//!   threads that miss on one key both replay and insert the same value.
+//!   At `MEMO_CAP` entries a memo clears itself (the whole `small` suite
+//!   holds ~10.5k replays and ~50 routes), which costs only repeated
+//!   replays, never a different result.
+//! * **Scope.** Only [`simulate`] goes through the memos; [`run_vectors`]
+//!   and `route_ref` stay pure engines for their direct callers. There is
+//!   deliberately no `Spmu` pool beside them: constructing and dropping a
+//!   unit costs ~7 µs against ~1.4 ms for a typical 300-vector replay.
 
 use crate::config::CapstanConfig;
 use crate::config::{MemAddressing, MemTiming};
@@ -114,13 +123,15 @@ use crate::report::{Breakdown, PerfReport};
 use capstan_arch::memdrv::{
     MemStats, MemSysConfig, MemSysSim, TenantId, TenantStats, TileTraffic, MAX_TENANTS,
 };
-use capstan_arch::shuffle::{ButterflyNetwork, RouteScratch, ShuffleVector};
+use capstan_arch::shuffle::{
+    ButterflyNetwork, RouteScratch, ShuffleConfig, ShuffleEntry, ShuffleVector,
+};
 use capstan_arch::spmu::driver::{run_vectors, ThroughputResult};
 use capstan_arch::spmu::{AccessVector, LaneRequest, SpmuConfig};
 use capstan_sim::dram::{AccessPattern, DramModel, MemoryKind, BURST_BYTES};
 use capstan_sim::network::NetworkModel;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, DefaultHasher};
+use std::hash::{BuildHasherDefault, DefaultHasher, Hash};
 use std::sync::{Mutex, OnceLock};
 
 /// Process-wide pool of persistent cycle-level memory drivers, keyed by
@@ -162,9 +173,42 @@ fn with_memsys<R>(model: DramModel, mcfg: MemSysConfig, f: impl FnOnce(&mut MemS
     result
 }
 
+/// A process-wide, content-addressed memo. The lock is held only for a
+/// lookup or an insert, and an insert into a full memo clears it first.
+/// See the module docs ("The replay memos").
+struct Memo<K, V>(Mutex<MemoMap<K, V>>);
+
+type MemoMap<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
+
+/// Entry cap of each [`Memo`]. The whole `small` suite needs ~10.5k
+/// entries; the cap only bounds long-lived processes, and clearing never
+/// changes a result.
+const MEMO_CAP: usize = 65_536;
+
+/// Inserts into a locked memo map, clearing it first once it is full.
+fn memo_insert<K: Eq + Hash, V>(map: &mut MemoMap<K, V>, key: K, value: V) {
+    if map.len() >= MEMO_CAP {
+        map.clear();
+    }
+    map.insert(key, value);
+}
+
+impl<K: Eq + Hash, V: Copy> Memo<K, V> {
+    const fn new() -> Self {
+        Memo(Mutex::new(HashMap::with_hasher(BuildHasherDefault::new())))
+    }
+
+    fn get(&self, key: &K) -> Option<V> {
+        self.0.lock().expect("memo poisoned").get(key).copied()
+    }
+
+    fn insert(&self, key: K, value: V) {
+        memo_insert(&mut self.0.lock().expect("memo poisoned"), key, value);
+    }
+}
+
 /// Identity of one SpMU replay: the unit's configuration and the masked
-/// trace, as its vector count and [`TraceDigest`]. See the module docs
-/// ("The SpMU replay memo").
+/// trace, as its vector count and [`TraceDigest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ReplayKey {
     spmu: SpmuConfig,
@@ -172,45 +216,55 @@ struct ReplayKey {
     digest: u128,
 }
 
-type ReplayMemo = HashMap<ReplayKey, ThroughputResult, BuildHasherDefault<DefaultHasher>>;
-
 /// Process-wide SpMU replay results, keyed by [`ReplayKey`].
-static SPMU_MEMO: Mutex<ReplayMemo> = Mutex::new(HashMap::with_hasher(BuildHasherDefault::new()));
+static SPMU_MEMO: Memo<ReplayKey, ThroughputResult> = Memo::new();
 
-/// Entry cap: an insert into a full memo clears it first. The whole
-/// `small` suite needs ~10.5k entries; the cap only bounds long-lived
-/// processes, and clearing never changes a result.
-const SPMU_MEMO_CAP: usize = 65_536;
-
-/// Inserts one replay result, clearing the memo first once it is full.
-fn memo_insert(memo: &mut ReplayMemo, key: ReplayKey, result: ThroughputResult) {
-    if memo.len() >= SPMU_MEMO_CAP {
-        memo.clear();
-    }
-    memo.insert(key, result);
+/// Identity of one shuffle route: the network's configuration and the
+/// per-port streams, as their total vector count and [`TraceDigest`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct RouteKey {
+    shuffle: ShuffleConfig,
+    vectors: usize,
+    digest: u128,
 }
 
-/// [`run_vectors`] on `trace` (identified by `key`), replayed at most
-/// once per process. A hit credits the stored cycles to the
-/// simulated-cycle counter exactly as the replay did. The memo lock is
-/// held only for the lookup and the insert, never during a replay.
-fn replay_memoized(key: ReplayKey, trace: &[AccessVector]) -> ThroughputResult {
-    let hit = SPMU_MEMO
-        .lock()
-        .expect("spmu memo poisoned")
-        .get(&key)
-        .copied();
-    if let Some(result) = hit {
+/// Process-wide route cycles ([`ButterflyNetwork::route_ref`]'s
+/// `cycles`), keyed by [`RouteKey`].
+static ROUTE_MEMO: Memo<RouteKey, u64> = Memo::new();
+
+/// [`run_vectors`] on `sampled` masked into an SpMU configured as `spmu`,
+/// replayed at most once per process. A hit reads its key straight from
+/// `sampled` and credits the stored cycles to the simulated-cycle counter
+/// exactly as the replay did; only a miss fills `trace_scratch` with the
+/// masked trace.
+fn replay_memoized(
+    spmu: SpmuConfig,
+    sampled: &[AccessVector],
+    trace_scratch: &mut Vec<AccessVector>,
+) -> ThroughputResult {
+    let key = replay_key(spmu, sampled);
+    if let Some(result) = SPMU_MEMO.get(&key) {
         capstan_sim::stats::record_simulated_cycles(result.cycles);
         return result;
     }
-    let result = run_vectors(key.spmu, trace);
-    memo_insert(
-        &mut SPMU_MEMO.lock().expect("spmu memo poisoned"),
-        key,
-        result,
-    );
+    mask_sampled_into(trace_scratch, sampled, spmu);
+    let result = run_vectors(spmu, trace_scratch);
+    SPMU_MEMO.insert(key, result);
     result
+}
+
+/// [`ButterflyNetwork::route_ref`]'s cycles for `streams`, routed at most
+/// once per process.
+fn route_memoized(shuffle: ShuffleConfig, streams: &[Vec<&ShuffleVector>]) -> u64 {
+    let key = route_key(shuffle, streams);
+    if let Some(cycles) = ROUTE_MEMO.get(&key) {
+        return cycles;
+    }
+    let cycles = ButterflyNetwork::new(shuffle)
+        .route_ref(streams, &mut RouteScratch::default())
+        .cycles;
+    ROUTE_MEMO.insert(key, cycles);
+    cycles
 }
 
 /// Drains `msim` to completion ([`MemSysSim::run`]), then applies the
@@ -291,10 +345,11 @@ fn tile_synthetic(tile: &TileWork, cfg: &CapstanConfig) -> TileSynthetic {
     }
 }
 
-/// 128-bit digest of a masked SpMU trace, fed one 128-bit word at a
-/// time. Each step (xor the word in, multiply by an odd constant, swap
-/// the halves) is a bijection of both the state and the word, so two
-/// equally long word streams that differ in one word never collide.
+/// 128-bit digest of a masked SpMU trace or of shuffle streams, fed one
+/// 128-bit word at a time. Each step (xor the word in, multiply by an odd
+/// constant, swap the halves) is a bijection of both the state and the
+/// word, so two equally long word streams that differ in one word never
+/// collide.
 struct TraceDigest(u128);
 
 impl TraceDigest {
@@ -303,61 +358,100 @@ impl TraceDigest {
     /// PCG's 128-bit LCG multiplier (odd).
     const MUL: u128 = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645;
     /// Tags bits 96.. of a word: absent lanes are 0, present lanes
-    /// `LANE`, per-vector lane-count headers `VECTOR`.
+    /// `LANE`, per-vector lane-count headers `VECTOR`, per-port stream
+    /// length headers `STREAM`.
     const LANE: u128 = 1 << 96;
     const VECTOR: u128 = 2 << 96;
+    const STREAM: u128 = 3 << 96;
 
     fn word(&mut self, w: u128) {
         self.0 = (self.0 ^ w).wrapping_mul(Self::MUL).rotate_left(64);
     }
 
-    /// One lane: presence, operation, operand bits and masked address.
+    /// One SpMU lane: presence, operation, operand bits and masked address.
     fn lane(&mut self, lane: Option<LaneRequest>) {
         self.word(lane.map_or(0, |r| {
             Self::LANE | (r.op as u128) << 64 | (r.operand.to_bits() as u128) << 32 | r.addr as u128
         }));
     }
+
+    /// One shuffle lane: presence, destination port and lane.
+    fn entry(&mut self, entry: Option<ShuffleEntry>) {
+        self.word(entry.map_or(0, |e| {
+            Self::LANE | (e.dest as u128) << 64 | e.lane as u64 as u128
+        }));
+    }
+}
+
+/// A lane with its address masked into the local address space of an
+/// SpMU with `capacity` words.
+fn mask_lane(lane: Option<LaneRequest>, capacity: u32) -> Option<LaneRequest> {
+    lane.map(|r| LaneRequest {
+        addr: r.addr % capacity,
+        ..r
+    })
+}
+
+/// The [`ReplayKey`] of `sampled` masked into an SpMU configured as
+/// `spmu`, masking each address as it is read (nothing is copied).
+fn replay_key(spmu: SpmuConfig, sampled: &[AccessVector]) -> ReplayKey {
+    let capacity = spmu.capacity_words() as u32;
+    let mut digest = TraceDigest(TraceDigest::SEED);
+    for v in sampled {
+        digest.word(TraceDigest::VECTOR | v.lanes.len() as u128);
+        for &l in &v.lanes {
+            digest.lane(mask_lane(l, capacity));
+        }
+    }
+    ReplayKey {
+        spmu,
+        vectors: sampled.len(),
+        digest: digest.0,
+    }
+}
+
+/// The [`RouteKey`] of per-port `streams` routed under `shuffle`.
+fn route_key(shuffle: ShuffleConfig, streams: &[Vec<&ShuffleVector>]) -> RouteKey {
+    let mut digest = TraceDigest(TraceDigest::SEED);
+    let mut vectors = 0;
+    for stream in streams {
+        digest.word(TraceDigest::STREAM | stream.len() as u128);
+        vectors += stream.len();
+        for v in stream {
+            digest.word(TraceDigest::VECTOR | v.len() as u128);
+            for &e in v.iter() {
+                digest.entry(e);
+            }
+        }
+    }
+    RouteKey {
+        shuffle,
+        vectors,
+        digest: digest.0,
+    }
 }
 
 /// Rewrites a tile's sampled trace into `scratch`, masking addresses
-/// into the local address space of an SpMU configured as `spmu`, and
-/// returns the masked trace's [`ReplayKey`]. Reuses both the outer
-/// vector and each slot's lane buffer, so repeated tiles allocate
-/// nothing once the buffers reach their high-water mark.
-fn mask_sampled_into(
-    scratch: &mut Vec<AccessVector>,
-    sampled: &[AccessVector],
-    spmu: SpmuConfig,
-) -> ReplayKey {
+/// into the local address space of an SpMU configured as `spmu`. Reuses
+/// both the outer vector and each slot's lane buffer, so repeated tiles
+/// allocate nothing once the buffers reach their high-water mark.
+fn mask_sampled_into(scratch: &mut Vec<AccessVector>, sampled: &[AccessVector], spmu: SpmuConfig) {
     let capacity = spmu.capacity_words() as u32;
     scratch.truncate(sampled.len());
     while scratch.len() < sampled.len() {
         scratch.push(AccessVector::default());
     }
-    let mut digest = TraceDigest(TraceDigest::SEED);
     for (dst, src) in scratch.iter_mut().zip(sampled) {
-        digest.word(TraceDigest::VECTOR | src.lanes.len() as u128);
         dst.lanes.clear();
-        dst.lanes.extend(src.lanes.iter().map(|l| {
-            let masked = l.map(|r| LaneRequest {
-                addr: r.addr % capacity,
-                ..r
-            });
-            digest.lane(masked);
-            masked
-        }));
-    }
-    ReplayKey {
-        spmu,
-        vectors: scratch.len(),
-        digest: digest.0,
+        dst.lanes
+            .extend(src.lanes.iter().map(|&l| mask_lane(l, capacity)));
     }
 }
 
 /// Replays a tile's sampled SRAM trace through the cycle-level SpMU and
 /// returns `(excess cycles over ideal for the whole tile, bank util)`.
 /// `trace_scratch` is the reusable masked-trace buffer shared across
-/// tiles.
+/// tiles (filled only when the replay memo misses).
 fn tile_sram_excess(
     tile: &TileWork,
     cfg: &CapstanConfig,
@@ -381,11 +475,9 @@ fn tile_sram_excess(
         return (excess.round() as u64, util);
     }
     if !cfg.spmu.ideal_conflict_free && !sram.sampled.is_empty() {
-        // Mask addresses into the SpMU's local address space.
-        let key = mask_sampled_into(trace_scratch, &sram.sampled, cfg.spmu);
-        let result = replay_memoized(key, trace_scratch);
+        let result = replay_memoized(cfg.spmu, &sram.sampled, trace_scratch);
         util = result.bank_utilization;
-        let n = trace_scratch.len() as f64;
+        let n = sram.sampled.len() as f64;
         // Ideal throughput is one vector per cycle; subtract the fixed
         // pipeline drain so short samples are not over-penalized.
         let drain = cfg.spmu.pipeline_latency as f64 + 3.0;
@@ -424,12 +516,10 @@ fn network_excess(workload: &Workload, cfg: &CapstanConfig) -> u64 {
     if sample_entries == 0 {
         return 0;
     }
-    let net = ButterflyNetwork::new(shuffle_cfg);
-    let mut scratch = RouteScratch::default();
-    let result = net.route_ref(&streams, &mut scratch);
+    let cycles = route_memoized(shuffle_cfg, &streams);
     // Ideal delivery: the bottleneck input port's vector count.
     let ideal: u64 = streams.iter().map(|s| s.len() as u64).max().unwrap_or(1);
-    let extra_sample = result.cycles.saturating_sub(ideal);
+    let extra_sample = cycles.saturating_sub(ideal);
     let scale = total_entries as f64 / sample_entries as f64;
     (extra_sample as f64 * scale).round() as u64
 }
@@ -665,6 +755,7 @@ mod tests {
     use super::*;
     use crate::config::MemoryKind;
     use crate::program::WorkloadBuilder;
+    use capstan_arch::shuffle::MergeShift;
     use capstan_arch::spmu::{BankHash, OrderingMode, RmwOp};
 
     fn dense_workload(n: usize, tiles: usize) -> Workload {
@@ -954,10 +1045,6 @@ mod tests {
             .collect()
     }
 
-    fn replay_key(spmu: SpmuConfig, sampled: &[AccessVector]) -> ReplayKey {
-        mask_sampled_into(&mut Vec::new(), sampled, spmu)
-    }
-
     /// An SRAM-heavy workload whose tiles all replay through the SpMU.
     fn sram_heavy_workload(name: &str, seed: usize) -> Workload {
         let mut wl = WorkloadBuilder::new(name);
@@ -974,14 +1061,33 @@ mod tests {
     #[test]
     fn memoized_replay_returns_exactly_what_run_vectors_does() {
         let spmu = SpmuConfig::default();
-        let mut masked = Vec::new();
-        let key = mask_sampled_into(&mut masked, &mixed_trace(64), spmu);
+        let sampled = mixed_trace(64);
+        let capacity = spmu.capacity_words() as u32;
+        let masked: Vec<AccessVector> = sampled
+            .iter()
+            .map(|v| AccessVector {
+                lanes: v
+                    .lanes
+                    .iter()
+                    .map(|l| {
+                        l.map(|r| LaneRequest {
+                            addr: r.addr % capacity,
+                            ..r
+                        })
+                    })
+                    .collect(),
+            })
+            .collect();
         let direct = run_vectors(spmu, &masked);
         // The first call may miss or hit (another test may have stored
         // this key); the second always hits. Both equal the engine.
-        assert_eq!(replay_memoized(key, &masked), direct);
-        assert_eq!(replay_memoized(key, &masked), direct);
+        let mut scratch = Vec::new();
+        assert_eq!(replay_memoized(spmu, &sampled, &mut scratch), direct);
+        assert_eq!(replay_memoized(spmu, &sampled, &mut scratch), direct);
         assert!(direct.cycles > 0);
+        // A miss masks exactly like the reference above.
+        mask_sampled_into(&mut scratch, &sampled, spmu);
+        assert_eq!(scratch, masked);
     }
 
     #[test]
@@ -1078,24 +1184,169 @@ mod tests {
         let w = sram_heavy_workload("memo-cap", 15_485_863);
         let cfg = CapstanConfig::new(MemoryKind::Hbm2e);
         let before = simulate(&w, &cfg);
-        {
-            // Fill the memo to the cap with keys no trace produces (zero
-            // vectors), then insert once more: the memo clears itself.
-            let mut memo = SPMU_MEMO.lock().unwrap();
-            let dummy = |i: usize| ReplayKey {
-                spmu: SpmuConfig::default(),
-                vectors: 0,
-                digest: i as u128,
-            };
-            let result = run_vectors(SpmuConfig::default(), &[]);
-            let mut i = 0;
-            while memo.len() < SPMU_MEMO_CAP {
-                memo_insert(&mut memo, dummy(i), result);
-                i += 1;
-            }
-            memo_insert(&mut memo, dummy(i), result);
-            assert_eq!(memo.len(), 1, "a full memo clears before inserting");
+        // Fill the memo to the cap with keys no trace produces (zero
+        // vectors); the next insert clears it.
+        let result = run_vectors(SpmuConfig::default(), &[]);
+        force_cap_clear(&SPMU_MEMO, result, |i| ReplayKey {
+            spmu: SpmuConfig::default(),
+            vectors: 0,
+            digest: i as u128,
+        });
+        assert_eq!(simulate(&w, &cfg), before);
+    }
+
+    /// Fills `memo` to [`MEMO_CAP`] with `dummy(i)` keys, then inserts
+    /// once more: the full memo clears itself first.
+    fn force_cap_clear<K: Eq + Hash, V: Copy>(
+        memo: &Memo<K, V>,
+        value: V,
+        dummy: impl Fn(usize) -> K,
+    ) {
+        let mut map = memo.0.lock().unwrap();
+        let mut i = 0;
+        while map.len() < MEMO_CAP {
+            memo_insert(&mut map, dummy(i), value);
+            i += 1;
         }
+        memo_insert(&mut map, dummy(i), value);
+        assert_eq!(map.len(), 1, "a full memo clears before inserting");
+    }
+
+    /// Per-port shuffle streams: `vectors` vectors per port, every fifth
+    /// lane absent, destinations skewed towards low ports.
+    fn shuffle_streams(ports: usize, vectors: usize) -> Vec<Vec<ShuffleVector>> {
+        let mut rng = capstan_arch::spmu::driver::TraceRng::new(11);
+        (0..ports)
+            .map(|_| {
+                (0..vectors)
+                    .map(|v| {
+                        (0..16)
+                            .map(|lane| {
+                                ((v + lane) % 5 != 0).then(|| ShuffleEntry {
+                                    dest: (rng.below(ports as u64) * rng.below(ports as u64)
+                                        / ports as u64)
+                                        as u32,
+                                    lane,
+                                })
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn borrowed(streams: &[Vec<ShuffleVector>]) -> Vec<Vec<&ShuffleVector>> {
+        streams.iter().map(|s| s.iter().collect()).collect()
+    }
+
+    #[test]
+    fn memoized_route_returns_exactly_what_route_ref_does() {
+        let shuffle = ShuffleConfig::default();
+        let streams = shuffle_streams(shuffle.ports, 24);
+        let refs = borrowed(&streams);
+        let direct = ButterflyNetwork::new(shuffle)
+            .route_ref(&refs, &mut RouteScratch::default())
+            .cycles;
+        // The first call may miss or hit; the second always hits.
+        assert_eq!(route_memoized(shuffle, &refs), direct);
+        assert_eq!(route_memoized(shuffle, &refs), direct);
+        assert!(direct > 24);
+    }
+
+    #[test]
+    fn every_route_edit_or_config_change_gives_a_distinct_key() {
+        let shuffle = ShuffleConfig::default();
+        let base = shuffle_streams(shuffle.ports, 8);
+        let base_key = route_key(shuffle, &borrowed(&base));
+        assert_eq!(route_key(shuffle, &borrowed(&base)), base_key);
+
+        // Each edit touches port 3's sixth vector, or moves a vector from
+        // port 3 to port 4.
+        type StreamEdit = fn(&mut [Vec<ShuffleVector>]);
+        fn first(v: &ShuffleVector, present: bool) -> usize {
+            v.iter().position(|e| e.is_some() == present).unwrap()
+        }
+        let edits: [(&str, StreamEdit); 4] = [
+            ("dest", |s| {
+                let l = first(&s[3][5], true);
+                let e = s[3][5][l].as_mut().unwrap();
+                e.dest = (e.dest + 1) % 16;
+            }),
+            ("present -> absent", |s| {
+                let l = first(&s[3][5], true);
+                s[3][5][l] = None;
+            }),
+            ("absent -> present", |s| {
+                let l = first(&s[3][5], false);
+                s[3][5][l] = Some(ShuffleEntry { dest: 0, lane: l });
+            }),
+            ("vector moved to another port", |s| {
+                let v = s[3].pop().unwrap();
+                s[4].push(v);
+            }),
+        ];
+        for (what, edit) in edits {
+            let mut streams = base.clone();
+            edit(&mut streams);
+            let key = route_key(shuffle, &borrowed(&streams));
+            assert_ne!(key, base_key, "{what} must change the key");
+            assert_eq!(key.vectors, base_key.vectors, "{what} keeps the count");
+        }
+
+        type ConfigEdit = fn(&mut ShuffleConfig);
+        let config_edits: [(&str, ConfigEdit); 4] = [
+            ("ports", |c| c.ports = 32),
+            ("lanes", |c| c.lanes = 8),
+            ("shift", |c| c.shift = MergeShift::Full),
+            ("decision_fifo", |c| c.decision_fifo = 32),
+        ];
+        for (what, edit) in config_edits {
+            let mut other = shuffle;
+            edit(&mut other);
+            assert_ne!(
+                route_key(other, &borrowed(&base)),
+                base_key,
+                "{what} must change the key"
+            );
+        }
+    }
+
+    /// A workload whose tiles send skewed cross-tile updates through the
+    /// shuffle network.
+    fn shuffle_heavy_workload(name: &str, seed: usize) -> Workload {
+        let cfg = CapstanConfig::new(MemoryKind::Hbm2e);
+        let mut wl = WorkloadBuilder::for_config(name, &cfg);
+        for tile in 0..8 {
+            let mut t = wl.tile();
+            t.foreach_vec(512, |t, i| {
+                t.remote_update((i * i + tile * seed) % 7 % 16);
+            });
+            wl.commit(t);
+        }
+        wl.finish()
+    }
+
+    #[test]
+    fn route_memo_is_invisible_in_results() {
+        let w = shuffle_heavy_workload("route-twice", 31);
+        let cfg = CapstanConfig::new(MemoryKind::Hbm2e);
+        let a = simulate(&w, &cfg);
+        let b = simulate(&w, &cfg);
+        assert!(a.breakdown.network > 0, "{:?}", a.breakdown);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn route_memo_cap_clear_leaves_results_unchanged() {
+        let w = shuffle_heavy_workload("route-cap", 97);
+        let cfg = CapstanConfig::new(MemoryKind::Hbm2e);
+        let before = simulate(&w, &cfg);
+        force_cap_clear(&ROUTE_MEMO, 0, |i| RouteKey {
+            shuffle: ShuffleConfig::default(),
+            vectors: 0,
+            digest: i as u128,
+        });
         assert_eq!(simulate(&w, &cfg), before);
     }
 

@@ -13,10 +13,11 @@
 //!    from the statistics alone (HANA-style density rules, CSR as the
 //!    safe fallback). Free, used where a probe would be too expensive
 //!    (e.g. inside suite construction).
-//! 2. **Analytic probes** — [`plan_spmv`] builds one workload per
-//!    buildable candidate format and prices each through the existing
-//!    analytic `PerfReport` path, returning every candidate ranked by
-//!    simulated cycles with a deterministic tie-break.
+//! 2. **Analytic probes** — [`plan_spmv`] records one workload per
+//!    buildable candidate format, prices it under each candidate channel
+//!    count through the existing analytic `PerfReport` path, and returns
+//!    every candidate ranked by simulated cycles with a deterministic
+//!    tie-break.
 //!
 //! Everything here is deterministic: the candidate order is fixed, the
 //! tie-break is total, and no statistic or ranking depends on thread
@@ -26,6 +27,7 @@
 use capstan_apps::spmv::{BcsrSpmv, CscSpmv, CsrSpmv, DcsrSpmv};
 use capstan_apps::App;
 use capstan_core::config::{CapstanConfig, MemAddressing, MemTiming};
+use capstan_core::perf::simulate;
 pub use capstan_tensor::stats::{FormatClass, TensorStats};
 use capstan_tensor::Coo;
 
@@ -152,26 +154,34 @@ fn format_rank(f: FormatClass) -> usize {
 }
 
 /// Plans an SpMV over `m`: probes every candidate in
-/// [`spmv_candidates`] through the analytic `PerfReport` path and
-/// returns the full ranking. Ties break deterministically by
-/// (format order, channel count) — in particular, since the analytic
-/// model prices every channel count identically, the winner always
-/// carries the fewest channels.
+/// [`spmv_candidates`] through the analytic `PerfReport` path, recording
+/// each format once, and returns the full ranking. Ties break
+/// deterministically by (format order, channel count) — in particular,
+/// since the analytic model prices every channel count identically, the
+/// winner always carries the fewest channels.
 pub fn plan_spmv(m: &Coo) -> Plan {
     let stats = TensorStats::compute(m);
     let mut ranked: Vec<RankedChoice> = Vec::new();
-    for candidate in spmv_candidates() {
-        let Some(app) = build_spmv(m, candidate.format) else {
+    let candidates = spmv_candidates();
+    for group in candidates.chunk_by(|a, b| a.format == b.format) {
+        let Some(app) = build_spmv(m, group[0].format) else {
             continue;
         };
-        // One workload per (format, channels): the analytic path ignores
-        // the channel count, but building under the exact probe config
-        // keeps the recording honest if that ever changes.
-        let report = app.simulate(&probe_config(candidate.channels));
-        ranked.push(RankedChoice {
-            candidate,
-            cycles: report.cycles,
-        });
+        // One workload per format, simulated under each channel count:
+        // recording reads no memory field of the config (only the
+        // scanner, lanes, shuffle ports and sample limits), so every
+        // probe config records the same workload. The app is dropped
+        // before simulating, and the workload before the next format is
+        // built, so two probes (e.g. BCSR blocks) never live at once.
+        let workload = app.build(&probe_config(group[0].channels));
+        drop(app);
+        for &candidate in group {
+            let report = simulate(&workload, &probe_config(candidate.channels));
+            ranked.push(RankedChoice {
+                candidate,
+                cycles: report.cycles,
+            });
+        }
     }
     ranked.sort_by_key(|c| {
         (

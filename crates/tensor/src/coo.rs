@@ -76,19 +76,26 @@ impl Coo {
             }
         }
         triplets.sort_unstable_by_key(|&(r, c, _)| (r, c));
-        let mut entries: Vec<(Index, Index, Value)> = Vec::with_capacity(triplets.len());
-        for (r, c, v) in triplets {
-            match entries.last_mut() {
-                Some(last) if last.0 == r && last.1 == c => last.2 += v,
-                _ => entries.push((r, c, v)),
+        // Sum each run of duplicates into its first entry, in sorted order.
+        triplets.dedup_by(|next, kept| {
+            let same = (next.0, next.1) == (kept.0, kept.1);
+            if same {
+                kept.2 += next.2;
             }
-        }
-        entries.retain(|&(_, _, v)| v != 0.0);
+            same
+        });
+        triplets.retain(|&(_, _, v)| v != 0.0);
         Ok(Coo {
             rows,
             cols,
-            entries,
+            entries: triplets,
         })
+    }
+
+    /// Keeps the first `nnz` entries in `(row, col)` order. A prefix of a
+    /// valid matrix is still sorted, unique and non-zero.
+    pub(crate) fn truncate(&mut self, nnz: usize) {
+        self.entries.truncate(nnz);
     }
 
     /// An empty matrix of the given shape.
@@ -135,10 +142,40 @@ impl Coo {
     }
 
     /// Transposes the matrix (swaps rows and columns).
+    ///
+    /// An O(nnz) column-count scatter, no sort: it counts the entries of
+    /// each column, then scatters every entry to its column's next free
+    /// slot. Because the entries are already sorted by `(row, col)`,
+    /// unique and non-zero (the [`Coo`] invariants), each column's rows
+    /// arrive in increasing order and the result is sorted by
+    /// `(col, row)` with nothing to merge or drop.
     pub fn transpose(&self) -> Coo {
-        let triplets = self.entries.iter().map(|&(r, c, v)| (c, r, v)).collect();
-        Coo::from_triplets(self.cols, self.rows, triplets)
-            .expect("transpose of a valid matrix is valid")
+        let mut next = self.col_starts();
+        let mut entries = vec![(0, 0, 0.0); self.entries.len()];
+        for &(r, c, v) in &self.entries {
+            let slot = &mut next[c as usize];
+            entries[*slot] = (c, r, v);
+            *slot += 1;
+        }
+        Coo {
+            rows: self.cols,
+            cols: self.rows,
+            entries,
+        }
+    }
+
+    /// Column pointers: `cols + 1` prefix sums of the per-column entry
+    /// counts, so column `c`'s entries occupy `ptr[c]..ptr[c + 1]` in
+    /// column-major order.
+    pub(crate) fn col_starts(&self) -> Vec<usize> {
+        let mut ptr = vec![0usize; self.cols + 1];
+        for &(_, c, _) in &self.entries {
+            ptr[c as usize + 1] += 1;
+        }
+        for c in 0..self.cols {
+            ptr[c + 1] += ptr[c];
+        }
+        ptr
     }
 
     /// Converts to a dense matrix (for tests and small examples).

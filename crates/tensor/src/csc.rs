@@ -109,25 +109,26 @@ impl Csc {
     }
 
     /// Converts from COO.
+    ///
+    /// An O(nnz) column-count scatter, no sort and no intermediate
+    /// transpose: `col_ptr` is the prefix sum of the per-column counts,
+    /// and each entry goes to its column's next free slot. It relies on
+    /// the [`Coo`] invariants — entries sorted by `(row, col)`, unique and
+    /// non-zero — so each column's rows arrive strictly increasing.
     pub fn from_coo(coo: &Coo) -> Self {
-        let t = coo.transpose(); // sorted by (col, row)
-        let cols = coo.cols();
-        let mut col_ptr = vec![0usize; cols + 1];
-        for (c, _, _) in t.iter() {
-            col_ptr[c as usize + 1] += 1;
-        }
-        for i in 0..cols {
-            col_ptr[i + 1] += col_ptr[i];
-        }
-        let mut row_idx = Vec::with_capacity(t.nnz());
-        let mut values = Vec::with_capacity(t.nnz());
-        for (_, r, v) in t.iter() {
-            row_idx.push(r);
-            values.push(v);
+        let col_ptr = coo.col_starts();
+        let mut next = col_ptr.clone();
+        let mut row_idx = vec![0; coo.nnz()];
+        let mut values = vec![0.0; coo.nnz()];
+        for (r, c, v) in coo.iter() {
+            let slot = &mut next[c as usize];
+            row_idx[*slot] = r;
+            values[*slot] = v;
+            *slot += 1;
         }
         Csc {
             rows: coo.rows(),
-            cols,
+            cols: coo.cols(),
             col_ptr,
             row_idx,
             values,

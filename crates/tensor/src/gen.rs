@@ -275,10 +275,7 @@ pub fn uniform(rows: usize, cols: usize, nnz: usize, seed: u64) -> Coo {
     }
     let mut coo = Coo::from_triplets(rows, cols, triplets).expect("generated in bounds");
     // Trim overshoot to hit the target closely.
-    if coo.nnz() > target {
-        let trimmed: Vec<_> = coo.entries()[..target].to_vec();
-        coo = Coo::from_triplets(rows, cols, trimmed).expect("subset still valid");
-    }
+    coo.truncate(target);
     coo
 }
 
@@ -415,10 +412,7 @@ pub fn power_law(n: usize, edges: usize, alpha: f64, seed: u64) -> Coo {
         triplets.push((src, dst, rng.gen_range(1.0..10.0)));
     }
     let mut coo = Coo::from_triplets(n, n, triplets).expect("generated in bounds");
-    if coo.nnz() > edges {
-        let trimmed: Vec<_> = coo.entries()[..edges].to_vec();
-        coo = Coo::from_triplets(n, n, trimmed).expect("subset still valid");
-    }
+    coo.truncate(edges);
     coo
 }
 
@@ -617,6 +611,77 @@ mod tests {
         let v = sparse_vector(10_000, 0.3, 11);
         let nnz = v.iter().filter(|x| **x != 0.0).count();
         assert!((nnz as f64 / 10_000.0 - 0.3).abs() < 0.03);
+    }
+
+    /// Copy-and-re-sort trim: the first `nnz` entries rebuilt through
+    /// `from_triplets`, as the generators trimmed before truncating in
+    /// place.
+    fn resorted_prefix(coo: Coo, nnz: usize) -> Coo {
+        if coo.nnz() <= nnz {
+            return coo;
+        }
+        let prefix = coo.entries()[..nnz].to_vec();
+        Coo::from_triplets(coo.rows(), coo.cols(), prefix).unwrap()
+    }
+
+    #[test]
+    fn uniform_trim_equals_the_copy_and_resort_trim() {
+        // The sparse draws overshoot and get trimmed; the dense one
+        // dedups below its target and is kept whole.
+        let cases = [
+            (400, 300, 3_000, 1, true),
+            (1, 5_000, 400, 3, true),
+            (8, 8, 60, 2, false),
+        ];
+        for (rows, cols, nnz, seed, overshoots) in cases {
+            // The untrimmed draw, exactly as `uniform` makes it.
+            let mut rng = rng_for(seed);
+            let target = nnz.min(rows * cols);
+            let triplets = (0..target + target / 8)
+                .map(|_| {
+                    let r = rng.gen_range(0..rows) as Index;
+                    let c = rng.gen_range(0..cols) as Index;
+                    (r, c, value_for(&mut rng))
+                })
+                .collect();
+            let untrimmed = Coo::from_triplets(rows, cols, triplets).unwrap();
+            assert_eq!(untrimmed.nnz() > target, overshoots, "{rows}x{cols}");
+            assert_eq!(
+                uniform(rows, cols, nnz, seed),
+                resorted_prefix(untrimmed, target),
+                "{rows}x{cols} nnz {nnz}"
+            );
+        }
+    }
+
+    #[test]
+    fn power_law_trim_equals_the_copy_and_resort_trim() {
+        for (n, edges, seed) in [(2_000, 3_000, 5), (500, 600, 6)] {
+            // The untrimmed draw, exactly as `power_law` makes it.
+            let mut rng = rng_for(seed);
+            let exponent = -1.0 / (2.2 - 1.0);
+            let mut cum = Vec::with_capacity(n);
+            let mut total = 0.0f64;
+            for i in 0..n {
+                total += ((i + 1) as f64).powf(exponent);
+                cum.push(total);
+            }
+            let triplets = (0..edges + edges / 8)
+                .map(|_| {
+                    let src = rng.gen_range(0..n) as Index;
+                    let t = rng.gen_range(0.0..total);
+                    let dst = cum.partition_point(|&c| c < t).min(n - 1) as Index;
+                    (src, dst, rng.gen_range(1.0..10.0))
+                })
+                .collect();
+            let untrimmed = Coo::from_triplets(n, n, triplets).unwrap();
+            assert!(untrimmed.nnz() > edges, "the draw must overshoot");
+            assert_eq!(
+                power_law(n, edges, 2.2, seed),
+                resorted_prefix(untrimmed, edges),
+                "n {n} edges {edges}"
+            );
+        }
     }
 
     #[test]

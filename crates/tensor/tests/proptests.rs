@@ -20,8 +20,93 @@ fn triplets(n: usize, max_len: usize) -> impl Strategy<Value = Vec<(u32, u32, f3
     )
 }
 
+type Triplets = Vec<(u32, u32, f32)>;
+
+/// A `rows x cols` shape (each 1..=8, so 1×N and N×1 shapes and empty
+/// rows and columns are common) with triplets full of duplicates and
+/// explicit zeros. Values are multiples of 0.3, so summing duplicates in
+/// a different order could change their bits.
+fn shaped_triplets() -> impl Strategy<Value = (usize, usize, Triplets)> {
+    (
+        1usize..9,
+        1usize..9,
+        prop::collection::vec((any::<u32>(), any::<u32>(), -6i32..7), 0..80),
+    )
+        .prop_map(|(rows, cols, raw)| {
+            let ts = raw
+                .into_iter()
+                .map(|(r, c, k)| (r % rows as u32, c % cols as u32, k as f32 * 0.3))
+                .collect();
+            (rows, cols, ts)
+        })
+}
+
+/// The push-based construction `Coo::from_triplets` used before it
+/// merged duplicates in place: sort, push each entry or sum it into the
+/// previous one, then drop zeros.
+fn push_dedup_reference(mut triplets: Triplets) -> Triplets {
+    triplets.sort_unstable_by_key(|&(r, c, _)| (r, c));
+    let mut entries: Triplets = Vec::with_capacity(triplets.len());
+    for (r, c, v) in triplets {
+        match entries.last_mut() {
+            Some(last) if last.0 == r && last.1 == c => last.2 += v,
+            _ => entries.push((r, c, v)),
+        }
+    }
+    entries.retain(|&(_, _, v)| v != 0.0);
+    entries
+}
+
+/// Entries with values as bit patterns, so `-0.0` and rounding show.
+fn entry_bits(entries: &[(u32, u32, f32)]) -> Vec<(u32, u32, u32)> {
+    entries
+        .iter()
+        .map(|&(r, c, v)| (r, c, v.to_bits()))
+        .collect()
+}
+
+/// The sort-based transpose: `from_triplets` of the swapped triplets.
+fn sorted_transpose(coo: &Coo) -> Coo {
+    let swapped = coo.iter().map(|(r, c, v)| (c, r, v)).collect();
+    Coo::from_triplets(coo.cols(), coo.rows(), swapped).unwrap()
+}
+
+/// CSC assembled from the sort-based transpose, column by column.
+fn sorted_csc(coo: &Coo) -> Csc {
+    let t = sorted_transpose(coo);
+    let mut col_ptr = vec![0usize; coo.cols() + 1];
+    for (c, _, _) in t.iter() {
+        col_ptr[c as usize + 1] += 1;
+    }
+    for c in 0..coo.cols() {
+        col_ptr[c + 1] += col_ptr[c];
+    }
+    let row_idx = t.iter().map(|(_, r, _)| r).collect();
+    let values = t.iter().map(|(_, _, v)| v).collect();
+    Csc::from_raw(coo.rows(), coo.cols(), col_ptr, row_idx, values).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn in_place_dedup_matches_the_push_based_reference(
+        (rows, cols, ts) in shaped_triplets()
+    ) {
+        let coo = Coo::from_triplets(rows, cols, ts.clone()).unwrap();
+        prop_assert_eq!(entry_bits(coo.entries()), entry_bits(&push_dedup_reference(ts)));
+    }
+
+    #[test]
+    fn scatter_transpose_and_csc_match_the_sort_based_reference(
+        (rows, cols, ts) in shaped_triplets()
+    ) {
+        let coo = Coo::from_triplets(rows, cols, ts).unwrap();
+        let t = coo.transpose();
+        prop_assert_eq!((t.rows(), t.cols()), (cols, rows));
+        prop_assert_eq!(entry_bits(t.entries()), entry_bits(sorted_transpose(&coo).entries()));
+        prop_assert_eq!(Csc::from_coo(&coo), sorted_csc(&coo));
+    }
 
     #[test]
     fn every_format_round_trips(ts in triplets(48, 150)) {
@@ -175,5 +260,28 @@ proptest! {
         let p = partition_graph(&adj, parts);
         prop_assert_eq!(p.assignment().len(), 80);
         prop_assert!(p.assignment().iter().all(|&a| (a as usize) < parts));
+    }
+}
+
+#[test]
+fn scatter_transpose_and_csc_cover_degenerate_shapes() {
+    let cases: [(usize, usize, Triplets); 6] = [
+        (1, 7, vec![(0, 6, 1.0), (0, 0, 2.0), (0, 3, -1.5)]),
+        (7, 1, vec![(6, 0, 1.0), (0, 0, 2.0), (3, 0, -1.5)]),
+        // Rows 1 and 3 and columns 0, 2 and 5 are empty.
+        (
+            5,
+            6,
+            vec![(4, 1, 1.0), (0, 4, 2.0), (2, 3, 3.0), (0, 1, 4.0)],
+        ),
+        (4, 4, vec![]),
+        (0, 3, vec![]),
+        (3, 0, vec![]),
+    ];
+    for (rows, cols, ts) in cases {
+        let coo = Coo::from_triplets(rows, cols, ts).unwrap();
+        assert_eq!(coo.transpose(), sorted_transpose(&coo), "{rows}x{cols}");
+        assert_eq!(Csc::from_coo(&coo), sorted_csc(&coo), "{rows}x{cols}");
+        assert_eq!(Csc::from_coo(&coo).to_coo(), coo, "{rows}x{cols}");
     }
 }

@@ -3,8 +3,9 @@
 //! one microbenchmark tool; its times gate nothing.
 //!
 //! Run with `cargo run --release --example hotloop_timing`. The `spmu`,
-//! `scanner` and `cpu` rows are the best of three runs. The rows, in
-//! order:
+//! memo-hit, `eie`, `scanner` and `cpu` rows are the best of three runs;
+//! a cold row is one call, since every later call in the process hits
+//! the memo. The rows, in order:
 //!
 //! - `spmu`: one unit saturated with uniformly random reads, one row per
 //!   SpMU shape `table9` replays (Ideal is never replayed) plus address
@@ -12,6 +13,10 @@
 //! - `run_vectors`: 50k strided read vectors through the default SpMU;
 //! - `simulate`: an SRAM-heavy workload, cold and then on a replay-memo
 //!   hit;
+//! - `simulate pr-edge`: PR-Edge on web-Stanford at the `small` graph
+//!   scale, cold and then on a route-memo (and replay-memo) hit;
+//! - `eie layer`: Table 13's fixed-size EIE layer, `gen::uniform(4096,
+//!   9216, 3_700_000, 0xE1E)` plus `Csc::from_coo`;
 //! - `scanner`: bit-vector union at window widths 64/256/512, intersect
 //!   scans at set-bit strides 2/16/256, a data scan of 64k values and a
 //!   bit-tree union (the models behind Table 5 and Fig. 6);
@@ -19,6 +24,8 @@
 //!   parallel CSR and CSC SpMV, serial CSR SpMV, PageRank pull and BFS.
 
 use capstan::apps::common::inv_out_degree;
+use capstan::apps::pagerank::PrEdge;
+use capstan::apps::App;
 use capstan::arch::scanner::{scan_bittree, BitVecScanner, DataScanner, ScanMode, ScanStats};
 use capstan::arch::spmu::driver::{measure_random_throughput, run_vectors};
 use capstan::arch::spmu::{AccessVector, BankHash, OrderingMode, RmwOp, SpmuConfig};
@@ -28,7 +35,7 @@ use capstan::core::perf::simulate;
 use capstan::core::program::WorkloadBuilder;
 use capstan::tensor::bittree::BitTree;
 use capstan::tensor::bitvec::BitVec;
-use capstan::tensor::gen::Dataset;
+use capstan::tensor::gen::{self, Dataset};
 use capstan::tensor::{Csc, Csr};
 use std::hint::black_box;
 use std::time::Instant;
@@ -129,6 +136,28 @@ fn main() {
             report.cycles, report.breakdown.sram
         );
     }
+    // PR-Edge routes every tile's cross-tile updates through the shuffle
+    // network; the first call routes, the later ones hit the route memo.
+    let app = PrEdge::new(&Dataset::WebStanford.generate_scaled(0.015));
+    let cfg = CapstanConfig::paper_default();
+    let workload = app.build(&cfg);
+    let start = Instant::now();
+    let cold = simulate(&workload, &cfg);
+    let cold_s = start.elapsed().as_secs_f64();
+    let (hit_s, hit) = best_of_3(1, || simulate(&workload, &cfg));
+    for (pass, secs, report) in [("cold", cold_s, cold), ("memo hit", hit_s, hit)] {
+        println!(
+            "simulate pr-edge web-stanford ({pass:<8}): {} cycles (network {}) in {secs:.4}s",
+            report.cycles, report.breakdown.network
+        );
+    }
+    let (secs, csc) = best_of_3(1, || {
+        Csc::from_coo(&gen::uniform(4096, 9216, 3_700_000, 0xE1E))
+    });
+    println!(
+        "eie layer 4096x9216 uniform + csc: {} nnz in {secs:.3}s",
+        csc.nnz()
+    );
     scanner_rows();
     cpu_rows();
 }
