@@ -112,6 +112,8 @@ impl Sssp {
         let mut rounds: Vec<Vec<u32>> = Vec::new();
         {
             let mut frontier = vec![self.source];
+            // Marks the nodes already in `changed`; cleared after each round.
+            let mut in_changed = vec![false; n];
             while !frontier.is_empty() && rounds.len() < self.max_rounds {
                 rounds.push(frontier.clone());
                 let mut changed: Vec<u32> = Vec::new();
@@ -122,11 +124,15 @@ impl Sssp {
                         if nd < dist[d as usize] {
                             dist[d as usize] = nd;
                             parent[d as usize] = s;
-                            if !changed.contains(&d) {
+                            if !in_changed[d as usize] {
+                                in_changed[d as usize] = true;
                                 changed.push(d);
                             }
                         }
                     }
+                }
+                for &d in &changed {
+                    in_changed[d as usize] = false;
                 }
                 frontier = changed;
             }

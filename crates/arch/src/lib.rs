@@ -23,8 +23,6 @@
 //!   region channels (banked DRAM channels behind a deterministic
 //!   crossbar) and N per-region AGs, all ticked in lockstep — the
 //!   multi-channel topology behind the paper's per-AG memory regions.
-//! * [`cu`] — the compute-unit pipeline model (16 lanes × 6 stages,
-//!   scanner-only mode, §4.1/§3.3).
 //! * [`fmtconv`] — the compute-tile format converter (pointers →
 //!   bit-vectors, §3.4).
 //! * [`area`] — the calibrated area/power model (Tables 4, 5, 8).
@@ -32,7 +30,6 @@
 
 pub mod ag;
 pub mod area;
-pub mod cu;
 pub mod fmtconv;
 pub mod grid;
 pub mod memdrv;

@@ -17,6 +17,14 @@
 //!   vector per cycle; too slow for inner loops, used for outer sparse
 //!   iteration over raw values.
 //! * [`scan_bittree`] — nested two-pass bit-tree iteration (§2.3).
+//!
+//! The model is linear, like the hardware's running prefix popcount: a
+//! bit-vector scan ([`BitVecScanner::for_each`], behind `scan` and
+//! `scan_cycles`) walks the input words once, keeps a running rank per
+//! input, and costs O(words + emitted). There is one window counter,
+//! shared by every bit-vector and bit-tree scan: it closes a window when
+//! an element crosses into a later one, and the empty windows are the
+//! total minus the non-empty ones.
 
 use capstan_tensor::bittree::{BitTree, LEAF_BITS};
 use capstan_tensor::bitvec::BitVec;
@@ -107,104 +115,136 @@ impl BitVecScanner {
         a: &BitVec,
         b: Option<&BitVec>,
     ) -> (Vec<ScanElement>, ScanStats) {
-        if let Some(b) = b {
-            assert_eq!(a.len(), b.len(), "scan of mismatched lengths");
-        }
-        // ➊ Union/intersect of the inputs.
-        let space = match (b, mode) {
-            (None, _) => a.clone(),
-            (Some(b), ScanMode::Intersect) => a.intersect(b),
-            (Some(b), ScanMode::Union) => a.union(b),
-        };
-        let mut out = Vec::with_capacity(space.count_ones());
-        let mut stats = ScanStats::default();
-        let mut jprime = 0u32;
-        let mut pos = 0usize;
-        while pos < space.len().max(1) {
-            let window_end = (pos + self.width).min(space.len());
-            // Count set bits in this window.
-            let k = if pos < space.len() {
-                space.rank(window_end) - space.rank(pos)
-            } else {
-                0
-            };
-            // ➋➌ Emit up to `outputs` per cycle.
-            let cycles = if k == 0 {
-                1
-            } else {
-                k.div_ceil(self.outputs) as u64
-            };
-            stats.cycles += cycles;
-            if k == 0 {
-                stats.empty_window_cycles += 1;
-            }
-            if k > 0 {
-                for j in pos..window_end {
-                    if !space.get(j) {
-                        continue;
-                    }
-                    let ja = match (b, a.get(j)) {
-                        (_, true) => a.rank(j) as i32,
-                        (_, false) => -1,
-                    };
-                    let jb = match b {
-                        Some(bv) if bv.get(j) => bv.rank(j) as i32,
-                        Some(_) => -1,
-                        None => -1,
-                    };
-                    out.push(ScanElement {
-                        j: j as u32,
-                        ja,
-                        jb,
-                        jprime,
-                    });
-                    jprime += 1;
-                }
-            }
-            if space.is_empty() {
-                break;
-            }
-            pos = window_end;
-        }
-        stats.emitted = out.len() as u64;
+        let mut out = Vec::new();
+        let stats = self.for_each(mode, a, b, |e| out.push(e));
         (out, stats)
     }
 
     /// Cycle cost only (no materialized elements) — used by the system
     /// performance model on large traces.
     pub fn scan_cycles(&self, mode: ScanMode, a: &BitVec, b: Option<&BitVec>) -> ScanStats {
+        self.for_each(mode, a, b, |_| {})
+    }
+
+    /// Streams the scan's elements to `f` in order and returns its cycle
+    /// accounting: the same elements and [`ScanStats`] as [`Self::scan`],
+    /// without materializing them.
+    ///
+    /// One pass over the input words: ➊ combines `a`'s and `b`'s words per
+    /// `mode`, ➌ derives `jA`/`jB` as the running rank before the word
+    /// plus a masked popcount, and ➋ charges each window through one
+    /// [`WindowCounter`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two inputs have different lengths.
+    pub fn for_each(
+        &self,
+        mode: ScanMode,
+        a: &BitVec,
+        b: Option<&BitVec>,
+        mut f: impl FnMut(ScanElement),
+    ) -> ScanStats {
         if let Some(b) = b {
             assert_eq!(a.len(), b.len(), "scan of mismatched lengths");
         }
-        let space = match (b, mode) {
-            (None, _) => a.clone(),
-            (Some(b), ScanMode::Intersect) => a.intersect(b),
-            (Some(b), ScanMode::Union) => a.union(b),
-        };
-        let mut stats = ScanStats::default();
-        let mut pos = 0usize;
-        while pos < space.len().max(1) {
-            let window_end = (pos + self.width).min(space.len());
-            let k = if pos < space.len() {
-                space.rank(window_end) - space.rank(pos)
-            } else {
-                0
+        let b_words = b.map(BitVec::words);
+        let mut windows = WindowCounter::new(self);
+        let (mut rank_a, mut rank_b) = (0i32, 0i32);
+        for (w, &wa) in a.words().iter().enumerate() {
+            let wb = b_words.map_or(0, |words| words[w]);
+            let mut space = match (b, mode) {
+                (None, _) => wa,
+                (Some(_), ScanMode::Intersect) => wa & wb,
+                (Some(_), ScanMode::Union) => wa | wb,
             };
-            stats.cycles += if k == 0 {
-                1
-            } else {
-                k.div_ceil(self.outputs) as u64
-            };
-            if k == 0 {
-                stats.empty_window_cycles += 1;
+            while space != 0 {
+                let bit = space.trailing_zeros();
+                space &= space - 1;
+                let below = (1u64 << bit) - 1;
+                let rank = |word: u64, before: i32| {
+                    if word >> bit & 1 == 1 {
+                        before + (word & below).count_ones() as i32
+                    } else {
+                        -1
+                    }
+                };
+                let j = w * 64 + bit as usize;
+                let jprime = windows.push(j);
+                f(ScanElement {
+                    j: j as u32,
+                    ja: rank(wa, rank_a),
+                    jb: rank(wb, rank_b),
+                    jprime,
+                });
             }
-            stats.emitted += k as u64;
-            if space.is_empty() {
-                break;
-            }
-            pos = window_end;
+            rank_a += wa.count_ones() as i32;
+            rank_b += wb.count_ones() as i32;
         }
-        stats
+        windows.finish(a.len())
+    }
+}
+
+/// The scanner's one cycle model: a scan of `len` bits visits
+/// `⌈len / width⌉` windows (one when `len == 0`); a window holding `k`
+/// set bits costs `⌈k / outputs⌉` cycles and an empty one costs a cycle.
+///
+/// Elements arrive in increasing order, so a window closes only when an
+/// element crosses into a later one (one division per non-empty window),
+/// and the empty windows are the total minus the non-empty ones.
+struct WindowCounter {
+    width: usize,
+    outputs: u64,
+    /// Exclusive end of the open window (0 before the first element).
+    end: usize,
+    /// Elements in the open window.
+    open: u64,
+    /// Cycles of the closed non-empty windows.
+    busy: u64,
+    nonempty: u64,
+    emitted: u64,
+}
+
+impl WindowCounter {
+    fn new(scanner: &BitVecScanner) -> Self {
+        WindowCounter {
+            width: scanner.width,
+            outputs: scanner.outputs as u64,
+            end: 0,
+            open: 0,
+            busy: 0,
+            nonempty: 0,
+            emitted: 0,
+        }
+    }
+
+    /// Counts an element at dense position `j`; returns its `j'`.
+    fn push(&mut self, j: usize) -> u32 {
+        if j >= self.end {
+            self.close();
+            self.end = (j / self.width + 1).saturating_mul(self.width);
+        }
+        self.open += 1;
+        (self.emitted + self.open - 1) as u32
+    }
+
+    fn close(&mut self) {
+        if self.open > 0 {
+            self.busy += self.open.div_ceil(self.outputs);
+            self.nonempty += 1;
+            self.emitted += self.open;
+            self.open = 0;
+        }
+    }
+
+    fn finish(mut self, len: usize) -> ScanStats {
+        self.close();
+        let empty = len.div_ceil(self.width).max(1) as u64 - self.nonempty;
+        ScanStats {
+            cycles: self.busy + empty,
+            empty_window_cycles: empty,
+            emitted: self.emitted,
+        }
     }
 }
 
@@ -261,51 +301,40 @@ impl DataScanner {
 /// realign leaves, pass 2 runs nested sparse-sparse scans on the aligned
 /// leaves. Returns the merged iteration space (as positions) and total
 /// scanner cycles.
+///
+/// The root scan's `jA`/`jB` index each side's leaves directly (a miss
+/// pairs against a zero leaf), and a chunk whose merged leaf is empty
+/// (an intersection miss) costs nothing in pass 2.
 pub fn scan_bittree(
     scanner: &BitVecScanner,
     mode: ScanMode,
     a: &BitTree,
     b: &BitTree,
 ) -> (Vec<u32>, ScanStats) {
-    // Pass 1: root realignment.
-    let root_stats = scanner.scan_cycles(
-        match mode {
-            ScanMode::Intersect => ScanMode::Intersect,
-            ScanMode::Union => ScanMode::Union,
-        },
-        a.root(),
-        Some(b.root()),
-    );
-    let (merged, _realign) = match mode {
-        ScanMode::Intersect => a.intersect(b),
-        ScanMode::Union => a.union(b),
-    };
-    // Pass 2: nested scans over each occupied chunk.
-    let mut total = ScanStats {
-        cycles: root_stats.cycles,
-        empty_window_cycles: root_stats.empty_window_cycles,
-        emitted: 0,
-    };
-    let mut positions = Vec::new();
-    let zero = BitVec::zeros(LEAF_BITS);
-    for chunk in merged.root().iter_ones() {
-        let a_leaf = if a.root().get(chunk) {
-            &a.leaves()[a.root().rank(chunk)]
-        } else {
-            &zero
-        };
-        let b_leaf = if b.root().get(chunk) {
-            &b.leaves()[b.root().rank(chunk)]
-        } else {
-            &zero
-        };
-        let stats = scanner.scan_cycles(mode, a_leaf, Some(b_leaf));
-        total.cycles += stats.cycles;
-        total.empty_window_cycles += stats.empty_window_cycles;
-        total.emitted += stats.emitted;
-        let leaf = &merged.leaves()[merged.root().rank(chunk)];
-        positions.extend(leaf.iter_ones().map(|p| (chunk * LEAF_BITS + p) as u32));
+    fn leaf<'t>(tree: &'t BitTree, k: i32, zero: &'t BitVec) -> &'t BitVec {
+        usize::try_from(k).map_or(zero, |k| &tree.leaves()[k])
     }
+    let zero = BitVec::zeros(LEAF_BITS);
+    let mut positions = Vec::new();
+    let mut leaves = ScanStats::default();
+    // Pass 1: root realignment; pass 2 runs per occupied chunk.
+    let root = scanner.for_each(mode, a.root(), Some(b.root()), |chunk| {
+        let base = chunk.j as usize * LEAF_BITS;
+        let (a_leaf, b_leaf) = (leaf(a, chunk.ja, &zero), leaf(b, chunk.jb, &zero));
+        let stats = scanner.for_each(mode, a_leaf, Some(b_leaf), |e| {
+            positions.push((base + e.j as usize) as u32)
+        });
+        if stats.emitted > 0 {
+            leaves.cycles += stats.cycles;
+            leaves.empty_window_cycles += stats.empty_window_cycles;
+            leaves.emitted += stats.emitted;
+        }
+    });
+    let total = ScanStats {
+        cycles: root.cycles + leaves.cycles,
+        empty_window_cycles: root.empty_window_cycles + leaves.empty_window_cycles,
+        emitted: leaves.emitted,
+    };
     (positions, total)
 }
 

@@ -1,15 +1,17 @@
 //! Property-based tests for the microarchitecture models: allocator
 //! legality, hash bijectivity, SpMU functional equivalence across
-//! ordering modes, scanner/naive equivalence with cycle bounds, and
+//! ordering modes, scanner/naive equivalence with cycle bounds, the
+//! streaming scanner's exactness against its rank-based reference, and
 //! shuffle-network conservation.
 
-use capstan_arch::scanner::{BitVecScanner, ScanMode};
+use capstan_arch::scanner::{scan_bittree, BitVecScanner, ScanMode};
 use capstan_arch::shuffle::{merge_vectors, MergeShift, ShuffleEntry, ShuffleVector};
 use capstan_arch::spmu::alloc::{allocate, maximal_matching};
 use capstan_arch::spmu::driver::run_vectors;
 use capstan_arch::spmu::{
     AccessVector, BankHash, BloomFilter, LaneRequest, OrderingMode, RmwOp, SpmuConfig,
 };
+use capstan_tensor::bittree::{BitTree, MAX_LEN};
 use capstan_tensor::bitvec::BitVec;
 use proptest::prelude::*;
 
@@ -549,5 +551,207 @@ proptest! {
         prop_assert_eq!(sim.ag_completed(), atomic);
         let served: u64 = (0..channels).map(|i| sim.channel_stats(i).served).sum();
         prop_assert_eq!(served, stream + random);
+    }
+}
+
+/// Reference model for the bit-vector scanner: the rank-based
+/// implementation the streaming one replaced. Every window re-counts its
+/// set bits with two prefix popcounts from bit 0, and every element
+/// derives `jA`/`jB` the same way; the bit-tree scan merges the trees
+/// first and looks each leaf up by root rank.
+mod scanner_reference {
+    use capstan_arch::scanner::{BitVecScanner, ScanElement, ScanMode, ScanStats};
+    use capstan_tensor::bittree::{BitTree, LEAF_BITS};
+    use capstan_tensor::bitvec::BitVec;
+
+    fn space(mode: ScanMode, a: &BitVec, b: Option<&BitVec>) -> BitVec {
+        match (b, mode) {
+            (None, _) => a.clone(),
+            (Some(b), ScanMode::Intersect) => a.intersect(b),
+            (Some(b), ScanMode::Union) => a.union(b),
+        }
+    }
+
+    pub fn scan(
+        scanner: &BitVecScanner,
+        mode: ScanMode,
+        a: &BitVec,
+        b: Option<&BitVec>,
+    ) -> (Vec<ScanElement>, ScanStats) {
+        let space = space(mode, a, b);
+        let mut out = Vec::new();
+        let mut pos = 0usize;
+        while pos < space.len() {
+            let window_end = (pos + scanner.width).min(space.len());
+            for j in pos..window_end {
+                if !space.get(j) {
+                    continue;
+                }
+                let ja = if a.get(j) { a.rank(j) as i32 } else { -1 };
+                let jb = match b {
+                    Some(bv) if bv.get(j) => bv.rank(j) as i32,
+                    _ => -1,
+                };
+                let jprime = out.len() as u32;
+                out.push(ScanElement {
+                    j: j as u32,
+                    ja,
+                    jb,
+                    jprime,
+                });
+            }
+            pos = window_end;
+        }
+        (out, scan_cycles(scanner, mode, a, b))
+    }
+
+    pub fn scan_cycles(
+        scanner: &BitVecScanner,
+        mode: ScanMode,
+        a: &BitVec,
+        b: Option<&BitVec>,
+    ) -> ScanStats {
+        let space = space(mode, a, b);
+        let mut stats = ScanStats::default();
+        let mut pos = 0usize;
+        while pos < space.len().max(1) {
+            let window_end = (pos + scanner.width).min(space.len());
+            let k = if pos < space.len() {
+                space.rank(window_end) - space.rank(pos)
+            } else {
+                0
+            };
+            stats.cycles += if k == 0 {
+                1
+            } else {
+                k.div_ceil(scanner.outputs) as u64
+            };
+            if k == 0 {
+                stats.empty_window_cycles += 1;
+            }
+            stats.emitted += k as u64;
+            if space.is_empty() {
+                break;
+            }
+            pos = window_end;
+        }
+        stats
+    }
+
+    pub fn scan_bittree(
+        scanner: &BitVecScanner,
+        mode: ScanMode,
+        a: &BitTree,
+        b: &BitTree,
+    ) -> (Vec<u32>, ScanStats) {
+        let root = scan_cycles(scanner, mode, a.root(), Some(b.root()));
+        let (merged, _) = match mode {
+            ScanMode::Intersect => a.intersect(b),
+            ScanMode::Union => a.union(b),
+        };
+        let mut total = ScanStats { emitted: 0, ..root };
+        let mut positions = Vec::new();
+        let zero = BitVec::zeros(LEAF_BITS);
+        for chunk in merged.root().iter_ones() {
+            let leaf = |t: &BitTree| {
+                if t.root().get(chunk) {
+                    t.leaves()[t.root().rank(chunk)].clone()
+                } else {
+                    zero.clone()
+                }
+            };
+            let stats = scan_cycles(scanner, mode, &leaf(a), Some(&leaf(b)));
+            total.cycles += stats.cycles;
+            total.empty_window_cycles += stats.empty_window_cycles;
+            total.emitted += stats.emitted;
+            let leaf = &merged.leaves()[merged.root().rank(chunk)];
+            positions.extend(leaf.iter_ones().map(|p| (chunk * LEAF_BITS + p) as u32));
+        }
+        (positions, total)
+    }
+}
+
+/// A pseudo-random bit-vector of `len` bits, each set with probability
+/// `percent`/100 (a 64-bit LCG, so sparse, dense and all-ones inputs
+/// all occur).
+fn random_bitvec(len: usize, percent: u64, seed: u64) -> BitVec {
+    let mut state = seed | 1;
+    let bits: Vec<bool> = (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % 100 < percent
+        })
+        .collect();
+    BitVec::from_bools(&bits)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn scanner_matches_the_rank_based_reference(
+        len in (prop::sample::select(vec![None, Some(0usize), Some(1), Some(64), Some(65)]), 0usize..2049),
+        percent in prop::sample::select(vec![0u64, 1, 5, 30, 70, 100]),
+        seeds in (any::<u64>(), any::<u64>()),
+        width in (prop::sample::select(vec![0usize, 1, 3, 64, 100, 256, 512]), 1usize..700),
+        outputs in 1usize..17,
+        intersect in any::<bool>(),
+        with_b in any::<bool>(),
+    ) {
+        // `None` and width 0 in the fixed lists stand for the random draw.
+        let len = len.0.unwrap_or(len.1);
+        let width = if width.0 == 0 { width.1 } else { width.0 };
+        let scanner = BitVecScanner::new(width, outputs);
+        let mode = if intersect { ScanMode::Intersect } else { ScanMode::Union };
+        let a = random_bitvec(len, percent, seeds.0);
+        let b = random_bitvec(len, 100 - percent, seeds.1);
+        let b = with_b.then_some(&b);
+        let (elems, stats) = scanner.scan(mode, &a, b);
+        let (ref_elems, ref_stats) = scanner_reference::scan(&scanner, mode, &a, b);
+        prop_assert_eq!(elems, ref_elems);
+        prop_assert_eq!(stats, ref_stats);
+        prop_assert_eq!(scanner.scan_cycles(mode, &a, b), ref_stats);
+    }
+
+    #[test]
+    fn bittree_scan_matches_the_merge_based_reference(
+        len in 1usize..(MAX_LEN + 1),
+        counts in (0usize..40, 0usize..40),
+        seeds in (any::<u64>(), any::<u64>()),
+        spread in 1u32..64,
+        width in prop::sample::select(vec![1usize, 3, 64, 100, 256, 512]),
+        outputs in 1usize..17,
+        intersect in any::<bool>(),
+    ) {
+        // Clustered indices: `count` runs of up to `spread` bits each, so
+        // leaves hold several bits and the two trees share some chunks.
+        let tree = |count: usize, seed: u64| {
+            let mut state = seed | 1;
+            let mut next = |bound: u64| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) % bound
+            };
+            let mut idx = Vec::new();
+            for _ in 0..count {
+                let start = next(len as u64) as u32;
+                for k in 0..next(spread as u64) as u32 {
+                    if ((start + k) as usize) < len {
+                        idx.push(start + k);
+                    }
+                }
+            }
+            BitTree::from_indices(len, &idx).unwrap()
+        };
+        let (a, b) = (tree(counts.0, seeds.0), tree(counts.1, seeds.1));
+        let scanner = BitVecScanner::new(width, outputs);
+        let mode = if intersect { ScanMode::Intersect } else { ScanMode::Union };
+        prop_assert_eq!(
+            scan_bittree(&scanner, mode, &a, &b),
+            scanner_reference::scan_bittree(&scanner, mode, &a, &b)
+        );
     }
 }

@@ -372,14 +372,14 @@ impl TileRecorder {
         b: Option<&BitVec>,
         mut body: impl FnMut(&mut Self, ScanElement),
     ) {
-        let (elems, stats) = self.scanner.scan(mode, a, b);
-        self.record_scan_inputs(a, b, stats);
         self.begin_vector_loop();
-        for e in elems {
+        let scanner = self.scanner;
+        let stats = scanner.for_each(mode, a, b, |e| {
             self.access_seq = 0;
             body(self, e);
             self.advance_lane();
-        }
+        });
+        self.record_scan_inputs(a, b, stats);
         self.end_vector_loop(stats.emitted);
     }
 
@@ -395,11 +395,9 @@ impl TileRecorder {
         b: Option<&BitVec>,
         mut body: impl FnMut(&mut Self, ScanElement),
     ) {
-        let (elems, stats) = self.scanner.scan(mode, a, b);
+        let scanner = self.scanner;
+        let stats = scanner.for_each(mode, a, b, |e| body(self, e));
         self.record_scan_inputs(a, b, stats);
-        for e in elems {
-            body(self, e);
-        }
     }
 
     /// An outer sparse loop over raw data values (the data scanner

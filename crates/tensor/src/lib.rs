@@ -43,7 +43,6 @@
 //! assert_eq!(csr.row(1).collect::<Vec<_>>(), vec![(2, 2.0)]);
 //! ```
 
-pub mod banded;
 pub mod bcsr;
 pub mod bittree;
 pub mod bitvec;

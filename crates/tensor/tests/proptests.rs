@@ -2,7 +2,6 @@
 //! bit-vector algebra, bit-tree/flat equivalence, compression, and the
 //! Matrix Market loader.
 
-use capstan_tensor::banded::Banded;
 use capstan_tensor::bcsr::Bcsr;
 use capstan_tensor::bittree::BitTree;
 use capstan_tensor::bitvec::BitVec;
@@ -115,7 +114,6 @@ proptest! {
         prop_assert_eq!(Csc::from_coo(&coo).to_coo(), coo.clone());
         prop_assert_eq!(Dcsr::from_coo(&coo).to_coo(), coo.clone());
         prop_assert_eq!(Dcsc::from_coo(&coo).to_coo(), coo.clone());
-        prop_assert_eq!(Banded::from_coo(&coo).to_coo(), coo.clone());
         for block in [3usize, 4, 16] {
             prop_assert_eq!(Bcsr::from_coo(&coo, block).to_coo(), coo.clone());
         }
@@ -129,7 +127,6 @@ proptest! {
         let candidates = [
             Csc::from_coo(&coo).spmv(&x),
             Dcsr::from_coo(&coo).spmv(&x),
-            Banded::from_coo(&coo).spmv(&x),
             Bcsr::from_coo(&coo, 4).spmv(&x),
         ];
         for y in candidates {

@@ -3,9 +3,9 @@
 //! one microbenchmark tool; its times gate nothing.
 //!
 //! Run with `cargo run --release --example hotloop_timing`. The `spmu`,
-//! memo-hit, `eie`, `scanner` and `cpu` rows are the best of three runs;
-//! a cold row is one call, since every later call in the process hits
-//! the memo. The rows, in order:
+//! memo-hit, `eie`, `scanner`, `record` and `cpu` rows are the best of
+//! three runs; a cold row is one call, since every later call in the
+//! process hits the memo. The rows, in order:
 //!
 //! - `spmu`: one unit saturated with uniformly random reads, one row per
 //!   SpMU shape `table9` replays (Ideal is never replayed) plus address
@@ -17,14 +17,21 @@
 //!   scale, cold and then on a route-memo (and replay-memo) hit;
 //! - `eie layer`: Table 13's fixed-size EIE layer, `gen::uniform(4096,
 //!   9216, 3_700_000, 0xE1E)` plus `Csc::from_coo`;
-//! - `scanner`: bit-vector union at window widths 64/256/512, intersect
-//!   scans at set-bit strides 2/16/256, a data scan of 64k values and a
-//!   bit-tree union (the models behind Table 5 and Fig. 6);
+//! - `scanner`: bit-vector union at window widths 1/64/256/512 (1 is
+//!   Fig. 6's narrowest window), intersect scans at set-bit strides
+//!   2/16/256, a data scan of 64k values and a bit-tree union (the models
+//!   behind Table 5 and Fig. 6);
+//! - `record`: the recording layer alone (`App::build`, dataset already
+//!   generated) for SpMSpM on mbeacxc and BFS on p2p-Gnutella31 at the
+//!   `small` suite scales with Fig. 6's 1-bit scanner, in milliseconds
+//!   per recording;
 //! - `cpu`: the measured CPU baseline kernels (`capstan_baselines::cpu`):
 //!   parallel CSR and CSC SpMV, serial CSR SpMV, PageRank pull and BFS.
 
+use capstan::apps::bfs::Bfs;
 use capstan::apps::common::inv_out_degree;
 use capstan::apps::pagerank::PrEdge;
+use capstan::apps::spmspm::SpMSpM;
 use capstan::apps::App;
 use capstan::arch::scanner::{scan_bittree, BitVecScanner, DataScanner, ScanMode, ScanStats};
 use capstan::arch::spmu::driver::{measure_random_throughput, run_vectors};
@@ -159,6 +166,7 @@ fn main() {
         csc.nnz()
     );
     scanner_rows();
+    record_rows();
     cpu_rows();
 }
 
@@ -178,8 +186,8 @@ fn scanner_rows() {
     };
     let a = sparse_bitvec(1 << 16, 37);
     let b = sparse_bitvec(1 << 16, 23);
-    for width in [64usize, 256, 512] {
-        let scanner = BitVecScanner::new(width, 16);
+    for width in [1usize, 64, 256, 512] {
+        let scanner = BitVecScanner::new(width, 16.min(width));
         row(
             &format!("union width {width}"),
             best_of_3(REPS, || scanner.scan_cycles(ScanMode::Union, &a, Some(&b))),
@@ -207,6 +215,30 @@ fn scanner_rows() {
         "bittree union",
         best_of_3(REPS, || scan_bittree(&scanner, ScanMode::Union, &ta, &tb).1),
     );
+}
+
+fn record_rows() {
+    let mut cfg = CapstanConfig::paper_default();
+    cfg.scanner = BitVecScanner::new(1, 1);
+    // `Suite::small`'s SpMSpM and graph scales.
+    let apps: [(&str, Box<dyn App>); 2] = [
+        (
+            "spmspm mbeacxc",
+            Box::new(SpMSpM::squared(&Dataset::Mbeacxc.generate_scaled(0.5))),
+        ),
+        (
+            "bfs gnutella31",
+            Box::new(Bfs::new(&Dataset::Gnutella31.generate_scaled(0.015))),
+        ),
+    ];
+    for (name, app) in apps {
+        let (secs, workload) = best_of_3(1, || app.build(&cfg));
+        println!(
+            "record {name:<20} {:>8.2} ms/call ({} tiles, scanner width 1)",
+            secs * 1e3,
+            workload.tiles.len()
+        );
+    }
 }
 
 fn cpu_rows() {
