@@ -11,6 +11,12 @@
 //! ensures that each AG is responsible for a mutually-exclusive memory
 //! region."
 //!
+//! The model is timing-only: it tracks bursts, not data. An access names
+//! the paper's operation, which decides whether it dirties its burst
+//! (any update does, a read does not), but the AG keeps no memory image
+//! and returns no values. Applications compute their numerics while they
+//! record their traces, so the drain needs only completion cycles.
+//!
 //! # Implementation notes
 //!
 //! Burst tracking is **slab-indexed**, not hash-based: every tracked
@@ -38,25 +44,21 @@ pub const BURST_WORDS: usize = 16;
 const NO_SLOT: u32 = u32::MAX;
 
 /// One atomic DRAM request.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramAccess {
     /// Word address in the AG's memory region.
     pub addr: u64,
     /// Atomic operation.
     pub op: RmwOp,
-    /// Operand for updates.
-    pub operand: f32,
     /// Opaque completion tag.
     pub tag: u64,
 }
 
 /// A completed atomic access.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramAccessResult {
     /// The request's tag.
     pub tag: u64,
-    /// Returned data (per the operation's result mux).
-    pub value: f32,
     /// Completion cycle.
     pub cycle: u64,
 }
@@ -107,8 +109,8 @@ struct WaiterNode {
 /// cache and atomic read-modify-write execution.
 #[derive(Debug)]
 pub struct AddressGenerator {
-    /// Backing memory (the AG's exclusive region), word addressed.
-    memory: Vec<f32>,
+    /// Words in the AG's exclusive region.
+    words: usize,
     channel: DramChannel,
     /// Slab of tracked bursts (free-list recycled).
     slots: Vec<BurstSlot>,
@@ -153,7 +155,7 @@ pub struct AddressGenerator {
 const CHANNEL_QUEUE_DEPTH: usize = 256;
 
 impl AddressGenerator {
-    /// Creates an AG over `words` of zeroed memory.
+    /// Creates an AG over a region of `words` words.
     pub fn new(model: DramModel, words: usize, open_burst_capacity: usize) -> Self {
         let capacity = open_burst_capacity.max(1);
         // Simultaneously tracked bursts are bounded by the open set plus
@@ -162,7 +164,7 @@ impl AddressGenerator {
         // just no longer expected.
         let slab_hint = capacity + CHANNEL_QUEUE_DEPTH + 8;
         AddressGenerator {
-            memory: vec![0.0; words],
+            words,
             channel: DramChannel::new(model, CHANNEL_QUEUE_DEPTH),
             slots: Vec::with_capacity(slab_hint),
             slot_free: Vec::with_capacity(slab_hint),
@@ -188,16 +190,6 @@ impl AddressGenerator {
             submitted_total: 0,
             completed_total: 0,
         }
-    }
-
-    /// Direct untimed read (test/verification path).
-    pub fn peek(&self, addr: u64) -> f32 {
-        self.memory[addr as usize]
-    }
-
-    /// Direct untimed write (initialization path).
-    pub fn poke(&mut self, addr: u64, value: f32) {
-        self.memory[addr as usize] = value;
     }
 
     /// Total bursts fetched from DRAM.
@@ -260,8 +252,8 @@ impl AddressGenerator {
         self.transitioning == 0 && self.waiting_total == 0 && self.channel.is_idle()
     }
 
-    /// Returns the AG to its as-constructed state — zeroed memory, empty
-    /// slab, no in-flight transfers — without releasing any buffer
+    /// Returns the AG to its as-constructed state — empty slab, no
+    /// in-flight transfers — without releasing any buffer
     /// capacity. A reset AG is behaviorally indistinguishable from a
     /// fresh one (same completion stream for the same submissions),
     /// which is what lets the persistent per-thread memory driver reuse
@@ -270,7 +262,6 @@ impl AddressGenerator {
     /// reuse path allocation-free (proven in
     /// `crates/arch/tests/alloc_free.rs`).
     pub fn reset(&mut self) {
-        self.memory.fill(0.0);
         self.channel.reset();
         self.slots.clear();
         self.slot_free.clear();
@@ -385,10 +376,10 @@ impl AddressGenerator {
     /// Panics if the address is outside the AG's region.
     pub fn submit(&mut self, access: DramAccess) {
         assert!(
-            (access.addr as usize) < self.memory.len(),
+            (access.addr as usize) < self.words,
             "address {} outside AG region ({} words)",
             access.addr,
-            self.memory.len()
+            self.words
         );
         self.submitted_total += 1;
         let burst = access.addr / BURST_WORDS as u64;
@@ -413,12 +404,10 @@ impl AddressGenerator {
         }
     }
 
+    /// Executes `access` against its open burst: an update dirties the
+    /// burst, and the result is due next cycle.
     fn execute(&mut self, access: DramAccess) {
-        let idx = access.addr as usize;
-        let old = self.memory[idx];
-        let (new, returned) = access.op.apply(old, access.operand);
-        if new != old || access.op.is_update() {
-            self.memory[idx] = new;
+        if access.op.is_update() {
             let burst = access.addr / BURST_WORDS as u64;
             let slot = self.slot_of[burst as usize];
             if slot != NO_SLOT {
@@ -429,7 +418,6 @@ impl AddressGenerator {
         }
         self.results.push(DramAccessResult {
             tag: access.tag,
-            value: returned,
             cycle: self.channel.cycle() + 1,
         });
     }
@@ -631,21 +619,23 @@ mod tests {
         AddressGenerator::new(DramModel::new(MemoryKind::Ddr4), 4096, 8)
     }
 
+    fn access(addr: u64, op: RmwOp, tag: u64) -> DramAccess {
+        DramAccess { addr, op, tag }
+    }
+
     #[test]
     fn atomic_add_round_trip() {
         let mut ag = new_ag();
-        ag.poke(100, 1.0);
-        ag.submit(DramAccess {
-            addr: 100,
-            op: RmwOp::AddF,
-            operand: 2.5,
-            tag: 1,
-        });
+        ag.submit(access(100, RmwOp::AddF, 1));
         let results = run_until_idle(&mut ag, 10_000);
         assert_eq!(results.len(), 1);
-        assert_eq!(results[0].value, 3.5);
-        assert_eq!(ag.peek(100), 3.5);
+        assert_eq!(results[0].tag, 1);
+        assert!(results[0].cycle > 1, "a fetch takes DRAM latency");
         assert_eq!(ag.bursts_fetched(), 1);
+        // The update dirtied its burst, so the barrier writes it back.
+        ag.flush();
+        run_until_idle(&mut ag, 10_000);
+        assert_eq!(ag.bursts_written(), 1);
     }
 
     #[test]
@@ -653,12 +643,7 @@ mod tests {
         let mut ag = new_ag();
         // 16 adds into one burst: exactly one fetch.
         for i in 0..16 {
-            ag.submit(DramAccess {
-                addr: 32 + i,
-                op: RmwOp::AddF,
-                operand: 1.0,
-                tag: i,
-            });
+            ag.submit(access(32 + i, RmwOp::AddF, i));
         }
         let results = run_until_idle(&mut ag, 10_000);
         assert_eq!(results.len(), 16);
@@ -670,12 +655,7 @@ mod tests {
         let mut ag = AddressGenerator::new(DramModel::new(MemoryKind::Ddr4), 1 << 14, 2);
         // Touch 4 distinct bursts with updates: capacity 2 forces evictions.
         for b in 0..4u64 {
-            ag.submit(DramAccess {
-                addr: b * BURST_WORDS as u64,
-                op: RmwOp::AddF,
-                operand: 1.0,
-                tag: b,
-            });
+            ag.submit(access(b * BURST_WORDS as u64, RmwOp::AddF, b));
         }
         let results = run_until_idle(&mut ag, 20_000);
         assert_eq!(results.len(), 4);
@@ -683,71 +663,68 @@ mod tests {
             ag.bursts_written() >= 1,
             "dirty bursts must write back on eviction"
         );
-        for b in 0..4u64 {
-            assert_eq!(ag.peek(b * BURST_WORDS as u64), 1.0);
-        }
+        // The barrier writes back the rest: every dirty burst once.
+        ag.flush();
+        run_until_idle(&mut ag, 20_000);
+        assert_eq!(ag.bursts_written(), 4);
     }
 
     #[test]
     fn reads_do_not_race_writebacks() {
         let mut ag = AddressGenerator::new(DramModel::new(MemoryKind::Ddr4), 1 << 14, 1);
-        ag.submit(DramAccess {
-            addr: 0,
-            op: RmwOp::AddF,
-            operand: 5.0,
-            tag: 0,
-        });
-        // Force the burst out with another burst (capacity 1), then read it
-        // back while the writeback may still be in flight.
-        ag.submit(DramAccess {
-            addr: 64,
-            op: RmwOp::AddF,
-            operand: 1.0,
-            tag: 1,
-        });
-        ag.submit(DramAccess {
-            addr: 0,
-            op: RmwOp::Read,
-            operand: 0.0,
-            tag: 2,
-        });
+        ag.submit(access(0, RmwOp::AddF, 0));
+        run_until_idle(&mut ag, 20_000);
+        // Opening another burst (capacity 1) evicts the dirty one; its
+        // write-back is in flight when the read of the same word arrives.
+        ag.submit(access(64, RmwOp::AddF, 1));
+        while ag.completed() < 2 {
+            ag.tick();
+        }
+        let slot = ag.slot_of[0];
+        assert!(matches!(
+            ag.slots[slot as usize].state,
+            BurstState::WritingBack
+        ));
+        let submitted_at = ag.cycle();
+        ag.submit(access(0, RmwOp::Read, 2));
         let results = run_until_idle(&mut ag, 40_000);
         let read = results.iter().find(|r| r.tag == 2).expect("read completed");
-        assert_eq!(read.value, 5.0, "read must observe the written value");
+        // The read waits for the write-back and is served by a fresh
+        // fetch of the written burst, never by the evicted copy. That
+        // refetch evicts the other dirty burst in turn.
+        assert_eq!(ag.bursts_fetched(), 3);
+        assert_eq!(ag.bursts_written(), 2);
+        assert!(read.cycle > submitted_at + 1);
     }
 
     #[test]
     fn min_report_changed_on_dram() {
+        // Min-report-changed is an update: it dirties its burst whatever
+        // it computes, while a read of another burst leaves that clean.
         let mut ag = new_ag();
-        ag.poke(7, 10.0);
-        ag.submit(DramAccess {
-            addr: 7,
-            op: RmwOp::MinReportChanged,
-            operand: 3.0,
-            tag: 0,
-        });
+        ag.submit(access(7, RmwOp::MinReportChanged, 0));
+        ag.submit(access(700, RmwOp::Read, 1));
         let results = run_until_idle(&mut ag, 10_000);
-        assert_eq!(results[0].value, 1.0);
-        assert_eq!(ag.peek(7), 3.0);
+        assert_eq!(results.len(), 2);
+        assert_eq!(ag.bursts_fetched(), 2);
+        ag.flush();
+        run_until_idle(&mut ag, 10_000);
+        assert_eq!(ag.bursts_written(), 1);
     }
 
     #[test]
     fn flush_persists_all_updates() {
         let mut ag = new_ag();
+        // Eight writes to eight distinct bursts, within the open capacity.
         for i in 0..8 {
-            ag.submit(DramAccess {
-                addr: i * 100,
-                op: RmwOp::Write,
-                operand: i as f32,
-                tag: i,
-            });
+            ag.submit(access(i * 100, RmwOp::Write, i));
         }
         run_until_idle(&mut ag, 20_000);
+        assert_eq!(ag.bursts_written(), 0, "nothing is evicted below capacity");
         ag.flush();
         run_until_idle(&mut ag, 20_000);
-        for i in 0..8 {
-            assert_eq!(ag.peek(i * 100), i as f32);
-        }
+        assert_eq!(ag.bursts_written(), 8);
+        assert!(ag.is_idle());
     }
 
     #[test]
@@ -757,12 +734,8 @@ mod tests {
         let mut ag = AddressGenerator::new(DramModel::new(MemoryKind::Hbm2e), 1 << 12, 2);
         for round in 0..64u64 {
             for b in 0..4u64 {
-                ag.submit(DramAccess {
-                    addr: (round * 4 + b) % 256 * BURST_WORDS as u64,
-                    op: RmwOp::AddF,
-                    operand: 1.0,
-                    tag: round * 4 + b,
-                });
+                let tag = round * 4 + b;
+                ag.submit(access(tag % 256 * BURST_WORDS as u64, RmwOp::AddF, tag));
             }
             for _ in 0..400 {
                 ag.tick();
@@ -783,12 +756,8 @@ mod tests {
     fn reset_reproduces_a_fresh_run() {
         let run = |ag: &mut AddressGenerator| {
             for b in 0..16u64 {
-                ag.submit(DramAccess {
-                    addr: (b * 37) % 4096,
-                    op: if b % 3 == 0 { RmwOp::Read } else { RmwOp::AddF },
-                    operand: b as f32,
-                    tag: b,
-                });
+                let op = if b % 3 == 0 { RmwOp::Read } else { RmwOp::AddF };
+                ag.submit(access((b * 37) % 4096, op, b));
             }
             let results = run_until_idle(ag, 40_000);
             ag.flush();
@@ -805,7 +774,6 @@ mod tests {
         fresh.reset();
         assert!(fresh.is_idle());
         assert_eq!(fresh.outstanding(), 0);
-        assert_eq!(fresh.peek(37), 0.0, "reset must zero the backing memory");
         let second = run(&mut fresh);
         assert_eq!(first, second, "reset run diverged from fresh run");
     }
@@ -814,11 +782,6 @@ mod tests {
     #[should_panic(expected = "outside AG region")]
     fn rejects_out_of_region_access() {
         let mut ag = new_ag();
-        ag.submit(DramAccess {
-            addr: 1 << 20,
-            op: RmwOp::Read,
-            operand: 0.0,
-            tag: 0,
-        });
+        ag.submit(access(1 << 20, RmwOp::Read, 0));
     }
 }

@@ -63,11 +63,6 @@ impl GridConfig {
         self.memory_units() * self.sram_bytes_per_mu()
     }
 
-    /// Peak lane-operations per cycle across all CUs.
-    pub fn peak_lane_ops_per_cycle(&self) -> usize {
-        self.compute_units() * self.lanes
-    }
-
     /// Maximum outer parallelism: how many (CU, MU) pipeline pairs the
     /// fabric can host. Apps that need a scanner-only CU feeding a compute
     /// CU (paper §3.3) consume `cus_per_pipeline = 2`.
@@ -100,9 +95,6 @@ mod tests {
         assert_eq!(g.sram_bytes_per_mu(), 256 * 1024);
         // "50 MiB total" on-chip SRAM.
         assert_eq!(g.total_sram_bytes(), 50 * 1024 * 1024);
-        // "Capstan can process up to 128 elements per cycle" refers to one
-        // spatial pipeline group; chip-wide peak is 200 CUs x 16 lanes.
-        assert_eq!(g.peak_lane_ops_per_cycle(), 3200);
     }
 
     #[test]

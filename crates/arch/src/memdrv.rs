@@ -846,7 +846,6 @@ impl MemSysSim {
         let access = DramAccess {
             addr: word % self.cfg.ag_region_words as u64,
             op: RmwOp::AddF,
-            operand: 1.0,
             tag: self.next_tag | ((t as u64) << TAG_TENANT_SHIFT),
         };
         // Fetch attribution: an accepted submission to a burst no slot

@@ -80,9 +80,7 @@ pub fn measure_random_throughput(
         pending = !spmu.try_enqueue(&vector);
         let done = spmu.tick();
         if total < measure_cycles {
-            measured_requests += done
-                .map(|c| c.results.iter().flatten().count() as u64)
-                .unwrap_or(0);
+            measured_requests += done.map_or(0, |c| u64::from(c.lanes.count_ones()));
         }
         if spmu.cycle() == warmup_cycles {
             spmu.reset_stats();
@@ -123,10 +121,7 @@ pub fn run_vectors(cfg: SpmuConfig, vectors: &[AccessVector]) -> ThroughputResul
                 pending = Some(v);
             }
         }
-        let done = spmu.tick();
-        requests += done
-            .map(|c| c.results.iter().flatten().count() as u64)
-            .unwrap_or(0);
+        requests += spmu.tick().map_or(0, |c| u64::from(c.lanes.count_ones()));
         if exhausted && pending.is_none() && spmu.is_idle() {
             capstan_sim::stats::record_simulated_cycles(spmu.cycle());
             return ThroughputResult {

@@ -16,6 +16,12 @@
 //! independent of scheduling depth."
 //!
 //! The model is cycle-level: one [`Spmu::tick`] call is one core cycle.
+//! It models timing only. A request carries an address and the paper's
+//! operation, which decide its bank and whether it may be elided, but no
+//! data: the unit keeps no SRAM contents and runs no RMW arithmetic.
+//! Every application computes its numerics while it records its trace
+//! (`capstan_core::program`), so the replay needs only the grants and
+//! completion cycles, and a completion reports which lanes it carried.
 
 pub mod alloc;
 pub mod driver;
@@ -28,18 +34,16 @@ pub use hash::BankHash;
 pub use ordering::{BloomFilter, OrderingMode};
 pub use rmw::RmwOp;
 
-use capstan_sim::stats::{Counter, Utilization};
+use capstan_sim::stats::Utilization;
 use std::collections::VecDeque;
 
 /// One lane's memory request.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneRequest {
     /// Word address within the SpMU's local address space.
     pub addr: u32,
     /// The atomic operation to perform.
     pub op: RmwOp,
-    /// Operand for writes/updates (ignored by reads).
-    pub operand: f32,
 }
 
 impl LaneRequest {
@@ -48,22 +52,20 @@ impl LaneRequest {
         LaneRequest {
             addr,
             op: RmwOp::Read,
-            operand: 0.0,
         }
     }
 
-    /// A plain write of `value` to `addr`.
-    pub fn write(addr: u32, value: f32) -> Self {
+    /// A plain write to `addr`.
+    pub fn write(addr: u32) -> Self {
         LaneRequest {
             addr,
             op: RmwOp::Write,
-            operand: value,
         }
     }
 
     /// An atomic update of `addr`.
-    pub fn rmw(addr: u32, op: RmwOp, operand: f32) -> Self {
-        LaneRequest { addr, op, operand }
+    pub fn rmw(addr: u32, op: RmwOp) -> Self {
+        LaneRequest { addr, op }
     }
 }
 
@@ -93,15 +95,16 @@ impl AccessVector {
     }
 }
 
-/// A completed vector with per-lane results, in enqueue order.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// A completed vector, in enqueue order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompletedVector {
     /// Sequence number assigned at enqueue.
     pub id: u64,
     /// Cycle at which the vector left the SpMU.
     pub dequeue_cycle: u64,
-    /// Per-lane returned data (`None` for empty lanes).
-    pub results: Vec<Option<f32>>,
+    /// The lanes that carried a request, elided reads included (bit
+    /// `lane`).
+    pub lanes: u64,
 }
 
 /// One crossbar grant, for trace visualization (paper Fig. 4).
@@ -197,9 +200,9 @@ impl SpmuConfig {
 
 /// One issue-queue slot: a resident vector's per-lane state as bitmasks.
 ///
-/// A lane with a request is in exactly one of `pending` (waiting for a
-/// bank), `issued` (in the RMW pipeline) or neither (done); elided
-/// duplicate reads are in `dup` instead.
+/// A performed (non-elided) request is in exactly one of `pending`
+/// (waiting for a bank), `issued` (in the RMW pipeline) or neither
+/// (done); an elided duplicate read is in none of them.
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot {
     /// Sequence number assigned at enqueue.
@@ -208,10 +211,8 @@ struct Slot {
     pending: u64,
     /// Lanes granted whose pipeline has not finished.
     issued: u64,
-    /// Lanes that carry a performed (non-elided) request.
-    real: u64,
-    /// Lanes whose read was elided onto an earlier lane (`Spmu::dup_src`).
-    dup: u64,
+    /// Lanes that carry a request, elided reads included.
+    lanes: u64,
 }
 
 /// A granted request in the RMW pipeline. Every request spends the same
@@ -236,8 +237,9 @@ struct TickScratch {
     /// Flattened per-iteration allocator request masks
     /// (`masks[iter * ports + port]`).
     masks: Vec<u64>,
-    /// First reader lane per address, for repeated-read elision.
-    seen_reads: Vec<(u32, usize)>,
+    /// Addresses read so far in the vector being admitted, for
+    /// repeated-read elision.
+    seen_reads: Vec<u32>,
     /// Per-lane requested-bank accumulator for the incremental mask build.
     lane_masks: Vec<u64>,
     /// Reusable allocator output.
@@ -250,7 +252,6 @@ struct TickScratch {
 #[derive(Debug, Clone)]
 pub struct Spmu {
     cfg: SpmuConfig,
-    mem: Vec<f32>,
     // The issue queue is a ring of `queue_depth` slots; the oldest
     // resident vector sits in slot `head`. Per-(slot, lane) request data
     // lives in flat arrays indexed `slot * lanes + lane`, and the
@@ -269,10 +270,9 @@ pub struct Spmu {
     head: usize,
     /// Resident vectors.
     len: usize,
-    reqs: Vec<LaneRequest>,
+    /// Address of each performed request (the Bloom filter's key).
+    addrs: Vec<u32>,
     bank_words: Vec<u64>,
-    results: Vec<f32>,
-    dup_src: Vec<u8>,
     waiting: Vec<u64>,
     lane_banks: Vec<u64>,
     /// Granted requests in issue (hence finish) order.
@@ -282,20 +282,16 @@ pub struct Spmu {
     cycle: u64,
     next_id: u64,
     bank_util: Utilization,
-    splits: Counter,
-    elided_reads: Counter,
     grant_log: Option<Vec<GrantRecord>>,
     /// `window_for_iteration(iter)` for every allocator iteration.
     windows: Vec<usize>,
     scratch: TickScratch,
     /// Recycled staging slots (admitted vectors return here).
     staging_pool: Vec<AccessVector>,
-    /// The (at most one) vector completed this cycle, reused across ticks.
-    completed: CompletedVector,
 }
 
 impl Spmu {
-    /// Creates an SpMU with zeroed memory.
+    /// Creates an idle SpMU.
     ///
     /// # Panics
     ///
@@ -315,14 +311,11 @@ impl Spmu {
         );
         let cells = cfg.queue_depth * cfg.lanes;
         Spmu {
-            mem: vec![0.0; cfg.capacity_words()],
             slots: vec![Slot::default(); cfg.queue_depth],
             head: 0,
             len: 0,
-            reqs: vec![LaneRequest::read(0); cells],
+            addrs: vec![0; cells],
             bank_words: vec![0; cells],
-            results: vec![0.0; cells],
-            dup_src: vec![0; cells],
             waiting: vec![0; cfg.lanes * cfg.banks],
             lane_banks: vec![0; cfg.lanes],
             in_flight: VecDeque::with_capacity(cells),
@@ -331,15 +324,12 @@ impl Spmu {
             cycle: 0,
             next_id: 0,
             bank_util: Utilization::new(),
-            splits: Counter::new(),
-            elided_reads: Counter::new(),
             grant_log: None,
             windows: (0..cfg.alloc_iterations)
                 .map(|iter| cfg.window_for_iteration(iter))
                 .collect(),
             scratch: TickScratch::default(),
             staging_pool: Vec::new(),
-            completed: CompletedVector::default(),
             cfg,
         }
     }
@@ -372,50 +362,9 @@ impl Spmu {
     /// Resets utilization statistics (e.g. after warm-up).
     pub fn reset_stats(&mut self) {
         self.bank_util = Utilization::new();
-        self.splits = Counter::new();
         if let Some(log) = &mut self.grant_log {
             log.clear();
         }
-    }
-
-    /// Number of vector splits performed by address ordering.
-    pub fn split_count(&self) -> u64 {
-        self.splits.get()
-    }
-
-    /// Reads a word directly (test/setup path, not timed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` exceeds the capacity.
-    pub fn peek(&self, addr: u32) -> f32 {
-        self.mem[self.mem_index(addr)]
-    }
-
-    /// Writes a word directly (test/setup path, not timed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` exceeds the capacity.
-    pub fn poke(&mut self, addr: u32, value: f32) {
-        let i = self.mem_index(addr);
-        self.mem[i] = value;
-    }
-
-    fn mem_index(&self, addr: u32) -> usize {
-        self.word_index(self.cfg.hash.bank_of(addr, self.cfg.banks), addr)
-    }
-
-    /// Index into `mem` of `addr`, which maps to `bank`.
-    fn word_index(&self, bank: usize, addr: u32) -> usize {
-        debug_assert_eq!(bank, self.cfg.hash.bank_of(addr, self.cfg.banks));
-        let offset = self.cfg.hash.offset_of(addr, self.cfg.banks);
-        assert!(
-            offset < self.cfg.bank_words,
-            "address {addr} exceeds SpMU capacity ({} words)",
-            self.cfg.capacity_words()
-        );
-        bank * self.cfg.bank_words + offset
     }
 
     /// Attempts to accept a vector this cycle. Returns `false` (the caller
@@ -425,6 +374,11 @@ impl Spmu {
     /// The vector is *borrowed*: its lanes are copied into a recycled
     /// staging slot, so a driver can refill one `AccessVector` buffer
     /// forever without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vector has more lanes than the unit, or if an
+    /// address exceeds the unit's capacity.
     pub fn try_enqueue(&mut self, vector: &AccessVector) -> bool {
         if !self.staging.is_empty() {
             return false;
@@ -435,6 +389,18 @@ impl Spmu {
             vector.lanes.len(),
             self.cfg.lanes
         );
+        let capacity = self.cfg.capacity_words();
+        if let Some(req) = vector
+            .lanes
+            .iter()
+            .flatten()
+            .find(|r| r.addr as usize >= capacity)
+        {
+            panic!(
+                "address {} exceeds SpMU capacity ({capacity} words)",
+                req.addr
+            );
+        }
         if self.cfg.ordering == OrderingMode::AddressOrdered {
             self.split_into_staging(vector);
         } else {
@@ -479,10 +445,6 @@ impl Spmu {
             part.lanes.resize(width, None);
             self.staging.push_back(part);
         }
-        let parts = self.staging.len() - base;
-        if parts > 1 {
-            self.splits.add(parts as u64 - 1);
-        }
     }
 
     /// Whether all queues are empty (safe to stop ticking).
@@ -502,11 +464,7 @@ impl Spmu {
 
     /// Advances one cycle; returns the vector completed this cycle, if
     /// any (at most one — dequeue is in program order at vector rate).
-    ///
-    /// The returned reference points into a buffer reused on the next
-    /// call; callers that need to keep a completion must clone it. This
-    /// is what keeps the steady-state tick loop allocation-free.
-    pub fn tick(&mut self) -> Option<&CompletedVector> {
+    pub fn tick(&mut self) -> Option<CompletedVector> {
         self.cycle += 1;
 
         // ➋ Issue: compute this cycle's crossbar configuration.
@@ -536,8 +494,7 @@ impl Spmu {
             let (slot, lane) = (slot as usize, lane as usize);
             self.slots[slot].issued &= !(1 << lane);
             if track_addrs {
-                self.bloom
-                    .remove(self.reqs[slot * self.cfg.lanes + lane].addr);
+                self.bloom.remove(self.addrs[slot * self.cfg.lanes + lane]);
             }
         }
 
@@ -547,36 +504,22 @@ impl Spmu {
         // ➊ Enqueue: admit at most one staged vector.
         self.admit_staged();
 
-        completed.then_some(&self.completed)
+        completed
     }
 
-    /// Pops the oldest vector into `self.completed` if every lane is done.
-    fn dequeue(&mut self) -> bool {
+    /// Pops the oldest vector if every lane is done.
+    fn dequeue(&mut self) -> Option<CompletedVector> {
         let slot = self.slots[self.head];
         if self.len == 0 || slot.pending | slot.issued != 0 {
-            return false;
+            return None;
         }
-        let base = self.head * self.cfg.lanes;
-        let results = &mut self.completed.results;
-        results.clear();
-        results.extend(
-            self.results[base..base + self.cfg.lanes]
-                .iter()
-                .enumerate()
-                .map(|(lane, &r)| (slot.real >> lane & 1 == 1).then_some(r)),
-        );
-        // Fill elided duplicates from the lane that performed the read.
-        let mut dup = slot.dup;
-        while dup != 0 {
-            let lane = dup.trailing_zeros() as usize;
-            dup &= dup - 1;
-            results[lane] = results[self.dup_src[base + lane] as usize];
-        }
-        self.completed.id = slot.id;
-        self.completed.dequeue_cycle = self.cycle;
         self.head = self.slot_at(1);
         self.len -= 1;
-        true
+        Some(CompletedVector {
+            id: slot.id,
+            dequeue_cycle: self.cycle,
+            lanes: slot.lanes,
+        })
     }
 
     fn admit_staged(&mut self) {
@@ -611,17 +554,15 @@ impl Spmu {
         self.bank_words[base..base + self.cfg.lanes].fill(0);
         for (lane, req) in vector.lanes.iter().enumerate() {
             let Some(req) = *req else { continue };
+            slot.lanes |= 1 << lane;
             if self.cfg.elide_repeated_reads && req.op.is_read_only() {
-                if let Some(&(_, src)) = seen_reads.iter().find(|&&(a, _)| a == req.addr) {
-                    self.elided_reads.incr();
-                    slot.dup |= 1 << lane;
-                    self.dup_src[base + lane] = src as u8;
+                if seen_reads.contains(&req.addr) {
                     continue;
                 }
-                seen_reads.push((req.addr, lane));
+                seen_reads.push(req.addr);
             }
             let bank = hash.bank_of(req.addr, banks);
-            self.reqs[base + lane] = req;
+            self.addrs[base + lane] = req.addr;
             self.bank_words[base + lane] = 1 << bank;
             self.waiting[lane * banks + bank] |= 1 << slot_index;
             self.lane_banks[lane] |= 1 << bank;
@@ -631,7 +572,6 @@ impl Spmu {
             }
         }
         self.scratch.seen_reads = seen_reads;
-        slot.real = slot.pending;
         self.slots[slot_index] = slot;
         self.len += 1;
         // Recycle the staging slot.
@@ -718,13 +658,7 @@ impl Spmu {
     /// Issues the pending request in lane `lane` of ring slot `slot`,
     /// which maps to `bank`.
     fn issue_request(&mut self, slot: usize, lane: usize, bank: usize) {
-        let cell = slot * self.cfg.lanes + lane;
-        let req = self.reqs[cell];
-        let idx = self.word_index(bank, req.addr);
-        let (new, returned) = req.op.apply(self.mem[idx], req.operand);
-        self.mem[idx] = new;
-        self.results[cell] = returned;
-        self.bank_words[cell] = 0;
+        self.bank_words[slot * self.cfg.lanes + lane] = 0;
         let waiting = &mut self.waiting[lane * self.cfg.banks + bank];
         *waiting &= !(1 << slot);
         if *waiting == 0 {
@@ -848,7 +782,7 @@ mod tests {
     fn drain(spmu: &mut Spmu, budget: u64) -> Vec<CompletedVector> {
         let mut out = Vec::new();
         for _ in 0..budget {
-            out.extend(spmu.tick().cloned());
+            out.extend(spmu.tick());
             if spmu.is_idle() {
                 break;
             }
@@ -856,33 +790,52 @@ mod tests {
         out
     }
 
+    /// The `(vector_id, lane)` of every logged grant, in grant order.
+    fn granted(spmu: &Spmu) -> Vec<(u64, usize)> {
+        let log = spmu.grant_log().expect("log enabled");
+        log.iter().map(|g| (g.vector_id, g.lane)).collect()
+    }
+
     #[test]
     fn single_vector_round_trip() {
         let mut spmu = Spmu::new(SpmuConfig::default());
-        for (addr, v) in [(0u32, 1.5f32), (17, 2.5), (4000, -3.0)] {
-            spmu.poke(addr, v);
-        }
+        spmu.enable_grant_log();
         let vec = AccessVector::reads(&[0, 17, 4000]);
         assert!(spmu.try_enqueue(&vec));
         let done = drain(&mut spmu, 100);
         assert_eq!(done.len(), 1);
-        assert_eq!(done[0].results[0], Some(1.5));
-        assert_eq!(done[0].results[1], Some(2.5));
-        assert_eq!(done[0].results[2], Some(-3.0));
+        assert_eq!((done[0].id, done[0].lanes), (0, 0b111));
+        let mut grants = granted(&spmu);
+        grants.sort_unstable();
+        assert_eq!(grants, [(0, 0), (0, 1), (0, 2)]);
     }
 
     #[test]
     fn rmw_accumulates_across_vectors() {
-        let mut spmu = Spmu::new(SpmuConfig::default());
+        // Updates are never elided: every lane of every vector is granted
+        // exactly once, and every grant goes to the one bank of word 5.
+        let cfg = SpmuConfig::default();
+        let mut spmu = Spmu::new(cfg);
+        spmu.enable_grant_log();
+        let mut done = Vec::new();
         for _ in 0..10 {
-            let v = AccessVector::new(vec![Some(LaneRequest::rmw(5, RmwOp::AddF, 1.0)); 4]);
+            let v = AccessVector::new(vec![Some(LaneRequest::rmw(5, RmwOp::AddF)); 4]);
             while !spmu.try_enqueue(&v) {
-                spmu.tick();
+                done.extend(spmu.tick());
             }
-            spmu.tick();
+            done.extend(spmu.tick());
         }
-        drain(&mut spmu, 200);
-        assert_eq!(spmu.peek(5), 40.0);
+        done.extend(drain(&mut spmu, 200));
+        assert!(spmu.is_idle());
+        assert_eq!(done.len(), 10);
+        assert!(done.iter().all(|c| c.lanes == 0b1111));
+        let bank = cfg.hash.bank_of(5, cfg.banks);
+        let log = spmu.grant_log().expect("log enabled");
+        assert!(log.iter().all(|g| g.bank == bank));
+        let mut grants = granted(&spmu);
+        grants.sort_unstable();
+        let want: Vec<(u64, usize)> = (0..10).flat_map(|v| (0..4).map(move |l| (v, l))).collect();
+        assert_eq!(grants, want);
     }
 
     #[test]
@@ -904,7 +857,7 @@ mod tests {
                     sent += 1;
                 }
             }
-            received.extend(spmu.tick().cloned());
+            received.extend(spmu.tick());
         }
         assert_eq!(received.len(), 20);
         let ids: Vec<u64> = received.iter().map(|c| c.id).collect();
@@ -917,15 +870,15 @@ mod tests {
     #[test]
     fn repeated_read_elision_fills_duplicates() {
         let mut spmu = Spmu::new(SpmuConfig::default());
-        spmu.poke(9, 7.0);
+        spmu.enable_grant_log();
         let v = AccessVector::reads(&[9, 9, 9, 9]);
         spmu.try_enqueue(&v);
         let done = drain(&mut spmu, 100);
-        // Lanes are padded to the configured width; the four populated
-        // lanes all observe the single performed read.
-        assert_eq!(&done[0].results[..4], &[Some(7.0); 4]);
-        assert!(done[0].results[4..].iter().all(Option::is_none));
-        assert_eq!(spmu.elided_reads.get(), 3);
+        // The four populated lanes all complete, but only the first one
+        // performs the read: the other three are elided onto it.
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].lanes, 0b1111);
+        assert_eq!(granted(&spmu), [(0, 0)]);
     }
 
     #[test]
@@ -935,51 +888,70 @@ mod tests {
             ..Default::default()
         };
         let mut spmu = Spmu::new(cfg);
+        spmu.enable_grant_log();
         let v = AccessVector::new(vec![
-            Some(LaneRequest::rmw(3, RmwOp::AddF, 1.0)),
-            Some(LaneRequest::rmw(3, RmwOp::AddF, 1.0)),
-            Some(LaneRequest::rmw(4, RmwOp::AddF, 1.0)),
+            Some(LaneRequest::rmw(3, RmwOp::AddF)),
+            Some(LaneRequest::rmw(3, RmwOp::AddF)),
+            Some(LaneRequest::rmw(4, RmwOp::AddF)),
         ]);
         spmu.try_enqueue(&v);
-        drain(&mut spmu, 200);
-        assert_eq!(spmu.peek(3), 2.0);
-        assert_eq!(spmu.peek(4), 1.0);
-        assert_eq!(spmu.split_count(), 1);
+        let done = drain(&mut spmu, 200);
+        // One split: lanes 0 and 2 form vector 0, the second update of
+        // word 3 forms vector 1, which issues only after lane 0 retires.
+        let lanes: Vec<(u64, u64)> = done.iter().map(|c| (c.id, c.lanes)).collect();
+        assert_eq!(lanes, [(0, 0b101), (1, 0b010)]);
+        let mut grants = granted(&spmu);
+        grants.sort_unstable();
+        assert_eq!(grants, [(0, 0), (0, 2), (1, 1)]);
+        let log = spmu.grant_log().expect("log enabled");
+        let cycle_of = |id, lane| {
+            log.iter()
+                .find(|g| (g.vector_id, g.lane) == (id, lane))
+                .expect("granted")
+                .cycle
+        };
+        assert!(cycle_of(1, 1) >= cycle_of(0, 0) + cfg.pipeline_latency);
     }
 
     #[test]
     fn address_ordered_read_waits_for_earlier_vector_write() {
         // B reads the word A writes. The Bloom filter keeps B staged until
-        // A's write retires, so B sees A's value and finishes a whole
-        // pipeline after A instead of one cycle behind it.
+        // A's write retires, so B issues after A's write has finished and
+        // completes a whole pipeline after A instead of one cycle behind it.
         let cfg = SpmuConfig {
             ordering: OrderingMode::AddressOrdered,
             ..Default::default()
         };
         let mut spmu = Spmu::new(cfg);
-        let a = AccessVector::new(vec![Some(LaneRequest::write(5, 7.5))]);
+        spmu.enable_grant_log();
+        let a = AccessVector::new(vec![Some(LaneRequest::write(5))]);
         let b = AccessVector::reads(&[5]);
         assert!(spmu.try_enqueue(&a));
         let mut done = Vec::new();
         while !spmu.try_enqueue(&b) {
-            done.extend(spmu.tick().cloned());
+            done.extend(spmu.tick());
         }
         done.extend(drain(&mut spmu, 200));
         let [first, second] = &done[..] else {
             panic!("expected two completions, got {}", done.len());
         };
         assert_eq!((first.id, second.id), (0, 1));
-        assert_eq!(second.results[0], Some(7.5));
+        assert_eq!((first.lanes, second.lanes), (1, 1));
+        let [write, read] = spmu.grant_log().expect("log enabled") else {
+            panic!("expected two grants");
+        };
+        assert_eq!((write.vector_id, read.vector_id), (0, 1));
+        assert!(read.cycle >= write.cycle + cfg.pipeline_latency);
         assert!(second.dequeue_cycle > first.dequeue_cycle + cfg.pipeline_latency);
     }
 
     #[test]
     fn split_same_address_helper() {
         let v = AccessVector::new(vec![
-            Some(LaneRequest::write(1, 1.0)),
-            Some(LaneRequest::write(1, 2.0)),
-            Some(LaneRequest::write(2, 3.0)),
-            Some(LaneRequest::write(1, 4.0)),
+            Some(LaneRequest::write(1)),
+            Some(LaneRequest::write(1)),
+            Some(LaneRequest::write(2)),
+            Some(LaneRequest::write(1)),
         ]);
         let parts = split_same_address(&v);
         assert_eq!(parts.len(), 3);
@@ -996,13 +968,13 @@ mod tests {
         // stage exactly the parts the reference implementation returns.
         let cases = [
             vec![
-                Some(LaneRequest::write(1, 1.0)),
-                Some(LaneRequest::write(1, 2.0)),
-                Some(LaneRequest::write(2, 3.0)),
-                Some(LaneRequest::write(1, 4.0)),
+                Some(LaneRequest::write(1)),
+                Some(LaneRequest::write(1)),
+                Some(LaneRequest::write(2)),
+                Some(LaneRequest::write(1)),
             ],
             vec![None, None, None],
-            vec![Some(LaneRequest::rmw(9, RmwOp::AddF, 1.0)); 16],
+            vec![Some(LaneRequest::rmw(9, RmwOp::AddF)); 16],
             vec![
                 None,
                 Some(LaneRequest::read(7)),
@@ -1080,9 +1052,11 @@ mod tests {
         assert_eq!(spmu.config().capacity_words(), 65_536);
         let result = std::panic::catch_unwind(|| {
             let mut s = Spmu::new(SpmuConfig::default());
-            s.poke(70_000, 1.0);
+            s.try_enqueue(&AccessVector::reads(&[70_000]));
         });
-        assert!(result.is_err());
+        let payload = result.expect_err("an out-of-range address must panic");
+        let message = payload.downcast_ref::<String>().expect("formatted message");
+        assert_eq!(message, "address 70000 exceeds SpMU capacity (65536 words)");
     }
 
     #[test]

@@ -102,7 +102,7 @@ fn drive(spmu: &mut Spmu, rng: &mut TraceRng, vector: &mut AccessVector, cycles:
             vector.lanes.extend((0..cfg.lanes).map(|_| {
                 let addr = rng.below(span) as u32;
                 Some(if rmw && addr.is_multiple_of(3) {
-                    LaneRequest::rmw(addr, RmwOp::AddF, 1.0)
+                    LaneRequest::rmw(addr, RmwOp::AddF)
                 } else {
                     LaneRequest::read(addr)
                 })
@@ -196,7 +196,6 @@ fn drive_ag(ag: &mut AddressGenerator, rng: &mut TraceRng, ticks: u64, submitted
             ag.submit(DramAccess {
                 addr,
                 op,
-                operand: rng.below(100) as f32,
                 tag: *submitted,
             });
             *submitted += 1;
@@ -578,7 +577,6 @@ fn ag_burst_sized_streaming_is_allocation_free() {
                 ag.submit(DramAccess {
                     addr: burst * BURST_WORDS as u64 + w,
                     op: RmwOp::AddF,
-                    operand: 1.0,
                     tag: *tag,
                 });
                 *tag += 1;

@@ -91,8 +91,7 @@
 //!
 //! * **Keys.** An SpMU replay is `(SpmuConfig, vector count, 128-bit
 //!   digest of the masked trace)`: one 128-bit word per lane (masked
-//!   address, operation, operand bits, presence) plus one per vector (its
-//!   lane count). A route is `(ShuffleConfig, vector count, 128-bit digest
+//!   address, operation, presence) plus one per vector (its lane count). A route is `(ShuffleConfig, vector count, 128-bit digest
 //!   of the per-port streams)`: each stream's length, then per vector its
 //!   lane count and per lane its presence, `dest` and `lane`. Each digest
 //!   step is a bijection of both the state and the word, so traces that
@@ -368,11 +367,9 @@ impl TraceDigest {
         self.0 = (self.0 ^ w).wrapping_mul(Self::MUL).rotate_left(64);
     }
 
-    /// One SpMU lane: presence, operation, operand bits and masked address.
+    /// One SpMU lane: presence, operation and masked address.
     fn lane(&mut self, lane: Option<LaneRequest>) {
-        self.word(lane.map_or(0, |r| {
-            Self::LANE | (r.op as u128) << 64 | (r.operand.to_bits() as u128) << 32 | r.addr as u128
-        }));
+        self.word(lane.map_or(0, |r| Self::LANE | (r.op as u128) << 64 | r.addr as u128));
     }
 
     /// One shuffle lane: presence, destination port and lane.
@@ -1022,7 +1019,7 @@ mod tests {
         assert!(a.mem.is_some());
     }
 
-    /// A mixed trace: reads and updates with varied operands, every
+    /// A mixed trace: reads and updates, every
     /// seventh lane absent, addresses spanning twice the SpMU capacity.
     fn mixed_trace(vectors: usize) -> Vec<AccessVector> {
         let mut rng = capstan_arch::spmu::driver::TraceRng::new(7);
@@ -1037,7 +1034,6 @@ mod tests {
                             } else {
                                 RmwOp::AddF
                             },
-                            operand: rng.below(100) as f32,
                         })
                     })
                     .collect(),
@@ -1109,7 +1105,7 @@ mod tests {
 
         let capacity = spmu.capacity_words() as u32;
         type LaneEdit = fn(&mut Option<LaneRequest>, u32);
-        let lane_edits: [(&str, LaneEdit); 5] = [
+        let lane_edits: [(&str, LaneEdit); 4] = [
             ("addr", |l, cap| {
                 let r = l.as_mut().unwrap();
                 r.addr = (r.addr + 1) % cap;
@@ -1122,7 +1118,6 @@ mod tests {
                     RmwOp::Read
                 };
             }),
-            ("operand", |l, _| l.as_mut().unwrap().operand += 0.5),
             ("present -> absent", |l, _| *l = None),
             ("absent -> present", |l, _| *l = Some(LaneRequest::read(0))),
         ];

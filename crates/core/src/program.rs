@@ -414,23 +414,6 @@ impl TileRecorder {
         }
     }
 
-    /// Sparse iteration over raw data values through the data scanner.
-    pub fn scan_data(&mut self, data: &[Value], mut body: impl FnMut(&mut Self, u32, Value)) {
-        let (nz, stats) = self.data_scanner.scan(data);
-        self.work.scan_cycles += stats.cycles;
-        self.work.scan_empty_cycles += stats.empty_window_cycles;
-        self.work.scan_emitted += stats.emitted;
-        self.work.scan_input_bits += data.len() as u64;
-        self.work.scan_input_nnz += stats.emitted;
-        self.begin_vector_loop();
-        for (i, v) in nz {
-            self.access_seq = 0;
-            body(self, i, v);
-            self.advance_lane();
-        }
-        self.end_vector_loop(stats.emitted);
-    }
-
     /// Nested two-pass bit-tree iteration (paper §2.3).
     pub fn scan_bittree(
         &mut self,
@@ -484,12 +467,12 @@ impl TileRecorder {
 
     /// Records a random SRAM write.
     pub fn sram_write(&mut self, addr: u32) {
-        self.push_access(LaneRequest::write(addr, 0.0));
+        self.push_access(LaneRequest::write(addr));
     }
 
     /// Records an atomic SRAM read-modify-write (paper §3.1's RMW FPU).
     pub fn sram_rmw(&mut self, addr: u32, op: RmwOp) {
-        self.push_access(LaneRequest::rmw(addr, op, 0.0));
+        self.push_access(LaneRequest::rmw(addr, op));
     }
 
     /// Records a cross-tile update routed through the shuffle network to

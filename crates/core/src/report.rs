@@ -103,12 +103,6 @@ impl PerfReport {
     pub fn seconds(&self) -> f64 {
         cycles_to_seconds(self.cycles)
     }
-
-    /// Speedup of this report relative to another (higher = this is
-    /// faster).
-    pub fn speedup_vs(&self, other: &PerfReport) -> f64 {
-        other.cycles as f64 / self.cycles.max(1) as f64
-    }
 }
 
 impl fmt::Display for PerfReport {
@@ -151,10 +145,10 @@ mod tests {
     }
 
     #[test]
-    fn report_seconds_and_speedup() {
-        let mk = |cycles| PerfReport {
+    fn report_seconds() {
+        let report = PerfReport {
             name: "x".into(),
-            cycles,
+            cycles: 1_600_000,
             breakdown: Breakdown::default(),
             pipelines: 1,
             sram_bank_utilization: 0.0,
@@ -163,10 +157,7 @@ mod tests {
             mem: None,
             mem_tenants: Vec::new(),
         };
-        let fast = mk(1_600_000);
-        let slow = mk(16_000_000);
-        assert!((fast.seconds() - 0.001).abs() < 1e-9);
-        assert_eq!(fast.speedup_vs(&slow), 10.0);
+        assert!((report.seconds() - 0.001).abs() < 1e-9);
     }
 
     #[test]

@@ -102,12 +102,6 @@ pub fn par_map_threads<T: Sync, R: Send>(
         .collect()
 }
 
-/// Maps `f` over `0..n` in parallel, returning results in index order.
-pub fn par_map_range<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    let indices: Vec<usize> = (0..n).collect();
-    par_map(&indices, |&i| f(i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,14 +127,6 @@ mod tests {
         let par = par_map(&items, spin);
         let serial: Vec<u64> = items.iter().map(spin).collect();
         assert_eq!(par, serial);
-    }
-
-    #[test]
-    fn range_variant_matches() {
-        assert_eq!(
-            par_map_range(10, |i| i * i),
-            (0..10).map(|i| i * i).collect::<Vec<_>>()
-        );
     }
 
     #[test]

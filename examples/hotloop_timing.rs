@@ -3,14 +3,18 @@
 //! one microbenchmark tool; its times gate nothing.
 //!
 //! Run with `cargo run --release --example hotloop_timing`. The `spmu`,
-//! memo-hit, `eie`, `scanner`, `record` and `cpu` rows are the best of
-//! three runs; a cold row is one call, since every later call in the
+//! `memdrv`, memo-hit, `eie`, `scanner`, `record` and `cpu` rows are the
+//! best of three runs; a cold row is one call, since every later call in the
 //! process hits the memo. The rows, in order:
 //!
 //! - `spmu`: one unit saturated with uniformly random reads, one row per
 //!   SpMU shape `table9` replays (Ideal is never replayed) plus address
 //!   ordering, in host nanoseconds per simulated cycle;
 //! - `run_vectors`: 50k strided read vectors through the default SpMU;
+//! - `memdrv`: the cycle-level memory drain (`MemSysSim`: region
+//!   channels and AGs) of an atomic-heavy scatter kernel on HBM2E at 1
+//!   and 8 region channels, in host nanoseconds per drained memory
+//!   cycle, with the drain cycles;
 //! - `simulate`: an SRAM-heavy workload, cold and then on a replay-memo
 //!   hit;
 //! - `simulate pr-edge`: PR-Edge on web-Stanford at the `small` graph
@@ -33,6 +37,7 @@ use capstan::apps::common::inv_out_degree;
 use capstan::apps::pagerank::PrEdge;
 use capstan::apps::spmspm::SpMSpM;
 use capstan::apps::App;
+use capstan::arch::memdrv::{MemSysConfig, MemSysSim, TileTraffic};
 use capstan::arch::scanner::{scan_bittree, BitVecScanner, DataScanner, ScanMode, ScanStats};
 use capstan::arch::spmu::driver::{measure_random_throughput, run_vectors};
 use capstan::arch::spmu::{AccessVector, BankHash, OrderingMode, RmwOp, SpmuConfig};
@@ -40,6 +45,7 @@ use capstan::baselines::cpu;
 use capstan::core::config::{CapstanConfig, MemoryKind};
 use capstan::core::perf::simulate;
 use capstan::core::program::WorkloadBuilder;
+use capstan::sim::dram::{DramModel, MemoryKind as DramKind};
 use capstan::tensor::bittree::BitTree;
 use capstan::tensor::bitvec::BitVec;
 use capstan::tensor::gen::{self, Dataset};
@@ -121,6 +127,7 @@ fn main() {
         r.cycles,
         r.cycles as f64 / 1e6 / elapsed
     );
+    memdrv_rows();
 
     // `simulate` on an SRAM-heavy workload, twice: the first call replays
     // every tile's trace through the SpMU, the second hits the replay memo.
@@ -168,6 +175,33 @@ fn main() {
     scanner_rows();
     record_rows();
     cpu_rows();
+}
+
+/// The cycle-level drain of one atomic-heavy scatter batch (mostly AG
+/// read-modify-writes, some random and streaming bursts) through a
+/// reused driver: `reset`, queue, `run`, as the persistent driver pool
+/// in `capstan_core::perf` does per `simulate` call.
+fn memdrv_rows() {
+    let model = DramModel::new(DramKind::Hbm2e);
+    let traffic = TileTraffic {
+        stream_bursts: 2_000,
+        random_bursts: 8_000,
+        atomic_words: 60_000,
+    };
+    for channels in [1, 8] {
+        let mut sim = MemSysSim::with_config(model, MemSysConfig::with_channels(&model, channels));
+        let (secs, stats) = best_of_3(1, || {
+            sim.reset();
+            sim.add_tile(traffic);
+            sim.run()
+        });
+        println!(
+            "memdrv atomic scatter {channels} ch {:>6.0} ns/cycle ({} drain cycles, {} AG fetches)",
+            secs * 1e9 / stats.cycles as f64,
+            stats.cycles,
+            stats.ag_bursts_fetched
+        );
+    }
 }
 
 fn sparse_bitvec(len: usize, stride: usize) -> BitVec {

@@ -15,7 +15,8 @@
 use capstan::apps::App;
 use capstan::arch::spmu::driver::{measure_random_throughput, run_vectors, TraceRng};
 use capstan::arch::spmu::{
-    AccessVector, BankHash, LaneRequest, OrderingMode, RmwOp, Spmu, SpmuConfig,
+    split_same_address, AccessVector, BankHash, CompletedVector, GrantRecord, LaneRequest,
+    OrderingMode, RmwOp, Spmu, SpmuConfig,
 };
 use capstan::core::config::{CapstanConfig, MemoryKind};
 use capstan::core::perf::simulate;
@@ -157,6 +158,35 @@ fn fnv(hash: &mut u64, word: u64) {
     }
 }
 
+/// The value semantics of the paper's RMW pipeline (§3.1):
+/// `(old, operand) -> (new_memory, returned)`, per the result muxes
+/// that [`RmwOp`]'s variant docs describe. The SpMU and the AGs model
+/// timing only; the two pins below that were captured with value-carrying
+/// units rebuild those values with this function, applied in the units'
+/// own grant and release order.
+fn apply(op: RmwOp, old: f32, operand: f32) -> (f32, f32) {
+    let bits = |f: fn(u32, u32) -> u32| {
+        let new = f32::from_bits(f(old.to_bits(), operand.to_bits()));
+        (new, new)
+    };
+    match op {
+        RmwOp::Read => (old, old),
+        RmwOp::Write | RmwOp::Swap => (operand, old),
+        RmwOp::AddF => (old + operand, old + operand),
+        RmwOp::SubF => (old - operand, old - operand),
+        RmwOp::AddI => bits(|a, b| (a as i32).wrapping_add(b as i32) as u32),
+        RmwOp::MinReportChanged if operand < old => (operand, 1.0),
+        RmwOp::MaxReportChanged if operand > old => (operand, 1.0),
+        RmwOp::MinReportChanged | RmwOp::MaxReportChanged => (old, 0.0),
+        RmwOp::TestAndSet => (1.0, old),
+        RmwOp::WriteIfZero if old == 0.0 => (operand, old),
+        RmwOp::WriteIfZero => (old, old),
+        RmwOp::Or => bits(|a, b| a | b),
+        RmwOp::And => bits(|a, b| a & b),
+        RmwOp::Xor => bits(|a, b| a ^ b),
+    }
+}
+
 /// The SpMU shapes the grant-log golden covers: every ordering mode, the
 /// ideal unit, all 18 Table 4 points and Table 9's Lin / WA / Arb-Lin.
 fn grant_log_configs() -> Vec<(String, SpmuConfig)> {
@@ -223,9 +253,46 @@ fn grant_log_configs() -> Vec<(String, SpmuConfig)> {
     out
 }
 
+/// The operand of every update in [`grant_log_digest`]'s stream.
+const GRANT_LOG_OPERAND: f32 = 1.0;
+
+/// The value each lane of each admitted vector returned, indexed by
+/// vector id: every grant applies its request to a word-addressed memory
+/// in grant-log order, and an elided read returns the value of the first
+/// earlier lane of its vector that read the same address.
+fn returned_values(
+    cfg: &SpmuConfig,
+    admitted: &[AccessVector],
+    grants: &[GrantRecord],
+) -> Vec<Vec<f32>> {
+    let mut mem = vec![0.0f32; cfg.capacity_words()];
+    let mut values: Vec<Vec<f32>> = admitted.iter().map(|v| vec![0.0; v.lanes.len()]).collect();
+    for g in grants {
+        let req = admitted[g.vector_id as usize].lanes[g.lane].expect("granted lane");
+        let word = &mut mem[req.addr as usize];
+        let (new, returned) = apply(req.op, *word, GRANT_LOG_OPERAND);
+        *word = new;
+        values[g.vector_id as usize][g.lane] = returned;
+    }
+    if cfg.elide_repeated_reads {
+        for (v, vals) in admitted.iter().zip(&mut values) {
+            for lane in 0..v.lanes.len() {
+                let Some(req) = v.lanes[lane].filter(|r| r.op.is_read_only()) else {
+                    continue;
+                };
+                if let Some(source) = v.lanes[..lane].iter().position(|l| *l == Some(req)) {
+                    vals[lane] = vals[source];
+                }
+            }
+        }
+    }
+    values
+}
+
 /// Drives `cfg` with a seeded stream of mixed vectors (empty lanes,
 /// repeated hot reads, RMW updates) and digests every grant
-/// `(cycle, lane, bank, vector_id)`, every completion and the final bank
+/// `(cycle, lane, bank, vector_id)`, every completion with its lanes'
+/// returned values (from [`returned_values`]) and the final bank
 /// utilization.
 fn grant_log_digest(cfg: SpmuConfig, seed: u64, cycles: u64) -> u64 {
     let mut spmu = Spmu::new(cfg);
@@ -234,7 +301,10 @@ fn grant_log_digest(cfg: SpmuConfig, seed: u64, cycles: u64) -> u64 {
     let span = cfg.capacity_words() as u64;
     let mut vector = AccessVector::default();
     let mut pending = false;
-    let mut hash = FNV_OFFSET;
+    // Every admitted vector by vector id: the unit numbers the parts of
+    // an address-ordered split one by one.
+    let mut admitted: Vec<AccessVector> = Vec::new();
+    let mut completions: Vec<CompletedVector> = Vec::new();
     for _ in 0..cycles {
         if !pending {
             vector.lanes.clear();
@@ -245,22 +315,40 @@ fn grant_log_digest(cfg: SpmuConfig, seed: u64, cycles: u64) -> u64 {
                     _ => rng.below(span) as u32,
                 };
                 Some(if addr.is_multiple_of(3) {
-                    LaneRequest::rmw(addr, RmwOp::AddF, 1.0)
+                    LaneRequest::rmw(addr, RmwOp::AddF)
                 } else {
                     LaneRequest::read(addr)
                 })
             }));
         }
         pending = !spmu.try_enqueue(&vector);
-        if let Some(done) = spmu.tick() {
-            fnv(&mut hash, done.id);
-            fnv(&mut hash, done.dequeue_cycle);
-            for r in &done.results {
-                fnv(&mut hash, r.map_or(u64::MAX, |v| v.to_bits() as u64));
+        if !pending {
+            if cfg.ordering == OrderingMode::AddressOrdered {
+                admitted.extend(split_same_address(&vector));
+            } else {
+                admitted.push(vector.clone());
             }
         }
+        completions.extend(spmu.tick());
     }
-    for g in spmu.grant_log().expect("log enabled") {
+    let grants = spmu.grant_log().expect("log enabled");
+    let values = returned_values(&cfg, &admitted, grants);
+    let mut hash = FNV_OFFSET;
+    for done in &completions {
+        fnv(&mut hash, done.id);
+        fnv(&mut hash, done.dequeue_cycle);
+        // Every generated vector spans all `cfg.lanes` lanes.
+        for (lane, value) in values[done.id as usize].iter().enumerate() {
+            let present = done.lanes >> lane & 1 == 1;
+            let word = if present {
+                value.to_bits() as u64
+            } else {
+                u64::MAX
+            };
+            fnv(&mut hash, word);
+        }
+    }
+    for g in grants {
         fnv(&mut hash, g.cycle);
         fnv(&mut hash, g.lane as u64);
         fnv(&mut hash, g.bank as u64);
@@ -323,6 +411,9 @@ fn spmu_grant_log_is_bit_identical_to_golden() {
 /// `HashMap`-keyed AG; the slab-indexed implementation must reproduce
 /// the exact completion sequence (tags, result values, and cycles,
 /// hashed in order), final memory image, burst counts, and drain cycle.
+/// The AG models timing only, so the values come from [`apply`]: each
+/// released access, looked up by its tag, applies to a word-addressed
+/// memory in release order, and the memory image is that memory's.
 #[test]
 fn ag_completion_stream_is_bit_identical_to_golden() {
     use capstan::arch::ag::{AddressGenerator, DramAccess};
@@ -385,10 +476,23 @@ fn ag_completion_stream_is_bit_identical_to_golden() {
         let mut hash = FNV_OFFSET;
         let mut submitted = 0u64;
         let mut completed = 0u64;
-        let drain = |ag: &mut AddressGenerator, hash: &mut u64, completed: &mut u64| {
+        // Every submitted access's operand, by tag, and the memory the
+        // released accesses apply to.
+        let mut operands: Vec<f32> = Vec::new();
+        let mut accesses: Vec<DramAccess> = Vec::new();
+        let mut mem = vec![0.0f32; words as usize];
+        let mut drain = |ag: &mut AddressGenerator,
+                         accesses: &[DramAccess],
+                         operands: &[f32],
+                         hash: &mut u64,
+                         completed: &mut u64| {
             for r in ag.tick().iter() {
+                let access = accesses[r.tag as usize];
+                let word = &mut mem[access.addr as usize];
+                let (new, returned) = apply(access.op, *word, operands[r.tag as usize]);
+                *word = new;
                 fnv(hash, r.tag);
-                fnv(hash, r.value.to_bits() as u64);
+                fnv(hash, returned.to_bits() as u64);
                 fnv(hash, r.cycle);
                 *completed += 1;
             }
@@ -404,32 +508,34 @@ fn ag_completion_stream_is_bit_identical_to_golden() {
                     4 => RmwOp::TestAndSet,
                     _ => RmwOp::SubF,
                 };
-                ag.submit(DramAccess {
+                operands.push(rng.below(100) as f32 * 0.5);
+                let access = DramAccess {
                     addr,
                     op,
-                    operand: rng.below(100) as f32 * 0.5,
                     tag: submitted,
-                });
+                };
+                accesses.push(access);
+                ag.submit(access);
                 submitted += 1;
             }
-            drain(&mut ag, &mut hash, &mut completed);
+            drain(&mut ag, &accesses, &operands, &mut hash, &mut completed);
         }
         for _ in 0..200_000u64 {
             if ag.is_idle() && completed == submitted {
                 break;
             }
-            drain(&mut ag, &mut hash, &mut completed);
+            drain(&mut ag, &accesses, &operands, &mut hash, &mut completed);
         }
         ag.flush();
         for _ in 0..200_000u64 {
             if ag.is_idle() {
                 break;
             }
-            drain(&mut ag, &mut hash, &mut completed);
+            drain(&mut ag, &accesses, &operands, &mut hash, &mut completed);
         }
         let mut mem_hash = FNV_OFFSET;
-        for w in 0..words {
-            fnv(&mut mem_hash, ag.peek(w).to_bits() as u64);
+        for w in mem {
+            fnv(&mut mem_hash, w.to_bits() as u64);
         }
         observed.push(Golden {
             kind: g.kind,
