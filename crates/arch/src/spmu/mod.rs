@@ -198,30 +198,32 @@ impl SpmuConfig {
     }
 }
 
-/// One issue-queue slot: a resident vector's per-lane state as bitmasks.
+/// One issue-queue slot: a resident vector's per-lane state.
 ///
-/// A performed (non-elided) request is in exactly one of `pending`
-/// (waiting for a bank), `issued` (in the RMW pipeline) or neither
-/// (done); an elided duplicate read is in none of them.
+/// A performed (non-elided) request is in `pending` until it is granted
+/// and out of it afterwards; an elided duplicate read is never in it.
+/// Every request spends the same `pipeline_latency` in the RMW pipeline,
+/// so the vector's last grant finishes last: the vector is done once
+/// nothing is pending and `done_at` has passed.
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot {
     /// Sequence number assigned at enqueue.
     id: u64,
     /// Lanes waiting to issue.
     pending: u64,
-    /// Lanes granted whose pipeline has not finished.
-    issued: u64,
     /// Lanes that carry a request, elided reads included.
     lanes: u64,
+    /// Finish cycle of the vector's latest grant (0 before any grant).
+    done_at: u64,
 }
 
-/// A granted request in the RMW pipeline. Every request spends the same
-/// `pipeline_latency`, so requests finish in issue order.
+/// A granted address-ordered request's Bloom-filter entry, released when
+/// its pipeline finishes. Every request spends the same
+/// `pipeline_latency`, so releases happen in issue order.
 #[derive(Debug, Clone, Copy)]
-struct InFlight {
+struct Release {
     finish_at: u64,
-    slot: u32,
-    lane: u32,
+    addr: u32,
 }
 
 /// Reusable per-cycle working memory for [`Spmu::tick`].
@@ -270,13 +272,15 @@ pub struct Spmu {
     head: usize,
     /// Resident vectors.
     len: usize,
-    /// Address of each performed request (the Bloom filter's key).
+    /// Address-ordered only: the address of each performed request (the
+    /// Bloom filter's key).
     addrs: Vec<u32>,
     bank_words: Vec<u64>,
     waiting: Vec<u64>,
     lane_banks: Vec<u64>,
-    /// Granted requests in issue (hence finish) order.
-    in_flight: VecDeque<InFlight>,
+    /// Address-ordered only: granted requests' Bloom-filter entries in
+    /// issue (hence finish) order.
+    releases: VecDeque<Release>,
     staging: VecDeque<AccessVector>,
     bloom: BloomFilter,
     cycle: u64,
@@ -318,7 +322,7 @@ impl Spmu {
             bank_words: vec![0; cells],
             waiting: vec![0; cfg.lanes * cfg.banks],
             lane_banks: vec![0; cfg.lanes],
-            in_flight: VecDeque::with_capacity(cells),
+            releases: VecDeque::with_capacity(cells),
             staging: VecDeque::new(),
             bloom: BloomFilter::new(cfg.bloom_entries, 2),
             cycle: 0,
@@ -479,23 +483,14 @@ impl Spmu {
         };
         self.bank_util.record(granted as u64, self.cfg.banks as u64);
 
-        // ➌➍ Completion: retire issued requests whose pipeline finished.
-        let track_addrs = self.cfg.ordering == OrderingMode::AddressOrdered;
-        while let Some(&InFlight {
-            finish_at,
-            slot,
-            lane,
-        }) = self.in_flight.front()
-        {
+        // ➌➍ Completion: release the Bloom-filter entries of finished
+        // address-ordered requests (only that mode pushes any).
+        while let Some(&Release { finish_at, addr }) = self.releases.front() {
             if finish_at > self.cycle {
                 break;
             }
-            self.in_flight.pop_front();
-            let (slot, lane) = (slot as usize, lane as usize);
-            self.slots[slot].issued &= !(1 << lane);
-            if track_addrs {
-                self.bloom.remove(self.addrs[slot * self.cfg.lanes + lane]);
-            }
+            self.releases.pop_front();
+            self.bloom.remove(addr);
         }
 
         // Dequeue at most one complete vector, in order.
@@ -510,7 +505,7 @@ impl Spmu {
     /// Pops the oldest vector if every lane is done.
     fn dequeue(&mut self) -> Option<CompletedVector> {
         let slot = self.slots[self.head];
-        if self.len == 0 || slot.pending | slot.issued != 0 {
+        if self.len == 0 || slot.pending != 0 || slot.done_at > self.cycle {
             return None;
         }
         self.head = self.slot_at(1);
@@ -562,12 +557,12 @@ impl Spmu {
                 seen_reads.push(req.addr);
             }
             let bank = hash.bank_of(req.addr, banks);
-            self.addrs[base + lane] = req.addr;
             self.bank_words[base + lane] = 1 << bank;
             self.waiting[lane * banks + bank] |= 1 << slot_index;
             self.lane_banks[lane] |= 1 << bank;
             slot.pending |= 1 << lane;
             if track_addrs {
+                self.addrs[base + lane] = req.addr;
                 self.bloom.insert(req.addr);
             }
         }
@@ -664,14 +659,16 @@ impl Spmu {
         if *waiting == 0 {
             self.lane_banks[lane] &= !(1 << bank);
         }
+        let finish_at = self.cycle + self.cfg.pipeline_latency;
         let entry = &mut self.slots[slot];
         entry.pending &= !(1 << lane);
-        entry.issued |= 1 << lane;
-        self.in_flight.push_back(InFlight {
-            finish_at: self.cycle + self.cfg.pipeline_latency,
-            slot: slot as u32,
-            lane: lane as u32,
-        });
+        entry.done_at = finish_at;
+        if self.cfg.ordering == OrderingMode::AddressOrdered {
+            self.releases.push_back(Release {
+                finish_at,
+                addr: self.addrs[slot * self.cfg.lanes + lane],
+            });
+        }
         if let Some(log) = &mut self.grant_log {
             log.push(GrantRecord {
                 cycle: self.cycle,

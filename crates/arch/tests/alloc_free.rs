@@ -4,10 +4,10 @@
 //!
 //! * `Spmu::tick` — for every ordering mode and every shape `table4`
 //!   and `table9` replay. The issue-queue ring, its per-slot lane arrays
-//!   and the in-flight FIFO are sized in `Spmu::new`; the allocator
-//!   masks, grants and completion results live in reused buffers, so
-//!   the count must be exactly zero once those reach their high-water
-//!   mark.
+//!   and the address-ordered release FIFO are sized in `Spmu::new`; the
+//!   allocator masks, grants and completion results live in reused
+//!   buffers, so the count must be exactly zero once those reach their
+//!   high-water mark.
 //! * `AddressGenerator::tick` — the slab-indexed burst table must not
 //!   touch the heap once slots, waiter lists, and result buffers reach
 //!   their high-water mark, even under eviction/writeback pressure.

@@ -172,7 +172,8 @@ pub fn plan_spmv(m: &Coo) -> Plan {
         // scanner, lanes, shuffle ports and sample limits), so every
         // probe config records the same workload. The app is dropped
         // before simulating, and the workload before the next format is
-        // built, so two probes (e.g. BCSR blocks) never live at once.
+        // built, so two probes' matrices never live at once. Each is
+        // O(nnz) on the host: BCSR keeps only its blocks' non-zeros.
         let workload = app.build(&probe_config(group[0].channels));
         drop(app);
         for &candidate in group {

@@ -3,9 +3,9 @@
 //! one microbenchmark tool; its times gate nothing.
 //!
 //! Run with `cargo run --release --example hotloop_timing`. The `spmu`,
-//! `memdrv`, memo-hit, `eie`, `scanner`, `record` and `cpu` rows are the
-//! best of three runs; a cold row is one call, since every later call in the
-//! process hits the memo. The rows, in order:
+//! `memdrv`, memo-hit, `eie`, `bcsr`, `scanner`, `record` and `cpu` rows
+//! are the best of three runs; a cold row is one call, since every later
+//! call in the process hits the memo. The rows, in order:
 //!
 //! - `spmu`: one unit saturated with uniformly random reads, one row per
 //!   SpMU shape `table9` replays (Ideal is never replayed) plus address
@@ -21,6 +21,10 @@
 //!   scale, cold and then on a route-memo (and replay-memo) hit;
 //! - `eie layer`: Table 13's fixed-size EIE layer, `gen::uniform(4096,
 //!   9216, 3_700_000, 0xE1E)` plus `Csc::from_coo`;
+//! - `bcsr flickr`: the planner's largest BCSR probe, `BcsrSpmv::new`
+//!   with 16×16 blocks plus `record` on Flickr at the `small` graph
+//!   scale, in milliseconds per call, with its block and non-zero
+//!   counts;
 //! - `scanner`: bit-vector union at window widths 1/64/256/512 (1 is
 //!   Fig. 6's narrowest window), intersect scans at set-bit strides
 //!   2/16/256, a data scan of 64k values and a bit-tree union (the models
@@ -36,6 +40,7 @@ use capstan::apps::bfs::Bfs;
 use capstan::apps::common::inv_out_degree;
 use capstan::apps::pagerank::PrEdge;
 use capstan::apps::spmspm::SpMSpM;
+use capstan::apps::spmv::BcsrSpmv;
 use capstan::apps::App;
 use capstan::arch::memdrv::{MemSysConfig, MemSysSim, TileTraffic};
 use capstan::arch::scanner::{scan_bittree, BitVecScanner, DataScanner, ScanMode, ScanStats};
@@ -171,6 +176,18 @@ fn main() {
     println!(
         "eie layer 4096x9216 uniform + csc: {} nnz in {secs:.3}s",
         csc.nnz()
+    );
+    let flickr = Dataset::Flickr.generate_scaled(0.015);
+    let cfg = CapstanConfig::paper_default();
+    let (secs, blocks) = best_of_3(1, || {
+        let app = BcsrSpmv::new(&flickr, 16);
+        black_box(app.record(&cfg));
+        app.matrix().blocks()
+    });
+    println!(
+        "bcsr flickr new + record {:>8.2} ms/call ({blocks} 16x16 blocks, {} nnz)",
+        secs * 1e3,
+        flickr.nnz()
     );
     scanner_rows();
     record_rows();

@@ -289,12 +289,23 @@ fn returned_values(
     values
 }
 
-/// Drives `cfg` with a seeded stream of mixed vectors (empty lanes,
+/// The lane mix [`grant_log_digest`] draws its vectors from.
+#[derive(Debug, Clone, Copy)]
+enum GrantStream {
+    /// Updates (`AddF`) go only to multiples of 3 and reads only to the
+    /// other words, so no read ever sees an update's result.
+    Disjoint,
+    /// Reads, repeated reads and `AddF` updates share a few hot words, so
+    /// reads (elided ones included) return earlier updates' sums.
+    HotWords,
+}
+
+/// Drives `cfg` with a seeded `stream` of mixed vectors (empty lanes,
 /// repeated hot reads, RMW updates) and digests every grant
 /// `(cycle, lane, bank, vector_id)`, every completion with its lanes'
 /// returned values (from [`returned_values`]) and the final bank
 /// utilization.
-fn grant_log_digest(cfg: SpmuConfig, seed: u64, cycles: u64) -> u64 {
+fn grant_log_digest(cfg: SpmuConfig, stream: GrantStream, seed: u64, cycles: u64) -> u64 {
     let mut spmu = Spmu::new(cfg);
     spmu.enable_grant_log();
     let mut rng = TraceRng::new(seed);
@@ -308,17 +319,31 @@ fn grant_log_digest(cfg: SpmuConfig, seed: u64, cycles: u64) -> u64 {
     for _ in 0..cycles {
         if !pending {
             vector.lanes.clear();
-            vector.lanes.extend((0..cfg.lanes).map(|_| {
-                let addr = match rng.below(8) {
-                    0 => return None,
-                    1 => rng.below(24) as u32,
-                    _ => rng.below(span) as u32,
-                };
-                Some(if addr.is_multiple_of(3) {
-                    LaneRequest::rmw(addr, RmwOp::AddF)
-                } else {
-                    LaneRequest::read(addr)
-                })
+            vector.lanes.extend((0..cfg.lanes).map(|_| match stream {
+                GrantStream::Disjoint => {
+                    let addr = match rng.below(8) {
+                        0 => return None,
+                        1 => rng.below(24) as u32,
+                        _ => rng.below(span) as u32,
+                    };
+                    Some(if addr.is_multiple_of(3) {
+                        LaneRequest::rmw(addr, RmwOp::AddF)
+                    } else {
+                        LaneRequest::read(addr)
+                    })
+                }
+                GrantStream::HotWords => {
+                    let addr = match rng.below(8) {
+                        0 => return None,
+                        1..=5 => rng.below(6) as u32,
+                        _ => rng.below(span) as u32,
+                    };
+                    Some(if rng.below(3) == 0 {
+                        LaneRequest::rmw(addr, RmwOp::AddF)
+                    } else {
+                        LaneRequest::read(addr)
+                    })
+                }
             }));
         }
         pending = !spmu.try_enqueue(&vector);
@@ -401,9 +426,36 @@ fn spmu_grant_log_is_bit_identical_to_golden() {
     }
     let observed: Vec<(&str, u64)> = configs
         .iter()
-        .map(|(name, cfg)| (name.as_str(), grant_log_digest(*cfg, 0x6A47, 3_000)))
+        .map(|(name, cfg)| {
+            let digest = grant_log_digest(*cfg, GrantStream::Disjoint, 0x6A47, 3_000);
+            (name.as_str(), digest)
+        })
         .collect();
     assert_golden("SpMU grant log", &observed, golden);
+}
+
+/// The grant-log digest over [`GrantStream::HotWords`], where reads and
+/// updates meet on the same words: every returned value depends on the
+/// grant order, and an elided read must return its source lane's value.
+/// Covers every ordering mode and the ideal unit.
+#[test]
+fn spmu_hot_word_grant_log_is_bit_identical_to_golden() {
+    let golden: &[(&str, u64)] = &[
+        ("Unordered", 0x0B91002F900C0344),
+        ("AddressOrdered", 0x5723F7E0BF02565C),
+        ("FullyOrdered", 0x163DC56DA08E27EE),
+        ("Arbitrated", 0x507EFADF2DAF4EF7),
+        ("Ideal", 0x9679C0BF16E03BF9),
+    ];
+    let configs = &grant_log_configs()[..golden.len()];
+    let observed: Vec<(&str, u64)> = configs
+        .iter()
+        .map(|(name, cfg)| {
+            let digest = grant_log_digest(*cfg, GrantStream::HotWords, 0x407, 3_000);
+            (name.as_str(), digest)
+        })
+        .collect();
+    assert_golden("SpMU hot-word grant log", &observed, golden);
 }
 
 /// Golden pins for the address generator's completion stream
