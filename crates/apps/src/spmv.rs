@@ -204,11 +204,13 @@ impl CscSpmv {
     /// input vector, based on the datasets used to test EIE").
     pub const INPUT_DENSITY: f64 = 0.30;
 
-    /// Creates the benchmark with the paper's 30%-dense input vector.
-    pub fn new(matrix: &Coo) -> Self {
+    /// Creates the benchmark with the paper's 30%-dense input vector. An
+    /// owned [`Coo`] converts in its own storage (`From<Coo> for Csc`).
+    pub fn new(matrix: impl Into<Csc>) -> Self {
+        let matrix = matrix.into();
         let dense = capstan_tensor::gen::sparse_vector(matrix.cols(), Self::INPUT_DENSITY, 0xC5C);
         CscSpmv {
-            matrix: Csc::from_coo(matrix),
+            matrix,
             x: SparseVec::from_dense(&dense),
         }
     }

@@ -133,7 +133,7 @@ impl BitVecScanner {
     /// One pass over the input words: ➊ combines `a`'s and `b`'s words per
     /// `mode`, ➌ derives `jA`/`jB` as the running rank before the word
     /// plus a masked popcount, and ➋ charges each window through one
-    /// [`WindowCounter`].
+    /// `WindowCounter`.
     ///
     /// # Panics
     ///

@@ -14,10 +14,17 @@
 //!   apps (`record_and_simulate`).
 //! - Figs. 5a/5c: one item per app, which records once and simulates
 //!   every bandwidth point.
+//! - Fig. 7: one item per (app, dataset).
+//!
+//! Those items record through one process-wide recording memo
+//! (`cost_points`): a point that an earlier experiment recorded,
+//! and whose replays and routes the `capstan_core::perf` memos already
+//! hold, is costed from a sample-free copy of the workload without
+//! generating its dataset or recording it again. After `table9`,
+//! `table12` and `fig7` record nothing.
 //! - Table 4's 18 SpMU design points, Fig. 4's four ordering modes,
-//!   Fig. 5b's (app, outer-par) points, Fig. 6's scanner points, Fig.
-//!   7's (app, dataset) pairs, Table 13's four baseline blocks, and the
-//!   extension studies' points.
+//!   Fig. 5b's (app, outer-par) points, Fig. 6's scanner points, Table
+//!   13's four baseline blocks, and the extension studies' points.
 //!
 //! Experiments never run concurrently with each other: per-experiment
 //! simulated cycles are deltas of one process-wide counter.
@@ -32,12 +39,16 @@ use capstan_arch::spmu::driver::{measure_random_throughput, trace_one_vector};
 use capstan_arch::spmu::{BankHash, OrderingMode, SpmuConfig};
 use capstan_baselines::asic::{Eie, Graphicionado, MatRaptor, Scnn};
 use capstan_baselines::{plasticine, published};
-use capstan_core::config::{CapstanConfig, MemAddressing, MemTiming, MemoryKind, TenantPartition};
-use capstan_core::perf::simulate;
+use capstan_core::config::{
+    default_plan_mode, CapstanConfig, MemAddressing, MemTiming, MemoryKind, PlanMode,
+    TenantPartition,
+};
+use capstan_core::perf::{simulate, try_simulate, Memo};
 use capstan_core::program::{Workload, WorkloadBuilder};
 use capstan_core::report::PerfReport;
 use capstan_tensor::gen::{Dataset, Structure};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 fn header(title: &str) -> String {
     format!("\n=== {title} ===\n")
@@ -50,17 +61,107 @@ fn app_datasets(apps: &[AppId]) -> Vec<(AppId, Dataset)> {
         .collect()
 }
 
+/// Identity of one recording: what [`Suite::build`] and
+/// [`App::build`] read.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct RecordingKey {
+    app: AppId,
+    dataset: Dataset,
+    /// The suite's four scale factors, as bit patterns.
+    scales: [u64; 4],
+    plan: PlanMode,
+    /// The recording configuration's derived `Debug` spelling, which
+    /// names every field and prints each `f64` exactly.
+    config: String,
+}
+
+impl RecordingKey {
+    fn new(suite: &Suite, app: AppId, dataset: Dataset, record_cfg: &CapstanConfig) -> Self {
+        RecordingKey {
+            app,
+            dataset,
+            scales: [
+                suite.la_scale,
+                suite.graph_scale,
+                suite.spmspm_scale,
+                suite.conv_scale,
+            ]
+            .map(f64::to_bits),
+            plan: default_plan_mode(),
+            config: format!("{record_cfg:?}"),
+        }
+    }
+}
+
+/// Process-wide recordings with their samples dropped
+/// ([`Workload::drop_samples`]): a few kilobytes each, against up to
+/// megabytes with samples.
+static RECORDINGS: Memo<RecordingKey, Arc<Workload>> = Memo::new();
+
+/// Empties the process-wide recording memo. Results never depend on it:
+/// the next request for each point records again.
+pub fn clear_recordings() {
+    RECORDINGS.clear();
+}
+
+/// Costs `app` on `dataset`, recorded under `record_cfg`, under every
+/// configuration of `sim_cfgs`, in order (see [`cost_points`]).
+fn cost_recording(
+    suite: &Suite,
+    app: AppId,
+    dataset: Dataset,
+    record_cfg: &CapstanConfig,
+    sim_cfgs: &[CapstanConfig],
+) -> Vec<PerfReport> {
+    let key = RecordingKey::new(suite, app, dataset, record_cfg);
+    let mut reports: Vec<Option<PerfReport>> = match RECORDINGS.get(&key) {
+        Some(workload) => sim_cfgs
+            .iter()
+            .map(|cfg| try_simulate(&workload, cfg))
+            .collect(),
+        None => vec![None; sim_cfgs.len()],
+    };
+    if reports.iter().any(Option::is_none) {
+        let mut workload = suite.build(app, dataset).build(record_cfg);
+        for (report, cfg) in reports.iter_mut().zip(sim_cfgs) {
+            report.get_or_insert_with(|| simulate(&workload, cfg));
+        }
+        workload.drop_samples();
+        RECORDINGS.insert(key, Arc::new(workload));
+    }
+    reports.into_iter().flatten().collect()
+}
+
+/// Costs every (app, dataset) of `points`, recorded under `record_cfg`,
+/// under every configuration of `sim_cfgs` (valid when they do not
+/// change what gets recorded). Returns `reports[point][config]`.
+///
+/// One [`capstan_par::par_map`] item is one point. A point in the
+/// recording memo is costed from its sample-free workload
+/// ([`try_simulate`]), without generating the dataset or recording. A
+/// point that is not, or a config that needs a replay or route the memos
+/// do not hold, records once: the full workload costs every config still
+/// missing, then drops its samples and replaces the memo entry, so at
+/// most one sampled recording per worker is live. Each config is costed
+/// once either way, so reports and simulated-cycle credit are those of
+/// recording and simulating directly. Results come back in input order,
+/// so the report text is identical to the serial path
+/// (`CAPSTAN_THREADS=1`; `tests/parallel_equivalence.rs` pins the
+/// equivalence).
+fn cost_points(
+    suite: &Suite,
+    points: &[(AppId, Dataset)],
+    record_cfg: &CapstanConfig,
+    sim_cfgs: &[CapstanConfig],
+) -> Vec<Vec<PerfReport>> {
+    capstan_par::par_map(points, |&(app, dataset)| {
+        cost_recording(suite, app, dataset, record_cfg, sim_cfgs)
+    })
+}
+
 /// Records every app of `apps` once per dataset under `record_cfg`, then
 /// simulates each recording under every configuration of `sim_cfgs`
-/// (valid when the configs do not change what gets recorded). The names
-/// only label the configs for the reader.
-///
-/// One [`capstan_par::par_map`] item is one (app, dataset): it records,
-/// simulates under every config, and drops the recording, so there is no
-/// per-app barrier and at most one recording per worker is live.
-/// Results come back in input order, so the report text is identical to
-/// the serial path (`CAPSTAN_THREADS=1`;
-/// `tests/parallel_equivalence.rs` pins the equivalence).
+/// ([`cost_points`]). The names only label the configs for the reader.
 ///
 /// Returns `reports[app][config][dataset]`.
 fn record_and_simulate(
@@ -69,14 +170,8 @@ fn record_and_simulate(
     record_cfg: &CapstanConfig,
     sim_cfgs: &[(&str, CapstanConfig)],
 ) -> Vec<Vec<Vec<PerfReport>>> {
-    let mut per_item = capstan_par::par_map(&app_datasets(apps), |&(app, d)| {
-        let workload = suite.build(app, d).build(record_cfg);
-        sim_cfgs
-            .iter()
-            .map(|(_, cfg)| simulate(&workload, cfg))
-            .collect::<Vec<_>>()
-    })
-    .into_iter();
+    let cfgs: Vec<CapstanConfig> = sim_cfgs.iter().map(|&(_, cfg)| cfg).collect();
+    let mut per_item = cost_points(suite, &app_datasets(apps), record_cfg, &cfgs).into_iter();
     apps.iter()
         .map(|app| {
             let mut per_config: Vec<Vec<PerfReport>> =
@@ -289,12 +384,48 @@ pub fn table8() -> String {
 pub fn table9(suite: &Suite) -> String {
     let mut out = header("Table 9: SpMU architecture sensitivity (runtime / Capstan-Hash)");
     let base = CapstanConfig::paper_default();
+    let configs = table9_configs();
+    let _ = writeln!(
+        out,
+        "{:<9} {:>6} {:>6} {:>6} {:>8} {:>7} {:>9} {:>8}",
+        "App", "Ideal", "Hash", "Lin", "WA-Hash", "WA-Lin", "Arb-Hash", "Arb-Lin"
+    );
+    let mut per_config_ratios: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
+    let results = record_and_simulate(suite, &AppId::ALL, &base, &configs);
+    for (app, app_results) in AppId::ALL.iter().zip(&results) {
+        let base_cycles = gmean_cycles(&app_results[1]); // Hash column
+        let mut cells = Vec::new();
+        for (ci, reports) in app_results.iter().enumerate() {
+            let ratio = gmean_cycles(reports) / base_cycles.max(1.0);
+            per_config_ratios[ci].push(ratio);
+            cells.push(format!("{ratio:>6.2}"));
+        }
+        let _ = writeln!(out, "{:<9} {}", app.short(), cells.join(" "));
+    }
+    let gm: Vec<String> = per_config_ratios
+        .iter()
+        .map(|r| format!("{:>6.2}", gmean(r)))
+        .collect();
+    let _ = writeln!(out, "{:<9} {}", "gmean", gm.join(" "));
+    let _ = writeln!(
+        out,
+        "(paper gmeans: Ideal 0.92, Hash 1.00, Lin 1.11, WA 1.15/1.26, Arb 1.27/1.44)"
+    );
+    print!("{out}");
+    out
+}
+
+/// Table 9's seven SpMU configurations, by column name. Each is the
+/// paper's design point with a different SpMU, so every column costs
+/// the same recordings.
+pub fn table9_configs() -> Vec<(&'static str, CapstanConfig)> {
+    let base = CapstanConfig::paper_default();
     let mk = |f: &dyn Fn(&mut CapstanConfig)| {
         let mut cfg = base;
         f(&mut cfg);
         cfg
     };
-    let configs: Vec<(&str, CapstanConfig)> = vec![
+    vec![
         ("Ideal", mk(&|c| c.spmu.ideal_conflict_free = true)),
         ("Hash", base),
         ("Lin", mk(&|c| c.spmu.hash = BankHash::Linear)),
@@ -324,35 +455,7 @@ pub fn table9(suite: &Suite) -> String {
                 c.spmu.hash = BankHash::Linear;
             }),
         ),
-    ];
-    let _ = writeln!(
-        out,
-        "{:<9} {:>6} {:>6} {:>6} {:>8} {:>7} {:>9} {:>8}",
-        "App", "Ideal", "Hash", "Lin", "WA-Hash", "WA-Lin", "Arb-Hash", "Arb-Lin"
-    );
-    let mut per_config_ratios: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
-    let results = record_and_simulate(suite, &AppId::ALL, &base, &configs);
-    for (app, app_results) in AppId::ALL.iter().zip(&results) {
-        let base_cycles = gmean_cycles(&app_results[1]); // Hash column
-        let mut cells = Vec::new();
-        for (ci, reports) in app_results.iter().enumerate() {
-            let ratio = gmean_cycles(reports) / base_cycles.max(1.0);
-            per_config_ratios[ci].push(ratio);
-            cells.push(format!("{ratio:>6.2}"));
-        }
-        let _ = writeln!(out, "{:<9} {}", app.short(), cells.join(" "));
-    }
-    let gm: Vec<String> = per_config_ratios
-        .iter()
-        .map(|r| format!("{:>6.2}", gmean(r)))
-        .collect();
-    let _ = writeln!(out, "{:<9} {}", "gmean", gm.join(" "));
-    let _ = writeln!(
-        out,
-        "(paper gmeans: Ideal 0.92, Hash 1.00, Lin 1.11, WA 1.15/1.26, Arb 1.27/1.44)"
-    );
-    print!("{out}");
-    out
+    ]
 }
 
 // --- Table 10 ----------------------------------------------------------------
@@ -480,13 +583,7 @@ pub fn table11(suite: &Suite) -> String {
 pub fn table12(suite: &Suite) -> String {
     let mut out = header("Table 12: normalized runtimes (reproduced | paper)");
     let base = CapstanConfig::paper_default();
-    let platform_cfgs: Vec<(&str, CapstanConfig)> = vec![
-        ("Capstan (Ideal Net & Mem)", CapstanConfig::ideal()),
-        ("Capstan (HBM2E)", CapstanConfig::new(MemoryKind::Hbm2e)),
-        ("Capstan (HBM2)", CapstanConfig::new(MemoryKind::Hbm2)),
-        ("Capstan (DDR4)", CapstanConfig::new(MemoryKind::Ddr4)),
-        ("Plasticine (HBM2E)", plasticine::config(MemoryKind::Hbm2e)),
-    ];
+    let platform_cfgs = table12_configs();
     // Simulate every app on every platform.
     let mut cycles: Vec<Vec<f64>> = vec![Vec::new(); platform_cfgs.len()];
     for app_results in record_and_simulate(suite, &AppId::ALL, &base, &platform_cfgs) {
@@ -558,6 +655,18 @@ pub fn table12(suite: &Suite) -> String {
     out
 }
 
+/// Table 12's five platform configurations, by row name. All of them
+/// cost recordings made under the paper's design point.
+pub fn table12_configs() -> Vec<(&'static str, CapstanConfig)> {
+    vec![
+        ("Capstan (Ideal Net & Mem)", CapstanConfig::ideal()),
+        ("Capstan (HBM2E)", CapstanConfig::new(MemoryKind::Hbm2e)),
+        ("Capstan (HBM2)", CapstanConfig::new(MemoryKind::Hbm2)),
+        ("Capstan (DDR4)", CapstanConfig::new(MemoryKind::Ddr4)),
+        ("Plasticine (HBM2E)", plasticine::config(MemoryKind::Hbm2e)),
+    ]
+}
+
 // --- Table 13 ----------------------------------------------------------------
 
 /// Table 13: comparison against bespoke sparse accelerators.
@@ -589,10 +698,9 @@ fn capstan_seconds(report: &PerfReport) -> f64 {
 /// suite scale.
 fn table13_eie(_suite: &Suite) -> String {
     let hbm = CapstanConfig::new(MemoryKind::Hbm2e);
-    // The app keeps its own CSC copy; the COO is dropped right away.
+    // The COO converts to the app's CSC in its own storage.
     let fc = capstan_tensor::gen::uniform(4096, 9216, 3_700_000, 0xE1E);
-    let app = capstan_apps::spmv::CscSpmv::new(&fc);
-    drop(fc);
+    let app = capstan_apps::spmv::CscSpmv::new(fc);
     // One recording serves both the simulation and the MAC count.
     let wl = app.build(&hbm);
     let capstan_s = capstan_seconds(&simulate(&wl, &hbm));
@@ -1140,18 +1248,17 @@ pub fn fig5a(suite: &Suite) -> String {
         .into_iter()
         .filter(|&a| a != AppId::BiCgStab)
         .collect();
-    // Each app records once and simulates the baseline plus every
-    // bandwidth point as one item.
-    let speedups = capstan_par::par_map(&apps, |&app| {
-        let workload = suite.build(app, fig5_dataset(app)).build(&base);
-        let cycles =
-            |bw: f64| simulate(&workload, &CapstanConfig::new(MemoryKind::Custom(bw))).cycles;
-        let base_cycles = cycles(20.0);
-        bandwidths.map(|bw| base_cycles as f64 / cycles(bw) as f64)
-    });
-    for (app, row) in apps.iter().zip(speedups) {
+    // Each app records once and simulates the 20 GB/s baseline plus
+    // every bandwidth point as one item.
+    let cfgs: Vec<CapstanConfig> = std::iter::once(20.0)
+        .chain(bandwidths)
+        .map(|bw| CapstanConfig::new(MemoryKind::Custom(bw)))
+        .collect();
+    let points: Vec<(AppId, Dataset)> = apps.iter().map(|&a| (a, fig5_dataset(a))).collect();
+    for (app, reports) in apps.iter().zip(cost_points(suite, &points, &base, &cfgs)) {
         let _ = write!(out, "{:<9}", app.short());
-        for speedup in row {
+        for report in &reports[1..] {
+            let speedup = reports[0].cycles as f64 / report.cycles as f64;
             let _ = write!(out, "{speedup:>8.2}");
         }
         let _ = writeln!(out);
@@ -1226,20 +1333,22 @@ pub fn fig5c(suite: &Suite) -> String {
     let _ = writeln!(out);
     let apps = [AppId::CooSpmv, AppId::PrEdge, AppId::PrPull, AppId::CsrSpmv];
     // Each app records once and simulates every (bandwidth, compression
-    // on/off) pair as one item.
-    let speedups = capstan_par::par_map(&apps, |&app| {
-        let workload = suite.build(app, fig5_dataset(app)).build(&base);
-        bandwidths.map(|bw| {
+    // off/on) pair as one item.
+    let cfgs: Vec<CapstanConfig> = bandwidths
+        .iter()
+        .flat_map(|&bw| {
             let mut on = CapstanConfig::new(MemoryKind::Custom(bw));
             on.compression = true;
             let mut off = on;
             off.compression = false;
-            simulate(&workload, &off).cycles as f64 / simulate(&workload, &on).cycles as f64
+            [off, on]
         })
-    });
-    for (app, row) in apps.iter().zip(speedups) {
+        .collect();
+    let points: Vec<(AppId, Dataset)> = apps.iter().map(|&a| (a, fig5_dataset(a))).collect();
+    for (app, reports) in apps.iter().zip(cost_points(suite, &points, &base, &cfgs)) {
         let _ = write!(out, "{:<9}", app.short());
-        for speedup in row {
+        for pair in reports.chunks(2) {
+            let speedup = pair[0].cycles as f64 / pair[1].cycles as f64;
             let _ = write!(out, "{speedup:>8.2}");
         }
         let _ = writeln!(out);
@@ -1373,10 +1482,8 @@ pub fn fig7(suite: &Suite) -> String {
     );
     let pairs = app_datasets(&AppId::ALL);
     // Every (app, dataset) pair records and simulates as one item.
-    let reports = capstan_par::par_map(&pairs, |&(app, dataset)| {
-        suite.build(app, dataset).simulate(&cfg)
-    });
-    for ((app, dataset), report) in pairs.iter().zip(&reports) {
+    let reports = cost_points(suite, &pairs, &cfg, &[cfg]);
+    for ((app, dataset), report) in pairs.iter().zip(reports.iter().flatten()) {
         let f = report.breakdown.fractions();
         let _ = writeln!(
             out,
@@ -1859,4 +1966,39 @@ pub fn all(suite: &Suite) -> String {
         .iter()
         .map(|name| run_by_name(name, suite).expect("ALL_NAMES entries are known"))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_recording_memo_keeps_counters_and_digests_but_no_samples() {
+        let suite = Suite::parse("la=0.01,graph=0.004,spmspm=0.1,conv=0.03").unwrap();
+        let cfg = CapstanConfig::paper_default();
+        let (app, dataset) = (AppId::PrEdge, Dataset::WebStanford);
+        let reports = cost_points(&suite, &[(app, dataset)], &cfg, &[cfg]);
+        let full = suite.build(app, dataset).build(&cfg);
+        assert_eq!(reports, vec![vec![simulate(&full, &cfg)]]);
+        let kept = RECORDINGS
+            .get(&RecordingKey::new(&suite, app, dataset, &cfg))
+            .expect("a costed point is memoized");
+        assert!(kept.samples_dropped());
+        assert_eq!(kept.tiles.len(), full.tiles.len());
+        let samples = |t: &capstan_core::program::TileWork| {
+            t.sram.sampled.len()
+                + t.remote.sampled.len()
+                + t.remote.addr_sampled.len()
+                + t.dram_random_addrs.len()
+                + t.dram_atomic_addrs.len()
+        };
+        assert!(full.tiles.iter().map(samples).sum::<usize>() > 0);
+        for (kept, full) in kept.tiles.iter().zip(&full.tiles) {
+            assert_eq!(samples(kept), 0, "the memo holds a sample vector");
+            assert_eq!(kept.sram.digest(), full.sram.digest());
+            assert_eq!(kept.remote.digest(), full.remote.digest());
+            assert_eq!(kept.sram.total_vectors, full.sram.total_vectors);
+            assert_eq!(kept.remote.total_entries, full.remote.total_entries);
+        }
+    }
 }

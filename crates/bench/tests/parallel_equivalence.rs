@@ -6,7 +6,7 @@
 //! only test, because `CAPSTAN_THREADS` and the simulated-cycle counter
 //! are process-global state.
 
-use capstan_bench::experiments::run_by_name;
+use capstan_bench::experiments::{clear_recordings, run_by_name};
 use capstan_bench::Suite;
 use capstan_sim::stats::simulated_cycles;
 
@@ -33,8 +33,11 @@ fn runs() -> Vec<(&'static str, Suite)> {
 }
 
 /// Runs every experiment once, returning each one's report and
-/// simulated-cycle delta.
+/// simulated-cycle delta. The recording memo starts empty, so every
+/// thread count records in parallel rather than reusing the last one's
+/// recordings.
 fn run_all(runs: &[(&'static str, Suite)]) -> Vec<(&'static str, String, u64)> {
+    clear_recordings();
     runs.iter()
         .map(|(name, suite)| {
             let before = simulated_cycles();

@@ -15,12 +15,19 @@
 //! hit; its two runs must print the same bytes and add the same cycles
 //! too.
 //!
-//! This file holds a single test on purpose: the simulated-cycle counter
-//! is process-wide, so no other test may run concurrently in this
-//! process.
+//! And it records each (app, dataset, recording configuration) once per
+//! process. `table12` and `fig7` record under `table9`'s configuration
+//! and need only its replays and routes, so after `table9` they record
+//! nothing. With the recording memo cleared they record again, and must
+//! print the same bytes and add the same cycles as when they did not.
+//!
+//! This file holds a single test on purpose: the simulated-cycle and
+//! recording counters are process-wide, so no other test may run
+//! concurrently in this process.
 
-use capstan_bench::experiments::run_by_name;
+use capstan_bench::experiments::{clear_recordings, run_by_name};
 use capstan_bench::Suite;
+use capstan_core::program::recordings;
 use capstan_sim::stats::simulated_cycles;
 
 /// Runs one experiment and returns its report and simulated-cycle delta.
@@ -35,6 +42,30 @@ fn memo_hits_credit_the_cycles_a_replay_would_have_added() {
     let suite = Suite::parse("la=0.01,graph=0.004,spmspm=0.1,conv=0.03").unwrap();
     let (_, table9_cycles) = run("table9", &suite);
     assert!(table9_cycles > 0);
+
+    let before = recordings();
+    let from_memo = ["table12", "fig7"].map(|name| run(name, &suite));
+    assert_eq!(
+        recordings(),
+        before,
+        "table12 and fig7 recorded what table9 already had"
+    );
+    for (name, memoized) in ["table12", "fig7"].iter().zip(&from_memo) {
+        clear_recordings();
+        let before = recordings();
+        let recorded = run(name, &suite);
+        assert!(recordings() > before, "{name} did not record after a clear");
+        assert_eq!(
+            recorded.0, memoized.0,
+            "{name} report bytes changed with a recording"
+        );
+        assert!(memoized.1 > 0, "{name} added no simulated cycles");
+        assert_eq!(
+            recorded.1, memoized.1,
+            "{name} simulated-cycle delta changed with a recording"
+        );
+    }
+
     let (first, first_cycles) = run("table11", &suite);
     let (second, second_cycles) = run("table11", &suite);
     assert_eq!(first, second, "table11 report bytes changed on a memo hit");

@@ -57,7 +57,7 @@ pub enum MemAddressing {
 /// Where a run's format/memory configuration comes from: fixed by hand
 /// (flags and hardcoded experiment choices — the historical default) or
 /// derived per-dataset by the planning layer (`capstan-plan`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum PlanMode {
     /// Configurations are taken verbatim from flags and experiment code
     /// — the mode every committed golden value was captured under.

@@ -89,42 +89,64 @@
 //! configuration and the trace, so a process-wide, content-addressed memo
 //! sits in front of each:
 //!
-//! * **Keys.** An SpMU replay is `(SpmuConfig, vector count, 128-bit
-//!   digest of the masked trace)`: one 128-bit word per lane (masked
-//!   address, operation, presence) plus one per vector (its lane count). A route is `(ShuffleConfig, vector count, 128-bit digest
-//!   of the per-port streams)`: each stream's length, then per vector its
-//!   lane count and per lane its presence, `dest` and `lane`. Each digest
-//!   step is a bijection of both the state and the word, so traces that
-//!   differ in a single lane never share a key. A hit reads the key
-//!   straight from the recorded samples, masking SpMU addresses as it
-//!   goes; only a miss builds the masked trace it replays.
+//! * **Keys.** [`WorkloadBuilder::commit`] digests each tile's SRAM and
+//!   shuffle samples once into a [`SampleDigest`]: the vector count, the
+//!   present lanes, and a 128-bit hash with one word per vector (its
+//!   lane count) and one per lane (presence plus the unmasked address
+//!   and operation, or the destination port and lane). Each hash step is
+//!   a bijection of both the state and the word, so traces that differ
+//!   in a single lane never share a key. An SpMU replay is
+//!   `(SpmuConfig, vector count, SRAM hash)`; the configuration fixes
+//!   the address mask, so traces that alias only after masking get
+//!   separate keys for the same result. A route is `(ShuffleConfig,
+//!   vector count, a hash over every tile's shuffle digest in tile
+//!   order)`: tile `i` injects at port `i mod ports`, so the ordered
+//!   tiles and the port count fix every stream. No call hashes a trace;
+//!   only a miss builds the masked trace or the streams it runs.
 //! * **Credit on hit.** An SpMU hit credits the stored replay's cycles to
 //!   [`capstan_sim::stats::record_simulated_cycles`], exactly as
 //!   [`run_vectors`] does on a miss, so per-experiment simulated-cycle
 //!   deltas, golden pins and the bench record are identical whether a
 //!   replay ran or hit. Routes add nothing to that counter, so a route
 //!   hit credits nothing.
-//! * **Locking and bound.** Both memos are one `Memo` type. Its lock is
+//! * **Locking and bound.** Both memos are one [`Memo`] type. Its lock is
 //!   held only for the lookup and the insert, never during a replay; two
 //!   threads that miss on one key both replay and insert the same value.
-//!   At `MEMO_CAP` entries a memo clears itself (the whole `small` suite
-//!   holds ~10.5k replays and ~50 routes), which costs only repeated
-//!   replays, never a different result.
-//! * **Scope.** Only [`simulate`] goes through the memos; [`run_vectors`]
-//!   and `route_ref` stay pure engines for their direct callers. There is
-//!   deliberately no `Spmu` pool beside them: constructing and dropping a
-//!   unit costs ~7 µs against ~1.4 ms for a typical 300-vector replay.
+//!   At `MEMO_CAP` entries a memo clears itself (the whole `small`
+//!   suite holds ~10.5k replays and ~50 routes), which costs only
+//!   repeated replays, never a different result.
+//! * **Scope.** Only [`simulate`] and [`try_simulate`] go through the
+//!   memos; [`run_vectors`] and `route_ref` stay pure engines for their
+//!   direct callers. There is deliberately no `Spmu` pool beside them:
+//!   constructing and dropping a unit costs ~7 µs against ~1.4 ms for a
+//!   typical 300-vector replay.
+//!
+//! # Costing without samples
+//!
+//! Past recording, a workload's samples are read only when a memo
+//! misses (and by the cycle-level memory mode's recorded addressing).
+//! [`Workload::drop_samples`] frees every sample vector and keeps the
+//! counters and digests, a few kilobytes per workload. [`try_simulate`]
+//! costs such a workload from the memos and returns exactly what
+//! [`simulate`] returns on the full one. Where it would need a sample it
+//! declines with `None`: an SpMU replay or a route the memos lack, or
+//! [`MemAddressing::Recorded`] under [`MemTiming::CycleLevel`]. Replay
+//! hits credit their cycles only once every replay is in hand, so a
+//! decline credits nothing.
+//! The experiment harness keeps its recordings this way
+//! (`cost_recording` in `capstan_bench::experiments`) and re-records
+//! only on a decline.
+//!
+//! [`WorkloadBuilder::commit`]: crate::program::WorkloadBuilder::commit
 
 use crate::config::CapstanConfig;
 use crate::config::{MemAddressing, MemTiming};
-use crate::program::{TileWork, Workload};
+use crate::program::{SampleDigest, TileWork, TraceDigest, Workload};
 use crate::report::{Breakdown, PerfReport};
 use capstan_arch::memdrv::{
     MemStats, MemSysConfig, MemSysSim, TenantId, TenantStats, TileTraffic, MAX_TENANTS,
 };
-use capstan_arch::shuffle::{
-    ButterflyNetwork, RouteScratch, ShuffleConfig, ShuffleEntry, ShuffleVector,
-};
+use capstan_arch::shuffle::{ButterflyNetwork, RouteScratch, ShuffleConfig, ShuffleVector};
 use capstan_arch::spmu::driver::{run_vectors, ThroughputResult};
 use capstan_arch::spmu::{AccessVector, LaneRequest, SpmuConfig};
 use capstan_sim::dram::{AccessPattern, DramModel, MemoryKind, BURST_BYTES};
@@ -175,7 +197,7 @@ fn with_memsys<R>(model: DramModel, mcfg: MemSysConfig, f: impl FnOnce(&mut MemS
 /// A process-wide, content-addressed memo. The lock is held only for a
 /// lookup or an insert, and an insert into a full memo clears it first.
 /// See the module docs ("The replay memos").
-struct Memo<K, V>(Mutex<MemoMap<K, V>>);
+pub struct Memo<K, V>(Mutex<MemoMap<K, V>>);
 
 type MemoMap<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
 
@@ -192,22 +214,36 @@ fn memo_insert<K: Eq + Hash, V>(map: &mut MemoMap<K, V>, key: K, value: V) {
     map.insert(key, value);
 }
 
-impl<K: Eq + Hash, V: Copy> Memo<K, V> {
-    const fn new() -> Self {
+impl<K: Eq + Hash, V: Clone> Memo<K, V> {
+    /// An empty memo.
+    pub const fn new() -> Self {
         Memo(Mutex::new(HashMap::with_hasher(BuildHasherDefault::new())))
     }
 
-    fn get(&self, key: &K) -> Option<V> {
-        self.0.lock().expect("memo poisoned").get(key).copied()
+    /// A clone of the value stored under `key`.
+    pub fn get(&self, key: &K) -> Option<V> {
+        self.0.lock().expect("memo poisoned").get(key).cloned()
     }
 
-    fn insert(&self, key: K, value: V) {
+    /// Stores `value` under `key`, clearing a full memo first.
+    pub fn insert(&self, key: K, value: V) {
         memo_insert(&mut self.0.lock().expect("memo poisoned"), key, value);
+    }
+
+    /// Drops every entry.
+    pub fn clear(&self) {
+        self.0.lock().expect("memo poisoned").clear();
     }
 }
 
-/// Identity of one SpMU replay: the unit's configuration and the masked
-/// trace, as its vector count and [`TraceDigest`].
+impl<K: Eq + Hash, V: Clone> Default for Memo<K, V> {
+    fn default() -> Self {
+        Memo::new()
+    }
+}
+
+/// Identity of one SpMU replay: the unit's configuration and the tile's
+/// sampled trace, as its vector count and [`SampleDigest`] hash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ReplayKey {
     spmu: SpmuConfig,
@@ -215,11 +251,22 @@ struct ReplayKey {
     digest: u128,
 }
 
+impl ReplayKey {
+    fn new(spmu: SpmuConfig, sample: SampleDigest) -> Self {
+        ReplayKey {
+            spmu,
+            vectors: sample.vectors,
+            digest: sample.hash,
+        }
+    }
+}
+
 /// Process-wide SpMU replay results, keyed by [`ReplayKey`].
 static SPMU_MEMO: Memo<ReplayKey, ThroughputResult> = Memo::new();
 
 /// Identity of one shuffle route: the network's configuration and the
-/// per-port streams, as their total vector count and [`TraceDigest`].
+/// tiles' shuffle samples, as their total vector count and a digest over
+/// each tile's [`SampleDigest`] in tile order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct RouteKey {
     shuffle: ShuffleConfig,
@@ -227,40 +274,67 @@ struct RouteKey {
     digest: u128,
 }
 
+impl RouteKey {
+    /// The key of `tiles`' shuffle samples (in tile order) routed under
+    /// `shuffle`. Tile `i` injects at port `i mod ports`, so the ordered
+    /// per-tile samples and the port count determine every stream.
+    fn new(shuffle: ShuffleConfig, tiles: impl Iterator<Item = SampleDigest>) -> Self {
+        let mut digest = TraceDigest(TraceDigest::SEED);
+        let mut vectors = 0;
+        for sample in tiles {
+            digest.word(TraceDigest::TILE | sample.vectors as u128);
+            digest.word(sample.hash);
+            vectors += sample.vectors;
+        }
+        RouteKey {
+            shuffle,
+            vectors,
+            digest: digest.0,
+        }
+    }
+}
+
 /// Process-wide route cycles ([`ButterflyNetwork::route_ref`]'s
 /// `cycles`), keyed by [`RouteKey`].
 static ROUTE_MEMO: Memo<RouteKey, u64> = Memo::new();
 
-/// [`run_vectors`] on `sampled` masked into an SpMU configured as `spmu`,
-/// replayed at most once per process. A hit reads its key straight from
-/// `sampled` and credits the stored cycles to the simulated-cycle counter
-/// exactly as the replay did; only a miss fills `trace_scratch` with the
-/// masked trace.
-fn replay_memoized(
-    spmu: SpmuConfig,
+/// [`run_vectors`] on `sampled` masked into an SpMU configured as
+/// `key.spmu` (filling `trace_scratch` with the masked trace), stored in
+/// the memo under `key`.
+fn replay(
+    key: ReplayKey,
     sampled: &[AccessVector],
     trace_scratch: &mut Vec<AccessVector>,
 ) -> ThroughputResult {
-    let key = replay_key(spmu, sampled);
-    if let Some(result) = SPMU_MEMO.get(&key) {
-        capstan_sim::stats::record_simulated_cycles(result.cycles);
-        return result;
-    }
-    mask_sampled_into(trace_scratch, sampled, spmu);
-    let result = run_vectors(spmu, trace_scratch);
+    debug_assert_eq!(
+        sampled.len(),
+        key.vectors,
+        "the digest describes the samples"
+    );
+    mask_sampled_into(trace_scratch, sampled, key.spmu);
+    let result = run_vectors(key.spmu, trace_scratch);
     SPMU_MEMO.insert(key, result);
     result
 }
 
-/// [`ButterflyNetwork::route_ref`]'s cycles for `streams`, routed at most
-/// once per process.
-fn route_memoized(shuffle: ShuffleConfig, streams: &[Vec<&ShuffleVector>]) -> u64 {
-    let key = route_key(shuffle, streams);
-    if let Some(cycles) = ROUTE_MEMO.get(&key) {
-        return cycles;
+/// [`ButterflyNetwork::route_ref`]'s cycles for the per-tile shuffle
+/// samples `tiles` (tile `i` at port `i mod ports`), stored in the memo
+/// under `key`.
+fn route<'a>(key: RouteKey, tiles: impl Iterator<Item = &'a [ShuffleVector]>) -> u64 {
+    // The streams borrow each tile's sampled vectors in place: the
+    // butterfly's `route_ref` works on borrows, so nothing is cloned.
+    let ports = key.shuffle.ports;
+    let mut streams: Vec<Vec<&ShuffleVector>> = vec![Vec::new(); ports];
+    for (i, sampled) in tiles.enumerate() {
+        streams[i % ports].extend(sampled);
     }
-    let cycles = ButterflyNetwork::new(shuffle)
-        .route_ref(streams, &mut RouteScratch::default())
+    debug_assert_eq!(
+        streams.iter().map(Vec::len).sum::<usize>(),
+        key.vectors,
+        "the digests describe the samples"
+    );
+    let cycles = ButterflyNetwork::new(key.shuffle)
+        .route_ref(&streams, &mut RouteScratch::default())
         .cycles;
     ROUTE_MEMO.insert(key, cycles);
     cycles
@@ -344,42 +418,6 @@ fn tile_synthetic(tile: &TileWork, cfg: &CapstanConfig) -> TileSynthetic {
     }
 }
 
-/// 128-bit digest of a masked SpMU trace or of shuffle streams, fed one
-/// 128-bit word at a time. Each step (xor the word in, multiply by an odd
-/// constant, swap the halves) is a bijection of both the state and the
-/// word, so two equally long word streams that differ in one word never
-/// collide.
-struct TraceDigest(u128);
-
-impl TraceDigest {
-    /// The FNV-128 offset basis.
-    const SEED: u128 = 0x6C62_272E_07BB_0142_62B8_2175_6295_C58D;
-    /// PCG's 128-bit LCG multiplier (odd).
-    const MUL: u128 = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645;
-    /// Tags bits 96.. of a word: absent lanes are 0, present lanes
-    /// `LANE`, per-vector lane-count headers `VECTOR`, per-port stream
-    /// length headers `STREAM`.
-    const LANE: u128 = 1 << 96;
-    const VECTOR: u128 = 2 << 96;
-    const STREAM: u128 = 3 << 96;
-
-    fn word(&mut self, w: u128) {
-        self.0 = (self.0 ^ w).wrapping_mul(Self::MUL).rotate_left(64);
-    }
-
-    /// One SpMU lane: presence, operation and masked address.
-    fn lane(&mut self, lane: Option<LaneRequest>) {
-        self.word(lane.map_or(0, |r| Self::LANE | (r.op as u128) << 64 | r.addr as u128));
-    }
-
-    /// One shuffle lane: presence, destination port and lane.
-    fn entry(&mut self, entry: Option<ShuffleEntry>) {
-        self.word(entry.map_or(0, |e| {
-            Self::LANE | (e.dest as u128) << 64 | e.lane as u64 as u128
-        }));
-    }
-}
-
 /// A lane with its address masked into the local address space of an
 /// SpMU with `capacity` words.
 fn mask_lane(lane: Option<LaneRequest>, capacity: u32) -> Option<LaneRequest> {
@@ -387,45 +425,6 @@ fn mask_lane(lane: Option<LaneRequest>, capacity: u32) -> Option<LaneRequest> {
         addr: r.addr % capacity,
         ..r
     })
-}
-
-/// The [`ReplayKey`] of `sampled` masked into an SpMU configured as
-/// `spmu`, masking each address as it is read (nothing is copied).
-fn replay_key(spmu: SpmuConfig, sampled: &[AccessVector]) -> ReplayKey {
-    let capacity = spmu.capacity_words() as u32;
-    let mut digest = TraceDigest(TraceDigest::SEED);
-    for v in sampled {
-        digest.word(TraceDigest::VECTOR | v.lanes.len() as u128);
-        for &l in &v.lanes {
-            digest.lane(mask_lane(l, capacity));
-        }
-    }
-    ReplayKey {
-        spmu,
-        vectors: sampled.len(),
-        digest: digest.0,
-    }
-}
-
-/// The [`RouteKey`] of per-port `streams` routed under `shuffle`.
-fn route_key(shuffle: ShuffleConfig, streams: &[Vec<&ShuffleVector>]) -> RouteKey {
-    let mut digest = TraceDigest(TraceDigest::SEED);
-    let mut vectors = 0;
-    for stream in streams {
-        digest.word(TraceDigest::STREAM | stream.len() as u128);
-        vectors += stream.len();
-        for v in stream {
-            digest.word(TraceDigest::VECTOR | v.len() as u128);
-            for &e in v.iter() {
-                digest.entry(e);
-            }
-        }
-    }
-    RouteKey {
-        shuffle,
-        vectors,
-        digest: digest.0,
-    }
 }
 
 /// Rewrites a tile's sampled trace into `scratch`, masking addresses
@@ -445,14 +444,52 @@ fn mask_sampled_into(scratch: &mut Vec<AccessVector>, sampled: &[AccessVector], 
     }
 }
 
-/// Replays a tile's sampled SRAM trace through the cycle-level SpMU and
-/// returns `(excess cycles over ideal for the whole tile, bank util)`.
-/// `trace_scratch` is the reusable masked-trace buffer shared across
-/// tiles (filled only when the replay memo misses).
+/// Whether costing `tile` under `cfg` replays its sampled SRAM trace
+/// through the cycle-level SpMU.
+fn replays_sram(tile: &TileWork, cfg: &CapstanConfig) -> bool {
+    tile.sram.total_vectors > 0
+        && !cfg.serialized_sram
+        && !cfg.spmu.ideal_conflict_free
+        && tile.sram.digest().vectors > 0
+}
+
+/// Every tile's SpMU replay under `cfg` (`None` for a tile that replays
+/// nothing): the memo's result, or a replay of the tile's samples. Returns
+/// `None` on a memo miss once the workload's samples are dropped. Hits
+/// credit their stored cycles after every replay is in hand, so a
+/// decline credits nothing.
+fn sram_replays(workload: &Workload, cfg: &CapstanConfig) -> Option<Vec<Option<ThroughputResult>>> {
+    let mut hit_cycles = 0;
+    let mut trace_scratch = Vec::new();
+    let replays = workload
+        .tiles
+        .iter()
+        .map(|t| {
+            if !replays_sram(t, cfg) {
+                return Some(None);
+            }
+            let key = ReplayKey::new(cfg.spmu, t.sram.digest());
+            let result = match SPMU_MEMO.get(&key) {
+                Some(hit) => {
+                    hit_cycles += hit.cycles;
+                    hit
+                }
+                None if workload.samples_dropped() => return None,
+                None => replay(key, &t.sram.sampled, &mut trace_scratch),
+            };
+            Some(Some(result))
+        })
+        .collect::<Option<Vec<_>>>()?;
+    capstan_sim::stats::record_simulated_cycles(hit_cycles);
+    Some(replays)
+}
+
+/// A tile's SRAM stall from its SpMU `replay` (see [`sram_replays`]):
+/// `(excess cycles over ideal for the whole tile, bank util)`.
 fn tile_sram_excess(
     tile: &TileWork,
     cfg: &CapstanConfig,
-    trace_scratch: &mut Vec<AccessVector>,
+    replay: Option<ThroughputResult>,
 ) -> (u64, f64) {
     let sram = &tile.sram;
     if sram.total_vectors == 0 {
@@ -471,10 +508,9 @@ fn tile_sram_excess(
         util = 1.0 / cfg.spmu.banks as f64;
         return (excess.round() as u64, util);
     }
-    if !cfg.spmu.ideal_conflict_free && !sram.sampled.is_empty() {
-        let result = replay_memoized(cfg.spmu, &sram.sampled, trace_scratch);
+    if let Some(result) = replay {
         util = result.bank_utilization;
-        let n = sram.sampled.len() as f64;
+        let n = sram.digest().vectors as f64;
         // Ideal throughput is one vector per cycle; subtract the fixed
         // pipeline drain so short samples are not over-penalized.
         let drain = cfg.spmu.pipeline_latency as f64 + 3.0;
@@ -489,41 +525,70 @@ fn tile_sram_excess(
 }
 
 /// Routes the workload's sampled shuffle traffic and returns the total
-/// extra network cycles (beyond ideal delivery), extrapolated.
-fn network_excess(workload: &Workload, cfg: &CapstanConfig) -> u64 {
+/// extra network cycles (beyond ideal delivery), extrapolated: the
+/// memo's route, or a route of the tiles' samples. `None` on a memo miss
+/// once the workload's samples are dropped.
+fn network_excess(workload: &Workload, cfg: &CapstanConfig) -> Option<u64> {
     let Some(shuffle_cfg) = cfg.shuffle else {
-        return 0;
+        return Some(0);
     };
     let total_entries: u64 = workload.tiles.iter().map(|t| t.remote.total_entries).sum();
     if total_entries == 0 {
-        return 0;
+        return Some(0);
     }
-    // Build per-port sample streams: tile i injects at port i mod ports.
-    // The streams borrow each tile's sampled vectors in place — the
-    // butterfly's `route_ref` works on borrows, so nothing is cloned.
-    let ports = shuffle_cfg.ports;
-    let mut streams: Vec<Vec<&ShuffleVector>> = vec![Vec::new(); ports];
-    let mut sample_entries = 0u64;
-    for (i, tile) in workload.tiles.iter().enumerate() {
-        for v in &tile.remote.sampled {
-            sample_entries += v.iter().flatten().count() as u64;
-            streams[i % ports].push(v);
-        }
-    }
+    let sample_entries: u64 = workload.tiles.iter().map(|t| t.remote.digest().lanes).sum();
     if sample_entries == 0 {
-        return 0;
+        return Some(0);
     }
-    let cycles = route_memoized(shuffle_cfg, &streams);
+    // Tile i injects at port i mod ports.
+    let ports = shuffle_cfg.ports;
+    let key = RouteKey::new(
+        shuffle_cfg,
+        workload.tiles.iter().map(|t| t.remote.digest()),
+    );
+    let cycles = match ROUTE_MEMO.get(&key) {
+        Some(cycles) => cycles,
+        None if workload.samples_dropped() => return None,
+        None => route(
+            key,
+            workload.tiles.iter().map(|t| t.remote.sampled.as_slice()),
+        ),
+    };
     // Ideal delivery: the bottleneck input port's vector count.
-    let ideal: u64 = streams.iter().map(|s| s.len() as u64).max().unwrap_or(1);
+    let mut port_vectors = vec![0u64; ports];
+    for (i, tile) in workload.tiles.iter().enumerate() {
+        port_vectors[i % ports] += tile.remote.digest().vectors as u64;
+    }
+    let ideal: u64 = port_vectors.into_iter().max().unwrap_or(1);
     let extra_sample = cycles.saturating_sub(ideal);
     let scale = total_entries as f64 / sample_entries as f64;
-    (extra_sample as f64 * scale).round() as u64
+    Some((extra_sample as f64 * scale).round() as u64)
 }
 
 /// Simulates a workload on a configuration, producing the cycle count and
 /// stall breakdown.
+///
+/// # Panics
+///
+/// Panics if the workload's samples were dropped and the memos cannot
+/// cost it (see [`try_simulate`]).
 pub fn simulate(workload: &Workload, cfg: &CapstanConfig) -> PerfReport {
+    try_simulate(workload, cfg).expect("costing a sample-free workload needs warm memos")
+}
+
+/// [`simulate`], or `None` when costing would need samples the workload
+/// dropped ([`Workload::drop_samples`]): an SpMU replay or a route the
+/// memos do not hold, or recorded DRAM addressing under the cycle-level
+/// memory mode. A `None` credits no simulated cycles. A workload that
+/// keeps its samples always returns `Some`.
+pub fn try_simulate(workload: &Workload, cfg: &CapstanConfig) -> Option<PerfReport> {
+    let drains_recorded = !cfg.ideal_net_and_mem
+        && cfg.mem_timing == MemTiming::CycleLevel
+        && !matches!(cfg.memory, MemoryKind::Ideal)
+        && cfg.mem_addresses == MemAddressing::Recorded;
+    if workload.samples_dropped() && drains_recorded {
+        return None;
+    }
     let pipelines = cfg.effective_outer_par(workload.cus_per_pipeline);
     let p = pipelines as f64;
     let net_model = NetworkModel::new(cfg.network, cfg.grid.side);
@@ -553,7 +618,7 @@ pub fn simulate(workload: &Workload, cfg: &CapstanConfig) -> PerfReport {
     let mut fallback_atomic_entries = 0u64;
     if !cfg.ideal_net_and_mem {
         if cfg.shuffle.is_some() {
-            network += network_excess(workload, cfg) as f64;
+            network += network_excess(workload, cfg)? as f64;
         } else {
             // Without a shuffle network, cross-tile updates fall back to
             // atomic DRAM accesses (Table 11's "None" column). The AGs'
@@ -579,9 +644,8 @@ pub fn simulate(workload: &Workload, cfg: &CapstanConfig) -> PerfReport {
     let mut sram_total = 0u64;
     let mut util_weighted = 0.0f64;
     let mut util_weight = 0.0f64;
-    let mut trace_scratch: Vec<AccessVector> = Vec::new();
-    for tile in &workload.tiles {
-        let (excess, util) = tile_sram_excess(tile, cfg, &mut trace_scratch);
+    for (tile, replay) in workload.tiles.iter().zip(sram_replays(workload, cfg)?) {
+        let (excess, util) = tile_sram_excess(tile, cfg, replay);
         sram_total += excess;
         if tile.sram.total_vectors > 0 {
             util_weighted += util * tile.sram.total_vectors as f64;
@@ -643,7 +707,6 @@ pub fn simulate(workload: &Workload, cfg: &CapstanConfig) -> PerfReport {
                 // — including count-only contributions — from the
                 // concatenated sample, weighted by sample length. See
                 // `MemSysSim::add_tile_recorded` for the contract.
-                let recorded = matches!(cfg.mem_addresses, MemAddressing::Recorded);
                 let tenants = mcfg.tenants;
                 let (stats, tenant_stats) = with_memsys(dram_model, mcfg, |msim| {
                     for (i, tile) in workload.tiles.iter().enumerate() {
@@ -653,7 +716,7 @@ pub fn simulate(workload: &Workload, cfg: &CapstanConfig) -> PerfReport {
                             random_bursts: tile.dram_random_words,
                             atomic_words: tile.dram_atomic_words,
                         };
-                        if recorded {
+                        if drains_recorded {
                             msim.add_tile_recorded_for(
                                 tenant,
                                 traffic,
@@ -677,7 +740,7 @@ pub fn simulate(workload: &Workload, cfg: &CapstanConfig) -> PerfReport {
                             atomic_words: fallback_atomic_entries,
                             ..Default::default()
                         };
-                        if recorded {
+                        if drains_recorded {
                             for tile in &workload.tiles {
                                 msim.add_tile_recorded(
                                     TileTraffic::default(),
@@ -729,7 +792,7 @@ pub fn simulate(workload: &Workload, cfg: &CapstanConfig) -> PerfReport {
     // the perf *model* (not a simulator) changes.
     let cycles = breakdown.total().max(1);
     let total_lane_work: u64 = workload.tiles.iter().map(|t| t.lane_work).sum();
-    PerfReport {
+    Some(PerfReport {
         name: workload.name.clone(),
         cycles,
         breakdown,
@@ -744,7 +807,7 @@ pub fn simulate(workload: &Workload, cfg: &CapstanConfig) -> PerfReport {
             / (cycles as f64 * p * cfg.grid.lanes as f64).max(1.0),
         mem: mem_stats,
         mem_tenants: mem_tenant_stats,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -752,7 +815,7 @@ mod tests {
     use super::*;
     use crate::config::MemoryKind;
     use crate::program::WorkloadBuilder;
-    use capstan_arch::shuffle::MergeShift;
+    use capstan_arch::shuffle::{MergeShift, ShuffleEntry};
     use capstan_arch::spmu::{BankHash, OrderingMode, RmwOp};
 
     fn dense_workload(n: usize, tiles: usize) -> Workload {
@@ -1054,6 +1117,12 @@ mod tests {
         wl.finish()
     }
 
+    /// The replay key of `sampled` under `spmu`, as `simulate` forms it
+    /// from a committed tile.
+    fn replay_key(spmu: SpmuConfig, sampled: &[AccessVector]) -> ReplayKey {
+        ReplayKey::new(spmu, SampleDigest::of_sram(sampled))
+    }
+
     #[test]
     fn memoized_replay_returns_exactly_what_run_vectors_does() {
         let spmu = SpmuConfig::default();
@@ -1075,11 +1144,11 @@ mod tests {
             })
             .collect();
         let direct = run_vectors(spmu, &masked);
-        // The first call may miss or hit (another test may have stored
-        // this key); the second always hits. Both equal the engine.
+        // A replay returns and stores exactly what the engine returns.
+        let key = replay_key(spmu, &sampled);
         let mut scratch = Vec::new();
-        assert_eq!(replay_memoized(spmu, &sampled, &mut scratch), direct);
-        assert_eq!(replay_memoized(spmu, &sampled, &mut scratch), direct);
+        assert_eq!(replay(key, &sampled, &mut scratch), direct);
+        assert_eq!(SPMU_MEMO.get(&key), Some(direct));
         assert!(direct.cycles > 0);
         // A miss masks exactly like the reference above.
         mask_sampled_into(&mut scratch, &sampled, spmu);
@@ -1096,12 +1165,17 @@ mod tests {
             base_key,
             "the key is deterministic"
         );
-        // Addresses that mask to the same local word are the same replay.
+        // The digest covers unmasked addresses, so a trace whose
+        // addresses only alias in the SpMU's local space replays under
+        // its own key (the same result, stored twice).
         let mut aliased = base.clone();
-        if let Some(r) = aliased[3].lanes[1].as_mut() {
-            r.addr ^= spmu.capacity_words() as u32;
-        }
-        assert_eq!(replay_key(spmu, &aliased), base_key);
+        let r = aliased[3]
+            .lanes
+            .iter_mut()
+            .find_map(Option::as_mut)
+            .unwrap();
+        r.addr ^= spmu.capacity_words() as u32;
+        assert_ne!(replay_key(spmu, &aliased), base_key);
 
         let capacity = spmu.capacity_words() as u32;
         type LaneEdit = fn(&mut Option<LaneRequest>, u32);
@@ -1129,12 +1203,24 @@ mod tests {
                     .unwrap();
                 let mut trace = base.clone();
                 edit(&mut trace[v].lanes[l], capacity);
+                let key = replay_key(spmu, &trace);
                 assert_ne!(
-                    replay_key(spmu, &trace),
-                    base_key,
+                    key, base_key,
                     "{what} edit at vector {v} lane {l} must change the key"
                 );
+                assert_eq!(key.vectors, base_key.vectors, "{what} keeps the count");
             }
+        }
+        // A vector's lane count is part of the digest: one more absent
+        // lane is a different trace.
+        for v in [0, 17, 31] {
+            let mut trace = base.clone();
+            trace[v].lanes.push(None);
+            assert_ne!(
+                replay_key(spmu, &trace),
+                base_key,
+                "a lane-count change at vector {v} must change the key"
+            );
         }
 
         type ConfigEdit = fn(&mut SpmuConfig);
@@ -1231,6 +1317,12 @@ mod tests {
             .collect()
     }
 
+    /// The route key of per-tile shuffle samples under `shuffle`, as
+    /// `simulate` forms it from committed tiles.
+    fn route_key(shuffle: ShuffleConfig, tiles: &[Vec<ShuffleVector>]) -> RouteKey {
+        RouteKey::new(shuffle, tiles.iter().map(|t| SampleDigest::of_shuffle(t)))
+    }
+
     fn borrowed(streams: &[Vec<ShuffleVector>]) -> Vec<Vec<&ShuffleVector>> {
         streams.iter().map(|s| s.iter().collect()).collect()
     }
@@ -1239,34 +1331,47 @@ mod tests {
     fn memoized_route_returns_exactly_what_route_ref_does() {
         let shuffle = ShuffleConfig::default();
         let streams = shuffle_streams(shuffle.ports, 24);
-        let refs = borrowed(&streams);
         let direct = ButterflyNetwork::new(shuffle)
-            .route_ref(&refs, &mut RouteScratch::default())
+            .route_ref(&borrowed(&streams), &mut RouteScratch::default())
             .cycles;
-        // The first call may miss or hit; the second always hits.
-        assert_eq!(route_memoized(shuffle, &refs), direct);
-        assert_eq!(route_memoized(shuffle, &refs), direct);
+        // Twice as many tiles as ports, each half a stream: tile i joins
+        // port i mod ports's stream after tile i - ports.
+        let (first, second): (Vec<_>, Vec<_>) = streams
+            .iter()
+            .map(|s| (s[..12].to_vec(), s[12..].to_vec()))
+            .unzip();
+        let tiles = [first, second].concat();
+        // A route returns and stores exactly what the engine returns.
+        let key = route_key(shuffle, &tiles);
+        assert_eq!(route(key, tiles.iter().map(Vec::as_slice)), direct);
+        assert_eq!(ROUTE_MEMO.get(&key), Some(direct));
         assert!(direct > 24);
     }
 
     #[test]
     fn every_route_edit_or_config_change_gives_a_distinct_key() {
         let shuffle = ShuffleConfig::default();
+        // One tile per port, so tile i's samples are port i's stream.
         let base = shuffle_streams(shuffle.ports, 8);
-        let base_key = route_key(shuffle, &borrowed(&base));
-        assert_eq!(route_key(shuffle, &borrowed(&base)), base_key);
+        let base_key = route_key(shuffle, &base);
+        assert_eq!(route_key(shuffle, &base), base_key);
 
-        // Each edit touches port 3's sixth vector, or moves a vector from
-        // port 3 to port 4.
+        // Each edit touches tile 3's sixth vector, or moves a vector from
+        // tile 3 to tile 4 (and so from port 3 to port 4).
         type StreamEdit = fn(&mut [Vec<ShuffleVector>]);
         fn first(v: &ShuffleVector, present: bool) -> usize {
             v.iter().position(|e| e.is_some() == present).unwrap()
         }
-        let edits: [(&str, StreamEdit); 4] = [
+        let edits: [(&str, StreamEdit); 7] = [
             ("dest", |s| {
                 let l = first(&s[3][5], true);
                 let e = s[3][5][l].as_mut().unwrap();
                 e.dest = (e.dest + 1) % 16;
+            }),
+            ("lane", |s| {
+                let l = first(&s[3][5], true);
+                let e = s[3][5][l].as_mut().unwrap();
+                e.lane = (e.lane + 1) % 16;
             }),
             ("present -> absent", |s| {
                 let l = first(&s[3][5], true);
@@ -1276,15 +1381,17 @@ mod tests {
                 let l = first(&s[3][5], false);
                 s[3][5][l] = Some(ShuffleEntry { dest: 0, lane: l });
             }),
-            ("vector moved to another port", |s| {
+            ("lane count", |s| s[3][5].push(None)),
+            ("vector moved to another tile", |s| {
                 let v = s[3].pop().unwrap();
                 s[4].push(v);
             }),
+            ("tiles swapped", |s| s.swap(3, 4)),
         ];
         for (what, edit) in edits {
-            let mut streams = base.clone();
-            edit(&mut streams);
-            let key = route_key(shuffle, &borrowed(&streams));
+            let mut tiles = base.clone();
+            edit(&mut tiles);
+            let key = route_key(shuffle, &tiles);
             assert_ne!(key, base_key, "{what} must change the key");
             assert_eq!(key.vectors, base_key.vectors, "{what} keeps the count");
         }
@@ -1300,7 +1407,7 @@ mod tests {
             let mut other = shuffle;
             edit(&mut other);
             assert_ne!(
-                route_key(other, &borrowed(&base)),
+                route_key(other, &base),
                 base_key,
                 "{what} must change the key"
             );

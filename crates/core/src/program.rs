@@ -28,6 +28,97 @@ use capstan_tensor::bittree::BitTree;
 use capstan_tensor::bitvec::BitVec;
 use capstan_tensor::compress::CompressedTile;
 use capstan_tensor::Value;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Workloads finished by any [`WorkloadBuilder`] in this process.
+static RECORDINGS: AtomicU64 = AtomicU64::new(0);
+
+/// How many workloads this process has recorded ([`WorkloadBuilder::finish`]
+/// calls), so callers can see which requests re-recorded.
+pub fn recordings() -> u64 {
+    RECORDINGS.load(Ordering::Relaxed)
+}
+
+/// 128-bit digest of a sampled trace, fed one 128-bit word at a time.
+/// Each step (xor the word in, multiply by an odd constant, swap the
+/// halves) is a bijection of both the state and the word, so two equally
+/// long word streams that differ in one word never collide.
+pub(crate) struct TraceDigest(pub(crate) u128);
+
+impl TraceDigest {
+    /// The FNV-128 offset basis.
+    pub(crate) const SEED: u128 = 0x6C62_272E_07BB_0142_62B8_2175_6295_C58D;
+    /// PCG's 128-bit LCG multiplier (odd).
+    const MUL: u128 = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645;
+    /// Tags bits 96.. of a word: absent lanes are 0, present lanes
+    /// `LANE`, per-vector lane-count headers `VECTOR`, per-tile sample
+    /// headers `TILE`.
+    const LANE: u128 = 1 << 96;
+    const VECTOR: u128 = 2 << 96;
+    pub(crate) const TILE: u128 = 3 << 96;
+
+    pub(crate) fn word(&mut self, w: u128) {
+        self.0 = (self.0 ^ w).wrapping_mul(Self::MUL).rotate_left(64);
+    }
+}
+
+/// What the performance engine needs of one tile's sampled SRAM or
+/// shuffle trace once the samples themselves are gone: their counts and
+/// a content digest. [`WorkloadBuilder::commit`] computes it once per
+/// tile, and the replay and route memos key on it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct SampleDigest {
+    /// Sampled vectors.
+    pub vectors: usize,
+    /// Present lanes across the sampled vectors.
+    pub lanes: u64,
+    /// 128-bit digest over the samples: per vector its lane
+    /// count, then per lane its presence and contents (unmasked).
+    pub hash: u128,
+}
+
+impl SampleDigest {
+    /// Digests `vectors`, mapping each present lane to a 128-bit word
+    /// with `word`.
+    fn of<'a, L: Copy + 'a>(
+        vectors: impl Iterator<Item = &'a [Option<L>]>,
+        word: impl Fn(L) -> u128,
+    ) -> Self {
+        let mut digest = TraceDigest(TraceDigest::SEED);
+        let mut count = 0;
+        let mut lanes = 0;
+        for v in vectors {
+            count += 1;
+            digest.word(TraceDigest::VECTOR | v.len() as u128);
+            for &l in v {
+                lanes += l.is_some() as u64;
+                digest.word(l.map_or(0, |l| TraceDigest::LANE | word(l)));
+            }
+        }
+        SampleDigest {
+            vectors: count,
+            lanes,
+            hash: digest.0,
+        }
+    }
+
+    /// Digest of an SRAM sample: each lane's presence, operation and
+    /// address.
+    pub fn of_sram(sampled: &[AccessVector]) -> Self {
+        SampleDigest::of(
+            sampled.iter().map(|v| v.lanes.as_slice()),
+            |r: LaneRequest| (r.op as u128) << 64 | r.addr as u128,
+        )
+    }
+
+    /// Digest of a shuffle sample: each lane's presence, destination
+    /// port and lane.
+    pub fn of_shuffle(sampled: &[ShuffleVector]) -> Self {
+        SampleDigest::of(sampled.iter().map(Vec::as_slice), |e: ShuffleEntry| {
+            (e.dest as u128) << 64 | e.lane as u64 as u128
+        })
+    }
+}
 
 /// Deterministic decimating reservoir: keeps an evenly spaced sample of a
 /// stream without randomness (every `2^k`-th element once full).
@@ -92,8 +183,20 @@ pub struct SramWork {
     pub total_requests: u64,
     /// Requests that modify memory (read-modify-writes and writes).
     pub rmw_requests: u64,
-    /// Sampled access vectors.
+    /// Sampled access vectors (empty once [`Workload::drop_samples`]
+    /// ran). [`WorkloadBuilder::commit`] digests them once
+    /// ([`SramWork::digest`]), and the replay memo keys on that digest,
+    /// so editing them after commit leaves the digest stale.
     pub sampled: Vec<AccessVector>,
+    digest: SampleDigest,
+}
+
+impl SramWork {
+    /// Counts and digest of `sampled` as committed, kept when the samples
+    /// are dropped.
+    pub fn digest(&self) -> SampleDigest {
+        self.digest
+    }
 }
 
 /// Cross-tile (shuffle network) traffic of one tile.
@@ -103,8 +206,13 @@ pub struct RemoteWork {
     pub total_entries: u64,
     /// Total request vectors sent.
     pub total_vectors: u64,
-    /// Sampled request vectors (destination ports populated).
+    /// Sampled request vectors (destination ports populated; empty once
+    /// [`Workload::drop_samples`] ran). [`WorkloadBuilder::commit`]
+    /// digests them once ([`RemoteWork::digest`]), and the route memo
+    /// keys on that digest, so editing them after commit leaves the
+    /// digest stale.
     pub sampled: Vec<ShuffleVector>,
+    digest: SampleDigest,
     /// Sampled destination *word addresses* of remote updates (recorded
     /// by [`TileRecorder::remote_update_at`]; empty when the
     /// application only reports destination tiles). On a machine
@@ -114,6 +222,14 @@ pub struct RemoteWork {
     /// per-region address generators so hub-heavy destination skew can
     /// coalesce in their open-burst caches.
     pub addr_sampled: Vec<u64>,
+}
+
+impl RemoteWork {
+    /// Counts and digest of `sampled` as committed, kept when the samples
+    /// are dropped.
+    pub fn digest(&self) -> SampleDigest {
+        self.digest
+    }
 }
 
 /// Everything recorded about one tile (one outer-parallel pipeline
@@ -178,11 +294,13 @@ impl TileWork {
                 total_requests: 0,
                 rmw_requests: 0,
                 sampled: Vec::new(),
+                digest: SampleDigest::default(),
             },
             remote: RemoteWork {
                 total_entries: 0,
                 total_vectors: 0,
                 sampled: Vec::new(),
+                digest: SampleDigest::default(),
                 addr_sampled: Vec::new(),
             },
             dram_stream_bytes: 0,
@@ -209,6 +327,31 @@ pub struct Workload {
     /// Compute units consumed per pipeline (2 when a scanner-only CU
     /// feeds a compute CU, §3.3).
     pub cus_per_pipeline: usize,
+    samples_dropped: bool,
+}
+
+impl Workload {
+    /// Whether [`Workload::drop_samples`] ran: the sample vectors are
+    /// gone, so `perf::try_simulate` can cost this workload only from the
+    /// memos.
+    pub fn samples_dropped(&self) -> bool {
+        self.samples_dropped
+    }
+
+    /// Frees every sample vector (SRAM, shuffle and DRAM addresses),
+    /// keeping the per-tile counters and [`SampleDigest`]s. What is left
+    /// is a few kilobytes that `perf::try_simulate` can still cost
+    /// wherever the replay and route memos already hold the results.
+    pub fn drop_samples(&mut self) {
+        for tile in &mut self.tiles {
+            tile.sram.sampled = Vec::new();
+            tile.remote.sampled = Vec::new();
+            tile.remote.addr_sampled = Vec::new();
+            tile.dram_random_addrs = Vec::new();
+            tile.dram_atomic_addrs = Vec::new();
+        }
+        self.samples_dropped = true;
+    }
 }
 
 /// Builds a [`Workload`] tile by tile.
@@ -275,9 +418,13 @@ impl WorkloadBuilder {
         }
     }
 
-    /// Adds a recorded tile to the workload.
+    /// Adds a recorded tile to the workload, digesting its SRAM and
+    /// shuffle samples once.
     pub fn commit(&mut self, recorder: TileRecorder) {
-        self.tiles.push(recorder.into_work());
+        let mut work = recorder.into_work();
+        work.sram.digest = SampleDigest::of_sram(&work.sram.sampled);
+        work.remote.digest = SampleDigest::of_shuffle(&work.remote.sampled);
+        self.tiles.push(work);
     }
 
     /// Marks the workload as `rounds` dependent (non-pipelinable) rounds.
@@ -292,13 +439,15 @@ impl WorkloadBuilder {
         self.cus_per_pipeline = n;
     }
 
-    /// Finalizes the workload.
+    /// Finalizes the workload, counting one recording ([`recordings`]).
     pub fn finish(self) -> Workload {
+        RECORDINGS.fetch_add(1, Ordering::Relaxed);
         Workload {
             name: self.name,
             tiles: self.tiles,
             dependent_rounds: self.dependent_rounds,
             cus_per_pipeline: self.cus_per_pipeline,
+            samples_dropped: false,
         }
     }
 }
@@ -770,6 +919,48 @@ mod tests {
         let w = wl.finish();
         assert_eq!(w.tiles[0].remote.total_entries, 32);
         assert_eq!(w.tiles[0].remote.total_vectors, 2);
+    }
+
+    #[test]
+    fn commit_digests_the_samples_and_drop_samples_keeps_the_digests() {
+        let mut wl = WorkloadBuilder::new("t");
+        {
+            let mut t = wl.tile();
+            t.foreach_vec(40, |t, i| {
+                t.sram_rmw(i as u32 * 3, RmwOp::AddF);
+                t.remote_update_at(i % 7, i as u64);
+                t.dram_atomic_at(i as u64);
+            });
+            wl.commit(t);
+        }
+        let mut w = wl.finish();
+        let tile = w.tiles[0].clone();
+        assert_eq!(
+            tile.sram.digest(),
+            SampleDigest::of_sram(&tile.sram.sampled)
+        );
+        assert_eq!(
+            tile.remote.digest(),
+            SampleDigest::of_shuffle(&tile.remote.sampled)
+        );
+        assert_eq!(tile.sram.digest().vectors, 3);
+        assert_eq!(tile.sram.digest().lanes, 40);
+        assert_eq!(tile.remote.digest().lanes, 40);
+        w.drop_samples();
+        let kept = &w.tiles[0];
+        assert!(w.samples_dropped());
+        assert!(kept.sram.sampled.is_empty() && kept.remote.sampled.is_empty());
+        assert!(kept.remote.addr_sampled.is_empty() && kept.dram_atomic_addrs.is_empty());
+        assert_eq!(kept.sram.digest(), tile.sram.digest());
+        assert_eq!(kept.remote.digest(), tile.remote.digest());
+    }
+
+    #[test]
+    fn finish_counts_recordings() {
+        // Other tests record concurrently, so the count only grows.
+        let before = recordings();
+        WorkloadBuilder::new("t").finish();
+        assert!(recordings() > before);
     }
 
     #[test]

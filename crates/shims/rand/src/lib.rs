@@ -24,7 +24,7 @@ pub trait SeedableRng: Sized {
 /// `rand::distributions::uniform::SampleUniform`).
 pub trait SampleUniform: Sized {
     /// Draws one uniform value in `[lo, hi)`.
-    fn sample_uniform(lo: Self, hi: Self, rng: &mut dyn RngCore) -> Self;
+    fn sample_uniform<G: RngCore + ?Sized>(lo: Self, hi: Self, rng: &mut G) -> Self;
 }
 
 /// Ranges that can be sampled uniformly (upstream: `rand::distributions`).
@@ -34,11 +34,11 @@ pub trait SampleUniform: Sized {
 /// (e.g. `hub + rng.gen_range(0..64)` infers `usize`).
 pub trait SampleRange<T> {
     /// Draws one uniform value from the range.
-    fn sample_from(self, rng: &mut dyn RngCore) -> T;
+    fn sample_from<G: RngCore + ?Sized>(self, rng: &mut G) -> T;
 }
 
 impl<T: SampleUniform + PartialOrd> SampleRange<T> for Range<T> {
-    fn sample_from(self, rng: &mut dyn RngCore) -> T {
+    fn sample_from<G: RngCore + ?Sized>(self, rng: &mut G) -> T {
         assert!(self.start < self.end, "empty sample range");
         T::sample_uniform(self.start, self.end, rng)
     }
@@ -79,7 +79,7 @@ impl<T: RngCore> Rng for T {}
 macro_rules! uniform_unsigned {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
-            fn sample_uniform(lo: Self, hi: Self, rng: &mut dyn RngCore) -> Self {
+            fn sample_uniform<G: RngCore + ?Sized>(lo: Self, hi: Self, rng: &mut G) -> Self {
                 // Modulo bias is negligible for the spans used here and
                 // irrelevant for synthetic data generation.
                 let span = (hi - lo) as u64;
@@ -93,7 +93,7 @@ uniform_unsigned!(usize, u64, u32, u16, u8);
 macro_rules! uniform_signed {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
-            fn sample_uniform(lo: Self, hi: Self, rng: &mut dyn RngCore) -> Self {
+            fn sample_uniform<G: RngCore + ?Sized>(lo: Self, hi: Self, rng: &mut G) -> Self {
                 let span = (hi as i64 - lo as i64) as u64;
                 (lo as i64 + (rng.next_u64() % span) as i64) as $t
             }
@@ -105,7 +105,7 @@ uniform_signed!(i64, i32, i16, i8, isize);
 macro_rules! uniform_float {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
-            fn sample_uniform(lo: Self, hi: Self, rng: &mut dyn RngCore) -> Self {
+            fn sample_uniform<G: RngCore + ?Sized>(lo: Self, hi: Self, rng: &mut G) -> Self {
                 let unit = ((rng.next_u64() >> 11) as f64) * (1.0 / (1u64 << 53) as f64);
                 lo + (hi - lo) * unit as $t
             }

@@ -136,6 +136,11 @@ impl Coo {
         &self.entries
     }
 
+    /// The sorted `(row, col, value)` entries, by value.
+    pub(crate) fn into_entries(self) -> Vec<(Index, Index, Value)> {
+        self.entries
+    }
+
     /// Iterates over the sorted `(row, col, value)` entries.
     pub fn iter(&self) -> impl Iterator<Item = (Index, Index, Value)> + '_ {
         self.entries.iter().copied()

@@ -230,10 +230,66 @@ impl Csc {
     }
 }
 
+impl From<&Coo> for Csc {
+    /// [`Csc::from_coo`].
+    fn from(coo: &Coo) -> Self {
+        Csc::from_coo(coo)
+    }
+}
+
+impl From<Coo> for Csc {
+    /// Converts from an owned COO in its own storage, equal to
+    /// [`Csc::from_coo`]. The entries are sorted column-major in place,
+    /// then moved into the CSC arrays back to front one chunk at a time
+    /// while the COO's storage shrinks behind them, so the conversion
+    /// peaks near the COO's size instead of the COO's plus the CSC's.
+    fn from(coo: Coo) -> Self {
+        let (rows, cols) = (coo.rows(), coo.cols());
+        let col_ptr = coo.col_starts();
+        let mut entries = coo.into_entries();
+        // Coordinates are unique, so column-major order is fully determined.
+        entries.sort_unstable_by_key(|&(r, c, _)| (c as u64) << 32 | r as u64);
+        let chunk = (entries.len() / 16).max(1 << 16);
+        let (mut row_idx, mut values) = (Vec::new(), Vec::new());
+        while !entries.is_empty() {
+            let rest = entries.len().saturating_sub(chunk);
+            row_idx.reserve_exact(entries.len() - rest);
+            values.reserve_exact(entries.len() - rest);
+            for &(r, _, v) in entries[rest..].iter().rev() {
+                row_idx.push(r);
+                values.push(v);
+            }
+            entries.truncate(rest);
+            entries.shrink_to_fit();
+        }
+        row_idx.reverse();
+        values.reverse();
+        Csc {
+            rows,
+            cols,
+            col_ptr,
+            row_idx,
+            values,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csr::Csr;
+
+    #[test]
+    fn converting_an_owned_coo_equals_converting_a_borrowed_one() {
+        assert_eq!(Csc::from(sample_coo()), Csc::from_coo(&sample_coo()));
+        // More entries than one chunk, every column populated.
+        let big = crate::gen::uniform(300, 700, 150_000, 7);
+        assert_eq!(Csc::from(big.clone()), Csc::from_coo(&big));
+        assert_eq!(
+            Csc::from(Coo::zeros(3, 2)),
+            Csc::from_coo(&Coo::zeros(3, 2))
+        );
+    }
 
     fn sample_coo() -> Coo {
         Coo::from_triplets(

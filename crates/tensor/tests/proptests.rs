@@ -105,6 +105,7 @@ proptest! {
         prop_assert_eq!((t.rows(), t.cols()), (cols, rows));
         prop_assert_eq!(entry_bits(t.entries()), entry_bits(sorted_transpose(&coo).entries()));
         prop_assert_eq!(Csc::from_coo(&coo), sorted_csc(&coo));
+        prop_assert_eq!(Csc::from(coo.clone()), sorted_csc(&coo));
     }
 
     #[test]
@@ -279,6 +280,7 @@ fn scatter_transpose_and_csc_cover_degenerate_shapes() {
         let coo = Coo::from_triplets(rows, cols, ts).unwrap();
         assert_eq!(coo.transpose(), sorted_transpose(&coo), "{rows}x{cols}");
         assert_eq!(Csc::from_coo(&coo), sorted_csc(&coo), "{rows}x{cols}");
+        assert_eq!(Csc::from(coo.clone()), sorted_csc(&coo), "{rows}x{cols}");
         assert_eq!(Csc::from_coo(&coo).to_coo(), coo, "{rows}x{cols}");
     }
 }

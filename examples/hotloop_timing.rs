@@ -20,7 +20,7 @@
 //! - `simulate pr-edge`: PR-Edge on web-Stanford at the `small` graph
 //!   scale, cold and then on a route-memo (and replay-memo) hit;
 //! - `eie layer`: Table 13's fixed-size EIE layer, `gen::uniform(4096,
-//!   9216, 3_700_000, 0xE1E)` plus `Csc::from_coo`;
+//!   9216, 3_700_000, 0xE1E)` plus its in-place `Csc::from`;
 //! - `bcsr flickr`: the planner's largest BCSR probe, `BcsrSpmv::new`
 //!   with 16×16 blocks plus `record` on Flickr at the `small` graph
 //!   scale, in milliseconds per call, with its block and non-zero
@@ -170,9 +170,7 @@ fn main() {
             report.cycles, report.breakdown.network
         );
     }
-    let (secs, csc) = best_of_3(1, || {
-        Csc::from_coo(&gen::uniform(4096, 9216, 3_700_000, 0xE1E))
-    });
+    let (secs, csc) = best_of_3(1, || Csc::from(gen::uniform(4096, 9216, 3_700_000, 0xE1E)));
     println!(
         "eie layer 4096x9216 uniform + csc: {} nnz in {secs:.3}s",
         csc.nnz()

@@ -975,3 +975,65 @@ fn repeated_runs_are_identical() {
     assert_eq!(a.bank_utilization.to_bits(), b.bank_utilization.to_bits());
     assert_eq!(a.requests, b.requests);
 }
+
+/// FNV digest of a COO matrix: its shape, then every `(row, col, value
+/// bits)` triplet in storage order.
+fn coo_digest(m: &capstan::tensor::Coo) -> u64 {
+    let mut hash = FNV_OFFSET;
+    fnv(&mut hash, m.rows() as u64);
+    fnv(&mut hash, m.cols() as u64);
+    for (r, c, v) in m.iter() {
+        fnv(&mut hash, r as u64);
+        fnv(&mut hash, c as u64);
+        fnv(&mut hash, v.to_bits() as u64);
+    }
+    hash
+}
+
+/// Golden pins for the dataset generators and the `rand` shim's draws
+/// beneath them: every Table 6 dataset at a tiny scale, plus small
+/// `gen::uniform` shapes dense enough to draw duplicate coordinates
+/// (whose summed values depend on the draw order).
+#[test]
+fn dataset_generators_are_bit_identical_to_golden() {
+    use capstan::tensor::gen::uniform;
+    // (dataset, nnz, digest)
+    let golden_datasets: [(Dataset, u64, u64); 13] = [
+        (Dataset::Ckt11752, 0x27A, 0x7F72E41D3B66D52D),
+        (Dataset::Trefethen20000, 0x18A, 0x77225AA3DFE933E9),
+        (Dataset::Bcsstk30, 0x7E1, 0xC4CAA29F9E6A9855),
+        (Dataset::UsRoads, 0x287, 0xCBB425F6731868E2),
+        (Dataset::WebStanford, 0x1210, 0x97E4388BB1B09455),
+        (Dataset::Flickr, 0x4CDA, 0x45FF11B789DAF90B),
+        (Dataset::Gnutella31, 0x127, 0xEE03139CE108404E),
+        (Dataset::SpaceStation4, 0x1C, 0x7766B8256EEEB225),
+        (Dataset::Qc324, 0x36, 0x52AAB4A3ED205F88),
+        (Dataset::Mbeacxc, 0x5F, 0xFD256FE9C09EBF63),
+        (Dataset::ResNet50L1, 0xB1, 0x3CA9762018D68537),
+        (Dataset::ResNet50L2, 0x5F, 0x2C4E923F3E004069),
+        (Dataset::ResNet50L29, 0x53, 0xBC271252B9EF4D9B),
+    ];
+    let observed: Vec<_> = Dataset::ALL
+        .iter()
+        .map(|&d| {
+            let m = d.generate_scaled(0.002);
+            (d, m.nnz() as u64, coo_digest(&m))
+        })
+        .collect();
+    assert_golden("Table 6 datasets", &observed, &golden_datasets);
+    // (rows, cols, target nnz, seed, nnz, digest)
+    let golden_uniform: [(usize, usize, usize, u64, u64, u64); 4] = [
+        (8, 8, 60, 1, 0x2C, 0xB554CA1D2E2C9020),
+        (16, 4, 64, 2, 0x2D, 0x4127B2593E9BE9B1),
+        (40, 30, 900, 3, 0x2BF, 0x21A71C23E0662A91),
+        (64, 96, 512, 0xE1E, 0x200, 0x27F687865F872CE6),
+    ];
+    let observed: Vec<_> = golden_uniform
+        .iter()
+        .map(|&(rows, cols, nnz, seed, ..)| {
+            let m = uniform(rows, cols, nnz, seed);
+            (rows, cols, nnz, seed, m.nnz() as u64, coo_digest(&m))
+        })
+        .collect();
+    assert_golden("gen::uniform", &observed, &golden_uniform);
+}
