@@ -25,7 +25,7 @@ pub struct BfsResult {
     /// Hop count per node (`u32::MAX` = unreachable).
     pub dist: Vec<u32>,
     /// Predecessor per node (`u32::MAX` = none).
-    pub parent: Vec<u32>,
+    parent: Vec<u32>,
 }
 
 /// Breadth-first search over a directed graph.
@@ -62,7 +62,7 @@ impl Bfs {
     }
 
     /// Number of nodes.
-    pub fn nodes(&self) -> usize {
+    fn nodes(&self) -> usize {
         self.adj.rows()
     }
 

@@ -71,11 +71,6 @@ impl ConjugateGradient {
         }
     }
 
-    /// The system matrix.
-    pub fn matrix(&self) -> &Csr {
-        &self.a
-    }
-
     /// CPU reference solve (identical algorithm, unrecorded).
     pub fn reference(&self) -> CgResult {
         self.solve(&mut Recording::None)

@@ -30,19 +30,6 @@ pub fn inv_out_degree(adj_out: &Csr) -> Vec<Value> {
         .collect()
 }
 
-/// Maximum absolute difference between two value slices.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn max_abs_diff(a: &[Value], b: &[Value]) -> Value {
-    assert_eq!(a.len(), b.len(), "length mismatch");
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, Value::max)
-}
-
 /// Relative L2 error `||a - b|| / max(||b||, eps)` — the tolerance metric
 /// used by the floating-point app tests (Capstan reorders float
 /// accumulation, so exact equality is not expected).
@@ -99,7 +86,6 @@ mod tests {
     fn error_metrics() {
         let a = [1.0, 2.0];
         let b = [1.0, 2.5];
-        assert_eq!(max_abs_diff(&a, &b), 0.5);
         assert!(rel_l2_error(&a, &a) < 1e-12);
         assert!(rel_l2_error(&a, &b) > 0.1);
     }

@@ -46,7 +46,7 @@ impl SparseConv {
     }
 
     /// Output spatial dimension (`dim + kdim - 1`, full correlation).
-    pub fn out_dim(&self) -> usize {
+    fn out_dim(&self) -> usize {
         self.layer.dim + self.layer.kdim - 1
     }
 

@@ -74,16 +74,6 @@ impl Spmm {
         }
     }
 
-    /// The sparse operand.
-    pub fn a(&self) -> &Csr {
-        &self.a
-    }
-
-    /// The dense operand.
-    pub fn b(&self) -> &DenseMatrix {
-        &self.b
-    }
-
     /// CPU reference result.
     pub fn reference(&self) -> DenseMatrix {
         spmm_reference(&self.a, &self.b)
@@ -220,7 +210,7 @@ impl GcnLayer {
     ///
     /// Panics if the graph is not square, `features.rows()` does not match
     /// the node count, or `weights.rows() != features.cols()`.
-    pub fn new(graph: &Coo, features: DenseMatrix, weights: DenseMatrix) -> Self {
+    fn new(graph: &Coo, features: DenseMatrix, weights: DenseMatrix) -> Self {
         assert_eq!(graph.rows(), graph.cols(), "adjacency must be square");
         assert_eq!(features.rows(), graph.rows(), "one feature row per node");
         assert_eq!(
@@ -247,16 +237,6 @@ impl GcnLayer {
             (((r * 7 + c * 29) % 11) as Value - 5.0) / 5.0
         });
         GcnLayer::new(graph, features, weights)
-    }
-
-    /// The normalized propagation matrix `Â`.
-    pub fn adjacency(&self) -> &Csr {
-        &self.adj
-    }
-
-    /// Number of output features per node.
-    pub fn output_features(&self) -> usize {
-        self.weights.cols()
     }
 
     /// CPU reference forward pass.
@@ -506,7 +486,7 @@ mod tests {
             .map(|t| t.dram_stream_bytes)
             .sum();
         let n = layer.adj.rows() as u64;
-        let round_trip = 2 * n * layer.output_features() as u64 * 4;
+        let round_trip = 2 * n * layer.weights.cols() as u64 * 4;
         assert!(
             unfused >= fused + round_trip,
             "unfused {unfused} should exceed fused {fused} by the X·W round trip {round_trip}"

@@ -17,7 +17,7 @@ use capstan_tensor::{Coo, Csr, Value};
 use capstan_arch::spmu::RmwOp;
 
 /// Damping factor used by both variants.
-pub const DAMPING: Value = 0.85;
+const DAMPING: Value = 0.85;
 
 fn initial_rank(n: usize) -> Vec<Value> {
     vec![1.0 / n.max(1) as Value; n]
@@ -62,7 +62,7 @@ impl PrPull {
     }
 
     /// Number of nodes.
-    pub fn nodes(&self) -> usize {
+    fn nodes(&self) -> usize {
         self.in_adj.rows()
     }
 
@@ -152,7 +152,7 @@ impl PrEdge {
     }
 
     /// Number of nodes.
-    pub fn nodes(&self) -> usize {
+    fn nodes(&self) -> usize {
         self.edges.rows()
     }
 

@@ -202,7 +202,7 @@ pub struct CscSpmv {
 impl CscSpmv {
     /// Input-vector density used by the paper (§4: "we use a 30%-dense
     /// input vector, based on the datasets used to test EIE").
-    pub const INPUT_DENSITY: f64 = 0.30;
+    const INPUT_DENSITY: f64 = 0.30;
 
     /// Creates the benchmark with the paper's 30%-dense input vector. An
     /// owned [`Coo`] converts in its own storage (`From<Coo> for Csc`).
@@ -346,11 +346,6 @@ impl BcsrSpmv {
         &self.matrix
     }
 
-    /// CPU reference result.
-    pub fn reference(&self) -> Vec<Value> {
-        self.matrix.spmv(&self.x)
-    }
-
     /// Records the Capstan execution.
     pub fn record(&self, cfg: &CapstanConfig) -> (Workload, Vec<Value>) {
         let tiles = cfg.effective_outer_par(1);
@@ -456,11 +451,6 @@ impl DcsrSpmv {
     /// The doubly-compressed matrix (exposes occupancy accounting).
     pub fn matrix(&self) -> &Dcsr {
         &self.matrix
-    }
-
-    /// CPU reference result.
-    pub fn reference(&self) -> Vec<Value> {
-        self.matrix.spmv(&self.x)
     }
 
     /// Records the Capstan execution.
@@ -620,7 +610,7 @@ mod tests {
         let app = BcsrSpmv::new(&m, 16);
         let cfg = CapstanConfig::paper_default();
         let (wl, y) = app.record(&cfg);
-        assert!(rel_l2_error(&y, &app.reference()) < 1e-5);
+        assert!(rel_l2_error(&y, &app.matrix.spmv(&app.x)) < 1e-5);
         // CSR reference agrees too (same matrix, different storage).
         let csr = CsrSpmv::new(&m);
         assert!(rel_l2_error(&y, &csr.reference()) < 1e-4);
@@ -657,7 +647,7 @@ mod tests {
         let app = DcsrSpmv::new(&m);
         let cfg = CapstanConfig::paper_default();
         let (wl, y) = app.record(&cfg);
-        assert!(rel_l2_error(&y, &app.reference()) < 1e-5);
+        assert!(rel_l2_error(&y, &app.matrix.spmv(&app.x)) < 1e-5);
         assert!(rel_l2_error(&y, &CsrSpmv::new(&m).reference()) < 1e-5);
         // Lane work touches only real non-zeros — empty rows cost nothing
         // in the loop body.

@@ -23,7 +23,7 @@ pub struct SsspResult {
     /// Shortest distance per node (`f32::INFINITY` = unreachable).
     pub dist: Vec<Value>,
     /// Predecessor per node (`u32::MAX` = none).
-    pub parent: Vec<u32>,
+    parent: Vec<u32>,
 }
 
 /// Frontier-based (Bellman-Ford-style) single-source shortest paths.
@@ -35,7 +35,7 @@ pub struct Sssp {
     /// comparison variant).
     pub write_backpointers: bool,
     /// Safety cap on relaxation rounds.
-    pub max_rounds: usize,
+    max_rounds: usize,
 }
 
 impl Sssp {
@@ -53,7 +53,7 @@ impl Sssp {
     }
 
     /// Number of nodes.
-    pub fn nodes(&self) -> usize {
+    fn nodes(&self) -> usize {
         self.adj.rows()
     }
 

@@ -33,7 +33,6 @@
 //! their simulated time in exactly this loop.
 
 use crate::spmu::RmwOp;
-use capstan_sim::channel::MemChannel;
 use capstan_sim::dram::{BurstRequest, DramChannel, DramModel};
 use std::collections::VecDeque;
 
@@ -208,19 +207,19 @@ impl AddressGenerator {
     }
 
     /// Total accesses submitted so far.
-    pub fn submitted(&self) -> u64 {
+    pub(crate) fn submitted(&self) -> u64 {
         self.submitted_total
     }
 
     /// Total accesses whose results have been released by [`tick`].
     ///
     /// [`tick`]: AddressGenerator::tick
-    pub fn completed(&self) -> u64 {
+    pub(crate) fn completed(&self) -> u64 {
         self.completed_total
     }
 
     /// Submitted accesses whose results have not yet been released.
-    pub fn outstanding(&self) -> u64 {
+    pub(crate) fn outstanding(&self) -> u64 {
         self.submitted_total - self.completed_total
     }
 
@@ -229,7 +228,7 @@ impl AddressGenerator {
     /// whether a submission to it right now would coalesce instead of
     /// triggering a fresh DRAM fetch. Used by the multi-tenant replay
     /// driver to attribute fetches to the submitting tenant.
-    pub fn tracks(&self, addr: u64) -> bool {
+    pub(crate) fn tracks(&self, addr: u64) -> bool {
         self.slot_of[(addr / BURST_WORDS as u64) as usize] != NO_SLOT
     }
 
@@ -239,7 +238,7 @@ impl AddressGenerator {
     /// was accepted. Throttling through this window bounds the slab,
     /// waiter-arena, and result-buffer high-water marks, which is what
     /// keeps the driver's steady-state tick loop allocation-free.
-    pub fn try_submit(&mut self, access: DramAccess, max_outstanding: u64) -> bool {
+    pub(crate) fn try_submit(&mut self, access: DramAccess, max_outstanding: u64) -> bool {
         if self.outstanding() >= max_outstanding {
             return false;
         }
@@ -256,12 +255,10 @@ impl AddressGenerator {
     /// in-flight transfers — without releasing any buffer
     /// capacity. A reset AG is behaviorally indistinguishable from a
     /// fresh one (same completion stream for the same submissions),
-    /// which is what lets the persistent per-thread memory driver reuse
-    /// AGs across `simulate` calls while keeping cycle counts
-    /// bit-identical to the construct-per-call path, and what keeps the
-    /// reuse path allocation-free (proven in
+    /// so a reset memory driver replays bit-identically to a fresh one,
+    /// and the reuse path stays allocation-free (proven in
     /// `crates/arch/tests/alloc_free.rs`).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.channel.reset();
         self.slots.clear();
         self.slot_free.clear();

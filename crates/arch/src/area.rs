@@ -9,10 +9,10 @@
 //! substitution table.
 
 /// Square micrometres.
-pub type AreaUm2 = f64;
+type AreaUm2 = f64;
 
 /// Square millimetres.
-pub type AreaMm2 = f64;
+type AreaMm2 = f64;
 
 // --- Table 5: scanner area (µm²) -------------------------------------------
 
@@ -125,22 +125,22 @@ pub fn scheduler_area_um2(depth: usize, input_speedup: usize) -> AreaUm2 {
 
 /// Per-unit areas for one chip configuration (paper Table 8).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UnitAreas {
+struct UnitAreas {
     /// Compute unit, each (mm²).
-    pub cu: AreaMm2,
+    cu: AreaMm2,
     /// Memory unit, each (mm²).
-    pub mu: AreaMm2,
+    mu: AreaMm2,
     /// DRAM address generator, each (mm²).
-    pub ag: AreaMm2,
+    ag: AreaMm2,
     /// One shuffle network (mm²).
-    pub shuffle_network: AreaMm2,
+    shuffle_network: AreaMm2,
     /// Static on-chip network total (mm²).
-    pub network_total: AreaMm2,
+    network_total: AreaMm2,
 }
 
 impl UnitAreas {
     /// Plasticine's units (Table 8 left column).
-    pub fn plasticine() -> Self {
+    fn plasticine() -> Self {
         UnitAreas {
             cu: 0.401,
             mu: 0.199,
@@ -151,7 +151,7 @@ impl UnitAreas {
     }
 
     /// Capstan's units (Table 8 right column).
-    pub fn capstan() -> Self {
+    fn capstan() -> Self {
         UnitAreas {
             cu: 0.423,
             mu: 0.251,
@@ -212,10 +212,10 @@ pub struct ChipReport {
 }
 
 /// Plasticine's design power (W, Table 8).
-pub const PLASTICINE_POWER_W: f64 = 155.0;
+const PLASTICINE_POWER_W: f64 = 155.0;
 
 /// Capstan's design power (W, Table 8).
-pub const CAPSTAN_POWER_W: f64 = 174.0;
+const CAPSTAN_POWER_W: f64 = 174.0;
 
 /// Computes the chip report for a configuration. With
 /// `sparse_fraction = 0` the result reproduces Plasticine's column; with

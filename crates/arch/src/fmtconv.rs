@@ -13,14 +13,11 @@
 //! bit-vector words; because the pointers are sorted, set bits land in
 //! monotonically non-decreasing words and the unit needs no RMW port.
 
-use capstan_tensor::bitvec::BitVec;
-use capstan_tensor::Index;
-
 /// The compute-tile format converter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FormatConverter {
     /// Pointers consumed per cycle (one SIMD vector; paper lanes = 16).
-    pub pointers_per_cycle: usize,
+    pointers_per_cycle: usize,
 }
 
 impl Default for FormatConverter {
@@ -31,50 +28,10 @@ impl Default for FormatConverter {
     }
 }
 
-/// Result of one conversion.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConversionResult {
-    /// The produced occupancy bit-vector.
-    pub bitvec: BitVec,
-    /// Cycles the converter was occupied.
-    pub cycles: u64,
-}
-
 impl FormatConverter {
-    /// Creates a converter with the given throughput.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pointers_per_cycle == 0`.
-    pub fn new(pointers_per_cycle: usize) -> Self {
-        assert!(
-            pointers_per_cycle > 0,
-            "converter throughput must be positive"
-        );
-        FormatConverter { pointers_per_cycle }
-    }
-
     /// Cycle cost to convert `n` pointers.
     pub fn convert_cycles(&self, n: usize) -> u64 {
         n.div_ceil(self.pointers_per_cycle) as u64
-    }
-
-    /// Converts a sorted pointer list into a bit-vector of logical length
-    /// `len`, with cycle accounting.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bounds errors from [`BitVec::from_indices`].
-    pub fn convert(
-        &self,
-        len: usize,
-        pointers: &[Index],
-    ) -> Result<ConversionResult, capstan_tensor::FormatError> {
-        let bitvec = BitVec::from_indices(len, pointers)?;
-        Ok(ConversionResult {
-            bitvec,
-            cycles: self.convert_cycles(pointers.len()),
-        })
     }
 }
 
@@ -83,39 +40,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn conversion_is_correct() {
-        let conv = FormatConverter::default();
-        let ptrs = [1u32, 5, 9, 200];
-        let result = conv.convert(256, &ptrs).unwrap();
-        assert_eq!(result.bitvec.to_indices(), ptrs);
-        assert_eq!(result.cycles, 1);
-    }
-
-    #[test]
     fn throughput_is_vector_rate() {
         let conv = FormatConverter::default();
         assert_eq!(conv.convert_cycles(0), 0);
         assert_eq!(conv.convert_cycles(16), 1);
         assert_eq!(conv.convert_cycles(17), 2);
         assert_eq!(conv.convert_cycles(160), 10);
-        let scalar = FormatConverter::new(1);
+        let scalar = FormatConverter {
+            pointers_per_cycle: 1,
+        };
         assert_eq!(scalar.convert_cycles(160), 160);
-    }
-
-    #[test]
-    fn bounds_are_propagated() {
-        let conv = FormatConverter::default();
-        assert!(conv.convert(4, &[9]).is_err());
-    }
-
-    #[test]
-    fn conversion_beats_spmu_emulation() {
-        // Converting in the SpMU would RMW the same word repeatedly: 16
-        // sorted pointers typically hit 1-2 distinct words, serializing.
-        // The dedicated unit does the whole vector in one cycle.
-        let conv = FormatConverter::default();
-        let dense_run: Vec<u32> = (100..116).collect(); // one word
-        let result = conv.convert(256, &dense_run).unwrap();
-        assert_eq!(result.cycles, 1); // vs ~16 serialized RMWs in an SpMU
     }
 }

@@ -16,15 +16,15 @@ pub struct GridConfig {
     /// SIMD lanes per CU.
     pub lanes: usize,
     /// Pipeline stages per CU.
-    pub stages: usize,
+    stages: usize,
     /// SRAM banks per SpMU.
     pub banks: usize,
     /// Words per bank.
-    pub bank_words: usize,
+    bank_words: usize,
     /// On-chip shuffle networks (dimension x ports).
-    pub shuffle_on_chip: (usize, usize),
+    shuffle_on_chip: (usize, usize),
     /// Off-chip shuffle networks (dimension x ports).
-    pub shuffle_off_chip: (usize, usize),
+    shuffle_off_chip: (usize, usize),
 }
 
 impl Default for GridConfig {
@@ -70,17 +70,6 @@ impl GridConfig {
         assert!(cus_per_pipeline > 0, "a pipeline needs at least one CU");
         (self.compute_units() / cus_per_pipeline).min(self.memory_units())
     }
-
-    /// A scaled-down grid for sensitivity studies (Fig. 5b): `fraction` of
-    /// the paper's unit counts, minimum 2x2.
-    pub fn scaled(&self, fraction: f64) -> GridConfig {
-        let side = ((self.side as f64 * fraction.sqrt()).round() as usize).max(2);
-        GridConfig {
-            side,
-            ags: ((self.ags as f64 * fraction).round() as usize).max(4),
-            ..*self
-        }
-    }
 }
 
 #[cfg(test)]
@@ -102,15 +91,5 @@ mod tests {
         let g = GridConfig::default();
         assert_eq!(g.max_outer_parallel(1), 200);
         assert_eq!(g.max_outer_parallel(2), 100);
-    }
-
-    #[test]
-    fn scaling_shrinks_the_array() {
-        let g = GridConfig::default();
-        let half = g.scaled(0.5);
-        assert!(half.compute_units() < g.compute_units());
-        assert!(half.compute_units() >= g.compute_units() / 3);
-        let tiny = g.scaled(0.01);
-        assert!(tiny.side >= 2);
     }
 }

@@ -34,7 +34,7 @@
 //! single-channel, single-AG topology — bit-identical to it, which is
 //! what keeps the committed golden pins in
 //! `tests/determinism_golden.rs` valid under the default configuration.
-//! Paper scale is [`PAPER_CHANNELS`] (one channel per AG).
+//! Paper scale is 80 channels (one per AG, Table 7).
 //!
 //! # Multi-tenant traffic
 //!
@@ -89,13 +89,11 @@
 //! high-water mark during warm-up (each AG's slab and waiter arena,
 //! bounded by the outstanding-access window). The steady-state
 //! [`MemSysSim::tick`] loop performs **zero** heap allocations, and so
-//! does the persistent-driver reuse path ([`MemSysSim::reset`] +
-//! replay) — both proven by the counting-allocator tests in
-//! `crates/arch/tests/alloc_free.rs`.
+//! does reusing a driver ([`MemSysSim::reset`] + replay) — both proven
+//! by the counting-allocator tests in `crates/arch/tests/alloc_free.rs`.
 
 use crate::ag::{AddressGenerator, DramAccess, BURST_WORDS};
 use crate::spmu::RmwOp;
-use capstan_sim::channel::MemChannel;
 use capstan_sim::dram::{
     BankTiming, BankedStats, BurstRequest, ChannelArray, DramModel, BURST_BYTES,
 };
@@ -134,7 +132,7 @@ pub struct MemStats {
     /// summed over channels.
     pub contention_cycles: u64,
     /// Cycles banks spent busy, summed over banks and channels.
-    pub bank_busy_cycles: u64,
+    bank_busy_cycles: u64,
     /// Highest per-bank queue occupancy observed on any channel.
     pub peak_bank_queue: u64,
     /// Bursts the AGs fetched for atomic execution, summed.
@@ -143,14 +141,9 @@ pub struct MemStats {
     pub ag_bursts_written: u64,
 }
 
-/// Paper-scale channel count: one region channel per address generator
-/// (80 AGs, Table 7).
-pub const PAPER_CHANNELS: usize = 80;
-
 /// Hard cap on tenants sharing one driver. Small by design: the tenant
 /// id is encoded in the high bits of every request tag, and the weight
-/// table is a fixed array so [`MemSysConfig`] stays `Copy + Eq` (the
-/// persistent-driver pool in `capstan_core::perf` keys on it).
+/// table is a fixed array so [`MemSysConfig`] stays `Copy + Eq`.
 pub const MAX_TENANTS: usize = 8;
 
 /// Identity of one tenant whose traffic is interleaved through the
@@ -179,11 +172,11 @@ pub enum TenantPartition {
 }
 
 /// Latency-histogram buckets in [`TenantStats::latency_hist`].
-pub const LATENCY_BUCKETS: usize = 8;
+const LATENCY_BUCKETS: usize = 8;
 
 /// Upper bounds (inclusive) of the first `LATENCY_BUCKETS - 1` latency
 /// buckets, in cycles; the last bucket is the overflow.
-pub const LATENCY_BUCKET_BOUNDS: [u64; LATENCY_BUCKETS - 1] = [16, 32, 64, 128, 256, 512, 1024];
+const LATENCY_BUCKET_BOUNDS: [u64; LATENCY_BUCKETS - 1] = [16, 32, 64, 128, 256, 512, 1024];
 
 /// Per-tenant statistics of one cycle-level memory simulation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -204,7 +197,7 @@ pub struct TenantStats {
     /// to bursts no AG was tracking at submission time (re-fetches
     /// behind a racing writeback are not attributed, so the sum over
     /// tenants is a lower bound of [`MemStats::ag_bursts_fetched`]).
-    pub ag_fetch_bursts: u64,
+    ag_fetch_bursts: u64,
     /// Sum over cycles of this tenant's outstanding requests — the
     /// tenant's share of queue occupancy (divide by the drain cycles
     /// for the mean).
@@ -214,7 +207,7 @@ pub struct TenantStats {
     pub completion_cycle: u64,
     /// Request-latency histogram: bucket `i < LATENCY_BUCKETS - 1`
     /// counts completions with issue-to-completion latency `<=`
-    /// [`LATENCY_BUCKET_BOUNDS`]`[i]` (and above the previous bound);
+    /// `LATENCY_BUCKET_BOUNDS[i]` (and above the previous bound);
     /// the last bucket is the overflow.
     pub latency_hist: [u64; LATENCY_BUCKETS],
 }
@@ -224,25 +217,25 @@ pub struct TenantStats {
 pub struct MemSysConfig {
     /// Banked-channel timing (banks, queues, CAS latency, row size),
     /// applied to every region channel.
-    pub timing: BankTiming,
+    timing: BankTiming,
     /// Independent region channels (each pairing one banked DRAM
     /// channel with one AG region). 1 — the default — reproduces the
-    /// single-channel topology bit-for-bit; [`PAPER_CHANNELS`] is the
-    /// paper's design point.
+    /// single-channel topology bit-for-bit; 80 (one per AG, Table 7) is
+    /// the paper's design point.
     pub channels: usize,
     /// Words in each AG's atomic region (addresses wrap into the
     /// combined `channels x ag_region_words` space and the high region
     /// bits select the owning AG).
-    pub ag_region_words: usize,
+    ag_region_words: usize,
     /// Simultaneously open bursts each AG tracks (§3.4's burst cache).
-    pub ag_open_bursts: usize,
+    ag_open_bursts: usize,
     /// Memory requests the fabric can issue per cycle (all AGs
     /// combined).
-    pub issue_width: usize,
+    issue_width: usize,
     /// Outstanding-atomic window *per AG*: submissions throttle above
     /// this, which bounds each AG's internal state (see the allocation
     /// contract).
-    pub max_outstanding_atomics: u64,
+    max_outstanding_atomics: u64,
     /// Has no effect; kept only so external code that still assigns it compiles.
     pub fast_forward: bool,
     /// Tenants whose traffic the driver interleaves (`1..=MAX_TENANTS`).
@@ -257,14 +250,14 @@ pub struct MemSysConfig {
     /// per round. Entries beyond `tenants` are ignored; the dedicated
     /// partition ignores the table entirely (each tenant has a private
     /// issue budget of `issue_width / tenants`, at least 1).
-    pub tenant_weights: [u8; MAX_TENANTS],
+    tenant_weights: [u8; MAX_TENANTS],
 }
 
 impl MemSysConfig {
     /// The default driver geometry for a memory system (one region
     /// channel — the bit-compatible topology every committed golden
     /// value was captured under).
-    pub fn for_model(model: &DramModel) -> Self {
+    fn for_model(model: &DramModel) -> Self {
         MemSysConfig {
             timing: BankTiming::for_model(model),
             channels: 1,
@@ -351,7 +344,7 @@ impl AddressStream {
         self.state = splitmix(self.state).0;
     }
 
-    /// Rewinds the stream to its seed (the persistent-driver reset).
+    /// Rewinds the stream to its seed (the driver reset).
     fn reset(&mut self) {
         self.state = self.seed;
     }
@@ -623,11 +616,6 @@ impl MemSysSim {
         }
     }
 
-    /// The driver geometry.
-    pub fn config(&self) -> &MemSysConfig {
-        &self.cfg
-    }
-
     /// Queues one tile's traffic for replay with synthetic scattered
     /// addresses (unless an earlier tile already queued recorded ones —
     /// the per-class address source is per-tenant, see
@@ -679,8 +667,8 @@ impl MemSysSim {
     /// whose buffer stays empty across all queued tiles falls back to
     /// its synthetic `AddressStream`, and that fallback is
     /// bit-for-bit. Buffer capacity is retained across
-    /// [`MemSysSim::reset`], keeping the persistent driver's reuse
-    /// path allocation-free in steady state.
+    /// [`MemSysSim::reset`], keeping a reused driver allocation-free in
+    /// steady state.
     ///
     /// Single-tenant convenience for
     /// [`MemSysSim::add_tile_recorded_for`] with tenant 0.
@@ -1123,11 +1111,6 @@ impl MemSysSim {
             .channel_stats(i % per_group)
     }
 
-    /// Current cycle.
-    pub fn cycle(&self) -> u64 {
-        self.cycles
-    }
-
     /// Atomic accesses submitted to the per-region AGs so far (the
     /// conservation counterpart of [`MemStats::atomic_words`]: after
     /// [`MemSysSim::run`] the two must agree).
@@ -1152,11 +1135,8 @@ impl MemSysSim {
     ///
     /// A reset driver is behaviorally indistinguishable from a freshly
     /// constructed one: the same tiles replay to the same cycle count
-    /// and the same statistics. This is the contract the persistent
-    /// driver pool in `capstan_core::perf` relies on to reuse one
-    /// `MemSysSim` across `simulate` calls (construction dominates
-    /// sweep-style experiments otherwise), and it keeps the reuse path
-    /// allocation-free — both proven in
+    /// and the same statistics, so one `MemSysSim` can be reused across
+    /// replays, and the reuse path is allocation-free — both proven in
     /// `crates/arch/tests/alloc_free.rs`.
     pub fn reset(&mut self) {
         for group in &mut self.groups {
@@ -1498,7 +1478,7 @@ mod tests {
             sim.add_tile(traffic);
             let first = sim.run();
             sim.reset();
-            assert!(sim.cycle() == 0 && sim.groups.iter().all(|g| g.channels.is_idle()));
+            assert!(sim.cycles == 0 && sim.groups.iter().all(|g| g.channels.is_idle()));
             sim.add_tile(traffic);
             let second = sim.run();
             assert_eq!(

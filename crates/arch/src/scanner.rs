@@ -255,7 +255,7 @@ impl WindowCounter {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataScanner {
     /// Elements examined per cycle (paper design: 16).
-    pub inputs: usize,
+    inputs: usize,
 }
 
 impl Default for DataScanner {

@@ -27,7 +27,7 @@ pub enum MergeShift {
 
 impl MergeShift {
     /// Maximum lane displacement.
-    pub fn radius(self, lanes: usize) -> usize {
+    fn radius(self, lanes: usize) -> usize {
         match self {
             MergeShift::None => 0,
             MergeShift::One => 1,
@@ -61,10 +61,10 @@ pub type ShuffleVector = Vec<Option<ShuffleEntry>>;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeStats {
     /// Output vectors produced (cycles consumed on the output port).
-    pub output_vectors: u64,
+    output_vectors: u64,
     /// Entries that could not be placed in the first output vector and
     /// spilled into an overflow vector.
-    pub deferred_entries: u64,
+    deferred_entries: u64,
     /// Total entries forwarded.
     pub entries: u64,
 }
@@ -292,13 +292,8 @@ impl ButterflyNetwork {
         ButterflyNetwork { cfg }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> ShuffleConfig {
-        self.cfg
-    }
-
     /// Number of merge stages (`log2(ports)`).
-    pub fn stages(&self) -> usize {
+    fn stages(&self) -> usize {
         self.cfg.ports.trailing_zeros() as usize
     }
 

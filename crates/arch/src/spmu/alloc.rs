@@ -19,7 +19,7 @@
 /// With input speedup 1 there is one port per lane; with speedup 2 each
 /// lane contributes two ports (a banked input queue feeding a `2l x b`
 /// crossbar, §3.1.2).
-pub type PortRequests = Vec<u64>;
+type PortRequests = Vec<u64>;
 
 /// Result of one allocation cycle: the granted bank per port, if any.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -27,7 +27,7 @@ pub struct AllocationResult {
     /// `grants[port] = Some(bank)`.
     pub grants: Vec<Option<usize>>,
     /// Grants added by each iteration (for allocator-quality studies).
-    pub per_iteration: Vec<usize>,
+    per_iteration: Vec<usize>,
 }
 
 /// Reusable working memory for [`allocate_into`].
@@ -37,7 +37,7 @@ pub struct AllocationResult {
 /// grow to a high-water mark on the first cycles and are reused
 /// thereafter).
 #[derive(Debug, Clone, Default)]
-pub struct AllocScratch {
+pub(crate) struct AllocScratch {
     choices: Vec<Option<usize>>,
     choosers: Vec<u64>,
 }
@@ -94,7 +94,7 @@ pub fn allocate(iterations: &[PortRequests], banks: usize) -> AllocationResult {
 /// # Panics
 ///
 /// Panics if `masks` is empty or not a multiple of `ports`.
-pub fn allocate_into(
+pub(crate) fn allocate_into(
     masks: &[u64],
     ports: usize,
     banks: usize,

@@ -22,7 +22,7 @@ impl TraceRng {
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
         x ^= x >> 12;
         x ^= x << 25;
@@ -141,8 +141,6 @@ pub fn run_vectors(cfg: SpmuConfig, vectors: &[AccessVector]) -> ThroughputResul
 /// highlighted.
 #[derive(Debug, Clone)]
 pub struct TracedRun {
-    /// Sustained utilization over the run.
-    pub utilization: f64,
     /// All grants within the window `[first_cycle, last_cycle]` of the
     /// traced vector's residency.
     pub grants: Vec<GrantRecord>,
@@ -176,7 +174,6 @@ pub fn trace_one_vector(cfg: SpmuConfig, seed: u64, traced_index: u64) -> Traced
         (lo.min(g.cycle), hi.max(g.cycle))
     });
     TracedRun {
-        utilization: spmu.bank_utilization(),
         grants: log
             .iter()
             .filter(|g| g.cycle >= lo && g.cycle <= hi)

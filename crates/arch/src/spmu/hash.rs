@@ -46,13 +46,6 @@ impl BankHash {
             }
         }
     }
-
-    /// Within-bank word offset for an address: `addr / banks`, with
-    /// `banks` a power of two as for [`BankHash::bank_of`].
-    pub fn offset_of(self, addr: u32, banks: usize) -> usize {
-        debug_assert!(banks.is_power_of_two());
-        (addr as usize) >> banks.trailing_zeros()
-    }
 }
 
 #[cfg(test)]
@@ -106,14 +99,12 @@ mod tests {
 
     #[test]
     fn bank_offset_is_bijective() {
-        // No two addresses may share (bank, offset).
+        // No two addresses may share (bank, within-bank offset
+        // `addr / 16`).
         use std::collections::HashSet;
         let mut seen = HashSet::new();
         for addr in 0..4096u32 {
-            let key = (
-                BankHash::Hashed.bank_of(addr, 16),
-                BankHash::Hashed.offset_of(addr, 16),
-            );
+            let key = (BankHash::Hashed.bank_of(addr, 16), addr / 16);
             assert!(seen.insert(key), "collision at addr {addr}: {key:?}");
         }
     }

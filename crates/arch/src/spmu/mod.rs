@@ -25,9 +25,9 @@
 
 pub mod alloc;
 pub mod driver;
-pub mod hash;
-pub mod ordering;
-pub mod rmw;
+mod hash;
+mod ordering;
+mod rmw;
 
 use alloc::first_set_from;
 pub use hash::BankHash;
@@ -52,14 +52,6 @@ impl LaneRequest {
         LaneRequest {
             addr,
             op: RmwOp::Read,
-        }
-    }
-
-    /// A plain write to `addr`.
-    pub fn write(addr: u32) -> Self {
-        LaneRequest {
-            addr,
-            op: RmwOp::Write,
         }
     }
 
@@ -184,7 +176,7 @@ impl SpmuConfig {
     /// The age-priority window (in queue slots) visible to allocation
     /// iteration `iter` (0-based). With 3 priorities on a 16-deep queue:
     /// slots 0–4, then 0–9, then all (§3.1.1).
-    pub fn window_for_iteration(&self, iter: usize) -> usize {
+    fn window_for_iteration(&self, iter: usize) -> usize {
         let d = self.queue_depth;
         let full = d;
         let w1 = (5 * d).div_ceil(16).max(1);
@@ -344,7 +336,7 @@ impl Spmu {
     }
 
     /// Current cycle.
-    pub fn cycle(&self) -> u64 {
+    fn cycle(&self) -> u64 {
         self.cycle
     }
 
@@ -364,7 +356,7 @@ impl Spmu {
     }
 
     /// Resets utilization statistics (e.g. after warm-up).
-    pub fn reset_stats(&mut self) {
+    fn reset_stats(&mut self) {
         self.bank_util = Utilization::new();
         if let Some(log) = &mut self.grant_log {
             log.clear();
@@ -921,7 +913,7 @@ mod tests {
         };
         let mut spmu = Spmu::new(cfg);
         spmu.enable_grant_log();
-        let a = AccessVector::new(vec![Some(LaneRequest::write(5))]);
+        let a = AccessVector::new(vec![Some(LaneRequest::rmw(5, RmwOp::Write))]);
         let b = AccessVector::reads(&[5]);
         assert!(spmu.try_enqueue(&a));
         let mut done = Vec::new();
@@ -945,10 +937,10 @@ mod tests {
     #[test]
     fn split_same_address_helper() {
         let v = AccessVector::new(vec![
-            Some(LaneRequest::write(1)),
-            Some(LaneRequest::write(1)),
-            Some(LaneRequest::write(2)),
-            Some(LaneRequest::write(1)),
+            Some(LaneRequest::rmw(1, RmwOp::Write)),
+            Some(LaneRequest::rmw(1, RmwOp::Write)),
+            Some(LaneRequest::rmw(2, RmwOp::Write)),
+            Some(LaneRequest::rmw(1, RmwOp::Write)),
         ]);
         let parts = split_same_address(&v);
         assert_eq!(parts.len(), 3);
@@ -965,10 +957,10 @@ mod tests {
         // stage exactly the parts the reference implementation returns.
         let cases = [
             vec![
-                Some(LaneRequest::write(1)),
-                Some(LaneRequest::write(1)),
-                Some(LaneRequest::write(2)),
-                Some(LaneRequest::write(1)),
+                Some(LaneRequest::rmw(1, RmwOp::Write)),
+                Some(LaneRequest::rmw(1, RmwOp::Write)),
+                Some(LaneRequest::rmw(2, RmwOp::Write)),
+                Some(LaneRequest::rmw(1, RmwOp::Write)),
             ],
             vec![None, None, None],
             vec![Some(LaneRequest::rmw(9, RmwOp::AddF)); 16],

@@ -60,7 +60,7 @@ impl BloomFilter {
     /// # Panics
     ///
     /// Panics if `entries` is not a power of two or `hashes == 0`.
-    pub fn new(entries: usize, hashes: usize) -> Self {
+    pub(crate) fn new(entries: usize, hashes: usize) -> Self {
         assert!(
             entries.is_power_of_two(),
             "bloom entries must be a power of two"
@@ -114,11 +114,6 @@ impl BloomFilter {
     pub fn may_contain(&self, addr: u32) -> bool {
         (0..self.hashes).all(|k| self.counters[self.probe(addr, k)] > 0)
     }
-
-    /// Whether the filter is empty.
-    pub fn is_empty(&self) -> bool {
-        self.counters.iter().all(|&c| c == 0)
-    }
 }
 
 #[cfg(test)]
@@ -146,7 +141,7 @@ mod tests {
         for &a in &addrs {
             f.remove(a);
         }
-        assert!(f.is_empty());
+        assert!(f.counters.iter().all(|&c| c == 0));
         assert!(!f.may_contain(1));
     }
 
@@ -167,7 +162,7 @@ mod tests {
     fn empty_filter_rejects_everything() {
         let f = BloomFilter::paper_default();
         assert!(!f.may_contain(42));
-        assert!(f.is_empty());
+        assert!(f.counters.iter().all(|&c| c == 0));
     }
 
     #[test]

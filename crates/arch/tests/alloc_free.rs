@@ -19,9 +19,7 @@
 //!   slab/arena high-water marks are bounded by the per-AG
 //!   outstanding-atomic window, so steady-state ticks must not touch
 //!   the heap.
-//! * `MemSysSim::reset` + replay — the persistent driver pool's reuse
-//!   path (`capstan_core::perf` checks a pooled driver out and resets
-//!   it instead of constructing one per `simulate` call): a reset must
+//! * `MemSysSim::reset` + replay — the driver reuse path: a reset must
 //!   release no capacity, so a warmed driver's entire reset → add-tile
 //!   → run round trip stays off the heap.
 //! * `MemSysSim::add_tile_recorded` + run — the recorded-address replay
@@ -351,12 +349,11 @@ fn memsys_steady_state_tick_is_allocation_free() {
 
 #[test]
 fn memsys_persistent_reset_and_rerun_is_allocation_free() {
-    // The persistent driver pool in `capstan_core::perf` reuses one
-    // `MemSysSim` per (model, geometry) by resetting it before each
-    // `simulate` call. After a warm-up batch has grown every buffer to
-    // its high-water mark, the entire reuse round trip — reset, re-add
-    // tiles, run to drain including the AG flush — must stay off the
-    // heap. Covers both the default and the multi-channel topology.
+    // A reused `MemSysSim` is reset before each replay. After a warm-up
+    // batch has grown every buffer to its high-water mark, the entire
+    // reuse round trip — reset, re-add tiles, run to drain including
+    // the AG flush — must stay off the heap. Covers both the default
+    // and the multi-channel topology.
     for channels in [1usize, 4] {
         let model = DramModel::new(MemoryKind::Hbm2e);
         let mut sim = MemSysSim::with_config(model, MemSysConfig::with_channels(&model, channels));
@@ -486,9 +483,9 @@ fn memsys_multi_tenant_tick_is_allocation_free() {
 
 #[test]
 fn memsys_multi_tenant_reset_and_rerun_is_allocation_free() {
-    // The persistent-pool reuse contract extends to tenant-tagged
-    // traffic: after warm-up, a reset → per-tenant re-add → full drain
-    // round trip must stay off the heap, and per-tenant stats must
+    // The reuse contract extends to tenant-tagged traffic: after
+    // warm-up, a reset → per-tenant re-add → full drain round trip must
+    // stay off the heap, and per-tenant stats must
     // reproduce the warm-up run exactly.
     let model = DramModel::new(MemoryKind::Hbm2e);
     let cfg = MemSysConfig::with_tenants(&model, 2, 2, TenantPartition::Shared);

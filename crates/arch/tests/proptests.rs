@@ -269,7 +269,6 @@ proptest! {
 /// sequence (tags and cycles, in order) and identical burst counts.
 mod ag_reference {
     use capstan_arch::ag::{DramAccess, DramAccessResult, BURST_WORDS};
-    use capstan_sim::channel::MemChannel;
     use capstan_sim::dram::{BurstRequest, DramChannel, DramModel};
     use std::collections::{HashMap, VecDeque};
 

@@ -13,9 +13,9 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Eie {
     /// Processing elements.
-    pub pes: u64,
+    pes: u64,
     /// Clock in GHz.
-    pub clock_ghz: f64,
+    clock_ghz: f64,
 }
 
 impl Default for Eie {
@@ -45,18 +45,18 @@ impl Eie {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scnn {
     /// Processing elements.
-    pub pes: u64,
+    pes: u64,
     /// Activation operands per PE per cycle.
-    pub act_width: u64,
+    act_width: u64,
     /// Weight operands per PE per cycle.
-    pub weight_width: u64,
+    weight_width: u64,
     /// Clock in GHz.
-    pub clock_ghz: f64,
+    clock_ghz: f64,
     /// Output-tiling passes: SCNN's small per-PE accumulator banks force
     /// the output channels to be processed in multiple passes ("SCNN is
     /// forced to tile its outputs, which limits the amount of available
     /// weight parallelism and forces multiple iterations", paper §4.4).
-    pub output_passes: u64,
+    output_passes: u64,
 }
 
 impl Default for Scnn {
@@ -96,11 +96,11 @@ impl Scnn {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Graphicionado {
     /// Processed edges per second for PageRank.
-    pub pr_edges_per_sec: f64,
+    pr_edges_per_sec: f64,
     /// Processed edges per second for BFS.
-    pub bfs_edges_per_sec: f64,
+    bfs_edges_per_sec: f64,
     /// Processed edges per second for SSSP.
-    pub sssp_edges_per_sec: f64,
+    sssp_edges_per_sec: f64,
 }
 
 impl Default for Graphicionado {
@@ -137,7 +137,7 @@ impl Graphicionado {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatRaptor {
     /// Peak demonstrated operations per second.
-    pub ops_per_sec: f64,
+    ops_per_sec: f64,
 }
 
 impl Default for MatRaptor {

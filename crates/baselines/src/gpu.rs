@@ -9,24 +9,24 @@
 //! (paper §4.4). Capstan fuses those kernels into one streaming pipeline.
 
 /// V100 peak memory bandwidth (GB/s).
-pub const V100_BANDWIDTH_GBPS: f64 = 900.0;
+const V100_BANDWIDTH_GBPS: f64 = 900.0;
 
 /// Fraction of peak achieved by streaming sparse kernels.
-pub const STREAM_EFFICIENCY: f64 = 0.75;
+const STREAM_EFFICIENCY: f64 = 0.75;
 
 /// Fraction of peak achieved by scattered (random) accesses.
-pub const RANDOM_EFFICIENCY: f64 = 0.20;
+const RANDOM_EFFICIENCY: f64 = 0.20;
 
 /// Fixed cost of one kernel launch + device synchronization (seconds).
-pub const KERNEL_LAUNCH_SECONDS: f64 = 8.0e-6;
+const KERNEL_LAUNCH_SECONDS: f64 = 8.0e-6;
 
 /// Characterization of one GPU kernel invocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuKernel {
     /// Bytes moved with streaming locality.
-    pub stream_bytes: u64,
+    stream_bytes: u64,
     /// Bytes moved with scattered locality (atomics, gathers).
-    pub random_bytes: u64,
+    random_bytes: u64,
 }
 
 impl GpuKernel {
@@ -40,7 +40,7 @@ impl GpuKernel {
 
 /// Estimated runtime of a kernel *sequence* (the unfused execution model
 /// of cuSparse/cuBLAS pipelines).
-pub fn sequence_seconds(kernels: &[GpuKernel]) -> f64 {
+fn sequence_seconds(kernels: &[GpuKernel]) -> f64 {
     kernels.iter().map(GpuKernel::seconds).sum()
 }
 
@@ -54,7 +54,7 @@ pub fn spmv_kernel(nnz: usize, n: usize) -> GpuKernel {
 }
 
 /// A dense BLAS1 kernel (dot/axpy) over `n` elements.
-pub fn blas1_kernel(n: usize) -> GpuKernel {
+fn blas1_kernel(n: usize) -> GpuKernel {
     GpuKernel {
         stream_bytes: n as u64 * 8,
         random_bytes: 0,

@@ -15,8 +15,8 @@
 //! * [`asic`] — idealized throughput models of EIE, SCNN, Graphicionado,
 //!   and MatRaptor, mirroring the paper's own "ideal model of each
 //!   baseline" methodology (Table 13).
-//! * [`published`] — every number printed in the paper's Tables 12 and 13,
-//!   as reference constants the harness prints beside reproduced values.
+//! * [`published`] — every number printed in the paper's Table 12, as
+//!   reference constants the harness prints beside reproduced values.
 
 pub mod asic;
 pub mod cpu;

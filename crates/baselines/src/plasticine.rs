@@ -25,7 +25,7 @@ use capstan_sim::network::NetworkConfig;
 /// sparse DRAM updates (PREdge), and sparse iteration (BFS, SSSP, M+M,
 /// and SpMSpM) can not be mapped efficiently to Plasticine, so only some
 /// applications have Plasticine baselines" (§4.4).
-pub const SUPPORTED_APPS: [&str; 5] = ["CSR SpMV", "COO SpMV", "CSC SpMV", "PR-Pull", "BiCGStab"];
+const SUPPORTED_APPS: [&str; 5] = ["CSR SpMV", "COO SpMV", "CSC SpMV", "PR-Pull", "BiCGStab"];
 
 /// Whether an application has a Plasticine mapping.
 pub fn supports(app_name: &str) -> bool {
@@ -37,7 +37,7 @@ pub fn supports(app_name: &str) -> bool {
 /// write back before any aliasing read may issue — a full on-chip
 /// round trip (two network traversals at ~27 cycles each, paper's 20x20
 /// grid) per update.
-pub const RMW_BUBBLE_CYCLES: u64 = 48;
+const RMW_BUBBLE_CYCLES: u64 = 48;
 
 /// Builds the Plasticine configuration for a memory system.
 pub fn config(memory: MemoryKind) -> CapstanConfig {

@@ -1,4 +1,4 @@
-//! Published reference numbers from the paper (Tables 12 and 13).
+//! Published reference numbers from the paper's Table 12.
 //!
 //! Our reproduction cannot run the authors' CPU/GPU testbeds, so the
 //! harness prints these constants beside the reproduced Capstan and
@@ -13,18 +13,14 @@
 //! to CSR (6.16 / 1.25) and maximum to the 119.39 entry normalized
 //! against 1.00 (the CSC column).
 
-/// Application order used by every Table 12 row.
-pub const APPS: [&str; 11] = [
-    "CSR SpMV", "COO SpMV", "CSC SpMV", "Conv", "PR-Pull", "PR-Edge", "BFS", "SSSP", "M+M",
-    "SpMSpM", "BiCGStab",
-];
-
 /// One row of Table 12 (`None` = variant not supported by the platform).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table12Row {
     /// Platform name as printed.
     pub platform: &'static str,
-    /// Normalized runtime per app, in [`APPS`] order.
+    /// Normalized runtime per app, in the paper's column order: CSR,
+    /// COO and CSC SpMV, Conv, PR-Pull, PR-Edge, BFS, SSSP, M+M, SpMSpM,
+    /// BiCGStab.
     pub values: [Option<f64>; 11],
     /// Printed geometric mean.
     pub gmean: f64,
@@ -153,84 +149,29 @@ pub const TABLE12: [Table12Row; 7] = [
     },
 ];
 
-/// One row of Table 13: Capstan speedup over a bespoke accelerator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Table13Row {
-    /// Accelerator name.
-    pub accelerator: &'static str,
-    /// Compared application.
-    pub app: &'static str,
-    /// Capstan speedup at its native 1.6 GHz clock.
-    pub speedup_1_6ghz: f64,
-    /// Capstan speedup derated to a 1 GHz clock.
-    pub speedup_1ghz: f64,
-    /// Reference design's published area/technology note.
-    pub reference_area: &'static str,
-}
-
-/// All rows of the paper's Table 13.
-pub const TABLE13: [Table13Row; 6] = [
-    Table13Row {
-        accelerator: "EIE",
-        app: "CSC SpMV",
-        speedup_1_6ghz: 0.53,
-        speedup_1ghz: 0.40,
-        reference_area: "64 mm2 / 28 nm",
-    },
-    Table13Row {
-        accelerator: "SCNN",
-        app: "Conv",
-        speedup_1_6ghz: 1.40,
-        speedup_1ghz: 0.87,
-        reference_area: "7.9 mm2 / 16 nm",
-    },
-    Table13Row {
-        accelerator: "Graphicionado",
-        app: "PR",
-        speedup_1_6ghz: 1.08,
-        speedup_1ghz: 0.97,
-        reference_area: "64 MiB eDRAM",
-    },
-    Table13Row {
-        accelerator: "Graphicionado",
-        app: "BFS",
-        speedup_1_6ghz: 2.10,
-        speedup_1ghz: 2.06,
-        reference_area: "64 MiB eDRAM",
-    },
-    Table13Row {
-        accelerator: "Graphicionado",
-        app: "SSSP",
-        speedup_1_6ghz: 1.13,
-        speedup_1ghz: 1.03,
-        reference_area: "64 MiB eDRAM",
-    },
-    Table13Row {
-        accelerator: "MatRaptor",
-        app: "SpMSpM",
-        speedup_1_6ghz: 17.96,
-        speedup_1ghz: 12.22,
-        reference_area: "2.26 mm2 / 28 nm",
-    },
-];
-
-/// Looks up a Table 12 row by platform name.
-pub fn table12_row(platform: &str) -> Option<&'static Table12Row> {
-    TABLE12.iter().find(|r| r.platform == platform)
-}
-
-/// Geometric mean over the present values of a row.
-pub fn gmean(values: &[Option<f64>]) -> f64 {
-    let present: Vec<f64> = values.iter().flatten().copied().collect();
-    if present.is_empty() {
-        return 0.0;
-    }
-    (present.iter().map(|v| v.ln()).sum::<f64>() / present.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Application order of every Table 12 row.
+    const APPS: [&str; 11] = [
+        "CSR SpMV", "COO SpMV", "CSC SpMV", "Conv", "PR-Pull", "PR-Edge", "BFS", "SSSP", "M+M",
+        "SpMSpM", "BiCGStab",
+    ];
+
+    /// Looks up a Table 12 row by platform name.
+    fn table12_row(platform: &str) -> Option<&'static Table12Row> {
+        TABLE12.iter().find(|r| r.platform == platform)
+    }
+
+    /// Geometric mean over the present values of a row.
+    fn gmean(values: &[Option<f64>]) -> f64 {
+        let present: Vec<f64> = values.iter().flatten().copied().collect();
+        if present.is_empty() {
+            return 0.0;
+        }
+        (present.iter().map(|v| v.ln()).sum::<f64>() / present.len() as f64).exp()
+    }
 
     #[test]
     fn headline_cpu_range_matches_prose() {

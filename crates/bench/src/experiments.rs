@@ -274,7 +274,7 @@ pub fn table5() -> String {
 // --- Table 6 -----------------------------------------------------------------
 
 /// Table 6: dataset inventory (paper spec vs generated equivalent).
-pub fn table6(suite: &Suite) -> String {
+fn table6(suite: &Suite) -> String {
     let mut out = header("Table 6: datasets (paper spec -> synthetic equivalent)");
     let _ = writeln!(
         out,
@@ -381,7 +381,7 @@ pub fn table8() -> String {
 
 /// Table 9: sensitivity to SpMU architecture (ideal / allocated / weak
 /// allocator / arbitrated, with hashed or linear banking).
-pub fn table9(suite: &Suite) -> String {
+fn table9(suite: &Suite) -> String {
     let mut out = header("Table 9: SpMU architecture sensitivity (runtime / Capstan-Hash)");
     let base = CapstanConfig::paper_default();
     let configs = table9_configs();
@@ -461,7 +461,7 @@ pub fn table9_configs() -> Vec<(&'static str, CapstanConfig)> {
 // --- Table 10 ----------------------------------------------------------------
 
 /// Table 10: impact of SpMU memory-ordering modes.
-pub fn table10(suite: &Suite) -> String {
+fn table10(suite: &Suite) -> String {
     let mut out = header("Table 10: ordering modes (runtime / unordered)");
     let base = CapstanConfig::paper_default();
     let configs: Vec<(&str, CapstanConfig)> = vec![
@@ -523,7 +523,7 @@ pub fn table10(suite: &Suite) -> String {
 // --- Table 11 ----------------------------------------------------------------
 
 /// Table 11: shuffle (merge) network sensitivity.
-pub fn table11(suite: &Suite) -> String {
+fn table11(suite: &Suite) -> String {
     let mut out = header("Table 11: merge network sensitivity (runtime / Mrg-1)");
     let shift_cfg = |shift: Option<MergeShift>, mem: MemoryKind| -> CapstanConfig {
         let mut cfg = CapstanConfig::new(mem);
@@ -580,7 +580,7 @@ pub fn table11(suite: &Suite) -> String {
 
 /// Table 12: runtimes normalized to the fastest Capstan-HBM2E variant of
 /// each application, across memory systems and platforms.
-pub fn table12(suite: &Suite) -> String {
+fn table12(suite: &Suite) -> String {
     let mut out = header("Table 12: normalized runtimes (reproduced | paper)");
     let base = CapstanConfig::paper_default();
     let platform_cfgs = table12_configs();
@@ -673,7 +673,7 @@ pub fn table12_configs() -> Vec<(&'static str, CapstanConfig)> {
 ///
 /// The four baseline blocks are independent, so they run as four
 /// [`capstan_par::par_map`] items and print in order.
-pub fn table13(suite: &Suite) -> String {
+fn table13(suite: &Suite) -> String {
     let mut out = header("Table 13: Capstan vs bespoke accelerators (speedup, reproduced | paper)");
     let blocks: [fn(&Suite) -> String; 4] = [
         table13_eie,
@@ -940,7 +940,7 @@ fn addressed_scatter_workload(unit: usize, atomic_words: u64, hub_permille: u64)
 /// magnitude fewer cycles. Timing mode and addressing are set per
 /// configuration, so the experiment is independent of the
 /// `--mem`/`--mem-addresses` process defaults.
-pub fn table13_recorded(suite: &Suite) -> String {
+fn table13_recorded(suite: &Suite) -> String {
     let mut out = header("Table 13 recorded: synthetic vs recorded scattered addressing");
     let mk = |addresses: MemAddressing| {
         let mut cfg = CapstanConfig::new(MemoryKind::Hbm2e);
@@ -1023,7 +1023,7 @@ pub fn table13_recorded(suite: &Suite) -> String {
 /// a real workload. Channel counts are set per configuration here, so
 /// the experiment is independent of the `--mem`/`--mem-channels`
 /// process defaults.
-pub fn table13_channels(suite: &Suite) -> String {
+fn table13_channels(suite: &Suite) -> String {
     let mut out = header("Table 13 channels: region-channel sweep, cycle-level DRAM");
     let mk = |channels: usize| {
         let mut cfg = CapstanConfig::new(MemoryKind::Hbm2e);
@@ -1121,7 +1121,7 @@ fn multitenant_mix_workload(unit: usize, hub_weight: u64) -> Workload {
 /// count, tenant count, and partition policy are all set per
 /// configuration, so the experiment is independent of the
 /// `--mem`/`--mem-channels`/`--mem-tenants` process defaults.
-pub fn table_multitenant(suite: &Suite) -> String {
+fn table_multitenant(suite: &Suite) -> String {
     let mut out = header("Multi-tenant: hub vs streaming tenants, shared vs dedicated channels");
     let mk = |partition: TenantPartition| {
         let mut cfg = CapstanConfig::new(MemoryKind::Hbm2e);
@@ -1235,7 +1235,7 @@ fn fig5_dataset(app: AppId) -> Dataset {
 }
 
 /// Figure 5a: DRAM bandwidth sensitivity (speedup vs 20 GB/s baseline).
-pub fn fig5a(suite: &Suite) -> String {
+fn fig5a(suite: &Suite) -> String {
     let mut out = header("Figure 5a: DRAM bandwidth sensitivity (speedup vs 20 GB/s)");
     let bandwidths = [20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0];
     let base = CapstanConfig::paper_default();
@@ -1268,7 +1268,7 @@ pub fn fig5a(suite: &Suite) -> String {
 }
 
 /// Figure 5b: area sensitivity (speedup and weighted area vs outer-par).
-pub fn fig5b(suite: &Suite) -> String {
+fn fig5b(suite: &Suite) -> String {
     let mut out = header("Figure 5b: area sensitivity (outer-parallelization sweep)");
     let pars = [4usize, 8, 16, 32, 64, 128, 200];
     let _ = writeln!(
@@ -1322,7 +1322,7 @@ pub fn fig5b(suite: &Suite) -> String {
 }
 
 /// Figure 5c: DRAM compression sensitivity (speedup from compression).
-pub fn fig5c(suite: &Suite) -> String {
+fn fig5c(suite: &Suite) -> String {
     let mut out = header("Figure 5c: compression speedup vs bandwidth");
     let bandwidths = [20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0];
     let base = CapstanConfig::paper_default();
@@ -1394,7 +1394,7 @@ fn data_scanner_config(width: usize) -> CapstanConfig {
 ///
 /// Every (row, config) point of every section records and simulates as
 /// one [`capstan_par::par_map`] item.
-pub fn fig6(suite: &Suite) -> String {
+fn fig6(suite: &Suite) -> String {
     let mut out = header("Figure 6: scanner sensitivity (slowdown vs maximal 512x16 scanner)");
     let sections = [
         // (a) Bits scanned per cycle.
@@ -1472,7 +1472,7 @@ pub fn fig6(suite: &Suite) -> String {
 // --- Figure 7 ----------------------------------------------------------------
 
 /// Figure 7: execution-time breakdown per app and dataset.
-pub fn fig7(suite: &Suite) -> String {
+fn fig7(suite: &Suite) -> String {
     let mut out = header("Figure 7: execution time breakdown (%)");
     let cfg = CapstanConfig::paper_default();
     let _ = writeln!(
@@ -1510,7 +1510,7 @@ pub fn fig7(suite: &Suite) -> String {
 /// sizing for address ordering (§3.1.2 picks 128 entries), allocator
 /// iteration count (§3.1.1 picks 3), and the Conv halo mapping
 /// (shuffle network vs a memory exchange pass, §4).
-pub fn ablations(suite: &Suite) -> String {
+fn ablations(suite: &Suite) -> String {
     let mut out = header("Ablations: design choices called out in the paper");
 
     // (a) Bloom-filter entries vs address-ordered throughput.
@@ -1889,20 +1889,20 @@ fn planner_report(suite: &Suite, threads: Option<usize>) -> String {
 /// against the true analytic winner at full scale. Median regret 0 is
 /// the acceptance bar — the planner picks the true winner on at least
 /// half the datasets — and the worst case is reported by name.
-pub fn planner(suite: &Suite) -> String {
+fn planner(suite: &Suite) -> String {
     let out = planner_report(suite, None);
     print!("{out}");
     out
 }
 
-/// [`planner`] with an explicit worker count and no printing, for the
+/// `planner` with an explicit worker count and no printing, for the
 /// thread-count determinism tests.
 pub fn planner_with_threads(suite: &Suite, threads: usize) -> String {
     planner_report(suite, Some(threads))
 }
 
-/// Every experiment name, in canonical [`all`] order. The `experiments`
-/// binary iterates this same list, so the two can never drift.
+/// Every experiment name, in canonical order. The `experiments` binary
+/// iterates this same list for `all`, so the two can never drift.
 pub const ALL_NAMES: &[&str] = &[
     "table4",
     "table5",
@@ -1958,14 +1958,6 @@ pub fn run_by_name(name: &str, suite: &Suite) -> Option<String> {
         "planner" => planner(suite),
         _ => return None,
     })
-}
-
-/// Runs every experiment.
-pub fn all(suite: &Suite) -> String {
-    ALL_NAMES
-        .iter()
-        .map(|name| run_by_name(name, suite).expect("ALL_NAMES entries are known"))
-        .collect()
 }
 
 #[cfg(test)]

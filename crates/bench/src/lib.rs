@@ -26,6 +26,6 @@
 pub mod experiments;
 pub mod gate;
 pub mod journal;
-pub mod suite;
+mod suite;
 
 pub use suite::{AppId, Suite};

@@ -11,7 +11,7 @@ use capstan_apps::spmv::{CooSpmv, CscSpmv, CsrSpmv};
 use capstan_apps::sssp::Sssp;
 use capstan_apps::App;
 use capstan_core::config::{default_plan_mode, PlanMode};
-use capstan_tensor::gen::Dataset;
+use capstan_tensor::gen::{is_valid_scale, Dataset};
 use capstan_tensor::stats::TensorStats;
 
 /// The eleven applications, in Table 12 column order.
@@ -58,7 +58,7 @@ impl AppId {
     ];
 
     /// Display name matching the paper's tables.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             AppId::CsrSpmv => "CSR SpMV",
             AppId::CooSpmv => "COO SpMV",
@@ -75,7 +75,7 @@ impl AppId {
     }
 
     /// Short column header.
-    pub fn short(self) -> &'static str {
+    pub(crate) fn short(self) -> &'static str {
         match self {
             AppId::CsrSpmv => "CSR",
             AppId::CooSpmv => "COO",
@@ -114,7 +114,7 @@ impl AppId {
     /// Normalization family for Table 12 ("the fastest Capstan-HBM2E
     /// version of each application"): SpMV variants share a normalizer,
     /// as do the PageRank variants.
-    pub fn family(self) -> &'static str {
+    pub(crate) fn family(self) -> &'static str {
         match self {
             AppId::CsrSpmv | AppId::CooSpmv | AppId::CscSpmv => "SpMV",
             AppId::PrPull | AppId::PrEdge => "PageRank",
@@ -151,7 +151,7 @@ impl Suite {
     }
 
     /// Medium suite (default for the experiment binary).
-    pub fn medium() -> Self {
+    fn medium() -> Self {
         Suite {
             la_scale: 0.12,
             graph_scale: 0.03,
@@ -161,7 +161,7 @@ impl Suite {
     }
 
     /// Large suite (minutes per experiment).
-    pub fn large() -> Self {
+    fn large() -> Self {
         Suite {
             la_scale: 0.4,
             graph_scale: 0.08,
@@ -171,7 +171,7 @@ impl Suite {
     }
 
     /// Parses a scale name.
-    pub fn from_name(name: &str) -> Option<Suite> {
+    fn from_name(name: &str) -> Option<Suite> {
         match name {
             "small" => Some(Suite::small()),
             "medium" => Some(Suite::medium()),
@@ -210,7 +210,7 @@ impl Suite {
             let value: f64 = raw
                 .parse()
                 .map_err(|_| format!("scale factor `{key}={raw}` is not a number"))?;
-            if !value.is_finite() || value <= 0.0 || value > 1.0 {
+            if !is_valid_scale(value) {
                 return Err(format!(
                     "scale factor `{key}={raw}` must be finite and in (0, 1]"
                 ));
@@ -277,7 +277,7 @@ impl Suite {
     /// process-wide plan mode ([`default_plan_mode`]): hardcoded
     /// constructors under `Fixed` (bit-compatible with every committed
     /// golden value), planner-derived formats under `Auto` (see
-    /// [`Suite::build_planned`]).
+    /// `Suite::build_planned`).
     pub fn build(&self, app: AppId, dataset: Dataset) -> Box<dyn App> {
         self.build_planned(app, dataset, default_plan_mode())
     }
@@ -290,7 +290,7 @@ impl Suite {
     /// kernel. The other apps keep their identities: COO/CSC SpMV study
     /// specific hazard patterns, and the graph/solver apps are not
     /// format-generic.
-    pub fn build_planned(&self, app: AppId, dataset: Dataset, plan: PlanMode) -> Box<dyn App> {
+    fn build_planned(&self, app: AppId, dataset: Dataset, plan: PlanMode) -> Box<dyn App> {
         let scale = self.scale_for(app);
         match app {
             AppId::Conv => Box::new(SparseConv::from_dataset(dataset, scale)),
@@ -330,7 +330,7 @@ impl Suite {
 }
 
 /// Geometric mean of a slice (0 if empty).
-pub fn gmean(values: &[f64]) -> f64 {
+pub(crate) fn gmean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
@@ -343,21 +343,45 @@ mod tests {
 
     #[test]
     fn every_app_builds_and_simulates() {
-        // `small`, plus the lower boundary of what `Suite::parse`
-        // accepts: every factor a hair above zero.
-        let tiny = Suite::parse("la=1e-9,graph=1e-9,spmspm=1e-9,conv=1e-9").unwrap();
-        let cfg = capstan_core::config::CapstanConfig::paper_default();
-        for suite in [Suite::small(), tiny] {
+        // `small` on each app's first dataset, then every dataset at the
+        // low end of what `Suite::parse` accepts: the smallest positive
+        // factor, a hair above zero, and seeded interior factors in
+        // [1e-6, 0.01], drawn independently per scale family.
+        let mut rng = capstan_arch::spmu::driver::TraceRng::new(0x5EED);
+        let mut draw = || (rng.below(10_000) + 1) as f64 * 1e-6;
+        let mut specs = vec![
+            "la=5e-324,graph=5e-324,spmspm=5e-324,conv=5e-324".to_string(),
+            "la=1e-9,graph=1e-9,spmspm=1e-9,conv=1e-9".to_string(),
+        ];
+        for _ in 0..2 {
+            specs.push(format!(
+                "la={:e},graph={:e},spmspm={:e},conv={:e}",
+                draw(),
+                draw(),
+                draw(),
+                draw()
+            ));
+        }
+        let mut runs: Vec<(Suite, AppId, Dataset)> = AppId::ALL
+            .iter()
+            .map(|&app| (Suite::small(), app, app.datasets()[0]))
+            .collect();
+        for spec in &specs {
+            let suite = Suite::parse(spec).unwrap();
             for app in AppId::ALL {
-                let instance = suite.build(app, app.datasets()[0]);
-                assert_eq!(instance.name(), app.name());
-                let report = instance.simulate(&cfg);
-                assert!(
-                    report.cycles > 0,
-                    "{} produced zero cycles at {suite:?}",
-                    app.name()
-                );
+                runs.extend(app.datasets().iter().map(|&dataset| (suite, app, dataset)));
             }
+        }
+        let cfg = capstan_core::config::CapstanConfig::paper_default();
+        for (suite, app, dataset) in runs {
+            let instance = suite.build(app, dataset);
+            assert_eq!(instance.name(), app.name());
+            let report = instance.simulate(&cfg);
+            assert!(
+                report.cycles > 0,
+                "{} on {dataset:?} produced zero cycles at {suite:?}",
+                app.name()
+            );
         }
     }
 

@@ -77,9 +77,8 @@ fn sampled_reservoirs_are_identical_across_thread_counts() {
 #[test]
 fn recorded_replay_reports_are_identical_across_thread_counts() {
     // End-to-end: simulate the recorded workloads under the cycle-level
-    // recorded-address mode on 1 vs 4 workers (exercising the
-    // process-wide persistent-driver pool from multiple threads) and
-    // require bit-identical reports.
+    // recorded-address mode on 1 vs 4 workers and require
+    // bit-identical reports.
     let workloads = record_with_threads(1);
     let mut cfg = CapstanConfig::new(MemoryKind::Hbm2e);
     cfg.mem_timing = MemTiming::CycleLevel;
@@ -115,7 +114,7 @@ fn multi_tenant_reports_are_identical_across_thread_counts() {
     // round-robin schedule, and per-tenant stat attribution on top of
     // the single-tenant path; none of it may depend on which worker
     // thread runs the simulation. 2 and 3 tenants, shared and
-    // dedicated, through the same persistent-driver pool.
+    // dedicated.
     let workloads = record_with_threads(1);
     for (tenants, channels, partition) in [
         (2usize, 1usize, TenantPartition::Shared),

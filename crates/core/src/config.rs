@@ -192,7 +192,7 @@ pub fn set_default_mem_addressing(mode: MemAddressing) {
 
 /// The scattered-address mode newly constructed configurations default
 /// to.
-pub fn default_mem_addressing() -> MemAddressing {
+fn default_mem_addressing() -> MemAddressing {
     match DEFAULT_MEM_ADDRESSING.load(Ordering::Relaxed) {
         0 => MemAddressing::Synthetic,
         _ => MemAddressing::Recorded,
@@ -214,7 +214,7 @@ pub fn set_default_mem_timing(timing: MemTiming) {
 }
 
 /// The memory-timing mode newly constructed configurations default to.
-pub fn default_mem_timing() -> MemTiming {
+fn default_mem_timing() -> MemTiming {
     match DEFAULT_MEM_TIMING.load(Ordering::Relaxed) {
         0 => MemTiming::Analytic,
         _ => MemTiming::CycleLevel,
@@ -235,7 +235,7 @@ pub fn set_default_mem_channels(channels: usize) {
 
 /// The cycle-level region-channel count newly constructed
 /// configurations default to.
-pub fn default_mem_channels() -> usize {
+fn default_mem_channels() -> usize {
     DEFAULT_MEM_CHANNELS.load(Ordering::Relaxed)
 }
 
@@ -253,7 +253,7 @@ pub fn set_default_mem_tenants(tenants: usize) {
 
 /// The cycle-level memory-tenant count newly constructed configurations
 /// default to.
-pub fn default_mem_tenants() -> usize {
+fn default_mem_tenants() -> usize {
     DEFAULT_MEM_TENANTS.load(Ordering::Relaxed)
 }
 
@@ -294,7 +294,7 @@ pub struct CapstanConfig {
     /// Attached memory system.
     pub memory: MemoryKind,
     /// Chip grid (unit counts, lanes, SRAM geometry).
-    pub grid: GridConfig,
+    pub(crate) grid: GridConfig,
     /// Sparse memory unit configuration.
     pub spmu: SpmuConfig,
     /// Bit-vector scanner configuration.
@@ -319,7 +319,7 @@ pub struct CapstanConfig {
     pub sram_sample_limit: usize,
     /// Maximum request vectors per tile routed through the cycle-level
     /// shuffle network model.
-    pub shuffle_sample_limit: usize,
+    pub(crate) shuffle_sample_limit: usize,
     /// Model sparse loop headers as *scalar stream-joins* (one
     /// compare-dequeue decision per cycle) instead of the vectorized
     /// scanner. This is how Plasticine — which has no scanner — must
@@ -341,8 +341,7 @@ pub struct CapstanConfig {
     /// crossbar (`capstan_arch::memdrv`). 1 — the default — reproduces
     /// the single-channel topology every committed golden value was
     /// captured under bit-for-bit; the paper's grid has one channel per
-    /// AG (`capstan_arch::memdrv::PAPER_CHANNELS` = 80). Ignored by the
-    /// analytic mode.
+    /// AG (80, Table 7). Ignored by the analytic mode.
     pub mem_channels: usize,
     /// How the cycle-level mode picks scattered DRAM addresses:
     /// synthetic uniform streams (the default every committed golden
@@ -371,7 +370,7 @@ pub struct CapstanConfig {
     /// recorder keeps a deterministic decimating sample of this size;
     /// the cycle-level recorded-address replay cycles through it to
     /// cover the class's full traffic total.
-    pub addr_sample_limit: usize,
+    pub(crate) addr_sample_limit: usize,
 }
 
 impl CapstanConfig {

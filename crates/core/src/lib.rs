@@ -48,8 +48,3 @@ pub mod config;
 pub mod perf;
 pub mod program;
 pub mod report;
-
-pub use config::CapstanConfig;
-pub use perf::simulate;
-pub use program::{TileRecorder, Workload, WorkloadBuilder};
-pub use report::{Breakdown, PerfReport};

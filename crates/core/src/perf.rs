@@ -56,26 +56,6 @@
 //! workloads coalesce in the AGs' open-burst caches. Workloads without
 //! recordings fall back to the synthetic streams bit-for-bit.
 //!
-//! # The persistent memory-driver pool
-//!
-//! Sweep-style experiments call [`simulate`] hundreds of times;
-//! constructing a fresh [`MemSysSim`] each time would re-allocate the
-//! channel queues and AG slabs on every call. Instead, a process-wide
-//! pool keeps constructed drivers keyed by `(DramModel, MemSysConfig)`:
-//! each `simulate` call **checks a matching driver out** (holding the
-//! pool lock only for the take/return, never during simulation — so
-//! worker threads never serialize on each other), **resets** it, runs
-//! the replay, and returns it. The pool is process-wide rather than
-//! `thread_local!` because `capstan_par::par_map` spawns fresh scoped
-//! threads per call — per-thread storage would die between sweep
-//! points. [`MemSysSim::reset`] is contractually indistinguishable from
-//! fresh construction (same tiles replay to the same cycle count), so
-//! the pooling is invisible in results: cycle counts stay bit-identical
-//! to the construct-per-call path regardless of which thread checks out
-//! which driver, preserving the `CAPSTAN_THREADS` byte-diff contract.
-//! The reuse path is allocation-free in steady state — proven in
-//! `crates/arch/tests/alloc_free.rs`.
-//!
 //! # The replay memos
 //!
 //! The SRAM component is the simulator's largest layer, and most of its
@@ -154,45 +134,6 @@ use capstan_sim::network::NetworkModel;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, DefaultHasher, Hash};
 use std::sync::{Mutex, OnceLock};
-
-/// Process-wide pool of persistent cycle-level memory drivers, keyed by
-/// `(DramModel, MemSysConfig)`. See the module docs ("The persistent
-/// memory-driver pool") for the checkout/reset contract.
-static MEMSYS_POOL: Mutex<Vec<(DramModel, MemSysConfig, MemSysSim)>> = Mutex::new(Vec::new());
-
-/// Retained-driver cap: a returning driver is dropped instead of pooled
-/// once this many are already parked. Bounds the cache for long-lived
-/// processes that sweep many geometries (a paper-scale 80-channel driver
-/// holds ~20 MB of AG regions) without affecting results — pooling is
-/// bit-invisible, so dropping is too.
-const MEMSYS_POOL_CAP: usize = 16;
-
-/// Runs `f` on a persistent [`MemSysSim`] for the given model and
-/// geometry, checking one out of the process-wide pool (reset before
-/// reuse — bit-equivalent to fresh construction, so pooling never
-/// changes results) or constructing one when no match is free. The pool
-/// lock is held only for the take/return, never while `f` runs.
-fn with_memsys<R>(model: DramModel, mcfg: MemSysConfig, f: impl FnOnce(&mut MemSysSim) -> R) -> R {
-    let mut sim = {
-        let mut pool = MEMSYS_POOL.lock().expect("memsys pool poisoned");
-        match pool.iter().position(|(m, c, _)| *m == model && *c == mcfg) {
-            Some(i) => {
-                let (_, _, mut sim) = pool.swap_remove(i);
-                sim.reset();
-                sim
-            }
-            None => MemSysSim::with_config(model, mcfg),
-        }
-    };
-    let result = f(&mut sim);
-    // A panic inside `f` simply drops the driver instead of returning
-    // it — the pool never holds a half-simulated entry.
-    let mut pool = MEMSYS_POOL.lock().expect("memsys pool poisoned");
-    if pool.len() < MEMSYS_POOL_CAP {
-        pool.push((model, mcfg, sim));
-    }
-    result
-}
 
 /// A process-wide, content-addressed memo. The lock is held only for a
 /// lookup or an insert, and an insert into a full memo clears it first.
@@ -684,9 +625,7 @@ pub fn try_simulate(workload: &Workload, cfg: &CapstanConfig) -> Option<PerfRepo
             MemTiming::CycleLevel if !matches!(cfg.memory, MemoryKind::Ideal) => {
                 // Replay each tile's traffic through the region channels
                 // and the per-region AGs, ticked in lockstep; the drain
-                // time replaces the closed-form estimate. The driver comes
-                // from the process-wide pool (see the module docs), so
-                // sweep-style experiments pay construction once.
+                // time replaces the closed-form estimate.
                 let mut mcfg = MemSysConfig::with_channels(&dram_model, cfg.mem_channels);
                 // Memory tenants: tiles are attributed round-robin over
                 // the tile index, so a run's tenant assignment depends
@@ -708,63 +647,59 @@ pub fn try_simulate(workload: &Workload, cfg: &CapstanConfig) -> Option<PerfRepo
                 // concatenated sample, weighted by sample length. See
                 // `MemSysSim::add_tile_recorded` for the contract.
                 let tenants = mcfg.tenants;
-                let (stats, tenant_stats) = with_memsys(dram_model, mcfg, |msim| {
-                    for (i, tile) in workload.tiles.iter().enumerate() {
-                        let tenant = TenantId(i % tenants);
-                        let traffic = TileTraffic {
-                            stream_bursts: effective_stream_bytes(tile).div_ceil(BURST_BYTES),
-                            random_bursts: tile.dram_random_words,
-                            atomic_words: tile.dram_atomic_words,
-                        };
-                        if drains_recorded {
-                            msim.add_tile_recorded_for(
-                                tenant,
-                                traffic,
-                                &tile.dram_random_addrs,
-                                &tile.dram_atomic_addrs,
+                let mut msim = MemSysSim::with_config(dram_model, mcfg);
+                for (i, tile) in workload.tiles.iter().enumerate() {
+                    let tenant = TenantId(i % tenants);
+                    let traffic = TileTraffic {
+                        stream_bursts: effective_stream_bytes(tile).div_ceil(BURST_BYTES),
+                        random_bursts: tile.dram_random_words,
+                        atomic_words: tile.dram_atomic_words,
+                    };
+                    if drains_recorded {
+                        msim.add_tile_recorded_for(
+                            tenant,
+                            traffic,
+                            &tile.dram_random_addrs,
+                            &tile.dram_atomic_addrs,
+                        );
+                    } else {
+                        msim.add_tile_for(tenant, traffic);
+                    }
+                }
+                if fallback_atomic_entries > 0 {
+                    // Shuffle-less fallback traffic (Table 11's
+                    // "None" column): cross-tile updates as DRAM
+                    // atomics. The raw entry count goes in — the
+                    // AG's open-burst tracking coalesces, not a
+                    // pre-applied constant. Under recorded
+                    // addressing the tiles' sampled remote
+                    // destinations feed the atomic replay, so hub
+                    // destinations coalesce with their real skew.
+                    let traffic = TileTraffic {
+                        atomic_words: fallback_atomic_entries,
+                        ..Default::default()
+                    };
+                    if drains_recorded {
+                        for tile in &workload.tiles {
+                            msim.add_tile_recorded(
+                                TileTraffic::default(),
+                                &[],
+                                &tile.remote.addr_sampled,
                             );
-                        } else {
-                            msim.add_tile_for(tenant, traffic);
                         }
                     }
-                    if fallback_atomic_entries > 0 {
-                        // Shuffle-less fallback traffic (Table 11's
-                        // "None" column): cross-tile updates as DRAM
-                        // atomics. The raw entry count goes in — the
-                        // AG's open-burst tracking coalesces, not a
-                        // pre-applied constant. Under recorded
-                        // addressing the tiles' sampled remote
-                        // destinations feed the atomic replay, so hub
-                        // destinations coalesce with their real skew.
-                        let traffic = TileTraffic {
-                            atomic_words: fallback_atomic_entries,
-                            ..Default::default()
-                        };
-                        if drains_recorded {
-                            for tile in &workload.tiles {
-                                msim.add_tile_recorded(
-                                    TileTraffic::default(),
-                                    &[],
-                                    &tile.remote.addr_sampled,
-                                );
-                            }
-                        }
-                        msim.add_tile(traffic);
-                    }
-                    let stats = drive_memsys(msim);
-                    let tenant_stats: Vec<TenantStats> = (0..msim.tenants())
-                        .map(|t| msim.tenant_stats(TenantId(t)))
-                        .collect();
-                    (stats, tenant_stats)
-                });
+                    msim.add_tile(traffic);
+                }
+                let stats = drive_memsys(&mut msim);
+                mem_tenant_stats = (0..msim.tenants())
+                    .map(|t| msim.tenant_stats(TenantId(t)))
+                    .collect();
                 mem_stats = Some(stats);
-                mem_tenant_stats = tenant_stats;
                 stats.cycles
             }
-            _ => {
-                dram_model.transfer_cycles(stream_bytes, AccessPattern::Streaming)
-                    + dram_model.transfer_cycles(random_bytes, AccessPattern::Random)
-            }
+            _ => dram_model
+                .transfer_cycles(stream_bytes, AccessPattern::Streaming)
+                .saturating_add(dram_model.transfer_cycles(random_bytes, AccessPattern::Random)),
         };
         let t_before = t_max as f64 + network + sram;
         dram += (dram_cycles as f64 - t_before).max(0.0);
@@ -839,6 +774,30 @@ mod tests {
         assert_eq!(b.sram, 0);
         assert!(b.active > 0);
         assert_eq!(b.total(), report.cycles);
+    }
+
+    #[test]
+    fn near_zero_bandwidth_saturates_instead_of_wrapping() {
+        // At 1e-300 GB/s the streaming and the random transfer times are
+        // each past `u64::MAX`; their sum and the total stop near it
+        // instead of wrapping around to a small cycle count.
+        let mut cfg = CapstanConfig::new(MemoryKind::Custom(1e-300));
+        cfg.mem_timing = MemTiming::Analytic;
+        let mut wl = WorkloadBuilder::new("scatter");
+        for _ in 0..32 {
+            let mut t = wl.tile();
+            t.dram_stream_read(1 << 16);
+            t.dram_random_read(1024);
+            t.foreach_vec(1 << 16, |_, _| {});
+            wl.commit(t);
+        }
+        let report = simulate(&wl.finish(), &cfg);
+        assert!(report.breakdown.dram > u64::MAX / 2);
+        assert!(report.cycles >= report.breakdown.dram);
+        assert_eq!(report.breakdown.total(), report.cycles);
+        for (name, frac) in report.breakdown.fractions() {
+            assert!((0.0..=1.0).contains(&frac), "{name} {frac}");
+        }
     }
 
     #[test]
@@ -1058,12 +1017,10 @@ mod tests {
     }
 
     #[test]
-    fn persistent_driver_reuse_is_invisible_in_results() {
-        // The second call on this thread takes the pooled-reset path;
-        // the first constructed the driver. Reset is contractually
-        // bit-equivalent to fresh construction, so the two reports must
-        // be identical — including the rolled-up memory counters.
-        let mut wl = WorkloadBuilder::new("pooled");
+    fn cycle_level_simulate_is_repeatable() {
+        // Two calls on one workload drain two fresh drivers; the reports
+        // must be identical, the rolled-up memory counters included.
+        let mut wl = WorkloadBuilder::new("repeat");
         {
             let mut t = wl.tile();
             t.foreach_vec(500, |_, _| {});
@@ -1250,7 +1207,7 @@ mod tests {
 
     #[test]
     fn sram_replay_memo_is_invisible_in_results() {
-        // The SRAM analogue of `persistent_driver_reuse_is_invisible_in_results`:
+        // The SRAM analogue of `cycle_level_simulate_is_repeatable`:
         // the second call hits the replay memo for every tile.
         let w = sram_heavy_workload("memo-twice", 104_729);
         let cfg = CapstanConfig::new(MemoryKind::Hbm2e);

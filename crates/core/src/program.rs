@@ -74,7 +74,7 @@ pub struct SampleDigest {
     pub lanes: u64,
     /// 128-bit digest over the samples: per vector its lane
     /// count, then per lane its presence and contents (unmasked).
-    pub hash: u128,
+    pub(crate) hash: u128,
 }
 
 impl SampleDigest {
@@ -104,7 +104,7 @@ impl SampleDigest {
 
     /// Digest of an SRAM sample: each lane's presence, operation and
     /// address.
-    pub fn of_sram(sampled: &[AccessVector]) -> Self {
+    pub(crate) fn of_sram(sampled: &[AccessVector]) -> Self {
         SampleDigest::of(
             sampled.iter().map(|v| v.lanes.as_slice()),
             |r: LaneRequest| (r.op as u128) << 64 | r.addr as u128,
@@ -113,7 +113,7 @@ impl SampleDigest {
 
     /// Digest of a shuffle sample: each lane's presence, destination
     /// port and lane.
-    pub fn of_shuffle(sampled: &[ShuffleVector]) -> Self {
+    pub(crate) fn of_shuffle(sampled: &[ShuffleVector]) -> Self {
         SampleDigest::of(sampled.iter().map(Vec::as_slice), |e: ShuffleEntry| {
             (e.dest as u128) << 64 | e.lane as u64 as u128
         })
@@ -123,7 +123,7 @@ impl SampleDigest {
 /// Deterministic decimating reservoir: keeps an evenly spaced sample of a
 /// stream without randomness (every `2^k`-th element once full).
 #[derive(Debug, Clone)]
-pub struct Decimator<T> {
+struct Decimator<T> {
     limit: usize,
     stride: u64,
     seen: u64,
@@ -132,7 +132,7 @@ pub struct Decimator<T> {
 
 impl<T> Decimator<T> {
     /// Creates a decimator retaining about `limit` items.
-    pub fn new(limit: usize) -> Self {
+    fn new(limit: usize) -> Self {
         Decimator {
             limit: limit.max(1),
             stride: 1,
@@ -142,7 +142,7 @@ impl<T> Decimator<T> {
     }
 
     /// Offers one stream element.
-    pub fn offer(&mut self, item: T) {
+    fn offer(&mut self, item: T) {
         if self.seen.is_multiple_of(self.stride) {
             if self.items.len() >= 2 * self.limit {
                 // Thin: drop every other retained item, double the stride.
@@ -160,16 +160,6 @@ impl<T> Decimator<T> {
             }
         }
         self.seen += 1;
-    }
-
-    /// The retained sample.
-    pub fn items(&self) -> &[T] {
-        &self.items
-    }
-
-    /// Total elements offered.
-    pub fn seen(&self) -> u64 {
-        self.seen
     }
 }
 
@@ -205,7 +195,7 @@ pub struct RemoteWork {
     /// Total remote entries sent.
     pub total_entries: u64,
     /// Total request vectors sent.
-    pub total_vectors: u64,
+    total_vectors: u64,
     /// Sampled request vectors (destination ports populated; empty once
     /// [`Workload::drop_samples`] ran). [`WorkloadBuilder::commit`]
     /// digests them once ([`RemoteWork::digest`]), and the route memo
@@ -244,14 +234,14 @@ pub struct TileWork {
     /// Scanner cycles (loop headers).
     pub scan_cycles: u64,
     /// Scanner cycles wasted on all-zero windows.
-    pub scan_empty_cycles: u64,
+    scan_empty_cycles: u64,
     /// Elements emitted by scanners.
     pub scan_emitted: u64,
     /// Total set bits across scanner inputs (stream-join cost for scalar
     /// baselines).
     pub scan_input_nnz: u64,
     /// Total logical bits across scanner inputs.
-    pub scan_input_bits: u64,
+    pub(crate) scan_input_bits: u64,
     /// Local SRAM trace.
     pub sram: SramWork,
     /// Cross-tile traffic.
@@ -500,17 +490,6 @@ impl TileRecorder {
         self.end_vector_loop(n as u64);
     }
 
-    /// A vectorized sum-`Reduce` over a dense domain.
-    pub fn reduce_vec(
-        &mut self,
-        n: usize,
-        mut body: impl FnMut(&mut Self, usize) -> Value,
-    ) -> Value {
-        let mut acc = 0.0;
-        self.foreach_vec(n, |t, i| acc += body(t, i));
-        acc
-    }
-
     /// A sparse `Foreach(Scan(...))` loop (paper §2.3): iterates the
     /// intersection or union of one or two bit-vectors; the body receives
     /// the scanner tuple `(j, jA, jB, j')`.
@@ -612,11 +591,6 @@ impl TileRecorder {
     /// Records a random SRAM read from the tile-local SpMU.
     pub fn sram_read(&mut self, addr: u32) {
         self.push_access(LaneRequest::read(addr));
-    }
-
-    /// Records a random SRAM write.
-    pub fn sram_write(&mut self, addr: u32) {
-        self.push_access(LaneRequest::write(addr));
     }
 
     /// Records an atomic SRAM read-modify-write (paper §3.1's RMW FPU).
@@ -799,7 +773,7 @@ impl TileRecorder {
 
 impl<T> Decimator<T> {
     /// Consumes the decimator, returning the retained sample.
-    pub fn into_items(self) -> Vec<T> {
+    fn into_items(self) -> Vec<T> {
         self.items
     }
 }
@@ -879,7 +853,7 @@ mod tests {
         {
             let mut t = wl.tile();
             for i in 0..20u32 {
-                t.sram_write(i);
+                t.sram_read(i);
             }
             wl.commit(t);
         }
@@ -1046,10 +1020,11 @@ mod tests {
         for i in 0..100_000u64 {
             d.offer(i);
         }
-        assert!(d.items().len() <= 128);
-        assert_eq!(d.seen(), 100_000);
+        assert_eq!(d.seen, 100_000);
+        let items = d.into_items();
+        assert!(items.len() <= 128);
         // The sample spans the stream, not just its head.
-        assert!(*d.items().last().unwrap() > 50_000);
+        assert!(*items.last().unwrap() > 50_000);
     }
 
     #[test]
@@ -1060,15 +1035,6 @@ mod tests {
         t.foreach_vec(4, |t, _| {
             t.foreach_vec(4, |_, _| {});
         });
-        wl.commit(t);
-    }
-
-    #[test]
-    fn reduce_vec_sums() {
-        let mut wl = WorkloadBuilder::new("t");
-        let mut t = wl.tile();
-        let total = t.reduce_vec(10, |_, i| i as Value);
-        assert_eq!(total, 45.0);
         wl.commit(t);
     }
 }

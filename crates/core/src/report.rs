@@ -30,16 +30,21 @@ pub struct Breakdown {
 }
 
 impl Breakdown {
-    /// Total cycles across all components.
+    /// Total cycles across all components, saturating at `u64::MAX`: a
+    /// near-zero memory bandwidth can push the DRAM component alone there.
     pub fn total(&self) -> u64 {
-        self.active
-            + self.scan
-            + self.load_store
-            + self.vector_length
-            + self.imbalance
-            + self.network
-            + self.sram
-            + self.dram
+        [
+            self.active,
+            self.scan,
+            self.load_store,
+            self.vector_length,
+            self.imbalance,
+            self.network,
+            self.sram,
+            self.dram,
+        ]
+        .into_iter()
+        .fold(0, u64::saturating_add)
     }
 
     /// Each component as a fraction of the total (the Fig. 7 bars).
@@ -71,7 +76,7 @@ impl fmt::Display for Breakdown {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
     /// Workload name.
-    pub name: String,
+    pub(crate) name: String,
     /// Total runtime in core cycles (1.6 GHz).
     pub cycles: u64,
     /// Stall attribution.
@@ -82,7 +87,7 @@ pub struct PerfReport {
     /// workload performs no random SRAM accesses).
     pub sram_bank_utilization: f64,
     /// Total DRAM traffic in bytes (after compression).
-    pub dram_bytes: u64,
+    pub(crate) dram_bytes: u64,
     /// Fraction of lane slots doing useful work.
     pub lane_efficiency: f64,
     /// Cycle-level memory statistics (row conflicts, bank contention,
@@ -100,7 +105,7 @@ pub struct PerfReport {
 
 impl PerfReport {
     /// Runtime in seconds at the 1.6 GHz core clock.
-    pub fn seconds(&self) -> f64 {
+    fn seconds(&self) -> f64 {
         cycles_to_seconds(self.cycles)
     }
 }

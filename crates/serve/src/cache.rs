@@ -14,35 +14,30 @@ use std::sync::Arc;
 
 /// A completed job: what the cache stores and clients receive.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JobOutcome {
+pub(crate) struct JobOutcome {
     /// The bench-record row (name includes the record-group suffix).
-    pub row: BenchEntry,
+    pub(crate) row: BenchEntry,
     /// The experiment's exact report text — byte-identical to a direct
     /// `experiments` invocation's stdout for this experiment.
-    pub report: String,
+    pub(crate) report: String,
 }
 
 /// Content-addressed map from cache key to completed outcome, with
 /// hit/miss accounting.
 #[derive(Debug, Default)]
-pub struct ResultCache {
+pub(crate) struct ResultCache {
     map: HashMap<u64, Arc<JobOutcome>>,
     hits: u64,
     misses: u64,
 }
 
 impl ResultCache {
-    /// An empty cache.
-    pub fn new() -> ResultCache {
-        ResultCache::default()
-    }
-
     /// Looks up a completed outcome, counting a hit when present.
     /// Absence is *not* counted here — a missing key may coalesce onto
     /// an in-flight job rather than start a new one; the server calls
     /// [`record_miss`](Self::record_miss) only when it actually
     /// enqueues fresh work.
-    pub fn lookup(&mut self, key: u64) -> Option<Arc<JobOutcome>> {
+    pub(crate) fn lookup(&mut self, key: u64) -> Option<Arc<JobOutcome>> {
         let found = self.map.get(&key).cloned();
         if found.is_some() {
             self.hits += 1;
@@ -52,33 +47,23 @@ impl ResultCache {
 
     /// Counts one miss: a request that no cached or in-flight job could
     /// serve, i.e. work actually reaching a core.
-    pub fn record_miss(&mut self) {
+    pub(crate) fn record_miss(&mut self) {
         self.misses += 1;
     }
 
     /// Stores a completed outcome.
-    pub fn insert(&mut self, key: u64, outcome: Arc<JobOutcome>) {
+    pub(crate) fn insert(&mut self, key: u64, outcome: Arc<JobOutcome>) {
         self.map.insert(key, outcome);
     }
 
     /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits
     }
 
     /// Recorded misses so far.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Number of cached outcomes.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -100,7 +85,7 @@ mod tests {
 
     #[test]
     fn lookup_counts_hits_but_not_absences() {
-        let mut cache = ResultCache::new();
+        let mut cache = ResultCache::default();
         assert!(cache.lookup(7).is_none());
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
         cache.record_miss();
@@ -108,7 +93,5 @@ mod tests {
         assert_eq!(cache.lookup(7).unwrap().row.simulated_cycles, 42);
         assert!(cache.lookup(8).is_none());
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert_eq!(cache.len(), 1);
-        assert!(!cache.is_empty());
     }
 }

@@ -29,12 +29,12 @@ const KEY_TAG: &str = "capstan-serve-key/v3";
 /// Upper bound on `channels` — the widest topology the memory model is
 /// exercised at, with headroom; an absurd channel count would otherwise
 /// make a run allocate per-channel state unboundedly.
-pub const MAX_CHANNELS: usize = 1024;
+const MAX_CHANNELS: usize = 1024;
 
 /// One run-configuration field: its `SUBMIT` key, its `experiments`
 /// flag, and how a spec spells its value (the spelling
 /// [`RunSpec::set`] parses back).
-pub type Field = (&'static str, &'static str, fn(&RunSpec) -> String);
+type Field = (&'static str, &'static str, fn(&RunSpec) -> String);
 
 /// Every run-configuration field, in canonical order.
 pub const FIELDS: [Field; 6] = [
@@ -49,7 +49,7 @@ pub const FIELDS: [Field; 6] = [
 ];
 
 /// The fields a `plan=auto` submission leaves to the server's planner.
-pub const PLANNED: [&str; 3] = ["mem", "addresses", "channels"];
+pub(crate) const PLANNED: [&str; 3] = ["mem", "addresses", "channels"];
 
 /// One fully specified experiment request: the unit the server queues,
 /// batches, and caches.
@@ -113,7 +113,7 @@ impl RunSpec {
     /// Sets the field with `SUBMIT` key `key` (see [`FIELDS`]) from its
     /// spelling `value`. This is the one place a configuration value is
     /// validated: the scale through [`Suite::parse`], the modes through
-    /// their tag parsers, `channels` in `1..=`[`MAX_CHANNELS`] and
+    /// their tag parsers, `channels` in `1..=MAX_CHANNELS` and
     /// `tenants` in `1..=`[`MAX_TENANTS`] (the memory driver's own cap,
     /// checked up front so a bad count is a typed error, not a panic).
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
@@ -142,7 +142,7 @@ impl RunSpec {
         Ok(())
     }
 
-    /// The `plan=auto` rule: a planned run leaves the [`PLANNED`] fields
+    /// The `plan=auto` rule: a planned run leaves the `PLANNED` fields
     /// to the planner, so it must not also spell one by hand (the
     /// planner would silently override it). `given` says whether a
     /// field was spelled.
@@ -163,7 +163,7 @@ impl RunSpec {
 
     /// The `experiments` flags spelling every field of this spec (the
     /// server's worker command line).
-    pub fn flags(&self) -> Vec<String> {
+    pub(crate) fn flags(&self) -> Vec<String> {
         FIELDS
             .iter()
             .flat_map(|(_, flag, spell)| [flag.to_string(), spell(self)])
@@ -189,7 +189,7 @@ impl RunSpec {
 
     /// The bench-record row name this spec produces: the experiment
     /// name plus the record-group suffix.
-    pub fn row_name(&self) -> String {
+    pub(crate) fn row_name(&self) -> String {
         format!("{}{}", self.experiment, self.suffix())
     }
 

@@ -37,12 +37,12 @@
 //!
 //! The `experiments` binary (which lives in this crate so it can be
 //! both the first server and the first client) exposes the whole layer
-//! as `--serve ADDR` / `--submit ADDR`; [`proto`] documents the wire
+//! as `--serve ADDR` / `--submit ADDR`; `proto` documents the wire
 //! format and its typed errors, and [`client`] is the blocking client
 //! used by `--submit` and the black-box conformance tests.
 
-pub mod cache;
+mod cache;
 pub mod client;
 pub mod key;
-pub mod proto;
+mod proto;
 pub mod server;

@@ -58,20 +58,20 @@ use std::io::Read;
 
 /// Protocol magic + version token opening every frame; bump on any wire
 /// change.
-pub const MAGIC: &str = "capstan-serve/v1";
+pub(crate) const MAGIC: &str = "capstan-serve/v1";
 
 /// Hard cap on request-frame length. Generous: the longest legitimate
 /// request (a custom scale spec plus every field) is under 200 bytes.
-pub const MAX_FRAME: usize = 4096;
+pub(crate) const MAX_FRAME: usize = 4096;
 
 /// Cap on the length-delimited report payload a client will accept.
 /// The largest real report (full `table12` at `large` scale) is tens of
 /// kilobytes; 16 MiB is paranoia headroom, not a target.
-pub const MAX_REPORT: usize = 16 << 20;
+const MAX_REPORT: usize = 16 << 20;
 
 /// A parsed request frame.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Request {
+pub(crate) enum Request {
     /// Run (or fetch the cached result of) one experiment.
     Submit(RunSpec),
     /// Report the server's counters.
@@ -123,7 +123,7 @@ impl ProtoError {
     }
 
     /// Human-readable detail (no newlines — it rides in an `ERR` line).
-    pub fn detail(&self) -> String {
+    fn detail(&self) -> String {
         let raw = match self {
             ProtoError::BadFrame(m)
             | ProtoError::BadRequest(m)
@@ -140,12 +140,12 @@ impl ProtoError {
     }
 
     /// The one-line wire form: `capstan-serve/v1 ERR <code> <detail>`.
-    pub fn to_wire(&self) -> String {
+    pub(crate) fn to_wire(&self) -> String {
         format!("{MAGIC} ERR {} {}\n", self.code(), self.detail())
     }
 
     /// Reconstructs a relayed error from its wire code and detail.
-    pub fn from_wire(code: &str, detail: &str) -> ProtoError {
+    fn from_wire(code: &str, detail: &str) -> ProtoError {
         let detail = detail.to_string();
         match code {
             "bad-frame" => ProtoError::BadFrame(detail),
@@ -167,7 +167,7 @@ impl std::fmt::Display for ProtoError {
 }
 
 /// Parses one request line (without its trailing newline).
-pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
+pub(crate) fn parse_request(line: &str) -> Result<Request, ProtoError> {
     let mut tokens = line.split(' ').filter(|t| !t.is_empty());
     let magic = tokens.next().unwrap_or("");
     if magic != MAGIC {
@@ -272,7 +272,7 @@ fn parse_submit(fields: &[&str]) -> Result<RunSpec, ProtoError> {
 /// server accepts any order). Planned specs omit the [`PLANNED`] fields
 /// and carry `stats=` instead — the frame satisfies the same rules
 /// `parse_submit` enforces.
-pub fn format_submit(spec: &RunSpec) -> String {
+pub(crate) fn format_submit(spec: &RunSpec) -> String {
     let mut line = format!("{MAGIC} SUBMIT experiment={}", spec.experiment);
     for (key, _, spell) in &FIELDS {
         if spec.plan == PlanMode::Fixed || !PLANNED.contains(key) {
@@ -303,7 +303,12 @@ pub struct SubmitReply {
 }
 
 /// Formats the `OK` header line + report payload for a completed job.
-pub fn format_submit_reply(cache: &str, key: u64, row: &BenchEntry, report: &str) -> Vec<u8> {
+pub(crate) fn format_submit_reply(
+    cache: &str,
+    key: u64,
+    row: &BenchEntry,
+    report: &str,
+) -> Vec<u8> {
     let mut out = format!(
         "{MAGIC} OK cache={cache} key={key:016x} name={} cycles={} wall={:016x} cps={:016x} report={}\n",
         row.name,
@@ -321,7 +326,7 @@ pub fn format_submit_reply(cache: &str, key: u64, row: &BenchEntry, report: &str
 /// caller must then read the `report=<len>` payload bytes and attach
 /// them. Returns the reply with an empty `report` plus the payload
 /// length.
-pub fn parse_submit_header(line: &str) -> Result<(SubmitReply, usize), ProtoError> {
+pub(crate) fn parse_submit_header(line: &str) -> Result<(SubmitReply, usize), ProtoError> {
     let rest = expect_ok(line)?;
     let mut cache = None;
     let mut key = None;
@@ -378,7 +383,7 @@ pub fn parse_submit_header(line: &str) -> Result<(SubmitReply, usize), ProtoErro
 
 /// Validates a response header line: relays `ERR` lines as their typed
 /// error and returns the text after `OK ` otherwise.
-pub fn expect_ok(line: &str) -> Result<&str, ProtoError> {
+pub(crate) fn expect_ok(line: &str) -> Result<&str, ProtoError> {
     let rest = line
         .strip_prefix(MAGIC)
         .ok_or_else(|| bad_reply("reply does not start with the protocol magic"))?
@@ -418,7 +423,7 @@ fn truncate_for_log(s: &str) -> String {
 /// payload, and maps every I/O failure mode to a typed [`ProtoError`]
 /// (timeout, truncation, oversize) instead of a panic or a hang.
 #[derive(Debug)]
-pub struct FrameReader<R: Read> {
+pub(crate) struct FrameReader<R: Read> {
     inner: R,
     buf: Vec<u8>,
     start: usize,
@@ -427,7 +432,7 @@ pub struct FrameReader<R: Read> {
 impl<R: Read> FrameReader<R> {
     /// Wraps a stream (set a read timeout on it first — the reader
     /// turns `WouldBlock`/`TimedOut` into [`ProtoError::Timeout`]).
-    pub fn new(inner: R) -> FrameReader<R> {
+    pub(crate) fn new(inner: R) -> FrameReader<R> {
         FrameReader {
             inner,
             buf: Vec::new(),
@@ -439,7 +444,7 @@ impl<R: Read> FrameReader<R> {
     /// it without the terminator (a trailing `\r` is also stripped, for
     /// hand-typed netcat sessions). EOF mid-line is [`ProtoError::Truncated`];
     /// `max` bytes without a newline is [`ProtoError::Oversized`].
-    pub fn read_line(&mut self, max: usize) -> Result<String, ProtoError> {
+    pub(crate) fn read_line(&mut self, max: usize) -> Result<String, ProtoError> {
         loop {
             if let Some(pos) = self.buf[self.start..].iter().position(|&b| b == b'\n') {
                 let line = &self.buf[self.start..self.start + pos];
@@ -462,7 +467,7 @@ impl<R: Read> FrameReader<R> {
 
     /// Reads exactly `n` payload bytes (after a header line announced
     /// them).
-    pub fn read_exact_bytes(&mut self, n: usize) -> Result<Vec<u8>, ProtoError> {
+    pub(crate) fn read_exact_bytes(&mut self, n: usize) -> Result<Vec<u8>, ProtoError> {
         while self.buf.len() - self.start < n {
             self.fill()?;
         }

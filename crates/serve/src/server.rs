@@ -5,7 +5,7 @@
 //! record suffix ([`RunSpec::suffix`], injective over the memory
 //! fields), i.e. jobs one `experiments` invocation can run together —
 //! and each group runs in one worker **process**: a plain `experiments`
-//! invocation with the group's [`RunSpec::flags`], `--resume <journal>`
+//! invocation with the group's `RunSpec::flags`, `--resume <journal>`
 //! and `--no-bench-out`.
 //!
 //! * Per-request memory configuration needs no in-process plumbing —
@@ -18,7 +18,7 @@
 //!   is read from its entry (exact wall-time bits), so a fresh and a
 //!   resumed worker report the same way.
 //!
-//! Completed outcomes land in the content-addressed [`ResultCache`];
+//! Completed outcomes land in the content-addressed `ResultCache`;
 //! every waiter on the job's key (the submitter plus any coalesced
 //! duplicates) receives the same `Arc`'d outcome.
 
@@ -47,15 +47,15 @@ pub struct ServerConfig {
     /// The `experiments` binary workers run (usually
     /// `std::env::current_exe()` — the binary is both server and
     /// worker).
-    pub worker_exe: PathBuf,
+    worker_exe: PathBuf,
     /// Scratch directory for per-group journals (created on bind).
-    pub work_dir: PathBuf,
+    work_dir: PathBuf,
     /// How long the scheduler lingers after the first pending job
     /// before draining the queue, so a burst of submissions lands in
     /// one batch.
     pub batch_linger: Duration,
     /// Per-connection socket read timeout (a stalled client gets
-    /// [`ProtoError::Timeout`], never a hung handler thread).
+    /// `ProtoError::Timeout`, never a hung handler thread).
     pub read_timeout: Duration,
     /// Fault-injection test knob: arm exactly one worker spawn (the
     /// first) with `CAPSTAN_FAULT_AFTER_CYCLES=<n>`, so it kills itself

@@ -16,7 +16,6 @@
 //! Both an analytic interface ([`DramModel`]) and a cycle-level channel
 //! ([`DramChannel`], used by the address-generator simulator) are provided.
 
-use crate::channel::MemChannel;
 use crate::queue::BoundedQueue;
 use crate::CLOCK_GHZ;
 
@@ -107,18 +106,13 @@ impl DramModel {
         }
     }
 
-    /// The configured memory system.
-    pub fn kind(&self) -> MemoryKind {
-        self.kind
-    }
-
     /// Peak bytes per core cycle.
-    pub fn peak_bytes_per_cycle(&self) -> f64 {
+    fn peak_bytes_per_cycle(&self) -> f64 {
         self.kind.bandwidth_gbps() / CLOCK_GHZ
     }
 
     /// Effective bytes per core cycle for a pattern.
-    pub fn effective_bytes_per_cycle(&self, pattern: AccessPattern) -> f64 {
+    fn effective_bytes_per_cycle(&self, pattern: AccessPattern) -> f64 {
         let eff = match pattern {
             AccessPattern::Streaming => self.streaming_efficiency,
             AccessPattern::Random => self.random_efficiency,
@@ -178,7 +172,6 @@ pub struct DramChannel {
     credit: f64,
     queue: BoundedQueue<(BurstRequest, u64)>, // (request, enqueue cycle)
     completed: Vec<BurstCompletion>,
-    served: u64,
 }
 
 impl DramChannel {
@@ -193,13 +186,7 @@ impl DramChannel {
             // so pre-sizing here keeps `tick` allocation-free from the
             // first cycle.
             completed: Vec::with_capacity(queue_depth),
-            served: 0,
         }
-    }
-
-    /// Total bursts served.
-    pub fn served(&self) -> u64 {
-        self.served
     }
 
     /// Service rate in bursts per cycle. Random pattern: the
@@ -208,22 +195,27 @@ impl DramChannel {
     fn bursts_per_cycle(&self) -> f64 {
         self.model.effective_bytes_per_cycle(AccessPattern::Random) / BURST_BYTES as f64
     }
-}
 
-impl MemChannel for DramChannel {
-    fn cycle(&self) -> u64 {
+    /// Current simulation cycle.
+    pub fn cycle(&self) -> u64 {
         self.cycle
     }
 
-    fn push(&mut self, req: BurstRequest) -> Result<(), BurstRequest> {
+    /// Attempts to enqueue a burst; returns it back on backpressure.
+    pub fn push(&mut self, req: BurstRequest) -> Result<(), BurstRequest> {
         self.queue.push((req, self.cycle)).map_err(|(r, _)| r)
     }
 
-    fn can_accept(&self, _addr: u64) -> bool {
+    /// Whether a burst to `addr` would currently be accepted by
+    /// [`push`](Self::push): the non-mutating backpressure probe.
+    pub fn can_accept(&self, _addr: u64) -> bool {
         !self.queue.is_full()
     }
 
-    fn tick(&mut self) -> &[BurstCompletion] {
+    /// Advances one cycle, returning bursts completed this cycle. The
+    /// slice borrows an internal buffer reused on the next call, so the
+    /// steady-state tick loop performs no allocation.
+    pub fn tick(&mut self) -> &[BurstCompletion] {
         self.cycle += 1;
         let bursts_per_cycle = self.bursts_per_cycle();
         self.credit += bursts_per_cycle;
@@ -242,7 +234,6 @@ impl MemChannel for DramChannel {
             }
             self.queue.pop();
             self.credit -= 1.0;
-            self.served += 1;
             self.completed.push(BurstCompletion {
                 tag: req.tag,
                 cycle: self.cycle,
@@ -251,16 +242,19 @@ impl MemChannel for DramChannel {
         &self.completed
     }
 
-    fn is_idle(&self) -> bool {
+    /// Whether any requests are pending.
+    pub fn is_idle(&self) -> bool {
         self.queue.is_empty()
     }
 
-    fn reset(&mut self) {
+    /// Returns the channel to its as-constructed state without
+    /// releasing buffer capacity: a reset channel behaves exactly like
+    /// a fresh one.
+    pub fn reset(&mut self) {
         self.cycle = 0;
         self.credit = 0.0;
         self.queue.reset();
         self.completed.clear();
-        self.served = 0;
     }
 }
 
@@ -289,7 +283,7 @@ pub struct BankTiming {
     /// Minimum cycles between enqueue and completion (CAS latency).
     pub cas_latency: u64,
     /// Bursts per DRAM row; accesses within the same row are row hits.
-    pub row_bursts: u64,
+    row_bursts: u64,
 }
 
 impl BankTiming {
@@ -365,7 +359,6 @@ pub struct BankedDramChannel {
     rr: usize,
     completed: Vec<BurstCompletion>,
     stats: BankedStats,
-    pushed: u64,
 }
 
 impl BankedDramChannel {
@@ -410,18 +403,7 @@ impl BankedDramChannel {
             // At most one burst per bank can complete per tick.
             completed: Vec::with_capacity(timing.banks),
             stats: BankedStats::default(),
-            pushed: 0,
         }
-    }
-
-    /// The configured timing.
-    pub fn timing(&self) -> BankTiming {
-        self.timing
-    }
-
-    /// The derived per-row-activation busy time.
-    pub fn row_miss_penalty(&self) -> u64 {
-        self.row_miss_penalty
     }
 
     /// Aggregate statistics so far.
@@ -429,37 +411,30 @@ impl BankedDramChannel {
         self.stats
     }
 
-    /// Bursts accepted so far.
-    pub fn pushed(&self) -> u64 {
-        self.pushed
-    }
-
     /// The bank an address maps to (burst-interleaved).
     pub fn bank_of(&self, addr: u64) -> usize {
         ((addr / BURST_BYTES) % self.timing.banks as u64) as usize
     }
-}
 
-impl MemChannel for BankedDramChannel {
-    fn cycle(&self) -> u64 {
+    /// Current simulation cycle.
+    pub fn cycle(&self) -> u64 {
         self.cycle
     }
 
-    fn push(&mut self, req: BurstRequest) -> Result<(), BurstRequest> {
+    /// Attempts to enqueue a burst; returns it back on backpressure.
+    pub fn push(&mut self, req: BurstRequest) -> Result<(), BurstRequest> {
         let bank = self.bank_of(req.addr);
         let cycle = self.cycle;
         let q = &mut self.banks[bank].queue;
         q.push((req, cycle)).map_err(|(r, _)| r)?;
         self.stats.peak_bank_queue = self.stats.peak_bank_queue.max(q.len());
-        self.pushed += 1;
         Ok(())
     }
 
-    fn can_accept(&self, addr: u64) -> bool {
-        !self.banks[self.bank_of(addr)].queue.is_full()
-    }
-
-    fn tick(&mut self) -> &[BurstCompletion] {
+    /// Advances one cycle, returning bursts completed this cycle. The
+    /// slice borrows an internal buffer reused on the next call, so the
+    /// steady-state tick loop performs no allocation.
+    pub fn tick(&mut self) -> &[BurstCompletion] {
         self.cycle += 1;
         // Unused bus cycles are lost bandwidth; credit does not bank
         // past the cap.
@@ -511,17 +486,20 @@ impl MemChannel for BankedDramChannel {
         &self.completed
     }
 
-    fn is_idle(&self) -> bool {
+    /// Whether any requests are pending.
+    pub fn is_idle(&self) -> bool {
         self.banks.iter().all(|b| b.queue.is_empty())
     }
 
+    /// Returns the channel to its as-constructed state without
+    /// releasing buffer capacity: a reset channel behaves exactly like
+    /// a fresh one.
     fn reset(&mut self) {
         self.cycle = 0;
         self.credit = 0.0;
         self.rr = 0;
         self.completed.clear();
         self.stats = BankedStats::default();
-        self.pushed = 0;
         for bank in &mut self.banks {
             bank.queue.reset();
             bank.open_row = NO_ROW;
@@ -600,13 +578,8 @@ impl ChannelArray {
 
     /// The crossbar route for an address: the channel owning its region
     /// (row-granular interleaving — see the type-level docs).
-    pub fn channel_of(&self, addr: u64) -> usize {
+    fn channel_of(&self, addr: u64) -> usize {
         ((addr / BURST_BYTES / self.row_bursts) % self.channels.len() as u64) as usize
-    }
-
-    /// Total bursts accepted across all channels.
-    pub fn pushed(&self) -> u64 {
-        self.channels.iter().map(BankedDramChannel::pushed).sum()
     }
 
     /// Total bursts served across all channels.
@@ -639,25 +612,17 @@ impl ChannelArray {
         }
         total
     }
-}
 
-impl MemChannel for ChannelArray {
-    fn cycle(&self) -> u64 {
-        self.channels[0].cycle()
-    }
-
-    fn push(&mut self, req: BurstRequest) -> Result<(), BurstRequest> {
+    /// Attempts to enqueue a burst; returns it back on backpressure.
+    pub fn push(&mut self, req: BurstRequest) -> Result<(), BurstRequest> {
         let ch = self.channel_of(req.addr);
         self.channels[ch].push(req)
     }
 
-    fn can_accept(&self, addr: u64) -> bool {
-        self.channels[self.channel_of(addr)].can_accept(addr)
-    }
-
-    // Advances every channel one cycle, merging completions in the
-    // rotating round-robin service order.
-    fn tick(&mut self) -> &[BurstCompletion] {
+    /// Advances every channel one cycle, merging completions in the
+    /// rotating round-robin service order into one buffer reused on the
+    /// next call.
+    pub fn tick(&mut self) -> &[BurstCompletion] {
         self.completed.clear();
         let n = self.channels.len();
         for i in 0..n {
@@ -668,11 +633,15 @@ impl MemChannel for ChannelArray {
         &self.completed
     }
 
-    fn is_idle(&self) -> bool {
-        self.channels.iter().all(MemChannel::is_idle)
+    /// Whether any requests are pending.
+    pub fn is_idle(&self) -> bool {
+        self.channels.iter().all(BankedDramChannel::is_idle)
     }
 
-    fn reset(&mut self) {
+    /// Returns the channel to its as-constructed state without
+    /// releasing buffer capacity: a reset channel behaves exactly like
+    /// a fresh one.
+    pub fn reset(&mut self) {
         for ch in &mut self.channels {
             ch.reset();
         }
@@ -1092,7 +1061,7 @@ mod tests {
         };
         let first = run(&mut ch);
         ch.reset();
-        assert_eq!(ch.pushed(), 0);
+        assert!(ch.is_idle());
         assert_eq!(ch.stats(), BankedStats::default());
         let second = run(&mut ch);
         assert_eq!(first, second, "reset run diverged from fresh run");

@@ -5,11 +5,8 @@
 //! Simulation kernel for the Capstan reproduction: the pieces of the
 //! paper's evaluation stack that sit *underneath* the microarchitecture.
 //!
-//! * [`stats`] — counters, utilization trackers, and histograms shared by
-//!   every unit simulator.
-//! * [`queue`] — bounded FIFOs with backpressure, the basic building block
-//!   of a loosely-timed dataflow fabric ("per-link buffering to avoid
-//!   global synchronicity", paper §4.1).
+//! * [`stats`] — the process-wide simulated-cycle counter and the
+//!   utilization tracker shared by the unit simulators.
 //! * [`dram`] — the DRAM model standing in for Ramulator: burst-level
 //!   (64 B) transfers, DDR4-2133 / HBM2 / HBM2E presets (Table 7), random
 //!   versus streaming efficiency, cycle-level channels (the plain
@@ -17,9 +14,6 @@
 //!   [`dram::BankedDramChannel`]), and the multi-channel
 //!   [`dram::ChannelArray`] — N banked channels behind a deterministic
 //!   region-bit crossbar, the topology of the cycle-level memory mode.
-//! * [`channel`] — the [`channel::MemChannel`] trait: the one driver
-//!   surface all three cycle-level channel topologies implement
-//!   (push / can_accept / tick / is_idle / reset).
 //! * [`network`] — the hybrid static/dynamic on-chip network model
 //!   (512-bit vector links, per-hop latency, §4.1).
 //! * [`snapshot`] — canonical little-endian encoding, FNV-1a-64, and
@@ -28,10 +22,9 @@
 //!
 //! Everything is deterministic; no wall-clock time is consulted anywhere.
 
-pub mod channel;
 pub mod dram;
 pub mod network;
-pub mod queue;
+mod queue;
 pub mod snapshot;
 pub mod stats;
 
@@ -39,7 +32,7 @@ pub mod stats;
 pub const CLOCK_GHZ: f64 = 1.6;
 
 /// Seconds per core cycle.
-pub const CYCLE_SECONDS: f64 = 1.0e-9 / CLOCK_GHZ;
+const CYCLE_SECONDS: f64 = 1.0e-9 / CLOCK_GHZ;
 
 /// Converts a cycle count at the core clock into seconds.
 pub fn cycles_to_seconds(cycles: u64) -> f64 {

@@ -17,15 +17,15 @@
 //!   (paper §4.4, Fig. 7).
 
 /// Bytes per 512-bit vector flit.
-pub const VECTOR_FLIT_BYTES: u64 = 64;
+const VECTOR_FLIT_BYTES: u64 = 64;
 
 /// Static configuration of the on-chip network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetworkConfig {
     /// Cycles of latency added per hop (link + switch pipeline).
-    pub hop_latency: u64,
+    hop_latency: u64,
     /// Per-link buffering in flits (timing slack for reordered accesses).
-    pub link_buffer_flits: usize,
+    link_buffer_flits: usize,
 }
 
 impl Default for NetworkConfig {
@@ -52,24 +52,19 @@ impl NetworkModel {
         NetworkModel { config, grid_side }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> NetworkConfig {
-        self.config
-    }
-
     /// Average Manhattan hop count between uniformly random grid points
     /// (~2/3 of the side per axis).
-    pub fn mean_hops(&self) -> f64 {
+    fn mean_hops(&self) -> f64 {
         2.0 * self.grid_side as f64 / 3.0
     }
 
     /// Latency in cycles for one message crossing `hops` links.
-    pub fn traversal_latency(&self, hops: u64) -> u64 {
+    fn traversal_latency(&self, hops: u64) -> u64 {
         hops * self.config.hop_latency
     }
 
     /// End-to-end latency for an average-distance message.
-    pub fn mean_latency(&self) -> u64 {
+    fn mean_latency(&self) -> u64 {
         (self.mean_hops() * self.config.hop_latency as f64).round() as u64
     }
 

@@ -23,34 +23,6 @@ pub fn simulated_cycles() -> u64 {
     SIMULATED_CYCLES.load(Ordering::Relaxed)
 }
 
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter {
-    count: u64,
-}
-
-impl Counter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Adds one event.
-    pub fn incr(&mut self) {
-        self.count += 1;
-    }
-
-    /// Adds `n` events.
-    pub fn add(&mut self, n: u64) {
-        self.count += n;
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.count
-    }
-}
-
 /// Tracks utilization: the ratio of useful events to total opportunities —
 /// e.g. "the percentage of banks active per cycle" (paper Table 4).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -72,16 +44,6 @@ impl Utilization {
         self.total += total;
     }
 
-    /// Busy events so far.
-    pub fn busy(&self) -> u64 {
-        self.busy
-    }
-
-    /// Total opportunities so far.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Utilization as a fraction in `[0, 1]` (0 if nothing recorded).
     pub fn fraction(&self) -> f64 {
         if self.total == 0 {
@@ -90,78 +52,6 @@ impl Utilization {
             self.busy as f64 / self.total as f64
         }
     }
-
-    /// Utilization as a percentage.
-    pub fn percent(&self) -> f64 {
-        self.fraction() * 100.0
-    }
-}
-
-/// A fixed-bucket histogram of `u64` samples.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    /// Upper bound (inclusive) of each bucket; the last bucket is open.
-    bounds: Vec<u64>,
-    counts: Vec<u64>,
-    sum: u64,
-    n: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with the given inclusive bucket upper bounds
-    /// (an open overflow bucket is added automatically).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is empty or not strictly increasing.
-    pub fn new(bounds: &[u64]) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "bounds must be strictly increasing"
-        );
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            sum: 0,
-            n: 0,
-            max: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: u64) {
-        let bucket = self.bounds.partition_point(|&b| b < sample);
-        self.counts[bucket] += 1;
-        self.sum += sample;
-        self.n += 1;
-        self.max = self.max.max(sample);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean of samples (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.n as f64
-        }
-    }
-
-    /// Maximum sample seen.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Bucket counts (the final entry is the overflow bucket).
-    pub fn buckets(&self) -> &[u64] {
-        &self.counts
-    }
 }
 
 #[cfg(test)]
@@ -169,39 +59,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
     fn utilization_fraction() {
         let mut u = Utilization::new();
         assert_eq!(u.fraction(), 0.0);
         u.record(8, 16);
         u.record(8, 16);
-        assert_eq!(u.percent(), 50.0);
-        assert_eq!(u.busy(), 16);
-        assert_eq!(u.total(), 32);
-    }
-
-    #[test]
-    fn histogram_buckets_samples() {
-        let mut h = Histogram::new(&[1, 4, 16]);
-        for s in [0, 1, 2, 4, 5, 100] {
-            h.record(s);
-        }
-        assert_eq!(h.buckets(), &[2, 2, 1, 1]);
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.max(), 100);
-        assert!((h.mean() - 112.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn histogram_rejects_bad_bounds() {
-        let _ = Histogram::new(&[3, 3]);
+        u.record(0, 32);
+        assert_eq!(u.fraction(), 0.25);
     }
 }

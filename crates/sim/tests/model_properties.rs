@@ -2,7 +2,6 @@
 //! monotonicity, pattern ordering, and the banked channel's queueing
 //! invariants (per-bank FIFO order, byte conservation, CAS lower bound).
 
-use capstan_sim::channel::MemChannel;
 use capstan_sim::dram::{
     AccessPattern, BankTiming, BankedDramChannel, BurstRequest, DramChannel, DramModel, MemoryKind,
     BURST_BYTES,

@@ -161,11 +161,6 @@ impl Bcsr {
         self.rows
     }
 
-    /// Logical columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Block edge length.
     pub fn block_size(&self) -> usize {
         self.block
@@ -182,7 +177,7 @@ impl Bcsr {
     }
 
     /// True non-zeros.
-    pub fn nnz(&self) -> usize {
+    fn nnz(&self) -> usize {
         self.entries.len()
     }
 

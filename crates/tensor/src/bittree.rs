@@ -31,13 +31,12 @@ pub const MAX_LEN: usize = LEAF_BITS * LEAF_BITS; // 262,144
 /// # Example
 ///
 /// ```
-/// use capstan_tensor::BitTree;
+/// use capstan_tensor::bittree::BitTree;
 ///
 /// let t = BitTree::from_indices(100_000, &[3, 512, 99_999]).unwrap();
 /// assert_eq!(t.count_ones(), 3);
 /// assert_eq!(t.root().count_ones(), 3); // three distinct chunks occupied
-/// assert!(t.get(512));
-/// assert!(!t.get(511));
+/// assert_eq!(t.leaves().len(), 3); // one materialized leaf per chunk
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BitTree {
@@ -48,25 +47,6 @@ pub struct BitTree {
 }
 
 impl BitTree {
-    /// Creates an empty bit-tree of logical length `len`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FormatError::CapacityExceeded`] if `len > MAX_LEN`.
-    pub fn zeros(len: usize) -> Result<Self> {
-        if len > MAX_LEN {
-            return Err(FormatError::CapacityExceeded {
-                requested: len,
-                max: MAX_LEN,
-            });
-        }
-        Ok(BitTree {
-            len,
-            root: BitVec::zeros(len.div_ceil(LEAF_BITS)),
-            leaves: Vec::new(),
-        })
-    }
-
     /// Builds a bit-tree from set positions, touching only the occupied
     /// chunks (`O(indices + chunks/64)`, independent of the logical
     /// length — important when building one tree per matrix row).
@@ -114,43 +94,6 @@ impl BitTree {
         Ok(BitTree { len, root, leaves })
     }
 
-    /// Builds a bit-tree from a flat bit-vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FormatError::CapacityExceeded`] if the vector is longer
-    /// than [`MAX_LEN`].
-    pub fn from_bitvec(bv: &BitVec) -> Result<Self> {
-        let len = bv.len();
-        if len > MAX_LEN {
-            return Err(FormatError::CapacityExceeded {
-                requested: len,
-                max: MAX_LEN,
-            });
-        }
-        let chunks = len.div_ceil(LEAF_BITS);
-        let mut root = BitVec::zeros(chunks);
-        let mut leaves = Vec::new();
-        for chunk in 0..chunks {
-            let leaf = bv.window(chunk * LEAF_BITS, LEAF_BITS);
-            if leaf.count_ones() > 0 {
-                root.set(chunk, true);
-                leaves.push(leaf);
-            }
-        }
-        Ok(BitTree { len, root, leaves })
-    }
-
-    /// Logical length in bits.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the logical length is zero.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// The root occupancy bit-vector (one bit per `LEAF_BITS` chunk).
     pub fn root(&self) -> &BitVec {
         &self.root
@@ -166,21 +109,6 @@ impl BitTree {
         self.leaves.iter().map(BitVec::count_ones).sum()
     }
 
-    /// Returns bit `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    pub fn get(&self, i: usize) -> bool {
-        assert!(i < self.len, "bit {i} out of bounds (len {})", self.len);
-        let chunk = i / LEAF_BITS;
-        if !self.root.get(chunk) {
-            return false;
-        }
-        let leaf = &self.leaves[self.root.rank(chunk)];
-        leaf.get(i % LEAF_BITS)
-    }
-
     /// Expands back to a flat bit-vector.
     pub fn to_bitvec(&self) -> BitVec {
         let mut bv = BitVec::zeros(self.len);
@@ -194,14 +122,6 @@ impl BitTree {
             }
         }
         bv
-    }
-
-    /// Storage footprint in bytes: root plus materialized leaves only.
-    ///
-    /// This is the quantity that makes bit-trees attractive below ~1%
-    /// density: empty chunks cost nothing beyond their root bit.
-    pub fn storage_bytes(&self) -> usize {
-        self.root.storage_bytes() + self.leaves.iter().map(BitVec::storage_bytes).sum::<usize>()
     }
 
     /// Two-pass streaming **union** (paper §2.3): pass 1 unions the roots
@@ -291,12 +211,12 @@ enum MergeMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RealignStats {
     /// Iterations of the first (root) pass.
-    pub root_iterations: usize,
+    root_iterations: usize,
     /// Leaves paired against an inserted zero leaf (union) or dropped
     /// (intersection bookkeeping).
-    pub unmatched_leaves: usize,
+    unmatched_leaves: usize,
     /// Total leaf bits fed to the second pass.
-    pub leaf_bits_scanned: usize,
+    leaf_bits_scanned: usize,
 }
 
 #[cfg(test)]
@@ -307,15 +227,16 @@ mod tests {
     fn paper_capacity_claim() {
         // "A two-level bit-tree can encode 262,144 zeros with 512 bits":
         // an empty tree of max length stores only the 512-bit root.
-        let t = BitTree::zeros(MAX_LEN).unwrap();
+        let t = BitTree::from_indices(MAX_LEN, &[]).unwrap();
         assert_eq!(MAX_LEN, 262_144);
-        assert_eq!(t.storage_bytes(), LEAF_BITS / 8);
+        assert_eq!(t.root().len(), LEAF_BITS);
+        assert!(t.leaves().is_empty());
     }
 
     #[test]
     fn capacity_is_enforced() {
         assert!(matches!(
-            BitTree::zeros(MAX_LEN + 1),
+            BitTree::from_indices(MAX_LEN + 1, &[]),
             Err(FormatError::CapacityExceeded { .. })
         ));
     }
@@ -324,19 +245,9 @@ mod tests {
     fn bitvec_round_trip() {
         let idx = [0u32, 511, 512, 1024, 100_000];
         let bv = BitVec::from_indices(100_001, &idx).unwrap();
-        let t = BitTree::from_bitvec(&bv).unwrap();
+        let t = BitTree::from_indices(100_001, &idx).unwrap();
         assert_eq!(t.to_bitvec(), bv);
         assert_eq!(t.count_ones(), idx.len());
-    }
-
-    #[test]
-    fn get_matches_bitvec() {
-        let idx = [5u32, 700, 701, 5000];
-        let t = BitTree::from_indices(6000, &idx).unwrap();
-        let bv = BitVec::from_indices(6000, &idx).unwrap();
-        for i in (0..6000).step_by(7) {
-            assert_eq!(t.get(i), bv.get(i), "bit {i}");
-        }
     }
 
     #[test]
@@ -374,11 +285,12 @@ mod tests {
     }
 
     #[test]
-    fn storage_scales_with_occupied_chunks() {
-        // 1% density clustered in one chunk is far cheaper than spread out.
+    fn leaves_materialize_only_occupied_chunks() {
+        // 1% density clustered in one chunk stores one leaf; spread out, 500.
         let clustered = BitTree::from_indices(MAX_LEN, &(0..500u32).collect::<Vec<_>>()).unwrap();
         let spread: Vec<Index> = (0..500u32).map(|i| i * 512).collect();
         let spread_t = BitTree::from_indices(MAX_LEN, &spread).unwrap();
-        assert!(clustered.storage_bytes() < spread_t.storage_bytes() / 100);
+        assert_eq!(clustered.leaves().len(), 1);
+        assert_eq!(spread_t.leaves().len(), 500);
     }
 }

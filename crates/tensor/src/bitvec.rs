@@ -21,7 +21,7 @@ const WORD_BITS: usize = 64;
 /// # Example
 ///
 /// ```
-/// use capstan_tensor::BitVec;
+/// use capstan_tensor::bitvec::BitVec;
 ///
 /// let a = BitVec::from_indices(8, &[1, 3, 6]).unwrap();
 /// let b = BitVec::from_indices(8, &[3, 4, 6]).unwrap();
@@ -209,19 +209,6 @@ impl BitVec {
         &self.words
     }
 
-    /// Extracts bits `[start, start + width)` as a new bit-vector, zero
-    /// padded past `self.len()`. This models fetching one scanner window.
-    pub fn window(&self, start: usize, width: usize) -> BitVec {
-        let mut out = BitVec::zeros(width);
-        for i in 0..width {
-            let src = start + i;
-            if src < self.len && self.get(src) {
-                out.set(i, true);
-            }
-        }
-        out
-    }
-
     /// Returns the set positions as a vector of indices.
     pub fn to_indices(&self) -> Vec<Index> {
         self.iter_ones().map(|i| i as Index).collect()
@@ -316,16 +303,6 @@ mod tests {
         let b = BitVec::from_indices(10, &[3, 4, 5, 9]).unwrap();
         assert_eq!(a.intersect(&b).to_indices(), vec![3, 5]);
         assert_eq!(a.union(&b).to_indices(), vec![1, 3, 4, 5, 7, 9]);
-    }
-
-    #[test]
-    fn window_extraction() {
-        let bv = BitVec::from_indices(300, &[10, 255, 256, 299]).unwrap();
-        let w = bv.window(256, 256);
-        assert_eq!(w.to_indices(), vec![0, 43]);
-        // Window past the end is zero-padded.
-        let w2 = bv.window(290, 64);
-        assert_eq!(w2.to_indices(), vec![9]);
     }
 
     #[test]

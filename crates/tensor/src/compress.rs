@@ -15,32 +15,32 @@
 //! applications "see the best compression speedups" (paper Fig. 5c).
 
 /// Words per 64-byte DRAM burst (paper §3.4 / §4.1).
-pub const BURST_WORDS: usize = 16;
+const BURST_WORDS: usize = 16;
 
 /// Bytes per DRAM burst.
-pub const BURST_BYTES: usize = 64;
+const BURST_BYTES: usize = 64;
 
 /// A compressed burst: one-byte header, base, then packed offsets.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompressedBurst {
+struct CompressedBurst {
     /// Size in bytes of the base field (1, 2, or 4).
-    pub base_bytes: u8,
+    base_bytes: u8,
     /// Size in bytes of each offset field (0, 1, 2, or 4).
-    pub offset_bytes: u8,
+    offset_bytes: u8,
     /// The base value (minimum of the burst).
-    pub base: u32,
+    base: u32,
     /// Offsets from the base, one per word.
-    pub offsets: Vec<u32>,
+    offsets: Vec<u32>,
 }
 
 impl CompressedBurst {
     /// Total encoded size in bytes, including the one-byte header.
-    pub fn encoded_bytes(&self) -> usize {
+    fn encoded_bytes(&self) -> usize {
         1 + self.base_bytes as usize + self.offset_bytes as usize * self.offsets.len()
     }
 
     /// Decompresses back to the original words.
-    pub fn decode(&self) -> Vec<u32> {
+    fn decode(&self) -> Vec<u32> {
         self.offsets
             .iter()
             .map(|o| self.base.wrapping_add(*o))
@@ -66,7 +66,7 @@ fn bytes_needed(v: u32) -> u8 {
 /// # Panics
 ///
 /// Panics if `words` is empty or longer than [`BURST_WORDS`].
-pub fn compress_burst(words: &[u32]) -> CompressedBurst {
+fn compress_burst(words: &[u32]) -> CompressedBurst {
     assert!(
         !words.is_empty() && words.len() <= BURST_WORDS,
         "burst must hold 1..=16 words"
@@ -111,11 +111,6 @@ impl CompressedTile {
             bursts,
             original_words: words.len(),
         }
-    }
-
-    /// The compressed bursts.
-    pub fn bursts(&self) -> &[CompressedBurst] {
-        &self.bursts
     }
 
     /// Decompresses the whole tile.
@@ -199,7 +194,7 @@ mod tests {
     fn partial_trailing_burst() {
         let words: Vec<u32> = (0..21).collect();
         let tile = CompressedTile::compress(&words);
-        assert_eq!(tile.bursts().len(), 2);
+        assert_eq!(tile.bursts.len(), 2);
         assert_eq!(tile.decode(), words);
     }
 

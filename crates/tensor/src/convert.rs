@@ -7,38 +7,11 @@
 //! the compute tile (not the SpMU) precisely because building a bit-vector
 //! in memory would require multiple read-modify-writes to the same word.
 //!
-//! This module provides the software equivalents used by both the
-//! functional executor and the workload models, plus traffic accounting so
-//! the performance model can weigh pointer- versus bit-vector-format loads.
+//! This module provides [`SparseVec`], the compressed-pointer vector whose
+//! [`SparseVec::to_bitvec`] is the software equivalent of that conversion.
 
-use crate::bittree::BitTree;
 use crate::bitvec::BitVec;
-use crate::error::Result;
 use crate::{Index, Value};
-
-/// Converts a sorted compressed pointer list into a bit-vector of logical
-/// length `len`.
-///
-/// # Errors
-///
-/// Returns [`crate::FormatError::IndexOutOfBounds`] if a pointer `>= len`.
-pub fn pointers_to_bitvec(len: usize, pointers: &[Index]) -> Result<BitVec> {
-    BitVec::from_indices(len, pointers)
-}
-
-/// Converts a bit-vector back to a sorted pointer list.
-pub fn bitvec_to_pointers(bv: &BitVec) -> Vec<Index> {
-    bv.to_indices()
-}
-
-/// Converts a sorted pointer list into a two-level bit-tree.
-///
-/// # Errors
-///
-/// Propagates capacity and bounds errors from [`BitTree::from_indices`].
-pub fn pointers_to_bittree(len: usize, pointers: &[Index]) -> Result<BitTree> {
-    BitTree::from_indices(len, pointers)
-}
 
 /// A compressed sparse vector: pointer list plus dense payload, the
 /// "Compressed" row of paper Fig. 1.
@@ -50,42 +23,6 @@ pub struct SparseVec {
 }
 
 impl SparseVec {
-    /// Builds from parallel index/value arrays (must be sorted, unique).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::FormatError::LengthMismatch`] if the arrays
-    /// disagree, [`crate::FormatError::MalformedPointers`] if indices are
-    /// not strictly increasing, or
-    /// [`crate::FormatError::IndexOutOfBounds`] if one exceeds `len`.
-    pub fn new(len: usize, indices: Vec<Index>, values: Vec<Value>) -> Result<Self> {
-        if indices.len() != values.len() {
-            return Err(crate::FormatError::LengthMismatch {
-                expected: indices.len(),
-                found: values.len(),
-            });
-        }
-        if indices.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(crate::FormatError::MalformedPointers {
-                detail: "sparse vector indices must be strictly increasing".into(),
-            });
-        }
-        if let Some(&last) = indices.last() {
-            if last as usize >= len {
-                return Err(crate::FormatError::IndexOutOfBounds {
-                    axis: 0,
-                    index: last as usize,
-                    extent: len,
-                });
-            }
-        }
-        Ok(SparseVec {
-            len,
-            indices,
-            values,
-        })
-    }
-
     /// Builds from a dense slice, dropping zeros.
     pub fn from_dense(dense: &[Value]) -> Self {
         let mut indices = Vec::new();
@@ -103,29 +40,9 @@ impl SparseVec {
         }
     }
 
-    /// Logical length.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the logical length is zero.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Number of stored non-zeros.
     pub fn nnz(&self) -> usize {
         self.indices.len()
-    }
-
-    /// Sorted non-zero positions.
-    pub fn indices(&self) -> &[Index] {
-        &self.indices
-    }
-
-    /// Payload values, parallel to [`Self::indices`].
-    pub fn values(&self) -> &[Value] {
-        &self.values
     }
 
     /// The occupancy bit-vector (paper's "format conversion" output).
@@ -149,16 +66,6 @@ impl SparseVec {
             Err(_) => 0.0,
         }
     }
-
-    /// Bytes to stream the vector in compressed-pointer form.
-    pub fn pointer_format_bytes(&self) -> usize {
-        self.indices.len() * 4 + self.values.len() * 4
-    }
-
-    /// Bytes to stream the vector in bit-vector-plus-payload form.
-    pub fn bitvec_format_bytes(&self) -> usize {
-        self.len.div_ceil(8) + self.values.len() * 4
-    }
 }
 
 #[cfg(test)]
@@ -166,22 +73,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pointer_bitvec_round_trip() {
-        let ptrs = vec![2u32, 5, 9, 63, 64];
-        let bv = pointers_to_bitvec(100, &ptrs).unwrap();
-        assert_eq!(bitvec_to_pointers(&bv), ptrs);
-    }
-
-    #[test]
-    fn pointer_bittree_round_trip() {
-        let ptrs = vec![2u32, 600, 9000];
-        let bt = pointers_to_bittree(10_000, &ptrs).unwrap();
-        assert_eq!(bt.to_bitvec().to_indices(), ptrs);
-    }
-
-    #[test]
     fn sparse_vec_construction_and_lookup() {
-        let v = SparseVec::new(10, vec![1, 4, 7], vec![1.0, 2.0, 3.0]).unwrap();
+        let v = SparseVec::from_dense(&[0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 3.0, 0.0, 0.0]);
         assert_eq!(v.nnz(), 3);
         assert_eq!(v.get(4), 2.0);
         assert_eq!(v.get(5), 0.0);
@@ -192,30 +85,10 @@ mod tests {
     }
 
     #[test]
-    fn sparse_vec_validation() {
-        assert!(SparseVec::new(10, vec![1, 1], vec![1.0, 2.0]).is_err());
-        assert!(SparseVec::new(10, vec![3, 2], vec![1.0, 2.0]).is_err());
-        assert!(SparseVec::new(10, vec![10], vec![1.0]).is_err());
-        assert!(SparseVec::new(10, vec![1], vec![]).is_err());
-    }
-
-    #[test]
     fn from_dense_round_trip() {
         let dense = vec![0.0, 3.0, 0.0, -1.0];
         let v = SparseVec::from_dense(&dense);
         assert_eq!(v.to_dense(), dense);
         assert_eq!(v.to_bitvec().to_indices(), vec![1, 3]);
-    }
-
-    #[test]
-    fn format_size_tradeoff() {
-        // Dense-ish vector: bit-vector format is smaller.
-        let densish = SparseVec::from_dense(&vec![1.0; 1000]);
-        assert!(densish.bitvec_format_bytes() < densish.pointer_format_bytes());
-        // Hyper-sparse vector: pointer format is smaller.
-        let mut data = vec![0.0; 100_000];
-        data[5] = 1.0;
-        let sparse = SparseVec::from_dense(&data);
-        assert!(sparse.pointer_format_bytes() < sparse.bitvec_format_bytes());
     }
 }

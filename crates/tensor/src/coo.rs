@@ -191,23 +191,6 @@ impl Coo {
         }
         m
     }
-
-    /// Builds a COO from a dense matrix, dropping zeros.
-    pub fn from_dense(m: &DenseMatrix) -> Coo {
-        let mut entries = Vec::new();
-        for r in 0..m.rows() {
-            for (c, &v) in m.row(r).iter().enumerate() {
-                if v != 0.0 {
-                    entries.push((r as Index, c as Index, v));
-                }
-            }
-        }
-        Coo {
-            rows: m.rows(),
-            cols: m.cols(),
-            entries,
-        }
-    }
 }
 
 impl<'a> IntoIterator for &'a Coo {
@@ -265,9 +248,10 @@ mod tests {
     }
 
     #[test]
-    fn dense_round_trip() {
+    fn to_dense_places_every_entry() {
         let m = Coo::from_triplets(2, 2, vec![(0, 1, 1.5), (1, 1, -2.0)]).unwrap();
-        assert_eq!(Coo::from_dense(&m.to_dense()), m);
+        let d = m.to_dense();
+        assert_eq!(d.as_slice(), &[0.0, 1.5, 0.0, -2.0]);
     }
 
     #[test]

@@ -166,16 +166,6 @@ impl Csc {
         &self.col_ptr
     }
 
-    /// The row index array (`nnz` entries).
-    pub fn row_idx(&self) -> &[Index] {
-        &self.row_idx
-    }
-
-    /// The value array (`nnz` entries).
-    pub fn values(&self) -> &[Value] {
-        &self.values
-    }
-
     /// Number of non-zeros in column `c`.
     ///
     /// # Panics

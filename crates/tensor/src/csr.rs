@@ -26,7 +26,7 @@ use crate::{Index, Value};
 ///
 /// let coo = Coo::from_triplets(2, 3, vec![(0, 0, 1.0), (0, 2, 2.0), (1, 1, 3.0)]).unwrap();
 /// let csr = Csr::from_coo(&coo);
-/// assert_eq!(csr.row_ptr(), &[0, 2, 3]);
+/// assert_eq!(csr.row_len(0), 2);
 /// assert_eq!(csr.row(0).collect::<Vec<_>>(), vec![(0, 1.0), (2, 2.0)]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -163,21 +163,6 @@ impl Csr {
         self.col_idx.len()
     }
 
-    /// The row pointer array (`rows + 1` entries).
-    pub fn row_ptr(&self) -> &[usize] {
-        &self.row_ptr
-    }
-
-    /// The column index array (`nnz` entries).
-    pub fn col_idx(&self) -> &[Index] {
-        &self.col_idx
-    }
-
-    /// The value array (`nnz` entries).
-    pub fn values(&self) -> &[Value] {
-        &self.values
-    }
-
     /// Number of non-zeros in row `r`.
     ///
     /// # Panics
@@ -247,8 +232,7 @@ mod tests {
     #[test]
     fn structure_matches_coo() {
         let m = sample();
-        assert_eq!(m.row_ptr(), &[0, 2, 3, 5]);
-        assert_eq!(m.col_idx(), &[0, 3, 1, 0, 2]);
+        assert_eq!(m.row(0).collect::<Vec<_>>(), vec![(0, 1.0), (3, 2.0)]);
         assert_eq!(m.row_len(1), 1);
         assert_eq!(m.row(2).collect::<Vec<_>>(), vec![(0, 4.0), (2, 5.0)]);
     }

@@ -10,7 +10,6 @@
 //! over the row-occupancy bit-vector, exactly like any other compressed
 //! dimension (§2.2).
 
-use crate::bitvec::BitVec;
 use crate::coo::Coo;
 use crate::{Index, Value};
 
@@ -82,13 +81,8 @@ impl Dcsr {
         self.rows
     }
 
-    /// Number of logical columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
+    fn nnz(&self) -> usize {
         self.col_idx.len()
     }
 
@@ -100,12 +94,6 @@ impl Dcsr {
     /// The sorted non-empty row ids.
     pub fn row_ids(&self) -> &[Index] {
         &self.row_ids
-    }
-
-    /// Row-occupancy bit-vector — the scanner input for the compressed
-    /// outer dimension.
-    pub fn row_bitvec(&self) -> BitVec {
-        BitVec::from_indices(self.rows, &self.row_ids).expect("row ids in bounds")
     }
 
     /// Iterates `(col, value)` of the k-th *occupied* row.
@@ -136,12 +124,6 @@ impl Dcsr {
         }
         y
     }
-
-    /// Pointer storage in words (row ids + row pointers), for format
-    /// comparisons against CSR's `rows + 1`.
-    pub fn pointer_words(&self) -> usize {
-        self.row_ids.len() + self.row_ptr.len()
-    }
 }
 
 /// A doubly-compressed sparse column matrix (DCSC): DCSR of the transpose.
@@ -161,31 +143,6 @@ impl Dcsc {
     /// Converts back to COO.
     pub fn to_coo(&self) -> Coo {
         self.inner.to_coo().transpose()
-    }
-
-    /// Number of logical rows.
-    pub fn rows(&self) -> usize {
-        self.inner.cols()
-    }
-
-    /// Number of logical columns.
-    pub fn cols(&self) -> usize {
-        self.inner.rows()
-    }
-
-    /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.inner.nnz()
-    }
-
-    /// Number of non-empty columns.
-    pub fn occupied_cols(&self) -> usize {
-        self.inner.occupied_rows()
-    }
-
-    /// Iterates `(row, value)` of the k-th occupied column.
-    pub fn occupied_col(&self, k: usize) -> impl Iterator<Item = (Index, Value)> + '_ {
-        self.inner.occupied_row(k)
     }
 }
 
@@ -234,8 +191,6 @@ mod tests {
         assert_eq!(m.occupied_rows(), 3);
         assert_eq!(m.row_ids(), &[17, 4_000, 9_999]);
         assert_eq!(m.nnz(), 4);
-        // Pointer storage is tiny compared to CSR's 10_001 words.
-        assert!(m.pointer_words() < 10);
     }
 
     #[test]
@@ -248,28 +203,10 @@ mod tests {
     }
 
     #[test]
-    fn row_bitvec_marks_occupancy() {
-        let m = Dcsr::from_coo(&hyper_sparse());
-        let bv = m.row_bitvec();
-        assert!(bv.get(17) && bv.get(4_000) && bv.get(9_999));
-        assert_eq!(bv.count_ones(), 3);
-    }
-
-    #[test]
     fn format_choice_heuristic() {
         assert!(prefers_dcsr(&hyper_sparse()));
         let dense_rows = gen::uniform(100, 100, 2_000, 6);
         assert!(!prefers_dcsr(&dense_rows));
-    }
-
-    #[test]
-    fn dcsc_views_columns() {
-        let coo = hyper_sparse();
-        let m = Dcsc::from_coo(&coo);
-        assert_eq!(m.occupied_cols(), 4); // cols 0, 3, 90, 4000
-        assert_eq!(m.rows(), 10_000);
-        let first_col: Vec<(Index, Value)> = m.occupied_col(0).collect();
-        assert_eq!(first_col, vec![(9_999, -1.0)]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Result alias used across `capstan-tensor`.
-pub type Result<T> = std::result::Result<T, FormatError>;
+pub(crate) type Result<T> = std::result::Result<T, FormatError>;
 
 /// Error returned when constructing or converting a tensor format fails.
 #[derive(Debug, Clone, PartialEq, Eq)]

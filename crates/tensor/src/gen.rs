@@ -72,7 +72,7 @@ pub enum Structure {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetSpec {
     /// Dataset identity.
-    pub dataset: Dataset,
+    dataset: Dataset,
     /// Name as printed in the paper.
     pub name: &'static str,
     /// Square dimension (or activation spatial dim for CNN layers).
@@ -213,14 +213,6 @@ impl Dataset {
         }
     }
 
-    /// Generates the synthetic matrix equivalent at full paper scale.
-    ///
-    /// CNN layers are generated via [`ConvLayer::generate`] instead; this
-    /// method returns the activation occupancy as a matrix for them.
-    pub fn generate(self) -> Coo {
-        self.generate_scaled(1.0)
-    }
-
     /// Generates a scaled-down equivalent: dimensions and nnz are both
     /// multiplied by `scale` (clamped to at least 16 rows). Scaling keeps
     /// experiment turnaround fast while preserving structure; the paper
@@ -231,7 +223,7 @@ impl Dataset {
     ///
     /// Panics if `scale` is not in `(0, 1]`.
     pub fn generate_scaled(self, scale: f64) -> Coo {
-        assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
+        assert!(is_valid_scale(scale), "scale must be in (0, 1]");
         let spec = self.spec();
         let n = ((spec.dim as f64 * scale) as usize).max(16);
         let nnz = ((spec.nnz as f64 * scale) as usize).max(n);
@@ -432,7 +424,7 @@ pub struct ConvLayer {
     /// Activation values, dense layout `[in_ch][dim][dim]`, zeros pruned.
     pub activations: Vec<Value>,
     /// Kernel values, dense layout `[in_ch][kdim][kdim][out_ch]`, pruned.
-    pub kernel: Vec<Value>,
+    kernel: Vec<Value>,
 }
 
 impl ConvLayer {
@@ -487,16 +479,12 @@ impl ConvLayer {
     pub fn kernel_at(&self, ic: usize, kr: usize, kc: usize, oc: usize) -> Value {
         self.kernel[((ic * self.kdim + kr) * self.kdim + kc) * self.out_ch + oc]
     }
+}
 
-    /// Number of non-zero activations.
-    pub fn activation_nnz(&self) -> usize {
-        self.activations.iter().filter(|v| **v != 0.0).count()
-    }
-
-    /// Number of non-zero kernel weights.
-    pub fn kernel_nnz(&self) -> usize {
-        self.kernel.iter().filter(|v| **v != 0.0).count()
-    }
+/// Whether [`Dataset::generate_scaled`] accepts `scale`: it must lie in
+/// `(0, 1]`, which also rules out NaN and the infinities.
+pub fn is_valid_scale(scale: f64) -> bool {
+    scale > 0.0 && scale <= 1.0
 }
 
 /// Generates a dense random vector with the given density (used for the
@@ -594,8 +582,9 @@ mod tests {
     #[test]
     fn conv_layer_densities() {
         let l = ConvLayer::generate(Dataset::ResNet50L2, 1.0);
-        let act_density = l.activation_nnz() as f64 / l.activations.len() as f64;
-        let kern_density = l.kernel_nnz() as f64 / l.kernel.len() as f64;
+        let nnz = |v: &[Value]| v.iter().filter(|x| **x != 0.0).count() as f64;
+        let act_density = nnz(&l.activations) / l.activations.len() as f64;
+        let kern_density = nnz(&l.kernel) / l.kernel.len() as f64;
         assert!(
             (act_density - 0.237).abs() < 0.02,
             "activation density {act_density}"

@@ -10,14 +10,14 @@
 //! many applications (paper §2). This crate implements every format the
 //! paper uses or references:
 //!
-//! * [`DenseVector`] / [`DenseMatrix`] — dense storage and tiling helpers.
+//! * [`DenseMatrix`] — dense row-major storage.
 //! * [`Coo`] — coordinate format (compressed non-zeros with row/column ids).
 //! * [`Csr`] / [`Csc`] — compressed sparse row / column.
-//! * [`BitVec`] — packed bit-vector sparsity with rank/select, union and
-//!   intersection; the native input of Capstan's scanner.
-//! * [`BitTree`] — the paper's two-level bit-tree (§2.3, Fig. 1): a 512-bit
-//!   root vector whose set bits each point at a 512-bit leaf, encoding up to
-//!   262,144 positions.
+//! * [`bitvec::BitVec`] — packed bit-vector sparsity with rank/select,
+//!   union and intersection; the native input of Capstan's scanner.
+//! * [`bittree::BitTree`] — the paper's two-level bit-tree (§2.3, Fig. 1):
+//!   a 512-bit root vector whose set bits each point at a 512-bit leaf,
+//!   encoding up to 262,144 positions.
 //! * [`compress`] — read-only base/offset burst compression used for DRAM
 //!   pointer tiles (§3.4).
 //!
@@ -48,9 +48,9 @@ pub mod bittree;
 pub mod bitvec;
 pub mod compress;
 pub mod convert;
-pub mod coo;
-pub mod csc;
-pub mod csr;
+mod coo;
+mod csc;
+mod csr;
 pub mod dcsr;
 pub mod dense;
 pub mod error;
@@ -59,13 +59,10 @@ pub mod mm;
 pub mod partition;
 pub mod stats;
 
-pub use bittree::BitTree;
-pub use bitvec::BitVec;
 pub use coo::Coo;
 pub use csc::Csc;
 pub use csr::Csr;
-pub use dense::{DenseMatrix, DenseVector};
-pub use error::{FormatError, Result};
+pub use dense::DenseMatrix;
 pub use stats::{FormatClass, TensorStats};
 
 /// The scalar element type used throughout the simulator.

@@ -24,11 +24,6 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// Number of parts.
-    pub fn parts(&self) -> usize {
-        self.parts
-    }
-
     /// Part id of node `v`.
     ///
     /// # Panics
@@ -50,40 +45,6 @@ impl Partition {
             out[p as usize].push(v as Index);
         }
         out
-    }
-
-    /// Per-part total weight under a node-weight function.
-    pub fn part_weights(&self, weight: impl Fn(usize) -> usize) -> Vec<usize> {
-        let mut w = vec![0usize; self.parts];
-        for (v, &p) in self.assignment.iter().enumerate() {
-            w[p as usize] += weight(v);
-        }
-        w
-    }
-
-    /// Load imbalance: `max part weight / mean part weight` (1.0 = perfect).
-    pub fn imbalance(&self, weight: impl Fn(usize) -> usize) -> f64 {
-        let w = self.part_weights(weight);
-        let max = *w.iter().max().unwrap_or(&0) as f64;
-        let mean = w.iter().sum::<usize>() as f64 / self.parts.max(1) as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
-
-    /// Number of edges whose endpoints land in different parts.
-    pub fn cut_edges(&self, adj: &Csr) -> usize {
-        let mut cut = 0;
-        for u in 0..adj.rows() {
-            for (v, _) in adj.row(u) {
-                if self.part_of(u) != self.part_of(v as usize) {
-                    cut += 1;
-                }
-            }
-        }
-        cut
     }
 }
 
@@ -164,18 +125,6 @@ pub struct TileRange {
     pub end: usize,
 }
 
-impl TileRange {
-    /// Number of indices in the tile.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Whether the tile is empty.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-}
-
 /// Round-robin division of `n` indices into `parts` contiguous tiles whose
 /// sizes differ by at most one (the paper's row/column/nnz tiling).
 ///
@@ -244,17 +193,17 @@ mod tests {
         assert_eq!(tiles.len(), 3);
         assert_eq!(tiles[0], TileRange { start: 0, end: 4 });
         assert_eq!(tiles[2].end, 10);
-        let total: usize = tiles.iter().map(TileRange::len).sum();
+        let total: usize = tiles.iter().map(size).sum();
         assert_eq!(total, 10);
         // Sizes differ by at most one.
-        let sizes: Vec<usize> = tiles.iter().map(TileRange::len).collect();
+        let sizes: Vec<usize> = tiles.iter().map(size).collect();
         assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
     }
 
     #[test]
     fn tile_more_parts_than_items() {
         let tiles = tile_evenly(2, 5);
-        let total: usize = tiles.iter().map(TileRange::len).sum();
+        let total: usize = tiles.iter().map(size).sum();
         assert_eq!(total, 2);
         assert_eq!(tiles.len(), 5);
     }
@@ -275,9 +224,41 @@ mod tests {
         assert_eq!(tiles[1].end, 101);
         // First tile should be just the heavy row (or close).
         assert!(
-            tiles[0].len() <= 5,
+            size(&tiles[0]) <= 5,
             "heavy row should dominate tile 0: {tiles:?}"
         );
+    }
+
+    /// Number of indices in a tile.
+    fn size(t: &TileRange) -> usize {
+        t.end - t.start
+    }
+
+    /// Load imbalance: `max part weight / mean part weight` (1.0 = perfect).
+    fn imbalance(p: &Partition, weight: impl Fn(usize) -> usize) -> f64 {
+        let w: Vec<usize> = p
+            .members()
+            .iter()
+            .map(|m| m.iter().map(|&v| weight(v as usize)).sum())
+            .collect();
+        let max = *w.iter().max().unwrap_or(&0) as f64;
+        let mean = w.iter().sum::<usize>() as f64 / w.len().max(1) as f64;
+        if mean == 0.0 {
+            1.0
+        } else {
+            max / mean
+        }
+    }
+
+    /// Number of edges whose endpoints land in different parts.
+    fn cut_edges(p: &Partition, adj: &Csr) -> usize {
+        (0..adj.rows())
+            .map(|u| {
+                adj.row(u)
+                    .filter(|&(v, _)| p.part_of(u) != p.part_of(v as usize))
+                    .count()
+            })
+            .sum()
     }
 
     #[test]
@@ -296,7 +277,7 @@ mod tests {
         let g = gen::power_law(2000, 20_000, 2.2, 9);
         let adj = Csr::from_coo(&g);
         let p = partition_graph(&adj, 10);
-        let imbalance = p.imbalance(|v| adj.row_len(v) + 1);
+        let imbalance = imbalance(&p, |v| adj.row_len(v) + 1);
         assert!(imbalance < 1.6, "imbalance {imbalance}");
     }
 
@@ -305,7 +286,7 @@ mod tests {
         let g = gen::road_network(2500, 6000, 5);
         let adj = Csr::from_coo(&g);
         let p = partition_graph(&adj, 4);
-        let cut = p.cut_edges(&adj);
+        let cut = cut_edges(&p, &adj);
         // Random assignment cuts ~3/4 of edges; BFS growth should do much
         // better on a near-planar graph.
         assert!(
@@ -321,8 +302,8 @@ mod tests {
         let g = gen::uniform(50, 50, 200, 1);
         let adj = Csr::from_coo(&g);
         let p = partition_graph(&adj, 1);
-        assert_eq!(p.cut_edges(&adj), 0);
-        assert_eq!(p.imbalance(|_| 1), 1.0);
+        assert_eq!(cut_edges(&p, &adj), 0);
+        assert_eq!(imbalance(&p, |_| 1), 1.0);
     }
 
     #[test]

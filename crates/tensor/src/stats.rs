@@ -49,18 +49,6 @@ impl FormatClass {
         FormatClass::BitTree,
     ];
 
-    /// Human-readable name as the paper spells it.
-    pub fn name(self) -> &'static str {
-        match self {
-            FormatClass::Csr => "CSR",
-            FormatClass::Csc => "CSC",
-            FormatClass::Dcsr => "DCSR",
-            FormatClass::Bcsr => "BCSR",
-            FormatClass::Banded => "banded",
-            FormatClass::BitTree => "bittree",
-        }
-    }
-
     /// Stable lowercase spelling used in plan summaries and cache keys.
     pub fn tag(self) -> &'static str {
         match self {
@@ -72,15 +60,10 @@ impl FormatClass {
             FormatClass::BitTree => "bittree",
         }
     }
-
-    /// Parses a [`FormatClass::tag`] spelling.
-    pub fn parse(s: &str) -> Option<FormatClass> {
-        FormatClass::ALL.iter().copied().find(|f| f.tag() == s)
-    }
 }
 
 /// The BCSR tile edge used for the block-fill statistic.
-pub const STATS_BLOCK: usize = 16;
+const STATS_BLOCK: usize = 16;
 
 /// Wire-format tag prefixing an encoded stats blob (bump on any field
 /// change so a stale client cannot smuggle an incompatible blob past the
@@ -96,24 +79,24 @@ const CODEC_TAG: &str = "s1";
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TensorStats {
     /// Number of rows.
-    pub rows: u64,
+    rows: u64,
     /// Number of columns.
-    pub cols: u64,
+    cols: u64,
     /// Stored non-zeros.
     pub nnz: u64,
     /// Rows holding at least one non-zero (DCSR's compression target).
-    pub occupied_rows: u64,
+    occupied_rows: u64,
     /// Longest row.
-    pub row_len_max: u64,
+    row_len_max: u64,
     /// Sum of squared row lengths (variance follows without a second
     /// pass or any float accumulation).
-    pub row_len_sumsq: u64,
+    row_len_sumsq: u64,
     /// Maximum `|row - col|` over the non-zeros (banded storage cost).
-    pub bandwidth: u64,
+    bandwidth: u64,
     /// Distinct occupied diagonals (`col - row` offsets).
-    pub diagonals: u64,
+    diagonals: u64,
     /// Occupied 16×16 blocks ([`STATS_BLOCK`]; BCSR's storage unit).
-    pub blocks16: u64,
+    blocks16: u64,
 }
 
 impl TensorStats {
@@ -178,26 +161,8 @@ impl TensorStats {
         }
     }
 
-    /// Mean row length over all rows (empty rows included).
-    pub fn row_len_mean(&self) -> f64 {
-        if self.rows == 0 {
-            0.0
-        } else {
-            self.nnz as f64 / self.rows as f64
-        }
-    }
-
-    /// Row-length variance over all rows (empty rows count as length 0).
-    pub fn row_len_var(&self) -> f64 {
-        if self.rows == 0 {
-            return 0.0;
-        }
-        let mean = self.row_len_mean();
-        (self.row_len_sumsq as f64 / self.rows as f64 - mean * mean).max(0.0)
-    }
-
     /// Fill ratio of the occupied 16×16 blocks: `nnz / (blocks16 * 256)`.
-    pub fn block_fill(&self) -> f64 {
+    fn block_fill(&self) -> f64 {
         if self.blocks16 == 0 {
             0.0
         } else {
@@ -314,8 +279,6 @@ mod tests {
         assert_eq!(s.diagonals, 3);
         assert_eq!(s.blocks16, 1);
         assert_eq!(s.density(), 3.0 / 16.0);
-        assert_eq!(s.row_len_mean(), 0.75);
-        assert!((s.row_len_var() - (5.0 / 4.0 - 0.5625)).abs() < 1e-12);
         assert_eq!(s.block_fill(), 3.0 / 256.0);
     }
 
@@ -391,11 +354,10 @@ mod tests {
     }
 
     #[test]
-    fn format_class_tags_parse_back() {
-        for f in FormatClass::ALL {
-            assert_eq!(FormatClass::parse(f.tag()), Some(f));
+    fn format_class_tags_are_distinct_and_lowercase() {
+        for (i, f) in FormatClass::ALL.iter().enumerate() {
             assert_eq!(f.tag(), f.tag().to_lowercase());
+            assert!(FormatClass::ALL[..i].iter().all(|g| g.tag() != f.tag()));
         }
-        assert_eq!(FormatClass::parse("coo"), None);
     }
 }

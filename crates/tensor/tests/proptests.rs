@@ -233,7 +233,7 @@ proptest! {
     fn tiling_partitions_exactly(n in 0usize..500, parts in 1usize..20) {
         let tiles = tile_evenly(n, parts);
         prop_assert_eq!(tiles.len(), parts);
-        prop_assert_eq!(tiles.iter().map(|t| t.len()).sum::<usize>(), n);
+        prop_assert_eq!(tiles.iter().map(|t| t.end - t.start).sum::<usize>(), n);
         for w in tiles.windows(2) {
             prop_assert_eq!(w[0].end, w[1].start);
         }

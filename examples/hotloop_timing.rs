@@ -194,8 +194,7 @@ fn main() {
 
 /// The cycle-level drain of one atomic-heavy scatter batch (mostly AG
 /// read-modify-writes, some random and streaming bursts) through a
-/// reused driver: `reset`, queue, `run`, as the persistent driver pool
-/// in `capstan_core::perf` does per `simulate` call.
+/// reused driver: `reset`, queue, `run`.
 fn memdrv_rows() {
     let model = DramModel::new(DramKind::Hbm2e);
     let traffic = TileTraffic {

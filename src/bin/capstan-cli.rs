@@ -20,7 +20,7 @@ use capstan::apps::sssp::Sssp;
 use capstan::apps::App;
 use capstan::baselines::plasticine;
 use capstan::core::config::{CapstanConfig, MemoryKind};
-use capstan::tensor::gen::Dataset;
+use capstan::tensor::gen::{is_valid_scale, Dataset};
 use capstan::tensor::DenseMatrix;
 use capstan::tensor::{mm, Coo};
 use std::process::ExitCode;
@@ -110,9 +110,12 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--matrix" => args.matrix = Some(value("--matrix")?),
             "--dataset" => args.dataset = Some(value("--dataset")?),
             "--scale" => {
-                args.scale = value("--scale")?
-                    .parse()
-                    .map_err(|_| "bad --scale".to_string())?
+                let raw = value("--scale")?;
+                let scale: f64 = raw.parse().map_err(|_| format!("bad --scale `{raw}`"))?;
+                if !is_valid_scale(scale) {
+                    return Err(format!("--scale `{raw}` must be finite and in (0, 1]"));
+                }
+                args.scale = scale;
             }
             "--memory" => {
                 let m = value("--memory")?;
@@ -121,11 +124,17 @@ fn parse_args() -> Result<Option<Args>, String> {
                     "hbm2" => MemoryKind::Hbm2,
                     "ddr4" => MemoryKind::Ddr4,
                     "ideal" => MemoryKind::Ideal,
-                    other => MemoryKind::Custom(
-                        other
+                    other => {
+                        let gbps: f64 = other
                             .parse()
-                            .map_err(|_| format!("bad --memory `{other}`"))?,
-                    ),
+                            .map_err(|_| format!("bad --memory `{other}`"))?;
+                        if !gbps.is_finite() || gbps <= 0.0 {
+                            return Err(format!(
+                                "--memory `{other}` must be a finite, positive bandwidth in GB/s"
+                            ));
+                        }
+                        MemoryKind::Custom(gbps)
+                    }
                 };
             }
             "--ordering" => args.ordering = Some(value("--ordering")?),
@@ -267,7 +276,7 @@ fn main() -> ExitCode {
     let report = app.simulate(&cfg);
     println!("{report}");
     for (name, frac) in report.breakdown.fractions() {
-        let bar = "#".repeat((frac * 40.0).round() as usize);
+        let bar = "#".repeat((frac.clamp(0.0, 1.0) * 40.0).round() as usize);
         println!("  {name:<14} {:>5.1}% {bar}", frac * 100.0);
     }
 

@@ -717,7 +717,6 @@ fn network_heavy_simulate_is_bit_identical_to_golden() {
 #[test]
 fn banked_channel_completion_stream_is_bit_identical_to_golden() {
     use capstan::arch::spmu::driver::TraceRng;
-    use capstan::sim::channel::MemChannel;
     use capstan::sim::dram::{
         BankTiming, BankedDramChannel, BurstRequest, DramModel, MemoryKind as SimMem, BURST_BYTES,
     };
