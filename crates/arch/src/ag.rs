@@ -223,15 +223,6 @@ impl AddressGenerator {
         self.submitted_total - self.completed_total
     }
 
-    /// Whether the burst containing `addr` is currently tracked by a
-    /// slot (open, fetching, writing back, or parked for retry) — i.e.
-    /// whether a submission to it right now would coalesce instead of
-    /// triggering a fresh DRAM fetch. Used by the multi-tenant replay
-    /// driver to attribute fetches to the submitting tenant.
-    pub(crate) fn tracks(&self, addr: u64) -> bool {
-        self.slot_of[(addr / BURST_WORDS as u64) as usize] != NO_SLOT
-    }
-
     /// Replay-driver entry point (used by the cycle-level memory mode's
     /// `MemSysSim`): submits `access` only when fewer than
     /// `max_outstanding` accesses are in flight, returning whether it
@@ -438,7 +429,6 @@ impl AddressGenerator {
         // region is private so a deep queue is acceptable.
         let req = BurstRequest {
             addr: burst * 64,
-            is_write: false,
             tag,
         };
         if self.channel.push(req).is_ok() {
@@ -456,7 +446,6 @@ impl AddressGenerator {
         let tag = self.alloc_tag(idx, true);
         let req = BurstRequest {
             addr: burst * 64,
-            is_write: true,
             tag,
         };
         if self.channel.push(req).is_ok() {

@@ -15,16 +15,10 @@ pub struct GridConfig {
     pub ags: usize,
     /// SIMD lanes per CU.
     pub lanes: usize,
-    /// Pipeline stages per CU.
-    stages: usize,
     /// SRAM banks per SpMU.
     pub banks: usize,
     /// Words per bank.
     bank_words: usize,
-    /// On-chip shuffle networks (dimension x ports).
-    shuffle_on_chip: (usize, usize),
-    /// Off-chip shuffle networks (dimension x ports).
-    shuffle_off_chip: (usize, usize),
 }
 
 impl Default for GridConfig {
@@ -33,11 +27,8 @@ impl Default for GridConfig {
             side: 20,
             ags: 80,
             lanes: 16,
-            stages: 6,
             banks: 16,
             bank_words: 4096,
-            shuffle_on_chip: (2, 16),
-            shuffle_off_chip: (4, 16),
         }
     }
 }

@@ -25,9 +25,9 @@
 //!   (the bits above the DRAM row index), so rows stay whole and
 //!   consecutive rows rotate across channels.
 //! * Atomic words route through N per-region [`AddressGenerator`]s: the
-//!   atomic address space is `channels x ag_region_words` words, and the
+//!   atomic address space is `channels x AG_REGION_WORDS` words, and the
 //!   high region bits of each generated address select the owning AG
-//!   (each AG sees only its own `ag_region_words`-word region, the
+//!   (each AG sees only its own `AG_REGION_WORDS`-word region, the
 //!   paper's mutually-exclusive-region contract).
 //!
 //! `channels = 1` (the default) degenerates to exactly the
@@ -44,12 +44,12 @@
 //! buffers, statistics), every request tag carries the tenant id in its
 //! high bits, and completions are attributed back to their tenant for
 //! per-tenant stats ([`TenantStats`]: completion cycle, served counts,
-//! AG fetches, queue-occupancy share, latency histogram). Under
-//! [`TenantPartition::Shared`] all tenants contend for one channel
-//! array in weighted round-robin issue order; under
-//! [`TenantPartition::Dedicated`] the channels split into equal private
-//! groups, making each tenant's drain independent of its co-tenants.
-//! `tenants = 1` (the default) is bit-identical to the pre-tenancy
+//! queue-occupancy share). Under [`TenantPartition::Shared`] all
+//! tenants contend for one channel array, issuing in round-robin
+//! tenant order from one budget; under [`TenantPartition::Dedicated`]
+//! the channels split into equal private groups, each tenant issuing
+//! from a private budget, making each tenant's drain independent of its
+//! co-tenants. `tenants = 1` (the default) is bit-identical to the pre-tenancy
 //! driver — the invariant behind every committed golden pin — proven by
 //! `tests/mem_multitenant_differential.rs`.
 //!
@@ -97,6 +97,7 @@ use crate::spmu::RmwOp;
 use capstan_sim::dram::{
     BankTiming, BankedStats, BurstRequest, ChannelArray, DramModel, BURST_BYTES,
 };
+use std::ops::Range;
 
 /// One tile's DRAM traffic, as recorded by the workload builder.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -131,8 +132,6 @@ pub struct MemStats {
     /// Cycles requests waited in bank queues beyond the CAS latency,
     /// summed over channels.
     pub contention_cycles: u64,
-    /// Cycles banks spent busy, summed over banks and channels.
-    bank_busy_cycles: u64,
     /// Highest per-bank queue occupancy observed on any channel.
     pub peak_bank_queue: u64,
     /// Bursts the AGs fetched for atomic execution, summed.
@@ -142,8 +141,7 @@ pub struct MemStats {
 }
 
 /// Hard cap on tenants sharing one driver. Small by design: the tenant
-/// id is encoded in the high bits of every request tag, and the weight
-/// table is a fixed array so [`MemSysConfig`] stays `Copy + Eq`.
+/// id is encoded in the high bits of every request tag.
 pub const MAX_TENANTS: usize = 8;
 
 /// Identity of one tenant whose traffic is interleaved through the
@@ -158,7 +156,7 @@ pub struct TenantId(pub usize);
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum TenantPartition {
     /// Every tenant issues into one shared [`ChannelArray`] (and its
-    /// per-region AGs) in weighted round-robin order — tenants contend
+    /// per-region AGs) in round-robin tenant order — tenants contend
     /// for banks, rows, and AG windows exactly like co-scheduled
     /// workloads on one memory system.
     #[default]
@@ -170,13 +168,6 @@ pub enum TenantPartition {
     /// `tests/mem_multitenant_differential.rs`.
     Dedicated,
 }
-
-/// Latency-histogram buckets in [`TenantStats::latency_hist`].
-const LATENCY_BUCKETS: usize = 8;
-
-/// Upper bounds (inclusive) of the first `LATENCY_BUCKETS - 1` latency
-/// buckets, in cycles; the last bucket is the overflow.
-const LATENCY_BUCKET_BOUNDS: [u64; LATENCY_BUCKETS - 1] = [16, 32, 64, 128, 256, 512, 1024];
 
 /// Per-tenant statistics of one cycle-level memory simulation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -193,11 +184,6 @@ pub struct TenantStats {
     /// plus released AG results). After [`MemSysSim::run`] this equals
     /// `submitted` — the per-tenant conservation invariant.
     pub completed: u64,
-    /// AG burst fetches attributed to this tenant: accepted submissions
-    /// to bursts no AG was tracking at submission time (re-fetches
-    /// behind a racing writeback are not attributed, so the sum over
-    /// tenants is a lower bound of [`MemStats::ag_bursts_fetched`]).
-    ag_fetch_bursts: u64,
     /// Sum over cycles of this tenant's outstanding requests — the
     /// tenant's share of queue occupancy (divide by the drain cycles
     /// for the mean).
@@ -205,12 +191,22 @@ pub struct TenantStats {
     /// First cycle at which the tenant had queued traffic but nothing
     /// pending or outstanding (0 for a tenant that queued nothing).
     pub completion_cycle: u64,
-    /// Request-latency histogram: bucket `i < LATENCY_BUCKETS - 1`
-    /// counts completions with issue-to-completion latency `<=`
-    /// `LATENCY_BUCKET_BOUNDS[i]` (and above the previous bound);
-    /// the last bucket is the overflow.
-    pub latency_hist: [u64; LATENCY_BUCKETS],
 }
+
+/// Words in each AG's atomic region (addresses wrap into the combined
+/// `channels x AG_REGION_WORDS` space and the high region bits select
+/// the owning AG).
+const AG_REGION_WORDS: u64 = 1 << 16;
+/// Simultaneously open bursts each AG tracks (§3.4's burst cache).
+const AG_OPEN_BURSTS: usize = 64;
+/// Memory requests the fabric can issue per cycle (all AGs combined).
+/// The dedicated partition gives each tenant `ISSUE_WIDTH / tenants` of
+/// them, which the assertion below keeps at one or more.
+const ISSUE_WIDTH: usize = 16;
+const _: () = assert!(ISSUE_WIDTH >= MAX_TENANTS);
+/// Outstanding-atomic window *per AG*: submissions throttle above this,
+/// which bounds each AG's internal state (see the allocation contract).
+const MAX_OUTSTANDING_ATOMICS: u64 = 256;
 
 /// Configuration of the cycle-level memory driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,19 +219,6 @@ pub struct MemSysConfig {
     /// single-channel topology bit-for-bit; 80 (one per AG, Table 7) is
     /// the paper's design point.
     pub channels: usize,
-    /// Words in each AG's atomic region (addresses wrap into the
-    /// combined `channels x ag_region_words` space and the high region
-    /// bits select the owning AG).
-    ag_region_words: usize,
-    /// Simultaneously open bursts each AG tracks (§3.4's burst cache).
-    ag_open_bursts: usize,
-    /// Memory requests the fabric can issue per cycle (all AGs
-    /// combined).
-    issue_width: usize,
-    /// Outstanding-atomic window *per AG*: submissions throttle above
-    /// this, which bounds each AG's internal state (see the allocation
-    /// contract).
-    max_outstanding_atomics: u64,
     /// Has no effect; kept only so external code that still assigns it compiles.
     pub fast_forward: bool,
     /// Tenants whose traffic the driver interleaves (`1..=MAX_TENANTS`).
@@ -245,12 +228,6 @@ pub struct MemSysConfig {
     pub tenants: usize,
     /// How the region channels are divided among tenants.
     pub partition: TenantPartition,
-    /// Issue weights of the shared-partition round-robin schedule:
-    /// tenant `t` gets `tenant_weights[t].max(1)` issue opportunities
-    /// per round. Entries beyond `tenants` are ignored; the dedicated
-    /// partition ignores the table entirely (each tenant has a private
-    /// issue budget of `issue_width / tenants`, at least 1).
-    tenant_weights: [u8; MAX_TENANTS],
 }
 
 impl MemSysConfig {
@@ -261,14 +238,9 @@ impl MemSysConfig {
         MemSysConfig {
             timing: BankTiming::for_model(model),
             channels: 1,
-            ag_region_words: 1 << 16,
-            ag_open_bursts: 64,
-            issue_width: 16,
-            max_outstanding_atomics: 256,
             fast_forward: false,
             tenants: 1,
             partition: TenantPartition::Shared,
-            tenant_weights: [1; MAX_TENANTS],
         }
     }
 
@@ -373,8 +345,6 @@ const TENANT_STREAM_STRIDE: u64 = 1 << 36;
 /// golden-pinned completion stream) are unchanged from the pre-tenancy
 /// single-counter tags.
 const TAG_TENANT_SHIFT: u32 = 56;
-/// Mask extracting the sequence number from a tag.
-const TAG_SEQ_MASK: u64 = (1 << TAG_TENANT_SHIFT) - 1;
 
 /// Streaming byte address of one tenant's next sequential burst.
 fn stream_addr(tenant: usize, cursor: u64) -> u64 {
@@ -410,7 +380,7 @@ struct TenantLane {
     /// channels' traffic (monotonicity of the sweep depends on it).
     random_stream: AddressStream,
     /// Atomic address stream over the tenant's combined
-    /// `group channels x ag_region_words` region space.
+    /// `group channels x AG_REGION_WORDS` region space.
     atomic_stream: AddressStream,
     /// Recorded random-read word addresses (from
     /// [`MemSysSim::add_tile_recorded_for`]); when non-empty they
@@ -432,7 +402,7 @@ struct TenantLane {
 }
 
 impl TenantLane {
-    fn new(tenant: usize, group_channels: usize, cfg: &MemSysConfig) -> Self {
+    fn new(tenant: usize, group_channels: usize) -> Self {
         let stride = (tenant as u64).wrapping_mul(TENANT_SEED_STRIDE);
         TenantLane {
             pending_stream: 0,
@@ -445,7 +415,7 @@ impl TenantLane {
             ),
             atomic_stream: AddressStream::new(
                 ATOMIC_SEED.wrapping_add(stride),
-                cfg.ag_region_words as u64 * group_channels as u64,
+                AG_REGION_WORDS * group_channels as u64,
             ),
             rec_random: Vec::new(),
             rec_random_pos: 0,
@@ -466,15 +436,10 @@ impl TenantLane {
             + self.stats.queued_atomic_words
     }
 
-    /// Records one completion with the given issue-to-completion
-    /// latency.
-    fn note_completion(&mut self, latency: u64) {
+    /// Records one completion.
+    fn note_completion(&mut self) {
         self.stats.completed += 1;
-        let mut b = 0;
-        while b < LATENCY_BUCKET_BOUNDS.len() && latency > LATENCY_BUCKET_BOUNDS[b] {
-            b += 1;
-        }
-        self.stats.latency_hist[b] += 1;
+        self.outstanding -= 1;
     }
 
     /// Returns the lane to its as-constructed state without releasing
@@ -509,21 +474,6 @@ pub struct MemSysSim {
     cfg: MemSysConfig,
     /// Per-tenant replay lanes (`cfg.tenants` of them).
     lanes: Vec<TenantLane>,
-    /// Shared-partition issue schedule: tenant `t` appears
-    /// `tenant_weights[t].max(1)` times per round. `[0]` for a
-    /// single-tenant driver, making the issue loop identical to the
-    /// pre-tenancy one.
-    schedule: Vec<u8>,
-    /// Per-tenant issue budget under the dedicated partition
-    /// (`issue_width / tenants`, at least 1; 0 only when `issue_width`
-    /// is 0).
-    dedicated_budget: usize,
-    /// Issue-cycle ring indexed by `sequence & (len - 1)`: the cycle
-    /// each in-flight request was issued, read back at completion for
-    /// the per-tenant latency histogram. Sized (power of two) above the
-    /// driver-wide outstanding-request bound so live entries never
-    /// collide.
-    lat_ring: Vec<u64>,
     /// Global issue sequence number (the low 56 bits of every tag).
     next_tag: u64,
     /// Channel requests in flight (pushed minus completed).
@@ -565,40 +515,20 @@ impl MemSysSim {
                 (cfg.tenants, cfg.channels / cfg.tenants)
             }
         };
-        let mut schedule = Vec::new();
-        for t in 0..cfg.tenants {
-            for _ in 0..cfg.tenant_weights[t].max(1) {
-                schedule.push(t as u8);
-            }
-        }
-        // Upper bound on simultaneously outstanding requests: every
-        // bank queue full on every channel, plus every AG's atomic
-        // window, plus one issue round of slack. Live ring entries can
-        // never collide below this bound.
-        let outstanding_bound = cfg.channels * cfg.timing.banks * cfg.timing.queue_depth
-            + cfg.channels * cfg.max_outstanding_atomics as usize
-            + cfg.issue_width
-            + 64;
         MemSysSim {
             groups: (0..group_count)
                 .map(|_| MemGroup {
                     channels: ChannelArray::new(model, cfg.timing, group_channels),
                     ags: (0..group_channels)
                         .map(|_| {
-                            AddressGenerator::new(model, cfg.ag_region_words, cfg.ag_open_bursts)
+                            AddressGenerator::new(model, AG_REGION_WORDS as usize, AG_OPEN_BURSTS)
                         })
                         .collect(),
                 })
                 .collect(),
             lanes: (0..cfg.tenants)
-                .map(|t| TenantLane::new(t, group_channels, &cfg))
+                .map(|t| TenantLane::new(t, group_channels))
                 .collect(),
-            schedule,
-            dedicated_budget: match cfg.issue_width {
-                0 => 0,
-                w => (w / cfg.tenants).max(1),
-            },
-            lat_ring: vec![0; outstanding_bound.next_power_of_two()],
             cfg,
             next_tag: 0,
             inflight: 0,
@@ -745,7 +675,7 @@ impl MemSysSim {
     }
 
     /// The word address of tenant `t`'s next atomic, in the tenant's
-    /// combined `group channels x ag_region_words` region space (the
+    /// combined `group channels x AG_REGION_WORDS` region space (the
     /// high region bits select the owning AG within the tenant's
     /// group).
     fn atomic_word(&self, t: usize) -> u64 {
@@ -759,52 +689,57 @@ impl MemSysSim {
         }
     }
 
-    /// Tries to issue tenant `t`'s next streaming burst; returns
-    /// whether it was accepted.
-    fn try_issue_stream(&mut self, t: usize) -> bool {
-        if self.lanes[t].pending_stream == 0 {
-            return false;
-        }
-        let g = self.group_of(t);
+    /// The tag of tenant `t`'s next request: the tenant id in the high
+    /// bits above the global issue sequence number.
+    fn tag_for(&self, t: usize) -> u64 {
+        self.next_tag | ((t as u64) << TAG_TENANT_SHIFT)
+    }
+
+    /// Books one accepted request of tenant `t`.
+    fn note_issue(&mut self, t: usize) {
+        self.next_tag += 1;
+        let lane = &mut self.lanes[t];
+        lane.outstanding += 1;
+        lane.stats.submitted += 1;
+    }
+
+    /// Pushes tenant `t`'s burst at byte address `addr` into its
+    /// group's channels; returns whether it was accepted.
+    fn push_burst(&mut self, t: usize, addr: u64) -> bool {
         let req = BurstRequest {
-            addr: stream_addr(t, self.lanes[t].stream_cursor),
-            is_write: false,
-            tag: self.next_tag | ((t as u64) << TAG_TENANT_SHIFT),
+            addr,
+            tag: self.tag_for(t),
         };
+        let g = self.group_of(t);
         if self.groups[g].channels.push(req).is_err() {
             return false;
         }
-        let mask = self.lat_ring.len() as u64 - 1;
-        self.lat_ring[(self.next_tag & mask) as usize] = self.cycles;
-        self.next_tag += 1;
+        self.note_issue(t);
         self.inflight += 1;
+        true
+    }
+
+    /// Tries to issue tenant `t`'s next streaming burst; returns
+    /// whether it was accepted.
+    fn try_issue_stream(&mut self, t: usize) -> bool {
+        let lane = &self.lanes[t];
+        if lane.pending_stream == 0 || !self.push_burst(t, stream_addr(t, lane.stream_cursor)) {
+            return false;
+        }
         let lane = &mut self.lanes[t];
         lane.stream_cursor += 1;
         lane.pending_stream -= 1;
-        lane.outstanding += 1;
-        lane.stats.submitted += 1;
         true
     }
 
     /// Tries to issue tenant `t`'s next random-read burst; returns
     /// whether it was accepted.
     fn try_issue_random(&mut self, t: usize) -> bool {
-        if self.lanes[t].pending_random == 0 {
+        if self.lanes[t].pending_random == 0
+            || !self.push_burst(t, self.random_burst(t) * BURST_BYTES)
+        {
             return false;
         }
-        let g = self.group_of(t);
-        let req = BurstRequest {
-            addr: self.random_burst(t) * BURST_BYTES,
-            is_write: false,
-            tag: self.next_tag | ((t as u64) << TAG_TENANT_SHIFT),
-        };
-        if self.groups[g].channels.push(req).is_err() {
-            return false;
-        }
-        let mask = self.lat_ring.len() as u64 - 1;
-        self.lat_ring[(self.next_tag & mask) as usize] = self.cycles;
-        self.next_tag += 1;
-        self.inflight += 1;
         let lane = &mut self.lanes[t];
         if lane.rec_random.is_empty() {
             lane.random_stream.advance();
@@ -812,8 +747,6 @@ impl MemSysSim {
             lane.rec_random_pos += 1;
         }
         lane.pending_random -= 1;
-        lane.outstanding += 1;
-        lane.stats.submitted += 1;
         true
     }
 
@@ -828,23 +761,18 @@ impl MemSysSim {
         // private region. Recorded addresses wrap into the same
         // combined space, so the steering is identical for both
         // sources.
-        let g = self.group_of(t);
         let word = self.atomic_word(t);
-        let region = (word / self.cfg.ag_region_words as u64) as usize;
         let access = DramAccess {
-            addr: word % self.cfg.ag_region_words as u64,
+            addr: word % AG_REGION_WORDS,
             op: RmwOp::AddF,
-            tag: self.next_tag | ((t as u64) << TAG_TENANT_SHIFT),
+            tag: self.tag_for(t),
         };
-        // Fetch attribution: an accepted submission to a burst no slot
-        // tracks triggers exactly one fetch, charged to this tenant.
-        let untracked = !self.groups[g].ags[region].tracks(access.addr);
-        if !self.groups[g].ags[region].try_submit(access, self.cfg.max_outstanding_atomics) {
+        let g = self.group_of(t);
+        let ag = &mut self.groups[g].ags[(word / AG_REGION_WORDS) as usize];
+        if !ag.try_submit(access, MAX_OUTSTANDING_ATOMICS) {
             return false;
         }
-        let mask = self.lat_ring.len() as u64 - 1;
-        self.lat_ring[(self.next_tag & mask) as usize] = self.cycles;
-        self.next_tag += 1;
+        self.note_issue(t);
         let lane = &mut self.lanes[t];
         if lane.rec_atomic.is_empty() {
             lane.atomic_stream.advance();
@@ -852,81 +780,54 @@ impl MemSysSim {
             lane.rec_atomic_pos += 1;
         }
         lane.pending_atomic -= 1;
-        lane.outstanding += 1;
-        lane.stats.submitted += 1;
-        lane.stats.ag_fetch_bursts += u64::from(untracked);
         true
     }
 
-    /// Advances the memory system one cycle: issues up to `issue_width`
-    /// requests round-robin across tenants (per the weighted schedule
-    /// under the shared partition; per-tenant private budgets under the
-    /// dedicated one) and the three traffic classes (each request
-    /// crossbar-routed to its region channel or region AG), then ticks
-    /// every channel and every AG in lockstep, attributing completions
-    /// to tenants by the tag's tenant bits.
-    pub fn tick(&mut self) {
-        match self.cfg.partition {
-            TenantPartition::Shared => {
-                let mut budget = self.cfg.issue_width;
-                let mut progress = true;
-                while budget > 0 && progress {
-                    progress = false;
-                    for i in 0..self.schedule.len() {
-                        if budget == 0 {
-                            break;
-                        }
-                        let t = self.schedule[i] as usize;
-                        if self.try_issue_stream(t) {
-                            budget -= 1;
-                            progress = true;
-                        }
-                        if budget == 0 {
-                            break;
-                        }
-                        if self.try_issue_random(t) {
-                            budget -= 1;
-                            progress = true;
-                        }
-                        if budget == 0 {
-                            break;
-                        }
-                        if self.try_issue_atomic(t) {
-                            budget -= 1;
-                            progress = true;
-                        }
+    /// Issues up to `budget` requests from `tenants`: rounds over the
+    /// tenants in order, each trying its streaming, random and atomic
+    /// class in turn, until the budget is spent or a round issues
+    /// nothing.
+    fn issue(&mut self, tenants: Range<usize>, mut budget: usize) {
+        const CLASSES: [fn(&mut MemSysSim, usize) -> bool; 3] = [
+            MemSysSim::try_issue_stream,
+            MemSysSim::try_issue_random,
+            MemSysSim::try_issue_atomic,
+        ];
+        let mut progress = true;
+        while progress {
+            progress = false;
+            for t in tenants.clone() {
+                for try_issue in CLASSES {
+                    if budget == 0 {
+                        return;
+                    }
+                    if try_issue(self, t) {
+                        budget -= 1;
+                        progress = true;
                     }
                 }
             }
+        }
+    }
+
+    /// Advances the memory system one cycle: issues up to
+    /// `ISSUE_WIDTH` requests (from one budget shared by every tenant
+    /// under the shared partition; from a private `ISSUE_WIDTH /
+    /// tenants` budget per tenant under the dedicated one), each
+    /// crossbar-routed to its region channel or region AG, then ticks
+    /// every channel and every AG in lockstep, attributing completions
+    /// to tenants by the tag's tenant bits.
+    pub fn tick(&mut self) {
+        let tenants = self.cfg.tenants;
+        match self.cfg.partition {
+            TenantPartition::Shared => self.issue(0..tenants, ISSUE_WIDTH),
+            // Each tenant's subsystem (lane + private group) is closed
+            // under the dedicated partition, so the per-tenant issues
+            // commute — tenant order cannot change any tenant's
+            // behavior.
             TenantPartition::Dedicated => {
-                // Each tenant's subsystem (lane + private group) is
-                // closed under the dedicated partition, so the
-                // per-tenant loops commute — tenant order cannot change
-                // any tenant's behavior.
-                for t in 0..self.cfg.tenants {
-                    let mut budget = self.dedicated_budget;
-                    let mut progress = true;
-                    while budget > 0 && progress {
-                        progress = false;
-                        if self.try_issue_stream(t) {
-                            budget -= 1;
-                            progress = true;
-                        }
-                        if budget == 0 {
-                            break;
-                        }
-                        if self.try_issue_random(t) {
-                            budget -= 1;
-                            progress = true;
-                        }
-                        if budget == 0 {
-                            break;
-                        }
-                        if self.try_issue_atomic(t) {
-                            budget -= 1;
-                            progress = true;
-                        }
-                    }
+                for t in 0..tenants {
+                    self.issue(t..t + 1, ISSUE_WIDTH / tenants);
                 }
             }
         }
@@ -937,25 +838,14 @@ impl MemSysSim {
     /// tenants, and advances the cycle (with the per-tenant occupancy
     /// and completion-cycle accounting).
     fn complete_and_advance(&mut self) {
-        let now = self.cycles;
-        let mask = self.lat_ring.len() as u64 - 1;
-        for g in 0..self.groups.len() {
-            let group = &mut self.groups[g];
+        for group in &mut self.groups {
             for c in group.channels.tick() {
-                let t = (c.tag >> TAG_TENANT_SHIFT) as usize;
-                let issued = self.lat_ring[((c.tag & TAG_SEQ_MASK) & mask) as usize];
-                let lane = &mut self.lanes[t];
-                lane.note_completion((now + 1).saturating_sub(issued));
-                lane.outstanding -= 1;
+                self.lanes[(c.tag >> TAG_TENANT_SHIFT) as usize].note_completion();
                 self.inflight -= 1;
             }
-            for a in 0..group.ags.len() {
-                for r in group.ags[a].tick() {
-                    let t = (r.tag >> TAG_TENANT_SHIFT) as usize;
-                    let issued = self.lat_ring[((r.tag & TAG_SEQ_MASK) & mask) as usize];
-                    let lane = &mut self.lanes[t];
-                    lane.note_completion((now + 1).saturating_sub(issued));
-                    lane.outstanding -= 1;
+            for ag in &mut group.ags {
+                for r in ag.tick() {
+                    self.lanes[(r.tag >> TAG_TENANT_SHIFT) as usize].note_completion();
                 }
             }
         }
@@ -1045,9 +935,7 @@ impl MemSysSim {
             b.served += s.served;
             b.row_hits += s.row_hits;
             b.row_conflicts += s.row_conflicts;
-            b.row_opens += s.row_opens;
             b.contention_cycles += s.contention_cycles;
-            b.bank_busy_cycles += s.bank_busy_cycles;
             b.peak_bank_queue = b.peak_bank_queue.max(s.peak_bank_queue);
         }
         MemStats {
@@ -1067,7 +955,6 @@ impl MemSysSim {
             row_hits: b.row_hits,
             row_conflicts: b.row_conflicts,
             contention_cycles: b.contention_cycles,
-            bank_busy_cycles: b.bank_busy_cycles,
             peak_bank_queue: b.peak_bank_queue as u64,
             ag_bursts_fetched: self
                 .groups
@@ -1148,7 +1035,6 @@ impl MemSysSim {
         for lane in &mut self.lanes {
             lane.reset();
         }
-        self.lat_ring.fill(0);
         self.next_tag = 0;
         self.inflight = 0;
         self.cycles = 0;
@@ -1544,49 +1430,9 @@ mod tests {
                 "tenant {t} submitted"
             );
             assert_eq!(s.submitted, s.completed, "tenant {t} conservation");
-            assert_eq!(
-                s.latency_hist.iter().sum::<u64>(),
-                s.completed,
-                "tenant {t} histogram mass"
-            );
             assert!(s.completion_cycle > 0);
             assert!(s.occupancy_cycles > 0);
         }
-    }
-
-    #[test]
-    fn weights_shift_completion_toward_the_heavy_tenant() {
-        // Two tenants with identical traffic on shared channels: giving
-        // tenant 0 a much larger issue weight must finish it no later
-        // than under equal weights.
-        let model = DramModel::new(MemoryKind::Hbm2e);
-        let traffic = TileTraffic {
-            random_bursts: 3000,
-            ..Default::default()
-        };
-        let done_with = |w0: u8, w1: u8| {
-            let mut cfg = MemSysConfig::with_tenants(&model, 1, 2, TenantPartition::Shared);
-            cfg.tenant_weights[0] = w0;
-            cfg.tenant_weights[1] = w1;
-            let mut sim = MemSysSim::with_config(model, cfg);
-            sim.add_tile_for(TenantId(0), traffic);
-            sim.add_tile_for(TenantId(1), traffic);
-            sim.run();
-            (
-                sim.tenant_stats(TenantId(0)).completion_cycle,
-                sim.tenant_stats(TenantId(1)).completion_cycle,
-            )
-        };
-        let (eq0, _) = done_with(1, 1);
-        let (heavy0, heavy1) = done_with(6, 1);
-        assert!(
-            heavy0 <= eq0,
-            "weighted tenant finished later: {heavy0} > {eq0}"
-        );
-        assert!(
-            heavy0 <= heavy1,
-            "the 6:1 tenant must not finish after the 1:6 one"
-        );
     }
 
     #[test]

@@ -136,8 +136,6 @@ pub struct ShuffleConfig {
     pub lanes: usize,
     /// Merge-unit lane-shift flexibility.
     pub shift: MergeShift,
-    /// Decision-FIFO depth per merge unit (paper: 64 entries).
-    pub decision_fifo: usize,
 }
 
 impl Default for ShuffleConfig {
@@ -146,7 +144,6 @@ impl Default for ShuffleConfig {
             ports: 16,
             lanes: 16,
             shift: MergeShift::One,
-            decision_fifo: 64,
         }
     }
 }
@@ -519,7 +516,6 @@ mod tests {
             ports: 4,
             lanes: 4,
             shift: MergeShift::One,
-            decision_fifo: 64,
         });
         // Source 0 sends one vector with entries for ports 1, 2, 3 and
         // itself (bypassed).
@@ -537,7 +533,6 @@ mod tests {
             ports: 4,
             lanes: 4,
             shift: MergeShift::Full,
-            decision_fifo: 64,
         });
         let mut streams: Vec<Vec<ShuffleVector>> = vec![Vec::new(); 4];
         for (src, stream) in streams.iter_mut().enumerate() {
@@ -585,7 +580,6 @@ mod tests {
                 ports: 16,
                 lanes: 16,
                 shift,
-                decision_fifo: 64,
             });
             net.route(&streams).cycles
         };
@@ -626,7 +620,6 @@ mod tests {
             ports: 6,
             lanes: 16,
             shift: MergeShift::One,
-            decision_fifo: 64,
         });
     }
 }

@@ -438,11 +438,11 @@ fn memsys_recorded_replay_is_allocation_free() {
 
 #[test]
 fn memsys_multi_tenant_tick_is_allocation_free() {
-    // The tenant layer adds per-tenant lanes, the weighted round-robin
-    // schedule, the latency-attribution ring, and per-tenant stat
-    // blocks; all of it is sized at construction (or warmed with the
-    // replay buffers), so interleaving tenants must not reopen the
-    // heap in steady state — shared and dedicated alike.
+    // The tenant layer adds per-tenant lanes and stat blocks and, under
+    // the dedicated partition, one channel group per tenant; all of it
+    // is sized at construction (or warmed with the replay buffers), so
+    // interleaving tenants must not reopen the heap in steady state —
+    // shared and dedicated alike.
     for (tenants, channels, partition) in [
         (2usize, 1usize, TenantPartition::Shared),
         (2, 4, TenantPartition::Dedicated),

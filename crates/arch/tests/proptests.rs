@@ -348,7 +348,6 @@ mod ag_reference {
             self.bursts.insert(burst, BurstState::Fetching);
             let req = BurstRequest {
                 addr: burst * 64,
-                is_write: false,
                 tag,
             };
             if self.channel.push(req).is_err() {
@@ -365,7 +364,6 @@ mod ag_reference {
             self.bursts.insert(burst, BurstState::WritingBack);
             let req = BurstRequest {
                 addr: burst * 64,
-                is_write: true,
                 tag,
             };
             if self.channel.push(req).is_ok() {

@@ -17,7 +17,6 @@
 //! scalar stream-join loop headers, and no shuffle network.
 
 use capstan_core::config::{CapstanConfig, MemoryKind};
-use capstan_sim::network::NetworkConfig;
 
 /// Applications that can be mapped (inefficiently) to Plasticine.
 ///
@@ -60,7 +59,6 @@ pub fn config(memory: MemoryKind) -> CapstanConfig {
     cfg.shuffle = None;
     // No sparse-pointer DRAM compression.
     cfg.compression = false;
-    cfg.network = NetworkConfig::default();
     cfg
 }
 

@@ -52,7 +52,7 @@ fn sample_free_workloads_cost_like_full_ones_or_decline() {
     let mut cold_spmu = record_cfg;
     cold_spmu.spmu.queue_depth = 13;
     let mut cold_route = record_cfg;
-    cold_route.shuffle.as_mut().unwrap().decision_fifo = 13;
+    cold_route.shuffle.as_mut().unwrap().lanes = 8;
     let mut recorded = record_cfg;
     recorded.mem_timing = MemTiming::CycleLevel;
     recorded.mem_addresses = MemAddressing::Recorded;

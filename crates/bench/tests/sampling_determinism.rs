@@ -110,11 +110,10 @@ fn planner_reports_are_identical_across_thread_counts_and_runs() {
 
 #[test]
 fn multi_tenant_reports_are_identical_across_thread_counts() {
-    // The tenant-interleaved driver adds per-tenant cursors, a weighted
-    // round-robin schedule, and per-tenant stat attribution on top of
-    // the single-tenant path; none of it may depend on which worker
-    // thread runs the simulation. 2 and 3 tenants, shared and
-    // dedicated.
+    // Tenant interleaving adds per-tenant cursors, a round-robin issue
+    // order, and per-tenant stat attribution on top of the
+    // single-tenant path; none of it may depend on which worker thread
+    // runs the simulation. 2 and 3 tenants, shared and dedicated.
     let workloads = record_with_threads(1);
     for (tenants, channels, partition) in [
         (2usize, 1usize, TenantPartition::Shared),

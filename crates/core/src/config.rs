@@ -6,7 +6,6 @@ use capstan_arch::scanner::{BitVecScanner, DataScanner};
 use capstan_arch::shuffle::ShuffleConfig;
 use capstan_arch::spmu::SpmuConfig;
 pub use capstan_sim::dram::MemoryKind;
-use capstan_sim::network::NetworkConfig;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
 /// How the performance engine prices DRAM time.
@@ -304,8 +303,6 @@ pub struct CapstanConfig {
     /// Shuffle network (`None` models a machine without one — Table 11's
     /// "None" column, where cross-tile updates fall back to DRAM).
     pub shuffle: Option<ShuffleConfig>,
-    /// On-chip network parameters.
-    pub network: NetworkConfig,
     /// Read-only DRAM compression for pointer tiles (§3.4, Fig. 5c).
     pub compression: bool,
     /// Outer-parallel pipelines used by applications (bounded by the
@@ -314,12 +311,6 @@ pub struct CapstanConfig {
     /// Model an ideal network and memory ("Capstan (Ideal Net & Mem)",
     /// Table 12).
     pub ideal_net_and_mem: bool,
-    /// Maximum access vectors per tile replayed through the cycle-level
-    /// SpMU (longer traces are sampled and extrapolated).
-    pub sram_sample_limit: usize,
-    /// Maximum request vectors per tile routed through the cycle-level
-    /// shuffle network model.
-    pub(crate) shuffle_sample_limit: usize,
     /// Model sparse loop headers as *scalar stream-joins* (one
     /// compare-dequeue decision per cycle) instead of the vectorized
     /// scanner. This is how Plasticine — which has no scanner — must
@@ -352,7 +343,7 @@ pub struct CapstanConfig {
     /// Memory tenants of the cycle-level mode: each tile's DRAM traffic
     /// is attributed to one of `mem_tenants` tenants (round-robin over
     /// tile index in `perf`), and the driver interleaves the tenants'
-    /// traffic in a deterministic weighted round-robin
+    /// traffic in a deterministic round-robin over tenants
     /// (`capstan_arch::memdrv::TenantId`). 1 — the default — reproduces
     /// the single-tenant driver every committed golden value was
     /// captured under bit-for-bit. Ignored by the analytic mode.
@@ -365,12 +356,6 @@ pub struct CapstanConfig {
     pub mem_tenant_partition: TenantPartition,
     /// Has no effect; kept only so external code that still reads it compiles.
     pub mem_fast_forward: bool,
-    /// Maximum recorded DRAM addresses retained per tile *per traffic
-    /// class* (random reads, atomics, remote-update destinations). The
-    /// recorder keeps a deterministic decimating sample of this size;
-    /// the cycle-level recorded-address replay cycles through it to
-    /// cover the class's full traffic total.
-    pub(crate) addr_sample_limit: usize,
 }
 
 impl CapstanConfig {
@@ -383,12 +368,9 @@ impl CapstanConfig {
             scanner: BitVecScanner::default(),
             data_scanner: DataScanner::default(),
             shuffle: Some(ShuffleConfig::default()),
-            network: NetworkConfig::default(),
             compression: true,
             outer_par: 32,
             ideal_net_and_mem: false,
-            sram_sample_limit: 384,
-            shuffle_sample_limit: 128,
             scalar_stream_join: false,
             rmw_bubble_cycles: 0,
             serialized_sram: false,
@@ -398,7 +380,6 @@ impl CapstanConfig {
             mem_tenant_partition: TenantPartition::default(),
             mem_addresses: default_mem_addressing(),
             mem_fast_forward: false,
-            addr_sample_limit: 512,
         }
     }
 
@@ -487,7 +468,6 @@ mod tests {
             MemAddressing::Synthetic
         );
         assert_eq!(default_mem_addressing(), MemAddressing::Synthetic);
-        assert!(CapstanConfig::paper_default().addr_sample_limit > 0);
     }
 
     #[test]

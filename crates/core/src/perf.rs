@@ -532,7 +532,7 @@ pub fn try_simulate(workload: &Workload, cfg: &CapstanConfig) -> Option<PerfRepo
     }
     let pipelines = cfg.effective_outer_par(workload.cus_per_pipeline);
     let p = pipelines as f64;
-    let net_model = NetworkModel::new(cfg.network, cfg.grid.side);
+    let net_model = NetworkModel::new(cfg.grid.side);
     let dram_model = DramModel::new(cfg.memory);
 
     // --- Synthetic analysis ---------------------------------------------
@@ -1354,11 +1354,10 @@ mod tests {
         }
 
         type ConfigEdit = fn(&mut ShuffleConfig);
-        let config_edits: [(&str, ConfigEdit); 4] = [
+        let config_edits: [(&str, ConfigEdit); 3] = [
             ("ports", |c| c.ports = 32),
             ("lanes", |c| c.lanes = 8),
             ("shift", |c| c.shift = MergeShift::Full),
-            ("decision_fifo", |c| c.decision_fifo = 32),
         ];
         for (what, edit) in config_edits {
             let mut other = shuffle;

@@ -120,6 +120,18 @@ impl SampleDigest {
     }
 }
 
+/// Maximum access vectors per tile replayed through the cycle-level
+/// SpMU (longer traces are sampled and extrapolated).
+pub const SRAM_SAMPLE_LIMIT: usize = 384;
+/// Maximum request vectors per tile routed through the cycle-level
+/// shuffle network model.
+const SHUFFLE_SAMPLE_LIMIT: usize = 128;
+/// Maximum recorded DRAM addresses retained per tile *per traffic
+/// class* (random reads, atomics, remote-update destinations). The
+/// cycle-level recorded-address replay cycles through this sample to
+/// cover the class's full traffic total.
+const ADDR_SAMPLE_LIMIT: usize = 512;
+
 /// Deterministic decimating reservoir: keeps an evenly spaced sample of a
 /// stream without randomness (every `2^k`-th element once full).
 #[derive(Debug, Clone)]
@@ -352,9 +364,6 @@ pub struct WorkloadBuilder {
     data_scanner: DataScanner,
     lanes: usize,
     shuffle_ports: usize,
-    sram_limit: usize,
-    shuffle_limit: usize,
-    addr_limit: usize,
     tiles: Vec<TileWork>,
     dependent_rounds: u64,
     cus_per_pipeline: usize,
@@ -367,7 +376,7 @@ impl WorkloadBuilder {
     }
 
     /// Creates a builder matching a specific configuration (scanner
-    /// widths and sampling limits affect what gets recorded).
+    /// widths and lane counts affect what gets recorded).
     pub fn for_config(name: impl Into<String>, cfg: &CapstanConfig) -> Self {
         WorkloadBuilder {
             name: name.into(),
@@ -375,9 +384,6 @@ impl WorkloadBuilder {
             data_scanner: cfg.data_scanner,
             lanes: cfg.grid.lanes,
             shuffle_ports: cfg.shuffle.map(|s| s.ports).unwrap_or(16),
-            sram_limit: cfg.sram_sample_limit,
-            shuffle_limit: cfg.shuffle_sample_limit,
-            addr_limit: cfg.addr_sample_limit,
             tiles: Vec::new(),
             dependent_rounds: 0,
             cus_per_pipeline: 1,
@@ -400,11 +406,11 @@ impl WorkloadBuilder {
             access_seq: 0,
             builders: Vec::new(),
             remote_builder: Vec::new(),
-            sram_sample: Decimator::new(self.sram_limit),
-            remote_sample: Decimator::new(self.shuffle_limit),
-            remote_addr_sample: Decimator::new(self.addr_limit),
-            random_addr_sample: Decimator::new(self.addr_limit),
-            atomic_addr_sample: Decimator::new(self.addr_limit),
+            sram_sample: Decimator::new(SRAM_SAMPLE_LIMIT),
+            remote_sample: Decimator::new(SHUFFLE_SAMPLE_LIMIT),
+            remote_addr_sample: Decimator::new(ADDR_SAMPLE_LIMIT),
+            random_addr_sample: Decimator::new(ADDR_SAMPLE_LIMIT),
+            atomic_addr_sample: Decimator::new(ADDR_SAMPLE_LIMIT),
         }
     }
 
@@ -979,9 +985,7 @@ mod tests {
 
     #[test]
     fn address_samples_stay_bounded() {
-        let mut cfg = CapstanConfig::paper_default();
-        cfg.addr_sample_limit = 64;
-        let mut wl = WorkloadBuilder::for_config("t", &cfg);
+        let mut wl = WorkloadBuilder::new("t");
         {
             let mut t = wl.tile();
             for i in 0..100_000u64 {
@@ -991,7 +995,11 @@ mod tests {
         }
         let w = wl.finish();
         let sample = &w.tiles[0].dram_atomic_addrs;
-        assert!(sample.len() <= 128, "sample grew to {}", sample.len());
+        assert!(
+            sample.len() <= 2 * ADDR_SAMPLE_LIMIT,
+            "sample grew to {}",
+            sample.len()
+        );
         // The sample spans the stream, not just its head.
         assert!(*sample.last().unwrap() > 50_000);
         assert_eq!(w.tiles[0].dram_atomic_words, 100_000);

@@ -3,8 +3,7 @@
 
 use capstan_arch::scanner::ScanMode;
 use capstan_arch::spmu::RmwOp;
-use capstan_core::config::CapstanConfig;
-use capstan_core::program::WorkloadBuilder;
+use capstan_core::program::{WorkloadBuilder, SRAM_SAMPLE_LIMIT};
 use capstan_tensor::bitvec::BitVec;
 use proptest::prelude::*;
 
@@ -49,9 +48,8 @@ proptest! {
         let expect_rmw = n.div_ceil(rmw_every) as u64;
         prop_assert_eq!(sram.total_requests, n as u64 + expect_rmw);
         prop_assert_eq!(sram.rmw_requests, expect_rmw);
-        // Sampled vectors never exceed twice the configured limit.
-        let cfg = CapstanConfig::paper_default();
-        prop_assert!(sram.sampled.len() <= 2 * cfg.sram_sample_limit);
+        // Sampled vectors never exceed twice the sample limit.
+        prop_assert!(sram.sampled.len() <= 2 * SRAM_SAMPLE_LIMIT);
         // Every sampled vector is non-empty.
         prop_assert!(sram.sampled.iter().all(|v| v.occupancy() > 0));
     }

@@ -49,8 +49,6 @@ pub struct Candidate {
     /// distinguish channel counts, so ties always resolve to the
     /// fewest).
     channels: usize,
-    /// Scattered-address mode.
-    addressing: MemAddressing,
 }
 
 /// A probed candidate with its analytic cycle count.
@@ -81,10 +79,9 @@ impl Plan {
 }
 
 /// The deterministic candidate grid the SpMV planner probes: every
-/// buildable format crossed with {1, 4} region channels, synthetic
-/// addressing. Channel counts beyond 1 are carried for the cycle-level
-/// verify tier; the analytic probe prices them identically and the
-/// tie-break keeps the fewest.
+/// buildable format crossed with {1, 4} region channels. Channel counts
+/// beyond 1 are carried for the cycle-level verify tier; the analytic
+/// probe prices them identically and the tie-break keeps the fewest.
 fn spmv_candidates() -> Vec<Candidate> {
     let mut out = Vec::new();
     for format in [
@@ -94,11 +91,7 @@ fn spmv_candidates() -> Vec<Candidate> {
         FormatClass::Bcsr,
     ] {
         for channels in [1usize, 4] {
-            out.push(Candidate {
-                format,
-                channels,
-                addressing: MemAddressing::Synthetic,
-            });
+            out.push(Candidate { format, channels });
         }
     }
     out
@@ -155,9 +148,9 @@ pub fn plan_spmv(m: &Coo) -> Plan {
         };
         // One workload per format, simulated under each channel count:
         // recording reads no memory field of the config (only the
-        // scanner, lanes, shuffle ports and sample limits), so every
-        // probe config records the same workload. The app is dropped
-        // before simulating, and the workload before the next format is
+        // scanner, lanes and shuffle ports), so every probe config
+        // records the same workload. The app is dropped before
+        // simulating, and the workload before the next format is
         // built, so two probes' matrices never live at once. Each is
         // O(nnz) on the host: BCSR keeps only its blocks' non-zeros.
         let workload = app.build(&probe_config(group[0].channels));
@@ -184,9 +177,6 @@ pub fn plan_spmv(m: &Coo) -> Plan {
 /// submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannedConfig {
-    /// Suggested sparse format (the static tier,
-    /// [`TensorStats::suggest`]).
-    format: FormatClass,
     /// Memory-timing mode.
     pub mem: MemTiming,
     /// Scattered-address mode.
@@ -202,7 +192,6 @@ pub struct PlannedConfig {
 /// plans, so identical data content-addresses to the same cache entry.
 pub fn plan_request(stats: &TensorStats) -> PlannedConfig {
     PlannedConfig {
-        format: stats.suggest(),
         mem: MemTiming::Analytic,
         addresses: MemAddressing::Synthetic,
         // Large datasets get the multi-channel topology so a cycle-level
@@ -234,7 +223,6 @@ mod tests {
         assert_eq!(c[0].format, FormatClass::Csr);
         assert_eq!(c[0].channels, 1);
         assert_eq!(c[1].channels, 4);
-        assert!(c.iter().all(|x| x.addressing == MemAddressing::Synthetic));
         // Determinism: two calls, same grid.
         assert_eq!(c, spmv_candidates());
     }
@@ -287,7 +275,6 @@ mod tests {
         assert_eq!(planned.mem, MemTiming::Analytic);
         assert_eq!(planned.addresses, MemAddressing::Synthetic);
         assert_eq!(planned.channels, 1);
-        assert_eq!(planned.format, small.suggest());
         let mut big = small;
         big.nnz = MULTI_CHANNEL_NNZ;
         assert_eq!(plan_request(&big).channels, 4);

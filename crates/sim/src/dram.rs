@@ -146,8 +146,6 @@ impl DramModel {
 pub struct BurstRequest {
     /// Burst-aligned address.
     pub addr: u64,
-    /// True for writes.
-    pub is_write: bool,
     /// Opaque tag returned on completion.
     pub tag: u64,
 }
@@ -308,8 +306,6 @@ pub struct BankedStats {
     pub row_hits: u64,
     /// Bursts that closed one open row to activate another.
     pub row_conflicts: u64,
-    /// Bursts that activated a row in an idle bank (cold opens).
-    pub row_opens: u64,
     /// Total cycles requests spent queued beyond the CAS latency
     /// (bank-contention wait).
     pub contention_cycles: u64,
@@ -461,9 +457,7 @@ impl BankedDramChannel {
                 self.stats.row_hits += 1;
                 bank.busy_until = self.cycle + 1;
             } else {
-                if bank.open_row == NO_ROW {
-                    self.stats.row_opens += 1;
-                } else {
+                if bank.open_row != NO_ROW {
                     self.stats.row_conflicts += 1;
                 }
                 bank.open_row = row;
@@ -605,7 +599,6 @@ impl ChannelArray {
             total.served += s.served;
             total.row_hits += s.row_hits;
             total.row_conflicts += s.row_conflicts;
-            total.row_opens += s.row_opens;
             total.contention_cycles += s.contention_cycles;
             total.bank_busy_cycles += s.bank_busy_cycles;
             total.peak_bank_queue = total.peak_bank_queue.max(s.peak_bank_queue);
@@ -712,7 +705,6 @@ mod tests {
         for i in 0..32 {
             ch.push(BurstRequest {
                 addr: i * 64,
-                is_write: false,
                 tag: i,
             })
             .unwrap();
@@ -739,27 +731,9 @@ mod tests {
     #[test]
     fn channel_backpressure() {
         let mut ch = DramChannel::new(DramModel::new(MemoryKind::Ddr4), 2);
-        assert!(ch
-            .push(BurstRequest {
-                addr: 0,
-                is_write: false,
-                tag: 0
-            })
-            .is_ok());
-        assert!(ch
-            .push(BurstRequest {
-                addr: 64,
-                is_write: true,
-                tag: 1
-            })
-            .is_ok());
-        assert!(ch
-            .push(BurstRequest {
-                addr: 128,
-                is_write: false,
-                tag: 2
-            })
-            .is_err());
+        assert!(ch.push(BurstRequest { addr: 0, tag: 0 }).is_ok());
+        assert!(ch.push(BurstRequest { addr: 64, tag: 1 }).is_ok());
+        assert!(ch.push(BurstRequest { addr: 128, tag: 2 }).is_err());
     }
 
     fn drain_banked(ch: &mut BankedDramChannel, budget: u64) -> Vec<BurstCompletion> {
@@ -784,7 +758,6 @@ mod tests {
             while pushed < total {
                 let req = BurstRequest {
                     addr: pushed * BURST_BYTES,
-                    is_write: false,
                     tag: pushed,
                 };
                 if ch.push(req).is_err() {
@@ -829,7 +802,6 @@ mod tests {
                 let burst = (pushed * 977) % 65_536;
                 let req = BurstRequest {
                     addr: burst * BURST_BYTES,
-                    is_write: false,
                     tag: pushed,
                 };
                 if ch.push(req).is_err() {
@@ -861,12 +833,7 @@ mod tests {
         let mut ch = BankedDramChannel::new(model, timing);
         // Two requests into the same bank (same address even).
         for tag in 0..2 {
-            ch.push(BurstRequest {
-                addr: 0,
-                is_write: false,
-                tag,
-            })
-            .unwrap();
+            ch.push(BurstRequest { addr: 0, tag }).unwrap();
         }
         let done = drain_banked(&mut ch, 100_000);
         assert_eq!(done.len(), 2);
@@ -886,7 +853,6 @@ mod tests {
         // Fill bank 0 (addresses 0, 16*64, 32*64 all map to bank 0).
         let bank0 = |i: u64| BurstRequest {
             addr: i * timing.banks as u64 * BURST_BYTES,
-            is_write: false,
             tag: i,
         };
         assert!(ch.push(bank0(0)).is_ok());
@@ -896,7 +862,6 @@ mod tests {
         assert!(ch
             .push(BurstRequest {
                 addr: BURST_BYTES,
-                is_write: false,
                 tag: 99
             })
             .is_ok());
@@ -910,7 +875,6 @@ mod tests {
         for i in 0..64u64 {
             ch.push(BurstRequest {
                 addr: i * BURST_BYTES,
-                is_write: false,
                 tag: i,
             })
             .unwrap();
@@ -932,7 +896,6 @@ mod tests {
             while pushed < total {
                 let req = BurstRequest {
                     addr: addr_of(pushed),
-                    is_write: false,
                     tag: pushed,
                 };
                 if arr.push(req).is_err() {
@@ -966,7 +929,6 @@ mod tests {
             while pushed < total {
                 let req = BurstRequest {
                     addr: addr_of(pushed),
-                    is_write: false,
                     tag: pushed,
                 };
                 let a = single.push(req);
@@ -1051,7 +1013,6 @@ mod tests {
             for i in 0..64u64 {
                 ch.push(BurstRequest {
                     addr: (i * 977 % 4096) * BURST_BYTES,
-                    is_write: false,
                     tag: i,
                 })
                 .unwrap();
@@ -1073,12 +1034,7 @@ mod tests {
         for _ in 0..1000 {
             assert!(ch.tick().is_empty());
         }
-        ch.push(BurstRequest {
-            addr: 0,
-            is_write: false,
-            tag: 7,
-        })
-        .unwrap();
+        ch.push(BurstRequest { addr: 0, tag: 7 }).unwrap();
         // Even after a long idle period, the single burst still waits out
         // its service latency.
         let mut done_at = None;

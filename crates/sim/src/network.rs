@@ -19,37 +19,21 @@
 /// Bytes per 512-bit vector flit.
 const VECTOR_FLIT_BYTES: u64 = 64;
 
-/// Static configuration of the on-chip network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetworkConfig {
-    /// Cycles of latency added per hop (link + switch pipeline).
-    hop_latency: u64,
-    /// Per-link buffering in flits (timing slack for reordered accesses).
-    link_buffer_flits: usize,
-}
-
-impl Default for NetworkConfig {
-    fn default() -> Self {
-        // Two pipeline stages per hop is representative of the hybrid
-        // static/dynamic network Capstan inherits (Zhang et al., ISCA'19).
-        NetworkConfig {
-            hop_latency: 2,
-            link_buffer_flits: 4,
-        }
-    }
-}
+/// Cycles of latency added per hop (link + switch pipeline). Two
+/// pipeline stages per hop is representative of the hybrid
+/// static/dynamic network Capstan inherits (Zhang et al., ISCA'19).
+const HOP_LATENCY: u64 = 2;
 
 /// Analytic network model for a grid of the given dimensions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetworkModel {
-    config: NetworkConfig,
     grid_side: usize,
 }
 
 impl NetworkModel {
     /// Creates a model for a `grid_side x grid_side` unit array.
-    pub fn new(config: NetworkConfig, grid_side: usize) -> Self {
-        NetworkModel { config, grid_side }
+    pub fn new(grid_side: usize) -> Self {
+        NetworkModel { grid_side }
     }
 
     /// Average Manhattan hop count between uniformly random grid points
@@ -60,12 +44,12 @@ impl NetworkModel {
 
     /// Latency in cycles for one message crossing `hops` links.
     fn traversal_latency(&self, hops: u64) -> u64 {
-        hops * self.config.hop_latency
+        hops * HOP_LATENCY
     }
 
     /// End-to-end latency for an average-distance message.
     fn mean_latency(&self) -> u64 {
-        (self.mean_hops() * self.config.hop_latency as f64).round() as u64
+        (self.mean_hops() * HOP_LATENCY as f64).round() as u64
     }
 
     /// Cycles for a *pipelined* stream of `bytes` over one vector link:
@@ -87,7 +71,7 @@ mod tests {
     use super::*;
 
     fn model() -> NetworkModel {
-        NetworkModel::new(NetworkConfig::default(), 20)
+        NetworkModel::new(20)
     }
 
     #[test]

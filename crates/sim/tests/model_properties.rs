@@ -6,7 +6,7 @@ use capstan_sim::dram::{
     AccessPattern, BankTiming, BankedDramChannel, BurstRequest, DramChannel, DramModel, MemoryKind,
     BURST_BYTES,
 };
-use capstan_sim::network::{NetworkConfig, NetworkModel};
+use capstan_sim::network::NetworkModel;
 use proptest::prelude::*;
 
 proptest! {
@@ -58,7 +58,7 @@ proptest! {
         let mut next_tag = 0u64;
         for cycle in 0..200_000u64 {
             if (pushed as usize) < n && cycle % 3 == 0 {
-                let req = BurstRequest { addr: pushed * 64, is_write: pushed.is_multiple_of(2), tag: next_tag };
+                let req = BurstRequest { addr: pushed * 64, tag: next_tag };
                 if ch.push(req).is_ok() {
                     pushed += 1;
                     next_tag += 1;
@@ -82,12 +82,12 @@ proptest! {
 
     #[test]
     fn banked_channel_preserves_per_bank_fifo_and_conserves_bytes(
-        bursts in prop::collection::vec((0u64..4096, any::<bool>()), 1..64),
+        bursts in prop::collection::vec(0u64..4096, 1..64),
         kind_ddr4 in any::<bool>(),
         gap in 1u64..5,
     ) {
-        // Random request interleavings (addresses, read/write mix, and a
-        // randomized push cadence) must preserve per-bank FIFO order,
+        // Random request interleavings (addresses and a randomized push
+        // cadence) must preserve per-bank FIFO order,
         // complete every burst exactly once (byte conservation), and
         // never complete a burst before the configured CAS latency.
         let model = DramModel::new(if kind_ddr4 { MemoryKind::Ddr4 } else { MemoryKind::Hbm2e });
@@ -98,10 +98,8 @@ proptest! {
         let mut completions: Vec<(u64, u64)> = Vec::new(); // (tag, cycle)
         for cycle in 0..2_000_000u64 {
             if next < bursts.len() && cycle % gap == 0 {
-                let (burst, is_write) = bursts[next];
                 let req = BurstRequest {
-                    addr: burst * BURST_BYTES,
-                    is_write,
+                    addr: bursts[next] * BURST_BYTES,
                     tag: next as u64,
                 };
                 if ch.push(req).is_ok() {
@@ -136,7 +134,7 @@ proptest! {
             let order: Vec<u64> = completions
                 .iter()
                 .map(|&(t, _)| t)
-                .filter(|&t| ch.bank_of(bursts[t as usize].0 * BURST_BYTES) == bank)
+                .filter(|&t| ch.bank_of(bursts[t as usize] * BURST_BYTES) == bank)
                 .collect();
             prop_assert!(
                 order.windows(2).all(|w| w[0] < w[1]),
@@ -148,7 +146,7 @@ proptest! {
 
     #[test]
     fn network_stream_cost_monotone(bytes in 0u64..(1 << 24), hops in 0u64..40) {
-        let m = NetworkModel::new(NetworkConfig::default(), 20);
+        let m = NetworkModel::new(20);
         prop_assert!(m.stream_cycles(bytes, hops) <= m.stream_cycles(bytes + 64, hops));
         prop_assert!(m.stream_cycles(bytes, hops) <= m.stream_cycles(bytes, hops + 1));
         prop_assert_eq!(

@@ -71,8 +71,6 @@ pub enum Structure {
 /// structural class used for synthesis.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetSpec {
-    /// Dataset identity.
-    dataset: Dataset,
     /// Name as printed in the paper.
     pub name: &'static str,
     /// Square dimension (or activation spatial dim for CNN layers).
@@ -107,7 +105,6 @@ impl Dataset {
     pub fn spec(self) -> DatasetSpec {
         match self {
             Dataset::Ckt11752 => DatasetSpec {
-                dataset: self,
                 name: "ckt11752_dc_1",
                 dim: 49_702,
                 nnz: 333_029,
@@ -115,7 +112,6 @@ impl Dataset {
                 structure: Structure::Circuit,
             },
             Dataset::Trefethen20000 => DatasetSpec {
-                dataset: self,
                 name: "Trefethen_20000",
                 dim: 20_000,
                 nnz: 554_466,
@@ -123,7 +119,6 @@ impl Dataset {
                 structure: Structure::MultiDiagonal,
             },
             Dataset::Bcsstk30 => DatasetSpec {
-                dataset: self,
                 name: "bcsstk30",
                 dim: 28_924,
                 nnz: 2_043_492,
@@ -131,7 +126,6 @@ impl Dataset {
                 structure: Structure::Banded,
             },
             Dataset::UsRoads => DatasetSpec {
-                dataset: self,
                 name: "usroads-48",
                 dim: 126_146,
                 nnz: 323_900,
@@ -139,7 +133,6 @@ impl Dataset {
                 structure: Structure::Road,
             },
             Dataset::WebStanford => DatasetSpec {
-                dataset: self,
                 name: "web-Stanford",
                 dim: 281_903,
                 nnz: 2_312_497,
@@ -147,7 +140,6 @@ impl Dataset {
                 structure: Structure::PowerLaw,
             },
             Dataset::Flickr => DatasetSpec {
-                dataset: self,
                 name: "flickr",
                 dim: 820_878,
                 nnz: 9_837_214,
@@ -155,7 +147,6 @@ impl Dataset {
                 structure: Structure::PowerLaw,
             },
             Dataset::Gnutella31 => DatasetSpec {
-                dataset: self,
                 name: "p2p-Gnutella31",
                 dim: 62_586,
                 nnz: 147_892,
@@ -163,7 +154,6 @@ impl Dataset {
                 structure: Structure::PowerLaw,
             },
             Dataset::SpaceStation4 => DatasetSpec {
-                dataset: self,
                 name: "spaceStation_4",
                 dim: 950,
                 nnz: 14_158,
@@ -171,7 +161,6 @@ impl Dataset {
                 structure: Structure::DenseRandom,
             },
             Dataset::Qc324 => DatasetSpec {
-                dataset: self,
                 name: "qc324",
                 dim: 324,
                 nnz: 27_054,
@@ -179,7 +168,6 @@ impl Dataset {
                 structure: Structure::DenseRandom,
             },
             Dataset::Mbeacxc => DatasetSpec {
-                dataset: self,
                 name: "mbeacxc",
                 dim: 496,
                 nnz: 49_920,
@@ -187,7 +175,6 @@ impl Dataset {
                 structure: Structure::DenseRandom,
             },
             Dataset::ResNet50L1 => DatasetSpec {
-                dataset: self,
                 name: "ResNet-50 #1",
                 dim: 56,
                 nnz: 88_837,
@@ -195,7 +182,6 @@ impl Dataset {
                 structure: Structure::Cnn,
             },
             Dataset::ResNet50L2 => DatasetSpec {
-                dataset: self,
                 name: "ResNet-50 #2",
                 dim: 56,
                 nnz: 47_574,
@@ -203,7 +189,6 @@ impl Dataset {
                 structure: Structure::Cnn,
             },
             Dataset::ResNet50L29 => DatasetSpec {
-                dataset: self,
                 name: "ResNet-50 #29",
                 dim: 14,
                 nnz: 41_552,

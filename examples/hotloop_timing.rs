@@ -14,7 +14,10 @@
 //! - `memdrv`: the cycle-level memory drain (`MemSysSim`: region
 //!   channels and AGs) of an atomic-heavy scatter kernel on HBM2E at 1
 //!   and 8 region channels, in host nanoseconds per drained memory
-//!   cycle, with the drain cycles;
+//!   cycle, with the drain cycles; then `MemSysSim::with_config` (and
+//!   the drop of the previous `MemSysSim`) at 1, 8 and 80 region
+//!   channels, the cost every cycle-level `simulate` pays once, in
+//!   microseconds;
 //! - `simulate`: an SRAM-heavy workload, cold and then on a replay-memo
 //!   hit;
 //! - `simulate pr-edge`: PR-Edge on web-Stanford at the `small` graph
@@ -215,6 +218,12 @@ fn memdrv_rows() {
             stats.cycles,
             stats.ag_bursts_fetched
         );
+    }
+    for (channels, reps) in [(1, 2_000), (8, 500), (80, 50)] {
+        let (secs, _) = best_of_3(reps, || {
+            MemSysSim::with_config(model, MemSysConfig::with_channels(&model, channels))
+        });
+        println!("memdrv new {channels:>2} ch {:>10.1} us/call", secs * 1e6);
     }
 }
 

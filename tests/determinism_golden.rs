@@ -775,9 +775,12 @@ fn banked_channel_completion_stream_is_bit_identical_to_golden() {
                     seq += 1;
                     seq
                 };
+                // This draw once chose the burst's direction; the channel
+                // times reads and writes alike, and the pinned stream
+                // depends on the whole draw sequence, so it stays.
+                let _ = rng.below(4);
                 let req = BurstRequest {
                     addr: burst * BURST_BYTES,
-                    is_write: rng.below(4) == 0,
                     tag: pushed,
                 };
                 if ch.push(req).is_ok() {
@@ -964,6 +967,144 @@ fn recorded_address_pagerank_is_bit_identical_to_golden() {
         })
         .collect();
     assert_golden("recorded-address PR-Edge simulate", &observed, &golden);
+}
+
+/// Golden pins for the cycle-level memory model's issue loop under
+/// several tenants: every tenant queues streaming, random and atomic
+/// traffic, drained through `MemSysSim` under both partitions. The
+/// dedicated partition splits the issue width into private budgets that
+/// run out mid-round, so the order in which a tenant tries its three
+/// classes, and which budget each tenant draws from, both show in the
+/// drain. Captured before the shared and dedicated issue loops were
+/// merged into one.
+#[test]
+fn multi_tenant_memsys_drain_is_bit_identical_to_golden() {
+    use capstan::arch::memdrv::{MemSysConfig, MemSysSim, TenantId, TenantPartition, TileTraffic};
+    use capstan::sim::dram::DramModel;
+
+    #[derive(Debug, PartialEq)]
+    struct Golden {
+        channels: usize,
+        tenants: usize,
+        partition: TenantPartition,
+        cycles: u64,
+        row_hits: u64,
+        row_conflicts: u64,
+        contention: u64,
+        ag_fetched: u64,
+        ag_written: u64,
+        /// Per tenant: completion cycle, then occupancy cycles.
+        per_tenant: [(u64, u64); 3],
+    }
+    let golden = [
+        Golden {
+            channels: 1,
+            tenants: 1,
+            partition: TenantPartition::Shared,
+            cycles: 1068,
+            row_hits: 207,
+            row_conflicts: 1277,
+            contention: 25_857,
+            ag_fetched: 1392,
+            ag_written: 1392,
+            per_tenant: [(903, 341_133), (0, 0), (0, 0)],
+        },
+        Golden {
+            channels: 2,
+            tenants: 2,
+            partition: TenantPartition::Shared,
+            cycles: 1294,
+            row_hits: 181,
+            row_conflicts: 2887,
+            contention: 8691,
+            ag_fetched: 3480,
+            ag_written: 3480,
+            per_tenant: [(920, 305_070), (1129, 410_134), (0, 0)],
+        },
+        Golden {
+            channels: 3,
+            tenants: 3,
+            partition: TenantPartition::Shared,
+            cycles: 1553,
+            row_hits: 1163,
+            row_conflicts: 3589,
+            contention: 1965,
+            ag_fetched: 6178,
+            ag_written: 6178,
+            per_tenant: [(876, 279_580), (1182, 387_294), (1388, 509_217)],
+        },
+        Golden {
+            channels: 2,
+            tenants: 2,
+            partition: TenantPartition::Dedicated,
+            cycles: 1503,
+            row_hits: 609,
+            row_conflicts: 2459,
+            contention: 3811,
+            ag_fetched: 3463,
+            ag_written: 3463,
+            per_tenant: [(941, 310_496), (1338, 423_010), (0, 0)],
+        },
+        Golden {
+            channels: 3,
+            tenants: 3,
+            partition: TenantPartition::Dedicated,
+            cycles: 1996,
+            row_hits: 1511,
+            row_conflicts: 3241,
+            contention: 1762,
+            ag_fetched: 6169,
+            ag_written: 6169,
+            per_tenant: [(1062, 299_314), (1476, 409_469), (1831, 517_274)],
+        },
+        Golden {
+            channels: 4,
+            tenants: 2,
+            partition: TenantPartition::Dedicated,
+            cycles: 971,
+            row_hits: 828,
+            row_conflicts: 2208,
+            contention: 914,
+            ag_fetched: 3518,
+            ag_written: 3518,
+            per_tenant: [(606, 277_767), (806, 383_718), (0, 0)],
+        },
+    ];
+    let model = DramModel::new(MemoryKind::Hbm2e);
+    let traffic = |t: u64| TileTraffic {
+        stream_bursts: 600 + 400 * t,
+        random_bursts: 900 - 300 * t,
+        atomic_words: 1500 + 700 * t,
+    };
+    let observed: Vec<_> = golden
+        .iter()
+        .map(|g| {
+            let cfg = MemSysConfig::with_tenants(&model, g.channels, g.tenants, g.partition);
+            let mut sim = MemSysSim::with_config(model, cfg);
+            for t in 0..g.tenants {
+                sim.add_tile_for(TenantId(t), traffic(t as u64));
+            }
+            let m = sim.run();
+            let mut per_tenant = [(0, 0); 3];
+            for (t, slot) in per_tenant.iter_mut().enumerate().take(g.tenants) {
+                let s = sim.tenant_stats(TenantId(t));
+                *slot = (s.completion_cycle, s.occupancy_cycles);
+            }
+            Golden {
+                channels: g.channels,
+                tenants: g.tenants,
+                partition: g.partition,
+                cycles: m.cycles,
+                row_hits: m.row_hits,
+                row_conflicts: m.row_conflicts,
+                contention: m.contention_cycles,
+                ag_fetched: m.ag_bursts_fetched,
+                ag_written: m.ag_bursts_written,
+                per_tenant,
+            }
+        })
+        .collect();
+    assert_golden("multi-tenant memory drain", &observed, &golden);
 }
 
 #[test]

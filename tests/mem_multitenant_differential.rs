@@ -221,7 +221,6 @@ fn per_tenant_served_words_are_conserved_end_to_end() {
                 s.submitted,
                 "{partition:?}/{tenants}: tenant {t} queued == submitted"
             );
-            assert_eq!(s.latency_hist.iter().sum::<u64>(), s.completed);
             total += s.completed;
         }
         let m = r.mem.expect("cycle mode surfaces stats");
