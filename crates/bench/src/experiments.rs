@@ -1,7 +1,8 @@
 //! Experiment implementations: one function per table/figure.
 //!
-//! Every function returns the formatted report it prints, so integration
-//! tests can assert on the reproduced shapes.
+//! Every function returns its formatted report and prints nothing; the
+//! `experiments` binary prints it, and integration tests assert on the
+//! reproduced shapes.
 //!
 //! Every sweep hands its independent points to one
 //! [`capstan_par::par_map`] call and formats the report afterwards.
@@ -40,8 +41,7 @@ use capstan_arch::spmu::{BankHash, OrderingMode, SpmuConfig};
 use capstan_baselines::asic::{Eie, Graphicionado, MatRaptor, Scnn};
 use capstan_baselines::{plasticine, published};
 use capstan_core::config::{
-    default_plan_mode, CapstanConfig, MemAddressing, MemTiming, MemoryKind, PlanMode,
-    TenantPartition,
+    run_mode, CapstanConfig, MemAddressing, MemTiming, MemoryKind, PlanMode, TenantPartition,
 };
 use capstan_core::perf::{simulate, try_simulate, Memo};
 use capstan_core::program::{Workload, WorkloadBuilder};
@@ -87,7 +87,7 @@ impl RecordingKey {
                 suite.conv_scale,
             ]
             .map(f64::to_bits),
-            plan: default_plan_mode(),
+            plan: run_mode().plan,
             config: format!("{record_cfg:?}"),
         }
     }
@@ -240,7 +240,6 @@ pub fn table4() -> String {
             cells[2]
         );
     }
-    print!("{out}");
     out
 }
 
@@ -267,7 +266,6 @@ pub fn table5() -> String {
         area::scanner_area_um2(256, 16),
         (1.0 - area::scanner_area_um2(256, 16) / area::scanner_area_um2(512, 16)) * 100.0
     );
-    print!("{out}");
     out
 }
 
@@ -303,7 +301,6 @@ fn table6(suite: &Suite) -> String {
             gen.nnz()
         );
     }
-    print!("{out}");
     out
 }
 
@@ -333,7 +330,6 @@ pub fn table7() -> String {
     ] {
         let _ = writeln!(out, "{k:<28} {v:>10.0}");
     }
-    print!("{out}");
     out
 }
 
@@ -373,7 +369,6 @@ pub fn table8() -> String {
         (capstan.total / plasticine.total - 1.0) * 100.0,
         (capstan.power_w / plasticine.power_w - 1.0) * 100.0
     );
-    print!("{out}");
     out
 }
 
@@ -411,7 +406,6 @@ fn table9(suite: &Suite) -> String {
         out,
         "(paper gmeans: Ideal 0.92, Hash 1.00, Lin 1.11, WA 1.15/1.26, Arb 1.27/1.44)"
     );
-    print!("{out}");
     out
 }
 
@@ -516,7 +510,6 @@ fn table10(suite: &Suite) -> String {
         gmean(&per_mode[1]),
         gmean(&per_mode[2])
     );
-    print!("{out}");
     out
 }
 
@@ -572,7 +565,6 @@ fn table11(suite: &Suite) -> String {
         out,
         "(paper: PR-Pull None 1.71/1.53, PR-Edge 1.30/1.21, Conv Mrg-0 1.07)"
     );
-    print!("{out}");
     out
 }
 
@@ -651,7 +643,6 @@ fn table12(suite: &Suite) -> String {
             row.gmean
         );
     }
-    print!("{out}");
     out
 }
 
@@ -682,7 +673,6 @@ fn table13(suite: &Suite) -> String {
         table13_matraptor,
     ];
     out.push_str(&capstan_par::par_map(&blocks, |block| block(suite)).concat());
-    print!("{out}");
     out
 }
 
@@ -890,7 +880,6 @@ pub fn table13_atomics(suite: &Suite) -> String {
         m.ag_bursts_fetched,
         m.ag_bursts_written,
     );
-    print!("{out}");
     out
 }
 
@@ -939,7 +928,7 @@ fn addressed_scatter_workload(unit: usize, atomic_words: u64, hub_permille: u64)
 /// repeated boundary vertices still coalesce, but over two orders of
 /// magnitude fewer cycles. Timing mode and addressing are set per
 /// configuration, so the experiment is independent of the
-/// `--mem`/`--mem-addresses` process defaults.
+/// `--mem`/`--mem-addresses` run mode.
 fn table13_recorded(suite: &Suite) -> String {
     let mut out = header("Table 13 recorded: synthetic vs recorded scattered addressing");
     let mk = |addresses: MemAddressing| {
@@ -1006,7 +995,6 @@ fn table13_recorded(suite: &Suite) -> String {
             m.ag_bursts_fetched,
         );
     }
-    print!("{out}");
     out
 }
 
@@ -1022,7 +1010,7 @@ fn table13_recorded(suite: &Suite) -> String {
 /// anchor (every cross-tile update a DRAM atomic) grounds the sweep in
 /// a real workload. Channel counts are set per configuration here, so
 /// the experiment is independent of the `--mem`/`--mem-channels`
-/// process defaults.
+/// run mode.
 fn table13_channels(suite: &Suite) -> String {
     let mut out = header("Table 13 channels: region-channel sweep, cycle-level DRAM");
     let mk = |channels: usize| {
@@ -1074,7 +1062,6 @@ fn table13_channels(suite: &Suite) -> String {
         anchors[1].cycles,
         anchors[0].cycles as f64 / anchors[1].cycles.max(1) as f64,
     );
-    print!("{out}");
     out
 }
 
@@ -1120,7 +1107,7 @@ fn multitenant_mix_workload(unit: usize, hub_weight: u64) -> Workload {
 /// `tests/mem_multitenant_differential.rs`). Timing mode, channel
 /// count, tenant count, and partition policy are all set per
 /// configuration, so the experiment is independent of the
-/// `--mem`/`--mem-channels`/`--mem-tenants` process defaults.
+/// `--mem`/`--mem-channels`/`--mem-tenants` run mode.
 fn table_multitenant(suite: &Suite) -> String {
     let mut out = header("Multi-tenant: hub vs streaming tenants, shared vs dedicated channels");
     let mk = |partition: TenantPartition| {
@@ -1168,7 +1155,6 @@ fn table_multitenant(suite: &Suite) -> String {
             100.0 * t[0].occupancy_cycles as f64 / occ_total.max(1) as f64,
         );
     }
-    print!("{out}");
     out
 }
 
@@ -1218,7 +1204,6 @@ pub fn fig4() -> String {
             let _ = writeln!(out, "  cyc {:>4}: {}", cyc, row.join(""));
         }
     }
-    print!("{out}");
     out
 }
 
@@ -1263,7 +1248,6 @@ fn fig5a(suite: &Suite) -> String {
         }
         let _ = writeln!(out);
     }
-    print!("{out}");
     out
 }
 
@@ -1317,7 +1301,6 @@ fn fig5b(suite: &Suite) -> String {
         }
         let _ = writeln!(out);
     }
-    print!("{out}");
     out
 }
 
@@ -1357,7 +1340,6 @@ fn fig5c(suite: &Suite) -> String {
         out,
         "(paper: PREdge and COO see the best compression speedups)"
     );
-    print!("{out}");
     out
 }
 
@@ -1465,7 +1447,6 @@ fn fig6(suite: &Suite) -> String {
             let _ = writeln!(out);
         }
     }
-    print!("{out}");
     out
 }
 
@@ -1500,7 +1481,6 @@ fn fig7(suite: &Suite) -> String {
             f[7].1 * 100.0,
         );
     }
-    print!("{out}");
     out
 }
 
@@ -1606,7 +1586,6 @@ fn ablations(suite: &Suite) -> String {
         let cy_off = capstan_arch::spmu::driver::run_vectors(off, &vectors).cycles as f64;
         let _ = writeln!(out, "  {name:<24} {:.2}x", cy_off / cy_on);
     }
-    print!("{out}");
     out
 }
 
@@ -1769,7 +1748,6 @@ pub fn extensions(suite: &Suite) -> String {
         }
         out.push_str(&line);
     }
-    print!("{out}");
     out
 }
 
@@ -1809,7 +1787,13 @@ struct PlannerRow {
     regret: u64,
 }
 
-fn planner_report(suite: &Suite, threads: Option<usize>) -> String {
+/// The `planner` experiment on `threads` workers: for every matrix
+/// dataset, plan from a quarter-scale probe, then measure the regret of
+/// the chosen format against the true analytic winner at full scale.
+/// Median regret 0 is the acceptance bar — the planner picks the true
+/// winner on at least half the datasets — and the worst case is
+/// reported by name.
+pub fn planner_report(suite: &Suite, threads: usize) -> String {
     let datasets = planner_datasets();
     let probe_one = |&d: &Dataset| -> PlannerRow {
         let spec = d.spec();
@@ -1841,10 +1825,7 @@ fn planner_report(suite: &Suite, threads: Option<usize>) -> String {
             regret: chosen_cycles - best.cycles,
         }
     };
-    let rows = match threads {
-        Some(n) => capstan_par::par_map_threads(&datasets, n, probe_one),
-        None => capstan_par::par_map(&datasets, probe_one),
-    };
+    let rows = capstan_par::par_map_threads(&datasets, threads, probe_one);
     let mut out = header("Planner: chosen-vs-best analytic regret per dataset");
     let _ = writeln!(
         out,
@@ -1884,80 +1865,57 @@ fn planner_report(suite: &Suite, threads: Option<usize>) -> String {
     out
 }
 
-/// The `planner` experiment: for every matrix dataset, plan from a
-/// quarter-scale probe, then measure the regret of the chosen format
-/// against the true analytic winner at full scale. Median regret 0 is
-/// the acceptance bar — the planner picks the true winner on at least
-/// half the datasets — and the worst case is reported by name.
-fn planner(suite: &Suite) -> String {
-    let out = planner_report(suite, None);
-    print!("{out}");
-    out
-}
+/// One experiment: its name and the function that runs it.
+type Experiment = (&'static str, fn(&Suite) -> String);
 
-/// `planner` with an explicit worker count and no printing, for the
-/// thread-count determinism tests.
-pub fn planner_with_threads(suite: &Suite, threads: usize) -> String {
-    planner_report(suite, Some(threads))
-}
-
-/// Every experiment name, in canonical order. The `experiments` binary
-/// iterates this same list for `all`, so the two can never drift.
-pub const ALL_NAMES: &[&str] = &[
-    "table4",
-    "table5",
-    "table6",
-    "table7",
-    "table8",
-    "fig4",
-    "table9",
-    "table10",
-    "table11",
-    "table12",
-    "table13",
-    "table13-atomics",
-    "table13-channels",
-    "table13-recorded",
-    "table-multitenant",
-    "fig5a",
-    "fig5b",
-    "fig5c",
-    "fig6",
-    "fig7",
-    "ablations",
-    "extensions",
-    "planner",
+/// Every experiment, in canonical order.
+const EXPERIMENTS: [Experiment; 23] = [
+    ("table4", |_| table4()),
+    ("table5", |_| table5()),
+    ("table6", table6),
+    ("table7", |_| table7()),
+    ("table8", |_| table8()),
+    ("fig4", |_| fig4()),
+    ("table9", table9),
+    ("table10", table10),
+    ("table11", table11),
+    ("table12", table12),
+    ("table13", table13),
+    ("table13-atomics", table13_atomics),
+    ("table13-channels", table13_channels),
+    ("table13-recorded", table13_recorded),
+    ("table-multitenant", table_multitenant),
+    ("fig5a", fig5a),
+    ("fig5b", fig5b),
+    ("fig5c", fig5c),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("ablations", ablations),
+    ("extensions", extensions),
+    ("planner", |suite| {
+        planner_report(suite, capstan_par::thread_count(usize::MAX))
+    }),
 ];
+
+/// Every experiment name, in canonical order (the `experiments` binary's
+/// `all`), read off the table [`run_by_name`] looks names up in.
+pub const ALL_NAMES: &[&str] = &{
+    let mut names = [""; EXPERIMENTS.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = EXPERIMENTS[i].0;
+        i += 1;
+    }
+    names
+};
 
 /// Runs one experiment by name, returning its report text (`None` for
 /// an unknown name).
 pub fn run_by_name(name: &str, suite: &Suite) -> Option<String> {
-    Some(match name {
-        "table4" => table4(),
-        "table5" => table5(),
-        "table6" => table6(suite),
-        "table7" => table7(),
-        "table8" => table8(),
-        "fig4" => fig4(),
-        "table9" => table9(suite),
-        "table10" => table10(suite),
-        "table11" => table11(suite),
-        "table12" => table12(suite),
-        "table13" => table13(suite),
-        "table13-atomics" => table13_atomics(suite),
-        "table13-channels" => table13_channels(suite),
-        "table13-recorded" => table13_recorded(suite),
-        "table-multitenant" => table_multitenant(suite),
-        "fig5a" => fig5a(suite),
-        "fig5b" => fig5b(suite),
-        "fig5c" => fig5c(suite),
-        "fig6" => fig6(suite),
-        "fig7" => fig7(suite),
-        "ablations" => ablations(suite),
-        "extensions" => extensions(suite),
-        "planner" => planner(suite),
-        _ => return None,
-    })
+    EXPERIMENTS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, run)| run(suite))
 }
 
 #[cfg(test)]

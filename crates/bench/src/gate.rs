@@ -21,11 +21,12 @@
 //! from the baseline is an error, because it would otherwise never be
 //! gated.
 //!
-//! The record format is the tiny fixed schema written by the
-//! `experiments` binary, so parsing is a few string scans — no JSON
-//! dependency (this workspace builds fully offline).
+//! The record format is the tiny fixed schema [`write_record`] writes
+//! (for the `experiments` binary), so parsing is a few string scans — no
+//! JSON dependency (this workspace builds fully offline).
 
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Schema tag written and required by every bench record.
 pub const SCHEMA: &str = "capstan-bench-core/v1";
@@ -158,6 +159,41 @@ impl fmt::Display for GateError {
             ),
         }
     }
+}
+
+/// Writes the fixed `capstan-bench-core/v1` record format that
+/// [`parse_record`] reads: the schema, the scale, the worker-thread
+/// count of this process, one row per entry, and the wall-time and
+/// simulated-cycle totals.
+pub fn write_record(scale: &str, records: &[BenchEntry]) -> String {
+    let mut json = String::new();
+    let total_wall: f64 = records.iter().map(|r| r.wall_seconds).sum();
+    let total_cycles: u64 = records.iter().map(|r| r.simulated_cycles).sum();
+    let _ = writeln!(json, "{{");
+    let _ = writeln!(json, "  \"schema\": \"{SCHEMA}\",");
+    let _ = writeln!(json, "  \"scale\": \"{scale}\",");
+    let _ = writeln!(
+        json,
+        "  \"threads\": {},",
+        capstan_par::thread_count(usize::MAX)
+    );
+    let _ = writeln!(json, "  \"experiments\": [");
+    for (i, r) in records.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"name\": \"{}\", \"wall_seconds\": {:.6}, \"simulated_cycles\": {}, \"cycles_per_second\": {:.1}}}{}",
+            r.name,
+            r.wall_seconds,
+            r.simulated_cycles,
+            r.cycles_per_second,
+            if i + 1 < records.len() { "," } else { "" }
+        );
+    }
+    let _ = writeln!(json, "  ],");
+    let _ = writeln!(json, "  \"total_wall_seconds\": {total_wall:.6},");
+    let _ = writeln!(json, "  \"total_simulated_cycles\": {total_cycles}");
+    let _ = writeln!(json, "}}");
+    json
 }
 
 /// Extracts the string value of `"key": "value"`.
@@ -442,6 +478,29 @@ mod tests {
         assert_eq!(r.experiments[0].name, "table4");
         assert_eq!(r.experiments[0].simulated_cycles, 90000);
         assert_eq!(r.experiments[1].cycles_per_second, 700170.0);
+    }
+
+    #[test]
+    fn written_records_parse_back_and_carry_the_cycle_trailer() {
+        let rows = vec![
+            BenchEntry::new("table4".to_string(), 0.5, 90_000),
+            BenchEntry::new("fig4+cycle".to_string(), 0.25, 22_688),
+        ];
+        let text = write_record("small", &rows);
+        assert!(
+            text.contains("\"total_simulated_cycles\": 112688\n"),
+            "{text}"
+        );
+        let parsed = parse_record(&text).expect("a written record parses");
+        assert_eq!(parsed.schema, SCHEMA);
+        assert_eq!(parsed.scale, "small");
+        assert_eq!(parsed.experiments, rows);
+        // The trailer is checked against the rows, so a written record
+        // that loses it or disagrees with it no longer parses.
+        let bad = text.replace("112688", "112689");
+        assert!(matches!(parse_record(&bad), Err(GateError::Malformed(_))));
+        let cut = &text[..text.find("  \"total_simulated_cycles\"").unwrap()];
+        assert!(matches!(parse_record(cut), Err(GateError::Malformed(_))));
     }
 
     #[test]

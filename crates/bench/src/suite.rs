@@ -10,7 +10,7 @@ use capstan_apps::spmspm::SpMSpM;
 use capstan_apps::spmv::{CooSpmv, CscSpmv, CsrSpmv};
 use capstan_apps::sssp::Sssp;
 use capstan_apps::App;
-use capstan_core::config::{default_plan_mode, PlanMode};
+use capstan_core::config::{run_mode, PlanMode};
 use capstan_tensor::gen::{is_valid_scale, Dataset};
 use capstan_tensor::stats::TensorStats;
 
@@ -274,12 +274,12 @@ impl Suite {
     }
 
     /// Builds one application instance on one dataset under the
-    /// process-wide plan mode ([`default_plan_mode`]): hardcoded
+    /// process-wide plan mode ([`run_mode`]): hardcoded
     /// constructors under `Fixed` (bit-compatible with every committed
     /// golden value), planner-derived formats under `Auto` (see
     /// `Suite::build_planned`).
     pub fn build(&self, app: AppId, dataset: Dataset) -> Box<dyn App> {
-        self.build_planned(app, dataset, default_plan_mode())
+        self.build_planned(app, dataset, run_mode().plan)
     }
 
     /// Builds one application instance on one dataset under an explicit
@@ -389,7 +389,7 @@ mod tests {
     fn planned_builds_replace_only_the_format_generic_spmv() {
         let suite = Suite::small();
         // Fixed mode is the hardcoded constructor set, byte-compatible
-        // with `build` under the process default.
+        // with `build` under the default run mode.
         for app in AppId::ALL {
             let fixed = suite.build_planned(app, app.datasets()[0], PlanMode::Fixed);
             assert_eq!(fixed.name(), app.name());

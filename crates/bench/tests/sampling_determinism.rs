@@ -98,13 +98,13 @@ fn planner_reports_are_identical_across_thread_counts_and_runs() {
     // output must be byte-identical across worker counts and across
     // repeated runs in one process.
     let suite = Suite::small();
-    let serial = capstan_bench::experiments::planner_with_threads(&suite, 1);
+    let serial = capstan_bench::experiments::planner_report(&suite, 1);
     assert!(serial.contains("median regret:"), "report has the summary");
     for threads in [2usize, 4] {
-        let parallel = capstan_bench::experiments::planner_with_threads(&suite, threads);
+        let parallel = capstan_bench::experiments::planner_report(&suite, threads);
         assert_eq!(serial, parallel, "planner drifted on {threads} workers");
     }
-    let rerun = capstan_bench::experiments::planner_with_threads(&suite, 1);
+    let rerun = capstan_bench::experiments::planner_report(&suite, 1);
     assert_eq!(serial, rerun, "planner drifted across repeated runs");
 }
 

@@ -6,7 +6,7 @@ use capstan_arch::scanner::{BitVecScanner, DataScanner};
 use capstan_arch::shuffle::ShuffleConfig;
 use capstan_arch::spmu::SpmuConfig;
 pub use capstan_sim::dram::MemoryKind;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::{PoisonError, RwLock};
 
 /// How the performance engine prices DRAM time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -131,155 +131,92 @@ impl MemAddressing {
     }
 }
 
-/// The bench-row suffix a memory configuration runs under: `+cycle` for
-/// the cycle-level timing mode, `+rec` for recorded addressing, `+chN`
-/// for N > 1 region channels, `+mtN` for N > 1 memory tenants, `+plan`
-/// for planner-derived configurations, concatenated in that fixed
-/// order. Rows with different suffixes form separate record groups
-/// (their simulated cycles intentionally differ), so every place that
-/// names a row — the `experiments` CLI, its resume journal, and the
-/// serving layer's batch groups and served rows — must derive the suffix
-/// identically; this is the one definition they all share.
-pub fn mem_record_suffix(
-    timing: MemTiming,
-    addressing: MemAddressing,
-    channels: usize,
-    tenants: usize,
-    plan: PlanMode,
-) -> String {
-    let mut suffix = String::new();
-    if timing == MemTiming::CycleLevel {
-        suffix.push_str("+cycle");
-    }
-    if addressing == MemAddressing::Recorded {
-        suffix.push_str("+rec");
-    }
-    if channels > 1 {
-        suffix.push_str(&format!("+ch{channels}"));
-    }
-    if tenants > 1 {
-        suffix.push_str(&format!("+mt{tenants}"));
-    }
-    if plan == PlanMode::Auto {
-        suffix.push_str("+plan");
-    }
-    suffix
+/// The run mode: which memory model and which plan mode a process runs
+/// under. Set once at process start ([`set_run_mode`], the `experiments`
+/// run flags); [`CapstanConfig::new`] copies its memory fields into every
+/// configuration, and the bench suite builds apps under its plan mode.
+/// Flipping it mid-run would break the determinism contract between
+/// concurrently recorded experiments.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunMode {
+    /// How DRAM time is priced (`--mem`).
+    pub timing: MemTiming,
+    /// How the cycle-level mode picks scattered addresses
+    /// (`--mem-addresses`).
+    pub addresses: MemAddressing,
+    /// Cycle-level region channels (`--mem-channels`).
+    pub channels: usize,
+    /// Cycle-level memory tenants (`--mem-tenants`).
+    pub tenants: usize,
+    /// Where format and memory configurations come from (`--plan`).
+    pub plan: PlanMode,
 }
 
-/// Process-wide default for [`CapstanConfig::new`]'s `mem_timing` field
-/// (0 = analytic, 1 = cycle-level).
-static DEFAULT_MEM_TIMING: AtomicU8 = AtomicU8::new(0);
-
-/// Process-wide default for [`CapstanConfig::new`]'s `mem_addresses`
-/// field (0 = synthetic, 1 = recorded).
-static DEFAULT_MEM_ADDRESSING: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the scattered-address mode newly constructed configurations
-/// default to (the `experiments --mem-addresses recorded` flag). Like
-/// [`set_default_mem_timing`], intended to be called **once, at process
-/// start**; flipping it mid-run would break the determinism contract
-/// between concurrently recorded experiments.
-pub fn set_default_mem_addressing(mode: MemAddressing) {
-    DEFAULT_MEM_ADDRESSING.store(
-        match mode {
-            MemAddressing::Synthetic => 0,
-            MemAddressing::Recorded => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The scattered-address mode newly constructed configurations default
-/// to.
-fn default_mem_addressing() -> MemAddressing {
-    match DEFAULT_MEM_ADDRESSING.load(Ordering::Relaxed) {
-        0 => MemAddressing::Synthetic,
-        _ => MemAddressing::Recorded,
+impl RunMode {
+    /// The bench-row suffix this mode runs under: `+cycle` for the
+    /// cycle-level timing mode, `+rec` for recorded addressing, `+chN`
+    /// for N > 1 region channels, `+mtN` for N > 1 memory tenants,
+    /// `+plan` for planner-derived configurations, concatenated in that
+    /// fixed order. Rows with different suffixes form separate record
+    /// groups (their simulated cycles intentionally differ), so every
+    /// place that names a row — the `experiments` CLI, its resume
+    /// journal, and the serving layer's batch groups and served rows —
+    /// derives it here.
+    pub fn suffix(&self) -> String {
+        let mut suffix = String::new();
+        if self.timing == MemTiming::CycleLevel {
+            suffix.push_str("+cycle");
+        }
+        if self.addresses == MemAddressing::Recorded {
+            suffix.push_str("+rec");
+        }
+        if self.channels > 1 {
+            suffix.push_str(&format!("+ch{}", self.channels));
+        }
+        if self.tenants > 1 {
+            suffix.push_str(&format!("+mt{}", self.tenants));
+        }
+        if self.plan == PlanMode::Auto {
+            suffix.push_str("+plan");
+        }
+        suffix
     }
 }
 
-/// Sets the memory-timing mode newly constructed configurations default
-/// to. Intended to be called **once, at process start** (the
-/// `experiments --mem cycle` flag); flipping it mid-run would break the
-/// determinism contract between concurrently recorded experiments.
+/// The process-wide run mode, starting at the mode every committed
+/// golden value was captured under. Every write stores a whole `Copy`
+/// value, so a poisoned lock still holds a valid mode and is read
+/// through.
+static RUN_MODE: RwLock<RunMode> = RwLock::new(RunMode {
+    timing: MemTiming::Analytic,
+    addresses: MemAddressing::Synthetic,
+    channels: 1,
+    tenants: 1,
+    plan: PlanMode::Fixed,
+});
+
+/// Sets the process-wide run mode. Intended to be called **once, at
+/// process start**. Zero channels are clamped to one, and the tenant
+/// count to `1..=MAX_TENANTS`.
+pub fn set_run_mode(mode: RunMode) {
+    *RUN_MODE.write().unwrap_or_else(PoisonError::into_inner) = RunMode {
+        channels: mode.channels.max(1),
+        tenants: mode.tenants.clamp(1, MAX_TENANTS),
+        ..mode
+    };
+}
+
+/// The process-wide run mode.
+pub fn run_mode() -> RunMode {
+    *RUN_MODE.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Sets only the run mode's timing field (see [`set_run_mode`]).
 pub fn set_default_mem_timing(timing: MemTiming) {
-    DEFAULT_MEM_TIMING.store(
-        match timing {
-            MemTiming::Analytic => 0,
-            MemTiming::CycleLevel => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The memory-timing mode newly constructed configurations default to.
-fn default_mem_timing() -> MemTiming {
-    match DEFAULT_MEM_TIMING.load(Ordering::Relaxed) {
-        0 => MemTiming::Analytic,
-        _ => MemTiming::CycleLevel,
-    }
-}
-
-/// Process-wide default for [`CapstanConfig::new`]'s `mem_channels`
-/// field.
-static DEFAULT_MEM_CHANNELS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the cycle-level region-channel count newly constructed
-/// configurations default to (the `experiments --mem-channels N` flag).
-/// Like [`set_default_mem_timing`], intended to be called **once, at
-/// process start**; zero is clamped to one channel.
-pub fn set_default_mem_channels(channels: usize) {
-    DEFAULT_MEM_CHANNELS.store(channels.max(1), Ordering::Relaxed);
-}
-
-/// The cycle-level region-channel count newly constructed
-/// configurations default to.
-fn default_mem_channels() -> usize {
-    DEFAULT_MEM_CHANNELS.load(Ordering::Relaxed)
-}
-
-/// Process-wide default for [`CapstanConfig::new`]'s `mem_tenants`
-/// field.
-static DEFAULT_MEM_TENANTS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the cycle-level memory-tenant count newly constructed
-/// configurations default to (the `experiments --mem-tenants N` flag).
-/// Like [`set_default_mem_timing`], intended to be called **once, at
-/// process start**; the value is clamped to `1..=MAX_TENANTS`.
-pub fn set_default_mem_tenants(tenants: usize) {
-    DEFAULT_MEM_TENANTS.store(tenants.clamp(1, MAX_TENANTS), Ordering::Relaxed);
-}
-
-/// The cycle-level memory-tenant count newly constructed configurations
-/// default to.
-fn default_mem_tenants() -> usize {
-    DEFAULT_MEM_TENANTS.load(Ordering::Relaxed)
-}
-
-/// Process-wide default plan mode (0 = fixed, 1 = auto).
-static DEFAULT_PLAN_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the plan mode the process runs under (the `experiments --plan`
-/// flag). Like [`set_default_mem_timing`], intended to be called
-/// **once, at process start**; flipping it mid-run would let one sweep
-/// mix planned and hand-fixed configurations under a single record
-/// suffix.
-pub fn set_default_plan_mode(mode: PlanMode) {
-    DEFAULT_PLAN_MODE.store(
-        match mode {
-            PlanMode::Fixed => 0,
-            PlanMode::Auto => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The plan mode the process runs under.
-pub fn default_plan_mode() -> PlanMode {
-    match DEFAULT_PLAN_MODE.load(Ordering::Relaxed) {
-        0 => PlanMode::Fixed,
-        _ => PlanMode::Auto,
-    }
+    RUN_MODE
+        .write()
+        .unwrap_or_else(PoisonError::into_inner)
+        .timing = timing;
 }
 
 /// Full configuration of a simulated Capstan system.
@@ -361,6 +298,7 @@ pub struct CapstanConfig {
 impl CapstanConfig {
     /// The paper's design point attached to the given memory system.
     pub fn new(memory: MemoryKind) -> Self {
+        let mode = run_mode();
         CapstanConfig {
             memory,
             grid: GridConfig::default(),
@@ -374,11 +312,11 @@ impl CapstanConfig {
             scalar_stream_join: false,
             rmw_bubble_cycles: 0,
             serialized_sram: false,
-            mem_timing: default_mem_timing(),
-            mem_channels: default_mem_channels(),
-            mem_tenants: default_mem_tenants(),
+            mem_timing: mode.timing,
+            mem_channels: mode.channels,
+            mem_tenants: mode.tenants,
             mem_tenant_partition: TenantPartition::default(),
-            mem_addresses: default_mem_addressing(),
+            mem_addresses: mode.addresses,
             mem_fast_forward: false,
         }
     }
@@ -433,41 +371,32 @@ mod tests {
     }
 
     #[test]
-    fn mem_timing_defaults_to_analytic() {
-        // Every golden value in the repo was captured under the analytic
-        // mode; the process-wide default must not drift. (No test may
-        // call `set_default_mem_timing` — tests run concurrently in one
-        // process; explicit per-config overrides are the test-safe way.)
+    fn run_mode_defaults_to_the_golden_capture_mode() {
+        // Every golden value in the repo was captured under analytic
+        // timing, synthetic addressing, one region channel, the
+        // single-tenant driver and hand-fixed configurations; the
+        // process-wide default must not drift. (No test may call
+        // `set_run_mode` — tests run concurrently in one process;
+        // explicit per-config overrides are the test-safe way.)
         assert_eq!(MemTiming::default(), MemTiming::Analytic);
-        assert_eq!(
-            CapstanConfig::paper_default().mem_timing,
-            MemTiming::Analytic
-        );
-    }
-
-    #[test]
-    fn mem_channels_defaults_to_the_bit_compatible_single_channel() {
-        // The golden pins were captured under one region channel; the
-        // process-wide default must not drift. (As with the timing mode,
-        // no test may call `set_default_mem_channels` — tests share one
-        // process; explicit per-config overrides are the test-safe way.)
-        assert_eq!(CapstanConfig::paper_default().mem_channels, 1);
-        assert_eq!(default_mem_channels(), 1);
-    }
-
-    #[test]
-    fn mem_addressing_defaults_to_synthetic() {
-        // Every golden value was captured under synthetic scattered
-        // addressing; the process-wide default must not drift. (As with
-        // the timing mode, no test may call `set_default_mem_addressing`
-        // — tests share one process; explicit per-config overrides are
-        // the test-safe way.)
         assert_eq!(MemAddressing::default(), MemAddressing::Synthetic);
+        assert_eq!(PlanMode::default(), PlanMode::Fixed);
         assert_eq!(
-            CapstanConfig::paper_default().mem_addresses,
-            MemAddressing::Synthetic
+            run_mode(),
+            RunMode {
+                timing: MemTiming::Analytic,
+                addresses: MemAddressing::Synthetic,
+                channels: 1,
+                tenants: 1,
+                plan: PlanMode::Fixed,
+            }
         );
-        assert_eq!(default_mem_addressing(), MemAddressing::Synthetic);
+        let cfg = CapstanConfig::paper_default();
+        assert_eq!(cfg.mem_timing, MemTiming::Analytic);
+        assert_eq!(cfg.mem_addresses, MemAddressing::Synthetic);
+        assert_eq!(cfg.mem_channels, 1);
+        assert_eq!(cfg.mem_tenants, 1);
+        assert_eq!(cfg.mem_tenant_partition, TenantPartition::Shared);
     }
 
     #[test]
@@ -489,16 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_mode_defaults_to_fixed() {
-        // Every golden value was captured with hand-fixed configurations;
-        // the process-wide default must not drift. (As with the timing
-        // mode, no test may call `set_default_plan_mode` — tests share
-        // one process.)
-        assert_eq!(PlanMode::default(), PlanMode::Fixed);
-        assert_eq!(default_plan_mode(), PlanMode::Fixed);
-    }
-
-    #[test]
     fn record_suffixes_match_the_committed_baseline_spellings() {
         // The committed BENCH_core.json carries rows named with exactly
         // these suffixes; a drifted spelling would silently open a new,
@@ -506,51 +425,31 @@ mod tests {
         use MemAddressing::*;
         use MemTiming::*;
         use PlanMode::*;
-        assert_eq!(mem_record_suffix(Analytic, Synthetic, 1, 1, Fixed), "");
+        let suffix = |timing, addresses, channels, tenants, plan| {
+            RunMode {
+                timing,
+                addresses,
+                channels,
+                tenants,
+                plan,
+            }
+            .suffix()
+        };
+        assert_eq!(suffix(Analytic, Synthetic, 1, 1, Fixed), "");
+        assert_eq!(suffix(CycleLevel, Synthetic, 1, 1, Fixed), "+cycle");
+        assert_eq!(suffix(CycleLevel, Recorded, 1, 1, Fixed), "+cycle+rec");
+        assert_eq!(suffix(CycleLevel, Synthetic, 4, 1, Fixed), "+cycle+ch4");
+        assert_eq!(suffix(Analytic, Synthetic, 4, 1, Fixed), "+ch4");
+        assert_eq!(suffix(CycleLevel, Recorded, 2, 1, Fixed), "+cycle+rec+ch2");
+        assert_eq!(suffix(CycleLevel, Synthetic, 1, 2, Fixed), "+cycle+mt2");
         assert_eq!(
-            mem_record_suffix(CycleLevel, Synthetic, 1, 1, Fixed),
-            "+cycle"
-        );
-        assert_eq!(
-            mem_record_suffix(CycleLevel, Recorded, 1, 1, Fixed),
-            "+cycle+rec"
-        );
-        assert_eq!(
-            mem_record_suffix(CycleLevel, Synthetic, 4, 1, Fixed),
-            "+cycle+ch4"
-        );
-        assert_eq!(mem_record_suffix(Analytic, Synthetic, 4, 1, Fixed), "+ch4");
-        assert_eq!(
-            mem_record_suffix(CycleLevel, Recorded, 2, 1, Fixed),
-            "+cycle+rec+ch2"
-        );
-        assert_eq!(
-            mem_record_suffix(CycleLevel, Synthetic, 1, 2, Fixed),
-            "+cycle+mt2"
-        );
-        assert_eq!(
-            mem_record_suffix(CycleLevel, Recorded, 4, 3, Fixed),
+            suffix(CycleLevel, Recorded, 4, 3, Fixed),
             "+cycle+rec+ch4+mt3"
         );
-        assert_eq!(mem_record_suffix(Analytic, Synthetic, 1, 1, Auto), "+plan");
+        assert_eq!(suffix(Analytic, Synthetic, 1, 1, Auto), "+plan");
         assert_eq!(
-            mem_record_suffix(CycleLevel, Recorded, 4, 3, Auto),
+            suffix(CycleLevel, Recorded, 4, 3, Auto),
             "+cycle+rec+ch4+mt3+plan"
-        );
-    }
-
-    #[test]
-    fn mem_tenants_defaults_to_the_bit_compatible_single_tenant() {
-        // The golden pins were captured under the single-tenant driver;
-        // the process-wide default must not drift. (As with the timing
-        // mode, no test may call `set_default_mem_tenants` — tests share
-        // one process; explicit per-config overrides are the test-safe
-        // way.)
-        assert_eq!(CapstanConfig::paper_default().mem_tenants, 1);
-        assert_eq!(default_mem_tenants(), 1);
-        assert_eq!(
-            CapstanConfig::paper_default().mem_tenant_partition,
-            TenantPartition::Shared
         );
     }
 

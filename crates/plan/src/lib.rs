@@ -111,7 +111,7 @@ pub fn build_spmv(m: &Coo, format: FormatClass) -> Option<Box<dyn App>> {
 }
 
 /// The probe configuration: analytic timing, synthetic addressing,
-/// single tenant — explicit, never the process defaults, so a planned
+/// single tenant — explicit, never the process run mode, so a planned
 /// run's probes are identical no matter what `--mem` flags the process
 /// started with.
 fn probe_config(channels: usize) -> CapstanConfig {

@@ -59,8 +59,8 @@
 //! an unlabeled row would silently diverge from the committed baseline.
 //! (`table13-channels`, `table13-recorded`, and `table-multitenant` are
 //! the exceptions: they set their channel counts / addressing / tenant
-//! mixes per configuration and ignore the process defaults.) The suffix rules live in one place,
-//! `capstan_core::config::mem_record_suffix`, shared with the serving
+//! mixes per configuration and ignore the run mode.) The suffix rules live in one place,
+//! `capstan_core::config::RunMode::suffix`, shared with the serving
 //! layer, so the CLI, the server, and the journal headers can never
 //! disagree on a row's record group. The run-configuration flags are
 //! parsed by the serving layer's codec (`capstan_serve::key::RunSpec`),
@@ -133,15 +133,11 @@
 
 use capstan_bench::experiments as exp;
 use capstan_bench::gate::{self, BenchEntry, BenchRecord};
-use capstan_core::config::{
-    set_default_mem_addressing, set_default_mem_channels, set_default_mem_tenants,
-    set_default_mem_timing, set_default_plan_mode, PlanMode,
-};
+use capstan_core::config::{set_run_mode, PlanMode};
 use capstan_serve::client;
 use capstan_serve::key::{RunSpec, FIELDS};
 use capstan_serve::server::{Server, ServerConfig};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 use std::io::Write as _;
 use std::time::Instant;
 
@@ -156,8 +152,8 @@ const USAGE: &str = "usage: experiments [NAMES...] \
        experiments --serve-stats ADDR
        experiments --serve-shutdown ADDR";
 
-/// Parsed command line (process-default setters are applied by `main`,
-/// not here, so parsing stays a pure, unit-testable function).
+/// Parsed command line (`main` sets the process-wide run mode, not
+/// this, so parsing stays a pure, unit-testable function).
 #[derive(Debug, Default, PartialEq)]
 struct Cli {
     /// Experiment names in command-line order, `all` not yet expanded.
@@ -320,37 +316,6 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn bench_json(scale: &str, records: &[BenchEntry]) -> String {
-    let mut json = String::new();
-    let total_wall: f64 = records.iter().map(|r| r.wall_seconds).sum();
-    let total_cycles: u64 = records.iter().map(|r| r.simulated_cycles).sum();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"{}\",", gate::SCHEMA);
-    let _ = writeln!(json, "  \"scale\": \"{scale}\",");
-    let _ = writeln!(
-        json,
-        "  \"threads\": {},",
-        capstan_par::thread_count(usize::MAX)
-    );
-    let _ = writeln!(json, "  \"experiments\": [");
-    for (i, r) in records.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"wall_seconds\": {:.6}, \"simulated_cycles\": {}, \"cycles_per_second\": {:.1}}}{}",
-            r.name,
-            r.wall_seconds,
-            r.simulated_cycles,
-            r.cycles_per_second,
-            if i + 1 < records.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"total_wall_seconds\": {total_wall:.6},");
-    let _ = writeln!(json, "  \"total_simulated_cycles\": {total_cycles}");
-    let _ = writeln!(json, "}}");
-    json
-}
-
 /// `--serve`: bind, announce readiness on stdout, run until a shutdown
 /// request.
 fn run_server(cli: &Cli) -> ! {
@@ -438,7 +403,7 @@ fn main() {
         }
     };
 
-    // Service verbs run before any process-default setter is touched:
+    // Service verbs run before the run mode is set:
     // the serving process simulates nothing itself, and a submission's
     // configuration travels in the request.
     if cli.serve.is_some() {
@@ -467,11 +432,7 @@ fn main() {
 
     let spec = cli.spec;
     let suite = spec.suite().unwrap_or_else(|e| die(&e));
-    set_default_mem_timing(spec.mem);
-    set_default_mem_addressing(spec.addresses);
-    set_default_mem_channels(spec.channels);
-    set_default_mem_tenants(spec.tenants);
-    set_default_plan_mode(spec.plan);
+    set_run_mode(spec.mode());
     let suffix = spec.suffix();
     let scale_name = spec.scale;
 
@@ -541,6 +502,7 @@ fn main() {
             Some(report) => {
                 let wall_seconds = start.elapsed().as_secs_f64();
                 let simulated_cycles = capstan_sim::stats::simulated_cycles() - cycles_before;
+                print!("{report}");
                 if let Some(j) = journal.as_mut() {
                     let entry = capstan_bench::journal::JournalEntry {
                         wall_seconds,
@@ -587,7 +549,7 @@ fn main() {
     }
 
     if let Some(path) = bench_out {
-        let json = bench_json(&scale_name, &records);
+        let json = gate::write_record(&scale_name, &records);
         // Atomic write (temp file + rename): a crash mid-write must
         // never leave a truncated baseline for the gate to choke on.
         match capstan_sim::snapshot::atomic_write(std::path::Path::new(&path), json.as_bytes()) {

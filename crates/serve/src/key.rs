@@ -19,7 +19,7 @@
 //! the same spec.
 
 use capstan_bench::Suite;
-use capstan_core::config::{mem_record_suffix, MemAddressing, MemTiming, PlanMode, MAX_TENANTS};
+use capstan_core::config::{MemAddressing, MemTiming, PlanMode, RunMode, MAX_TENANTS};
 use capstan_sim::snapshot::{fnv1a_64, SnapshotWriter};
 
 /// Versioned domain tag mixed into every cache key; bump on any change
@@ -175,16 +175,20 @@ impl RunSpec {
         Suite::parse(&self.scale)
     }
 
-    /// The bench-row suffix this memory configuration runs under
-    /// (shared definition: [`mem_record_suffix`]).
+    /// The run mode this spec's configuration fields spell.
+    pub fn mode(&self) -> RunMode {
+        RunMode {
+            timing: self.mem,
+            addresses: self.addresses,
+            channels: self.channels,
+            tenants: self.tenants,
+            plan: self.plan,
+        }
+    }
+
+    /// The bench-row suffix this spec runs under ([`RunMode::suffix`]).
     pub fn suffix(&self) -> String {
-        mem_record_suffix(
-            self.mem,
-            self.addresses,
-            self.channels,
-            self.tenants,
-            self.plan,
-        )
+        self.mode().suffix()
     }
 
     /// The bench-record row name this spec produces: the experiment

@@ -9,8 +9,8 @@
 //! and `--no-bench-out`.
 //!
 //! * Per-request memory configuration needs no in-process plumbing —
-//!   the process-default setters (set-once by design) are set by each
-//!   worker's own command line.
+//!   each worker's own command line sets its process-wide run mode
+//!   (`capstan_core::config::RunMode`, set once by design).
 //! * Crash safety is inherited from the resumable-harness layer: a
 //!   worker that dies mid-sweep is respawned with the same journal
 //!   directory and *resumes*, replaying completed rows byte-for-byte.

@@ -1,7 +1,7 @@
 //! Shared harness for the black-box service tests: locating the
 //! `experiments` binary, running it as a subprocess with a controlled
 //! environment (the tests never mutate the test process's own env —
-//! process-default config is set-once and shared across test threads),
+//! the process-wide run mode is set once and shared across test threads),
 //! and driving a server subprocess through its readiness line.
 
 #![allow(dead_code)] // each test file uses a different helper subset

@@ -2,7 +2,7 @@
 //! direct `experiments` invocation — across worker thread counts and
 //! across the analytic/cycle memory modes. Both sides run as
 //! subprocesses with an explicit environment; the test process itself
-//! never simulates (process-default config is set-once) and never
+//! never simulates (the process-wide run mode is set once) and never
 //! mutates its own env.
 
 mod common;

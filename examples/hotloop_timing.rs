@@ -3,9 +3,10 @@
 //! one microbenchmark tool; its times gate nothing.
 //!
 //! Run with `cargo run --release --example hotloop_timing`. The `spmu`,
-//! `memdrv`, memo-hit, `eie`, `bcsr`, `scanner`, `record` and `cpu` rows
-//! are the best of three runs; a cold row is one call, since every later
-//! call in the process hits the memo. The rows, in order:
+//! `memdrv new`, memo-hit, `eie`, `bcsr`, `scanner`, `record` and `cpu`
+//! rows are the best of three runs, the `memdrv` drain rows the best of
+//! 15; a cold row is one call, since every later call in the process
+//! hits the memo. The rows, in order:
 //!
 //! - `spmu`: one unit saturated with uniformly random reads, one row per
 //!   SpMU shape `table9` replays (Ideal is never replayed) plus address
@@ -63,10 +64,15 @@ use std::time::Instant;
 
 /// Best of three runs of `reps` back-to-back calls of `f`, in seconds
 /// per call, with the last call's result.
-fn best_of_3<T>(reps: u32, mut f: impl FnMut() -> T) -> (f64, T) {
+fn best_of_3<T>(reps: u32, f: impl FnMut() -> T) -> (f64, T) {
+    best_of(3, reps, f)
+}
+
+/// `best_of_3` over `runs` runs.
+fn best_of<T>(runs: u32, reps: u32, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
     let mut last = None;
-    for _ in 0..3 {
+    for _ in 0..runs {
         let start = Instant::now();
         for _ in 0..reps {
             last = Some(black_box(f()));
@@ -197,8 +203,11 @@ fn main() {
 
 /// The cycle-level drain of one atomic-heavy scatter batch (mostly AG
 /// read-modify-writes, some random and streaming bursts) through a
-/// reused driver: `reset`, queue, `run`.
+/// reused driver: `reset`, queue, `run`. A drain row is the best of
+/// `DRAIN_RUNS` single drains: on a shared host the best of three
+/// moved by ±20% between batches of runs of one binary.
 fn memdrv_rows() {
+    const DRAIN_RUNS: u32 = 15;
     let model = DramModel::new(DramKind::Hbm2e);
     let traffic = TileTraffic {
         stream_bursts: 2_000,
@@ -207,7 +216,7 @@ fn memdrv_rows() {
     };
     for channels in [1, 8] {
         let mut sim = MemSysSim::with_config(model, MemSysConfig::with_channels(&model, channels));
-        let (secs, stats) = best_of_3(1, || {
+        let (secs, stats) = best_of(DRAIN_RUNS, 1, || {
             sim.reset();
             sim.add_tile(traffic);
             sim.run()

@@ -169,7 +169,20 @@ fn load_matrix(args: &Args) -> Result<Coo, String> {
     Ok(dataset.generate_scaled(args.scale))
 }
 
+/// Apps that index the matrix as a square graph or operator.
+const SQUARE_ONLY: &[&str] = &[
+    "pr-pull", "pr-edge", "bfs", "sssp", "spmspm", "bicgstab", "cg", "gcn",
+];
+
 fn build_app(args: &Args, m: &Coo) -> Result<Box<dyn App>, String> {
+    if SQUARE_ONLY.contains(&args.app.as_str()) && m.rows() != m.cols() {
+        return Err(format!(
+            "{} needs a square matrix, got {}x{}",
+            args.app,
+            m.rows(),
+            m.cols()
+        ));
+    }
     Ok(match args.app.as_str() {
         "csr-spmv" => Box::new(CsrSpmv::new(m)),
         "coo-spmv" => Box::new(CooSpmv::new(m)),
@@ -188,17 +201,20 @@ fn build_app(args: &Args, m: &Coo) -> Result<Box<dyn App>, String> {
             let b = DenseMatrix::from_fn(m.cols(), 32, |r, c| ((r + c) % 3) as f32 - 1.0);
             Box::new(Spmm::new(m, b))
         }
-        "gcn" => {
-            if m.rows() != m.cols() {
-                return Err("gcn needs a square adjacency matrix".to_string());
-            }
-            Box::new(GcnLayer::with_synthetic(m, 32, 32))
-        }
+        "gcn" => Box::new(GcnLayer::with_synthetic(m, 32, 32)),
         "conv" => {
+            if args.matrix.is_some() {
+                return Err("conv runs a ResNet-50 layer; use --dataset, not --matrix".to_string());
+            }
             let ds = match args.dataset.as_deref() {
+                None | Some("resnet-l2") => Dataset::ResNet50L2,
                 Some("resnet-l1") => Dataset::ResNet50L1,
                 Some("resnet-l29") => Dataset::ResNet50L29,
-                _ => Dataset::ResNet50L2,
+                Some(other) => {
+                    return Err(format!(
+                        "conv needs a ResNet-50 layer (resnet-l1, resnet-l2, resnet-l29), got `{other}`"
+                    ))
+                }
             };
             Box::new(SparseConv::from_dataset(ds, args.scale))
         }
