@@ -477,7 +477,7 @@ impl AddressGenerator {
             std::mem::swap(&mut retry, &mut self.retry);
             let mut entries = retry.iter();
             while let Some(&idx) = entries.next() {
-                if !self.channel.can_accept(0) {
+                if !self.channel.can_accept() {
                     self.retry.push(idx);
                     self.retry.extend(entries.copied());
                     break;

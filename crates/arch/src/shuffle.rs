@@ -57,76 +57,6 @@ pub struct ShuffleEntry {
 /// A vector of requests on one network link (one entry per lane).
 pub type ShuffleVector = Vec<Option<ShuffleEntry>>;
 
-/// Statistics from merging two lane-aligned vectors.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergeStats {
-    /// Output vectors produced (cycles consumed on the output port).
-    output_vectors: u64,
-    /// Entries that could not be placed in the first output vector and
-    /// spilled into an overflow vector.
-    deferred_entries: u64,
-    /// Total entries forwarded.
-    pub entries: u64,
-}
-
-/// Merges the entries of two vectors into as few output vectors as the
-/// shift radius allows. Entries keep relative order; an entry at input
-/// lane `l` may land in output lanes `l ± radius`.
-///
-/// Returns the produced output vectors and statistics. This is the inner
-/// operation of one merge-unit half (paper Fig. 3e).
-pub fn merge_vectors(
-    a: &ShuffleVector,
-    b: &ShuffleVector,
-    lanes: usize,
-    shift: MergeShift,
-) -> (Vec<ShuffleVector>, MergeStats) {
-    let radius = shift.radius(lanes);
-    // Gather entries sorted by source lane (stable across the two inputs:
-    // the hardware interleaves the two vectors' lanes).
-    let mut entries: Vec<ShuffleEntry> = Vec::new();
-    for lane in 0..lanes {
-        for side in [a, b] {
-            if let Some(e) = side.get(lane).copied().flatten() {
-                entries.push(ShuffleEntry { dest: e.dest, lane });
-            }
-        }
-    }
-    let mut stats = MergeStats {
-        entries: entries.len() as u64,
-        ..Default::default()
-    };
-    let mut outputs: Vec<ShuffleVector> = Vec::new();
-    let mut remaining = entries;
-    while !remaining.is_empty() {
-        let mut out: ShuffleVector = vec![None; lanes];
-        let mut deferred: Vec<ShuffleEntry> = Vec::new();
-        let mut next_free = 0usize;
-        for e in remaining {
-            let lo = e.lane.saturating_sub(radius).max(next_free);
-            let hi = (e.lane + radius).min(lanes - 1);
-            if lo <= hi {
-                out[lo] = Some(ShuffleEntry {
-                    dest: e.dest,
-                    lane: lo,
-                });
-                next_free = lo + 1;
-            } else {
-                deferred.push(e);
-            }
-        }
-        stats.deferred_entries += deferred.len() as u64;
-        outputs.push(out);
-        remaining = deferred;
-        stats.output_vectors += 1;
-    }
-    if outputs.is_empty() {
-        outputs.push(vec![None; lanes]);
-        stats.output_vectors = 1;
-    }
-    (outputs, stats)
-}
-
 /// Configuration of a butterfly shuffle network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShuffleConfig {
@@ -217,11 +147,13 @@ pub struct RouteScratch {
     result: RouteResult,
 }
 
-/// Gathers the entries of `a` and `b` whose destination has `want` in
-/// address bit `bit`, merges them into as few output vectors as the
-/// shift radius allows (appended to `link`), and returns nothing: empty
-/// merges contribute no output vectors, matching `route`'s behavior of
-/// dropping all-`None` stage outputs.
+/// One merge-unit half (paper Fig. 3e). Gathers the entries of `a` and
+/// `b` whose destination has `want` in address bit `bit` and merges them
+/// into as few output vectors as the shift radius allows (appended to
+/// `link`). Entries keep relative order; an entry at input lane `l` may
+/// land in output lanes `l ± radius`. Empty merges contribute no output
+/// vectors, matching `route`'s behavior of dropping all-`None` stage
+/// outputs.
 #[allow(clippy::too_many_arguments)]
 fn merge_filtered_into(
     a: &ShuffleVector,
@@ -443,19 +375,53 @@ impl ButterflyNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn entry(dest: u32, lane: usize) -> Option<ShuffleEntry> {
         Some(ShuffleEntry { dest, lane })
+    }
+
+    /// One merge-unit half of `route_ref` keeping the entries whose
+    /// address bit 0 is 0 (every entry here targets port 0). Returns
+    /// its output vectors, the entries it forwarded, and the entries
+    /// deferred past each output vector, summed over the vectors.
+    fn merge(
+        a: &ShuffleVector,
+        b: &ShuffleVector,
+        lanes: usize,
+        shift: MergeShift,
+    ) -> (Vec<ShuffleVector>, usize, usize) {
+        let (mut entries, mut deferred) = (Vec::new(), Vec::new());
+        let (mut arena, mut link) = (VecArena::default(), Vec::new());
+        merge_filtered_into(
+            a,
+            b,
+            0,
+            0,
+            lanes,
+            shift,
+            &mut entries,
+            &mut deferred,
+            &mut arena,
+            &mut link,
+        );
+        let out: Vec<ShuffleVector> = link.iter().map(|&i| arena.get(i).clone()).collect();
+        let counts: Vec<usize> = out.iter().map(|v| v.iter().flatten().count()).collect();
+        let forwarded = counts.iter().sum();
+        let deferred = (1..counts.len())
+            .map(|k| counts[k..].iter().sum::<usize>())
+            .sum();
+        (out, forwarded, deferred)
     }
 
     #[test]
     fn merge_disjoint_lanes_single_vector() {
         let a: ShuffleVector = vec![entry(0, 0), None, entry(0, 2), None];
         let b: ShuffleVector = vec![None, entry(0, 1), None, entry(0, 3)];
-        let (out, stats) = merge_vectors(&a, &b, 4, MergeShift::None);
+        let (out, entries, deferred) = merge(&a, &b, 4, MergeShift::None);
         assert_eq!(out.len(), 1);
-        assert_eq!(stats.entries, 4);
-        assert_eq!(stats.deferred_entries, 0);
+        assert_eq!(entries, 4);
+        assert_eq!(deferred, 0);
         assert_eq!(out[0].iter().flatten().count(), 4);
     }
 
@@ -464,12 +430,12 @@ mod tests {
         // Both inputs occupy lane 1: Mrg-0 must spill, Mrg-1 resolves.
         let a: ShuffleVector = vec![None, entry(0, 1), None, None];
         let b: ShuffleVector = vec![None, entry(0, 1), None, None];
-        let (out0, s0) = merge_vectors(&a, &b, 4, MergeShift::None);
+        let (out0, _, deferred0) = merge(&a, &b, 4, MergeShift::None);
         assert_eq!(out0.len(), 2);
-        assert_eq!(s0.deferred_entries, 1);
-        let (out1, s1) = merge_vectors(&a, &b, 4, MergeShift::One);
+        assert_eq!(deferred0, 1);
+        let (out1, _, deferred1) = merge(&a, &b, 4, MergeShift::One);
         assert_eq!(out1.len(), 1, "{out1:?}");
-        assert_eq!(s1.deferred_entries, 0);
+        assert_eq!(deferred1, 0);
     }
 
     #[test]
@@ -481,7 +447,7 @@ mod tests {
         let b: ShuffleVector = (0..16)
             .map(|l| if l % 2 == 0 { entry(0, l) } else { None })
             .collect();
-        let (out, _) = merge_vectors(&a, &b, 16, MergeShift::Full);
+        let (out, _, _) = merge(&a, &b, 16, MergeShift::Full);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].iter().flatten().count(), 16);
     }
@@ -502,12 +468,46 @@ mod tests {
                 }
             })
             .collect();
-        let count = |shift| merge_vectors(&a, &b, 16, shift).0.len();
+        let count = |shift| merge(&a, &b, 16, shift).0.len();
         let m0 = count(MergeShift::None);
         let m1 = count(MergeShift::One);
         let m16 = count(MergeShift::Full);
         assert!(m0 >= m1 && m1 >= m16, "m0={m0} m1={m1} m16={m16}");
         assert!(m0 > m16, "shifting should help here");
+    }
+
+    proptest! {
+        #[test]
+        fn merge_conserves_and_orders_entries(
+            a_occ in prop::collection::vec(any::<bool>(), 16),
+            b_occ in prop::collection::vec(any::<bool>(), 16),
+            shift in prop::sample::select(vec![MergeShift::None, MergeShift::One, MergeShift::Full]),
+        ) {
+            let mk = |occ: &[bool]| -> ShuffleVector {
+                occ.iter()
+                    .enumerate()
+                    .map(|(l, &on)| if on { entry(0, l) } else { None })
+                    .collect()
+            };
+            let (a, b) = (mk(&a_occ), mk(&b_occ));
+            let total = a.iter().flatten().count() + b.iter().flatten().count();
+            let (outs, entries, _) = merge(&a, &b, 16, shift);
+            let out_total: usize = outs.iter().map(|v| v.iter().flatten().count()).sum();
+            prop_assert_eq!(out_total, total, "entries lost or duplicated");
+            prop_assert_eq!(entries, total);
+            // Shift radius respected: entries stay within +-radius of a
+            // source lane that had an entry (checked loosely via
+            // occupancy).
+            if shift == MergeShift::None {
+                for v in &outs {
+                    for (lane, e) in v.iter().enumerate() {
+                        if e.is_some() {
+                            prop_assert!(a_occ[lane] || b_occ[lane]);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -123,9 +123,7 @@ use crate::config::CapstanConfig;
 use crate::config::{MemAddressing, MemTiming};
 use crate::program::{SampleDigest, TileWork, TraceDigest, Workload};
 use crate::report::{Breakdown, PerfReport};
-use capstan_arch::memdrv::{
-    MemStats, MemSysConfig, MemSysSim, TenantId, TenantStats, TileTraffic, MAX_TENANTS,
-};
+use capstan_arch::memdrv::{MemStats, MemSysConfig, MemSysSim, TenantId, TenantStats, TileTraffic};
 use capstan_arch::shuffle::{ButterflyNetwork, RouteScratch, ShuffleConfig, ShuffleVector};
 use capstan_arch::spmu::driver::{run_vectors, ThroughputResult};
 use capstan_arch::spmu::{AccessVector, LaneRequest, SpmuConfig};
@@ -626,15 +624,18 @@ pub fn try_simulate(workload: &Workload, cfg: &CapstanConfig) -> Option<PerfRepo
                 // Replay each tile's traffic through the region channels
                 // and the per-region AGs, ticked in lockstep; the drain
                 // time replaces the closed-form estimate.
-                let mut mcfg = MemSysConfig::with_channels(&dram_model, cfg.mem_channels);
                 // Memory tenants: tiles are attributed round-robin over
                 // the tile index, so a run's tenant assignment depends
                 // only on the workload's deterministic tile order. With
                 // one tenant (the default) every tile lands on
                 // `TenantId(0)` and the replay is bit-identical to the
                 // pre-tenant driver.
-                mcfg.tenants = cfg.mem_tenants.clamp(1, MAX_TENANTS);
-                mcfg.partition = cfg.mem_tenant_partition;
+                let mcfg = MemSysConfig::with_tenants(
+                    &dram_model,
+                    cfg.mem_channels,
+                    cfg.mem_tenants,
+                    cfg.mem_tenant_partition,
+                );
                 // Under recorded addressing, each tile also hands the
                 // driver its sampled scattered-address vectors. The
                 // fallback is per traffic class and driver-wide: a

@@ -204,9 +204,9 @@ impl DramChannel {
         self.queue.push((req, self.cycle)).map_err(|(r, _)| r)
     }
 
-    /// Whether a burst to `addr` would currently be accepted by
+    /// Whether a burst would currently be accepted by
     /// [`push`](Self::push): the non-mutating backpressure probe.
-    pub fn can_accept(&self, _addr: u64) -> bool {
+    pub fn can_accept(&self) -> bool {
         !self.queue.is_full()
     }
 

@@ -1,4 +1,4 @@
-//! Format conversion between compressed pointer lists and bit-vectors.
+//! Compressed-pointer sparse vectors, the input of format conversion.
 //!
 //! Paper §3.4 ("Format Conversion"): "format-conversion hardware generates
 //! bit-vector formats from pointers. Capstan's iterators use bit-vector
@@ -7,10 +7,11 @@
 //! the compute tile (not the SpMU) precisely because building a bit-vector
 //! in memory would require multiple read-modify-writes to the same word.
 //!
-//! This module provides [`SparseVec`], the compressed-pointer vector whose
-//! [`SparseVec::to_bitvec`] is the software equivalent of that conversion.
+//! This module provides [`SparseVec`], the compressed-pointer vector. The
+//! converter's timing is `capstan_arch::fmtconv::FormatConverter`; apps
+//! build the bit-vectors themselves with
+//! [`BitVec::from_indices`](crate::bitvec::BitVec::from_indices).
 
-use crate::bitvec::BitVec;
 use crate::{Index, Value};
 
 /// A compressed sparse vector: pointer list plus dense payload, the
@@ -43,11 +44,6 @@ impl SparseVec {
     /// Number of stored non-zeros.
     pub fn nnz(&self) -> usize {
         self.indices.len()
-    }
-
-    /// The occupancy bit-vector (paper's "format conversion" output).
-    pub fn to_bitvec(&self) -> BitVec {
-        BitVec::from_indices(self.len, &self.indices).expect("indices validated at construction")
     }
 
     /// Expands to a dense vector.
@@ -89,6 +85,7 @@ mod tests {
         let dense = vec![0.0, 3.0, 0.0, -1.0];
         let v = SparseVec::from_dense(&dense);
         assert_eq!(v.to_dense(), dense);
-        assert_eq!(v.to_bitvec().to_indices(), vec![1, 3]);
+        assert_eq!(v.nnz(), 2);
+        assert_eq!((v.get(1), v.get(3)), (3.0, -1.0));
     }
 }

@@ -29,8 +29,11 @@ enum Symmetry {
 ///
 /// # Errors
 ///
-/// Returns [`FormatError::Parse`] for malformed input and propagates
-/// bounds errors from [`Coo::from_triplets`].
+/// Returns [`FormatError::Parse`] for malformed input,
+/// [`FormatError::CapacityExceeded`] for an extent past the [`Index`]
+/// range, [`FormatError::IndexOutOfBounds`] for a coordinate past it,
+/// [`FormatError::LengthMismatch`] when the entry count differs from the
+/// header's, and propagates bounds errors from [`Coo::from_triplets`].
 ///
 /// # Example
 ///
@@ -125,7 +128,31 @@ pub fn read<R: BufRead>(reader: R) -> Result<Coo> {
         );
     };
 
-    let mut triplets: Vec<(Index, Index, Value)> = Vec::with_capacity(nnz);
+    // Every coordinate must fit an `Index`, so no extent may pass
+    // `Index::MAX + 1`: a larger header would size host arrays that no
+    // stored coordinate can address.
+    let max_extent = Index::MAX as usize + 1;
+    for extent in [rows, cols] {
+        if extent > max_extent {
+            return Err(FormatError::CapacityExceeded {
+                requested: extent,
+                max: max_extent,
+            });
+        }
+    }
+    // A 1-based coordinate as an `Index`; one that does not fit is out of
+    // bounds.
+    let index = |i: usize, axis: usize, extent: usize| {
+        Index::try_from(i - 1).map_err(|_| FormatError::IndexOutOfBounds {
+            axis,
+            index: i - 1,
+            extent,
+        })
+    };
+
+    // Not reserved from the header's `nnz`: an untrusted count would size
+    // the allocation before the entry count is checked below.
+    let mut triplets: Vec<(Index, Index, Value)> = Vec::new();
     let mut declared_entries = 0usize;
     for (ln, line) in lines {
         let line = line.map_err(|e| FormatError::Parse {
@@ -167,9 +194,10 @@ pub fn read<R: BufRead>(reader: R) -> Result<Coo> {
             })?
         };
         declared_entries += 1;
-        triplets.push(((r - 1) as Index, (c - 1) as Index, v));
+        let (r, c) = (index(r, 0, rows)?, index(c, 1, cols)?);
+        triplets.push((r, c, v));
         if symmetry == Symmetry::Symmetric && r != c {
-            triplets.push(((c - 1) as Index, (r - 1) as Index, v));
+            triplets.push((c, r, v));
         }
     }
     if declared_entries != nnz {

@@ -1,9 +1,10 @@
-//! Workload tiling: graph partitioning and linear-algebra tiling.
+//! Graph partitioning for workload tiling.
 //!
 //! Paper §4: "Graph datasets are tiled using Metis with nodes weighted by
 //! edge count to give load-balanced tiles. Linear algebra datasets are
 //! tiled using a round-robin division of rows, columns, or non-zero matrix
-//! values."
+//! values." The round-robin division is `capstan_apps::common::round_robin`;
+//! this module holds the graph half.
 //!
 //! Metis is substituted with a greedy BFS-grown partitioner that balances
 //! per-part edge weight and keeps regions connected, which preserves the
@@ -11,7 +12,6 @@
 //! "Imbalance" component) and locality (cross-tile traffic on the shuffle
 //! network, Table 11).
 
-use crate::coo::Coo;
 use crate::csr::Csr;
 use crate::Index;
 use std::collections::VecDeque;
@@ -116,123 +116,11 @@ pub fn partition_graph(adj: &Csr, parts: usize) -> Partition {
     Partition { parts, assignment }
 }
 
-/// A half-open index range `[start, end)` assigned to one tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TileRange {
-    /// First index of the tile.
-    pub start: usize,
-    /// One past the last index of the tile.
-    pub end: usize,
-}
-
-/// Round-robin division of `n` indices into `parts` contiguous tiles whose
-/// sizes differ by at most one (the paper's row/column/nnz tiling).
-///
-/// # Panics
-///
-/// Panics if `parts == 0`.
-pub fn tile_evenly(n: usize, parts: usize) -> Vec<TileRange> {
-    assert!(parts > 0, "parts must be positive");
-    let base = n / parts;
-    let extra = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for p in 0..parts {
-        let len = base + usize::from(p < extra);
-        out.push(TileRange {
-            start,
-            end: start + len,
-        });
-        start += len;
-    }
-    out
-}
-
-/// Tiles a matrix by (approximately) equal non-zero count: returns row
-/// ranges such that each tile holds a near-equal share of non-zeros.
-///
-/// # Panics
-///
-/// Panics if `parts == 0`.
-pub fn tile_by_nnz(m: &Coo, parts: usize) -> Vec<TileRange> {
-    assert!(parts > 0, "parts must be positive");
-    let n = m.rows();
-    let mut row_nnz = vec![0usize; n + 1];
-    for (r, _, _) in m.iter() {
-        row_nnz[r as usize + 1] += 1;
-    }
-    for i in 0..n {
-        row_nnz[i + 1] += row_nnz[i];
-    }
-    let total = row_nnz[n];
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    for p in 1..=parts {
-        let target = total * p / parts;
-        let mut end = start;
-        while end < n && row_nnz[end] < target {
-            end += 1;
-        }
-        if p == parts {
-            end = n;
-        }
-        out.push(TileRange { start, end });
-        start = end;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coo::Coo;
     use crate::gen;
-
-    #[test]
-    fn tile_evenly_covers_everything() {
-        let tiles = tile_evenly(10, 3);
-        assert_eq!(tiles.len(), 3);
-        assert_eq!(tiles[0], TileRange { start: 0, end: 4 });
-        assert_eq!(tiles[2].end, 10);
-        let total: usize = tiles.iter().map(size).sum();
-        assert_eq!(total, 10);
-        // Sizes differ by at most one.
-        let sizes: Vec<usize> = tiles.iter().map(size).collect();
-        assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
-    }
-
-    #[test]
-    fn tile_more_parts_than_items() {
-        let tiles = tile_evenly(2, 5);
-        let total: usize = tiles.iter().map(size).sum();
-        assert_eq!(total, 2);
-        assert_eq!(tiles.len(), 5);
-    }
-
-    #[test]
-    fn tile_by_nnz_balances() {
-        // Skewed matrix: row 0 has 100 nnz, rows 1..101 have 1 each.
-        let mut triplets = Vec::new();
-        for c in 0..100u32 {
-            triplets.push((0, c % 100, 1.0 + c as f32));
-        }
-        for r in 1..101u32 {
-            triplets.push((r, 0, 1.0));
-        }
-        let m = Coo::from_triplets(101, 100, triplets).unwrap();
-        let tiles = tile_by_nnz(&m, 2);
-        assert_eq!(tiles.len(), 2);
-        assert_eq!(tiles[1].end, 101);
-        // First tile should be just the heavy row (or close).
-        assert!(
-            size(&tiles[0]) <= 5,
-            "heavy row should dominate tile 0: {tiles:?}"
-        );
-    }
-
-    /// Number of indices in a tile.
-    fn size(t: &TileRange) -> usize {
-        t.end - t.start
-    }
 
     /// Load imbalance: `max part weight / mean part weight` (1.0 = perfect).
     fn imbalance(p: &Partition, weight: impl Fn(usize) -> usize) -> f64 {

@@ -8,7 +8,7 @@ use capstan_tensor::bitvec::BitVec;
 use capstan_tensor::compress::CompressedTile;
 use capstan_tensor::convert::SparseVec;
 use capstan_tensor::dcsr::{Dcsc, Dcsr};
-use capstan_tensor::partition::{partition_graph, tile_by_nnz, tile_evenly};
+use capstan_tensor::partition::partition_graph;
 use capstan_tensor::{mm, Coo, Csc, Csr};
 use proptest::prelude::*;
 
@@ -225,30 +225,8 @@ proptest! {
     #[test]
     fn sparse_vec_round_trips(dense in prop::collection::vec(-5.0f32..5.0, 1..200)) {
         let sv = SparseVec::from_dense(&dense);
+        prop_assert_eq!(sv.nnz(), dense.iter().filter(|&&v| v != 0.0).count());
         prop_assert_eq!(sv.to_dense(), dense);
-        prop_assert_eq!(sv.to_bitvec().count_ones(), sv.nnz());
-    }
-
-    #[test]
-    fn tiling_partitions_exactly(n in 0usize..500, parts in 1usize..20) {
-        let tiles = tile_evenly(n, parts);
-        prop_assert_eq!(tiles.len(), parts);
-        prop_assert_eq!(tiles.iter().map(|t| t.end - t.start).sum::<usize>(), n);
-        for w in tiles.windows(2) {
-            prop_assert_eq!(w[0].end, w[1].start);
-        }
-    }
-
-    #[test]
-    fn nnz_tiling_covers_all_rows(ts in triplets(64, 300), parts in 1usize..8) {
-        let coo = Coo::from_triplets(64, 64, ts).unwrap();
-        let tiles = tile_by_nnz(&coo, parts);
-        prop_assert_eq!(tiles.len(), parts);
-        prop_assert_eq!(tiles[0].start, 0);
-        prop_assert_eq!(tiles.last().unwrap().end, 64);
-        for w in tiles.windows(2) {
-            prop_assert_eq!(w[0].end, w[1].start);
-        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Wall-clock timing of the simulator's hot loops and the host CPU
-//! kernels, for before/after numbers in perf work. It is the workspace's
-//! one microbenchmark tool; its times gate nothing.
+//! Wall-clock timing of the simulator's hot loops, for before/after
+//! numbers in perf work. It is the workspace's one microbenchmark tool;
+//! its times gate nothing.
 //!
 //! Run with `cargo run --release --example hotloop_timing`. The `spmu`,
-//! `memdrv new`, memo-hit, `eie`, `bcsr`, `scanner`, `record` and `cpu`
-//! rows are the best of three runs, the `memdrv` drain rows the best of
+//! `memdrv new`, memo-hit, `eie`, `bcsr`, `scanner` and `record` rows
+//! are the best of three runs, the `memdrv` drain rows the best of
 //! 15; a cold row is one call, since every later call in the process
 //! hits the memo. The rows, in order:
 //!
@@ -36,12 +36,9 @@
 //! - `record`: the recording layer alone (`App::build`, dataset already
 //!   generated) for SpMSpM on mbeacxc and BFS on p2p-Gnutella31 at the
 //!   `small` suite scales with Fig. 6's 1-bit scanner, in milliseconds
-//!   per recording;
-//! - `cpu`: the measured CPU baseline kernels (`capstan_baselines::cpu`):
-//!   parallel CSR and CSC SpMV, serial CSR SpMV, PageRank pull and BFS.
+//!   per recording.
 
 use capstan::apps::bfs::Bfs;
-use capstan::apps::common::inv_out_degree;
 use capstan::apps::pagerank::PrEdge;
 use capstan::apps::spmspm::SpMSpM;
 use capstan::apps::spmv::BcsrSpmv;
@@ -50,7 +47,6 @@ use capstan::arch::memdrv::{MemSysConfig, MemSysSim, TileTraffic};
 use capstan::arch::scanner::{scan_bittree, BitVecScanner, DataScanner, ScanMode, ScanStats};
 use capstan::arch::spmu::driver::{measure_random_throughput, run_vectors};
 use capstan::arch::spmu::{AccessVector, BankHash, OrderingMode, RmwOp, SpmuConfig};
-use capstan::baselines::cpu;
 use capstan::core::config::{CapstanConfig, MemoryKind};
 use capstan::core::perf::simulate;
 use capstan::core::program::WorkloadBuilder;
@@ -58,7 +54,7 @@ use capstan::sim::dram::{DramModel, MemoryKind as DramKind};
 use capstan::tensor::bittree::BitTree;
 use capstan::tensor::bitvec::BitVec;
 use capstan::tensor::gen::{self, Dataset};
-use capstan::tensor::{Csc, Csr};
+use capstan::tensor::Csc;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -198,7 +194,6 @@ fn main() {
     );
     scanner_rows();
     record_rows();
-    cpu_rows();
 }
 
 /// The cycle-level drain of one atomic-heavy scatter batch (mostly AG
@@ -305,40 +300,4 @@ fn record_rows() {
             workload.tiles.len()
         );
     }
-}
-
-fn cpu_rows() {
-    const REPS: u32 = 20;
-    let threads = cpu::default_threads();
-    let row = |name: &str, threads: usize, secs: f64| {
-        println!(
-            "cpu {name:<24} {:>8.1} us/call (threads: {threads})",
-            secs * 1e6
-        );
-    };
-    let m = Dataset::Ckt11752.generate_scaled(0.2);
-    let csr = Csr::from_coo(&m);
-    let csc = Csc::from_coo(&m);
-    let x: Vec<f32> = (0..csr.cols()).map(|i| (i % 7) as f32 + 0.5).collect();
-    let (secs, _) = best_of_3(REPS, || cpu::spmv_csr_parallel(&csr, &x, threads));
-    row("spmv csr parallel", threads, secs);
-    let (secs, _) = best_of_3(REPS, || cpu::spmv_csc_parallel(&csc, &x, threads));
-    row("spmv csc parallel", threads, secs);
-    let (secs, _) = best_of_3(REPS, || csr.spmv(&x));
-    row("spmv csr serial", 1, secs);
-
-    let g = Dataset::UsRoads.generate_scaled(0.05);
-    let out_adj = Csr::from_coo(&g);
-    let in_adj = Csr::from_coo(&g.transpose());
-    let inv = inv_out_degree(&out_adj);
-    let rank = vec![1.0f32 / g.rows() as f32; g.rows()];
-    let source = (0..out_adj.rows())
-        .max_by_key(|&v| out_adj.row_len(v))
-        .unwrap() as u32;
-    let (secs, _) = best_of_3(REPS, || {
-        cpu::pagerank_pull_parallel(&in_adj, &inv, &rank, 0.85, threads)
-    });
-    row("pagerank pull", threads, secs);
-    let (secs, _) = best_of_3(REPS, || cpu::bfs_parallel(&out_adj, source, threads));
-    row("bfs", threads, secs);
 }

@@ -21,7 +21,8 @@
 //!   BFS, SSSP, M+M, SpMSpM, BiCGStab).
 //! * [`plan`] — the density-driven planner: ranks candidate
 //!   (format, memory) configurations from per-dataset statistics.
-//! * [`baselines`] — Plasticine, CPU, GPU, and sparse-ASIC baselines.
+//! * [`baselines`] — Plasticine, a GPU model, sparse-ASIC models, and the
+//!   paper's published CPU and GPU numbers.
 //!
 //! # Quickstart
 //!

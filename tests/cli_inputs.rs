@@ -97,3 +97,35 @@ fn non_square_matrices_and_non_resnet_conv_inputs_exit_one() {
         "got `ckt11752`",
     );
 }
+
+#[test]
+fn matrix_market_headers_and_coordinates_past_the_index_range_exit_one() {
+    // A coordinate past the `u32` index range must not truncate to a
+    // valid row, and neither a declared entry count nor an extent may
+    // size a host allocation before it is validated (an allocation
+    // failure aborts with exit 134).
+    let cases = [
+        (
+            "row",
+            "2 2 1\n4294967297 1 5.0\n",
+            "index 4294967296 out of bounds",
+        ),
+        ("nnz", "2 2 1000000000000000\n1 1 5.0\n", "length mismatch"),
+        (
+            "rows",
+            "100000000000 2 1\n1 1 5.0\n",
+            "exceeds format maximum",
+        ),
+    ];
+    for (name, body, needle) in cases {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("cli_inputs_huge_{name}.mtx"));
+        std::fs::write(
+            &path,
+            format!("%%MatrixMarket matrix coordinate real general\n{body}"),
+        )
+        .expect("temp matrix written");
+        let matrix = path.to_str().expect("utf-8 temp path");
+        assert_rejected(&["--app", "csr-spmv", "--matrix", matrix], needle);
+    }
+}
