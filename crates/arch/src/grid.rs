@@ -6,61 +6,43 @@
 //! stages. ... On-chip memories are arranged as 16 banks of 4096 32-bit
 //! words each, with 256 KiB per memory (50 MiB total)."
 
-/// Chip-level grid configuration (Table 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GridConfig {
-    /// Checkerboard side (20 -> 200 CUs + 200 MUs).
-    pub side: usize,
-    /// DRAM address generators ringing the array.
-    pub ags: usize,
-    /// SIMD lanes per CU.
-    pub lanes: usize,
-    /// SRAM banks per SpMU.
-    pub banks: usize,
-    /// Words per bank.
-    bank_words: usize,
+/// Checkerboard side (20 -> 200 CUs + 200 MUs).
+pub const SIDE: usize = 20;
+/// DRAM address generators ringing the array.
+pub const AGS: usize = 80;
+/// SIMD lanes per CU.
+pub const LANES: usize = 16;
+/// SRAM banks per SpMU.
+pub const BANKS: usize = 16;
+/// Words per bank.
+const BANK_WORDS: usize = 4096;
+
+/// Number of compute units (half the checkerboard).
+pub fn compute_units() -> usize {
+    SIDE * SIDE / 2
 }
 
-impl Default for GridConfig {
-    fn default() -> Self {
-        GridConfig {
-            side: 20,
-            ags: 80,
-            lanes: 16,
-            banks: 16,
-            bank_words: 4096,
-        }
-    }
+/// Number of sparse memory units.
+pub fn memory_units() -> usize {
+    SIDE * SIDE / 2
 }
 
-impl GridConfig {
-    /// Number of compute units (half the checkerboard).
-    pub fn compute_units(&self) -> usize {
-        self.side * self.side / 2
-    }
+/// Bytes of on-chip SRAM per memory unit.
+pub fn sram_bytes_per_mu() -> usize {
+    BANKS * BANK_WORDS * 4
+}
 
-    /// Number of sparse memory units.
-    pub fn memory_units(&self) -> usize {
-        self.side * self.side / 2
-    }
+/// Total on-chip SRAM bytes.
+pub fn total_sram_bytes() -> usize {
+    memory_units() * sram_bytes_per_mu()
+}
 
-    /// Bytes of on-chip SRAM per memory unit.
-    pub fn sram_bytes_per_mu(&self) -> usize {
-        self.banks * self.bank_words * 4
-    }
-
-    /// Total on-chip SRAM bytes.
-    pub fn total_sram_bytes(&self) -> usize {
-        self.memory_units() * self.sram_bytes_per_mu()
-    }
-
-    /// Maximum outer parallelism: how many (CU, MU) pipeline pairs the
-    /// fabric can host. Apps that need a scanner-only CU feeding a compute
-    /// CU (paper §3.3) consume `cus_per_pipeline = 2`.
-    pub fn max_outer_parallel(&self, cus_per_pipeline: usize) -> usize {
-        assert!(cus_per_pipeline > 0, "a pipeline needs at least one CU");
-        (self.compute_units() / cus_per_pipeline).min(self.memory_units())
-    }
+/// Maximum outer parallelism: how many (CU, MU) pipeline pairs the
+/// fabric can host. Apps that need a scanner-only CU feeding a compute
+/// CU (paper §3.3) consume `cus_per_pipeline = 2`.
+pub fn max_outer_parallel(cus_per_pipeline: usize) -> usize {
+    assert!(cus_per_pipeline > 0, "a pipeline needs at least one CU");
+    (compute_units() / cus_per_pipeline).min(memory_units())
 }
 
 #[cfg(test)]
@@ -69,18 +51,16 @@ mod tests {
 
     #[test]
     fn paper_grid_resources() {
-        let g = GridConfig::default();
-        assert_eq!(g.compute_units(), 200);
-        assert_eq!(g.memory_units(), 200);
-        assert_eq!(g.sram_bytes_per_mu(), 256 * 1024);
+        assert_eq!(compute_units(), 200);
+        assert_eq!(memory_units(), 200);
+        assert_eq!(sram_bytes_per_mu(), 256 * 1024);
         // "50 MiB total" on-chip SRAM.
-        assert_eq!(g.total_sram_bytes(), 50 * 1024 * 1024);
+        assert_eq!(total_sram_bytes(), 50 * 1024 * 1024);
     }
 
     #[test]
     fn outer_parallelism_accounts_for_scanner_only_cus() {
-        let g = GridConfig::default();
-        assert_eq!(g.max_outer_parallel(1), 200);
-        assert_eq!(g.max_outer_parallel(2), 100);
+        assert_eq!(max_outer_parallel(1), 200);
+        assert_eq!(max_outer_parallel(2), 100);
     }
 }

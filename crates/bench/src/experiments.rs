@@ -33,7 +33,7 @@
 use crate::suite::{gmean, AppId, Suite};
 use capstan_apps::App;
 use capstan_arch::area;
-use capstan_arch::grid::GridConfig;
+use capstan_arch::grid;
 use capstan_arch::scanner::{BitVecScanner, DataScanner};
 use capstan_arch::shuffle::{MergeShift, ShuffleConfig};
 use capstan_arch::spmu::driver::{measure_random_throughput, trace_one_vector};
@@ -80,13 +80,7 @@ impl RecordingKey {
         RecordingKey {
             app,
             dataset,
-            scales: [
-                suite.la_scale,
-                suite.graph_scale,
-                suite.spmspm_scale,
-                suite.conv_scale,
-            ]
-            .map(f64::to_bits),
+            scales: suite.scale_bits(),
             plan: run_mode().plan,
             config: format!("{record_cfg:?}"),
         }
@@ -309,7 +303,6 @@ fn table6(suite: &Suite) -> String {
 /// Table 7: design parameters.
 pub fn table7() -> String {
     let mut out = header("Table 7: Capstan design parameters");
-    let g = GridConfig::default();
     for (k, v) in [
         ("HBM2E bandwidth (GB/s)", MemoryKind::Hbm2e.bandwidth_gbps()),
         ("HBM2 bandwidth (GB/s)", MemoryKind::Hbm2.bandwidth_gbps()),
@@ -317,16 +310,19 @@ pub fn table7() -> String {
             "DDR4-2133 bandwidth (GB/s)",
             MemoryKind::Ddr4.bandwidth_gbps(),
         ),
-        ("Compute units", g.compute_units() as f64),
-        ("Sparse memories (SpMU)", g.memory_units() as f64),
-        ("Address generators", g.ags as f64),
-        ("SpMU banks", g.banks as f64),
-        ("SpMU capacity (KiB)", g.sram_bytes_per_mu() as f64 / 1024.0),
+        ("Compute units", grid::compute_units() as f64),
+        ("Sparse memories (SpMU)", grid::memory_units() as f64),
+        ("Address generators", grid::AGS as f64),
+        ("SpMU banks", grid::BANKS as f64),
+        (
+            "SpMU capacity (KiB)",
+            grid::sram_bytes_per_mu() as f64 / 1024.0,
+        ),
         (
             "Total SRAM (MiB)",
-            g.total_sram_bytes() as f64 / (1024.0 * 1024.0),
+            grid::total_sram_bytes() as f64 / (1024.0 * 1024.0),
         ),
-        ("Vector lanes", g.lanes as f64),
+        ("Vector lanes", grid::LANES as f64),
     ] {
         let _ = writeln!(out, "{k:<28} {v:>10.0}");
     }

@@ -245,21 +245,19 @@ impl Suite {
         }
     }
 
-    /// Content fingerprint of the datasets this suite generates. Every
-    /// dataset is produced deterministically from `(Dataset, scale
-    /// factor)`, so the four factors' exact `f64` bit patterns identify
-    /// the generated inputs; hashing bits (snapshot-codec discipline)
-    /// rather than decimal spellings makes `0.5` and `5e-1` the same
-    /// fingerprint. The serving layer folds this into its
-    /// content-addressed cache keys.
-    pub fn fingerprint(&self) -> u64 {
-        use capstan_sim::snapshot::SnapshotWriter;
-        let mut w = SnapshotWriter::new();
-        w.write_f64(self.la_scale);
-        w.write_f64(self.graph_scale);
-        w.write_f64(self.spmspm_scale);
-        w.write_f64(self.conv_scale);
-        capstan_sim::snapshot::fnv1a_64(w.as_bytes())
+    /// The four scale factors' exact `f64` bit patterns. Every dataset
+    /// is generated deterministically from `(Dataset, scale factor)`, so
+    /// these bits identify the generated inputs, and `0.5` and `5e-1`
+    /// give the same bits. The recording memo and the serving layer's
+    /// job table key on them.
+    pub fn scale_bits(&self) -> [u64; 4] {
+        [
+            self.la_scale,
+            self.graph_scale,
+            self.spmspm_scale,
+            self.conv_scale,
+        ]
+        .map(f64::to_bits)
     }
 
     fn scale_for(&self, app: AppId) -> f64 {
@@ -467,14 +465,14 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_follow_values_not_spellings() {
-        let named = Suite::parse("small").unwrap().fingerprint();
+    fn scale_bits_follow_values_not_spellings() {
+        let named = Suite::parse("small").unwrap().scale_bits();
         let spelled = Suite::parse("la=4e-2,graph=1.5e-2,spmspm=5e-1,conv=1e-1")
             .unwrap()
-            .fingerprint();
+            .scale_bits();
         assert_eq!(named, spelled);
-        assert_ne!(named, Suite::medium().fingerprint());
-        assert_ne!(Suite::medium().fingerprint(), Suite::large().fingerprint());
+        assert_ne!(named, Suite::medium().scale_bits());
+        assert_ne!(Suite::medium().scale_bits(), Suite::large().scale_bits());
     }
 
     #[test]

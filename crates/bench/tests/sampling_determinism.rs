@@ -94,7 +94,7 @@ fn recorded_replay_reports_are_identical_across_thread_counts() {
 fn planner_reports_are_identical_across_thread_counts_and_runs() {
     // The planner experiment — per-dataset stats, quarter-scale probe
     // plans, full-scale rankings, and the regret table — is part of
-    // byte-diffed reports and content-addressed cache keys, so its
+    // byte-diffed reports and of the serving layer's job keys, so its
     // output must be byte-identical across worker counts and across
     // repeated runs in one process.
     let suite = Suite::small();

@@ -1,6 +1,6 @@
 //! System-level Capstan configuration.
 
-use capstan_arch::grid::GridConfig;
+use capstan_arch::grid;
 pub use capstan_arch::memdrv::{TenantPartition, MAX_TENANTS};
 use capstan_arch::scanner::{BitVecScanner, DataScanner};
 use capstan_arch::shuffle::ShuffleConfig;
@@ -9,7 +9,7 @@ pub use capstan_sim::dram::MemoryKind;
 use std::sync::{PoisonError, RwLock};
 
 /// How the performance engine prices DRAM time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum MemTiming {
     /// Closed-form bandwidth/latency model (`DramModel::transfer_cycles`)
     /// — fast, and the mode every committed golden value was captured
@@ -31,7 +31,7 @@ pub enum MemTiming {
 
 /// How the cycle-level memory mode picks scattered (random-read and
 /// atomic) DRAM addresses.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum MemAddressing {
     /// Synthetic uniform SplitMix streams (`AddressStream` in
     /// `capstan_arch::memdrv`) — the mode every committed golden value
@@ -91,10 +91,9 @@ impl PlanMode {
 }
 
 impl MemTiming {
-    /// Canonical one-word name — the `--mem` CLI value, the wire-protocol
-    /// field value, and the token hashed into content-addressed cache
-    /// keys. One spelling everywhere, so a config can never round-trip
-    /// into a different one.
+    /// Canonical one-word name — the `--mem` CLI value and the
+    /// wire-protocol field value. One spelling everywhere, so a config
+    /// can never round-trip into a different one.
     pub fn tag(self) -> &'static str {
         match self {
             MemTiming::Analytic => "analytic",
@@ -137,7 +136,7 @@ impl MemAddressing {
 /// configuration, and the bench suite builds apps under its plan mode.
 /// Flipping it mid-run would break the determinism contract between
 /// concurrently recorded experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunMode {
     /// How DRAM time is priced (`--mem`).
     pub timing: MemTiming,
@@ -229,8 +228,6 @@ pub fn set_default_mem_timing(timing: MemTiming) {
 pub struct CapstanConfig {
     /// Attached memory system.
     pub memory: MemoryKind,
-    /// Chip grid (unit counts, lanes, SRAM geometry).
-    pub(crate) grid: GridConfig,
     /// Sparse memory unit configuration.
     pub spmu: SpmuConfig,
     /// Bit-vector scanner configuration.
@@ -301,7 +298,6 @@ impl CapstanConfig {
         let mode = run_mode();
         CapstanConfig {
             memory,
-            grid: GridConfig::default(),
             spmu: SpmuConfig::default(),
             scanner: BitVecScanner::default(),
             data_scanner: DataScanner::default(),
@@ -338,7 +334,7 @@ impl CapstanConfig {
     /// pipeline needs `cus_per_pipeline` CUs.
     pub fn effective_outer_par(&self, cus_per_pipeline: usize) -> usize {
         self.outer_par
-            .min(self.grid.max_outer_parallel(cus_per_pipeline))
+            .min(grid::max_outer_parallel(cus_per_pipeline))
             .max(1)
     }
 }
@@ -357,7 +353,6 @@ mod tests {
     fn paper_default_is_hbm2e() {
         let cfg = CapstanConfig::paper_default();
         assert_eq!(cfg.memory, MemoryKind::Hbm2e);
-        assert_eq!(cfg.grid.compute_units(), 200);
         assert_eq!(cfg.spmu.queue_depth, 16);
         assert_eq!(cfg.scanner.width, 256);
         assert!(cfg.shuffle.is_some());

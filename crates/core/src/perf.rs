@@ -123,6 +123,7 @@ use crate::config::CapstanConfig;
 use crate::config::{MemAddressing, MemTiming};
 use crate::program::{SampleDigest, TileWork, TraceDigest, Workload};
 use crate::report::{Breakdown, PerfReport};
+use capstan_arch::grid;
 use capstan_arch::memdrv::{MemStats, MemSysConfig, MemSysSim, TenantId, TenantStats, TileTraffic};
 use capstan_arch::shuffle::{ButterflyNetwork, RouteScratch, ShuffleConfig, ShuffleVector};
 use capstan_arch::spmu::driver::{run_vectors, ThroughputResult};
@@ -287,7 +288,7 @@ fn route<'a>(key: RouteKey, tiles: impl Iterator<Item = &'a [ShuffleVector]>) ->
 ///   ([`capstan_sim::stats::simulated_cycles`]) reaches this at the end
 ///   of a cycle-level drain, the process prints a diagnostic and exits
 ///   with code 43, simulating a mid-experiment crash for the
-///   kill-and-resume CI job. The check runs at drain granularity (and,
+///   kill-and-resume CI step. The check runs at drain granularity (and,
 ///   with worker threads, after whichever drain crosses first), so the
 ///   exact exit point is approximate — the resume contract never
 ///   depends on *where* a run died, only that the journal already
@@ -337,7 +338,7 @@ fn scan_stage_cycles(tile: &TileWork, cfg: &CapstanConfig) -> u64 {
 }
 
 fn tile_synthetic(tile: &TileWork, cfg: &CapstanConfig) -> TileSynthetic {
-    let lanes = cfg.grid.lanes as u64;
+    let lanes = grid::LANES as u64;
     let active = tile.lane_work.div_ceil(lanes);
     let scan_stage = scan_stage_cycles(tile, cfg);
     // Streaming loads/stores overlap with compute through SRAM
@@ -458,7 +459,7 @@ fn tile_sram_excess(
     }
     // Fabrics without an RMW pipeline pay a bubble per update request.
     if cfg.rmw_bubble_cycles > 0 {
-        excess += (sram.rmw_requests * cfg.rmw_bubble_cycles) as f64 / cfg.grid.lanes as f64;
+        excess += (sram.rmw_requests * cfg.rmw_bubble_cycles) as f64 / grid::LANES as f64;
     }
     (excess.round() as u64, util)
 }
@@ -530,7 +531,7 @@ pub fn try_simulate(workload: &Workload, cfg: &CapstanConfig) -> Option<PerfRepo
     }
     let pipelines = cfg.effective_outer_par(workload.cus_per_pipeline);
     let p = pipelines as f64;
-    let net_model = NetworkModel::new(cfg.grid.side);
+    let net_model = NetworkModel::new(grid::SIDE);
     let dram_model = DramModel::new(cfg.memory);
 
     // --- Synthetic analysis ---------------------------------------------
@@ -739,8 +740,7 @@ pub fn try_simulate(workload: &Workload, cfg: &CapstanConfig) -> Option<PerfRepo
             0.0
         },
         dram_bytes,
-        lane_efficiency: total_lane_work as f64
-            / (cycles as f64 * p * cfg.grid.lanes as f64).max(1.0),
+        lane_efficiency: total_lane_work as f64 / (cycles as f64 * p * grid::LANES as f64).max(1.0),
         mem: mem_stats,
         mem_tenants: mem_tenant_stats,
     })

@@ -21,6 +21,7 @@
 //! `CapstanConfig::mem_addresses = Recorded`.
 
 use crate::config::CapstanConfig;
+use capstan_arch::grid;
 use capstan_arch::scanner::{BitVecScanner, DataScanner, ScanElement, ScanMode, ScanStats};
 use capstan_arch::shuffle::{ShuffleEntry, ShuffleVector};
 use capstan_arch::spmu::{AccessVector, LaneRequest, RmwOp};
@@ -382,7 +383,7 @@ impl WorkloadBuilder {
             name: name.into(),
             scanner: cfg.scanner,
             data_scanner: cfg.data_scanner,
-            lanes: cfg.grid.lanes,
+            lanes: grid::LANES,
             shuffle_ports: cfg.shuffle.map(|s| s.ports).unwrap_or(16),
             tiles: Vec::new(),
             dependent_rounds: 0,

@@ -21,8 +21,8 @@
 //!
 //! Everything here is deterministic: the candidate order is fixed, the
 //! tie-break is total, and no statistic or ranking depends on thread
-//! count — the planner's output is part of byte-diffed reports and
-//! content-addressed cache keys.
+//! count — the planner's output is part of byte-diffed reports and of
+//! the serving layer's job keys.
 
 use capstan_apps::spmv::{BcsrSpmv, CscSpmv, CsrSpmv, DcsrSpmv};
 use capstan_apps::App;
@@ -189,7 +189,7 @@ pub struct PlannedConfig {
 /// the closed-form rule the serving layer applies when a SUBMIT
 /// arrives with `stats=` instead of a hand-picked configuration.
 /// Deterministic by construction: equal stats always produce equal
-/// plans, so identical data content-addresses to the same cache entry.
+/// plans, so identical data keys to the same served result.
 pub fn plan_request(stats: &TensorStats) -> PlannedConfig {
     PlannedConfig {
         mem: MemTiming::Analytic,
@@ -278,8 +278,8 @@ mod tests {
         let mut big = small;
         big.nnz = MULTI_CHANNEL_NNZ;
         assert_eq!(plan_request(&big).channels, 4);
-        // Equal stats, equal plan — the property the content-addressed
-        // cache relies on.
+        // Equal stats, equal plan — the property the server's job table
+        // relies on.
         assert_eq!(plan_request(&small), plan_request(&small));
     }
 }

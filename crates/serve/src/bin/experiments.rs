@@ -100,15 +100,15 @@
 //! replays the journaled experiments byte-for-byte from the journal
 //! instead of re-running them, then continues with the rest. The
 //! resumed invocation's stdout and its `--bench-out` record are
-//! byte-identical to an uninterrupted run's (the kill-and-resume CI job
+//! byte-identical to an uninterrupted run's (the kill-and-resume CI step
 //! enforces this). A journal written under different `--scale` /
 //! suffix flags is rejected loudly.
 //!
 //! `--serve ADDR` turns the binary into the simulation service
 //! (`capstan_serve`): it binds `ADDR`, prints
 //! `capstan-serve listening on <addr>` once ready, and answers
-//! newline-framed requests — batching compatible submissions, caching
-//! results content-addressed, and running each batch group in one
+//! newline-framed requests — batching compatible submissions, keeping
+//! each result under its normalized request, and running each batch group in one
 //! worker subprocess (a plain `--resume DIR --no-bench-out` invocation
 //! of this same binary, whose journal carries the results back).
 //! `--submit ADDR` is the matching client: it submits the named
@@ -359,8 +359,7 @@ fn run_submit(cli: &Cli) -> ! {
     // configuration (check_modes already rejected explicit --mem/...).
     // The suite's anchor linear-algebra dataset at the submitted scale
     // stands in for the sweep: its stats are a pure function of the
-    // scale spec, so identical submissions plan — and content-address —
-    // identically.
+    // scale spec, so identical submissions plan — and key — identically.
     let mut base = cli.spec.clone();
     if base.plan == PlanMode::Auto {
         let suite = base.suite().unwrap_or_else(|e| die(&e));

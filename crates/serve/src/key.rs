@@ -1,14 +1,13 @@
-//! Canonical run specification and its content-addressed cache key.
+//! Canonical run specification and the key its result is stored under.
 //!
 //! A submitted job is fully described by `(experiment, suite scale,
 //! memory configuration)` — Capstan's simulated results are
 //! deterministic and machine-independent, so that tuple *is* the
-//! result's address. The key is an FNV-1a-64 hash over the tuple's
-//! canonical encoding (`capstan_sim::snapshot::SnapshotWriter`): every
-//! field is serialized in one fixed order with floats as exact bit
-//! patterns, so the key is
-//! invariant under request-field reordering and alternative float
-//! spellings, and distinct under any single-field change.
+//! result's identity. [`JobKey`] holds it in normalized form: scale
+//! factors as exact bit patterns and the memory configuration as a
+//! [`RunMode`], so the key is invariant under request-field reordering
+//! and alternative float spellings, and two requests share a result
+//! exactly when every field agrees.
 //!
 //! [`RunSpec`] is also the one codec for a run's configuration.
 //! [`FIELDS`] maps each `SUBMIT` key to its `experiments` flag and
@@ -20,11 +19,6 @@
 
 use capstan_bench::Suite;
 use capstan_core::config::{MemAddressing, MemTiming, PlanMode, RunMode, MAX_TENANTS};
-use capstan_sim::snapshot::{fnv1a_64, SnapshotWriter};
-
-/// Versioned domain tag mixed into every cache key; bump on any change
-/// to the canonical encoding so stale keys can never alias new ones.
-const KEY_TAG: &str = "capstan-serve-key/v3";
 
 /// Upper bound on `channels` — the widest topology the memory model is
 /// exercised at, with headroom; an absurd channel count would otherwise
@@ -61,8 +55,8 @@ pub struct RunSpec {
     /// Suite scale: a named preset or the custom
     /// `la=F,graph=F,spmspm=F,conv=F` form (see [`Suite::parse`]). The
     /// raw spelling is kept — it is what worker command lines and
-    /// journal headers carry — but the cache key hashes the *parsed*
-    /// fingerprint, so `0.5` and `5e-1` address the same result.
+    /// journal headers carry — but [`JobKey`] holds the *parsed*
+    /// factors, so `0.5` and `5e-1` address the same result.
     pub scale: String,
     /// DRAM timing mode (`--mem`).
     pub mem: MemTiming,
@@ -78,11 +72,11 @@ pub struct RunSpec {
     /// planner's choice into those fields before keying. The mode joins
     /// the key (planned rows form their own `+plan` record group); the
     /// raw stats blob does not — two submissions whose stats plan to
-    /// the same configuration address the same cached result.
+    /// the same configuration address the same result.
     pub plan: PlanMode,
     /// The encoded `capstan_tensor::stats::TensorStats` blob an `Auto`
     /// submission carried (`None` on fixed requests). Kept for the
-    /// planner, never hashed.
+    /// planner, never keyed.
     pub stats: Option<String>,
 }
 
@@ -197,33 +191,29 @@ impl RunSpec {
         format!("{}{}", self.experiment, self.suffix())
     }
 
-    /// The content-addressed cache key: FNV-1a-64 over the canonical
-    /// encoding of experiment name, dataset fingerprint, and memory
-    /// configuration. Fails only when the scale spec does not parse
-    /// (the protocol layer rejects such requests before keying).
-    pub fn cache_key(&self) -> Result<u64, String> {
-        let suite = self.suite()?;
-        let mut w = SnapshotWriter::new();
-        write_str(&mut w, KEY_TAG);
-        write_str(&mut w, &self.experiment);
-        // Dataset fingerprint: the generated inputs are a pure function
-        // of the suite's scale factors (exact f64 bits, see
-        // `Suite::fingerprint`), so it stands in for hashing the
-        // datasets themselves.
-        w.write_u64(suite.fingerprint());
-        write_str(&mut w, self.mem.tag());
-        write_str(&mut w, self.addresses.tag());
-        w.write_u64(self.channels as u64);
-        w.write_u64(self.tenants as u64);
-        // The plan *mode* is keyed (planned rows are their own record
-        // group) but the stats blob is not: the server has already
-        // materialized the planned configuration into the hashed fields
-        // above, so any data that plans identically — or a fixed request
-        // spelling the same configuration by hand under `Auto`'s suffix —
-        // must hit the same cache line.
-        write_str(&mut w, self.plan.tag());
-        Ok(fnv1a_64(w.as_bytes()))
+    /// The key this spec's result is stored under. Call it after the
+    /// server has materialized a `plan=auto` configuration: the key
+    /// holds the run mode, never the stats blob, so data that plans
+    /// identically shares one result. Fails only when the scale spec
+    /// does not parse (the protocol layer rejects such requests before
+    /// keying).
+    pub fn key(&self) -> Result<JobKey, String> {
+        Ok(JobKey {
+            experiment: self.experiment.clone(),
+            scales: self.suite()?.scale_bits(),
+            mode: self.mode(),
+        })
     }
+}
+
+/// What a job's result is a deterministic function of: the experiment,
+/// the suite's scale factors as bit patterns ([`Suite::scale_bits`]),
+/// and the run mode.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct JobKey {
+    experiment: String,
+    scales: [u64; 4],
+    mode: RunMode,
 }
 
 /// Parses a count in `1..=max` for field `key`.
@@ -235,16 +225,6 @@ fn count(key: &str, value: &str, max: usize) -> Result<usize, String> {
         .ok_or_else(|| format!("{key} must be an integer in 1..={max}, got `{value}`"))
 }
 
-/// Length-prefixed string write (the writer has primitive-only
-/// methods; strings ride as counted bytes so `ab`+`c` can never alias
-/// `a`+`bc`).
-fn write_str(w: &mut SnapshotWriter, s: &str) {
-    w.write_len(s.len());
-    for b in s.bytes() {
-        w.write_u8(b);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,55 +232,52 @@ mod tests {
     #[test]
     fn keys_are_stable_and_spelling_invariant() {
         let spec = RunSpec::new("fig7");
-        assert_eq!(spec.cache_key().unwrap(), spec.cache_key().unwrap());
+        assert_eq!(spec.key().unwrap(), spec.key().unwrap());
         let mut small = RunSpec::new("fig7");
         small.scale = "small".to_string();
         let mut spelled = RunSpec::new("fig7");
         spelled.scale = "la=4e-2,graph=1.5e-2,spmspm=5e-1,conv=1e-1".to_string();
-        assert_eq!(small.cache_key().unwrap(), spelled.cache_key().unwrap());
+        assert_eq!(small.key().unwrap(), spelled.key().unwrap());
     }
 
     #[test]
     fn every_single_field_change_moves_the_key() {
         let base = RunSpec::new("fig7");
-        let key = base.cache_key().unwrap();
+        let key = base.key().unwrap();
         let mut other = base.clone();
         other.experiment = "fig4".to_string();
-        assert_ne!(other.cache_key().unwrap(), key);
+        assert_ne!(other.key().unwrap(), key);
         let mut other = base.clone();
         other.scale = "small".to_string();
-        assert_ne!(other.cache_key().unwrap(), key);
+        assert_ne!(other.key().unwrap(), key);
         let mut other = base.clone();
         other.mem = MemTiming::CycleLevel;
-        assert_ne!(other.cache_key().unwrap(), key);
+        assert_ne!(other.key().unwrap(), key);
         let mut other = base.clone();
         other.addresses = MemAddressing::Recorded;
-        assert_ne!(other.cache_key().unwrap(), key);
+        assert_ne!(other.key().unwrap(), key);
         let mut other = base.clone();
         other.channels = 4;
-        assert_ne!(other.cache_key().unwrap(), key);
+        assert_ne!(other.key().unwrap(), key);
         let mut other = base.clone();
         other.tenants = 2;
-        assert_ne!(other.cache_key().unwrap(), key);
+        assert_ne!(other.key().unwrap(), key);
         let mut other = base.clone();
         other.plan = PlanMode::Auto;
-        assert_ne!(other.cache_key().unwrap(), key);
+        assert_ne!(other.key().unwrap(), key);
     }
 
     #[test]
     fn stats_blob_is_not_keyed_but_plan_mode_is() {
         // Two auto submissions with different stats blobs that plan to
-        // the same materialized configuration must share a cache line.
+        // the same materialized configuration must share a result.
         let mut a = RunSpec::new("fig7");
         a.plan = PlanMode::Auto;
         a.stats = Some("s1:10:10:5:3:2:6:4:5:4".to_string());
         let mut b = a.clone();
         b.stats = Some("s1:12:12:6:4:2:8:5:6:5".to_string());
-        assert_eq!(a.cache_key().unwrap(), b.cache_key().unwrap());
-        assert_ne!(
-            a.cache_key().unwrap(),
-            RunSpec::new("fig7").cache_key().unwrap()
-        );
+        assert_eq!(a.key().unwrap(), b.key().unwrap());
+        assert_ne!(a.key().unwrap(), RunSpec::new("fig7").key().unwrap());
     }
 
     #[test]
@@ -320,6 +297,6 @@ mod tests {
     fn bad_scales_fail_key_derivation() {
         let mut spec = RunSpec::new("fig7");
         spec.scale = "la=NaN,graph=0.015,spmspm=0.5,conv=0.1".to_string();
-        assert!(spec.cache_key().is_err());
+        assert!(spec.key().is_err());
     }
 }

@@ -2,25 +2,24 @@
 
 //! # capstan-serve
 //!
-//! Simulation-as-a-service: a batched, content-addressed experiment
-//! server over plain threaded TCP (std-only — this workspace builds
-//! fully offline, so there is no async runtime and no serialization
-//! dependency; the wire protocol is newline-framed text).
+//! Simulation-as-a-service: a batched experiment server that keys
+//! results by request, over plain threaded TCP (std-only — this
+//! workspace builds fully offline, so there is no async runtime and no
+//! serialization dependency; the wire protocol is newline-framed text).
 //!
 //! Capstan's simulated-cycle counts are deterministic and
 //! machine-independent — the repo pins them with golden tests and a CI
-//! bench gate — which makes experiment results *content-addressable*: a
-//! request is fully described by `(experiment, suite scale, memory
-//! configuration)`, and any two identical requests must produce
-//! byte-identical report text. The server exploits that end to end:
+//! bench gate — so a request is fully described by `(experiment, suite
+//! scale, memory configuration)`, and any two identical requests must
+//! produce byte-identical report text. The server exploits that end to
+//! end:
 //!
-//! * **Content-addressed cache** ([`key`]): every request canonicalizes
-//!   to an FNV-1a-64 key over the canonical encoding
-//!   ([`capstan_sim::snapshot::SnapshotWriter`]) of its experiment name,
-//!   dataset fingerprint ([`capstan_bench::Suite::fingerprint`]) and
-//!   memory configuration. A repeated request is served
-//!   from the cache without touching a core; concurrent duplicates
-//!   coalesce onto one in-flight job.
+//! * **One job table** ([`server`]): every request normalizes to a
+//!   [`key::JobKey`] — the experiment name, the suite's scale factors
+//!   as exact bit patterns, and the run mode — and the server tracks
+//!   each job in one map from that key. A repeated request is served
+//!   from a finished job without touching a core; concurrent duplicates
+//!   coalesce onto one waiting job.
 //! * **Batching** ([`server`]): compatible queued requests (same scale
 //!   and memory configuration) are drained into one batch, and each
 //!   group runs in one worker *process* — a plain `experiments`
@@ -41,7 +40,6 @@
 //! format and its typed errors, and [`client`] is the blocking client
 //! used by `--submit` and the black-box conformance tests.
 
-mod cache;
 pub mod client;
 pub mod key;
 mod proto;

@@ -5,10 +5,10 @@
 //! response. Requests:
 //!
 //! ```text
-//! capstan-serve/v1 SUBMIT experiment=fig7 scale=small mem=cycle addresses=synthetic channels=1 tenants=1
-//! capstan-serve/v1 STATS
-//! capstan-serve/v1 PING
-//! capstan-serve/v1 SHUTDOWN
+//! capstan-serve/v2 SUBMIT experiment=fig7 scale=small mem=cycle addresses=synthetic channels=1 tenants=1
+//! capstan-serve/v2 STATS
+//! capstan-serve/v2 PING
+//! capstan-serve/v2 SHUTDOWN
 //! ```
 //!
 //! `SUBMIT` fields may appear in **any order**; only `experiment` is
@@ -22,7 +22,7 @@
 //! dataset statistics and lets the server choose:
 //!
 //! ```text
-//! capstan-serve/v1 SUBMIT experiment=planner plan=auto stats=s1:4096:4096:163840:4096:40:1720320:81:4096:28561
+//! capstan-serve/v2 SUBMIT experiment=planner plan=auto stats=s1:4096:4096:163840:4096:40:1720320:81:4096:28561
 //! ```
 //!
 //! `plan=auto` **requires** `stats=` (an encoded
@@ -31,15 +31,16 @@
 //! while `stats=` without `plan=auto` is equally an error. Responses:
 //!
 //! ```text
-//! capstan-serve/v1 OK cache=miss key=<16 hex> name=fig7+cycle cycles=365168 wall=<16 hex> cps=<16 hex> report=<len>
+//! capstan-serve/v2 OK cache=miss name=fig7+cycle cycles=365168 wall=<16 hex> report=<len>
 //! <len bytes of report text>
-//! capstan-serve/v1 STATS submits=4 cache_hits=2 ...
-//! capstan-serve/v1 ERR unknown-experiment no experiment named `fig99`
+//! capstan-serve/v2 STATS submits=4 cache_hits=2 ...
+//! capstan-serve/v2 ERR unknown-experiment no experiment named `fig99`
 //! ```
 //!
-//! `wall`/`cps` travel as exact `f64` bit patterns (hex), the journal's
-//! discipline, so a relayed bench row is bit-equal to the server's. The
-//! report payload is length-delimited raw bytes — report text is
+//! `wall` travels as an exact `f64` bit pattern (hex), the journal's
+//! discipline, and the client derives the row's throughput from it as
+//! the server did ([`BenchEntry::new`]), so a relayed bench row is
+//! bit-equal to the server's. The report payload is length-delimited raw bytes — report text is
 //! multi-line, so it cannot ride in a newline-framed field.
 //!
 //! Every failure mode an attacker-shaped client can produce — truncated
@@ -58,7 +59,7 @@ use std::io::Read;
 
 /// Protocol magic + version token opening every frame; bump on any wire
 /// change.
-pub(crate) const MAGIC: &str = "capstan-serve/v1";
+pub(crate) const MAGIC: &str = "capstan-serve/v2";
 
 /// Hard cap on request-frame length. Generous: the longest legitimate
 /// request (a custom scale spec plus every field) is under 200 bytes.
@@ -139,7 +140,7 @@ impl ProtoError {
         raw.replace(['\n', '\r'], " ")
     }
 
-    /// The one-line wire form: `capstan-serve/v1 ERR <code> <detail>`.
+    /// The one-line wire form: `capstan-serve/v2 ERR <code> <detail>`.
     pub(crate) fn to_wire(&self) -> String {
         format!("{MAGIC} ERR {} {}\n", self.code(), self.detail())
     }
@@ -293,28 +294,20 @@ pub struct SubmitReply {
     /// simulation), `join` (coalesced onto an in-flight duplicate), or
     /// `hit` (served from the completed-result cache).
     pub cache: String,
-    /// The request's content-addressed cache key.
-    pub key: u64,
-    /// The bench-record row (exact `f64` bits relayed for the timing
-    /// fields).
+    /// The bench-record row (exact `f64` bits relayed for the wall
+    /// time).
     pub row: BenchEntry,
     /// The experiment's report text.
     pub report: String,
 }
 
 /// Formats the `OK` header line + report payload for a completed job.
-pub(crate) fn format_submit_reply(
-    cache: &str,
-    key: u64,
-    row: &BenchEntry,
-    report: &str,
-) -> Vec<u8> {
+pub(crate) fn format_submit_reply(cache: &str, row: &BenchEntry, report: &str) -> Vec<u8> {
     let mut out = format!(
-        "{MAGIC} OK cache={cache} key={key:016x} name={} cycles={} wall={:016x} cps={:016x} report={}\n",
+        "{MAGIC} OK cache={cache} name={} cycles={} wall={:016x} report={}\n",
         row.name,
         row.simulated_cycles,
         row.wall_seconds.to_bits(),
-        row.cycles_per_second.to_bits(),
         report.len()
     )
     .into_bytes();
@@ -329,11 +322,9 @@ pub(crate) fn format_submit_reply(
 pub(crate) fn parse_submit_header(line: &str) -> Result<(SubmitReply, usize), ProtoError> {
     let rest = expect_ok(line)?;
     let mut cache = None;
-    let mut key = None;
     let mut name = None;
     let mut cycles = None;
     let mut wall = None;
-    let mut cps = None;
     let mut report_len = None;
     for field in rest.split(' ').filter(|t| !t.is_empty()) {
         let (k, v) = field
@@ -341,13 +332,11 @@ pub(crate) fn parse_submit_header(line: &str) -> Result<(SubmitReply, usize), Pr
             .ok_or_else(|| bad_reply("field is not key=value"))?;
         match k {
             "cache" => cache = Some(v.to_string()),
-            "key" => key = Some(parse_hex64(v)?),
             "name" => name = Some(v.to_string()),
             "cycles" => {
                 cycles = Some(v.parse::<u64>().map_err(|_| bad_reply("bad cycles"))?);
             }
             "wall" => wall = Some(f64::from_bits(parse_hex64(v)?)),
-            "cps" => cps = Some(f64::from_bits(parse_hex64(v)?)),
             "report" => {
                 let len = v
                     .parse::<usize>()
@@ -360,23 +349,15 @@ pub(crate) fn parse_submit_header(line: &str) -> Result<(SubmitReply, usize), Pr
             _ => return Err(bad_reply("unknown reply field")),
         }
     }
-    match (cache, key, name, cycles, wall, cps, report_len) {
-        (Some(cache), Some(key), Some(name), Some(cycles), Some(wall), Some(cps), Some(len)) => {
-            Ok((
-                SubmitReply {
-                    cache,
-                    key,
-                    row: BenchEntry {
-                        name,
-                        wall_seconds: wall,
-                        simulated_cycles: cycles,
-                        cycles_per_second: cps,
-                    },
-                    report: String::new(),
-                },
-                len,
-            ))
-        }
+    match (cache, name, cycles, wall, report_len) {
+        (Some(cache), Some(name), Some(cycles), Some(wall), Some(len)) => Ok((
+            SubmitReply {
+                cache,
+                row: BenchEntry::new(name, wall, cycles),
+                report: String::new(),
+            },
+            len,
+        )),
         _ => Err(bad_reply("reply is missing fields")),
     }
 }
@@ -658,6 +639,7 @@ mod tests {
         let cases: &[(&str, &str)] = &[
             ("nonsense", "bad-frame"),
             ("capstan-serve/v0 SUBMIT experiment=fig7", "bad-frame"),
+            ("capstan-serve/v1 SUBMIT experiment=fig7", "bad-frame"),
             (&format!("{MAGIC} FROBNICATE"), "bad-frame"),
             (&format!("{MAGIC} SUBMIT"), "bad-request"),
             (&format!("{MAGIC} SUBMIT fig7"), "bad-request"),
@@ -720,18 +702,12 @@ mod tests {
 
     #[test]
     fn submit_reply_round_trips_exact_bits() {
-        let row = BenchEntry {
-            name: "fig7+cycle".to_string(),
-            wall_seconds: 0.1 + 0.2,
-            simulated_cycles: 365168,
-            cycles_per_second: 199729.83,
-        };
-        let wire = format_submit_reply("miss", 0xdead_beef_0123_4567, &row, "line one\nline two\n");
+        let row = BenchEntry::new("fig7+cycle".to_string(), 0.1 + 0.2, 365168);
+        let wire = format_submit_reply("miss", &row, "line one\nline two\n");
         let text = String::from_utf8(wire).unwrap();
         let (header, payload) = text.split_once('\n').unwrap();
         let (reply, len) = parse_submit_header(header).unwrap();
         assert_eq!(reply.cache, "miss");
-        assert_eq!(reply.key, 0xdead_beef_0123_4567);
         assert_eq!(reply.row.name, row.name);
         assert_eq!(reply.row.wall_seconds.to_bits(), row.wall_seconds.to_bits());
         assert_eq!(

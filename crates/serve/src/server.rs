@@ -1,4 +1,4 @@
-//! The experiment server: queue → cache → batch → worker.
+//! The experiment server: job table → queue → batch → worker.
 //!
 //! One scheduler thread drains a pending-job queue in batches; each
 //! batch is grouped by *compatible configuration* — equal scale and
@@ -16,14 +16,17 @@
 //!   directory and *resumes*, replaying completed rows byte-for-byte.
 //! * The journal is also the one way back: each served row and report
 //!   is read from its entry (exact wall-time bits), so a fresh and a
-//!   resumed worker report the same way.
+//!   resumed worker report the same way. A group's journal directory
+//!   lives from its first spawn until its outcomes are delivered.
 //!
-//! Completed outcomes land in the content-addressed `ResultCache`;
-//! every waiter on the job's key (the submitter plus any coalesced
-//! duplicates) receives the same `Arc`'d outcome.
+//! One table, keyed by the normalized request ([`JobKey`]), tracks
+//! every job: `Waiting` while it is queued or running, with the senders
+//! of every request on it (the submitter plus any coalesced
+//! duplicates), and `Done` once it has succeeded, holding the outcome
+//! each later duplicate is served from. A failed job leaves the table,
+//! so a resubmission runs it again.
 
-use crate::cache::{JobOutcome, ResultCache};
-use crate::key::RunSpec;
+use crate::key::{JobKey, RunSpec};
 use crate::proto::{self, FrameReader, ProtoError, Request, MAGIC};
 use capstan_bench::experiments as exp;
 use capstan_bench::gate::BenchEntry;
@@ -31,7 +34,8 @@ use capstan_bench::journal::Journal;
 use capstan_core::config::PlanMode;
 use capstan_plan::PlannedConfig;
 use capstan_tensor::stats::TensorStats;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::ffi::OsString;
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -97,12 +101,16 @@ const LATENCY_BOUNDS: [(Duration, &str); 7] = [
 /// How many of [`LATENCY_BOUNDS`] the hit histogram uses.
 const HIT_BUCKETS: usize = 4;
 
-/// Scheduler/worker counters reported by `STATS` (cache hits and
-/// misses live in [`ResultCache`]).
+/// Counters reported by `STATS`.
 #[derive(Debug, Default)]
 struct Counters {
     submits: u64,
+    /// Requests served from a `Done` job.
+    cache_hits: u64,
+    /// Requests that joined a `Waiting` job.
     coalesced: u64,
+    /// Requests that started a job: work actually reaching a core.
+    misses: u64,
     batches: u64,
     worker_spawns: u64,
     worker_retries: u64,
@@ -121,14 +129,32 @@ struct Counters {
     miss_latency: [u64; LATENCY_BOUNDS.len() + 1],
 }
 
-/// One queued job.
+/// A completed job: what the job table keeps and clients receive.
 #[derive(Debug)]
-struct Job {
-    key: u64,
-    spec: RunSpec,
+struct JobOutcome {
+    /// The bench-record row (name includes the record-group suffix).
+    row: BenchEntry,
+    /// The experiment's exact report text — byte-identical to a direct
+    /// `experiments` invocation's stdout for this experiment.
+    report: String,
 }
 
 type Delivery = Result<Arc<JobOutcome>, ProtoError>;
+
+/// A job in the table.
+enum Job {
+    /// Queued or running: the requests to deliver its outcome to.
+    Waiting(Vec<mpsc::Sender<Delivery>>),
+    /// Succeeded. Outcomes are a few kilobytes of text and the working
+    /// set is the finite experiment matrix, so nothing is evicted.
+    Done(Arc<JobOutcome>),
+}
+
+/// One queued run.
+struct Queued {
+    key: JobKey,
+    spec: RunSpec,
+}
 
 /// Mutable server state behind the one lock.
 #[derive(Default)]
@@ -138,15 +164,15 @@ struct State {
     /// its check and its wait) and a submission can never queue a job
     /// after the scheduler has drained and exited.
     stop: bool,
-    cache: ResultCache,
-    pending: Vec<Job>,
-    inflight: HashSet<u64>,
-    waiters: HashMap<u64, Vec<mpsc::Sender<Delivery>>>,
+    jobs: HashMap<JobKey, Job>,
+    /// The batch queue: every `Waiting` job the scheduler has not yet
+    /// taken.
+    queue: Vec<Queued>,
     counters: Counters,
     /// Memoized planner decisions keyed by the raw stats blob: the
     /// planner is a pure function of the statistics, so a dataset
     /// resubmitted with identical stats reuses its plan (and, because
-    /// the blob never joins the cache key, its cached result too).
+    /// the blob never joins the [`JobKey`], its result too).
     plan_cache: HashMap<String, PlannedConfig>,
 }
 
@@ -297,9 +323,9 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, accepted: Instant)
             format!("{MAGIC} OK bye\n").into_bytes()
         }
         Ok(Request::Submit(spec)) => match submit(shared, spec) {
-            Ok((cache_tag, key, outcome)) => {
+            Ok((cache_tag, outcome)) => {
                 served = Some(cache_tag);
-                proto::format_submit_reply(cache_tag, key, &outcome.row, &outcome.report)
+                proto::format_submit_reply(cache_tag, &outcome.row, &outcome.report)
             }
             Err(e) => e.to_wire().into_bytes(),
         },
@@ -373,9 +399,9 @@ fn stats_line(shared: &Arc<Shared>) -> String {
          worker_spawns={} worker_retries={} rows_resumed={} errors={} \
          plans_computed={} plan_cache_hits={} connections={} handlers_live={}",
         c.submits,
-        st.cache.hits(),
+        c.cache_hits,
         c.coalesced,
-        st.cache.misses(),
+        c.misses,
         c.batches,
         c.worker_spawns,
         c.worker_retries,
@@ -400,17 +426,17 @@ fn stats_line(shared: &Arc<Shared>) -> String {
     line
 }
 
-/// Routes one submission: cache hit → answer immediately; duplicate of
-/// a queued/in-flight job → coalesce onto it; otherwise enqueue fresh
-/// work. Blocks until the outcome is delivered.
+/// Routes one submission: a `Done` job → answer immediately; a
+/// `Waiting` job → coalesce onto it; otherwise enqueue fresh work.
+/// Blocks until the outcome is delivered.
 fn submit(
     shared: &Arc<Shared>,
     mut spec: RunSpec,
-) -> Result<(&'static str, u64, Arc<JobOutcome>), ProtoError> {
+) -> Result<(&'static str, Arc<JobOutcome>), ProtoError> {
     // An `Auto` submission arrives with dataset statistics instead of a
     // memory configuration; materialize the planner's choice into the
-    // spec *before* keying, so equal-planning data content-addresses
-    // the same result. Plans are memoized by the raw stats blob.
+    // spec *before* keying, so equal-planning data addresses the same
+    // result. Plans are memoized by the raw stats blob.
     if spec.plan == PlanMode::Auto {
         let blob = spec
             .stats
@@ -440,35 +466,44 @@ fn submit(
     }
     // The protocol layer validated the scale spec, so keying cannot
     // fail on a wire request; belt-and-suspenders for direct callers.
-    let key = spec.cache_key().map_err(ProtoError::BadRequest)?;
-    let cache_tag;
-    let rx;
-    {
-        let mut st = shared.state.lock().expect("state lock");
+    let key = spec.key().map_err(ProtoError::BadRequest)?;
+    let (cache_tag, rx) = {
+        let mut guard = shared.state.lock().expect("state lock");
+        let st = &mut *guard;
         if st.stop {
             return Err(ProtoError::Internal("server is shutting down".to_string()));
         }
         st.counters.submits += 1;
-        if let Some(outcome) = st.cache.lookup(key) {
-            return Ok(("hit", key, outcome));
+        match st.jobs.entry(key) {
+            Entry::Occupied(entry) => match entry.into_mut() {
+                Job::Done(outcome) => {
+                    st.counters.cache_hits += 1;
+                    return Ok(("hit", Arc::clone(outcome)));
+                }
+                Job::Waiting(waiters) => {
+                    let (tx, rx) = mpsc::channel();
+                    waiters.push(tx);
+                    st.counters.coalesced += 1;
+                    ("join", rx)
+                }
+            },
+            Entry::Vacant(entry) => {
+                let (tx, rx) = mpsc::channel();
+                st.queue.push(Queued {
+                    key: entry.key().clone(),
+                    spec,
+                });
+                entry.insert(Job::Waiting(vec![tx]));
+                st.counters.misses += 1;
+                shared.cv.notify_all();
+                ("miss", rx)
+            }
         }
-        let (tx, receiver) = mpsc::channel();
-        rx = receiver;
-        if st.inflight.contains(&key) || st.pending.iter().any(|j| j.key == key) {
-            st.counters.coalesced += 1;
-            cache_tag = "join";
-        } else {
-            st.cache.record_miss();
-            st.pending.push(Job { key, spec });
-            cache_tag = "miss";
-        }
-        st.waiters.entry(key).or_default().push(tx);
-        shared.cv.notify_all();
-    }
+    };
     // Generous bound: `full`-scale cycle-level sweeps run for minutes,
     // not hours; an hour without a delivery means the scheduler died.
     match rx.recv_timeout(Duration::from_secs(3600)) {
-        Ok(Ok(outcome)) => Ok((cache_tag, key, outcome)),
+        Ok(Ok(outcome)) => Ok((cache_tag, outcome)),
         Ok(Err(e)) => Err(e),
         Err(_) => Err(ProtoError::Internal(
             "timed out waiting for the job".to_string(),
@@ -483,16 +518,14 @@ fn scheduler_loop(shared: &Arc<Shared>) {
     loop {
         {
             let mut st = shared.state.lock().expect("state lock");
-            while st.pending.is_empty() && !st.stop {
+            while st.queue.is_empty() && !st.stop {
                 st = shared.cv.wait(st).expect("state lock");
             }
             if st.stop {
-                let pending = std::mem::take(&mut st.pending);
-                for job in pending {
-                    st.counters.errors += 1;
+                for queued in std::mem::take(&mut st.queue) {
                     deliver(
                         &mut st,
-                        job.key,
+                        queued.key,
                         Err(ProtoError::Internal("server is shutting down".to_string())),
                     );
                 }
@@ -502,10 +535,7 @@ fn scheduler_loop(shared: &Arc<Shared>) {
         std::thread::sleep(shared.config.batch_linger);
         let batch = {
             let mut st = shared.state.lock().expect("state lock");
-            let batch = std::mem::take(&mut st.pending);
-            for job in &batch {
-                st.inflight.insert(job.key);
-            }
+            let batch = std::mem::take(&mut st.queue);
             if !batch.is_empty() {
                 st.counters.batches += 1;
             }
@@ -517,10 +547,17 @@ fn scheduler_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Removes a job's bookkeeping and sends the outcome to every waiter.
-fn deliver(st: &mut State, key: u64, outcome: Delivery) {
-    st.inflight.remove(&key);
-    if let Some(waiters) = st.waiters.remove(&key) {
+/// Sends a job's outcome to every waiter. A success stays in the table
+/// as `Done`; a failure is counted and leaves it.
+fn deliver(st: &mut State, key: JobKey, outcome: Delivery) {
+    let waiting = match &outcome {
+        Ok(out) => st.jobs.insert(key, Job::Done(Arc::clone(out))),
+        Err(_) => {
+            st.counters.errors += 1;
+            st.jobs.remove(&key)
+        }
+    };
+    if let Some(Job::Waiting(waiters)) = waiting {
         for w in waiters {
             let _ = w.send(outcome.clone());
         }
@@ -528,48 +565,49 @@ fn deliver(st: &mut State, key: u64, outcome: Delivery) {
 }
 
 /// Groups a batch by compatible configuration and runs each group.
-fn run_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
-    let mut groups: BTreeMap<(String, String), Vec<Job>> = BTreeMap::new();
-    for job in batch {
-        let compat = (job.spec.scale.clone(), job.spec.suffix());
-        groups.entry(compat).or_default().push(job);
+fn run_batch(shared: &Arc<Shared>, batch: Vec<Queued>) {
+    let mut groups: BTreeMap<(String, String), Vec<Queued>> = BTreeMap::new();
+    for queued in batch {
+        let compat = (queued.spec.scale.clone(), queued.spec.suffix());
+        groups.entry(compat).or_default().push(queued);
     }
-    for jobs in groups.into_values() {
-        run_group(shared, jobs);
+    for group in groups.into_values() {
+        run_group(shared, group);
     }
 }
 
 /// Runs one compatibility group in one worker and delivers per-job
 /// outcomes read from the worker's journal.
-fn run_group(shared: &Arc<Shared>, jobs: Vec<Job>) {
+fn run_group(shared: &Arc<Shared>, group: Vec<Queued>) {
     let group_id = shared.group_seq.fetch_add(1, Ordering::SeqCst);
+    let journal_dir = shared.config.work_dir.join(format!("group{group_id}"));
     // Canonical experiment order (ALL_NAMES position) so a group's
     // sweep — and therefore its journal — is deterministic regardless
     // of submission order. Jobs in one group always carry distinct
     // experiments (identical specs coalesce upstream), but dedup anyway:
     // a name given twice runs once.
-    let mut names: Vec<&str> = jobs.iter().map(|j| j.spec.experiment.as_str()).collect();
+    let mut names: Vec<&str> = group.iter().map(|q| q.spec.experiment.as_str()).collect();
     names.sort_by_key(|n| exp::ALL_NAMES.iter().position(|a| a == n));
     names.dedup();
-    let journal = run_worker(shared, group_id, &names, &jobs[0].spec);
-    let outcomes: Vec<Delivery> = jobs
+    let journal = run_worker(shared, &journal_dir, &names, &group[0].spec);
+    let outcomes: Vec<Delivery> = group
         .iter()
-        .map(|job| match &journal {
-            Ok(journal) => served(journal, &job.spec)
+        .map(|queued| match &journal {
+            Ok(journal) => served(journal, &queued.spec)
                 .map(Arc::new)
                 .map_err(ProtoError::Internal),
             Err(e) => Err(ProtoError::WorkerFailed(e.clone())),
         })
         .collect();
-
-    let mut st = shared.state.lock().expect("state lock");
-    for (job, outcome) in jobs.iter().zip(outcomes) {
-        match &outcome {
-            Ok(out) => st.cache.insert(job.key, Arc::clone(out)),
-            Err(_) => st.counters.errors += 1,
+    {
+        let mut st = shared.state.lock().expect("state lock");
+        for (queued, outcome) in group.into_iter().zip(outcomes) {
+            deliver(&mut st, queued.key, outcome);
         }
-        deliver(&mut st, job.key, outcome);
     }
+    // Every outcome now lives in the job table; a journal left behind
+    // would pin a later server on this workdir to this group's scale.
+    let _ = std::fs::remove_dir_all(&journal_dir);
 }
 
 /// A job's outcome from its worker's journal entry: the bench row with
@@ -598,22 +636,31 @@ pub fn worker_args(names: &[&str], spec: &RunSpec, journal_dir: &Path) -> Vec<Os
     args
 }
 
-/// Runs one group's worker process (respawning on failure up to
-/// [`WORKER_ATTEMPTS`] — a worker killed mid-sweep resumes from its
-/// journal) and returns the finished journal.
+/// Runs one group's worker process journaled in `journal_dir`
+/// (respawning on failure up to [`WORKER_ATTEMPTS`] — a worker killed
+/// mid-sweep resumes from its journal) and returns the finished
+/// journal.
 fn run_worker(
     shared: &Arc<Shared>,
-    group_id: u64,
+    journal_dir: &Path,
     names: &[&str],
     spec: &RunSpec,
 ) -> Result<Journal, String> {
     let cfg = &shared.config;
-    let journal_dir = cfg.work_dir.join(format!("group{group_id}"));
-    let open = || Journal::open_or_create(&journal_dir, &spec.scale, &spec.suffix());
+    // Start from an empty directory: one left by an earlier server on
+    // this workdir holds a journal of another group. Retries keep the
+    // directory, since it is what they resume from.
+    match std::fs::remove_dir_all(journal_dir) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+            return Err(format!("cannot clear {}: {e}", journal_dir.display()))
+        }
+        _ => {}
+    }
+    let open = || Journal::open_or_create(journal_dir, &spec.scale, &spec.suffix());
     let mut last_err = String::new();
     for attempt in 0..WORKER_ATTEMPTS {
         let mut cmd = std::process::Command::new(&cfg.worker_exe);
-        cmd.args(worker_args(names, spec, &journal_dir))
+        cmd.args(worker_args(names, spec, journal_dir))
             .stdin(std::process::Stdio::null())
             // The worker's stdout repeats the reports the server reads
             // from the journal, so the stream is discarded.

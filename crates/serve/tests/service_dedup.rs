@@ -1,11 +1,11 @@
 //! Deduplication: N concurrent identical submissions run exactly one
-//! simulation, proven from the server's own cache accounting — plus
-//! property tests pinning the cache key's canonicalization invariants.
+//! simulation, proven from the server's own accounting — plus property
+//! tests pinning the job key's normalization invariants.
 
 mod common;
 
 use capstan_serve::client;
-use capstan_serve::key::RunSpec;
+use capstan_serve::key::{JobKey, RunSpec};
 use capstan_serve::server::{Server, ServerConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -45,15 +45,14 @@ fn concurrent_identical_submissions_simulate_once() {
     for reply in &replies[1..] {
         assert_eq!(reply.report, replies[0].report, "responses diverged");
         assert_eq!(reply.row, replies[0].row, "bench rows diverged");
-        assert_eq!(reply.key, replies[0].key, "cache keys diverged");
     }
     assert_eq!(replies[0].row.name, "fig4");
     assert!(!replies[0].report.is_empty());
 
     // Exactly one simulation, by the server's own accounting: one miss
     // reached a core, one worker was spawned, and the other N-1
-    // requests either coalesced onto the in-flight job or hit the
-    // completed cache (the split depends on arrival timing).
+    // requests either coalesced onto the waiting job or hit the
+    // finished one (the split depends on arrival timing).
     let stats = counters(&addr);
     assert_eq!(stats["submits"], N as u64);
     assert_eq!(
@@ -82,7 +81,7 @@ fn concurrent_identical_submissions_simulate_once() {
     let _ = std::fs::remove_dir_all(&workdir);
 }
 
-/// Canonical key with the given custom-scale factor spellings.
+/// The job key with the given custom-scale factor spellings.
 fn key_for(
     experiment: &str,
     la: &str,
@@ -90,22 +89,22 @@ fn key_for(
     spmspm: &str,
     conv: &str,
     channels: usize,
-) -> u64 {
+) -> JobKey {
     let mut spec = RunSpec::new(experiment);
     spec.scale = format!("la={la},graph={graph},spmspm={spmspm},conv={conv}");
     spec.channels = channels;
-    spec.cache_key().expect("valid spec keys")
+    spec.key().expect("valid spec keys")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The key hashes parsed values, not spellings: scientific
+    /// The key holds parsed values, not spellings: scientific
     /// notation, trailing zeros, and field order (exercised at the
     /// protocol layer; `RunSpec` holds parsed fields) all map to the
     /// same key.
     #[test]
-    fn cache_key_is_invariant_under_factor_spelling(
+    fn job_key_is_invariant_under_factor_spelling(
         (la, graph, spmspm, conv) in (1e-3..1.0f64, 1e-3..1.0f64, 1e-3..1.0f64, 1e-3..1.0f64),
     ) {
         let plain = key_for(
@@ -130,7 +129,7 @@ proptest! {
     /// Any single-field change moves the key: a different factor, a
     /// different experiment, a different channel count.
     #[test]
-    fn cache_key_separates_any_single_field_change(
+    fn job_key_separates_any_single_field_change(
         (la, graph, spmspm, conv) in (1e-3..1.0f64, 1e-3..1.0f64, 1e-3..1.0f64, 1e-3..1.0f64),
     ) {
         let la_s = format!("{la}");

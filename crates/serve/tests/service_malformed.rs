@@ -51,35 +51,35 @@ fn malformed_requests_get_typed_errors_and_the_server_survives() {
         // Binary garbage (not UTF-8).
         (&[0xff, 0xfe, 0x00, b'\n'], false, "ERR bad-frame"),
         // Right magic, unknown verb.
-        (b"capstan-serve/v1 FROBNICATE\n", false, "ERR bad-frame"),
+        (b"capstan-serve/v2 FROBNICATE\n", false, "ERR bad-frame"),
         // Unknown experiment.
         (
-            b"capstan-serve/v1 SUBMIT experiment=fig99\n",
+            b"capstan-serve/v2 SUBMIT experiment=fig99\n",
             false,
             "ERR unknown-experiment",
         ),
         // Non-finite config floats.
         (
-            b"capstan-serve/v1 SUBMIT experiment=fig7 scale=la=NaN,graph=0.1,spmspm=0.1,conv=0.1\n",
+            b"capstan-serve/v2 SUBMIT experiment=fig7 scale=la=NaN,graph=0.1,spmspm=0.1,conv=0.1\n",
             false,
             "ERR bad-request",
         ),
         (
-            b"capstan-serve/v1 SUBMIT experiment=fig7 scale=la=inf,graph=0.1,spmspm=0.1,conv=0.1\n",
+            b"capstan-serve/v2 SUBMIT experiment=fig7 scale=la=inf,graph=0.1,spmspm=0.1,conv=0.1\n",
             false,
             "ERR bad-request",
         ),
         // A factor past the full dataset is refused up front, not left
         // to panic a worker.
         (
-            b"capstan-serve/v1 SUBMIT experiment=table6 scale=la=2,graph=0.015,spmspm=0.5,conv=0.1\n",
+            b"capstan-serve/v2 SUBMIT experiment=table6 scale=la=2,graph=0.015,spmspm=0.5,conv=0.1\n",
             false,
             "ERR bad-request",
         ),
         // Truncated frame: the peer hangs up mid-line.
-        (b"capstan-serve/v1 SUB", true, "ERR truncated"),
+        (b"capstan-serve/v2 SUB", true, "ERR truncated"),
         // Missing required field.
-        (b"capstan-serve/v1 SUBMIT\n", false, "ERR bad-request"),
+        (b"capstan-serve/v2 SUBMIT\n", false, "ERR bad-request"),
     ];
     for (payload, close_write, want) in cases {
         let reply = raw_exchange(&addr, payload, *close_write);
@@ -89,7 +89,7 @@ fn malformed_requests_get_typed_errors_and_the_server_survives() {
             String::from_utf8_lossy(payload)
         );
         assert!(
-            reply.starts_with("capstan-serve/v1 "),
+            reply.starts_with("capstan-serve/v2 "),
             "untagged reply: {reply:?}"
         );
     }

@@ -16,9 +16,8 @@
 //!   region-bit crossbar, the topology of the cycle-level memory mode.
 //! * [`network`] — the hybrid static/dynamic on-chip network model
 //!   (512-bit vector links, per-hop latency, §4.1).
-//! * [`snapshot`] — canonical little-endian encoding, FNV-1a-64, and
-//!   the atomic temp-file + rename used for every crash-safe file the
-//!   harness writes.
+//! * [`snapshot`] — FNV-1a-64 and the atomic temp-file + rename used
+//!   for every crash-safe file the harness writes.
 //!
 //! Everything is deterministic; no wall-clock time is consulted anywhere.
 

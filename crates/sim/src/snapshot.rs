@@ -1,21 +1,16 @@
-//! Canonical encoding, FNV-1a-64, and atomic writes (std-only).
+//! FNV-1a-64 and atomic writes (std-only).
 //!
-//! Three small primitives the harness and the service share:
+//! Two small primitives the harness and the benchmark share:
 //!
-//! * [`SnapshotWriter`] — a little-endian canonical encoding of
-//!   primitive values (floats by bit pattern, lengths as `u64`), so a
-//!   hash over it is invariant under float spelling and pointer width.
-//!   `Suite::fingerprint` and the serve cache key encode with it.
-//! * [`fnv1a_64`] — the hash those fingerprints and keys use.
+//! * [`fnv1a_64`] — a fast non-cryptographic digest of report text.
 //! * [`atomic_write`] — temp-file + rename, so a crash mid-write can
 //!   never leave a truncated journal entry or bench record behind.
 
 use std::io::Write as _;
 use std::path::Path;
 
-/// FNV-1a 64-bit hash — the fingerprint and cache-key primitive. Not
-/// cryptographic: it addresses deterministic results, it does not
-/// guard against an adversary.
+/// FNV-1a 64-bit hash. Not cryptographic: it digests deterministic
+/// report text, it does not guard against an adversary.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {
@@ -23,45 +18,6 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
     hash
-}
-
-/// Appends primitive values to a growing canonical encoding.
-#[derive(Debug, Default)]
-pub struct SnapshotWriter {
-    buf: Vec<u8>,
-}
-
-impl SnapshotWriter {
-    /// An empty encoding.
-    pub fn new() -> Self {
-        SnapshotWriter::default()
-    }
-
-    /// The bytes written so far.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Writes one byte.
-    pub fn write_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Writes a `u64`, little-endian.
-    pub fn write_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a `usize` as a `u64` (the encoding is portable across
-    /// pointer widths).
-    pub fn write_len(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    /// Writes an `f64` by bit pattern (exact round trip, NaNs included).
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
 }
 
 /// Writes `bytes` to `path` atomically: the content goes to a sibling

@@ -49,7 +49,7 @@ impl FormatClass {
         FormatClass::BitTree,
     ];
 
-    /// Stable lowercase spelling used in plan summaries and cache keys.
+    /// Stable lowercase spelling used in plan summaries.
     pub fn tag(self) -> &'static str {
         match self {
             FormatClass::Csr => "csr",
@@ -74,8 +74,8 @@ const CODEC_TAG: &str = "s1";
 ///
 /// All fields are integers; the float-valued views the planner heuristics
 /// want (density, mean/variance, block fill) are derived on demand so the
-/// stored form — and therefore the wire codec and any cache key built on
-/// it — is exact.
+/// stored form — and therefore the wire codec and the server's plan memo
+/// keyed on it — is exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TensorStats {
     /// Number of rows.
