@@ -68,7 +68,7 @@ pub struct ScanStats {
 }
 
 /// Configuration and cycle model of the bit-vector scanner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BitVecScanner {
     /// Window width in bits examined per cycle (paper design: 256).
     pub width: usize,
@@ -252,7 +252,7 @@ impl WindowCounter {
 /// non-zero per cycle (paper §3.3: "because the data scanner can only scan
 /// 16 elements per cycle, vectorization could not out-perform dense
 /// computation; therefore, the data scanner is not used in inner loops").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DataScanner {
     /// Elements examined per cycle (paper design: 16).
     inputs: usize,

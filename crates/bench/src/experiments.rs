@@ -9,23 +9,19 @@
 //! `par_map` returns results in input order, so the report text is
 //! byte-identical to a serial run (set `CAPSTAN_THREADS=1` to force
 //! one). Each item records at most one workload at a time and drops it
-//! before the next, so at most one recording per worker is live:
+//! before the next, so at most one recording per worker is live.
 //!
-//! - Tables 9–12: one item per (app, dataset) across all of the table's
-//!   apps (`record_and_simulate`).
-//! - Figs. 5a/5c: one item per app, which records once and simulates
-//!   every bandwidth point.
-//! - Fig. 7: one item per (app, dataset).
-//!
-//! Those items record through one process-wide recording memo
-//! (`cost_points`): a point that an earlier experiment recorded,
-//! and whose replays and routes the `capstan_core::perf` memos already
-//! hold, is costed from a sample-free copy of the workload without
-//! generating its dataset or recording it again. After `table9`,
-//! `table12` and `fig7` record nothing.
-//! - Table 4's 18 SpMU design points, Fig. 4's four ordering modes,
-//!   Fig. 5b's (app, outer-par) points, Fig. 6's scanner points, Table
-//!   13's four baseline blocks, and the extension studies' points.
+//! Every Table 6 (app, dataset) recording goes through one process-wide
+//! recording memo (`cost_rows`), keyed by the pair, the suite's scale,
+//! the plan mode and the [`RecordConfig`] that recording reads. One item
+//! is one point with its costing configs that record alike. A point
+//! recorded alike earlier, whose replays and routes the
+//! `capstan_core::perf` memos hold, is costed without generating its
+//! dataset or recording it again, so after `table9`, `table12` and
+//! `fig7` record nothing. The one exception is `extensions`' occupancy
+//! probe, which reads the recorded workload itself. Table 4's design
+//! points, Fig. 4's ordering modes, the synthetic kernels and the
+//! extension studies are `par_map` items of their own.
 //!
 //! Experiments never run concurrently with each other: per-experiment
 //! simulated cycles are deltas of one process-wide counter.
@@ -41,7 +37,8 @@ use capstan_arch::spmu::{BankHash, OrderingMode, SpmuConfig};
 use capstan_baselines::asic::{Eie, Graphicionado, MatRaptor, Scnn};
 use capstan_baselines::{plasticine, published};
 use capstan_core::config::{
-    run_mode, CapstanConfig, MemAddressing, MemTiming, MemoryKind, PlanMode, TenantPartition,
+    run_mode, CapstanConfig, MemAddressing, MemTiming, MemoryKind, PlanMode, RecordConfig,
+    TenantPartition,
 };
 use capstan_core::perf::{simulate, try_simulate, Memo};
 use capstan_core::program::{Workload, WorkloadBuilder};
@@ -63,26 +60,24 @@ fn app_datasets(apps: &[AppId]) -> Vec<(AppId, Dataset)> {
 
 /// Identity of one recording: what [`Suite::build`] and
 /// [`App::build`] read.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct RecordingKey {
     app: AppId,
     dataset: Dataset,
     /// The suite's four scale factors, as bit patterns.
     scales: [u64; 4],
     plan: PlanMode,
-    /// The recording configuration's derived `Debug` spelling, which
-    /// names every field and prints each `f64` exactly.
-    config: String,
+    record: RecordConfig,
 }
 
 impl RecordingKey {
-    fn new(suite: &Suite, app: AppId, dataset: Dataset, record_cfg: &CapstanConfig) -> Self {
+    fn new(suite: &Suite, app: AppId, dataset: Dataset, record: RecordConfig) -> Self {
         RecordingKey {
             app,
             dataset,
             scales: suite.scale_bits(),
             plan: run_mode().plan,
-            config: format!("{record_cfg:?}"),
+            record,
         }
     }
 }
@@ -98,26 +93,35 @@ pub fn clear_recordings() {
     RECORDINGS.clear();
 }
 
-/// Costs `app` on `dataset`, recorded under `record_cfg`, under every
-/// configuration of `sim_cfgs`, in order (see [`cost_points`]).
+/// Costs `app` on `dataset` under every configuration of `cfgs`, in
+/// order, from one recording made under `cfgs[0]` (see [`cost_rows`]).
+///
+/// # Panics
+///
+/// Panics if `cfgs` is empty or its configurations differ in their
+/// [`RecordConfig`].
 fn cost_recording(
     suite: &Suite,
     app: AppId,
     dataset: Dataset,
-    record_cfg: &CapstanConfig,
-    sim_cfgs: &[CapstanConfig],
+    cfgs: &[CapstanConfig],
 ) -> Vec<PerfReport> {
-    let key = RecordingKey::new(suite, app, dataset, record_cfg);
+    let record = cfgs[0].record_config();
+    assert!(
+        cfgs.iter().all(|cfg| cfg.record_config() == record),
+        "one recording serves only configurations that record alike"
+    );
+    let key = RecordingKey::new(suite, app, dataset, record);
     let mut reports: Vec<Option<PerfReport>> = match RECORDINGS.get(&key) {
-        Some(workload) => sim_cfgs
+        Some(workload) => cfgs
             .iter()
             .map(|cfg| try_simulate(&workload, cfg))
             .collect(),
-        None => vec![None; sim_cfgs.len()],
+        None => vec![None; cfgs.len()],
     };
     if reports.iter().any(Option::is_none) {
-        let mut workload = suite.build(app, dataset).build(record_cfg);
-        for (report, cfg) in reports.iter_mut().zip(sim_cfgs) {
+        let mut workload = suite.build(app, dataset).build(&cfgs[0]);
+        for (report, cfg) in reports.iter_mut().zip(cfgs) {
             report.get_or_insert_with(|| simulate(&workload, cfg));
         }
         workload.drop_samples();
@@ -126,62 +130,81 @@ fn cost_recording(
     reports.into_iter().flatten().collect()
 }
 
-/// Costs every (app, dataset) of `points`, recorded under `record_cfg`,
-/// under every configuration of `sim_cfgs` (valid when they do not
-/// change what gets recorded). Returns `reports[point][config]`.
+/// Costs each row's (app, dataset) under every configuration of the row
+/// and returns `reports[row][config]`.
 ///
-/// One [`capstan_par::par_map`] item is one point. A point in the
-/// recording memo is costed from its sample-free workload
-/// ([`try_simulate`]), without generating the dataset or recording. A
-/// point that is not, or a config that needs a replay or route the memos
-/// do not hold, records once: the full workload costs every config still
-/// missing, then drops its samples and replaces the memo entry, so at
-/// most one sampled recording per worker is live. Each config is costed
-/// once either way, so reports and simulated-cycle credit are those of
-/// recording and simulating directly. Results come back in input order,
-/// so the report text is identical to the serial path
-/// (`CAPSTAN_THREADS=1`; `tests/parallel_equivalence.rs` pins the
-/// equivalence).
-fn cost_points(
-    suite: &Suite,
-    points: &[(AppId, Dataset)],
-    record_cfg: &CapstanConfig,
-    sim_cfgs: &[CapstanConfig],
-) -> Vec<Vec<PerfReport>> {
-    capstan_par::par_map(points, |&(app, dataset)| {
-        cost_recording(suite, app, dataset, record_cfg, sim_cfgs)
-    })
-}
-
-/// Records every app of `apps` once per dataset under `record_cfg`, then
-/// simulates each recording under every configuration of `sim_cfgs`
-/// ([`cost_points`]). The names only label the configs for the reader.
-///
-/// Returns `reports[app][config][dataset]`.
-fn record_and_simulate(
-    suite: &Suite,
-    apps: &[AppId],
-    record_cfg: &CapstanConfig,
-    sim_cfgs: &[(&str, CapstanConfig)],
-) -> Vec<Vec<Vec<PerfReport>>> {
-    let cfgs: Vec<CapstanConfig> = sim_cfgs.iter().map(|&(_, cfg)| cfg).collect();
-    let mut per_item = cost_points(suite, &app_datasets(apps), record_cfg, &cfgs).into_iter();
-    apps.iter()
-        .map(|app| {
-            let mut per_config: Vec<Vec<PerfReport>> =
-                sim_cfgs.iter().map(|_| Vec::new()).collect();
-            for reports in per_item.by_ref().take(app.datasets().len()) {
-                for (column, report) in per_config.iter_mut().zip(reports) {
-                    column.push(report);
-                }
+/// One [`capstan_par::par_map`] item is one (row, [`RecordConfig`]): it
+/// costs the row's configurations that record alike from one recording
+/// ([`cost_recording`]). A recording in the memo is costed from its
+/// sample-free workload ([`try_simulate`]) without generating the dataset
+/// or recording. One that is not, or a config that needs a replay or
+/// route the memos do not hold, records once: the full workload costs
+/// every config still missing, then drops its samples and replaces the
+/// memo entry, so at most one sampled recording per worker is live. Each
+/// config is costed once either way, so reports and simulated-cycle
+/// credit are those of recording directly, and results come back in
+/// input order (`tests/parallel_equivalence.rs` pins both).
+fn cost_rows(suite: &Suite, rows: &[(AppId, Dataset, &[CapstanConfig])]) -> Vec<Vec<PerfReport>> {
+    let mut items: Vec<(usize, RecordConfig)> = Vec::new();
+    for (row, (_, _, cfgs)) in rows.iter().enumerate() {
+        for cfg in cfgs.iter() {
+            let item = (row, cfg.record_config());
+            if !items.contains(&item) {
+                items.push(item);
             }
-            per_config
-        })
+        }
+    }
+    let mut costed = capstan_par::par_map(&items, |&(row, record)| {
+        let (app, dataset, cfgs) = rows[row];
+        let group: Vec<CapstanConfig> = cfgs
+            .iter()
+            .filter(|cfg| cfg.record_config() == record)
+            .copied()
+            .collect();
+        cost_recording(suite, app, dataset, &group).into_iter()
+    });
+    let mut next_report = |row, cfg: &CapstanConfig| {
+        let item = items.iter().position(|&i| i == (row, cfg.record_config()));
+        costed[item.expect("every config has an item")].next()
+    };
+    rows.iter()
+        .enumerate()
+        .map(|(row, (_, _, cfgs))| cfgs.iter().flat_map(|cfg| next_report(row, cfg)).collect())
         .collect()
 }
 
-fn gmean_cycles(reports: &[PerfReport]) -> f64 {
-    gmean(&reports.iter().map(|r| r.cycles as f64).collect::<Vec<_>>())
+/// [`cost_rows`] with the same configurations `cfgs` for every point.
+fn cost_points(
+    suite: &Suite,
+    points: &[(AppId, Dataset)],
+    cfgs: &[CapstanConfig],
+) -> Vec<Vec<PerfReport>> {
+    let rows: Vec<_> = points
+        .iter()
+        .map(|&(app, dataset)| (app, dataset, cfgs))
+        .collect();
+    cost_rows(suite, &rows)
+}
+
+/// Each app of `apps`' geometric-mean cycles over its datasets under
+/// each configuration of `sim_cfgs` ([`cost_points`]), as
+/// `cycles[app][config]`. The names only label the configs for the
+/// reader.
+fn gmean_cycles(
+    suite: &Suite,
+    apps: &[AppId],
+    sim_cfgs: &[(&str, CapstanConfig)],
+) -> Vec<Vec<f64>> {
+    let cfgs: Vec<CapstanConfig> = sim_cfgs.iter().map(|&(_, cfg)| cfg).collect();
+    let mut per_point = cost_points(suite, &app_datasets(apps), &cfgs).into_iter();
+    apps.iter()
+        .map(|app| {
+            let points: Vec<_> = per_point.by_ref().take(app.datasets().len()).collect();
+            let cycles =
+                |c: usize| -> Vec<f64> { points.iter().map(|p| p[c].cycles as f64).collect() };
+            (0..cfgs.len()).map(|c| gmean(&cycles(c))).collect()
+        })
+        .collect()
 }
 
 // --- Table 4 -----------------------------------------------------------------
@@ -273,17 +296,9 @@ fn table6(suite: &Suite) -> String {
         "{:<16} {:>9} {:>10} {:>8} | {:>9} {:>10}",
         "Name", "Dim", "NNZ", "%Dense", "Gen. dim", "Gen. nnz"
     );
-    for ds in Dataset::ALL {
+    for ds in matrix_datasets() {
         let spec = ds.spec();
-        let scale = match spec.structure {
-            capstan_tensor::gen::Structure::Cnn => continue,
-            capstan_tensor::gen::Structure::DenseRandom => suite.spmspm_scale,
-            capstan_tensor::gen::Structure::Road | capstan_tensor::gen::Structure::PowerLaw => {
-                suite.graph_scale
-            }
-            _ => suite.la_scale,
-        };
-        let gen = ds.generate_scaled(scale);
+        let gen = ds.generate_scaled(structure_scale(suite, spec.structure));
         let _ = writeln!(
             out,
             "{:<16} {:>9} {:>10} {:>8.3} | {:>9} {:>10}",
@@ -374,7 +389,6 @@ pub fn table8() -> String {
 /// allocator / arbitrated, with hashed or linear banking).
 fn table9(suite: &Suite) -> String {
     let mut out = header("Table 9: SpMU architecture sensitivity (runtime / Capstan-Hash)");
-    let base = CapstanConfig::paper_default();
     let configs = table9_configs();
     let _ = writeln!(
         out,
@@ -382,12 +396,12 @@ fn table9(suite: &Suite) -> String {
         "App", "Ideal", "Hash", "Lin", "WA-Hash", "WA-Lin", "Arb-Hash", "Arb-Lin"
     );
     let mut per_config_ratios: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
-    let results = record_and_simulate(suite, &AppId::ALL, &base, &configs);
-    for (app, app_results) in AppId::ALL.iter().zip(&results) {
-        let base_cycles = gmean_cycles(&app_results[1]); // Hash column
+    let results = gmean_cycles(suite, &AppId::ALL, &configs);
+    for (app, app_cycles) in AppId::ALL.iter().zip(&results) {
+        let base_cycles = app_cycles[1]; // Hash column
         let mut cells = Vec::new();
-        for (ci, reports) in app_results.iter().enumerate() {
-            let ratio = gmean_cycles(reports) / base_cycles.max(1.0);
+        for (ci, cycles) in app_cycles.iter().enumerate() {
+            let ratio = cycles / base_cycles.max(1.0);
             per_config_ratios[ci].push(ratio);
             cells.push(format!("{ratio:>6.2}"));
         }
@@ -487,12 +501,12 @@ fn table10(suite: &Suite) -> String {
         "App", "Capstan", "AddrOrd", "Ordered"
     );
     let mut per_mode: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    let results = record_and_simulate(suite, &apps, &base, &configs);
-    for (ai, (app, app_results)) in apps.iter().zip(&results).enumerate() {
-        let base_cycles = gmean_cycles(&app_results[0]);
+    let results = gmean_cycles(suite, &apps, &configs);
+    for (ai, (app, app_cycles)) in apps.iter().zip(&results).enumerate() {
+        let base_cycles = app_cycles[0];
         let mut cells = Vec::new();
-        for (ci, reports) in app_results.iter().enumerate() {
-            let ratio = gmean_cycles(reports) / base_cycles.max(1.0);
+        for (ci, cycles) in app_cycles.iter().enumerate() {
+            let ratio = cycles / base_cycles.max(1.0);
             per_mode[ci].push(ratio);
             cells.push(format!("{:>8.2} ({:>4.2})", ratio, paper[ai][ci]));
         }
@@ -542,19 +556,18 @@ fn table11(suite: &Suite) -> String {
             shift_cfg(Some(MergeShift::Full), MemoryKind::Hbm2e),
         ),
     ];
-    let results = record_and_simulate(suite, &apps, &CapstanConfig::paper_default(), &configs);
-    for (app, r) in apps.iter().zip(&results) {
-        let ddr4_base = gmean_cycles(&r[1]);
-        let hbm_base = gmean_cycles(&r[4]);
+    for (app, r) in apps.iter().zip(gmean_cycles(suite, &apps, &configs)) {
+        let ddr4_base = r[1];
+        let hbm_base = r[4];
         let _ = writeln!(
             out,
             "{:<9} {:>10.2} | {:>10.2} {:>8.2} {:>8.2} {:>8.2}",
             app.short(),
-            gmean_cycles(&r[0]) / ddr4_base.max(1.0),
-            gmean_cycles(&r[2]) / hbm_base.max(1.0),
-            gmean_cycles(&r[3]) / hbm_base.max(1.0),
+            r[0] / ddr4_base.max(1.0),
+            r[2] / hbm_base.max(1.0),
+            r[3] / hbm_base.max(1.0),
             1.00,
-            gmean_cycles(&r[5]) / hbm_base.max(1.0),
+            r[5] / hbm_base.max(1.0),
         );
     }
     let _ = writeln!(
@@ -570,13 +583,12 @@ fn table11(suite: &Suite) -> String {
 /// each application, across memory systems and platforms.
 fn table12(suite: &Suite) -> String {
     let mut out = header("Table 12: normalized runtimes (reproduced | paper)");
-    let base = CapstanConfig::paper_default();
     let platform_cfgs = table12_configs();
     // Simulate every app on every platform.
     let mut cycles: Vec<Vec<f64>> = vec![Vec::new(); platform_cfgs.len()];
-    for app_results in record_and_simulate(suite, &AppId::ALL, &base, &platform_cfgs) {
-        for (ci, reports) in app_results.iter().enumerate() {
-            cycles[ci].push(gmean_cycles(reports));
+    for app_cycles in gmean_cycles(suite, &AppId::ALL, &platform_cfgs) {
+        for (ci, c) in app_cycles.into_iter().enumerate() {
+            cycles[ci].push(c);
         }
     }
     // Per-app normalizers: fastest HBM2E variant within each family.
@@ -721,8 +733,9 @@ fn table13_scnn(suite: &Suite) -> String {
         })
         .collect();
     let scnn_s = Scnn::default().conv_seconds(&per_channel);
-    let app = capstan_apps::conv::SparseConv::new(layer);
-    let capstan_s = capstan_seconds(&app.simulate(&CapstanConfig::new(MemoryKind::Hbm2e)));
+    let hbm = CapstanConfig::new(MemoryKind::Hbm2e);
+    let capstan_s =
+        capstan_seconds(&cost_recording(suite, AppId::Conv, Dataset::ResNet50L2, &[hbm])[0]);
     format!(
         "{:<15} {:<9} {:>6.2}x (paper 1.40x @1.6GHz, 0.87x @1GHz)\n",
         "SCNN",
@@ -738,7 +751,7 @@ fn table13_graphicionado(suite: &Suite) -> String {
     let g = Graphicionado::default();
     let graph = Dataset::Flickr.generate_scaled(suite.graph_scale);
     let edges = graph.nnz() as u64;
-    let pr = suite.build(AppId::PrPull, Dataset::Flickr).simulate(&ddr);
+    let pr = cost_recording(suite, AppId::PrPull, Dataset::Flickr, &[ddr]).remove(0);
     let mut bfs_app = capstan_apps::bfs::Bfs::new(&graph);
     bfs_app.write_backpointers = false;
     let bfs = bfs_app.simulate(&ddr);
@@ -764,8 +777,9 @@ fn table13_graphicionado(suite: &Suite) -> String {
 
 /// Table 13's MatRaptor row: highest demonstrated throughput.
 fn table13_matraptor(suite: &Suite) -> String {
-    let app = suite.build(AppId::SpMSpM, Dataset::Qc324);
-    let capstan_s = capstan_seconds(&app.simulate(&CapstanConfig::new(MemoryKind::Ddr4)));
+    let ddr = CapstanConfig::new(MemoryKind::Ddr4);
+    let capstan_s =
+        capstan_seconds(&cost_recording(suite, AppId::SpMSpM, Dataset::Qc324, &[ddr])[0]);
     let m = Dataset::Qc324.generate_scaled(suite.spmspm_scale);
     let a = capstan_tensor::Csr::from_coo(&m);
     let multiplies: u64 = (0..a.rows())
@@ -825,7 +839,6 @@ pub fn table13_atomics(suite: &Suite) -> String {
     let analytic_cfg = mk(MemTiming::Analytic);
     let cycle_cfg = mk(MemTiming::CycleLevel);
     let unit = (240_000.0 * suite.la_scale) as usize;
-    let build = |atomic_words: u64| -> Workload { scatter_update_workload(unit, atomic_words) };
     let _ = writeln!(
         out,
         "{:>12} {:>10} {:>10} {:>6} {:>9} {:>11} {:>10} {:>10}",
@@ -838,7 +851,7 @@ pub fn table13_atomics(suite: &Suite) -> String {
     // The sweep points simulate concurrently; rows format in order, so
     // the report text stays byte-identical across thread counts.
     let rows = capstan_par::par_map(&sweep, |&words| {
-        let w = build(words);
+        let w = scatter_update_workload(unit, words);
         (simulate(&w, &analytic_cfg), simulate(&w, &cycle_cfg))
     });
     for (words, (a, c)) in sweep.iter().zip(&rows) {
@@ -861,10 +874,9 @@ pub fn table13_atomics(suite: &Suite) -> String {
     none_analytic.shuffle = None;
     let mut none_cycle = cycle_cfg;
     none_cycle.shuffle = None;
-    let app = suite.build(AppId::PrEdge, Dataset::WebStanford);
-    let wl = app.build(&none_analytic);
-    let a = simulate(&wl, &none_analytic);
-    let c = simulate(&wl, &none_cycle);
+    let cfgs = [none_analytic, none_cycle];
+    let reports = cost_recording(suite, AppId::PrEdge, Dataset::WebStanford, &cfgs);
+    let (a, c) = (&reports[0], &reports[1]);
     let m = c.mem.unwrap_or_default();
     let _ = writeln!(
         out,
@@ -971,15 +983,13 @@ fn table13_recorded(suite: &Suite) -> String {
         ("PR-Edge web (power-law)", Dataset::WebStanford),
         ("PR-Edge roads (low-skew)", Dataset::UsRoads),
     ];
-    let anchor_rows = capstan_par::par_map(&anchors, |&(_, dataset)| {
-        let mut synth_none = synth_cfg;
-        synth_none.shuffle = None;
-        let mut rec_none = rec_cfg;
-        rec_none.shuffle = None;
-        let wl = suite.build(AppId::PrEdge, dataset).build(&synth_none);
-        (simulate(&wl, &synth_none), simulate(&wl, &rec_none))
-    });
-    for ((name, _), (s, r)) in anchors.iter().zip(&anchor_rows) {
+    let mut cfgs = [synth_cfg, rec_cfg];
+    for cfg in &mut cfgs {
+        cfg.shuffle = None;
+    }
+    let points = anchors.map(|(_, dataset)| (AppId::PrEdge, dataset));
+    for ((name, _), reports) in anchors.iter().zip(cost_points(suite, &points, &cfgs)) {
+        let (s, r) = (&reports[0], &reports[1]);
         let m = r.mem.unwrap_or_default();
         let _ = writeln!(
             out,
@@ -1044,13 +1054,12 @@ fn table13_channels(suite: &Suite) -> String {
     }
     // Real-app anchor: shuffle-less PR-Edge routes cross-tile updates
     // through DRAM atomics — the per-region AG split is the whole story.
-    let app = suite.build(AppId::PrEdge, Dataset::WebStanford);
-    let wl = app.build(&mk(1));
-    let anchors = capstan_par::par_map(&[1usize, 4], |&channels| {
+    let cfgs = [1usize, 4].map(|channels| {
         let mut cfg = mk(channels);
         cfg.shuffle = None;
-        simulate(&wl, &cfg)
+        cfg
     });
+    let anchors = cost_recording(suite, AppId::PrEdge, Dataset::WebStanford, &cfgs);
     let _ = writeln!(
         out,
         "PR-Edge/no-shuffle: 1ch {} cycles, 4ch {} cycles (x{:.2})",
@@ -1215,16 +1224,32 @@ fn fig5_dataset(app: AppId) -> Dataset {
     }
 }
 
-/// Figure 5a: DRAM bandwidth sensitivity (speedup vs 20 GB/s baseline).
-fn fig5a(suite: &Suite) -> String {
-    let mut out = header("Figure 5a: DRAM bandwidth sensitivity (speedup vs 20 GB/s)");
-    let bandwidths = [20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0];
-    let base = CapstanConfig::paper_default();
+/// The DRAM bandwidths (GB/s) Figs. 5a and 5c sweep.
+const FIG5_BANDWIDTHS: [f64; 7] = [20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0];
+
+/// `title`'s header and a column line of [`FIG5_BANDWIDTHS`].
+fn bandwidth_header(title: &str) -> String {
+    let mut out = header(title);
     let _ = write!(out, "{:<9}", "App");
-    for bw in bandwidths {
+    for bw in FIG5_BANDWIDTHS {
         let _ = write!(out, "{bw:>8.0}");
     }
     let _ = writeln!(out);
+    out
+}
+
+/// Writes `app`'s row of `ratios`.
+fn ratio_row(out: &mut String, app: AppId, ratios: impl Iterator<Item = f64>) {
+    let _ = write!(out, "{:<9}", app.short());
+    for ratio in ratios {
+        let _ = write!(out, "{ratio:>8.2}");
+    }
+    let _ = writeln!(out);
+}
+
+/// Figure 5a: DRAM bandwidth sensitivity (speedup vs 20 GB/s baseline).
+fn fig5a(suite: &Suite) -> String {
+    let mut out = bandwidth_header("Figure 5a: DRAM bandwidth sensitivity (speedup vs 20 GB/s)");
     let apps: Vec<AppId> = AppId::ALL
         .into_iter()
         .filter(|&a| a != AppId::BiCgStab)
@@ -1232,17 +1257,14 @@ fn fig5a(suite: &Suite) -> String {
     // Each app records once and simulates the 20 GB/s baseline plus
     // every bandwidth point as one item.
     let cfgs: Vec<CapstanConfig> = std::iter::once(20.0)
-        .chain(bandwidths)
+        .chain(FIG5_BANDWIDTHS)
         .map(|bw| CapstanConfig::new(MemoryKind::Custom(bw)))
         .collect();
     let points: Vec<(AppId, Dataset)> = apps.iter().map(|&a| (a, fig5_dataset(a))).collect();
-    for (app, reports) in apps.iter().zip(cost_points(suite, &points, &base, &cfgs)) {
-        let _ = write!(out, "{:<9}", app.short());
-        for report in &reports[1..] {
-            let speedup = reports[0].cycles as f64 / report.cycles as f64;
-            let _ = write!(out, "{speedup:>8.2}");
-        }
-        let _ = writeln!(out);
+    for (&app, reports) in apps.iter().zip(cost_points(suite, &points, &cfgs)) {
+        let base = reports[0].cycles as f64;
+        let speedups = reports[1..].iter().map(|r| base / r.cycles as f64);
+        ratio_row(&mut out, app, speedups);
     }
     out
 }
@@ -1280,40 +1302,29 @@ fn fig5b(suite: &Suite) -> String {
         AppId::SpMSpM,
         AppId::Conv,
     ];
-    // Every (app, outer-par) point records and simulates as one item.
-    let points: Vec<(AppId, usize)> = apps
-        .iter()
-        .flat_map(|&app| pars.map(|par| (app, par)))
-        .collect();
-    let cycles = capstan_par::par_map(&points, |&(app, par)| {
+    // Outer-par sets the tiling, so every (app, outer-par) point is its
+    // own recording and its own item.
+    let cfgs = pars.map(|par| {
         let mut cfg = CapstanConfig::paper_default();
         cfg.outer_par = par;
-        suite.build(app, app.datasets()[1]).simulate(&cfg).cycles as f64
+        cfg
     });
-    for (app, row) in apps.iter().zip(cycles.chunks(pars.len())) {
-        let _ = write!(out, "{:<9}", app.short());
-        for c in row {
-            let _ = write!(out, "{:>8.2}", row[0] / c);
-        }
-        let _ = writeln!(out);
+    let points: Vec<(AppId, Dataset)> = apps.iter().map(|&a| (a, a.datasets()[1])).collect();
+    for (&app, reports) in apps.iter().zip(cost_points(suite, &points, &cfgs)) {
+        let base = reports[0].cycles as f64;
+        let speedups = reports.iter().map(|r| base / r.cycles as f64);
+        ratio_row(&mut out, app, speedups);
     }
     out
 }
 
 /// Figure 5c: DRAM compression sensitivity (speedup from compression).
 fn fig5c(suite: &Suite) -> String {
-    let mut out = header("Figure 5c: compression speedup vs bandwidth");
-    let bandwidths = [20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0];
-    let base = CapstanConfig::paper_default();
-    let _ = write!(out, "{:<9}", "App");
-    for bw in bandwidths {
-        let _ = write!(out, "{bw:>8.0}");
-    }
-    let _ = writeln!(out);
+    let mut out = bandwidth_header("Figure 5c: compression speedup vs bandwidth");
     let apps = [AppId::CooSpmv, AppId::PrEdge, AppId::PrPull, AppId::CsrSpmv];
     // Each app records once and simulates every (bandwidth, compression
     // off/on) pair as one item.
-    let cfgs: Vec<CapstanConfig> = bandwidths
+    let cfgs: Vec<CapstanConfig> = FIG5_BANDWIDTHS
         .iter()
         .flat_map(|&bw| {
             let mut on = CapstanConfig::new(MemoryKind::Custom(bw));
@@ -1324,13 +1335,11 @@ fn fig5c(suite: &Suite) -> String {
         })
         .collect();
     let points: Vec<(AppId, Dataset)> = apps.iter().map(|&a| (a, fig5_dataset(a))).collect();
-    for (app, reports) in apps.iter().zip(cost_points(suite, &points, &base, &cfgs)) {
-        let _ = write!(out, "{:<9}", app.short());
-        for pair in reports.chunks(2) {
-            let speedup = pair[0].cycles as f64 / pair[1].cycles as f64;
-            let _ = write!(out, "{speedup:>8.2}");
-        }
-        let _ = writeln!(out);
+    for (&app, reports) in apps.iter().zip(cost_points(suite, &points, &cfgs)) {
+        let speedups = reports
+            .chunks(2)
+            .map(|p| p[0].cycles as f64 / p[1].cycles as f64);
+        ratio_row(&mut out, app, speedups);
     }
     let _ = writeln!(
         out,
@@ -1370,8 +1379,9 @@ fn data_scanner_config(width: usize) -> CapstanConfig {
 
 /// Figure 6: scanner sensitivity (width, data width, output vectorization).
 ///
-/// Every (row, config) point of every section records and simulates as
-/// one [`capstan_par::par_map`] item.
+/// Every (row, scanner) point of every section records as one
+/// [`capstan_par::par_map`] item ([`cost_rows`]); a section's base
+/// config shares its item with the swept value that records alike.
 fn fig6(suite: &Suite) -> String {
     let mut out = header("Figure 6: scanner sensitivity (slowdown vs maximal 512x16 scanner)");
     let sections = [
@@ -1409,20 +1419,24 @@ fn fig6(suite: &Suite) -> String {
             config: |v| bit_scanner_config(256, v),
         },
     ];
-    let points: Vec<(AppId, Dataset, CapstanConfig)> = sections
+    let section_cfgs: Vec<Vec<CapstanConfig>> = sections
         .iter()
-        .flat_map(|s| {
-            s.apps.iter().flat_map(move |&app| {
-                std::iter::once(s.base)
-                    .chain(s.values.iter().map(|&v| (s.config)(v)))
-                    .map(move |cfg| (app, (s.dataset)(app), cfg))
-            })
+        .map(|s| {
+            std::iter::once(s.base)
+                .chain(s.values.iter().map(|&v| (s.config)(v)))
+                .collect()
         })
         .collect();
-    let cycles = capstan_par::par_map(&points, |(app, dataset, cfg)| {
-        suite.build(*app, *dataset).simulate(cfg).cycles as f64
-    });
-    let mut cycles = cycles.iter();
+    let rows: Vec<(AppId, Dataset, &[CapstanConfig])> = sections
+        .iter()
+        .zip(&section_cfgs)
+        .flat_map(|(s, cfgs)| {
+            s.apps
+                .iter()
+                .map(move |&app| (app, (s.dataset)(app), cfgs.as_slice()))
+        })
+        .collect();
+    let mut rows = cost_rows(suite, &rows).into_iter();
     for s in &sections {
         let _ = writeln!(out, "{}", s.title);
         let _ = writeln!(
@@ -1434,13 +1448,10 @@ fn fig6(suite: &Suite) -> String {
                 .map(|v| format!("{v:>8}"))
                 .collect::<String>()
         );
-        for app in s.apps {
-            let base = cycles.next().expect("one base point per row");
-            let _ = write!(out, "{:<9}", app.short());
-            for c in cycles.by_ref().take(s.values.len()) {
-                let _ = write!(out, "{:>8.2}", c / base);
-            }
-            let _ = writeln!(out);
+        for (&app, reports) in s.apps.iter().zip(rows.by_ref()) {
+            let base = reports[0].cycles as f64;
+            let slowdowns = reports[1..].iter().map(|r| r.cycles as f64 / base);
+            ratio_row(&mut out, app, slowdowns);
         }
     }
     out
@@ -1459,7 +1470,7 @@ fn fig7(suite: &Suite) -> String {
     );
     let pairs = app_datasets(&AppId::ALL);
     // Every (app, dataset) pair records and simulates as one item.
-    let reports = cost_points(suite, &pairs, &cfg, &[cfg]);
+    let reports = cost_points(suite, &pairs, &[cfg]);
     for ((app, dataset), report) in pairs.iter().zip(reports.iter().flatten()) {
         let f = report.breakdown.fractions();
         let _ = writeln!(
@@ -1535,9 +1546,9 @@ fn ablations(suite: &Suite) -> String {
     // (c) Conv halo mapping: shuffle network vs memory exchange.
     let _ = writeln!(out, "(c) Conv halo mapping (runtime / shuffle-mapped):");
     let cfg = CapstanConfig::paper_default();
+    let fast = cost_recording(suite, AppId::Conv, Dataset::ResNet50L2, &[cfg])[0].cycles as f64;
     let mut app =
         capstan_apps::conv::SparseConv::from_dataset(Dataset::ResNet50L2, suite.conv_scale);
-    let fast = app.simulate(&cfg).cycles as f64;
     app.halo_via_memory = true;
     let slow = app.simulate(&cfg).cycles as f64;
     let _ = writeln!(out, "  shuffle network: 1.00");
@@ -1749,10 +1760,10 @@ pub fn extensions(suite: &Suite) -> String {
 
 // --- Planner -----------------------------------------------------------------
 
-/// The matrix datasets the planner experiment sweeps: every Table 6
-/// dataset except the CNN layers (Conv builds from layer descriptors,
-/// not a matrix the SpMV planner can probe).
-fn planner_datasets() -> Vec<Dataset> {
+/// Every Table 6 matrix dataset: all but the CNN layers, which Conv
+/// builds from layer descriptors (the planner experiment sweeps these,
+/// and Table 6 lists them).
+fn matrix_datasets() -> Vec<Dataset> {
     Dataset::ALL
         .iter()
         .copied()
@@ -1762,7 +1773,7 @@ fn planner_datasets() -> Vec<Dataset> {
 
 /// The suite scale factor a dataset's structure class runs under,
 /// mirroring the app-family grouping of `Suite::scale_for`.
-fn planner_scale(suite: &Suite, structure: Structure) -> f64 {
+fn structure_scale(suite: &Suite, structure: Structure) -> f64 {
     match structure {
         Structure::Circuit | Structure::MultiDiagonal | Structure::Banded => suite.la_scale,
         Structure::Road | Structure::PowerLaw => suite.graph_scale,
@@ -1790,10 +1801,10 @@ struct PlannerRow {
 /// winner on at least half the datasets — and the worst case is
 /// reported by name.
 pub fn planner_report(suite: &Suite, threads: usize) -> String {
-    let datasets = planner_datasets();
+    let datasets = matrix_datasets();
     let probe_one = |&d: &Dataset| -> PlannerRow {
         let spec = d.spec();
-        let scale = planner_scale(suite, spec.structure);
+        let scale = structure_scale(suite, spec.structure);
         // Probe tier: the planner only sees a quarter-scale sample of
         // the dataset — the serving scenario, where planning must cost
         // far less than the run it configures.
@@ -1923,11 +1934,16 @@ mod tests {
         let suite = Suite::parse("la=0.01,graph=0.004,spmspm=0.1,conv=0.03").unwrap();
         let cfg = CapstanConfig::paper_default();
         let (app, dataset) = (AppId::PrEdge, Dataset::WebStanford);
-        let reports = cost_points(&suite, &[(app, dataset)], &cfg, &[cfg]);
+        let reports = cost_points(&suite, &[(app, dataset)], &[cfg]);
         let full = suite.build(app, dataset).build(&cfg);
         assert_eq!(reports, vec![vec![simulate(&full, &cfg)]]);
         let kept = RECORDINGS
-            .get(&RecordingKey::new(&suite, app, dataset, &cfg))
+            .get(&RecordingKey::new(
+                &suite,
+                app,
+                dataset,
+                cfg.record_config(),
+            ))
             .expect("a costed point is memoized");
         assert!(kept.samples_dropped());
         assert_eq!(kept.tiles.len(), full.tiles.len());

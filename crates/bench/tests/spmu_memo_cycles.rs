@@ -15,11 +15,16 @@
 //! hit; its two runs must print the same bytes and add the same cycles
 //! too.
 //!
-//! And it records each (app, dataset, recording configuration) once per
-//! process. `table12` and `fig7` record under `table9`'s configuration
-//! and need only its replays and routes, so after `table9` they record
-//! nothing. With the recording memo cleared they record again, and must
-//! print the same bytes and add the same cycles as when they did not.
+//! And it records each (app, dataset, `RecordConfig`) once per process.
+//! `table12` and `fig7` record under `table9`'s configuration and need
+//! only its replays and routes, so after `table9` they record nothing.
+//! `table13`, `fig5a`, `fig5b` and `fig6` record only the points that
+//! `table9` and each other have not: `fig5b`'s paper-default outer-par
+//! and `fig6`'s paper-default scanners come from the memo, and `fig6`'s
+//! section base shares a recording with the swept value that records
+//! alike. The test pins how many recordings each experiment adds, warm
+//! and with the recording memo cleared, and each must print the same
+//! bytes and add the same cycles both ways.
 //!
 //! This file holds a single test on purpose: the simulated-cycle and
 //! recording counters are process-wide, so no other test may run
@@ -40,26 +45,42 @@ fn run(name: &str, suite: &Suite) -> (String, u64) {
 #[test]
 fn memo_hits_credit_the_cycles_a_replay_would_have_added() {
     let suite = Suite::parse("la=0.01,graph=0.004,spmspm=0.1,conv=0.03").unwrap();
-    let (_, table9_cycles) = run("table9", &suite);
-    assert!(table9_cycles > 0);
-
-    let before = recordings();
-    let from_memo = ["table12", "fig7"].map(|name| run(name, &suite));
-    assert_eq!(
-        recordings(),
-        before,
-        "table12 and fig7 recorded what table9 already had"
-    );
-    for (name, memoized) in ["table12", "fig7"].iter().zip(&from_memo) {
-        clear_recordings();
+    // (experiment, recordings it adds in this order, recordings it adds
+    // with the recording memo cleared).
+    let pins = [
+        ("table9", 33, 33),
+        ("table12", 0, 33),
+        ("fig7", 0, 33),
+        ("table13", 3, 6),
+        ("fig5a", 4, 10),
+        ("fig5b", 30, 35),
+        ("fig6", 40, 48),
+    ];
+    let recorded_by = |name: &str| {
         let before = recordings();
-        let recorded = run(name, &suite);
-        assert!(recordings() > before, "{name} did not record after a clear");
+        let run = run(name, &suite);
+        (run, recordings() - before)
+    };
+    let from_memo: Vec<(String, u64)> = pins
+        .iter()
+        .map(|&(name, warm, _)| {
+            let (run, added) = recorded_by(name);
+            assert_eq!(
+                added, warm,
+                "{name} recordings after the experiments before it"
+            );
+            assert!(run.1 > 0, "{name} added no simulated cycles");
+            run
+        })
+        .collect();
+    for (&(name, _, cold), memoized) in pins.iter().zip(&from_memo) {
+        clear_recordings();
+        let (recorded, added) = recorded_by(name);
+        assert_eq!(added, cold, "{name} recordings with the memo cleared");
         assert_eq!(
             recorded.0, memoized.0,
             "{name} report bytes changed with a recording"
         );
-        assert!(memoized.1 > 0, "{name} added no simulated cycles");
         assert_eq!(
             recorded.1, memoized.1,
             "{name} simulated-cycle delta changed with a recording"

@@ -218,6 +218,25 @@ pub fn set_default_mem_timing(timing: MemTiming) {
         .timing = timing;
 }
 
+/// What recording reads of a [`CapstanConfig`]: configurations with the
+/// same `RecordConfig` record the same workload, so one recording serves
+/// them all (the paper's Fig. 7 method: record once, then cost each
+/// configuration). Only [`CapstanConfig::record_config`] builds one, and
+/// `crates/bench/tests/record_config.rs` holds every app to the rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RecordConfig {
+    /// Requested outer-parallel pipelines: the tiling.
+    pub(crate) outer_par: usize,
+    /// Bit-vector scanner: each scan's cycle statistics.
+    pub(crate) scanner: BitVecScanner,
+    /// Data scanner: each data scan's cycle statistics.
+    pub(crate) data_scanner: DataScanner,
+    /// Shuffle ports (16 without a network): each remote update's port.
+    pub(crate) shuffle_ports: usize,
+    /// SpMU capacity in words: whether a dense vector stays on chip.
+    pub(crate) spmu_capacity_words: usize,
+}
+
 /// Full configuration of a simulated Capstan system.
 ///
 /// The default values are the paper's design point (Table 7): a 20x20
@@ -328,6 +347,17 @@ impl CapstanConfig {
         cfg.ideal_net_and_mem = true;
         cfg.spmu.ideal_conflict_free = false; // SRAM conflicts still modeled
         cfg
+    }
+
+    /// The fields recording reads ([`RecordConfig`]).
+    pub fn record_config(&self) -> RecordConfig {
+        RecordConfig {
+            outer_par: self.outer_par,
+            scanner: self.scanner,
+            data_scanner: self.data_scanner,
+            shuffle_ports: self.shuffle.map(|s| s.ports).unwrap_or(16),
+            spmu_capacity_words: self.spmu.capacity_words(),
+        }
     }
 
     /// Number of outer-parallel pipelines actually usable, given that a

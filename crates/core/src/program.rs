@@ -20,9 +20,9 @@
 //! cycle-level memory mode can replay under
 //! `CapstanConfig::mem_addresses = Recorded`.
 
-use crate::config::CapstanConfig;
+use crate::config::{CapstanConfig, RecordConfig};
 use capstan_arch::grid;
-use capstan_arch::scanner::{BitVecScanner, DataScanner, ScanElement, ScanMode, ScanStats};
+use capstan_arch::scanner::{ScanElement, ScanMode, ScanStats};
 use capstan_arch::shuffle::{ShuffleEntry, ShuffleVector};
 use capstan_arch::spmu::{AccessVector, LaneRequest, RmwOp};
 use capstan_tensor::bittree::BitTree;
@@ -178,7 +178,7 @@ impl<T> Decimator<T> {
 
 /// SRAM access trace of one tile: totals plus a sampled vector stream for
 /// replay through the cycle-level SpMU.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SramWork {
     /// Total access vectors generated.
     pub total_vectors: u64,
@@ -203,7 +203,7 @@ impl SramWork {
 }
 
 /// Cross-tile (shuffle network) traffic of one tile.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RemoteWork {
     /// Total remote entries sent.
     pub total_entries: u64,
@@ -237,7 +237,7 @@ impl RemoteWork {
 
 /// Everything recorded about one tile (one outer-parallel pipeline
 /// instance) of a workload.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TileWork {
     /// Scalar loop-body executions (useful lane work).
     pub lane_work: u64,
@@ -246,8 +246,6 @@ pub struct TileWork {
     pub vectors: u64,
     /// Scanner cycles (loop headers).
     pub scan_cycles: u64,
-    /// Scanner cycles wasted on all-zero windows.
-    scan_empty_cycles: u64,
     /// Elements emitted by scanners.
     pub scan_emitted: u64,
     /// Total set bits across scanner inputs (stream-join cost for scalar
@@ -280,41 +278,6 @@ pub struct TileWork {
     /// per-region address generators under
     /// `CapstanConfig::mem_addresses = Recorded`.
     pub dram_atomic_addrs: Vec<u64>,
-}
-
-impl TileWork {
-    fn new() -> Self {
-        TileWork {
-            lane_work: 0,
-            vectors: 0,
-            scan_cycles: 0,
-            scan_empty_cycles: 0,
-            scan_emitted: 0,
-            scan_input_nnz: 0,
-            scan_input_bits: 0,
-            sram: SramWork {
-                total_vectors: 0,
-                total_requests: 0,
-                rmw_requests: 0,
-                sampled: Vec::new(),
-                digest: SampleDigest::default(),
-            },
-            remote: RemoteWork {
-                total_entries: 0,
-                total_vectors: 0,
-                sampled: Vec::new(),
-                digest: SampleDigest::default(),
-                addr_sampled: Vec::new(),
-            },
-            dram_stream_bytes: 0,
-            dram_compressible_bytes: 0,
-            dram_compressed_bytes: 0,
-            dram_random_words: 0,
-            dram_atomic_words: 0,
-            dram_random_addrs: Vec::new(),
-            dram_atomic_addrs: Vec::new(),
-        }
-    }
 }
 
 /// A recorded workload: the unit the performance engine costs.
@@ -361,10 +324,7 @@ impl Workload {
 #[derive(Debug)]
 pub struct WorkloadBuilder {
     name: String,
-    scanner: BitVecScanner,
-    data_scanner: DataScanner,
-    lanes: usize,
-    shuffle_ports: usize,
+    cfg: RecordConfig,
     tiles: Vec<TileWork>,
     dependent_rounds: u64,
     cus_per_pipeline: usize,
@@ -376,15 +336,11 @@ impl WorkloadBuilder {
         WorkloadBuilder::for_config(name, &CapstanConfig::paper_default())
     }
 
-    /// Creates a builder matching a specific configuration (scanner
-    /// widths and lane counts affect what gets recorded).
+    /// Creates a builder that records under `cfg`'s [`RecordConfig`].
     pub fn for_config(name: impl Into<String>, cfg: &CapstanConfig) -> Self {
         WorkloadBuilder {
             name: name.into(),
-            scanner: cfg.scanner,
-            data_scanner: cfg.data_scanner,
-            lanes: grid::LANES,
-            shuffle_ports: cfg.shuffle.map(|s| s.ports).unwrap_or(16),
+            cfg: cfg.record_config(),
             tiles: Vec::new(),
             dependent_rounds: 0,
             cus_per_pipeline: 1,
@@ -397,11 +353,8 @@ impl WorkloadBuilder {
     /// [`WorkloadBuilder::commit`] to add the tile to the workload.
     pub fn tile(&mut self) -> TileRecorder {
         TileRecorder {
-            work: TileWork::new(),
-            scanner: self.scanner,
-            data_scanner: self.data_scanner,
-            lanes: self.lanes,
-            shuffle_ports: self.shuffle_ports,
+            work: TileWork::default(),
+            cfg: self.cfg,
             lane_cursor: 0,
             in_vector_loop: false,
             access_seq: 0,
@@ -453,10 +406,7 @@ impl WorkloadBuilder {
 #[derive(Debug)]
 pub struct TileRecorder {
     work: TileWork,
-    scanner: BitVecScanner,
-    data_scanner: DataScanner,
-    lanes: usize,
-    shuffle_ports: usize,
+    cfg: RecordConfig,
     lane_cursor: usize,
     in_vector_loop: bool,
     access_seq: usize,
@@ -476,11 +426,11 @@ impl TileRecorder {
     fn into_work(mut self) -> TileWork {
         self.flush_accesses();
         self.flush_remote();
-        self.work.sram.sampled = std::mem::take(&mut self.sram_sample).into_items();
-        self.work.remote.sampled = std::mem::take(&mut self.remote_sample).into_items();
-        self.work.remote.addr_sampled = std::mem::take(&mut self.remote_addr_sample).into_items();
-        self.work.dram_random_addrs = std::mem::take(&mut self.random_addr_sample).into_items();
-        self.work.dram_atomic_addrs = std::mem::take(&mut self.atomic_addr_sample).into_items();
+        self.work.sram.sampled = self.sram_sample.items;
+        self.work.remote.sampled = self.remote_sample.items;
+        self.work.remote.addr_sampled = self.remote_addr_sample.items;
+        self.work.dram_random_addrs = self.random_addr_sample.items;
+        self.work.dram_atomic_addrs = self.atomic_addr_sample.items;
         self.work
     }
 
@@ -508,7 +458,7 @@ impl TileRecorder {
         mut body: impl FnMut(&mut Self, ScanElement),
     ) {
         self.begin_vector_loop();
-        let scanner = self.scanner;
+        let scanner = self.cfg.scanner;
         let stats = scanner.for_each(mode, a, b, |e| {
             self.access_seq = 0;
             body(self, e);
@@ -530,7 +480,7 @@ impl TileRecorder {
         b: Option<&BitVec>,
         mut body: impl FnMut(&mut Self, ScanElement),
     ) {
-        let scanner = self.scanner;
+        let scanner = self.cfg.scanner;
         let stats = scanner.for_each(mode, a, b, |e| body(self, e));
         self.record_scan_inputs(a, b, stats);
     }
@@ -538,9 +488,8 @@ impl TileRecorder {
     /// An outer sparse loop over raw data values (the data scanner
     /// feeding nested loops — the Conv pattern of paper Table 2).
     pub fn scan_data_outer(&mut self, data: &[Value], mut body: impl FnMut(&mut Self, u32, Value)) {
-        let (nz, stats) = self.data_scanner.scan(data);
+        let (nz, stats) = self.cfg.data_scanner.scan(data);
         self.work.scan_cycles += stats.cycles;
-        self.work.scan_empty_cycles += stats.empty_window_cycles;
         self.work.scan_emitted += stats.emitted;
         self.work.scan_input_bits += data.len() as u64;
         self.work.scan_input_nnz += stats.emitted;
@@ -557,9 +506,8 @@ impl TileRecorder {
         b: &BitTree,
         mut body: impl FnMut(&mut Self, u32),
     ) {
-        let (positions, stats) = capstan_arch::scanner::scan_bittree(&self.scanner, mode, a, b);
+        let (positions, stats) = capstan_arch::scanner::scan_bittree(&self.cfg.scanner, mode, a, b);
         self.work.scan_cycles += stats.cycles;
-        self.work.scan_empty_cycles += stats.empty_window_cycles;
         self.work.scan_emitted += stats.emitted;
         self.work.scan_input_nnz += (a.count_ones() + b.count_ones()) as u64;
         self.work.scan_input_bits += (a.root().len() + b.root().len()) as u64
@@ -575,7 +523,6 @@ impl TileRecorder {
 
     fn record_scan_inputs(&mut self, a: &BitVec, b: Option<&BitVec>, stats: ScanStats) {
         self.work.scan_cycles += stats.cycles;
-        self.work.scan_empty_cycles += stats.empty_window_cycles;
         self.work.scan_emitted += stats.emitted;
         self.work.scan_input_nnz += a.count_ones() as u64;
         self.work.scan_input_bits += a.len() as u64;
@@ -608,12 +555,12 @@ impl TileRecorder {
     /// Records a cross-tile update routed through the shuffle network to
     /// `dest_tile`'s memory (paper §3.2).
     pub fn remote_update(&mut self, dest_tile: usize) {
-        let port = (dest_tile % self.shuffle_ports) as u32;
+        let port = (dest_tile % self.cfg.shuffle_ports) as u32;
         let lane = self.lane_cursor;
-        self.remote_builder.resize(self.lanes, None);
+        self.remote_builder.resize(grid::LANES, None);
         if self.remote_builder[lane].is_some() {
             self.flush_remote();
-            self.remote_builder.resize(self.lanes, None);
+            self.remote_builder.resize(grid::LANES, None);
         }
         self.remote_builder[lane] = Some(ShuffleEntry { dest: port, lane });
         self.work.remote.total_entries += 1;
@@ -707,7 +654,7 @@ impl TileRecorder {
 
     fn advance_lane(&mut self) {
         self.lane_cursor += 1;
-        if self.lane_cursor == self.lanes {
+        if self.lane_cursor == grid::LANES {
             self.flush_accesses();
             self.flush_remote();
             self.lane_cursor = 0;
@@ -722,7 +669,7 @@ impl TileRecorder {
         }
         self.in_vector_loop = false;
         self.work.lane_work += elements;
-        self.work.vectors += elements.div_ceil(self.lanes as u64);
+        self.work.vectors += elements.div_ceil(grid::LANES as u64);
     }
 
     fn push_access(&mut self, req: LaneRequest) {
@@ -730,23 +677,23 @@ impl TileRecorder {
             // Scalar context: pack sequential scalar accesses into lanes.
             self.access_seq = 0;
             if self.builders.is_empty() {
-                self.builders.push(vec![None; self.lanes]);
+                self.builders.push(vec![None; grid::LANES]);
             }
             let lane = self.lane_cursor;
             if self.builders[0][lane].is_some() {
                 self.flush_accesses();
-                self.builders.push(vec![None; self.lanes]);
+                self.builders.push(vec![None; grid::LANES]);
             }
             self.builders[0][lane] = Some(req);
             self.record_request(&req);
-            self.lane_cursor = (self.lane_cursor + 1) % self.lanes;
+            self.lane_cursor = (self.lane_cursor + 1) % grid::LANES;
             if self.lane_cursor == 0 {
                 self.flush_accesses();
             }
             return;
         }
         while self.builders.len() <= self.access_seq {
-            self.builders.push(vec![None; self.lanes]);
+            self.builders.push(vec![None; grid::LANES]);
         }
         self.builders[self.access_seq][self.lane_cursor] = Some(req);
         self.record_request(&req);
@@ -775,19 +722,6 @@ impl TileRecorder {
             let v = std::mem::take(&mut self.remote_builder);
             self.remote_sample.offer(v);
         }
-    }
-}
-
-impl<T> Decimator<T> {
-    /// Consumes the decimator, returning the retained sample.
-    fn into_items(self) -> Vec<T> {
-        self.items
-    }
-}
-
-impl<T> Default for Decimator<T> {
-    fn default() -> Self {
-        Decimator::new(1)
     }
 }
 
@@ -1030,7 +964,7 @@ mod tests {
             d.offer(i);
         }
         assert_eq!(d.seen, 100_000);
-        let items = d.into_items();
+        let items = d.items;
         assert!(items.len() <= 128);
         // The sample spans the stream, not just its head.
         assert!(*items.last().unwrap() > 50_000);

@@ -25,13 +25,22 @@ enum Symmetry {
     Symmetric,
 }
 
+/// The largest row or column count [`read`] accepts: 2^26 (67,108,864).
+/// The applications size dense host arrays by the extents (CSR row
+/// pointers, vectors, ranks) whether or not any entry uses them, so a
+/// header alone could otherwise ask for tens of GiB and abort the
+/// process. The cap is 80 times the largest paper dataset (flickr,
+/// 820,878 vertices), and a CSR row pointer at the cap takes 512 MiB.
+const MAX_EXTENT: usize = 1 << 26;
+
 /// Reads a Matrix Market coordinate matrix from a buffered reader.
 ///
 /// # Errors
 ///
 /// Returns [`FormatError::Parse`] for malformed input,
-/// [`FormatError::CapacityExceeded`] for an extent past the [`Index`]
-/// range, [`FormatError::IndexOutOfBounds`] for a coordinate past it,
+/// [`FormatError::CapacityExceeded`] for an extent past 2^26 (the dense
+/// host arrays an extent sizes), [`FormatError::IndexOutOfBounds`] for a
+/// coordinate past the [`Index`] range,
 /// [`FormatError::LengthMismatch`] when the entry count differs from the
 /// header's, and propagates bounds errors from [`Coo::from_triplets`].
 ///
@@ -128,15 +137,11 @@ pub fn read<R: BufRead>(reader: R) -> Result<Coo> {
         );
     };
 
-    // Every coordinate must fit an `Index`, so no extent may pass
-    // `Index::MAX + 1`: a larger header would size host arrays that no
-    // stored coordinate can address.
-    let max_extent = Index::MAX as usize + 1;
     for extent in [rows, cols] {
-        if extent > max_extent {
+        if extent > MAX_EXTENT {
             return Err(FormatError::CapacityExceeded {
                 requested: extent,
-                max: max_extent,
+                max: MAX_EXTENT,
             });
         }
     }
@@ -265,6 +270,26 @@ mod tests {
         let text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 5\n";
         let err = read(text.as_bytes()).unwrap_err();
         assert!(matches!(err, FormatError::Parse { line: 3, .. }), "{err:?}");
+    }
+
+    #[test]
+    fn extents_past_the_dense_cap_are_rejected_before_any_allocation() {
+        let header = |rows: usize| {
+            format!("%%MatrixMarket matrix coordinate real general\n{rows} 2 1\n1 1 5.0\n")
+        };
+        assert_eq!(
+            read(header(MAX_EXTENT).as_bytes()).unwrap().rows(),
+            MAX_EXTENT
+        );
+        for rows in [MAX_EXTENT + 1, 1 << 32] {
+            assert_eq!(
+                read(header(rows).as_bytes()).unwrap_err(),
+                FormatError::CapacityExceeded {
+                    requested: rows,
+                    max: MAX_EXTENT
+                }
+            );
+        }
     }
 
     #[test]

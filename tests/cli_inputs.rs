@@ -116,6 +116,12 @@ fn matrix_market_headers_and_coordinates_past_the_index_range_exit_one() {
             "100000000000 2 1\n1 1 5.0\n",
             "exceeds format maximum",
         ),
+        // Every `u32` row fits, but 2^32 + 1 CSR row pointers do not.
+        (
+            "rows_2_32",
+            "4294967296 2 1\n1 1 5.0\n",
+            "exceeds format maximum",
+        ),
     ];
     for (name, body, needle) in cases {
         let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
